@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos bench bench-smoke bench-all metrics-smoke wire-smoke pipeline-smoke reshard-smoke slo-smoke gateway-smoke store-smoke fuzz
+.PHONY: build test verify chaos bench-all metrics-smoke wire-smoke pipeline-smoke reshard-smoke slo-smoke gateway-smoke store-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -17,18 +17,8 @@ verify:
 chaos:
 	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestHedge|TestServerError|TestTCPPoolRecovery' ./internal/cluster/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
 
-# Hot-path benchmark trajectory: runs the sample/pipeline/pack/codec
-# benchmarks, writes BENCH_6.json (before/after/reduction), and gates the
-# >=50% B/op + allocs/op reduction on the sample->pack path.
-bench:
-	./scripts/bench.sh
-
-# CI variant: short iterations, fails on an allocs/op regression beyond
-# 25% of scripts/bench_allocs_baseline.txt.
-bench-smoke:
-	./scripts/bench.sh smoke
-
-# Every benchmark in the tree (paper tables/figures included).
+# Every Go benchmark in the tree (paper tables/figures included). The
+# serving-path benchmark is bash bench/run.sh (see BENCHMARK.json).
 bench-all:
 	$(GO) test -bench=. -benchmem
 
@@ -37,8 +27,8 @@ bench-all:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# Wire-plane smoke test: boots lsdgnn-server, drives a protocol-v2 packed
-# burst through lsdgnn-probe over TCP, and asserts the
+# Wire-plane smoke test: boots lsdgnn-server, drives a packed burst
+# through lsdgnn-probe over TCP, and asserts the
 # lsdgnn_cluster_wire_* series (bytes, packed frames, pack ratio) moved.
 wire-smoke:
 	./scripts/wire_smoke.sh
@@ -85,7 +75,9 @@ store-smoke:
 	./scripts/store_smoke.sh
 
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
-# regression), then a short randomized run on the packed-frame decoder.
+# regression), then a short randomized run on the frame-header parser and
+# the packed-frame decoder.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
+	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzDecodePacked' -fuzztime 20s ./internal/cluster/

@@ -388,10 +388,14 @@ func BenchmarkPackedFrameCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := cluster.DecodePackedRequest(req, &codec); err != nil {
+		h, body, err := cluster.ParseHeader(req)
+		if err != nil {
 			b.Fatal(err)
 		}
-		resp := cluster.EncodePackedResponse(resps, true, &codec)
+		if _, err := cluster.DecodePackedRequest(body, h.BDI, &codec); err != nil {
+			b.Fatal(err)
+		}
+		resp := cluster.EncodePackedResponse(cluster.Header{BDI: true}, resps, &codec)
 		out, err := cluster.DecodePackedResponse(resp, 0, &codec)
 		if err != nil {
 			b.Fatal(err)

@@ -1,14 +1,14 @@
 // Command lsdgnn-probe is a wire-level load driver: it dials a running
-// lsdgnn-server cluster, negotiates the protocol, and pushes sampling
-// batches through the client hot path — with or without protocol-v2 MoF
-// request packing — then reports what crossed the wire.
+// lsdgnn-server cluster and pushes sampling batches through the client hot
+// path — with or without MoF request packing — then reports what crossed
+// the wire.
 //
 // It exists for smoke tests (scripts/wire_smoke.sh drives a packed burst
 // and then asserts the server's /metrics counted it) and for eyeballing
 // the packing win against a live cluster:
 //
 //	lsdgnn-probe -addrs 127.0.0.1:7001,127.0.0.1:7002 -batches 8
-//	lsdgnn-probe -addrs 127.0.0.1:7001 -pack=false   # v1-equivalent wire
+//	lsdgnn-probe -addrs 127.0.0.1:7001 -pack=false   # plain per-request frames
 //
 // With -replicas the address list covers a replicated tier in
 // UniformReplicas order (replica r of partition p at index r*partitions+p)
@@ -45,7 +45,7 @@ func main() {
 	batchSize := flag.Int("batch-size", 64, "roots per batch")
 	workers := flag.Int("workers", 4, "concurrent batch drivers (concurrency is what fills packed frames)")
 	fanout := flag.Int("fanout", 10, "neighbors sampled per hop (2 hops)")
-	pack := flag.Bool("pack", true, "request protocol-v2 MoF packing + BDI")
+	pack := flag.Bool("pack", true, "request MoF packing + BDI")
 	window := flag.Duration("pack-window", 0, "packing window (0 = default)")
 	pipelined := flag.Bool("pipeline", false, "drive batches through the out-of-order sampling executor and print its lsdgnn_pipeline_* metrics")
 	memStats := flag.Bool("mem", false, "print the client-side lsdgnn_mem_* buffer-pool metrics after the burst")
@@ -82,9 +82,9 @@ func main() {
 	transport := cluster.DialTCP(endpoints, 2)
 	defer transport.Close()
 	part := cluster.HashPartitioner{N: partitions}
-	// Always trace: against a protocol-v1 peer each request rides an
-	// OpTraced envelope, which is what lets the server attach exemplars
-	// and span timelines (its /trace/{id}) to this probe's traffic.
+	// Always trace: each request then carries its trace ID in the frame
+	// header, which is what lets the server attach exemplars and span
+	// timelines (its /trace/{id}) to this probe's traffic.
 	opts := []cluster.ClientOption{cluster.WithTracer(obs.NewTracer())}
 	if *apiKey != "" {
 		opts = append(opts, cluster.WithAPIKey(*apiKey))
@@ -212,11 +212,11 @@ func main() {
 		tr.Requests, float64(tr.RequestBytes)/1e3, float64(tr.ResponseBytes)/1e3)
 	if client.Packing() {
 		ps := &client.Pack
-		fmt.Printf("packing: %d frames carrying %d requests (%.1f reqs/frame), wire bytes %.0f%% of v1 equivalent\n",
+		fmt.Printf("packing: %d frames carrying %d requests (%.1f reqs/frame), wire bytes %.0f%% of the plain-frame equivalent\n",
 			ps.Frames(), ps.Requests(), ps.PackRatio(),
 			float64(ps.WireBytes())/float64(ps.RawBytes())*100)
 		if ps.Frames() == 0 {
-			fatal(fmt.Errorf("packing negotiated but no packed frames sent"))
+			fatal(fmt.Errorf("packing on but no packed frames sent"))
 		}
 	}
 	if ex != nil {

@@ -97,11 +97,11 @@ func main() {
 	fmt.Printf("resilience: %d retries, %d failovers to replicas, %d breaker rejects — batch intact despite injected chaos\n",
 		rs.Retries, rs.Failovers, rs.BreakerRejects)
 	if raw, wire := client.Pack.RawBytes(), client.Pack.WireBytes(); raw > 0 {
-		fmt.Printf("MoF packing (protocol v2): %.1f reqs/frame, wire bytes %.0f%% of the v1 equivalent\n",
+		fmt.Printf("MoF packing: %.1f reqs/frame, wire bytes %.0f%% of the plain-frame equivalent\n",
 			client.Pack.PackRatio(), float64(wire)/float64(raw)*100)
 	}
 
-	// The trace negotiated over the wire (protocol v2): the batch's latency
+	// The trace carried over the wire in the frame header: the batch's latency
 	// split hop by hop — packing window vs RPC machinery vs socket time vs
 	// server handler.
 	fmt.Println("\nper-hop latency (traced over TCP):")

@@ -21,7 +21,7 @@ func main() {
 		g.NumNodes(), g.NumEdges(), g.AttrLen(), float64(g.FootprintBytes())/1e6)
 
 	// Assemble a 4-partition deployment with default (PoC) engines and
-	// protocol-v2 MoF request packing on the storage RPCs.
+	// MoF request packing on the storage RPCs.
 	sys, err := lsdgnn.New("",
 		lsdgnn.WithGraph(g),
 		lsdgnn.WithServers(4),
@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("             %.1f%% of requests were fine-grained structure reads\n",
 		sys.Client.Access.StructureRequestShare()*100)
 	if raw, wire := sys.Client.Pack.RawBytes(), sys.Client.Pack.WireBytes(); raw > 0 {
-		fmt.Printf("             MoF packing: %.1f reqs/frame, wire bytes %.0f%% of v1 equivalent\n",
+		fmt.Printf("             MoF packing: %.1f reqs/frame, wire bytes %.0f%% of the plain-frame equivalent\n",
 			sys.Client.Pack.PackRatio(), float64(wire)/float64(raw)*100)
 	}
 

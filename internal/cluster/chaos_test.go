@@ -329,7 +329,7 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 		ft.SetFaults(FaultSpec{ErrRate: 0.3, DropRate: 0.1})
 		outcomes := make([]bool, 200)
 		for i := range outcomes {
-			_, err := ft.Call(bg, 0, []byte{OpMeta})
+			_, err := ft.Call(bg, 0, metaReq)
 			outcomes[i] = err == nil
 		}
 		return outcomes
@@ -368,5 +368,79 @@ func TestChaosContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("retry loop outlived its context by %v", elapsed)
+	}
+}
+
+// TestChaosPackedSampleBatchUnderFaults reruns the headline chaos
+// acceptance test with packing on: concurrent batches through
+// the packer and attr coalescer, 20% injected faults, one replica per
+// partition — every batch must still match the fault-free unpacked
+// reference exactly. Retries wrap whole packed frames, so co-packed
+// requests from other batches must survive a frame's failover too.
+func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
+	g := testGraph(t)
+	const partitions, replicas, batches, batchSize, workers = 4, 2, 12, 24, 4
+	want := referenceResults(t, g, partitions, batches, batchSize)
+
+	part := HashPartitioner{N: partitions}
+	servers := make([]*Server, 0, partitions*replicas)
+	for r := 0; r < replicas; r++ {
+		for p := 0; p < partitions; p++ {
+			servers = append(servers, NewServer(g, part, p))
+		}
+	}
+	ft := NewFaultyTransport(DirectTransport{Servers: servers}, 42)
+	client, err := NewClientContext(bg, ft, part, 0,
+		WithPacking(PackingConfig{Window: 200 * time.Microsecond}),
+		WithResilience(ResilienceConfig{
+			Retry:    RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Jitter: 0.5},
+			Breaker:  BreakerConfig{Threshold: 10, OpenFor: 10 * time.Millisecond},
+			Replicas: UniformReplicas(partitions, replicas),
+			Seed:     7,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !client.Packing() {
+		t.Fatal("packing not negotiated")
+	}
+	ft.SetFaults(FaultSpec{ErrRate: 0.2})
+
+	got := make([]*sampler.Result, batches)
+	errc := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := w; b < batches; b += workers {
+				res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+				if err != nil {
+					errc <- err
+					return
+				}
+				got[b] = res
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatalf("packed batch failed despite retries+replicas: %v", err)
+	}
+	for b := range got {
+		if !reflect.DeepEqual(got[b], want[b]) {
+			t.Fatalf("packed batch %d diverged from fault-free reference", b)
+		}
+	}
+	if _, injected := ft.Counts(); injected == 0 {
+		t.Fatal("no faults injected — chaos harness inert")
+	}
+	if client.Pack.Frames() == 0 {
+		t.Fatal("no packed frames under chaos")
+	}
+	rs := client.Res.Snapshot()
+	if rs.Retries+rs.Failovers == 0 {
+		t.Fatalf("faults injected but no retries or failovers recorded: %+v", rs)
 	}
 }

@@ -134,19 +134,17 @@ type Client struct {
 	// partial enables PartialResults degradation (set via WithResilience).
 	partial bool
 	// tracer, when set (WithTracer), records the per-hop latency breakdown
-	// — batch, RPC, wire, server — and resilience events. Requests to
-	// protocol-v1 peers carry the trace ID on the wire.
+	// — batch, RPC, wire, server — and resilience events; every request
+	// then carries its trace ID in the frame header.
 	tracer *obs.Tracer
 	// slo, when set (WithSLO), classifies every SampleBatch against a
 	// client-side latency objective.
 	slo *stats.SLO
-	// Pack tallies the protocol-v2 packing layer ("cluster.pack"): frames
-	// vs logical requests, raw-vs-wire bytes, BDI ratio, coalescer hits.
+	// Pack tallies the packing layer ("cluster.pack"): frames vs logical
+	// requests, raw-vs-wire bytes, BDI ratio, coalescer hits.
 	Pack PackStats
-	// packCfg holds the WithPacking request; pack is built after the meta
-	// handshake proves the peer speaks protocol v2, else stays nil and the
-	// client sends plain per-request frames.
-	packCfg  *PackingConfig
+	// pack and coalesce are set by WithPacking; without it the client sends
+	// plain per-request frames.
 	pack     *packer
 	coalesce *attrCoalescer
 	// Lay tallies the elastic-layout control plane ("cluster.layout"):
@@ -168,8 +166,8 @@ type Client struct {
 	// inflight counts per-endpoint calls on the wire so drains can wait
 	// for them.
 	inflight inflightTracker
-	// apiKey, when set (WithAPIKey), wraps every outgoing frame in an
-	// OpAuthed envelope for gateway-fronted servers.
+	// apiKey, when set (WithAPIKey), rides in every outgoing frame's header
+	// for gateway-fronted servers.
 	apiKey string
 }
 
@@ -187,12 +185,9 @@ func WithResilience(cfg ResilienceConfig) ClientOption {
 	}
 }
 
-// WithTracer attaches a hop tracer. When the server side speaks protocol
-// v1 (negotiated during bootstrap), each request is sent in an OpTraced
-// envelope so the server's handling time comes back in the reply and the
-// tracer can split wire time from server time; against legacy peers the
-// tracer still records batch and RPC hops, just without the wire/server
-// split.
+// WithTracer attaches a hop tracer. Each request then carries its trace ID
+// in the frame header, the server's handling time comes back in the reply
+// header, and the tracer splits wire time from server time.
 func WithTracer(tr *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
@@ -205,16 +200,11 @@ func WithSLO(s *stats.SLO) ClientOption {
 	return func(c *Client) { c.slo = s }
 }
 
-// WithAPIKey wraps every outgoing frame — bootstrap meta fetch included —
-// in an OpAuthed envelope carrying the key, for talking to servers fronted
-// by a gateway.WireGate. The envelope rides outermost (outside the traced
-// envelope and around packed frames), matching where the gate sits in the
-// server's handler chain. Panics if the key exceeds the wire format's
-// 255-byte bound.
+// WithAPIKey puts the key in the header of every outgoing frame — bootstrap
+// meta fetch included — for talking to servers fronted by a
+// gateway.WireGate. A key over the header's 255-byte bound panics at the
+// first encode, which is the bootstrap fetch.
 func WithAPIKey(key string) ClientOption {
-	if len(key) > 255 {
-		panic("cluster: api key exceeds 255 bytes")
-	}
 	return func(c *Client) { c.apiKey = key }
 }
 
@@ -295,10 +285,8 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	if boot == nil {
 		boot = newResilience(ResilienceConfig{Retry: DefaultRetryPolicy()}, &c.Res)
 	}
-	// The meta request advertises this client's protocol version; legacy
-	// servers ignore the trailing byte and answer in the legacy form, which
-	// decodes as Version 0 below — the signal to skip trace envelopes.
-	raw, err := boot.call(ctx, 0, EncodeMetaRequest(), c.invoke)
+	ctx, h := c.header(ctx)
+	raw, err := boot.call(ctx, 0, EncodeMetaRequest(h), c.invoke)
 	if c.res == nil {
 		// The bootstrap-only resilience installed its breaker gauge on
 		// c.Res; drop it so a policy-less client does not keep reporting
@@ -310,24 +298,19 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	if err != nil {
 		return nil, fmt.Errorf("cluster: meta fetch: %w", err)
 	}
+	// A peer on another protocol version fails here, for good: its reply's
+	// header does not parse, and the error names both versions.
 	c.meta, err = DecodeMetaResponse(raw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: meta fetch: %w", err)
 	}
 	if c.meta.Partitions != p.Servers() {
 		return nil, fmt.Errorf("cluster: server reports %d partitions, client configured %d", c.meta.Partitions, p.Servers())
 	}
-	// Packing is version-gated like tracing: only a peer that advertised
-	// protocol ≥ 2 ever sees an OpPacked frame.
-	if c.packCfg != nil && c.meta.Version >= 2 {
-		c.pack = newPacker(c, *c.packCfg, &c.Pack)
-		c.coalesce = newAttrCoalescer()
-	}
 	return c, nil
 }
 
-// Packing reports whether protocol-v2 request packing is active (asked for
-// via WithPacking and granted by the peer's advertised version).
+// Packing reports whether request packing is active (WithPacking).
 func (c *Client) Packing() bool { return c.pack != nil }
 
 // EnableCache attaches a hot-node cache of the given capacity (entries),
@@ -344,8 +327,8 @@ func (c *Client) NumNodes() int64 { return c.meta.NumNodes }
 func (c *Client) AttrLen() int { return c.meta.AttrLen }
 
 // NegotiatedVersion returns the protocol version the bootstrap peer
-// advertised (0 for legacy servers).
-func (c *Client) NegotiatedVersion() int { return c.meta.Version }
+// speaks; bootstrap rejects every version but this build's.
+func (c *Client) NegotiatedVersion() int { return ProtoVersion }
 
 // call issues one request to the partition's serving endpoint(s). With a
 // resilience policy it retries, fails over to replicas, and consults
@@ -371,23 +354,26 @@ func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, e
 	return c.invoke(ctx, partition, req)
 }
 
+// header builds the header for a request sent under ctx: the tenant key if
+// the client holds one and, with tracing on, ctx's trace ID (minted here if
+// ctx has none; the returned context carries it). Callers encode with it
+// before c.call, because a frame is immutable once handed over: hedged
+// attempts read it concurrently.
+func (c *Client) header(ctx context.Context) (context.Context, Header) {
+	h := Header{Key: c.apiKey}
+	if c.tracer != nil {
+		var id obs.TraceID
+		ctx, id = obs.EnsureTrace(ctx)
+		h.Traced, h.Trace = true, uint64(id)
+	}
+	return ctx, h
+}
+
 // invoke performs one raw transport call against an endpoint, recording
-// wire traffic on success. Against a protocol-v1 peer with tracing on, the
-// request rides in an OpTraced envelope; the reply envelope carries the
+// wire traffic on success. With tracing on, the reply header carries the
 // server's handling time, and the remainder of the round trip is recorded
 // as the wire hop.
 func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, error) {
-	traced := c.tracer != nil && c.meta.Version >= 1
-	var id obs.TraceID
-	if traced {
-		ctx, id = obs.EnsureTrace(ctx)
-		req = EncodeTracedRequest(id, req)
-	}
-	if c.apiKey != "" {
-		// Outermost: the wire gate authenticates before anything else
-		// unwraps, so the key envelope goes on last.
-		req = EncodeAuthedRequest(c.apiKey, req)
-	}
 	start := time.Now()
 	c.inflight.enter(endpoint)
 	resp, err := c.transport.Call(ctx, endpoint, req)
@@ -395,28 +381,26 @@ func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	// Wire traffic counts the enveloped frames — what actually crossed.
 	c.Traffic.record(len(req), len(resp), endpoint != c.local)
-	if traced {
-		total := time.Since(start)
-		serverTime, inner, derr := DecodeTracedReply(resp)
-		if derr != nil {
-			return nil, derr
-		}
-		resp = inner
-		wire := total - serverTime
-		if wire < 0 {
-			wire = 0
-		}
+	if c.tracer == nil {
+		return resp, nil
+	}
+	total := time.Since(start)
+	h, _, err := ParseHeader(resp)
+	if err != nil {
+		return nil, err
+	}
+	if id, ok := obs.FromContext(ctx); ok && h.Traced {
+		serverTime := time.Duration(h.Trace)
 		c.tracer.Observe(id, obs.HopServer, start, serverTime)
-		c.tracer.Observe(id, obs.HopWire, start, wire)
+		c.tracer.Observe(id, obs.HopWire, start, max(total-serverTime, 0))
 	}
 	return resp, nil
 }
 
 // neighborsRPC issues one per-shard neighbors request — through the
-// packing window when protocol v2 is active, as a plain v1 frame
-// otherwise. Either way the resilient call path runs underneath.
+// packing window when packing is on, as a plain frame otherwise. Either
+// way the resilient call path runs underneath.
 func (c *Client) neighborsRPC(ctx context.Context, s int, req NeighborsRequest) (NeighborsResponse, error) {
 	if s >= 0 && s < len(c.loads) {
 		c.loads[s].Add(1)
@@ -431,7 +415,8 @@ func (c *Client) neighborsRPC(ctx context.Context, s int, req NeighborsRequest) 
 		}
 		return sub.Neighbors, nil
 	}
-	raw, err := c.call(ctx, s, EncodeNeighborsRequest(req))
+	ctx, h := c.header(ctx)
+	raw, err := c.call(ctx, s, EncodeNeighborsRequest(h, req))
 	if err != nil {
 		return NeighborsResponse{}, err
 	}
@@ -453,7 +438,8 @@ func (c *Client) attrsRPC(ctx context.Context, s int, req AttrsRequest) (AttrsRe
 		}
 		return sub.Attrs, nil
 	}
-	raw, err := c.call(ctx, s, EncodeAttrsRequest(req))
+	ctx, h := c.header(ctx)
+	raw, err := c.call(ctx, s, EncodeAttrsRequest(h, req))
 	if err != nil {
 		return AttrsResponse{}, err
 	}

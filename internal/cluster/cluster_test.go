@@ -75,7 +75,7 @@ func TestGroupByOwner(t *testing.T) {
 
 func TestProtocolNeighborsRoundTrip(t *testing.T) {
 	req := NeighborsRequest{IDs: []graph.NodeID{5, 9, 1 << 40}, MaxPerNode: 7}
-	got, err := DecodeNeighborsRequest(EncodeNeighborsRequest(req))
+	got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, req)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestProtocolNeighborsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	resp := NeighborsResponse{Lists: [][]graph.NodeID{{1, 2}, nil, {3}}}
-	gotR, err := DecodeNeighborsResponse(EncodeNeighborsResponse(resp))
+	gotR, err := DecodeNeighborsResponse(EncodeNeighborsResponse(Header{}, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestProtocolNeighborsRoundTrip(t *testing.T) {
 
 func TestProtocolAttrsRoundTrip(t *testing.T) {
 	req := AttrsRequest{IDs: []graph.NodeID{1, 2}}
-	got, err := DecodeAttrsRequest(EncodeAttrsRequest(req))
+	got, err := DecodeAttrsRequest(bodyOf(t, EncodeAttrsRequest(Header{}, req)))
 	if err != nil || len(got.IDs) != 2 {
 		t.Fatalf("attrs request: %v %v", got, err)
 	}
 	resp := AttrsResponse{AttrLen: 2, Attrs: []float32{1.5, -2, 0, 3e9}}
-	gotR, err := DecodeAttrsResponse(EncodeAttrsResponse(resp))
+	gotR, err := DecodeAttrsResponse(EncodeAttrsResponse(Header{}, resp))
 	if err != nil || gotR.AttrLen != 2 || gotR.Attrs[3] != 3e9 {
 		t.Fatalf("attrs response: %+v %v", gotR, err)
 	}
@@ -107,24 +107,24 @@ func TestProtocolAttrsRoundTrip(t *testing.T) {
 
 func TestProtocolMetaRoundTrip(t *testing.T) {
 	m := MetaResponse{NumNodes: 1 << 33, AttrLen: 84, Partition: 2, Partitions: 5}
-	got, err := DecodeMetaResponse(EncodeMetaResponse(m))
+	got, err := DecodeMetaResponse(EncodeMetaResponse(Header{}, m))
 	if err != nil || got != m {
 		t.Fatalf("meta round trip = %+v, %v", got, err)
 	}
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := DecodeNeighborsRequest([]byte{OpGetAttrs, 0, 0, 0, 0}); err == nil {
+	if _, err := DecodeNeighborsResponse(EncodeAttrsResponse(Header{}, AttrsResponse{})); err == nil {
 		t.Fatal("wrong op accepted")
 	}
-	if _, err := DecodeNeighborsRequest([]byte{OpGetNeighbors, 0, 0, 0, 0, 9, 0, 0, 0}); err == nil {
+	if _, err := DecodeNeighborsRequest([]byte{0, 0, 0, 0, 9, 0, 0, 0}); err == nil {
 		t.Fatal("truncated ID list accepted")
 	}
-	msg := EncodeAttrsRequest(AttrsRequest{IDs: []graph.NodeID{1}})
+	msg := bodyOf(t, EncodeAttrsRequest(Header{}, AttrsRequest{IDs: []graph.NodeID{1}}))
 	if _, err := DecodeAttrsRequest(append(msg, 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, err := DecodeMetaResponse([]byte{OpMeta, 1}); err == nil {
+	if _, err := DecodeMetaResponse(bare(OpMeta, 1)); err == nil {
 		t.Fatal("short meta accepted")
 	}
 }
@@ -135,7 +135,7 @@ func TestPropertyProtocolIDs(t *testing.T) {
 		for i, v := range raw {
 			ids[i] = graph.NodeID(v)
 		}
-		got, err := DecodeNeighborsRequest(EncodeNeighborsRequest(NeighborsRequest{IDs: ids, MaxPerNode: max}))
+		got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: ids, MaxPerNode: max})))
 		if err != nil || got.MaxPerNode != max || len(got.IDs) != len(ids) {
 			return false
 		}
@@ -315,7 +315,7 @@ func TestClientMetaMismatch(t *testing.T) {
 
 func TestDirectTransportBadServer(t *testing.T) {
 	tr := DirectTransport{Servers: nil}
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err == nil {
+	if _, err := tr.Call(bg, 0, metaReq); err == nil {
 		t.Fatal("call to missing server accepted")
 	}
 }

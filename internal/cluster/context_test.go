@@ -111,7 +111,7 @@ func TestTCPCallDeadlineAbortsInFlight(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.Call(ctx, 0, []byte{OpMeta})
+	_, err := tr.Call(ctx, 0, metaReq)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -130,7 +130,7 @@ func TestTCPCallCancelAbortsInFlight(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := tr.Call(ctx, 0, []byte{OpMeta})
+	_, err := tr.Call(ctx, 0, metaReq)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -219,7 +219,7 @@ func TestServerRejectsOutOfRangeNode(t *testing.T) {
 	}
 	// Through the wire path too: the server must answer with an error
 	// frame, not crash.
-	raw := EncodeNeighborsRequest(NeighborsRequest{IDs: []graph.NodeID{huge}})
+	raw := EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: []graph.NodeID{huge}})
 	if _, err := srv.Handle(bg, raw); err == nil {
 		t.Fatal("out-of-range frame accepted by Handle")
 	}
@@ -241,10 +241,10 @@ func TestHandleRecoversPanics(t *testing.T) {
 	// current decoder panics, so drive Handle with deliberately hostile
 	// frames and assert errors come back for all of them.
 	hostile := [][]byte{
-		{OpGetNeighbors},
-		{OpGetNeighbors, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
-		{OpGetAttrs, 0xFF, 0xFF, 0xFF, 0x7F},
-		{0x42, 0x00},
+		bare(OpGetNeighbors),
+		bare(OpGetNeighbors, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		bare(OpGetAttrs, 0xFF, 0xFF, 0xFF, 0x7F),
+		bare(0x42, 0x00),
 	}
 	for i, msg := range hostile {
 		if _, err := srv.Handle(bg, msg); err == nil {
@@ -263,7 +263,7 @@ func TestTCPServerGracefulShutdown(t *testing.T) {
 	tr := DialTCP([]string{srv.Addr()}, 1)
 	defer tr.Close()
 	// Prime a connection so shutdown has something to drain.
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err != nil {
+	if _, err := tr.Call(bg, 0, metaReq); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -272,7 +272,7 @@ func TestTCPServerGracefulShutdown(t *testing.T) {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 	// New calls fail: the listener is gone.
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err == nil {
+	if _, err := tr.Call(bg, 0, metaReq); err == nil {
 		t.Fatal("server still answering after shutdown")
 	}
 	// Shutdown is idempotent.

@@ -760,7 +760,8 @@ func (c *Client) probeEndpoint(ctx context.Context, partition, endpoint int) err
 }
 
 func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []graph.NodeID) error {
-	raw, err := c.invoke(ctx, endpoint, EncodeMetaRequest())
+	ctx, h := c.header(ctx)
+	raw, err := c.invoke(ctx, endpoint, EncodeMetaRequest(h))
 	if err != nil {
 		return err
 	}
@@ -775,7 +776,7 @@ func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []g
 	if len(ids) == 0 {
 		return nil
 	}
-	raw, err = c.invoke(ctx, endpoint, EncodeNeighborsRequest(NeighborsRequest{IDs: ids}))
+	raw, err = c.invoke(ctx, endpoint, EncodeNeighborsRequest(h, NeighborsRequest{IDs: ids}))
 	if err != nil {
 		return err
 	}

@@ -13,20 +13,19 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// Protocol v2: MoF on the wire. An OpPacked frame carries many logical
+// MoF on the wire. An OpPacked frame carries many logical
 // GetNeighbors/GetAttrs requests to the same shard in one round trip
 // (§4.3 Tech-1 multi-request packing), and its node-ID / degree vectors
 // plus attribute payloads travel through the mof.VecCodec section format,
-// BDI-compressed when that is smaller (Tech-2). Version-gated exactly like
-// OpTraced: a client only sends OpPacked to a peer that advertised
-// ProtoVersion ≥ 2 in the meta handshake, so v0/v1 peers never see the op.
+// BDI-compressed when that is smaller (Tech-2) and the header's BDI bit
+// asks for it.
 //
-// Frame layouts (little-endian):
+// Frame bodies behind the header (protocol.go), little-endian:
 //
-//	request:   OpPacked | flags u8 | count u16 | count × (len u32 | sub)
-//	response:  OpPacked | flags u8 | count u16 | count × (len u32 | status u8 | body)
+//	request:   count u16 | count × (len u32 | sub)
+//	response:  count u16 | count × (len u32 | status u8 | body)
 //
-// Sub-request bodies reuse the v1 op codes but swap bare ID lists for
+// Sub-request bodies reuse the plain op codes but swap bare ID lists for
 // codec sections:
 //
 //	neighbors: OpGetNeighbors | maxPerNode u32 | idSection
@@ -41,12 +40,8 @@ import (
 // (deterministic rejection — not retryable, not a breaker strike), the same
 // split the TCP status byte draws for whole frames.
 
-// OpPacked is the protocol-v2 packed-frame op code.
+// OpPacked is the packed-frame op code.
 const OpPacked = 0x20
-
-// PackedBDI is the packed-frame flag bit requesting BDI-compressed
-// sections; a server echoes the client's choice in its response.
-const PackedBDI = 1 << 0
 
 // MaxPackedRequests caps sub-requests per packed frame, the paper's
 // 64-deep packing window.
@@ -122,26 +117,28 @@ func readIDSection(src []byte, bdi bool, c *mof.VecCodec) ([]graph.NodeID, []byt
 	return ids, rest, nil
 }
 
-// EncodePackedRequest serializes subs into one OpPacked frame. bdi asks
-// the codec to BDI-compress ID sections (still only when smaller). Sub
-// bodies are appended directly into the frame behind a patched length
+// EncodePackedRequest serializes subs into one OpPacked frame with no
+// optional header field. bdi asks the codec to BDI-compress ID sections
+// (still only when smaller).
+func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]byte, error) {
+	return encodePackedRequest(Header{BDI: bdi}, subs, c)
+}
+
+// encodePackedRequest is EncodePackedRequest under a caller-chosen header.
+// Sub bodies are appended directly into the frame behind a patched length
 // prefix, and the frame is sized up front, so encoding is one allocation.
 // The frame is deliberately NOT pooled: hedged sends mean a losing
 // transport attempt may still read it after the winning call returns.
-func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]byte, error) {
+func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]byte, error) {
 	if len(subs) == 0 || len(subs) > MaxPackedRequests {
 		return nil, fmt.Errorf("cluster: %d sub-requests in packed frame (1..%d)", len(subs), MaxPackedRequests)
 	}
-	flags := byte(0)
-	if bdi {
-		flags |= PackedBDI
-	}
-	est := 4
+	h.Op = OpPacked
+	est := 13 + len(h.Key) // header at its largest, then the count
 	for _, sub := range subs {
 		est += 4 + 5 + 16 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
 	}
-	out := make([]byte, 0, est)
-	out = append(out, OpPacked, flags)
+	out := AppendHeader(make([]byte, 0, est), h)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
 	for _, sub := range subs {
 		lenAt := len(out)
@@ -150,10 +147,10 @@ func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]
 		case OpGetNeighbors:
 			out = append(out, OpGetNeighbors)
 			out = binary.LittleEndian.AppendUint32(out, sub.Neighbors.MaxPerNode)
-			out = appendIDSection(out, sub.Neighbors.IDs, bdi, c)
+			out = appendIDSection(out, sub.Neighbors.IDs, h.BDI, c)
 		case OpGetAttrs:
 			out = append(out, OpGetAttrs)
-			out = appendIDSection(out, sub.Attrs.IDs, bdi, c)
+			out = appendIDSection(out, sub.Attrs.IDs, h.BDI, c)
 		default:
 			return nil, fmt.Errorf("cluster: op %#x cannot be packed", sub.Op)
 		}
@@ -162,75 +159,73 @@ func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]
 	return out, nil
 }
 
-// splitPacked validates the shared packed-frame header and cuts the body
-// into per-sub slices.
-func splitPacked(b []byte) (flags byte, subs [][]byte, err error) {
-	if len(b) < 4 || b[0] != OpPacked {
-		return 0, nil, fmt.Errorf("cluster: not a packed frame")
+// splitPacked cuts a packed frame's body into per-sub slices.
+func splitPacked(body []byte) ([][]byte, error) {
+	if len(body) < 2 {
+		return nil, fmt.Errorf("cluster: truncated packed frame")
 	}
-	flags = b[1]
-	n := int(binary.LittleEndian.Uint16(b[2:]))
+	n := int(binary.LittleEndian.Uint16(body))
 	if n == 0 || n > MaxPackedRequests {
-		return 0, nil, fmt.Errorf("cluster: packed frame with %d subs (1..%d)", n, MaxPackedRequests)
+		return nil, fmt.Errorf("cluster: packed frame with %d subs (1..%d)", n, MaxPackedRequests)
 	}
-	rest := b[4:]
-	subs = make([][]byte, n)
+	rest := body[2:]
+	subs := make([][]byte, n)
 	for i := range subs {
 		if len(rest) < 4 {
-			return 0, nil, fmt.Errorf("cluster: truncated packed frame at sub %d", i)
+			return nil, fmt.Errorf("cluster: truncated packed frame at sub %d", i)
 		}
 		l := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint64(len(rest)) < uint64(l) || l == 0 {
-			return 0, nil, fmt.Errorf("cluster: sub %d claims %d bytes, %d left", i, l, len(rest))
+			return nil, fmt.Errorf("cluster: sub %d claims %d bytes, %d left", i, l, len(rest))
 		}
 		subs[i], rest = rest[:l], rest[l:]
 	}
 	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("cluster: %d trailing bytes in packed frame", len(rest))
+		return nil, fmt.Errorf("cluster: %d trailing bytes in packed frame", len(rest))
 	}
-	return flags, subs, nil
+	return subs, nil
 }
 
-// DecodePackedRequest parses an OpPacked request frame.
-func DecodePackedRequest(b []byte, c *mof.VecCodec) (subs []PackedSubRequest, bdi bool, err error) {
-	flags, bodies, err := splitPacked(b)
+// DecodePackedRequest parses an OpPacked request body; bdi is the header's
+// BDI bit.
+func DecodePackedRequest(body []byte, bdi bool, c *mof.VecCodec) ([]PackedSubRequest, error) {
+	bodies, err := splitPacked(body)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	bdi = flags&PackedBDI != 0
-	subs = make([]PackedSubRequest, len(bodies))
+	subs := make([]PackedSubRequest, len(bodies))
 	for i, body := range bodies {
 		sub := &subs[i]
 		sub.Op = body[0]
 		switch sub.Op {
 		case OpGetNeighbors:
 			if len(body) < 5 {
-				return nil, false, fmt.Errorf("cluster: truncated packed neighbors sub %d", i)
+				return nil, fmt.Errorf("cluster: truncated packed neighbors sub %d", i)
 			}
 			sub.Neighbors.MaxPerNode = binary.LittleEndian.Uint32(body[1:])
 			ids, rest, err := readIDSection(body[5:], bdi, c)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if len(rest) != 0 {
-				return nil, false, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
+				return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
 			}
 			sub.Neighbors.IDs = ids
 		case OpGetAttrs:
 			ids, rest, err := readIDSection(body[1:], bdi, c)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if len(rest) != 0 {
-				return nil, false, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
+				return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
 			}
 			sub.Attrs.IDs = ids
 		default:
-			return nil, false, fmt.Errorf("cluster: op %#x inside packed frame", sub.Op)
+			return nil, fmt.Errorf("cluster: op %#x inside packed frame", sub.Op)
 		}
 	}
-	return subs, bdi, nil
+	return subs, nil
 }
 
 // appendSubResponse serializes one sub-response (status byte + body) onto
@@ -290,29 +285,26 @@ func appendSubResponse(out []byte, sub PackedSubResponse, bdi bool, c *mof.VecCo
 	}
 }
 
-// EncodePackedResponse serializes sub-responses into one OpPacked frame,
-// appending each body directly behind a patched length prefix. The frame
-// itself is not pooled: transports may hand it to the client decode path,
-// which aliases uncompressed sections instead of copying.
-func EncodePackedResponse(subs []PackedSubResponse, bdi bool, c *mof.VecCodec) []byte {
-	flags := byte(0)
-	if bdi {
-		flags |= PackedBDI
-	}
-	est := 4
+// EncodePackedResponse serializes sub-responses into one OpPacked frame
+// under header h, appending each body directly behind a patched length
+// prefix. The frame itself is not pooled: transports may hand it to the
+// client decode path, which aliases uncompressed sections instead of
+// copying.
+func EncodePackedResponse(h Header, subs []PackedSubResponse, c *mof.VecCodec) []byte {
+	h.Op = OpPacked
+	est := 12 // header with the handling-time slot, then the count
 	for _, sub := range subs {
 		est += 4 + 16 + len(sub.Attrs.Attrs)*4 + len(sub.Neighbors.Lists)*12
 		for _, l := range sub.Neighbors.Lists {
 			est += len(l) * 8
 		}
 	}
-	out := make([]byte, 0, est)
-	out = append(out, OpPacked, flags)
+	out := AppendHeader(make([]byte, 0, est), h)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
 	for _, sub := range subs {
 		lenAt := len(out)
 		out = append(out, 0, 0, 0, 0) // body length, patched below
-		out = appendSubResponse(out, sub, bdi, c)
+		out = appendSubResponse(out, sub, h.BDI, c)
 		binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
 	}
 	return out
@@ -321,12 +313,16 @@ func EncodePackedResponse(subs []PackedSubResponse, bdi bool, c *mof.VecCodec) [
 // DecodePackedResponse parses an OpPacked response frame. server labels
 // reconstructed *ServerError rejections, mirroring the TCP status-byte
 // decode.
-func DecodePackedResponse(b []byte, server int, c *mof.VecCodec) ([]PackedSubResponse, error) {
-	flags, bodies, err := splitPacked(b)
+func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSubResponse, error) {
+	h, body, err := replyBody(frame, OpPacked)
 	if err != nil {
 		return nil, err
 	}
-	bdi := flags&PackedBDI != 0
+	bodies, err := splitPacked(body)
+	if err != nil {
+		return nil, err
+	}
+	bdi := h.BDI
 	subs := make([]PackedSubResponse, len(bodies))
 	for i, body := range bodies {
 		sub := &subs[i]

@@ -26,12 +26,13 @@ func TestPackedRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotBDI, err := DecodePackedRequest(frame, &c)
+		h, body, err := ParseHeader(frame)
+		if err != nil || h.Op != OpPacked || h.BDI != bdi {
+			t.Fatalf("header %+v, err %v; want a packed frame with bdi %v", h, err, bdi)
+		}
+		got, err := DecodePackedRequest(body, bdi, &c)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if gotBDI != bdi {
-			t.Fatalf("bdi flag: got %v want %v", gotBDI, bdi)
 		}
 		if len(got) != len(subs) {
 			t.Fatalf("got %d subs, want %d", len(got), len(subs))
@@ -74,7 +75,7 @@ func TestPackedResponseRoundTrip(t *testing.T) {
 		{Err: errors.New("transient")},
 	}
 	for _, bdi := range []bool{false, true} {
-		frame := EncodePackedResponse(subs, bdi, &c)
+		frame := EncodePackedResponse(Header{BDI: bdi}, subs, &c)
 		got, err := DecodePackedResponse(frame, 3, &c)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +120,7 @@ func TestPackedIDCompressionWins(t *testing.T) {
 }
 
 // TestPackedSampleMatchesPlain proves equal result correctness: the same
-// batch sampled through a packing client and a plain v1-style client comes
+// batch sampled through a packing client and a plain-frame client comes
 // out bit-identical, while the packed run actually exercised OpPacked.
 func TestPackedSampleMatchesPlain(t *testing.T) {
 	g := testGraph(t)
@@ -262,27 +263,28 @@ func FuzzDecodePacked(f *testing.F) {
 	seed2, _ := EncodePackedRequest([]PackedSubRequest{
 		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: nil}},
 	}, false, &c)
-	seed3 := EncodePackedResponse([]PackedSubResponse{
+	seed3 := EncodePackedResponse(Header{BDI: true}, []PackedSubResponse{
 		{Op: OpGetNeighbors, Neighbors: NeighborsResponse{Lists: [][]graph.NodeID{{4, 5}, {}}}},
 		{Op: OpGetAttrs, Attrs: AttrsResponse{AttrLen: 2, Attrs: []float32{1, 2}}},
 		{Err: &ServerError{Server: 1, Msg: "no"}},
-	}, true, &c)
+	}, &c)
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
-	f.Add([]byte{OpPacked, 0, 1, 0, 0, 0, 0, 0})
+	f.Add(bare(OpPacked, 1, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc mof.VecCodec
 		// Must never panic or over-allocate; errors are the contract for
 		// hostile frames.
-		if subs, bdi, err := DecodePackedRequest(data, &fc); err == nil {
+		h, body, _ := ParseHeader(data)
+		if subs, err := DecodePackedRequest(body, h.BDI, &fc); err == nil {
 			// A frame that decodes must re-encode decodable (not
 			// necessarily byte-identical: compression flags may differ).
-			re, err := EncodePackedRequest(subs, bdi, &fc)
+			re, err := EncodePackedRequest(subs, h.BDI, &fc)
 			if err != nil {
 				t.Fatalf("re-encode of decoded frame failed: %v", err)
 			}
-			again, _, err := DecodePackedRequest(re, &fc)
+			again, err := DecodePackedRequest(bodyOf(t, re), h.BDI, &fc)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -318,7 +320,7 @@ func TestPackedFrameSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := DecodePackedRequest(frame, &c)
+		got, err := DecodePackedRequest(bodyOf(t, frame), bdi, &c)
 		if err != nil {
 			t.Fatalf("iter %d: %v (frame %s...)", iter, err, hexPrefix(frame))
 		}

@@ -13,7 +13,7 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// Client side of protocol v2 (see packed.go): outstanding requests to the
+// Client side of packing (see packed.go): outstanding requests to the
 // same shard wait in a short per-partition window and leave as one packed
 // frame — the paper's Tech-1 multi-request packing — with the section
 // codec applying Tech-2 BDI compression on the way out. Packing rides the
@@ -21,53 +21,35 @@ import (
 // and breaker-gated as a unit, while each sub-request still carries its
 // own verdict (a shard rejecting one node ID fails only that sub-slot).
 
-// PackingConfig tunes protocol-v2 request packing. The zero value of each
-// field selects its default.
+// PackingConfig tunes request packing.
 type PackingConfig struct {
 	// Window is how long the first queued request to a partition waits
-	// for companions before the frame flushes. Default 150µs.
+	// for companions before the frame flushes. Zero selects 150µs.
 	Window time.Duration
-	// MaxRequests flushes the frame early once this many sub-requests are
-	// queued. Default (and cap) MaxPackedRequests.
-	MaxRequests int
-	// MaxBytes flushes early once the queued sub-requests' encoded size
-	// estimate exceeds this. Default 1 MiB.
-	MaxBytes int
-	// DisableBDI turns off Tech-2 section compression, leaving only
-	// Tech-1 packing. Default off (BDI on).
-	DisableBDI bool
 }
 
-func (cfg PackingConfig) normalize() PackingConfig {
-	if cfg.Window <= 0 {
-		cfg.Window = 150 * time.Microsecond
-	}
-	if cfg.MaxRequests <= 0 || cfg.MaxRequests > MaxPackedRequests {
-		cfg.MaxRequests = MaxPackedRequests
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 1 << 20
-	}
-	return cfg
-}
+// A frame also flushes early once it holds MaxPackedRequests sub-requests
+// or its queued sub-requests' plain-frame sizes add up to maxPackedBytes.
+const maxPackedBytes = 1 << 20
 
-// WithPacking enables protocol-v2 request packing and the in-flight
-// attribute coalescer. Silently inert against peers below protocol v2 —
-// the client falls back to plain per-request frames, exactly as WithTracer
-// degrades against pre-v1 peers.
+// WithPacking enables request packing (with BDI-compressed sections) and
+// the in-flight attribute coalescer.
 func WithPacking(cfg PackingConfig) ClientOption {
-	return func(c *Client) { c.packCfg = &cfg }
+	return func(c *Client) {
+		c.pack = newPacker(c, cfg)
+		c.coalesce = newAttrCoalescer()
+	}
 }
 
 // PackStats counts the client's packing layer: frames vs logical requests,
-// v1-equivalent raw bytes vs what actually crossed, BDI's achieved ratio,
-// and the attribute coalescer's saved fetches. Layer "cluster.pack".
+// plain-frame-equivalent raw bytes vs what actually crossed, BDI's achieved
+// ratio, and the attribute coalescer's saved fetches. Layer "cluster.pack".
 type PackStats struct {
 	frames    atomic.Int64
 	subs      atomic.Int64
-	rawReq    atomic.Int64 // v1-equivalent request bytes
+	rawReq    atomic.Int64 // plain-frame-equivalent request bytes
 	wireReq   atomic.Int64 // packed request frame bytes
-	rawResp   atomic.Int64 // v1-equivalent response bytes
+	rawResp   atomic.Int64 // plain-frame-equivalent response bytes
 	wireResp  atomic.Int64 // packed response frame bytes
 	dedup     atomic.Int64 // duplicate attr IDs folded within one fetch
 	joins     atomic.Int64 // attr IDs joined onto another batch's in-flight fetch
@@ -154,35 +136,27 @@ var subsPool = sync.Pool{New: func() any { return make([]PackedSubRequest, 0, Ma
 // packer coalesces same-shard requests into packed frames.
 type packer struct {
 	c      *Client
-	cfg    PackingConfig
+	window time.Duration
 	st     *PackStats
 	mu     sync.Mutex
 	queues []*packQueue
 }
 
-func newPacker(c *Client, cfg PackingConfig, st *PackStats) *packer {
-	p := &packer{c: c, cfg: cfg.normalize(), st: st, queues: make([]*packQueue, c.part.Servers())}
+func newPacker(c *Client, cfg PackingConfig) *packer {
+	p := &packer{c: c, window: cfg.Window, st: &c.Pack, queues: make([]*packQueue, c.part.Servers())}
+	if p.window <= 0 {
+		p.window = 150 * time.Microsecond
+	}
 	for i := range p.queues {
 		p.queues[i] = &packQueue{}
 	}
 	return p
 }
 
-// subSize estimates one sub-request's encoded size for the MaxBytes
-// trigger (uncompressed upper bound).
-func subSize(sub PackedSubRequest) int {
-	switch sub.Op {
-	case OpGetNeighbors:
-		return 18 + len(sub.Neighbors.IDs)*8
-	default:
-		return 14 + len(sub.Attrs.IDs)*8
-	}
-}
-
 // do queues sub for partition and waits for its packed round trip. The
-// frame flushes when the window elapses, MaxRequests subs are queued, or
-// the queued bytes pass MaxBytes — whichever first. A canceled waiter
-// returns immediately; its slot still travels (the frame is already
+// frame flushes when the window elapses, MaxPackedRequests subs are queued,
+// or the queued bytes pass maxPackedBytes — whichever first. A canceled
+// waiter returns immediately; its slot still travels (the frame is already
 // committed) but delivery to it is dropped.
 func (p *packer) do(ctx context.Context, partition int, sub PackedSubRequest) (PackedSubResponse, error) {
 	if partition < 0 || partition >= len(p.queues) {
@@ -192,12 +166,12 @@ func (p *packer) do(ctx context.Context, partition int, sub PackedSubRequest) (P
 	p.mu.Lock()
 	q := p.queues[partition]
 	q.pending = append(q.pending, ps)
-	q.bytes += subSize(sub)
+	q.bytes += plainRequestBytes(sub)
 	var batch []*pendingSub
-	if len(q.pending) >= p.cfg.MaxRequests || q.bytes >= p.cfg.MaxBytes {
+	if len(q.pending) >= MaxPackedRequests || q.bytes >= maxPackedBytes {
 		batch = q.take()
 	} else if q.timer == nil {
-		q.timer = time.AfterFunc(p.cfg.Window, func() { p.flushWindow(partition) })
+		q.timer = time.AfterFunc(p.window, func() { p.flushWindow(partition) })
 	}
 	p.mu.Unlock()
 	if batch != nil {
@@ -266,10 +240,16 @@ func (p *packer) flush(partition int, batch []*pendingSub) {
 	rawReq := 0
 	for i, ps := range batch {
 		subs[i] = ps.sub
-		rawReq += v1RequestBytes(ps.sub)
+		rawReq += plainRequestBytes(ps.sub)
 	}
+	// The header is fixed before the frame is encoded: the trace ID and
+	// the tenant key travel inside the bytes every attempt shares.
+	ctx, cancel := flushContext(batch)
+	defer cancel()
+	ctx, h := p.c.header(ctx)
+	h.BDI = true
 	encStart := time.Now()
-	frame, err := EncodePackedRequest(subs, !p.cfg.DisableBDI, &p.st.Codec)
+	frame, err := encodePackedRequest(h, subs, &p.st.Codec)
 	clear(subs)
 	subsPool.Put(subs[:0])
 	if err != nil {
@@ -281,14 +261,10 @@ func (p *packer) flush(partition int, batch []*pendingSub) {
 	p.st.rawReq.Add(int64(rawReq))
 	p.st.wireReq.Add(int64(len(frame)))
 
-	ctx, cancel := flushContext(batch)
-	defer cancel()
 	if p.c.tracer != nil {
 		// The frame's own trace carries the rpc/wire/server hops; waiters
 		// keep their pack hop under their own IDs.
-		var id obs.TraceID
-		ctx, id = obs.EnsureTrace(ctx)
-		p.c.tracer.Observe(id, obs.HopCompress, encStart, time.Since(encStart))
+		p.c.tracer.Observe(obs.TraceID(h.Trace), obs.HopCompress, encStart, time.Since(encStart))
 	}
 	raw, err := p.c.call(ctx, partition, frame)
 	if err != nil {
@@ -304,44 +280,44 @@ func (p *packer) flush(partition int, batch []*pendingSub) {
 		fail(err)
 		return
 	}
-	if tr := p.c.tracer; tr != nil {
-		if id, ok := obs.FromContext(ctx); ok {
-			tr.Observe(id, obs.HopCompress, decStart, time.Since(decStart))
-		}
+	if p.c.tracer != nil {
+		p.c.tracer.Observe(obs.TraceID(h.Trace), obs.HopCompress, decStart, time.Since(decStart))
 	}
 	rawResp := 0
 	for i, ps := range batch {
-		rawResp += v1ResponseBytes(resps[i])
+		rawResp += plainResponseBytes(resps[i])
 		ps.ch <- subResult{resp: resps[i]}
 	}
 	p.st.rawResp.Add(int64(rawResp))
 	p.st.wireResp.Add(int64(len(raw)))
 }
 
-// v1RequestBytes is the frame size protocol v1 would have spent on sub.
-func v1RequestBytes(sub PackedSubRequest) int {
+// plainRequestBytes is the size of the plain frame sub would have been:
+// the raw side of the wire ratio, and the size estimate the maxPackedBytes
+// trigger adds up.
+func plainRequestBytes(sub PackedSubRequest) int {
 	switch sub.Op {
 	case OpGetNeighbors:
-		return 9 + len(sub.Neighbors.IDs)*8
+		return 10 + len(sub.Neighbors.IDs)*8
 	default:
-		return 5 + len(sub.Attrs.IDs)*8
+		return 6 + len(sub.Attrs.IDs)*8
 	}
 }
 
-// v1ResponseBytes is the frame size protocol v1 would have spent on resp.
-func v1ResponseBytes(resp PackedSubResponse) int {
+// plainResponseBytes is the size of the plain frame resp would have been.
+func plainResponseBytes(resp PackedSubResponse) int {
 	if resp.Err != nil {
 		return 1 + len(resp.Err.Error())
 	}
 	switch resp.Op {
 	case OpGetNeighbors:
-		n := 5
+		n := 6
 		for _, l := range resp.Neighbors.Lists {
 			n += 4 + len(l)*8
 		}
 		return n
 	default:
-		return 9 + len(resp.Attrs.Attrs)*4
+		return 10 + len(resp.Attrs.Attrs)*4
 	}
 }
 

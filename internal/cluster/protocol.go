@@ -4,133 +4,139 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/obs"
 )
 
 // Batched RPC protocol between sampling workers and graph servers. The
 // encoding is length-prefixed little-endian binary, shared by the in-process
 // accounting transport and the TCP transport so that byte counts in the
 // characterization match what really crosses the wire.
+//
+// Every frame, in either direction, starts with the same header:
+//
+//	request:  op u8 | hdr u8 | [trace-id u64] | [key-len u8 | key] | body
+//	reply:    op u8 | hdr u8 | [server-ns u64] | body
+//
+// hdr carries the protocol version in its low nibble and one presence bit
+// per optional field in its high nibble. Peers always ship from this tree,
+// so versions are not negotiated: a frame whose version is not ProtoVersion
+// is rejected by ParseHeader, on the server as a *ServerError (never
+// retried, never a breaker strike) and on the client as a failed bootstrap.
 
 // Op codes.
 const (
 	OpGetNeighbors = 0x01
 	OpGetAttrs     = 0x02
 	OpMeta         = 0x03
-	// OpTraced is the protocol-v1 trace header: it envelopes any other
-	// message with an 8-byte trace ID (requests) or the server's handling
-	// time in nanoseconds (responses), giving clients a wire-vs-server
-	// latency split per hop. Version-gated: clients only send it to peers
-	// that advertised ProtoVersion ≥ 1 in the meta handshake, so legacy
-	// peers never see the op.
-	OpTraced = 0x10
-	// OpAuthed is the multi-tenant auth header: it envelopes any request
-	// (traced and packed frames included — it wraps outermost) with the
-	// sending tenant's API key, so a gateway.WireGate in front of the
-	// server can attribute and admit the frame before anything else runs.
-	// Sent only when the client holds a key (WithAPIKey); responses are
-	// never enveloped.
-	OpAuthed = 0x30
 )
 
-// ProtoVersion is this build's wire protocol version. Version 0 (legacy)
-// is the pre-tracing protocol: 21-byte meta responses, no OpTraced.
-// Version 1 added the OpTraced envelope. Version 2 adds OpPacked MoF
-// frames (packed.go): multi-request packing + BDI-compressed sections. A
-// client requests the version by appending its own version byte to the
-// OpMeta message — legacy servers ignore trailing bytes and answer in the
-// legacy format, which a newer client reads as "version 0 peer" and falls
-// back to plain frames. Symmetrically, a newer server answers a bare
-// OpMeta with the legacy 21-byte form, so old clients interop unchanged;
-// v1 clients gate only on Version ≥ 1 and keep tracing against a v2 peer
-// without ever seeing OpPacked.
-const ProtoVersion = 2
+// ProtoVersion is this build's wire protocol version, carried in every
+// frame header.
+const ProtoVersion = 3
 
-// EncodeMetaRequest serializes the version-negotiating meta request.
-func EncodeMetaRequest() []byte { return []byte{OpMeta, ProtoVersion} }
+// hdr byte layout, and where the optional u64 sits in a frame that has one.
+const (
+	hdrVersionMask = 0x0f
+	hdrBDI         = 1 << 4 // packed body sections are BDI-compressed
+	hdrTrace       = 1 << 5 // a u64 follows: trace ID (request) or server ns (reply)
+	hdrKey         = 1 << 6 // a length-prefixed tenant API key follows (requests)
+	hdrReserved    = 1 << 7 // must be zero
+	traceOffset    = 2
+)
 
-// MetaRequestVersion extracts the client's advertised protocol version
-// from an OpMeta message; a bare legacy request advertises 0.
-func MetaRequestVersion(msg []byte) int {
-	if len(msg) >= 2 && msg[0] == OpMeta {
-		return int(msg[1])
-	}
-	return 0
+// Header is the one frame header. A frame with no optional field spends two
+// bytes on it: the op and the hdr byte.
+type Header struct {
+	Op byte
+	// BDI marks a packed frame whose sections went through BDI compression;
+	// a server echoes the client's choice in its reply.
+	BDI bool
+	// Traced says Trace is on the wire. In a request Trace is the trace ID,
+	// which joins the server's request context and logs; in a reply it is
+	// the server's handling time in nanoseconds, which lets the client split
+	// wire from server latency per hop.
+	Traced bool
+	Trace  uint64
+	// Key is the sending tenant's API key, read by a gateway.WireGate in
+	// front of the server; empty means absent. At most 255 bytes.
+	Key string
 }
 
-// EncodeTracedRequest envelopes a request message with its trace ID.
-func EncodeTracedRequest(id obs.TraceID, inner []byte) []byte {
-	out := make([]byte, 0, 9+len(inner))
-	out = append(out, OpTraced)
-	out = binary.LittleEndian.AppendUint64(out, uint64(id))
-	return append(out, inner...)
+// AppendHeader appends h's wire form to dst.
+func AppendHeader(dst []byte, h Header) []byte {
+	if len(h.Key) > 255 {
+		panic("cluster: api key exceeds 255 bytes")
+	}
+	hdr := byte(ProtoVersion)
+	if h.BDI {
+		hdr |= hdrBDI
+	}
+	if h.Traced {
+		hdr |= hdrTrace
+	}
+	if h.Key != "" {
+		hdr |= hdrKey
+	}
+	dst = append(dst, h.Op, hdr)
+	if h.Traced {
+		dst = binary.LittleEndian.AppendUint64(dst, h.Trace)
+	}
+	if h.Key != "" {
+		dst = append(dst, byte(len(h.Key)))
+		dst = append(dst, h.Key...)
+	}
+	return dst
 }
 
-// DecodeTracedRequest parses an OpTraced request envelope into the trace
-// ID and the inner message.
-func DecodeTracedRequest(b []byte) (obs.TraceID, []byte, error) {
-	if len(b) < 9 || b[0] != OpTraced {
-		return 0, nil, fmt.Errorf("cluster: not a traced request")
+// ParseHeader splits a frame into its header and body. The body aliases
+// frame. Frames arrive from untrusted peers: every length is checked, and a
+// version or presence bit this build does not know is an error.
+func ParseHeader(frame []byte) (Header, []byte, error) {
+	if len(frame) < 2 {
+		return Header{}, nil, fmt.Errorf("cluster: truncated frame header (%d bytes)", len(frame))
 	}
-	inner := b[9:]
-	if len(inner) == 0 {
-		return 0, nil, fmt.Errorf("cluster: traced envelope with empty body")
+	h, hdr, rest := Header{Op: frame[0]}, frame[1], frame[2:]
+	if v := hdr & hdrVersionMask; v != ProtoVersion {
+		return Header{}, nil, fmt.Errorf("cluster: peer speaks protocol v%d, this build speaks v%d", v, ProtoVersion)
 	}
-	if inner[0] == OpTraced {
-		return 0, nil, fmt.Errorf("cluster: nested traced envelope")
+	if hdr&hdrReserved != 0 {
+		return Header{}, nil, fmt.Errorf("cluster: unknown frame header bits %#x", hdr)
 	}
-	return obs.TraceID(binary.LittleEndian.Uint64(b[1:])), inner, nil
+	h.BDI = hdr&hdrBDI != 0
+	if hdr&hdrTrace != 0 {
+		if len(rest) < 8 {
+			return Header{}, nil, fmt.Errorf("cluster: truncated trace field in frame header")
+		}
+		h.Traced, h.Trace, rest = true, binary.LittleEndian.Uint64(rest), rest[8:]
+	}
+	if hdr&hdrKey != 0 {
+		if len(rest) < 1 || rest[0] == 0 || len(rest) < 1+int(rest[0]) {
+			return Header{}, nil, fmt.Errorf("cluster: bad api key field in frame header")
+		}
+		n := int(rest[0])
+		h.Key, rest = string(rest[1:1+n]), rest[1+n:]
+	}
+	return h, rest, nil
 }
 
-// EncodeTracedReply envelopes a response with the server's handling time.
-func EncodeTracedReply(serverTime time.Duration, inner []byte) []byte {
-	out := make([]byte, 0, 9+len(inner))
-	out = append(out, OpTraced)
-	out = binary.LittleEndian.AppendUint64(out, uint64(serverTime.Nanoseconds()))
-	return append(out, inner...)
+// replyBody parses a reply frame's header and checks it answers op.
+func replyBody(frame []byte, op byte) (Header, []byte, error) {
+	h, body, err := ParseHeader(frame)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	if h.Op != op {
+		return Header{}, nil, fmt.Errorf("cluster: reply carries op %#x, want %#x", h.Op, op)
+	}
+	return h, body, nil
 }
 
-// DecodeTracedReply parses an OpTraced response envelope into the server
-// handling time and the inner response.
-func DecodeTracedReply(b []byte) (time.Duration, []byte, error) {
-	if len(b) < 9 || b[0] != OpTraced {
-		return 0, nil, fmt.Errorf("cluster: not a traced reply")
-	}
-	return time.Duration(binary.LittleEndian.Uint64(b[1:])), b[9:], nil
-}
-
-// EncodeAuthedRequest envelopes a request with the tenant API key:
-// [OpAuthed, u8 key length, key bytes, inner message]. Keys longer than
-// 255 bytes are rejected at the option layer (WithAPIKey panics).
-func EncodeAuthedRequest(key string, inner []byte) []byte {
-	out := make([]byte, 0, 2+len(key)+len(inner))
-	out = append(out, OpAuthed, byte(len(key)))
-	out = append(out, key...)
-	return append(out, inner...)
-}
-
-// DecodeAuthedRequest parses an OpAuthed envelope into the API key and
-// the inner message.
-func DecodeAuthedRequest(b []byte) (string, []byte, error) {
-	if len(b) < 2 || b[0] != OpAuthed {
-		return "", nil, fmt.Errorf("cluster: not an authed request")
-	}
-	n := int(b[1])
-	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("cluster: truncated authed envelope: key %d bytes, have %d", n, len(b)-2)
-	}
-	inner := b[2+n:]
-	if len(inner) == 0 {
-		return "", nil, fmt.Errorf("cluster: authed envelope with empty body")
-	}
-	if inner[0] == OpAuthed {
-		return "", nil, fmt.Errorf("cluster: nested authed envelope")
-	}
-	return string(b[2 : 2+n]), inner, nil
-}
+// The plain per-request body codec below is the reference the packed frames
+// (packed.go) are compared against. Encoders take the header to emit (its Op
+// is set for them); request decoders take the body ParseHeader returned,
+// because a server parses the header once before it dispatches; reply
+// decoders take the whole frame off the transport.
 
 // NeighborsRequest asks for the adjacency lists of IDs, optionally capped.
 type NeighborsRequest struct {
@@ -159,10 +165,6 @@ type MetaResponse struct {
 	AttrLen    int
 	Partition  int
 	Partitions int
-	// Version is the peer's wire protocol version: 0 for legacy peers
-	// (21-byte meta, no trace envelopes), ≥1 when the peer understands
-	// OpTraced. Not serialized by the legacy encoding.
-	Version int
 }
 
 func appendIDs(dst []byte, ids []graph.NodeID) []byte {
@@ -189,20 +191,27 @@ func readIDs(src []byte) ([]graph.NodeID, []byte, error) {
 	return ids, src[n*8:], nil
 }
 
+// EncodeMetaRequest serializes a meta request; its body is empty.
+func EncodeMetaRequest(h Header) []byte {
+	h.Op = OpMeta
+	return AppendHeader(nil, h)
+}
+
 // EncodeNeighborsRequest serializes r.
-func EncodeNeighborsRequest(r NeighborsRequest) []byte {
-	out := []byte{OpGetNeighbors}
+func EncodeNeighborsRequest(h Header, r NeighborsRequest) []byte {
+	h.Op = OpGetNeighbors
+	out := AppendHeader(nil, h)
 	out = binary.LittleEndian.AppendUint32(out, r.MaxPerNode)
 	return appendIDs(out, r.IDs)
 }
 
-// DecodeNeighborsRequest parses an OpGetNeighbors message body.
-func DecodeNeighborsRequest(b []byte) (NeighborsRequest, error) {
-	if len(b) < 5 || b[0] != OpGetNeighbors {
-		return NeighborsRequest{}, fmt.Errorf("cluster: not a neighbors request")
+// DecodeNeighborsRequest parses an OpGetNeighbors request body.
+func DecodeNeighborsRequest(body []byte) (NeighborsRequest, error) {
+	if len(body) < 4 {
+		return NeighborsRequest{}, fmt.Errorf("cluster: truncated neighbors request")
 	}
-	max := binary.LittleEndian.Uint32(b[1:])
-	ids, rest, err := readIDs(b[5:])
+	max := binary.LittleEndian.Uint32(body)
+	ids, rest, err := readIDs(body[4:])
 	if err != nil {
 		return NeighborsRequest{}, err
 	}
@@ -213,8 +222,9 @@ func DecodeNeighborsRequest(b []byte) (NeighborsRequest, error) {
 }
 
 // EncodeNeighborsResponse serializes r.
-func EncodeNeighborsResponse(r NeighborsResponse) []byte {
-	out := []byte{OpGetNeighbors}
+func EncodeNeighborsResponse(h Header, r NeighborsResponse) []byte {
+	h.Op = OpGetNeighbors
+	out := AppendHeader(nil, h)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Lists)))
 	for _, l := range r.Lists {
 		out = appendIDs(out, l)
@@ -222,15 +232,18 @@ func EncodeNeighborsResponse(r NeighborsResponse) []byte {
 	return out
 }
 
-// DecodeNeighborsResponse parses an OpGetNeighbors response body.
-func DecodeNeighborsResponse(b []byte) (NeighborsResponse, error) {
-	if len(b) < 5 || b[0] != OpGetNeighbors {
-		return NeighborsResponse{}, fmt.Errorf("cluster: not a neighbors response")
+// DecodeNeighborsResponse parses an OpGetNeighbors reply frame.
+func DecodeNeighborsResponse(frame []byte) (NeighborsResponse, error) {
+	_, rest, err := replyBody(frame, OpGetNeighbors)
+	if err != nil {
+		return NeighborsResponse{}, err
 	}
-	n := binary.LittleEndian.Uint32(b[1:])
-	rest := b[5:]
+	if len(rest) < 4 {
+		return NeighborsResponse{}, fmt.Errorf("cluster: truncated neighbors response")
+	}
+	n := binary.LittleEndian.Uint32(rest)
+	rest = rest[4:]
 	resp := NeighborsResponse{Lists: make([][]graph.NodeID, n)}
-	var err error
 	for i := range resp.Lists {
 		resp.Lists[i], rest, err = readIDs(rest)
 		if err != nil {
@@ -244,17 +257,14 @@ func DecodeNeighborsResponse(b []byte) (NeighborsResponse, error) {
 }
 
 // EncodeAttrsRequest serializes r.
-func EncodeAttrsRequest(r AttrsRequest) []byte {
-	out := []byte{OpGetAttrs}
-	return appendIDs(out, r.IDs)
+func EncodeAttrsRequest(h Header, r AttrsRequest) []byte {
+	h.Op = OpGetAttrs
+	return appendIDs(AppendHeader(nil, h), r.IDs)
 }
 
-// DecodeAttrsRequest parses an OpGetAttrs message body.
-func DecodeAttrsRequest(b []byte) (AttrsRequest, error) {
-	if len(b) < 1 || b[0] != OpGetAttrs {
-		return AttrsRequest{}, fmt.Errorf("cluster: not an attrs request")
-	}
-	ids, rest, err := readIDs(b[1:])
+// DecodeAttrsRequest parses an OpGetAttrs request body.
+func DecodeAttrsRequest(body []byte) (AttrsRequest, error) {
+	ids, rest, err := readIDs(body)
 	if err != nil {
 		return AttrsRequest{}, err
 	}
@@ -265,8 +275,9 @@ func DecodeAttrsRequest(b []byte) (AttrsRequest, error) {
 }
 
 // EncodeAttrsResponse serializes r.
-func EncodeAttrsResponse(r AttrsResponse) []byte {
-	out := []byte{OpGetAttrs}
+func EncodeAttrsResponse(h Header, r AttrsResponse) []byte {
+	h.Op = OpGetAttrs
+	out := AppendHeader(nil, h)
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Attrs)))
 	for _, f := range r.Attrs {
@@ -275,14 +286,18 @@ func EncodeAttrsResponse(r AttrsResponse) []byte {
 	return out
 }
 
-// DecodeAttrsResponse parses an OpGetAttrs response body.
-func DecodeAttrsResponse(b []byte) (AttrsResponse, error) {
-	if len(b) < 9 || b[0] != OpGetAttrs {
-		return AttrsResponse{}, fmt.Errorf("cluster: not an attrs response")
+// DecodeAttrsResponse parses an OpGetAttrs reply frame.
+func DecodeAttrsResponse(frame []byte) (AttrsResponse, error) {
+	_, body, err := replyBody(frame, OpGetAttrs)
+	if err != nil {
+		return AttrsResponse{}, err
 	}
-	attrLen := binary.LittleEndian.Uint32(b[1:])
-	n := binary.LittleEndian.Uint32(b[5:])
-	rest := b[9:]
+	if len(body) < 8 {
+		return AttrsResponse{}, fmt.Errorf("cluster: truncated attrs response")
+	}
+	attrLen := binary.LittleEndian.Uint32(body)
+	n := binary.LittleEndian.Uint32(body[4:])
+	rest := body[8:]
 	if uint64(len(rest)) != uint64(n)*4 {
 		return AttrsResponse{}, fmt.Errorf("cluster: attrs payload %d bytes, want %d floats", len(rest), n)
 	}
@@ -293,11 +308,10 @@ func DecodeAttrsResponse(b []byte) (AttrsResponse, error) {
 	return AttrsResponse{AttrLen: int(attrLen), Attrs: attrs}, nil
 }
 
-// EncodeMetaResponse serializes r in the legacy 21-byte form (Version is
-// dropped) — the answer to a bare OpMeta request, so protocol-v0 clients
-// keep decoding it.
-func EncodeMetaResponse(r MetaResponse) []byte {
-	out := []byte{OpMeta}
+// EncodeMetaResponse serializes r.
+func EncodeMetaResponse(h Header, r MetaResponse) []byte {
+	h.Op = OpMeta
+	out := AppendHeader(nil, h)
 	out = binary.LittleEndian.AppendUint64(out, uint64(r.NumNodes))
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.Partition))
@@ -305,28 +319,19 @@ func EncodeMetaResponse(r MetaResponse) []byte {
 	return out
 }
 
-// EncodeMetaResponseV1 serializes r with the trailing protocol version —
-// sent only to clients that advertised v1+ in their meta request, so a
-// legacy decoder never sees the longer form.
-func EncodeMetaResponseV1(r MetaResponse) []byte {
-	out := EncodeMetaResponse(r)
-	return binary.LittleEndian.AppendUint32(out, uint32(r.Version))
-}
-
-// DecodeMetaResponse parses an OpMeta response body, either the legacy
-// 21-byte form (Version reported as 0) or the v1 25-byte form.
-func DecodeMetaResponse(b []byte) (MetaResponse, error) {
-	if (len(b) != 21 && len(b) != 25) || b[0] != OpMeta {
-		return MetaResponse{}, fmt.Errorf("cluster: not a meta response")
+// DecodeMetaResponse parses an OpMeta reply frame.
+func DecodeMetaResponse(frame []byte) (MetaResponse, error) {
+	_, body, err := replyBody(frame, OpMeta)
+	if err != nil {
+		return MetaResponse{}, err
 	}
-	r := MetaResponse{
-		NumNodes:   int64(binary.LittleEndian.Uint64(b[1:])),
-		AttrLen:    int(binary.LittleEndian.Uint32(b[9:])),
-		Partition:  int(binary.LittleEndian.Uint32(b[13:])),
-		Partitions: int(binary.LittleEndian.Uint32(b[17:])),
+	if len(body) != 20 {
+		return MetaResponse{}, fmt.Errorf("cluster: meta response body of %d bytes, want 20", len(body))
 	}
-	if len(b) == 25 {
-		r.Version = int(binary.LittleEndian.Uint32(b[21:]))
-	}
-	return r, nil
+	return MetaResponse{
+		NumNodes:   int64(binary.LittleEndian.Uint64(body)),
+		AttrLen:    int(binary.LittleEndian.Uint32(body[8:])),
+		Partition:  int(binary.LittleEndian.Uint32(body[12:])),
+		Partitions: int(binary.LittleEndian.Uint32(body[16:])),
+	}, nil
 }

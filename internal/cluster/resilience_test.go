@@ -118,14 +118,14 @@ func TestBreakerProbeAbandonedOnCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	if _, err := r.call(ctx, 0, []byte{OpMeta}, hang); !errors.Is(err, context.Canceled) {
+	if _, err := r.call(ctx, 0, metaReq, hang); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
 
 	// A later call must be admitted as a fresh probe and, on success,
 	// close the breaker — the time-based escape from half-open survives.
 	healthy := func(ctx context.Context, ep int, req []byte) ([]byte, error) { return []byte{1}, nil }
-	if _, err := r.call(context.Background(), 0, []byte{OpMeta}, healthy); err != nil {
+	if _, err := r.call(context.Background(), 0, metaReq, healthy); err != nil {
 		t.Fatalf("breaker wedged after abandoned probe: %v", err)
 	}
 	if r.BreakerState(0) != BreakerClosed {
@@ -158,7 +158,7 @@ func TestHedgeLoserReleasesProbe(t *testing.T) {
 		time.Sleep(25 * time.Millisecond) // past HedgeDelay so the hedge launches
 		return []byte{0}, nil
 	}
-	if _, err := r.call(context.Background(), 0, []byte{OpMeta}, invoke); err != nil {
+	if _, err := r.call(context.Background(), 0, metaReq, invoke); err != nil {
 		t.Fatal(err)
 	}
 	if st.Snapshot().Hedges == 0 {
@@ -243,7 +243,7 @@ func TestRetryDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := r.call(ctx, 0, []byte{OpMeta}, boom)
+	_, err := r.call(ctx, 0, metaReq, boom)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -260,7 +260,7 @@ func TestRetryExhaustionReportsEveryPass(t *testing.T) {
 		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
 		Replicas: ReplicaMap{{0, 1}},
 	}, st)
-	_, err := r.call(context.Background(), 0, []byte{OpMeta}, func(ctx context.Context, ep int, req []byte) ([]byte, error) {
+	_, err := r.call(context.Background(), 0, metaReq, func(ctx context.Context, ep int, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ep%d down", ep)
 	})
 	if err == nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -42,7 +43,7 @@ type Server struct {
 	stats     *trace.AccessStats
 	// lat records per-request Handle latency ("cluster.server") — the
 	// server-side half of the per-hop breakdown, also reported to traced
-	// clients in the reply envelope.
+	// clients in the reply header.
 	lat *stats.Latency
 	// wire counts request/response bytes crossing Handle plus the packed
 	// share and BDI compression ratio ("cluster.wire").
@@ -111,7 +112,6 @@ func (s *Server) Meta() MetaResponse {
 		AttrLen:    s.g.AttrLen(),
 		Partition:  s.partition,
 		Partitions: s.part.Servers(),
-		Version:    ProtoVersion,
 	}
 }
 
@@ -178,13 +178,13 @@ func (s *Server) GetAttrs(ctx context.Context, req AttrsRequest) (AttrsResponse,
 // boundary. Rejections come back typed as *ServerError — the verdict of a
 // live server on a bad request, deterministic per request — so the client
 // resilience layer neither retries them nor counts them against circuit
-// breakers. Context errors pass through untyped: they belong to the
-// caller, not the request.
+// breakers; a frame from another protocol version is one of them. Context
+// errors pass through untyped: they belong to the caller, not the request.
 //
-// An OpTraced envelope is unwrapped here: its trace ID joins the request
-// context (and the request log), the inner message is dispatched normally,
-// and the reply is enveloped with the measured handling time so the client
-// can split wire from server latency per hop.
+// The frame header is parsed once, in place: a trace ID joins the request
+// context (and the request log), and the reply then carries the measured
+// handling time in the slot its encoder reserved, so the client can split
+// wire from server latency per hop.
 func (s *Server) Handle(ctx context.Context, msg []byte) (resp []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -197,21 +197,17 @@ func (s *Server) Handle(ctx context.Context, msg []byte) (resp []byte, err error
 			}
 		}
 	}()
-	if len(msg) == 0 {
-		return nil, fmt.Errorf("cluster: empty message")
-	}
 	defer func(in int) { s.wire.recordFrame(in, len(resp)) }(len(msg))
-	var id obs.TraceID
-	traced := msg[0] == OpTraced
-	if traced {
-		id, msg, err = DecodeTracedRequest(msg)
-		if err != nil {
-			return nil, err
-		}
+	h, body, err := ParseHeader(msg)
+	if err != nil {
+		return nil, err
+	}
+	id := obs.TraceID(h.Trace)
+	if h.Traced {
 		ctx = obs.WithTrace(ctx, id)
 	}
 	start := time.Now()
-	resp, err = s.dispatch(ctx, msg)
+	resp, err = s.dispatch(ctx, h, body)
 	dur := time.Since(start)
 	if err == nil {
 		s.lat.ObserveTrace(dur, uint64(id))
@@ -221,18 +217,21 @@ func (s *Server) Handle(ctx context.Context, msg []byte) (resp []byte, err error
 	if tr := s.tracer.Load(); tr != nil {
 		tr.ObserveErr(id, obs.HopServer, "", start, dur, err != nil)
 	}
-	s.logRequest(id, msg[0], dur, err)
-	if err != nil || !traced {
-		return resp, err
+	s.logRequest(id, h.Op, dur, err)
+	if err == nil && h.Traced {
+		binary.LittleEndian.PutUint64(resp[traceOffset:], uint64(dur))
 	}
-	return EncodeTracedReply(dur, resp), nil
+	return resp, err
 }
 
-// dispatch routes one unwrapped protocol message to its handler.
-func (s *Server) dispatch(ctx context.Context, msg []byte) ([]byte, error) {
-	switch msg[0] {
+// dispatch routes one parsed request to its handler. The reply header
+// echoes the request's BDI choice and reserves the handling-time slot when
+// the request was traced.
+func (s *Server) dispatch(ctx context.Context, h Header, body []byte) ([]byte, error) {
+	reply := Header{BDI: h.BDI, Traced: h.Traced}
+	switch h.Op {
 	case OpGetNeighbors:
-		req, err := DecodeNeighborsRequest(msg)
+		req, err := DecodeNeighborsRequest(body)
 		if err != nil {
 			return nil, err
 		}
@@ -240,9 +239,9 @@ func (s *Server) dispatch(ctx context.Context, msg []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeNeighborsResponse(r), nil
+		return EncodeNeighborsResponse(reply, r), nil
 	case OpGetAttrs:
-		req, err := DecodeAttrsRequest(msg)
+		req, err := DecodeAttrsRequest(body)
 		if err != nil {
 			return nil, err
 		}
@@ -250,29 +249,27 @@ func (s *Server) dispatch(ctx context.Context, msg []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeAttrsResponse(r), nil
+		return EncodeAttrsResponse(reply, r), nil
 	case OpPacked:
-		return s.handlePacked(ctx, msg)
+		return s.handlePacked(ctx, reply, body)
 	case OpMeta:
-		// A client advertising protocol ≥1 gets the versioned response;
-		// legacy clients get the 21-byte form they expect.
-		if MetaRequestVersion(msg) >= 1 {
-			return EncodeMetaResponseV1(s.Meta()), nil
+		if len(body) != 0 {
+			return nil, fmt.Errorf("cluster: %d trailing bytes in meta request", len(body))
 		}
-		return EncodeMetaResponse(s.Meta()), nil
+		return EncodeMetaResponse(reply, s.Meta()), nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown op %#x", msg[0])
+		return nil, fmt.Errorf("cluster: unknown op %#x", h.Op)
 	}
 }
 
-// handlePacked serves a protocol-v2 OpPacked frame: every sub-request is
-// dispatched against this partition and answered in place, so one shard
-// rejecting a node ID fails only its own sub-slot while its siblings still
-// return data (the client resilience layer then judges each sub on its own
-// status). Only a context error aborts the whole frame — that belongs to
-// the caller, not the requests.
-func (s *Server) handlePacked(ctx context.Context, msg []byte) ([]byte, error) {
-	subs, bdi, err := DecodePackedRequest(msg, &s.wire.Codec)
+// handlePacked serves an OpPacked frame: every sub-request is dispatched
+// against this partition and answered in place, so one shard rejecting a
+// node ID fails only its own sub-slot while its siblings still return data
+// (the client resilience layer then judges each sub on its own status).
+// Only a context error aborts the whole frame — that belongs to the caller,
+// not the requests.
+func (s *Server) handlePacked(ctx context.Context, reply Header, body []byte) ([]byte, error) {
+	subs, err := DecodePackedRequest(body, reply.BDI, &s.wire.Codec)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +297,7 @@ func (s *Server) handlePacked(ctx context.Context, msg []byte) ([]byte, error) {
 			}
 		}
 	}
-	return EncodePackedResponse(resps, bdi, &s.wire.Codec), nil
+	return EncodePackedResponse(reply, resps, &s.wire.Codec), nil
 }
 
 // logRequest emits one structured request log line when a logger is set.

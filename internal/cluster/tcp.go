@@ -38,10 +38,20 @@ const (
 // socket I/O to return immediately (the net/http interrupt idiom).
 var aLongTimeAgo = time.Unix(1, 0)
 
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// noStatus marks a request frame, which has no status byte.
+const noStatus = -1
+
+// writeFrame writes the length prefix, the status byte unless status is
+// noStatus, and body — without copying body behind a prefix.
+func writeFrame(w io.Writer, status int, body []byte) error {
+	var hdr [5]byte
+	n := 4
+	if status != noStatus {
+		hdr[4] = byte(status)
+		n = 5
+	}
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+n-4))
+	if _, err := w.Write(hdr[:n]); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -160,17 +170,16 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			t.frameErrs.Inc()
 		}
-		var out []byte
+		status := statusOK
 		var se *ServerError
 		switch {
 		case err == nil:
-			out = append([]byte{statusOK}, resp...)
 		case errors.As(err, &se):
-			out = append([]byte{statusReject}, []byte(se.Msg)...)
+			status, resp = statusReject, []byte(se.Msg)
 		default:
-			out = append([]byte{statusError}, []byte(err.Error())...)
+			status, resp = statusError, []byte(err.Error())
 		}
-		if err := writeFrame(w, out); err != nil {
+		if err := writeFrame(w, status, resp); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -431,7 +440,7 @@ func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, m
 }
 
 func (t *TCPTransport) roundTrip(conn net.Conn, msg []byte) ([]byte, error) {
-	if err := writeFrame(conn, msg); err != nil {
+	if err := writeFrame(conn, noStatus, msg); err != nil {
 		return nil, err
 	}
 	return readFrame(conn)

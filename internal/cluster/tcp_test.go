@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -87,23 +88,34 @@ func TestTCPServerErrorPropagation(t *testing.T) {
 	g := testGraph(t)
 	tr, cleanup := startTCPCluster(t, g, 2)
 	defer cleanup()
-	// An unknown op must come back as a remote error, not a hang — and
-	// typed as the application rejection it is, so the resilience layer
-	// does not burn retries or breaker budget replaying it.
-	_, err := tr.Call(bg, 0, []byte{0x7F})
-	if err == nil {
-		t.Fatal("remote error not propagated")
+	// An unknown op, or a frame from another protocol version, must come
+	// back as a remote error, not a hang — and typed as the application
+	// rejection it is, so the resilience layer does not burn retries or
+	// breaker budget replaying it.
+	st := &ResilienceStats{}
+	r := newResilience(ResilienceConfig{
+		Retry:   RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
+		Breaker: BreakerConfig{Threshold: 1, OpenFor: time.Minute},
+	}, st)
+	for frame, want := range map[string]string{
+		string(bare(0x7F)): "unknown op",
+		string(otherVersion(metaReq, ProtoVersion-1)): fmt.Sprintf("speaks protocol v%d, this build speaks v%d", ProtoVersion-1, ProtoVersion),
+	} {
+		_, err := r.call(bg, 0, []byte(frame), tr.Call)
+		var se *ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("rejection of %x lost its type over the wire: %v", frame, err)
+		}
+		if se.Server != 0 || !strings.Contains(se.Msg, want) {
+			t.Fatalf("rejection of %x does not say %q: %+v", frame, want, se)
+		}
+		// The server stays up and the connection stays usable.
+		if _, err := tr.Call(bg, 0, metaReq); err != nil {
+			t.Fatalf("connection unusable after rejecting %x: %v", frame, err)
+		}
 	}
-	var se *ServerError
-	if !errors.As(err, &se) {
-		t.Fatalf("rejection lost its type over the wire: %v", err)
-	}
-	if se.Server != 0 || !strings.Contains(se.Msg, "unknown op") {
-		t.Fatalf("wrong rejection payload: %+v", se)
-	}
-	// The connection stays usable afterwards.
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err != nil {
-		t.Fatalf("connection unusable after error: %v", err)
+	if snap := st.Snapshot(); snap.Retries != 0 || snap.BreakerOpens != 0 {
+		t.Fatalf("rejections cost %d retries, %d breaker opens", snap.Retries, snap.BreakerOpens)
 	}
 }
 
@@ -117,7 +129,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = tr.Call(bg, i%2, []byte{OpMeta})
+			_, errs[i] = tr.Call(bg, i%2, metaReq)
 		}(i)
 	}
 	wg.Wait()
@@ -131,7 +143,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 func TestTCPBadServerIndex(t *testing.T) {
 	tr := DialTCP([]string{"127.0.0.1:1"}, 1)
 	defer tr.Close()
-	if _, err := tr.Call(bg, 5, []byte{OpMeta}); err == nil {
+	if _, err := tr.Call(bg, 5, metaReq); err == nil {
 		t.Fatal("out-of-range server accepted")
 	}
 }
@@ -148,7 +160,7 @@ func TestTCPServerClose(t *testing.T) {
 	}
 	tr := DialTCP([]string{addr}, 1)
 	defer tr.Close()
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err == nil {
+	if _, err := tr.Call(bg, 0, metaReq); err == nil {
 		t.Fatal("closed server still answering")
 	}
 }
@@ -173,7 +185,7 @@ func TestTCPPoolRecovery(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := tr.Call(bg, 0, []byte{OpMeta}); err != nil {
+			if _, err := tr.Call(bg, 0, metaReq); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -204,7 +216,7 @@ func TestTCPPoolRecovery(t *testing.T) {
 	// Every pooled connection is now a corpse. Each call must notice the
 	// dead socket and transparently redial the restarted server.
 	for i := 0; i < 4; i++ {
-		raw, err := tr.Call(bg, 0, []byte{OpMeta})
+		raw, err := tr.Call(bg, 0, metaReq)
 		if err != nil {
 			t.Fatalf("call %d after restart: %v", i, err)
 		}
@@ -313,7 +325,7 @@ func TestTCPServerDrainCompletesInflight(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		raw, err := tr.Call(bg, 0, []byte{OpMeta})
+		raw, err := tr.Call(bg, 0, metaReq)
 		done <- reply{raw, err}
 	}()
 	<-gh.entered
@@ -356,7 +368,7 @@ func TestTCPServerDrainCompletesInflight(t *testing.T) {
 	}
 
 	// With the drain complete, even pooled redials are refused.
-	if _, err := tr.Call(bg, 0, []byte{OpMeta}); err == nil {
+	if _, err := tr.Call(bg, 0, metaReq); err == nil {
 		t.Fatal("draining server accepted a post-drain request")
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -11,178 +10,6 @@ import (
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 )
-
-func TestTracedEnvelopeRoundTrip(t *testing.T) {
-	inner := EncodeAttrsRequest(AttrsRequest{IDs: nil})
-	id := obs.NewTraceID()
-	enc := EncodeTracedRequest(id, inner)
-	gotID, gotInner, err := DecodeTracedRequest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotID != id || !bytes.Equal(gotInner, inner) {
-		t.Fatalf("round trip: id %v != %v or body mismatch", gotID, id)
-	}
-
-	reply := EncodeTracedReply(42*time.Microsecond, inner)
-	srvTime, gotInner, err := DecodeTracedReply(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srvTime != 42*time.Microsecond || !bytes.Equal(gotInner, inner) {
-		t.Fatalf("reply round trip: %v, %q", srvTime, gotInner)
-	}
-
-	// Malformed envelopes must error, not panic or misparse.
-	for _, bad := range [][]byte{
-		nil,
-		{OpTraced},
-		enc[:8],                            // truncated header
-		enc[:9],                            // empty body
-		EncodeTracedRequest(id, enc),       // nested envelope
-		EncodeAttrsRequest(AttrsRequest{}), // wrong op
-	} {
-		if _, _, err := DecodeTracedRequest(bad); err == nil {
-			t.Fatalf("malformed request %x accepted", bad)
-		}
-	}
-	if _, _, err := DecodeTracedReply(enc[:5]); err == nil {
-		t.Fatal("truncated reply accepted")
-	}
-}
-
-func TestMetaVersionNegotiation(t *testing.T) {
-	if v := MetaRequestVersion([]byte{OpMeta}); v != 0 {
-		t.Fatalf("bare meta request advertises %d", v)
-	}
-	if v := MetaRequestVersion(EncodeMetaRequest()); v != ProtoVersion {
-		t.Fatalf("v1 meta request advertises %d", v)
-	}
-
-	meta := MetaResponse{NumNodes: 100, AttrLen: 4, Partition: 1, Partitions: 2, Version: ProtoVersion}
-	legacy := EncodeMetaResponse(meta)
-	if len(legacy) != 21 {
-		t.Fatalf("legacy meta response is %d bytes", len(legacy))
-	}
-	dec, err := DecodeMetaResponse(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Version != 0 || dec.NumNodes != 100 || dec.Partitions != 2 {
-		t.Fatalf("legacy decode = %+v", dec)
-	}
-
-	v1 := EncodeMetaResponseV1(meta)
-	if len(v1) != 25 {
-		t.Fatalf("v1 meta response is %d bytes", len(v1))
-	}
-	dec, err = DecodeMetaResponse(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Version != ProtoVersion || dec.NumNodes != 100 {
-		t.Fatalf("v1 decode = %+v", dec)
-	}
-}
-
-// TestServerAnswersLegacyMeta checks the server side of interop: a bare
-// OpMeta (old client) gets the legacy 21-byte form, a version-advertising
-// request gets the 25-byte form.
-func TestServerAnswersLegacyMeta(t *testing.T) {
-	g := testGraph(t)
-	srv := NewServer(g, HashPartitioner{N: 1}, 0)
-	raw, err := srv.Handle(bg, []byte{OpMeta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != 21 {
-		t.Fatalf("legacy client got %d-byte meta", len(raw))
-	}
-	raw, err = srv.Handle(bg, EncodeMetaRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := DecodeMetaResponse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != ProtoVersion {
-		t.Fatalf("v1 client got version %d", meta.Version)
-	}
-}
-
-// legacyHandler mimics a pre-tracing server: it answers OpMeta in the
-// legacy 21-byte form regardless of trailing bytes and rejects OpTraced as
-// an unknown op, recording whether one ever arrived.
-type legacyHandler struct {
-	srv *Server
-
-	mu        sync.Mutex
-	sawTraced bool
-}
-
-func (h *legacyHandler) Handle(ctx context.Context, msg []byte) ([]byte, error) {
-	if len(msg) > 0 && msg[0] == OpTraced {
-		h.mu.Lock()
-		h.sawTraced = true
-		h.mu.Unlock()
-		return nil, &ServerError{Server: h.srv.Partition(), Msg: fmt.Sprintf("cluster: unknown op %#x", msg[0])}
-	}
-	if len(msg) > 0 && msg[0] == OpMeta {
-		return EncodeMetaResponse(h.srv.Meta()), nil
-	}
-	return h.srv.Handle(ctx, msg)
-}
-
-// handlerTransport routes calls to arbitrary Handlers in-process.
-type handlerTransport struct{ hs []Handler }
-
-func (t handlerTransport) Call(ctx context.Context, server int, msg []byte) ([]byte, error) {
-	if server < 0 || server >= len(t.hs) {
-		return nil, fmt.Errorf("cluster: no server %d", server)
-	}
-	return t.hs[server].Handle(ctx, msg)
-}
-
-// TestTracedClientAgainstLegacyServer checks the client side of interop: a
-// tracing client bootstrapped against version-0 peers must never put
-// OpTraced on the wire, and still records batch/rpc hops locally.
-func TestTracedClientAgainstLegacyServer(t *testing.T) {
-	g := testGraph(t)
-	part := HashPartitioner{N: 2}
-	hs := make([]Handler, 2)
-	legacies := make([]*legacyHandler, 2)
-	for i := range hs {
-		legacies[i] = &legacyHandler{srv: NewServer(g, part, i)}
-		hs[i] = legacies[i]
-	}
-	tr := obs.NewTracer()
-	client, err := NewClientContext(bg, handlerTransport{hs: hs}, part, 0, WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if client.meta.Version != 0 {
-		t.Fatalf("legacy peer negotiated version %d", client.meta.Version)
-	}
-	if _, err := client.SampleBatch(bg, chaosRoots(g, 0, 16), sampler.Config{Fanouts: []int{3, 2}, FetchAttrs: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, lh := range legacies {
-		lh.mu.Lock()
-		saw := lh.sawTraced
-		lh.mu.Unlock()
-		if saw {
-			t.Fatal("client sent OpTraced to a version-0 peer")
-		}
-	}
-	if tr.Hop(obs.HopBatch).Count != 1 || tr.Hop(obs.HopRPC).Count == 0 {
-		t.Fatalf("batch/rpc hops missing: batch=%d rpc=%d",
-			tr.Hop(obs.HopBatch).Count, tr.Hop(obs.HopRPC).Count)
-	}
-	if tr.Hop(obs.HopServer).Count != 0 || tr.Hop(obs.HopWire).Count != 0 {
-		t.Fatal("wire/server hops recorded against a legacy peer")
-	}
-}
 
 // TestTracedSampleDirect runs a traced batch over the in-process transport
 // and checks the full per-hop breakdown plus the span log.
@@ -197,9 +24,6 @@ func TestTracedSampleDirect(t *testing.T) {
 	client, err := NewClientContext(bg, DirectTransport{Servers: servers}, part, 0, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if client.meta.Version != ProtoVersion {
-		t.Fatalf("negotiated version %d", client.meta.Version)
 	}
 	if _, err := client.SampleBatch(bg, chaosRoots(g, 0, 32), sampler.Config{Fanouts: []int{4, 3}, FetchAttrs: true}); err != nil {
 		t.Fatal(err)
@@ -242,12 +66,9 @@ func TestTracedSampleTCP(t *testing.T) {
 	transport := DialTCP(addrs, 2)
 	defer transport.Close()
 	tr := obs.NewTracer()
-	client, err := NewClientContext(bg, transport, part, -1, WithTracer(tr))
+	client, err := NewClientContext(bg, transport, part, -1, WithTracer(tr), WithAPIKey("tenant-key"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if client.meta.Version != ProtoVersion {
-		t.Fatalf("negotiated version %d over TCP", client.meta.Version)
 	}
 	if _, err := client.SampleBatch(bg, chaosRoots(g, 0, 16), sampler.Config{Fanouts: []int{3}, FetchAttrs: true}); err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ type Options struct {
 	// Faults, when set, wraps the transport with seeded fault injection so
 	// the resilience path can be exercised (chaos testing).
 	Faults *cluster.FaultSpec
-	// Packing, when set, enables protocol-v2 MoF request packing + BDI
+	// Packing, when set, enables MoF request packing + BDI
 	// section compression on the client's storage RPCs, plus the
 	// in-flight attribute coalescer (see cluster.PackingConfig).
 	Packing *cluster.PackingConfig

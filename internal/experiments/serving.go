@@ -593,8 +593,8 @@ func mustDataset(name string) workload.Dataset {
 
 // wireComparison measures MoF on the wire (§4.3, Figure 11): the same
 // batches sampled twice over one shared cluster built from the attr-heavy
-// ll dataset — once through a protocol-v1-equivalent baseline client
-// (plain per-shard frames), once through a v2 client with request packing
+// ll dataset — once through a baseline client (plain per-shard frames),
+// once through a client with request packing
 // (Tech-1), BDI-compressed ID vectors (Tech-2), and the in-flight attr
 // coalescer. Results must match byte for byte; the wire bytes before and
 // after quantify what the techniques save.
@@ -625,9 +625,6 @@ func wireComparison(w io.Writer, opts Options) error {
 		cluster.WithPacking(cluster.PackingConfig{}))
 	if err != nil {
 		return err
-	}
-	if !packed.Packing() {
-		return fmt.Errorf("serving: packing not negotiated against v%d servers", cluster.ProtoVersion)
 	}
 	cfg := sampler.Config{
 		Fanouts: []int{10, 10}, NegativeRate: 10,

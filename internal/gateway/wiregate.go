@@ -39,7 +39,7 @@ type wireTenant struct {
 //
 // Rejections are *cluster.ServerError values, which ride the TCP reject
 // status: deterministic, never retried, never counted against the
-// client's circuit breakers. A bare OpMeta frame (version discovery)
+// client's circuit breakers. An unkeyed OpMeta frame (version discovery)
 // passes unauthenticated so bootstrap against a gated server still works
 // for clients probing capabilities; every other unkeyed frame is a
 // 401-class rejection.
@@ -118,31 +118,28 @@ func (g *WireGate) Snapshot() []TenantSnapshot {
 	return snapshotTenants(g.cfgs, sts)
 }
 
-// Handle implements cluster.Handler: unwrap the OpAuthed envelope, admit
-// or reject, then delegate the inner frame.
+// Handle implements cluster.Handler: read the tenant key from the frame
+// header, admit or reject, then hand the same frame inward.
 func (g *WireGate) Handle(ctx context.Context, msg []byte) ([]byte, error) {
-	if len(msg) == 0 {
-		return g.inner.Handle(ctx, msg)
+	h, _, err := cluster.ParseHeader(msg)
+	if err != nil {
+		g.stats.authFailures.Inc()
+		return nil, &cluster.ServerError{Msg: "gateway: 401 unauthorized: " + err.Error()}
 	}
-	if msg[0] != cluster.OpAuthed {
-		// Version discovery stays open: a keyed client wraps its meta
+	if h.Key == "" {
+		// Version discovery stays open: a keyed client keys its meta
 		// request too, but an anonymous probe may ask what this server
 		// speaks before authenticating.
-		if msg[0] == cluster.OpMeta {
+		if h.Op == cluster.OpMeta {
 			return g.inner.Handle(ctx, msg)
 		}
 		g.stats.authFailures.Inc()
 		return nil, &cluster.ServerError{Msg: "gateway: 401 unauthorized: request carries no api key"}
 	}
-	key, inner, err := cluster.DecodeAuthedRequest(msg)
-	if err != nil {
-		g.stats.authFailures.Inc()
-		return nil, &cluster.ServerError{Msg: "gateway: 401 unauthorized: " + err.Error()}
-	}
-	t := g.byKey[key]
+	t := g.byKey[h.Key]
 	if t == nil {
 		g.stats.authFailures.Inc()
-		return nil, &cluster.ServerError{Msg: "gateway: 401 unauthorized: unknown api key " + redactKey(key)}
+		return nil, &cluster.ServerError{Msg: "gateway: 401 unauthorized: unknown api key " + redactKey(h.Key)}
 	}
 	if ok, retry := t.bucket.take(1); !ok {
 		g.stats.ratelimited.Inc()
@@ -161,7 +158,7 @@ func (g *WireGate) Handle(ctx context.Context, msg []byte) ([]byte, error) {
 	g.stats.admitted.Inc()
 	t.stats.admitted.Inc()
 	start := time.Now()
-	resp, err := g.inner.Handle(ctx, inner)
+	resp, err := g.inner.Handle(ctx, msg)
 	dur := time.Since(start)
 	if err != nil {
 		g.stats.batchErrors.Inc()

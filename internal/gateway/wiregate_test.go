@@ -31,6 +31,11 @@ func (h *innerHandler) Handle(ctx context.Context, msg []byte) ([]byte, error) {
 	return append([]byte("ok:"), msg...), nil
 }
 
+// keyed builds a frame carrying an API key in its header.
+func keyed(key string, body ...byte) []byte {
+	return append(cluster.AppendHeader(nil, cluster.Header{Op: 0x7f, Key: key}), body...)
+}
+
 func testGate(t *testing.T, cfg WireGateConfig, inner cluster.Handler) *WireGate {
 	t.Helper()
 	if cfg.Tenants == nil {
@@ -59,45 +64,50 @@ func TestWireGateAuth(t *testing.T) {
 	inner := &innerHandler{}
 	g := testGate(t, WireGateConfig{}, inner)
 
-	// Keyed frame passes and is unwrapped before the inner handler.
-	req := cluster.EncodeAuthedRequest("ak", []byte{0x7f, 1, 2})
+	// Keyed frame passes, and the inner handler sees the same bytes.
+	req := keyed("ak", 1, 2)
 	resp, err := g.Handle(bg, req)
-	if err != nil || string(resp) != "ok:\x7f\x01\x02" {
-		t.Fatalf("authed frame: (%q, %v)", resp, err)
+	if err != nil || string(resp) != "ok:"+string(req) {
+		t.Fatalf("keyed frame: (%q, %v)", resp, err)
 	}
 	if g.Stats().Admitted() != 1 {
 		t.Fatal("admitted counter did not move")
 	}
 
 	// Unknown key → 401, key redacted.
-	_, err = g.Handle(bg, cluster.EncodeAuthedRequest("super-secret-key", []byte{1}))
+	_, err = g.Handle(bg, keyed("super-secret-key", 1))
 	se := serverErrContains(t, err, "401")
 	if strings.Contains(se.Msg, "super-secret-key") {
 		t.Fatalf("rejection leaked the full key: %q", se.Msg)
 	}
 
 	// Unkeyed non-meta frame → 401.
-	_, err = g.Handle(bg, []byte{cluster.OpGetNeighbors, 0, 0})
+	_, err = g.Handle(bg, cluster.EncodeAttrsRequest(cluster.Header{}, cluster.AttrsRequest{}))
 	serverErrContains(t, err, "401")
 	if g.Stats().AuthFailures() != 2 {
 		t.Fatalf("auth_failures = %d, want 2", g.Stats().AuthFailures())
 	}
 
-	// Bare OpMeta passes unauthenticated (bootstrap/discovery).
-	if _, err := g.Handle(bg, []byte{cluster.OpMeta}); err != nil {
-		t.Fatalf("bare meta rejected: %v", err)
+	// Unkeyed OpMeta passes unauthenticated (bootstrap/discovery).
+	if _, err := g.Handle(bg, cluster.EncodeMetaRequest(cluster.Header{})); err != nil {
+		t.Fatalf("unkeyed meta rejected: %v", err)
 	}
 
-	// Truncated envelope → 401, not a panic.
-	_, err = g.Handle(bg, []byte{cluster.OpAuthed, 10, 'a'})
+	// Key field running past the frame → 401, not a panic; so does a
+	// frame from another protocol version, and the rejection says which.
+	_, err = g.Handle(bg, keyed("ak")[:4])
 	serverErrContains(t, err, "401")
+	stale := keyed("ak")
+	stale[1]--
+	_, err = g.Handle(bg, stale)
+	serverErrContains(t, err, "this build speaks")
 }
 
 func TestWireGateRateLimit(t *testing.T) {
 	g := testGate(t, WireGateConfig{
 		Tenants: []TenantConfig{{Name: "a", Key: "ak", Rate: 1, Burst: 2}},
 	}, &innerHandler{})
-	req := cluster.EncodeAuthedRequest("ak", []byte{1})
+	req := keyed("ak", 1)
 	for i := 0; i < 2; i++ {
 		if _, err := g.Handle(bg, req); err != nil {
 			t.Fatalf("frame %d within burst: %v", i, err)
@@ -113,7 +123,7 @@ func TestWireGateRateLimit(t *testing.T) {
 func TestWireGateShedsAtMaxInflight(t *testing.T) {
 	inner := &innerHandler{block: make(chan struct{}), started: make(chan struct{}, 4)}
 	g := testGate(t, WireGateConfig{MaxInflight: 1}, inner)
-	req := cluster.EncodeAuthedRequest("ak", []byte{1})
+	req := keyed("ak", 1)
 
 	done := make(chan struct{})
 	go func() {
@@ -154,7 +164,7 @@ func TestWireGateSnapshot(t *testing.T) {
 	g := testGate(t, WireGateConfig{Tenants: []TenantConfig{
 		{Name: "b", Key: "bk"}, {Name: "a", Key: "ak"},
 	}}, &innerHandler{})
-	if _, err := g.Handle(bg, cluster.EncodeAuthedRequest("ak", []byte{1})); err != nil {
+	if _, err := g.Handle(bg, keyed("ak", 1)); err != nil {
 		t.Fatal(err)
 	}
 	rows := g.Snapshot()

@@ -157,11 +157,18 @@ func (c *VecCodec) AppendU64s(dst []byte, vals []uint64) []byte {
 // SectionCount peeks the count field of the section at the head of src
 // without decoding it, so a decoder can size a destination (or pooled
 // scratch) up front. ok is false when src cannot hold a section header.
+// The field is untrusted, so it is clamped to the most src could decode
+// to — BDI yields at most one 64-bit word per encoded byte — and a
+// hostile count cannot size a buffer out of proportion to its frame.
 func SectionCount(src []byte) (n uint32, ok bool) {
 	if len(src) < sectionHeaderSize {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint32(src), true
+	n = binary.LittleEndian.Uint32(src)
+	if most := uint64(len(src)-sectionHeaderSize) * 8; uint64(n) > most {
+		n = uint32(most)
+	}
+	return n, true
 }
 
 // ReadU64sInto parses a u64-vector section, appending the values to dst —

@@ -141,6 +141,15 @@ func TestVecCodecHostileSections(t *testing.T) {
 	lieCount := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(lieCount, 999)
 	cases["count-mismatch"] = lieCount
+	// ... and a count far past what the bytes could decode to must not be
+	// handed to a decoder as a buffer size.
+	binary.LittleEndian.PutUint32(lieCount, 0xFFFFFFF0)
+	if n, ok := SectionCount(lieCount); !ok || int(n) > 8*len(lieCount) {
+		t.Errorf("SectionCount = %d for a %d-byte section", n, len(lieCount))
+	}
+	if n, _ := SectionCount(good); n != 3 {
+		t.Errorf("SectionCount = %d for a 3-value section", n)
+	}
 	// encLen claims more than is present.
 	lieLen := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(lieLen[5:], uint32(len(good)))

@@ -1,6 +1,6 @@
 // Package obs is the end-to-end observability layer of the serving
 // pipeline: per-request trace IDs propagated through contexts (and, via
-// the cluster wire protocol's traced envelope, across machines), per-hop
+// the cluster wire protocol's frame header, across machines), per-hop
 // latency histograms, and a bounded span log so one batch can be broken
 // down hop by hop — the same per-stage measurement discipline the paper
 // uses to validate its analytical model against the 4-card PoC (§7.2,
@@ -84,13 +84,13 @@ const (
 	// (serialization + network + queueing at the peer).
 	HopWire = "wire"
 	// HopPack is time a request spent queued in the client's packing
-	// window before its packed frame flushed (protocol v2).
+	// window before its packed frame flushed.
 	HopPack = "pack"
 	// HopCompress is time spent encoding/decoding packed frames through
 	// the BDI section codec, client side.
 	HopCompress = "compress"
 	// HopServer is the server-side Handle duration, as reported by the
-	// peer in the traced reply envelope.
+	// peer in the reply's frame header.
 	HopServer = "server"
 	// HopPipeWait is time a pipeline fetch task spent blocked on the
 	// out-of-order window (all request slots occupied).

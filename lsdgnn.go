@@ -16,7 +16,7 @@
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithReplicas(2),
 //		lsdgnn.WithResilience(lsdgnn.DefaultResilienceConfig()),
-//		lsdgnn.WithPacking(0), // protocol-v2 MoF packing + BDI
+//		lsdgnn.WithPacking(0), // MoF packing + BDI
 //		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // OoO sampling (Tech-3)
 //	)
 //

@@ -98,7 +98,7 @@ func TestPublicFunctionalOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sys.Client.Packing() {
-		t.Fatal("WithPacking did not negotiate protocol v2")
+		t.Fatal("WithPacking did not enable packing")
 	}
 	ctx := context.Background()
 	for i := int64(0); i < 8; i++ {

@@ -47,8 +47,7 @@ type (
 	ResilienceConfig = cluster.ResilienceConfig
 	// FaultSpec injects seeded chaos into the storage transport.
 	FaultSpec = cluster.FaultSpec
-	// PackingConfig tunes protocol-v2 MoF request packing (window,
-	// per-frame request cap, BDI compression).
+	// PackingConfig tunes MoF request packing (the coalescing window).
 	PackingConfig = cluster.PackingConfig
 	// DispatcherConfig tunes batch placement across AxE engines.
 	DispatcherConfig = core.DispatcherConfig
@@ -214,17 +213,12 @@ func WithFaults(spec FaultSpec) Option {
 	return func(o *Options) { s := spec; o.Faults = &s }
 }
 
-// WithPacking enables protocol-v2 MoF request packing with the given
-// coalescing window (0 = default window): same-shard requests share one
-// packed, BDI-compressed frame, and concurrent attribute fetches for the
-// same node coalesce into a single wire fetch.
+// WithPacking enables MoF request packing with the given coalescing window
+// (0 = default window): same-shard requests share one packed,
+// BDI-compressed frame, and concurrent attribute fetches for the same node
+// coalesce into a single wire fetch.
 func WithPacking(window time.Duration) Option {
-	return WithPackingConfig(PackingConfig{Window: window})
-}
-
-// WithPackingConfig is WithPacking with every knob exposed.
-func WithPackingConfig(cfg PackingConfig) Option {
-	return func(o *Options) { c := cfg; o.Packing = &c }
+	return func(o *Options) { o.Packing = &PackingConfig{Window: window} }
 }
 
 // WithPipeline enables the out-of-order sampling executor — the software

@@ -13,6 +13,11 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# bench/ is a module of its own that the commands above never compile; it
+# builds against this tree's cluster/gateway/pipeline APIs.
+echo "== bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
+
 echo "== chaos suite (fault injection under -race)"
 go test -race -count=5 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestTCPPoolRecovery' ./internal/cluster/
 

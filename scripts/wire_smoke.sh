@@ -1,6 +1,6 @@
 #!/bin/sh
 # Wire-plane smoke test: boot a real lsdgnn-server with the admin plane,
-# check /metrics pre-registers the protocol-v2 wire series
+# check /metrics pre-registers the wire series
 # (lsdgnn_cluster_wire_* including the pack-ratio gauge), then drive a
 # packed sampling burst through lsdgnn-probe over TCP and assert the
 # server actually counted packed frames and wire bytes.
@@ -47,15 +47,15 @@ for series in \
     fi
 done
 
-# Drive a packed burst over the wire (protocol v2 negotiation + MoF
-# packing + BDI sections, all through real sockets). -mem makes the probe
+# Drive a packed burst over the wire (frame header + MoF packing + BDI
+# sections, all through real sockets). -mem makes the probe
 # verify every scratch buffer went back to its pool and print the
 # client-side buffer-pool series.
 "$OUT/lsdgnn-probe" -addrs "127.0.0.1:$SERVE_PORT" -batches 8 -batch-size 48 -mem \
     >"$OUT/probe.log" 2>&1 || { cat "$OUT/probe.log" >&2; exit 1; }
 grep -q 'probe: OK' "$OUT/probe.log"
-grep -q 'protocol v2, packing true' "$OUT/probe.log" || {
-    echo "wire-smoke: probe did not negotiate packing" >&2
+grep -q 'protocol v3, packing true' "$OUT/probe.log" || {
+    echo "wire-smoke: probe is not packing on protocol v3" >&2
     cat "$OUT/probe.log" >&2
     exit 1
 }
