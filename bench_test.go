@@ -9,7 +9,6 @@ package lsdgnn
 
 import (
 	"context"
-	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
@@ -25,7 +24,6 @@ import (
 	"lsdgnn/internal/qrch"
 	"lsdgnn/internal/riscv"
 	"lsdgnn/internal/sampler"
-	"lsdgnn/internal/store"
 )
 
 func benchOpts() experiments.Options { return experiments.Options{Quick: true, Seed: 42} }
@@ -193,92 +191,6 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkSoftwareSampling(b *testing.B) {
-	g := benchGraph()
-	s := sampler.New(sampler.LocalStore{G: g}, sampler.Config{
-		Fanouts: []int{10, 10}, NegativeRate: 10, Method: sampler.Streaming, FetchAttrs: true, Seed: 1,
-	})
-	roots := benchRoots(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Release puts the batch's region back in circulation — the
-		// steady-state a serving loop reaches once each batch is shipped.
-		s.SampleBatch(roots).Release()
-	}
-}
-
-// BenchmarkDiskStoreSampling drives the software sampler over the
-// persistent store at the operating point the storage tier exists for: a
-// materialized dataset whose segment is >=4x the cache budget, so most
-// reads page in from disk and the LRU is constantly evicting. The run
-// aborts if resident cache bytes ever exceed the budget — the admission
-// contract, enforced while benchmarking. The local and mmap variants
-// bracket it: full-RAM serving above, OS-paged zero-copy below.
-func BenchmarkDiskStoreSampling(b *testing.B) {
-	const nodes = 20_000
-	g := graph.Generate(graph.GenConfig{
-		NumNodes: nodes, AvgDegree: 10, AttrLen: 64, Seed: 7,
-		PowerLaw: true, Materialize: true,
-	})
-	cfg := sampler.Config{
-		Fanouts: []int{10, 10}, NegativeRate: 10, Method: sampler.Streaming,
-		FetchAttrs: true, Seed: 1,
-	}
-	rng := rand.New(rand.NewSource(3))
-	roots := make([]graph.NodeID, 64)
-	for i := range roots {
-		roots[i] = graph.NodeID(rng.Int63n(nodes))
-	}
-	b.Run("local", func(b *testing.B) {
-		s := sampler.New(sampler.LocalStore{G: g}, cfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.SampleBatch(roots).Release()
-		}
-	})
-	openDisk := func(b *testing.B, opts ...store.Option) *store.DiskStore {
-		b.Helper()
-		dir := b.TempDir()
-		if err := store.Create(dir, g); err != nil {
-			b.Fatal(err)
-		}
-		ds, err := store.Open(dir, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { ds.Close() })
-		return ds
-	}
-	b.Run("disk-budgeted", func(b *testing.B) {
-		const budget = 3 << 19 // 1.5 MiB against a ~6.9 MiB segment
-		st := &store.Stats{}
-		ds := openDisk(b, store.WithMemoryBudget(budget), store.WithStats(st))
-		if seg := ds.SegmentBytes(); seg < 4*budget {
-			b.Fatalf("segment %d bytes is under 4x the %d-byte budget", seg, budget)
-		}
-		s := sampler.New(ds, cfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.SampleBatch(roots).Release()
-			if r := ds.Resident(); r > budget {
-				b.Fatalf("resident %d bytes over the %d-byte budget", r, budget)
-			}
-		}
-		hits, misses := st.CacheHits(), st.CacheMisses()
-		if hits+misses > 0 {
-			b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
-		}
-	})
-	b.Run("disk-mmap", func(b *testing.B) {
-		ds := openDisk(b)
-		s := sampler.New(ds, cfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.SampleBatch(roots).Release()
-		}
-	})
-}
-
 // BenchmarkPipelineSampling measures the Tech-3 win in software: the same
 // batch over a 200µs-RTT transport, synchronously (window 1 — each fetch
 // blocks the next) versus through the full 256-deep out-of-order window.
@@ -338,74 +250,6 @@ func BenchmarkDistributedSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedFrameCodec measures the full protocol-v2 frame cost on
-// one flush: encode a packed request (neighbor + attr subs), decode it
-// server-side, encode the packed response, decode it client-side — the
-// per-flush work the packer does between the sampler and the socket.
-func BenchmarkPackedFrameCodec(b *testing.B) {
-	subs := make([]cluster.PackedSubRequest, 48)
-	for i := range subs {
-		if i%6 == 5 {
-			ids := make([]graph.NodeID, 128)
-			for j := range ids {
-				ids[j] = graph.NodeID(1_000_000 + i*128 + j)
-			}
-			subs[i] = cluster.PackedSubRequest{Op: cluster.OpGetAttrs, Attrs: cluster.AttrsRequest{IDs: ids}}
-			continue
-		}
-		ids := make([]graph.NodeID, 64)
-		for j := range ids {
-			ids[j] = graph.NodeID(500_000 + i*64 + j)
-		}
-		subs[i] = cluster.PackedSubRequest{Op: cluster.OpGetNeighbors, Neighbors: cluster.NeighborsRequest{IDs: ids}}
-	}
-	resps := make([]cluster.PackedSubResponse, len(subs))
-	for i, sub := range subs {
-		resps[i].Op = sub.Op
-		if sub.Op == cluster.OpGetNeighbors {
-			lists := make([][]graph.NodeID, len(sub.Neighbors.IDs))
-			for j := range lists {
-				l := make([]graph.NodeID, 10)
-				for k := range l {
-					l[k] = graph.NodeID(700_000 + j*10 + k)
-				}
-				lists[j] = l
-			}
-			resps[i].Neighbors.Lists = lists
-			continue
-		}
-		attrs := make([]float32, len(sub.Attrs.IDs)*64)
-		for j := range attrs {
-			attrs[j] = float32(j%31) * 0.5
-		}
-		resps[i].Attrs = cluster.AttrsResponse{AttrLen: 64, Attrs: attrs}
-	}
-	var codec mof.VecCodec
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req, err := cluster.EncodePackedRequest(subs, true, &codec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, body, err := cluster.ParseHeader(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cluster.DecodePackedRequest(body, h.BDI, &codec); err != nil {
-			b.Fatal(err)
-		}
-		resp := cluster.EncodePackedResponse(cluster.Header{BDI: true}, resps, &codec)
-		out, err := cluster.DecodePackedResponse(resp, 0, &codec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(subs) {
-			b.Fatalf("%d of %d subs answered", len(out), len(subs))
-		}
-	}
-}
-
 // BenchmarkVecCodecU64s measures the section codec on a clustered node-ID
 // vector — the Tech-2 sweet spot the wire path hits once per section.
 func BenchmarkVecCodecU64s(b *testing.B) {
@@ -425,20 +269,6 @@ func BenchmarkVecCodecU64s(b *testing.B) {
 		}
 		if len(dec) != len(vals) {
 			b.Fatalf("%d of %d values decoded", len(dec), len(vals))
-		}
-	}
-}
-
-func BenchmarkBDICompress(b *testing.B) {
-	src := make([]byte, 1024)
-	for i := 0; i < 128; i++ {
-		binary.LittleEndian.PutUint64(src[i*8:], 1_000_000+uint64(i*3))
-	}
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		enc := mof.BDICompress(src)
-		if _, err := mof.BDIDecompress(enc); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

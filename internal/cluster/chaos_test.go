@@ -153,7 +153,7 @@ func TestChaosPartialResultsDeadShard(t *testing.T) {
 		if !ok {
 			t.Fatalf("want *PartialError, got %v", err)
 		}
-		if !pe.Failed()[dead] || len(pe.Shards) != 1 {
+		if len(pe.Shards) != 1 || pe.Shards[0].Server != dead {
 			t.Fatalf("wrong shard annotation: %v", pe)
 		}
 		if b == 0 && !errors.Is(err, ErrServerDown) {

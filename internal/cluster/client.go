@@ -126,8 +126,6 @@ type Client struct {
 	Res ResilienceStats
 	// Batches records per-batch SampleBatch latency ("cluster.batch").
 	Batches *stats.Latency
-	// cache is the optional worker-side hot-node cache (EnableCache).
-	cache *HotCache
 	// res executes calls under the WithResilience policy; nil means the
 	// legacy fail-fast path.
 	res *resilience
@@ -313,13 +311,6 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 // Packing reports whether request packing is active (WithPacking).
 func (c *Client) Packing() bool { return c.pack != nil }
 
-// EnableCache attaches a hot-node cache of the given capacity (entries),
-// replacing any existing cache. Returns the cache for stats inspection.
-func (c *Client) EnableCache(capacity int) *HotCache {
-	c.cache = NewHotCache(capacity)
-	return c.cache
-}
-
 // NumNodes returns the global node count.
 func (c *Client) NumNodes() int64 { return c.meta.NumNodes }
 
@@ -446,63 +437,18 @@ func (c *Client) attrsRPC(ctx context.Context, s int, req AttrsRequest) (AttrsRe
 	return DecodeAttrsResponse(raw)
 }
 
-// GetNeighbors fetches adjacency lists for ids (any owners), preserving
-// request order. Cached hot nodes are served locally; only capped requests
-// (MaxPerNode > 0) bypass the cache, since truncated lists must not be
-// cached or served as full ones.
-func (c *Client) GetNeighbors(ctx context.Context, ids []graph.NodeID, maxPerNode uint32) ([][]graph.NodeID, error) {
-	out := make([][]graph.NodeID, len(ids))
-	if c.cache != nil && maxPerNode == 0 {
-		miss := ids[:0:0]
-		var missPos []int
-		for i, v := range ids {
-			if nbrs, ok := c.cache.Neighbors(v); ok {
-				out[i] = nbrs
-				c.Access.Record(trace.AccessStructure, 16+len(nbrs)*8, false)
-				continue
-			}
-			miss = append(miss, v)
-			missPos = append(missPos, i)
-		}
-		if len(miss) == 0 {
-			return out, nil
-		}
-		fetched, ferr := c.getNeighborsUncached(ctx, miss, 0)
-		pe, partial := AsPartial(ferr)
-		if ferr != nil && !partial {
-			return nil, ferr
-		}
-		var failed map[int]bool
-		if partial {
-			failed = pe.Failed()
-		}
-		for j, l := range fetched {
-			out[missPos[j]] = l
-			// Never cache a lost shard's empty placeholder as a real
-			// adjacency list.
-			if partial && failed[c.part.Owner(miss[j])] {
-				continue
-			}
-			c.cache.PutNeighbors(miss[j], l)
-		}
-		return out, ferr
-	}
-	fetched, err := c.getNeighborsUncached(ctx, ids, maxPerNode)
-	if _, partial := AsPartial(err); err != nil && !partial {
-		return nil, err
-	}
-	copy(out, fetched)
-	return out, err
-}
-
-func (c *Client) getNeighborsUncached(ctx context.Context, ids []graph.NodeID, maxPerNode uint32) ([][]graph.NodeID, error) {
+// fanout groups vs by owning shard and runs fetch once per non-empty group,
+// all groups concurrently; pos maps a group's entries back to their
+// positions in vs. It returns only after every fetch has, so nothing
+// touches the caller's buffers afterwards, and reduces the per-shard errors
+// through reduceFanout.
+func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int, grp []graph.NodeID, pos []int) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	groups, positions := GroupByOwner(c.part, ids)
-	out := make([][]graph.NodeID, len(ids))
-	var wg sync.WaitGroup
+	groups, positions := GroupByOwner(c.part, vs)
 	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
 	for s, grp := range groups {
 		if len(grp) == 0 {
 			continue
@@ -510,115 +456,18 @@ func (c *Client) getNeighborsUncached(ctx context.Context, ids []graph.NodeID, m
 		wg.Add(1)
 		go func(s int, grp []graph.NodeID, pos []int) {
 			defer wg.Done()
-			resp, err := c.neighborsRPC(ctx, s, NeighborsRequest{IDs: grp, MaxPerNode: maxPerNode})
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			if len(resp.Lists) != len(grp) {
-				errs[s] = fmt.Errorf("cluster: server %d returned %d lists for %d ids", s, len(resp.Lists), len(grp))
-				return
-			}
-			for i, l := range resp.Lists {
-				out[pos[i]] = l
-				remote := s != c.local
-				// Offset/degree lookup, then per-entry pointer chasing:
-				// each neighbor ID is an individual fine-grained (8 B)
-				// indirect access — the access class Figure 2(c) counts.
-				c.Access.Record(trace.AccessStructure, 16, remote)
-				for range l {
-					c.Access.Record(trace.AccessStructure, 8, remote)
-				}
-			}
+			errs[s] = fetch(s, grp, pos)
 		}(s, grp, positions[s])
 	}
 	wg.Wait()
-	return out, c.reduceFanout(ctx, errs)
+	return c.reduceFanout(ctx, errs)
 }
 
-// GetAttrs fetches attribute vectors for ids, concatenated in order.
-// Cached hot nodes are served locally.
-func (c *Client) GetAttrs(ctx context.Context, ids []graph.NodeID) ([]float32, error) {
-	al := c.meta.AttrLen
-	if c.cache != nil {
-		out := make([]float32, len(ids)*al)
-		miss := ids[:0:0]
-		var missPos []int
-		for i, v := range ids {
-			if attrs, ok := c.cache.Attrs(v); ok {
-				copy(out[i*al:], attrs)
-				c.Access.Record(trace.AccessAttribute, al*4, false)
-				continue
-			}
-			miss = append(miss, v)
-			missPos = append(missPos, i)
-		}
-		if len(miss) == 0 {
-			return out, nil
-		}
-		fetched, ferr := c.fetchAttrs(ctx, miss)
-		pe, partial := AsPartial(ferr)
-		if ferr != nil && !partial {
-			return nil, ferr
-		}
-		var failed map[int]bool
-		if partial {
-			failed = pe.Failed()
-		}
-		for j := range miss {
-			vec := fetched[j*al : (j+1)*al]
-			copy(out[missPos[j]*al:], vec)
-			// Never cache a lost shard's zeroed placeholder vector.
-			if partial && failed[c.part.Owner(miss[j])] {
-				continue
-			}
-			c.cache.PutAttrs(miss[j], vec)
-		}
-		return out, ferr
-	}
-	return c.fetchAttrs(ctx, ids)
-}
-
-func (c *Client) getAttrsUncached(ctx context.Context, ids []graph.NodeID) ([]float32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	groups, positions := GroupByOwner(c.part, ids)
-	al := c.meta.AttrLen
-	out := make([]float32, len(ids)*al)
-	var wg sync.WaitGroup
-	errs := make([]error, len(groups))
-	for s, grp := range groups {
-		if len(grp) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, grp []graph.NodeID, pos []int) {
-			defer wg.Done()
-			resp, err := c.attrsRPC(ctx, s, AttrsRequest{IDs: grp})
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			if len(resp.Attrs) != len(grp)*al {
-				errs[s] = fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs), len(grp))
-				return
-			}
-			for i := range grp {
-				copy(out[pos[i]*al:], resp.Attrs[i*al:(i+1)*al])
-				c.Access.Record(trace.AccessAttribute, al*4, s != c.local)
-			}
-		}(s, grp, positions[s])
-	}
-	wg.Wait()
-	if err := c.reduceFanout(ctx, errs); err != nil {
-		if _, ok := AsPartial(err); ok {
-			// Degraded: positions owned by lost shards stay zeroed.
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
+// failed reports whether err is an outright failure rather than nil or a
+// *PartialError degradation.
+func failed(err error) bool {
+	_, partial := AsPartial(err)
+	return err != nil && !partial
 }
 
 // reduceFanout reduces a fan-out's per-partition error slice. When the
@@ -651,28 +500,90 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 	return errors.Join(joined...)
 }
 
-// NeighborsBatch implements the batch-first sampler.Store interface over
-// the grouped-RPC fetch path: dst[i] receives vs[i]'s adjacency list. On
-// a degraded fan-out (PartialResults) the filled lists stay
-// layout-complete — lost shards contribute nil entries — and the
-// *PartialError passes through; any other error leaves dst untouched.
+// NeighborsBatch and AttrsBatch implement the batch-first sampler.Store
+// interface and are the client's whole fetch path: group by owner, one RPC
+// per owning shard (neighborsRPC / attrsRPC), each decoded reply scattered
+// straight into dst. Both keep one contract: on a nil or *PartialError
+// return every element of dst is defined — positions owned by lost shards
+// are nil / zero-filled whatever dst held on entry — and on any other error
+// dst is cleared.
+
+// NeighborsBatch fills dst[i] with vs[i]'s adjacency list. The lists alias
+// the decoded replies and must not be modified.
 func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
-	lists, err := c.GetNeighbors(ctx, vs, 0)
-	if len(lists) == len(dst) {
-		copy(dst, lists)
+	err := c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []int) error {
+		resp, err := c.neighborsRPC(ctx, s, NeighborsRequest{IDs: grp})
+		if err == nil && len(resp.Lists) != len(grp) {
+			err = fmt.Errorf("cluster: server %d returned %d lists for %d ids", s, len(resp.Lists), len(grp))
+		}
+		if err != nil {
+			for _, p := range pos {
+				dst[p] = nil
+			}
+			return err
+		}
+		remote := s != c.local
+		for i, l := range resp.Lists {
+			dst[pos[i]] = l
+			// Offset/degree lookup, then per-entry pointer chasing: each
+			// neighbor ID is an individual fine-grained (8 B) indirect
+			// access — the access class Figure 2(c) counts.
+			c.Access.Record(trace.AccessStructure, 16, remote)
+			for range l {
+				c.Access.Record(trace.AccessStructure, 8, remote)
+			}
+		}
+		return nil
+	})
+	if failed(err) {
+		clear(dst)
 	}
 	return err
 }
 
-// AttrsBatch implements the batch-first sampler.Store interface: dst
-// receives vs's attribute vectors concatenated in order. Degraded
-// fetches leave lost vertices zeroed and return the *PartialError.
+// AttrsBatch fills dst with vs's attribute vectors concatenated in order.
+// With packing on the fetch runs through the attribute coalescer.
 func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
-	attrs, err := c.GetAttrs(ctx, vs)
-	if len(attrs) > 0 {
-		copy(dst, attrs)
+	var err error
+	if c.coalesce != nil {
+		err = c.fetchAttrs(ctx, dst, vs)
+	} else {
+		al := c.meta.AttrLen
+		err = c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []int) error {
+			vecs, err := c.attrVectors(ctx, s, grp)
+			if err != nil {
+				for _, p := range pos {
+					clear(dst[p*al : (p+1)*al])
+				}
+				return err
+			}
+			for i, p := range pos {
+				copy(dst[p*al:(p+1)*al], vecs[i*al:])
+			}
+			return nil
+		})
+	}
+	if failed(err) {
+		clear(dst)
 	}
 	return err
+}
+
+// attrVectors fetches grp's attribute vectors from shard s, concatenated in
+// order. The slice is the decoded reply itself: owned by the GC, never
+// pooled, so callers may keep aliases into it.
+func (c *Client) attrVectors(ctx context.Context, s int, grp []graph.NodeID) ([]float32, error) {
+	resp, err := c.attrsRPC(ctx, s, AttrsRequest{IDs: grp})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Attrs) != len(grp)*c.meta.AttrLen {
+		return nil, fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs), len(grp))
+	}
+	for range grp {
+		c.Access.Record(trace.AccessAttribute, c.meta.AttrLen*4, s != c.local)
+	}
+	return resp.Attrs, nil
 }
 
 // SampleBatch performs batched k-hop sampling with per-hop grouped RPCs —
@@ -731,10 +642,11 @@ func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 	width := 1 // per-root frontier width at the current hop
 	var degraded []ShardError
 	for h, fanout := range cfg.Fanouts {
-		lists, err := c.GetNeighbors(ctx, frontier, 0)
-		if err != nil {
+		lists := mem.Lists.Get(len(frontier))
+		if err := c.NeighborsBatch(ctx, lists, frontier); err != nil {
 			pe, partial := AsPartial(err)
 			if !partial {
+				mem.Lists.Put(lists)
 				res.Release()
 				return nil, err
 			}
@@ -742,19 +654,20 @@ func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 		}
 		hopBuf := rg.IDs(len(frontier) * fanout)
 		next := hopBuf[:0:len(hopBuf)]
-		for i, nbrs := range lists {
+		for i, v := range frontier {
 			r := rng
 			if cfg.RootStreams {
 				r = st.Node(cfg.Seed, i/width, h, i%width)
 			}
 			before := len(next)
 			var cyc int
-			next, cyc = sampler.SampleNeighbors(next, nbrs, fanout, cfg.Method, r)
+			next, cyc = sampler.ExpandNeighbors(next, v, lists[i], fanout, cfg.Method, cfg.WeightFn, r)
 			res.Cycles += cyc
 			for len(next)-before < fanout {
-				next = append(next, frontier[i])
+				next = append(next, v)
 			}
 		}
+		mem.Lists.Put(lists)
 		res.Hops = append(res.Hops, next)
 		frontier = next
 		width *= fanout
@@ -784,7 +697,9 @@ func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 			ids = append(ids, h...)
 		}
 		ids = append(ids, res.Negatives...)
-		attrs, err := c.GetAttrs(ctx, ids)
+		// AttrsBatch defines every element, so the buffer need not be zeroed.
+		res.Attrs = rg.Floats(total*c.AttrLen(), false)
+		err := c.AttrsBatch(ctx, res.Attrs, ids)
 		mem.IDs.Put(ids)
 		if err != nil {
 			pe, partial := AsPartial(err)
@@ -794,8 +709,6 @@ func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 			}
 			degraded = append(degraded, pe.Shards...)
 		}
-		res.Attrs = rg.Floats(total*c.AttrLen(), true)
-		copy(res.Attrs, attrs)
 	}
 	if len(degraded) > 0 {
 		c.Res.add(&c.Res.snap.DegradedBatches)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -74,12 +75,12 @@ func TestGroupByOwner(t *testing.T) {
 }
 
 func TestProtocolNeighborsRoundTrip(t *testing.T) {
-	req := NeighborsRequest{IDs: []graph.NodeID{5, 9, 1 << 40}, MaxPerNode: 7}
+	req := NeighborsRequest{IDs: []graph.NodeID{5, 9, 1 << 40}}
 	got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, req)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxPerNode != 7 || len(got.IDs) != 3 || got.IDs[2] != 1<<40 {
+	if len(got.IDs) != 3 || got.IDs[2] != 1<<40 {
 		t.Fatalf("round trip = %+v", got)
 	}
 	resp := NeighborsResponse{Lists: [][]graph.NodeID{{1, 2}, nil, {3}}}
@@ -117,7 +118,7 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 	if _, err := DecodeNeighborsResponse(EncodeAttrsResponse(Header{}, AttrsResponse{})); err == nil {
 		t.Fatal("wrong op accepted")
 	}
-	if _, err := DecodeNeighborsRequest([]byte{0, 0, 0, 0, 9, 0, 0, 0}); err == nil {
+	if _, err := DecodeNeighborsRequest([]byte{9, 0, 0, 0}); err == nil {
 		t.Fatal("truncated ID list accepted")
 	}
 	msg := bodyOf(t, EncodeAttrsRequest(Header{}, AttrsRequest{IDs: []graph.NodeID{1}}))
@@ -130,13 +131,13 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 }
 
 func TestPropertyProtocolIDs(t *testing.T) {
-	f := func(raw []uint64, max uint32) bool {
+	f := func(raw []uint64) bool {
 		ids := make([]graph.NodeID, len(raw))
 		for i, v := range raw {
 			ids[i] = graph.NodeID(v)
 		}
-		got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: ids, MaxPerNode: max})))
-		if err != nil || got.MaxPerNode != max || len(got.IDs) != len(ids) {
+		got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: ids})))
+		if err != nil || len(got.IDs) != len(ids) {
 			return false
 		}
 		for i := range ids {
@@ -165,6 +166,18 @@ func buildCluster(t *testing.T, g *graph.Graph, n int) ([]*Server, *Client) {
 	return servers, client
 }
 
+// getNeighbors and getAttrs run the client's batch fetches into fresh
+// buffers, for tests that only want the data.
+func getNeighbors(c *Client, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	dst := make([][]graph.NodeID, len(ids))
+	return dst, c.NeighborsBatch(bg, dst, ids)
+}
+
+func getAttrs(c *Client, ids []graph.NodeID) ([]float32, error) {
+	dst := make([]float32, len(ids)*c.AttrLen())
+	return dst, c.AttrsBatch(bg, dst, ids)
+}
+
 func TestServerRejectsForeignNodes(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
@@ -184,26 +197,6 @@ func TestServerRejectsForeignNodes(t *testing.T) {
 	}
 }
 
-func TestServerMaxPerNode(t *testing.T) {
-	g := testGraph(t)
-	part := HashPartitioner{N: 1}
-	srv := NewServer(g, part, 0)
-	var busy graph.NodeID
-	for v := int64(0); v < g.NumNodes(); v++ {
-		if g.Degree(graph.NodeID(v)) > 3 {
-			busy = graph.NodeID(v)
-			break
-		}
-	}
-	resp, err := srv.GetNeighbors(bg, NeighborsRequest{IDs: []graph.NodeID{busy}, MaxPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Lists[0]) != 2 {
-		t.Fatalf("cap ignored: %d neighbors", len(resp.Lists[0]))
-	}
-}
-
 func TestServerHandleUnknownOp(t *testing.T) {
 	srv := NewServer(testGraph(t), HashPartitioner{N: 1}, 0)
 	if _, err := srv.Handle(bg, []byte{0x7F}); err == nil {
@@ -218,7 +211,7 @@ func TestClientNeighborsMatchGraph(t *testing.T) {
 	g := testGraph(t)
 	_, client := buildCluster(t, g, 4)
 	ids := []graph.NodeID{0, 7, 100, 999, 3}
-	lists, err := client.GetNeighbors(bg, ids, 0)
+	lists, err := getNeighbors(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +232,7 @@ func TestClientAttrsMatchGraph(t *testing.T) {
 	g := testGraph(t)
 	_, client := buildCluster(t, g, 3)
 	ids := []graph.NodeID{4, 40, 400}
-	attrs, err := client.GetAttrs(bg, ids)
+	attrs, err := getAttrs(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +252,21 @@ func TestClientSampleBatchLayoutMatchesLocal(t *testing.T) {
 	_, client := buildCluster(t, g, 4)
 	cfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 9}
 	roots := []graph.NodeID{1, 2, 3}
-	dist, err := client.SampleBatch(bg, roots, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
-	if len(dist.Hops[0]) != len(local.Hops[0]) || len(dist.Hops[1]) != len(local.Hops[1]) {
-		t.Fatal("hop shapes differ between distributed and local sampling")
+	// The client's own sampling loop draws exactly what the reference
+	// sampler draws, weighted or not, on either random-stream discipline.
+	var dist, local *sampler.Result
+	for _, wf := range []sampler.WeightFunc{sampler.DegreeWeight(sampler.LocalStore{G: g}), nil} {
+		for _, streams := range []bool{true, false} {
+			cfg.WeightFn, cfg.RootStreams = wf, streams
+			var err error
+			if dist, err = client.SampleBatch(bg, roots, cfg); err != nil {
+				t.Fatal(err)
+			}
+			local = sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
+			if !reflect.DeepEqual(dist.Hops, local.Hops) {
+				t.Fatalf("weighted=%v RootStreams=%v: client hops diverge from the reference sampler", wf != nil, streams)
+			}
+		}
 	}
 	if len(dist.Attrs) != len(local.Attrs) {
 		t.Fatal("attr layout differs")
@@ -287,7 +288,7 @@ func TestClientSampleBatchLayoutMatchesLocal(t *testing.T) {
 func TestClientTrafficAccounting(t *testing.T) {
 	g := testGraph(t)
 	_, client := buildCluster(t, g, 4)
-	_, err := client.GetAttrs(bg, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
+	_, err := getAttrs(client, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

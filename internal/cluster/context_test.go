@@ -289,7 +289,7 @@ func TestDelayedTransportPassesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists, err := client.GetNeighbors(bg, []graph.NodeID{3}, 0)
+	lists, err := getNeighbors(client, []graph.NodeID{3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -479,9 +479,7 @@ func (c *Client) routableEndpoints(partition int) []int {
 // published in one atomic store. In-flight requests complete against the
 // epoch they started under. On every swap, breakers belonging to departed
 // endpoints are dropped — an epoch bump can never wedge a breaker open (or
-// leak its half-open probe slot) against an endpoint that left — and hot
-// cache entries of partitions whose serving set changed are invalidated so
-// a re-homed shard can never serve stale data from before the move.
+// leak its half-open probe slot) against an endpoint that left.
 func (c *Client) ApplyLayout(nl *Layout) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
@@ -508,37 +506,8 @@ func (c *Client) applyLocked(nl *Layout) error {
 	}
 	c.layout.Store(norm)
 	c.res.pruneBreakers(func(ep int) bool { return norm.Contains(ep) })
-	if c.cache != nil && old != nil {
-		if changed := changedPartitions(old, norm); len(changed) > 0 {
-			c.cache.Invalidate(func(id graph.NodeID) bool { return changed[c.part.Owner(id)] })
-		}
-	}
 	c.Lay.add(&c.Lay.snap.Swaps)
 	return nil
-}
-
-// changedPartitions returns the partitions whose serving endpoint set
-// differs between the two layouts.
-func changedPartitions(old, nl *Layout) map[int]bool {
-	changed := make(map[int]bool)
-	for p := range nl.routable {
-		a, b := old.Routable(p), nl.routable[p]
-		if len(a) != len(b) {
-			changed[p] = true
-			continue
-		}
-		set := make(map[int]bool, len(a))
-		for _, ep := range a {
-			set[ep] = true
-		}
-		for _, ep := range b {
-			if !set[ep] {
-				changed[p] = true
-				break
-			}
-		}
-	}
-	return changed
 }
 
 // AddReplica admits a new endpoint to a partition's replica set: the

@@ -49,7 +49,7 @@ func TestChaosRebalanceUnderTraffic(t *testing.T) {
 	// source.
 	hotIDs := ownedSample(part, 1, g.NumNodes(), 4)
 	for i := 0; i < 32; i++ {
-		if _, err := client.GetNeighbors(bg, hotIDs, 0); err != nil {
+		if _, err := getNeighbors(client, hotIDs); err != nil {
 			t.Fatal(err)
 		}
 	}

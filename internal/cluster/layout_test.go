@@ -275,7 +275,7 @@ func TestClientDualHomeCounting(t *testing.T) {
 	}
 	p0 := ownedSample(client.part, 0, g.NumNodes(), 1)
 	p1 := ownedSample(client.part, 1, g.NumNodes(), 1)
-	if _, err := client.GetNeighbors(bg, append(p0, p1...), 0); err != nil {
+	if _, err := getNeighbors(client, append(p0, p1...)); err != nil {
 		t.Fatal(err)
 	}
 	snap := client.Lay.Snapshot()
@@ -344,7 +344,7 @@ func TestDrainReplicaWaitsForInflight(t *testing.T) {
 	reqDone := make(chan error, 1)
 	go func() {
 		ids := ownedSample(part, 0, g.NumNodes(), 1)
-		_, err := client.GetNeighbors(bg, ids, 0)
+		_, err := getNeighbors(client, ids)
 		reqDone <- err
 	}()
 	<-gate.waiting // the request is now blocked inside endpoint 2's call
@@ -444,45 +444,13 @@ func TestHotShardDetector(t *testing.T) {
 	}
 	ids := ownedSample(client.part, 1, g.NumNodes(), 4)
 	for i := 0; i < 32; i++ {
-		if _, err := client.GetNeighbors(bg, ids, 0); err != nil {
+		if _, err := getNeighbors(client, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p, hot := client.HotShard(1.2)
 	if !hot || p != 1 {
 		t.Fatalf("HotShard = %d, %v — partition 1 took all the traffic", p, hot)
-	}
-}
-
-func TestCacheInvalidatedOnLayoutSwap(t *testing.T) {
-	g := testGraph(t)
-	_, client := buildLayoutCluster(t, g, 2, 2, nil)
-	cache := client.EnableCache(64)
-	p0 := ownedSample(client.part, 0, g.NumNodes(), 2)
-	p1 := ownedSample(client.part, 1, g.NumNodes(), 2)
-	if _, err := client.GetNeighbors(bg, append(p0, p1...), 0); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 4 {
-		t.Fatalf("cache resident = %d", cache.Len())
-	}
-	// Partition 0's serving set changes (replica 2 leaves); its entries
-	// must not outlive the epoch, partition 1's may.
-	d, err := client.Layout().WithDraining(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.ApplyLayout(d); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache resident after swap = %d, want 2", cache.Len())
-	}
-	if _, ok := cache.Neighbors(p0[0]); ok {
-		t.Fatal("re-homed partition served from the stale cache")
-	}
-	if _, ok := cache.Neighbors(p1[0]); !ok {
-		t.Fatal("unchanged partition's cache entry dropped")
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // Sub-request bodies reuse the plain op codes but swap bare ID lists for
 // codec sections:
 //
-//	neighbors: OpGetNeighbors | maxPerNode u32 | idSection
+//	neighbors: OpGetNeighbors | idSection
 //	attrs:     OpGetAttrs | idSection
 //
 // Sub-response bodies (status statusOK):
@@ -136,7 +136,7 @@ func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]
 	h.Op = OpPacked
 	est := 13 + len(h.Key) // header at its largest, then the count
 	for _, sub := range subs {
-		est += 4 + 5 + 16 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
+		est += 4 + 1 + 16 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
 	}
 	out := AppendHeader(make([]byte, 0, est), h)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
@@ -146,7 +146,6 @@ func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]
 		switch sub.Op {
 		case OpGetNeighbors:
 			out = append(out, OpGetNeighbors)
-			out = binary.LittleEndian.AppendUint32(out, sub.Neighbors.MaxPerNode)
 			out = appendIDSection(out, sub.Neighbors.IDs, h.BDI, c)
 		case OpGetAttrs:
 			out = append(out, OpGetAttrs)
@@ -198,31 +197,20 @@ func DecodePackedRequest(body []byte, bdi bool, c *mof.VecCodec) ([]PackedSubReq
 	for i, body := range bodies {
 		sub := &subs[i]
 		sub.Op = body[0]
-		switch sub.Op {
-		case OpGetNeighbors:
-			if len(body) < 5 {
-				return nil, fmt.Errorf("cluster: truncated packed neighbors sub %d", i)
-			}
-			sub.Neighbors.MaxPerNode = binary.LittleEndian.Uint32(body[1:])
-			ids, rest, err := readIDSection(body[5:], bdi, c)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
-			}
-			sub.Neighbors.IDs = ids
-		case OpGetAttrs:
-			ids, rest, err := readIDSection(body[1:], bdi, c)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
-			}
-			sub.Attrs.IDs = ids
-		default:
+		if sub.Op != OpGetNeighbors && sub.Op != OpGetAttrs {
 			return nil, fmt.Errorf("cluster: op %#x inside packed frame", sub.Op)
+		}
+		ids, rest, err := readIDSection(body[1:], bdi, c)
+		if err != nil {
+			return nil, err
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
+		}
+		if sub.Op == OpGetNeighbors {
+			sub.Neighbors.IDs = ids
+		} else {
+			sub.Attrs.IDs = ids
 		}
 	}
 	return subs, nil

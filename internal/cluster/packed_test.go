@@ -17,7 +17,7 @@ import (
 func TestPackedRequestRoundTrip(t *testing.T) {
 	var c mof.VecCodec
 	subs := []PackedSubRequest{
-		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{10, 14, 18, 22}, MaxPerNode: 7}},
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{10, 14, 18, 22}}},
 		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{3, 3, 900}}},
 		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: nil}},
 	}
@@ -40,9 +40,6 @@ func TestPackedRequestRoundTrip(t *testing.T) {
 		for i := range subs {
 			if got[i].Op != subs[i].Op {
 				t.Fatalf("sub %d op %#x want %#x", i, got[i].Op, subs[i].Op)
-			}
-			if got[i].Neighbors.MaxPerNode != subs[i].Neighbors.MaxPerNode {
-				t.Fatalf("sub %d maxPerNode mismatch", i)
 			}
 			want := subs[i].Neighbors.IDs
 			if subs[i].Op == OpGetAttrs {
@@ -191,7 +188,7 @@ func TestPackedSubRejectionIsolated(t *testing.T) {
 	}
 	good := make(chan out, 1)
 	go func() {
-		l, err := cl.GetNeighbors(bg, owned, 0)
+		l, err := getNeighbors(cl, owned)
 		good <- out{l, err}
 	}()
 	// The hostile ID hashes to some partition; steer it into partition 0's
@@ -231,7 +228,7 @@ func TestAttrCoalescerDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []graph.NodeID{7, 7, 7, 12, 12, 7}
-	attrs, err := cl.GetAttrs(bg, ids)
+	attrs, err := getAttrs(cl, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +254,7 @@ func TestAttrCoalescerDedup(t *testing.T) {
 func FuzzDecodePacked(f *testing.F) {
 	var c mof.VecCodec
 	seed1, _ := EncodePackedRequest([]PackedSubRequest{
-		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{1, 2, 3}, MaxPerNode: 5}},
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{1, 2, 3}}},
 		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{9}}},
 	}, true, &c)
 	seed2, _ := EncodePackedRequest([]PackedSubRequest{
@@ -310,7 +307,7 @@ func TestPackedFrameSizes(t *testing.T) {
 				ids[j] = graph.NodeID(rng.Uint64() >> rng.Intn(50))
 			}
 			if rng.Intn(2) == 0 {
-				subs[i] = PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: ids, MaxPerNode: uint32(rng.Intn(20))}}
+				subs[i] = PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: ids}}
 			} else {
 				subs[i] = PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: ids}}
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/mof"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/stats"
@@ -296,12 +297,9 @@ func (p *packer) flush(partition int, batch []*pendingSub) {
 // the raw side of the wire ratio, and the size estimate the maxPackedBytes
 // trigger adds up.
 func plainRequestBytes(sub PackedSubRequest) int {
-	switch sub.Op {
-	case OpGetNeighbors:
-		return 10 + len(sub.Neighbors.IDs)*8
-	default:
-		return 6 + len(sub.Attrs.IDs)*8
-	}
+	// Both ops share one layout — header, count, IDs — and a sub sets only
+	// its own op's ID list.
+	return 6 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
 }
 
 // plainResponseBytes is the size of the plain frame resp would have been.
@@ -321,18 +319,24 @@ func plainResponseBytes(resp PackedSubResponse) int {
 	}
 }
 
-// attrEntry is one node's in-flight attribute fetch: the lead batch fills
-// vec (or err) and closes done; joining batches wait instead of refetching.
+// attrEntry is one node's attribute fetch. While it is in flight other
+// calls may join it instead of refetching: the lead call sets vec and ok,
+// then closes done. A call's lead entries all resolve at the same instant,
+// so they sit in one slab and share one done channel.
 type attrEntry struct {
 	done chan struct{}
-	vec  []float32
-	err  error
+	// vec aliases the decoded reply that carried it (GC-owned, never
+	// pooled): joiners may still be copying from it after the lead returns.
+	vec []float32
+	// ok says, once done is closed, whether vec arrived; a joiner that
+	// reads false refetches the node itself.
+	ok bool
 }
 
 // attrCoalescer deduplicates concurrent attribute fetches for the same
-// node (paper §3.4): strictly coalescing-only — an entry exists exactly
-// while its fetch is in flight and is dropped the moment it resolves, so
-// nothing is ever served stale.
+// node — the paper's coalescing-only cache (§4.2 Tech-4): an entry exists
+// exactly while its fetch is in flight and is dropped the moment it
+// resolves, so nothing is ever served stale.
 type attrCoalescer struct {
 	mu       sync.Mutex
 	inflight map[graph.NodeID]*attrEntry
@@ -342,120 +346,116 @@ func newAttrCoalescer() *attrCoalescer {
 	return &attrCoalescer{inflight: make(map[graph.NodeID]*attrEntry)}
 }
 
-// fetchAttrs is the coalescing front of getAttrsUncached, preserving its
-// contract exactly: a layout-complete vector in id order, and on shard
-// loss a *PartialError with zeroed slots. Duplicate IDs within the call
-// cost one fetch; IDs another goroutine is already fetching join that
-// flight. Joined fetches that fail are refetched by this caller — errors
-// never propagate across batches, so a canceled lead cannot poison its
-// joiners.
-func (c *Client) fetchAttrs(ctx context.Context, ids []graph.NodeID) ([]float32, error) {
-	co := c.coalesce
-	if co == nil {
-		return c.getAttrsUncached(ctx, ids)
-	}
-	al := c.meta.AttrLen
-	pos := make(map[graph.NodeID][]int, len(ids))
-	var order []graph.NodeID
+// fetchAttrs is AttrsBatch behind the coalescer, under the same dst
+// contract. Duplicate IDs within the call cost one fetch; IDs another
+// goroutine is already fetching join that flight. Joined fetches that fail
+// are refetched by this caller — errors never propagate across batches, so
+// a canceled lead cannot poison its joiners.
+func (c *Client) fetchAttrs(ctx context.Context, dst []float32, ids []graph.NodeID) error {
+	co, al := c.coalesce, c.meta.AttrLen
+	// Per-call state is flat: the unique IDs in first-occurrence order,
+	// each position's index into them, and one entry pointer per unique ID.
+	slot := mem.U32s.Get(len(ids))
+	defer mem.U32s.Put(slot)
+	uniq := mem.IDs.Get(len(ids))[:0]
+	defer mem.IDs.Put(uniq)
+	first := make(map[graph.NodeID]uint32, len(ids))
 	for i, v := range ids {
-		if _, ok := pos[v]; !ok {
-			order = append(order, v)
+		s, seen := first[v]
+		if !seen {
+			s = uint32(len(uniq))
+			first[v] = s
+			uniq = append(uniq, v)
 		}
-		pos[v] = append(pos[v], i)
+		slot[i] = s
 	}
-	c.Pack.dedup.Add(int64(len(ids) - len(order)))
+	c.Pack.dedup.Add(int64(len(ids) - len(uniq)))
 
-	var leads, joins []graph.NodeID
-	entries := make(map[graph.NodeID]*attrEntry, len(order))
+	leads := mem.IDs.Get(len(uniq))[:0]
+	defer mem.IDs.Put(leads)
+	entries := make([]*attrEntry, len(uniq))
+	// Sized up front: appends never move entries other calls point at.
+	slab := make([]attrEntry, 0, len(uniq))
+	done := make(chan struct{})
+	var joins []uint32 // slots waiting on another call's flight
 	co.mu.Lock()
-	for _, v := range order {
+	for s, v := range uniq {
 		if e, ok := co.inflight[v]; ok {
-			joins = append(joins, v)
-			entries[v] = e
+			entries[s] = e
+			joins = append(joins, uint32(s))
 			continue
 		}
-		e := &attrEntry{done: make(chan struct{})}
-		co.inflight[v] = e
+		slab = append(slab, attrEntry{done: done})
+		entries[s] = &slab[len(slab)-1]
+		co.inflight[v] = entries[s]
 		leads = append(leads, v)
-		entries[v] = e
 	}
 	co.mu.Unlock()
 	c.Pack.joins.Add(int64(len(joins)))
 
-	out := make([]float32, len(ids)*al)
 	var shards []ShardError
-
-	// fill copies one node's fetched vector into every position asking
-	// for it; lost-shard slots stay zeroed, matching getAttrsUncached.
-	fill := func(v graph.NodeID, vec []float32) {
-		for _, p := range pos[v] {
-			copy(out[p*al:], vec)
-		}
-	}
-	// fetch runs one uncached fetch for want, resolving lead entries when
-	// resolve is set. Returns the non-partial error, if any.
-	fetch := func(want []graph.NodeID, resolve bool) error {
-		vec, err := c.getAttrsUncached(ctx, want)
-		pe, partial := AsPartial(err)
-		var failed map[int]bool
-		if partial {
-			failed = pe.Failed()
+	// fetch fills into[i] with want[i]'s vector; a degraded fan-out leaves
+	// the lost shards' entries !ok and is remembered in shards.
+	fetch := func(want []graph.NodeID, into []attrEntry) error {
+		err := c.fanout(ctx, want, func(s int, grp []graph.NodeID, pos []int) error {
+			vecs, err := c.attrVectors(ctx, s, grp)
+			if err != nil {
+				return err
+			}
+			for i, p := range pos {
+				into[p].vec, into[p].ok = vecs[i*al:(i+1)*al], true
+			}
+			return nil
+		})
+		if pe, partial := AsPartial(err); partial {
 			shards = append(shards, pe.Shards...)
+			return nil
 		}
-		if resolve {
-			co.mu.Lock()
-			for j, v := range want {
-				e := entries[v]
-				switch {
-				case err == nil, partial && !failed[c.part.Owner(v)]:
-					e.vec = vec[j*al : (j+1)*al]
-				default:
-					e.err = err
-				}
-				close(e.done)
-				delete(co.inflight, v)
-			}
-			co.mu.Unlock()
-		}
-		if err != nil && !partial {
-			return err
-		}
-		for j, v := range want {
-			if partial && failed[c.part.Owner(v)] {
-				continue
-			}
-			fill(v, vec[j*al:(j+1)*al])
-		}
-		return nil
+		return err
 	}
 
 	if len(leads) > 0 {
-		if err := fetch(leads, true); err != nil {
-			return nil, err
+		err := fetch(leads, slab)
+		co.mu.Lock()
+		for _, v := range leads {
+			delete(co.inflight, v)
+		}
+		co.mu.Unlock()
+		close(done)
+		if err != nil {
+			return err
 		}
 	}
-	var refetch []graph.NodeID
-	for _, v := range joins {
-		e := entries[v]
+	refetch := joins[:0]
+	for _, s := range joins {
 		select {
-		case <-e.done:
+		case <-entries[s].done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		if e.err != nil {
-			refetch = append(refetch, v)
-			continue
+		if !entries[s].ok {
+			refetch = append(refetch, s)
 		}
-		fill(v, e.vec)
 	}
 	if len(refetch) > 0 {
 		c.Pack.refetches.Add(int64(len(refetch)))
-		if err := fetch(refetch, false); err != nil {
-			return nil, err
+		want, own := make([]graph.NodeID, len(refetch)), make([]attrEntry, len(refetch))
+		for i, s := range refetch {
+			want[i], entries[s] = uniq[s], &own[i]
+		}
+		if err := fetch(want, own); err != nil {
+			return err
+		}
+	}
+	for i, s := range slot {
+		if e := entries[s]; e.ok {
+			copy(dst[i*al:(i+1)*al], e.vec)
+		} else {
+			clear(dst[i*al : (i+1)*al])
 		}
 	}
 	if len(shards) > 0 {
-		return out, &PartialError{Shards: dedupShards(shards)}
+		return &PartialError{Shards: dedupShards(shards)}
 	}
-	return out, nil
+	return nil
 }

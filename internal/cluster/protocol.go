@@ -33,7 +33,7 @@ const (
 
 // ProtoVersion is this build's wire protocol version, carried in every
 // frame header.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // hdr byte layout, and where the optional u64 sits in a frame that has one.
 const (
@@ -138,12 +138,8 @@ func replyBody(frame []byte, op byte) (Header, []byte, error) {
 // because a server parses the header once before it dispatches; reply
 // decoders take the whole frame off the transport.
 
-// NeighborsRequest asks for the adjacency lists of IDs, optionally capped.
-type NeighborsRequest struct {
-	IDs []graph.NodeID
-	// MaxPerNode truncates each adjacency list server-side; 0 means no cap.
-	MaxPerNode uint32
-}
+// NeighborsRequest asks for the adjacency lists of IDs.
+type NeighborsRequest struct{ IDs []graph.NodeID }
 
 // NeighborsResponse carries one list per requested ID, in request order.
 type NeighborsResponse struct {
@@ -200,25 +196,19 @@ func EncodeMetaRequest(h Header) []byte {
 // EncodeNeighborsRequest serializes r.
 func EncodeNeighborsRequest(h Header, r NeighborsRequest) []byte {
 	h.Op = OpGetNeighbors
-	out := AppendHeader(nil, h)
-	out = binary.LittleEndian.AppendUint32(out, r.MaxPerNode)
-	return appendIDs(out, r.IDs)
+	return appendIDs(AppendHeader(nil, h), r.IDs)
 }
 
 // DecodeNeighborsRequest parses an OpGetNeighbors request body.
 func DecodeNeighborsRequest(body []byte) (NeighborsRequest, error) {
-	if len(body) < 4 {
-		return NeighborsRequest{}, fmt.Errorf("cluster: truncated neighbors request")
-	}
-	max := binary.LittleEndian.Uint32(body)
-	ids, rest, err := readIDs(body[4:])
+	ids, rest, err := readIDs(body)
 	if err != nil {
 		return NeighborsRequest{}, err
 	}
 	if len(rest) != 0 {
 		return NeighborsRequest{}, fmt.Errorf("cluster: %d trailing bytes in neighbors request", len(rest))
 	}
-	return NeighborsRequest{IDs: ids, MaxPerNode: max}, nil
+	return NeighborsRequest{IDs: ids}, nil
 }
 
 // EncodeNeighborsResponse serializes r.

@@ -370,15 +370,6 @@ func (e *PartialError) Unwrap() []error {
 	return out
 }
 
-// Failed returns the set of lost partitions.
-func (e *PartialError) Failed() map[int]bool {
-	out := make(map[int]bool, len(e.Shards))
-	for _, s := range e.Shards {
-		out[s.Server] = true
-	}
-	return out
-}
-
 // AsPartial unwraps err as a *PartialError, reporting whether the
 // operation degraded rather than failed.
 func AsPartial(err error) (*PartialError, bool) {

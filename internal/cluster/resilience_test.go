@@ -192,7 +192,7 @@ func TestServerErrorNotRetried(t *testing.T) {
 	})
 	before, _ := ft.Counts()
 	huge := graph.NodeID(1 << 40)
-	_, err := client.GetNeighbors(bg, []graph.NodeID{huge}, 0)
+	_, err := getNeighbors(client, []graph.NodeID{huge})
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *ServerError, got %v", err)
@@ -290,7 +290,7 @@ func TestFanoutErrorsJoined(t *testing.T) {
 	ft.KillServer(0)
 	ft.KillServer(1)
 	ids := []graph.NodeID{0, 1, 2, 3} // spans both partitions under hash
-	_, err = client.GetNeighbors(bg, ids, 0)
+	_, err = getNeighbors(client, ids)
 	if err == nil {
 		t.Fatal("dead cluster returned no error")
 	}
@@ -351,18 +351,17 @@ func TestBootstrapHonorsContext(t *testing.T) {
 	}
 }
 
-// TestPartialDoesNotPoisonCache: placeholder results from a lost shard
-// must never enter the hot cache — after the shard revives, lookups see
-// real data, not the cached empty list / zero vector.
-func TestPartialDoesNotPoisonCache(t *testing.T) {
+// TestPartialRecoversAfterRevive: a lost shard's placeholders are served
+// only while it is lost — after the shard revives, lookups see real data,
+// not the empty list / zero vector.
+func TestPartialRecoversAfterRevive(t *testing.T) {
 	g := testGraph(t)
 	const partitions, dead = 2, 1
 	ft, client := buildChaosCluster(t, g, partitions, 1, ResilienceConfig{
 		Retry:          RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-		Breaker:        BreakerConfig{Threshold: 1000, OpenFor: time.Minute}, // keep probing: this test is about the cache
+		Breaker:        BreakerConfig{Threshold: 1000, OpenFor: time.Minute}, // keep probing: the revive must be seen at once
 		PartialResults: true,
 	})
-	client.EnableCache(256)
 
 	part := HashPartitioner{N: partitions}
 	var victim graph.NodeID
@@ -375,33 +374,33 @@ func TestPartialDoesNotPoisonCache(t *testing.T) {
 
 	ft.KillServer(dead)
 	ids := []graph.NodeID{victim}
-	lists, err := client.GetNeighbors(bg, ids, 0)
+	lists, err := getNeighbors(client, ids)
 	if _, ok := AsPartial(err); !ok {
 		t.Fatalf("want partial error, got %v", err)
 	}
 	if len(lists[0]) != 0 {
 		t.Fatal("dead shard returned neighbors")
 	}
-	if _, err := client.GetAttrs(bg, ids); err == nil {
+	if _, err := getAttrs(client, ids); err == nil {
 		t.Fatal("dead shard attrs fetch reported success")
 	}
 
 	ft.ReviveServer(dead)
-	lists, err = client.GetNeighbors(bg, ids, 0)
+	lists, err = getNeighbors(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lists[0]) != g.Degree(victim) {
-		t.Fatalf("cache served a poisoned placeholder: %d neighbors, want %d", len(lists[0]), g.Degree(victim))
+		t.Fatalf("revived shard served a placeholder: %d neighbors, want %d", len(lists[0]), g.Degree(victim))
 	}
-	attrs, err := client.GetAttrs(bg, ids)
+	attrs, err := getAttrs(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := g.Attr(nil, victim)
 	for i := range want {
 		if attrs[i] != want[i] {
-			t.Fatal("cache served a poisoned zero vector")
+			t.Fatal("revived shard served a zero vector")
 		}
 	}
 }
@@ -419,7 +418,7 @@ func TestClientWithoutPolicyFailsFast(t *testing.T) {
 	}
 	before, _ := ft.Counts()
 	ft.KillServer(0)
-	if _, err := client.GetNeighbors(bg, []graph.NodeID{0}, 0); err == nil {
+	if _, err := getNeighbors(client, []graph.NodeID{0}); err == nil {
 		t.Fatal("dead server not reported")
 	}
 	after, _ := ft.Counts()
@@ -437,7 +436,7 @@ func TestResilienceStatsSource(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 1, OpenFor: time.Minute},
 	})
 	ft.KillServer(0)
-	_, _ = client.GetNeighbors(bg, []graph.NodeID{0, 1, 2, 3}, 0)
+	_, _ = getNeighbors(client, []graph.NodeID{0, 1, 2, 3})
 
 	snap := client.Res.StatsSnapshot()
 	if snap.Layer != "cluster.resilience" {

@@ -143,9 +143,6 @@ func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (Neighb
 			return NeighborsResponse{}, err
 		}
 		nbrs := s.g.Neighbors(v)
-		if req.MaxPerNode > 0 && len(nbrs) > int(req.MaxPerNode) {
-			nbrs = nbrs[:req.MaxPerNode]
-		}
 		// Fine-grained structure access: offset lookup + ID list.
 		s.stats.Record(trace.AccessStructure, 16+len(nbrs)*8, false)
 		resp.Lists[i] = nbrs

@@ -95,11 +95,11 @@ func TestShardServerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []graph.NodeID{0, 5, 100, 555, 1400}
-	lf, err := cf.GetNeighbors(bg, ids, 0)
+	lf, err := getNeighbors(cf, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := cs.GetNeighbors(bg, ids, 0)
+	ls, err := getNeighbors(cs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestShardServerEquivalence(t *testing.T) {
 			}
 		}
 	}
-	af, err := cf.GetAttrs(bg, ids)
+	af, err := getAttrs(cf, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := cs.GetAttrs(bg, ids)
+	as, err := getAttrs(cs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal("meta over TCP wrong")
 	}
 	ids := []graph.NodeID{0, 50, 500}
-	lists, err := client.GetNeighbors(bg, ids, 0)
+	lists, err := getNeighbors(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTCPEndToEnd(t *testing.T) {
 			t.Fatalf("node %d: %d neighbors over TCP, want %d", v, len(lists[i]), g.Degree(v))
 		}
 	}
-	attrs, err := client.GetAttrs(bg, ids)
+	attrs, err := getAttrs(client, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

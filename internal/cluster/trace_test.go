@@ -127,7 +127,7 @@ func TestTracerEventsOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky.fail(1)
-	if _, err := client.GetNeighbors(bg, chaosRoots(g, 0, 4), 0); err != nil {
+	if _, err := getNeighbors(client, chaosRoots(g, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	snap := tr.StatsSnapshot()

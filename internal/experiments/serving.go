@@ -372,8 +372,9 @@ func elasticRebalance(w io.Writer, opts Options) error {
 			hotIDs = append(hotIDs, graph.NodeID(v))
 		}
 	}
+	heat := make([][]graph.NodeID, len(hotIDs))
 	for i := 0; i < 64; i++ {
-		if _, err := sys.Client.GetNeighbors(ctx, hotIDs, 0); err != nil {
+		if err := sys.Client.NeighborsBatch(ctx, heat, hotIDs); err != nil {
 			return err
 		}
 	}

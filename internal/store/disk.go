@@ -280,14 +280,27 @@ func (s *DiskStore) appendAttrLocked(dst []float32, v graph.NodeID) ([]float32, 
 	return s.seg.appendAttr(dst, v)
 }
 
+// scalarFail is where the scalar accessors' failures go. The cluster.Backend
+// seam they serve has no error return yet (ROADMAP 2a), and a closed store,
+// an I/O error or corrupt offsets must reach the client as a failed request,
+// never as "no neighbours" or a zero vector — so they panic with the wrapped
+// error, which cluster.Server.Handle's recover boundary turns into a
+// *ServerError reply.
+func scalarFail(v graph.NodeID, err error) {
+	panic(fmt.Errorf("store: read of node %d: %w", v, err))
+}
+
 // Neighbors returns v's live adjacency (base + memtable) — the scalar
 // accessor cluster shard servers use. The slice is freshly allocated.
 func (s *DiskStore) Neighbors(v graph.NodeID) []graph.NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		scalarFail(v, ErrClosed)
+	}
 	out, err := s.appendNeighborsLocked(nil, v)
 	if err != nil {
-		return nil
+		scalarFail(v, err)
 	}
 	return out
 }
@@ -296,12 +309,12 @@ func (s *DiskStore) Neighbors(v graph.NodeID) []graph.NodeID {
 func (s *DiskStore) Attr(dst []float32, v graph.NodeID) []float32 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		scalarFail(v, ErrClosed)
+	}
 	out, err := s.appendAttrLocked(dst, v)
 	if err != nil {
-		for i := 0; i < s.attrLen; i++ {
-			dst = append(dst, 0)
-		}
-		return dst
+		scalarFail(v, err)
 	}
 	return out
 }

@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"testing"
 
+	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
@@ -473,6 +475,43 @@ func TestPageCacheBudget(t *testing.T) {
 	}
 	if r := s.Resident(); r != 0 {
 		t.Fatalf("resident %d after Close", r)
+	}
+}
+
+// TestClosedStoreFailsServerRequests: the scalar accessors a shard server
+// reads through have no error return, so a closed store must fail the
+// request — plain or packed — instead of answering it with empty adjacency
+// and zero vectors.
+func TestClosedStoreFailsServerRequests(t *testing.T) {
+	g := testGraph(t, true)
+	_, s := mustCreate(t, g, WithMemoryBudget(16<<10), WithPageSize(4<<10))
+	srv := cluster.NewBackendServer(s, cluster.HashPartitioner{N: 1}, 0)
+	ids := []graph.NodeID{1, 2, 3}
+	var codec mof.VecCodec
+	packed, err := cluster.EncodePackedRequest([]cluster.PackedSubRequest{
+		{Op: cluster.OpGetNeighbors, Neighbors: cluster.NeighborsRequest{IDs: ids}},
+		{Op: cluster.OpGetAttrs, Attrs: cluster.AttrsRequest{IDs: ids}},
+	}, true, &codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string][]byte{
+		"neighbors": cluster.EncodeNeighborsRequest(cluster.Header{}, cluster.NeighborsRequest{IDs: ids}),
+		"attrs":     cluster.EncodeAttrsRequest(cluster.Header{}, cluster.AttrsRequest{IDs: ids}),
+		"packed":    packed,
+	}
+	for name, frame := range frames {
+		if _, err := srv.Handle(context.Background(), frame); err != nil {
+			t.Fatalf("open store: %s request failed: %v", name, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range frames {
+		if _, err := srv.Handle(context.Background(), frame); err == nil {
+			t.Fatalf("closed store: %s request served as data", name)
+		}
 	}
 }
 

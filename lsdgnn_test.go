@@ -127,7 +127,7 @@ func TestPublicServerErrorTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Client.GetAttrs(context.Background(), []NodeID{1 << 40})
+	err = sys.Client.AttrsBatch(context.Background(), make([]float32, sys.Client.AttrLen()), []NodeID{1 << 40})
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *ServerError", err)

@@ -54,8 +54,8 @@ done
 "$OUT/lsdgnn-probe" -addrs "127.0.0.1:$SERVE_PORT" -batches 8 -batch-size 48 -mem \
     >"$OUT/probe.log" 2>&1 || { cat "$OUT/probe.log" >&2; exit 1; }
 grep -q 'probe: OK' "$OUT/probe.log"
-grep -q 'protocol v3, packing true' "$OUT/probe.log" || {
-    echo "wire-smoke: probe is not packing on protocol v3" >&2
+grep -q 'protocol v4, packing true' "$OUT/probe.log" || {
+    echo "wire-smoke: probe is not packing on protocol v4" >&2
     cat "$OUT/probe.log" >&2
     exit 1
 }
