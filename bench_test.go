@@ -12,7 +12,6 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-	"time"
 
 	"lsdgnn/internal/axe"
 	"lsdgnn/internal/cluster"
@@ -20,7 +19,6 @@ import (
 	"lsdgnn/internal/gnn"
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mof"
-	"lsdgnn/internal/pipeline"
 	"lsdgnn/internal/qrch"
 	"lsdgnn/internal/riscv"
 	"lsdgnn/internal/sampler"
@@ -188,41 +186,6 @@ func BenchmarkEngineBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunBatch(roots)
-	}
-}
-
-// BenchmarkPipelineSampling measures the Tech-3 win in software: the same
-// batch over a 200µs-RTT transport, synchronously (window 1 — each fetch
-// blocks the next) versus through the full 256-deep out-of-order window.
-// Per-root RNG streams keep both variants byte-identical.
-func BenchmarkPipelineSampling(b *testing.B) {
-	g := benchGraph()
-	part := cluster.HashPartitioner{N: 4}
-	servers := make([]*cluster.Server, 4)
-	for i := range servers {
-		servers[i] = cluster.NewServer(g, part, i)
-	}
-	tr := cluster.DelayedTransport{Inner: cluster.DirectTransport{Servers: servers}, Delay: 200 * time.Microsecond}
-	client, err := cluster.NewClient(tr, part, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sampler.Config{Fanouts: []int{10, 10}, NegativeRate: 10, Method: sampler.Streaming, FetchAttrs: true, Seed: 1}
-	roots := benchRoots(64)
-	ctx := context.Background()
-	for _, win := range []int{1, pipeline.DefaultWindow} {
-		win := win
-		b.Run("w"+itoa(win), func(b *testing.B) {
-			ex := pipeline.New(client, cfg, pipeline.Config{Window: win})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := ex.Sample(ctx, roots)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res.Release()
-			}
-		})
 	}
 }
 

@@ -47,9 +47,9 @@ func main() {
 	fanout := flag.Int("fanout", 10, "neighbors sampled per hop (2 hops)")
 	pack := flag.Bool("pack", true, "request MoF packing + BDI")
 	window := flag.Duration("pack-window", 0, "packing window (0 = default)")
-	pipelined := flag.Bool("pipeline", false, "drive batches through the out-of-order sampling executor and print its lsdgnn_pipeline_* metrics")
+	pipelined := flag.Bool("pipeline", false, "drive batches through the windowed sampling executor and print its lsdgnn_pipeline_* metrics")
 	memStats := flag.Bool("mem", false, "print the client-side lsdgnn_mem_* buffer-pool metrics after the burst")
-	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests (0 = default 256)")
+	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests, shared by all workers (0 = default 8192)")
 	seed := flag.Int64("seed", 1, "root-selection and sampling seed")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	replicas := flag.Int("replicas", 1, "replicas per partition; addrs must list partitions×replicas servers in UniformReplicas order")
@@ -116,9 +116,9 @@ func main() {
 		Fanouts: []int{*fanout, *fanout}, NegativeRate: 4,
 		Method: sampler.Streaming, FetchAttrs: true, Seed: *seed,
 	}
-	// In pipeline mode every batch flows through the out-of-order
-	// executor (the software AxE load unit) instead of the synchronous
-	// client path; per-root RNG streams keep the results identical.
+	// In pipeline mode every batch flows through the windowed executor
+	// (the software AxE load unit) instead of straight through the client;
+	// per-root RNG streams keep the results identical.
 	var ex *pipeline.Executor
 	if *pipelined {
 		ex = pipeline.New(client, cfg, pipeline.Config{Window: *pipeWindow})

@@ -27,7 +27,7 @@ func main() {
 		lsdgnn.WithServers(4),
 		lsdgnn.WithSeed(7),
 		lsdgnn.WithPacking(0),
-		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // OoO sampling, default 256-deep window
+		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling, default 8192-request window
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -54,10 +54,9 @@ func main() {
 			sys.Client.Pack.PackRatio(), float64(wire)/float64(raw)*100)
 	}
 
-	// Pipelined path: the same batch through the out-of-order executor
-	// (the software model of the AxE load unit, Tech-3). Per-root RNG
-	// streams keep it deterministic even though fetches retire out of
-	// order.
+	// Pipelined path: the same batch through the windowed executor (the
+	// software model of the AxE load unit, Tech-3). Per-root RNG streams
+	// make it byte-identical to every other sampling path.
 	pl, err := sys.SamplePipelined(ctx, roots)
 	if err != nil {
 		log.Fatal(err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -67,7 +68,10 @@ func main() {
 		for i := range roots {
 			roots[i] = lsdgnn.NodeID(rng.Int63n(nodes))
 		}
-		res := s.SampleBatch(roots)
+		res, err := s.Sample(context.Background(), roots)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("batch %d: %d total edges (%d pending in memtable), sampled %d nodes\n",
 			b, live.NumEdges(), live.DeltaEdges(), len(res.Hops[0])+len(res.Hops[1]))
 

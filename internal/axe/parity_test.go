@@ -11,7 +11,7 @@ import (
 
 // TestEngineRootStreamsParity: with RootStreams on, the event-driven
 // engine — cores racing through an out-of-order hardware window — must
-// produce the same bytes as the software out-of-order pipeline and the
+// produce the same bytes as the software pipeline executor and the
 // synchronous sampler. One determinism story across every execution
 // substrate. (Cycles are excluded: the engine accounts sampling steps in
 // simulated time, not in the functional result.)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
@@ -491,7 +490,7 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 	}
 	if c.partial {
 		c.Res.addN(&c.Res.snap.ShardErrors, len(shards))
-		return &PartialError{Shards: shards}
+		return &PartialError{Shards: shards, part: c.part}
 	}
 	joined := make([]error, len(shards))
 	for i, s := range shards {
@@ -586,10 +585,11 @@ func (c *Client) attrVectors(ctx context.Context, s int, grp []graph.NodeID) ([]
 	return resp.Attrs, nil
 }
 
-// SampleBatch performs batched k-hop sampling with per-hop grouped RPCs —
-// the distributed equivalent of sampler.Sampler.SampleBatch, producing an
-// identical Result layout. Cancellation or an expired deadline on ctx
-// aborts the batch between and within hops.
+// SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:
+// sampler.KHop over this client, so the Result is the one
+// sampler.Sampler.Sample produces. Without cfg.RootStreams each call draws
+// from a fresh RNG seeded with cfg.Seed. Cancellation or an expired
+// deadline on ctx aborts the batch between and within hops.
 //
 // With PartialResults enabled (see ResilienceConfig), shard failures
 // degrade instead of aborting: the returned Result keeps its full layout —
@@ -605,116 +605,36 @@ func (c *Client) SampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 		ctx, id = obs.EnsureTrace(ctx)
 	}
 	start := time.Now()
-	res, err := c.sampleBatch(ctx, roots, cfg)
+	var rng *rand.Rand
+	if !cfg.RootStreams {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	res, err := sampler.KHop(ctx, c, cfg, rng, roots)
+	if pe, ok := sampler.AsPartial(err); ok {
+		// This API reports loss per shard: every shard behind a fetch that
+		// degraded, once.
+		var shards []ShardError
+		for _, e := range pe.Errs {
+			if lost, ok := AsPartial(e); ok {
+				shards = append(shards, lost.Shards...)
+			}
+		}
+		c.Res.add(&c.Res.snap.DegradedBatches)
+		err = &PartialError{Shards: dedupShards(shards), part: c.part}
+	}
 	if c.tracer != nil {
 		c.tracer.ObserveErr(id, obs.HopBatch, "", start, time.Since(start), err != nil)
 	}
-	_, partial := AsPartial(err)
-	completed := err == nil || partial
 	if c.Batches != nil {
-		if completed {
+		if res != nil {
 			// Degraded batches completed; their latency is still real.
 			c.Batches.ObserveTrace(time.Since(start), uint64(id))
 		} else {
 			c.Batches.ObserveError()
 		}
 	}
-	c.slo.ObserveLatency(time.Since(start), !completed)
+	c.slo.ObserveLatency(time.Since(start), res == nil)
 	return res, err
-}
-
-func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg sampler.Config) (*sampler.Result, error) {
-	var rng *rand.Rand
-	if !cfg.RootStreams {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	st := sampler.GetStream()
-	defer sampler.PutStream(st)
-	// Result buffers come from a region with the same allocation shape as
-	// every other RootStreams path (one buffer per hop, one for negatives,
-	// one for attrs), so whole-result comparisons across paths — the parity
-	// harnesses compare region-backed results directly — see identical
-	// structure. The caller recycles via Result.Release.
-	rg := mem.NewRegion()
-	res := &sampler.Result{Roots: roots}
-	res.Own(rg)
-	frontier := roots
-	width := 1 // per-root frontier width at the current hop
-	var degraded []ShardError
-	for h, fanout := range cfg.Fanouts {
-		lists := mem.Lists.Get(len(frontier))
-		if err := c.NeighborsBatch(ctx, lists, frontier); err != nil {
-			pe, partial := AsPartial(err)
-			if !partial {
-				mem.Lists.Put(lists)
-				res.Release()
-				return nil, err
-			}
-			degraded = append(degraded, pe.Shards...)
-		}
-		hopBuf := rg.IDs(len(frontier) * fanout)
-		next := hopBuf[:0:len(hopBuf)]
-		for i, v := range frontier {
-			r := rng
-			if cfg.RootStreams {
-				r = st.Node(cfg.Seed, i/width, h, i%width)
-			}
-			before := len(next)
-			var cyc int
-			next, cyc = sampler.ExpandNeighbors(next, v, lists[i], fanout, cfg.Method, cfg.WeightFn, r)
-			res.Cycles += cyc
-			for len(next)-before < fanout {
-				next = append(next, v)
-			}
-		}
-		mem.Lists.Put(lists)
-		res.Hops = append(res.Hops, next)
-		frontier = next
-		width *= fanout
-	}
-	if cfg.NegativeRate > 0 {
-		negBuf := rg.IDs(len(roots) * cfg.NegativeRate)
-		negs := negBuf[:0:len(negBuf)]
-		for r := range roots {
-			nrng := rng
-			if cfg.RootStreams {
-				nrng = st.Negatives(cfg.Seed, r)
-			}
-			for i := 0; i < cfg.NegativeRate; i++ {
-				negs = append(negs, graph.NodeID(nrng.Int63n(c.meta.NumNodes)))
-			}
-		}
-		res.Negatives = negs
-	}
-	if cfg.FetchAttrs {
-		total := len(res.Roots) + len(res.Negatives)
-		for _, h := range res.Hops {
-			total += len(h)
-		}
-		ids := mem.IDs.Get(total)
-		ids = append(ids[:0], res.Roots...)
-		for _, h := range res.Hops {
-			ids = append(ids, h...)
-		}
-		ids = append(ids, res.Negatives...)
-		// AttrsBatch defines every element, so the buffer need not be zeroed.
-		res.Attrs = rg.Floats(total*c.AttrLen(), false)
-		err := c.AttrsBatch(ctx, res.Attrs, ids)
-		mem.IDs.Put(ids)
-		if err != nil {
-			pe, partial := AsPartial(err)
-			if !partial {
-				res.Release()
-				return nil, err
-			}
-			degraded = append(degraded, pe.Shards...)
-		}
-	}
-	if len(degraded) > 0 {
-		c.Res.add(&c.Res.snap.DegradedBatches)
-		return res, &PartialError{Shards: dedupShards(degraded)}
-	}
-	return res, nil
 }
 
 // dedupShards merges repeated failures of the same partition across hops,

@@ -280,12 +280,17 @@ func appendSubResponse(out []byte, sub PackedSubResponse, bdi bool, c *mof.VecCo
 // copying.
 func EncodePackedResponse(h Header, subs []PackedSubResponse, c *mof.VecCodec) []byte {
 	h.Op = OpPacked
+	// Sized for the worst case of every section's in-place BDI trial (a
+	// losing trial overshoots its raw payload before it is truncated back),
+	// so the frame is allocated once.
 	est := 12 // header with the handling-time slot, then the count
 	for _, sub := range subs {
-		est += 4 + 16 + len(sub.Attrs.Attrs)*4 + len(sub.Neighbors.Lists)*12
+		ids := 0
 		for _, l := range sub.Neighbors.Lists {
-			est += len(l) * 8
+			ids += len(l)
 		}
+		est += 4 + 6 + 2*9 + mof.BDIBound(len(sub.Attrs.Attrs)*4) +
+			mof.BDIBound(len(sub.Neighbors.Lists)*8) + mof.BDIBound(ids*8)
 	}
 	out := AppendHeader(make([]byte, 0, est), h)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))

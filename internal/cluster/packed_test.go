@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -93,6 +94,37 @@ func TestPackedResponseRoundTrip(t *testing.T) {
 		if got[3].Err == nil || errors.As(got[3].Err, &se) && got[3].Err == nil {
 			t.Fatalf("plain error lost: %v", got[3].Err)
 		}
+	}
+}
+
+// TestPackedResponseEncodesInOneAllocation: the frame is sized for the
+// worst case of the in-place BDI trial, so a reply whose float section
+// loses the trial (random floats always do, overshooting the raw payload
+// by 7 %) is still built in the one buffer — and ships raw, byte for byte.
+func TestPackedResponseEncodesInOneAllocation(t *testing.T) {
+	var c mof.VecCodec
+	rng := rand.New(rand.NewSource(1))
+	attrs := make([]float32, 2000*64)
+	for i := range attrs {
+		attrs[i] = rng.Float32()
+	}
+	subs := []PackedSubResponse{{Op: OpGetAttrs, Attrs: AttrsResponse{AttrLen: 64, Attrs: attrs}}}
+	// No collection while counting: a GC would empty the scratch pools and
+	// charge their refill to the encoder. Enough runs that the pool drops
+	// the race detector injects (one Put in four) average out below one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var frame []byte
+	if n := testing.AllocsPerRun(100, func() { frame = EncodePackedResponse(Header{BDI: true}, subs, &c) }); n != 1 {
+		t.Fatalf("encoding one attrs sub-response allocated %.0f times, want 1 (the frame)", n)
+	}
+	// header(2) + count(2) + len(4) + status, op(2) + attrLen(4) + section
+	// header(9) + raw floats.
+	if want := 23 + len(attrs)*4; len(frame) != want {
+		t.Fatalf("frame is %d bytes, want %d (raw section)", len(frame), want)
+	}
+	got, err := DecodePackedResponse(frame, 0, &c)
+	if err != nil || !reflect.DeepEqual(got[0].Attrs.Attrs, attrs) {
+		t.Fatalf("one-allocation frame did not round-trip: %v", err)
 	}
 }
 

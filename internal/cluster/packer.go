@@ -455,7 +455,7 @@ func (c *Client) fetchAttrs(ctx context.Context, dst []float32, ids []graph.Node
 		}
 	}
 	if len(shards) > 0 {
-		return &PartialError{Shards: dedupShards(shards)}
+		return &PartialError{Shards: dedupShards(shards), part: c.part}
 	}
 	return nil
 }

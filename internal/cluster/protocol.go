@@ -267,7 +267,7 @@ func DecodeAttrsRequest(body []byte) (AttrsRequest, error) {
 // EncodeAttrsResponse serializes r.
 func EncodeAttrsResponse(h Header, r AttrsResponse) []byte {
 	h.Op = OpGetAttrs
-	out := AppendHeader(nil, h)
+	out := AppendHeader(make([]byte, 0, 32+len(h.Key)+4*len(r.Attrs)), h)
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Attrs)))
 	for _, f := range r.Attrs {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"lsdgnn/internal/graph"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/stats"
 )
@@ -350,7 +351,28 @@ type ShardError struct {
 // listed partitions hold empty neighbor lists / zeroed attributes. It is
 // returned *alongside* a non-nil result; use AsPartial to distinguish
 // degradation from outright failure.
-type PartialError struct{ Shards []ShardError }
+type PartialError struct {
+	Shards []ShardError
+	// part maps a vertex to its partition for Lost; the client sets it
+	// wherever it builds the error.
+	part Partitioner
+}
+
+// Lost reports whether v's owning partition is among the lost shards —
+// what makes a *PartialError a degrading error under sampler.Store's
+// contract. An error built without a partitioner claims every vertex.
+func (e *PartialError) Lost(v graph.NodeID) bool {
+	if e.part == nil {
+		return true
+	}
+	owner := e.part.Owner(v)
+	for _, s := range e.Shards {
+		if s.Server == owner {
+			return true
+		}
+	}
+	return false
+}
 
 // Error implements error.
 func (e *PartialError) Error() string {

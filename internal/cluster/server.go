@@ -152,7 +152,8 @@ func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (Neighb
 
 // GetAttrs answers a batched attribute request.
 func (s *Server) GetAttrs(ctx context.Context, req AttrsRequest) (AttrsResponse, error) {
-	resp := AttrsResponse{AttrLen: s.g.AttrLen()}
+	al := s.g.AttrLen()
+	resp := AttrsResponse{AttrLen: al, Attrs: make([]float32, 0, len(req.IDs)*al)}
 	for i, v := range req.IDs {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {

@@ -58,7 +58,7 @@ type Options struct {
 	// section compression on the client's storage RPCs, plus the
 	// in-flight attribute coalescer (see cluster.PackingConfig).
 	Packing *cluster.PackingConfig
-	// Pipeline, when set, builds an out-of-order sampling executor (the
+	// Pipeline, when set, builds a windowed sampling executor (the
 	// software AxE load unit) over the client; SamplePipelined then runs
 	// batches through it. RootStreams is forced on the sampling config so
 	// pipelined and synchronous paths stay byte-identical.
@@ -132,7 +132,7 @@ type System struct {
 	// CPU path, pipelined or synchronous), declared at construction so
 	// their series exist at zero from the first scrape.
 	SLOs *stats.SLOTracker
-	// Pipeline is the out-of-order sampling executor when Options.Pipeline
+	// Pipeline is the windowed sampling executor when Options.Pipeline
 	// was set (nil otherwise).
 	Pipeline *pipeline.Executor
 	// Gateway is the multi-tenant front door when Options.Gateway was set
@@ -355,7 +355,7 @@ func NewSystem(opts Options) (*System, error) {
 }
 
 // pressure is the gateway's backpressure signal: the fuller of the
-// dispatcher's worker pool and the pipeline's out-of-order window, in
+// dispatcher's worker pool and the pipeline's in-flight window, in
 // [0, 1]. Shedding starts before either resource saturates.
 func (s *System) pressure() float64 {
 	p := 0.0
@@ -417,7 +417,7 @@ func (s *System) SampleSoftware(ctx context.Context, roots []graph.NodeID) (*sam
 	return res, err
 }
 
-// SamplePipelined runs one batch through the out-of-order executor (the
+// SamplePipelined runs one batch through the windowed executor (the
 // software load unit). Falls back to SampleSoftware when no pipeline was
 // configured — the result stays byte-identical when both paths use
 // RootStreams. A *pipeline.PartialError marks per-root degradation; the

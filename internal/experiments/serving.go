@@ -189,9 +189,6 @@ func serving(w io.Writer, opts Options) error {
 	if err := wireComparison(w, opts); err != nil {
 		return err
 	}
-	if err := pipelineComparison(w, opts); err != nil {
-		return err
-	}
 	if err := elasticRebalance(w, opts); err != nil {
 		return err
 	}
@@ -482,103 +479,6 @@ func elasticRebalance(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "  partition 0 now on %v, partition 1 on %v\n", l.Routable(0), l.Routable(1))
 	fmt.Fprintf(w, "  chaos: %d of %d calls failed by injection, absorbed by %d retries + %d failovers; every batch byte-identical to the static run\n",
 		injected, calls, rs.Retries, rs.Failovers)
-	return nil
-}
-
-// pipelineComparison measures the out-of-order load unit in software
-// (§4.2 Tech-3, Fig. 8): the same batches sampled over a 200µs-delay
-// transport twice — once with a single-slot window (the blocking,
-// synchronous load unit) and once with the default 256-request window —
-// plus the synchronous client path as a reference. All three must agree
-// byte for byte (per-root RNG streams make execution order invisible);
-// the throughput gap is what latency hiding buys.
-func pipelineComparison(w io.Writer, opts Options) error {
-	const netDelay = 200 * time.Microsecond
-	batches, batchSize := 8, 96
-	if opts.Quick {
-		batches, batchSize = 4, 48
-	}
-	sys, err := core.NewSystem(core.Options{
-		Dataset: mustDataset("ss"), Servers: 4, Seed: opts.Seed,
-		Sampling: sampler.Config{
-			Fanouts: []int{10, 10}, NegativeRate: 10,
-			Method: sampler.Streaming, FetchAttrs: true, Seed: opts.Seed,
-		},
-		NetDelay: netDelay,
-		Pipeline: &pipeline.Config{Window: pipeline.DefaultWindow},
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	src := sys.BatchSource(batchSize, opts.Seed)
-	work := make([][]graph.NodeID, batches)
-	for i := range work {
-		work[i] = append([]graph.NodeID(nil), src.Next()...)
-	}
-
-	// The synchronous reference point: the same executor degenerated to
-	// one outstanding request — a load unit that blocks on every fetch.
-	blocking := pipeline.New(sys.Client, sys.Sampling, pipeline.Config{Window: 1})
-
-	runExec := func(ex *pipeline.Executor) ([]*sampler.Result, time.Duration, error) {
-		out := make([]*sampler.Result, batches)
-		start := time.Now()
-		for b := range work {
-			res, err := ex.Sample(ctx, work[b])
-			if err != nil {
-				return nil, 0, err
-			}
-			out[b] = res
-		}
-		return out, time.Since(start), nil
-	}
-
-	syncRes, syncWall, err := runExec(blocking)
-	if err != nil {
-		return err
-	}
-	oooRes, oooWall, err := runExec(sys.Pipeline)
-	if err != nil {
-		return err
-	}
-
-	// The plain synchronous client path (RootStreams on) is the third
-	// witness: one shared determinism story across every execution order.
-	refCfg := sys.Sampling
-	refCfg.RootStreams = true
-	for b := range work {
-		ref, err := sys.Client.SampleBatch(ctx, work[b], refCfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(oooRes[b], ref) || !reflect.DeepEqual(syncRes[b], ref) {
-			return fmt.Errorf("serving: pipelined batch %d diverged from the synchronous path", b)
-		}
-	}
-
-	ps := sys.Pipeline.Stats()
-	speedup := syncWall.Seconds() / oooWall.Seconds()
-	// Quick mode halves the batch volume (and CI runs it under -race,
-	// which taxes the goroutine-heavy OoO path far more than the blocking
-	// loop), so the acceptance bar of 3× applies to the full-size run
-	// only; quick just checks the win has the right sign and rough size.
-	minSpeedup := 3.0
-	if opts.Quick {
-		minSpeedup = 1.3
-	}
-	rootsPerSec := float64(batches*batchSize) / oooWall.Seconds()
-	fmt.Fprintf(w, "\nout-of-order load unit (§4.2 Tech-3): %d batches of %d roots at %v RTT\n",
-		batches, batchSize, netDelay)
-	fmt.Fprintf(w, "  window 1 (blocking):   %10v wall\n", syncWall.Round(time.Millisecond))
-	fmt.Fprintf(w, "  window %d (OoO):      %10v wall   %.1f× throughput   %.0f roots/s\n",
-		sys.Pipeline.Config().Window, oooWall.Round(time.Millisecond), speedup, rootsPerSec)
-	fmt.Fprintf(w, "  in-flight peak %d requests; %d window stalls; results identical across all %d batches\n",
-		ps.InflightPeak(), ps.WindowStalls(), batches)
-	if speedup < minSpeedup {
-		return fmt.Errorf("serving: OoO pipeline sped up only %.1f×, want >= %.1f×", speedup, minSpeedup)
-	}
 	return nil
 }
 

@@ -88,10 +88,17 @@ func AppendBDICompress(dst, src []byte) []byte {
 	return append(dst, tail...)
 }
 
+// BDIBound returns the largest encoding AppendBDICompress can emit for n
+// input bytes — the tail-length byte, a 9-byte header per line, every word
+// at full width — so a frame builder can reserve room for a losing trial.
+func BDIBound(n int) int {
+	return 1 + (n/8+bdiLineWords-1)/bdiLineWords*9 + n
+}
+
 // BDICompress encodes src. The output decodes back exactly; it is only
 // smaller when the data has base-delta structure (clustered values).
 func BDICompress(src []byte) []byte {
-	return AppendBDICompress(make([]byte, 0, len(src)+16), src)
+	return AppendBDICompress(make([]byte, 0, BDIBound(len(src))), src)
 }
 
 // bdiScanLines walks the encoded line headers of body (tail already

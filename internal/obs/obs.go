@@ -93,10 +93,10 @@ const (
 	// peer in the reply's frame header.
 	HopServer = "server"
 	// HopPipeWait is time a pipeline fetch task spent blocked on the
-	// out-of-order window (all request slots occupied).
+	// executor's in-flight window (not enough request slots free).
 	HopPipeWait = "pipe_wait"
 	// HopPipeFetch is one pipeline fetch task's store round trip
-	// (neighbor lists or attribute vectors for one root, one hop).
+	// (neighbor lists for one hop of a batch, or its attribute vectors).
 	HopPipeFetch = "pipe_fetch"
 	// HopGateWait is time an admitted batch spent queued in its tenant's
 	// gateway queue before the fair scheduler dispatched it.

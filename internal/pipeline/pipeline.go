@@ -1,102 +1,73 @@
 // Package pipeline is the software model of the AxE load unit (Section
-// 4.2 Tech-3, Fig. 8): an asynchronous, out-of-order sampling executor.
-// The hardware hides seconds-scale remote-memory latency by keeping a
-// massive number of outstanding requests in flight and retiring them in
-// completion order; this package does the same over the batch-first
-// sampler.Store — a multi-hop batch decomposes into per-root, per-hop
-// fetch tasks that flow through a bounded in-flight window, so hop h+1 of
-// fast roots overlaps hop h of slow ones and one straggling shard no
-// longer stalls the whole batch.
+// 4.2 Tech-3, Fig. 8): the budget of outstanding memory requests a
+// sampling worker may keep in flight. The hardware hides remote-memory
+// latency by moving vectors of requests under such a budget; this package
+// does the same over the batch-first sampler.Store. A batch runs the
+// level-synchronous kernel (sampler.KHop) — one vector request per hop
+// carrying the whole batch's frontier, one for its attributes — and every
+// one of those fetches passes through a window that counts node-requests
+// across all of the executor's concurrent batches.
 //
-// Out-of-order execution is only usable if it does not change answers.
-// Every random draw therefore comes from a derived per-root stream
-// (sampler.NodeRNG / sampler.NegativesRNG, forced via
-// sampler.Config.RootStreams), making the sampled output a pure function
-// of (seed, root, hop, position) — byte-identical to the synchronous
-// path no matter how the window reorders completions.
+// Output is a pure function of (seed, root, hop, position): the executor
+// forces sampler.Config.RootStreams, so concurrent batches share no RNG
+// and the result is byte-identical to every other RootStreams path
+// (Sampler.Sample, Client.SampleBatch, the AxE engine model).
 package pipeline
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
 )
 
 // DefaultWindow is the default in-flight window, in node-requests. The
-// paper's load unit sustains hundreds of outstanding accesses per engine;
-// 256 keeps a software worker far enough ahead of a 100µs-scale network
-// to saturate it without unbounded buffering.
-const DefaultWindow = 256
+// unit of issue is one hop of one batch, so the window must hold several
+// of the widest fetch or concurrent batches take turns: at fanouts 10×10
+// with 10 negatives a 32-root batch's attribute gather is 3 872 IDs, and
+// 8 192 gives that the ≈2× head-room the old 256 gave a single root's
+// 121-ID gather. Measured by BenchmarkConcurrentBatches (1/4/8 concurrent
+// 32-root batches at 0 and 200 µs RTT; table in CHANGES.md, PR 22), 8 192
+// is indistinguishable from an unshared window while 256 makes concurrent
+// batches take turns (1.5–1.7× slower at 200 µs). A restated constant, not
+// yet derived from RTT and service time (ROADMAP 6b) — and at this value the
+// window binds on no BENCHMARK.json workload: each runs one batch at a
+// time, so window_stalls_per_root reads 0 and inflight_peak 3 872. Two
+// overlapping 32-root gathers fill it to 0.945, past the gateway's 0.9
+// shed mark.
+const DefaultWindow = 8192
 
-// Config tunes the out-of-order executor.
+// Config tunes the executor.
 type Config struct {
 	// Window bounds the outstanding node-requests (vertices whose
-	// neighbor lists or attribute vectors are on the wire) across the
-	// whole batch. 0 means DefaultWindow. Window 1 degenerates to a
-	// blocking load unit — the synchronous reference point benchmarks
-	// compare against.
+	// neighbor lists or attribute vectors are on the wire) across every
+	// batch the executor is running. 0 means DefaultWindow.
 	Window int
-	// MaxHopOverlap bounds how many hops the fastest root may run ahead
-	// of the slowest unfinished one (the reorder depth of the retire
-	// stage). 0 means unbounded overlap.
-	MaxHopOverlap int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.MaxHopOverlap < 0 {
-		c.MaxHopOverlap = 0
-	}
 	return c
 }
 
-// RootError reports the failure of one root's subtree.
-type RootError struct {
-	// Index is the root's position in the batch.
-	Index int
-	// Root is the root vertex.
-	Root graph.NodeID
-	// Err is the underlying fetch error.
-	Err error
-}
-
-// PartialError reports that some roots of a batch degraded: their
-// subtrees carry self-loop padding and zeroed attributes where data was
-// lost, while every other root is complete and exact. The Result
-// accompanying a PartialError is always layout-complete.
-type PartialError struct {
-	Roots []RootError
-}
-
-// Error implements error.
-func (e *PartialError) Error() string {
-	if len(e.Roots) == 1 {
-		return fmt.Sprintf("pipeline: root %d degraded: %v", e.Roots[0].Root, e.Roots[0].Err)
-	}
-	return fmt.Sprintf("pipeline: %d roots degraded (first: root %d: %v)",
-		len(e.Roots), e.Roots[0].Root, e.Roots[0].Err)
-}
+// The per-root degrade error lives with the kernel that builds it.
+type (
+	PartialError = sampler.PartialError
+	RootError    = sampler.RootError
+)
 
 // AsPartial extracts a *PartialError from err.
-func AsPartial(err error) (*PartialError, bool) {
-	var pe *PartialError
-	ok := errors.As(err, &pe)
-	return pe, ok
-}
+func AsPartial(err error) (*PartialError, bool) { return sampler.AsPartial(err) }
 
-// Executor runs out-of-order k-hop sampling batches over a Store. Safe
-// for concurrent Sample calls; they share the stats layer but each batch
-// has its own window.
+// Executor runs k-hop sampling batches over a Store under one shared
+// in-flight window. Safe for concurrent Sample calls.
 type Executor struct {
 	store  sampler.Store
 	scfg   sampler.Config
@@ -104,13 +75,14 @@ type Executor struct {
 	tracer *obs.Tracer
 	slo    *stats.SLO
 	stats  Stats
+	win    window
 }
 
 // New builds an executor. scfg.RootStreams is forced on — per-root RNG
-// streams are what make out-of-order retirement deterministic — so the
-// output matches any other RootStreams path (synchronous Sampler,
-// cluster client, AxE engine) for the same seed. Panics on an empty
-// fanout list, like sampler.New.
+// streams are what let concurrent batches share nothing — so the output
+// matches any other RootStreams path (synchronous Sampler, cluster client,
+// AxE engine) for the same seed. Panics on an empty fanout list, like
+// sampler.New.
 func New(store sampler.Store, scfg sampler.Config, cfg Config) *Executor {
 	if len(scfg.Fanouts) == 0 {
 		panic("pipeline: no fanouts configured")
@@ -118,6 +90,7 @@ func New(store sampler.Store, scfg sampler.Config, cfg Config) *Executor {
 	scfg.RootStreams = true
 	e := &Executor{store: store, scfg: scfg, cfg: cfg.withDefaults()}
 	e.stats.setCapacity(e.cfg.Window)
+	e.win.cap, e.win.stats = e.cfg.Window, &e.stats
 	return e
 }
 
@@ -134,7 +107,7 @@ func (e *Executor) SamplerConfig() sampler.Config { return e.scfg }
 // Stats exposes the executor's "pipeline" stats layer.
 func (e *Executor) Stats() *Stats { return &e.stats }
 
-// SetTracer attaches a hop tracer; fetch tasks then record HopPipeWait
+// SetTracer attaches a hop tracer; fetches then record HopPipeWait
 // (window stall) and HopPipeFetch (store round trip) spans.
 func (e *Executor) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
@@ -143,309 +116,138 @@ func (e *Executor) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 // batches are bad.
 func (e *Executor) SetSLO(s *stats.SLO) { e.slo = s }
 
-// window is the bounded in-flight request pool, counted in
-// node-requests. Oversized acquisitions clamp to the window capacity so
-// a single huge fetch (a frontier wider than the window) still admits,
-// alone, rather than deadlocking.
+// window is the executor's in-flight request budget, counted in
+// node-requests across all concurrent batches. A fetch that does not fit
+// queues, and the queue admits strictly in arrival order — small fetches do
+// not barge past a wide one, so a wide fetch cannot starve. One wider than
+// the whole window clamps to it and so admits alone rather than deadlocking.
 type window struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	cap    int
-	inUse  int
-	stats  *Stats
-	tracer *obs.Tracer
-	id     obs.TraceID
+	mu    sync.Mutex
+	cap   int
+	inUse int
+	queue []*waiter // fetches waiting for slots, oldest first
+	stats *Stats
 }
 
-func newWindow(capacity int, st *Stats, tr *obs.Tracer, id obs.TraceID) *window {
-	w := &window{cap: capacity, stats: st, tracer: tr, id: id}
-	w.cond = sync.NewCond(&w.mu)
-	return w
+// waiter is one queued fetch; ready closes once its n slots are held.
+type waiter struct {
+	n     int
+	ready chan struct{}
 }
 
-// acquire blocks until n request slots are free (or ctx expires),
-// returning the clamped slot count actually held.
-func (w *window) acquire(ctx context.Context, n int) (int, error) {
+// acquire blocks until n request slots are free and every earlier waiter
+// has been admitted (or ctx expires), returning the clamped slot count
+// actually held and how long it stalled.
+func (w *window) acquire(ctx context.Context, n int) (held int, stalled time.Duration, err error) {
 	if n > w.cap {
 		n = w.cap
 	}
-	start := time.Now()
-	w.mu.Lock()
-	stalled := false
-	for w.cap-w.inUse < n && ctx.Err() == nil {
-		if !stalled {
-			stalled = true
-			w.stats.windowStalls.Inc()
-		}
-		w.cond.Wait()
-	}
 	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
+	w.mu.Lock()
+	if len(w.queue) == 0 && w.cap-w.inUse >= n {
+		w.inUse += n
+		w.stats.recordInflight(w.inUse)
 		w.mu.Unlock()
-		return 0, err
+		return n, 0, nil
 	}
-	w.inUse += n
-	w.stats.recordInflight(w.inUse)
+	me := &waiter{n, make(chan struct{})}
+	w.queue = append(w.queue, me)
 	w.mu.Unlock()
-	if stalled {
-		w.tracer.Observe(w.id, obs.HopPipeWait, start, time.Since(start))
+	w.stats.windowStalls.Inc()
+	start := time.Now()
+	select {
+	case <-me.ready:
+		return n, time.Since(start), nil
+	case <-ctx.Done():
 	}
-	return n, nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case <-me.ready: // admitted as ctx expired: hand the slots back
+		w.inUse -= n
+	default:
+		w.queue = slices.DeleteFunc(w.queue, func(q *waiter) bool { return q == me })
+	}
+	w.admit()
+	return 0, time.Since(start), ctx.Err()
+}
+
+// admit hands free slots to queued fetches in arrival order, stopping at
+// the first that does not fit. Callers hold w.mu.
+func (w *window) admit() {
+	for len(w.queue) > 0 && w.cap-w.inUse >= w.queue[0].n {
+		w.inUse += w.queue[0].n
+		close(w.queue[0].ready)
+		w.queue = w.queue[1:]
+	}
+	w.stats.recordInflight(w.inUse)
 }
 
 func (w *window) release(n int) {
 	w.mu.Lock()
 	w.inUse -= n
-	w.stats.recordInflight(w.inUse)
+	w.admit()
 	w.mu.Unlock()
-	w.cond.Broadcast()
 }
 
-// batch is the per-Sample execution state.
-type batch struct {
-	e   *Executor
-	id  obs.TraceID
-	res *sampler.Result
-	win *window
-
-	attrLen  int
-	levelW   []int // per-root frontier width entering hop h
-	outW     []int // per-root width of Hops[h] (= levelW[h] * fanout)
-	hopBases []int // attr-slot base of Hops[h]
-	negBase  int   // attr-slot base of Negatives
-
-	// Retire-stage bookkeeping for MaxHopOverlap: stage[r] is the hop
-	// root r is about to fetch (len(fanouts)+1 once fully retired).
-	mu    sync.Mutex
-	cond  *sync.Cond
-	stage []int
-
-	cycles []int // per-root cycle counts (disjoint writes, summed at end)
-
-	errMu    sync.Mutex
-	rootErrs []RootError
-}
-
-// Sample runs one out-of-order k-hop batch. The result layout is
-// identical to sampler.Sampler.Sample — and, for the same seed, the
-// contents are byte-identical, whatever the window size or completion
-// order. A ctx expiry returns (nil, ctx.Err()); per-root store failures
-// degrade only their own subtree and surface as a *PartialError
-// alongside the layout-complete result.
+// Sample runs one k-hop batch: sampler.KHop over the windowed store, so
+// the result layout and — for the same seed — contents are byte-identical
+// to sampler.Sampler.Sample under RootStreams, whatever the window size
+// or how many batches share it. Errors are KHop's: a ctx expiry returns
+// (nil, ctx.Err()), a store error that says what it lost degrades only the
+// roots that asked for it (*PartialError beside the layout-complete
+// result), any other store error fails the batch.
 func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
 	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	id, ok := obs.FromContext(ctx)
 	if !ok {
 		id = obs.NewTraceID()
 	}
-
-	b := &batch{
-		e:       e,
-		id:      id,
-		attrLen: e.store.AttrLen(),
-		stage:   make([]int, len(roots)),
-		cycles:  make([]int, len(roots)),
-	}
-	b.cond = sync.NewCond(&b.mu)
-	b.win = newWindow(e.cfg.Window, &e.stats, e.tracer, id)
-
-	// Preallocate the exact result layout so retirement is a lock-free
-	// write into disjoint segments. Segments come from a region the caller
-	// recycles via Result.Release; every retired root fully writes its
-	// slice of each segment (self-loop padding included), so no zero fill
-	// is needed on the ID buffers.
-	sp := e.scfg
-	rg := mem.NewRegion()
-	res := &sampler.Result{Roots: roots}
-	res.Own(rg)
-	w := 1
-	attrSlots := len(roots)
-	for _, f := range sp.Fanouts {
-		b.levelW = append(b.levelW, w)
-		w *= f
-		b.outW = append(b.outW, w)
-		res.Hops = append(res.Hops, rg.IDs(len(roots)*w))
-		b.hopBases = append(b.hopBases, attrSlots)
-		attrSlots += len(roots) * w
-	}
-	b.negBase = attrSlots
-	if sp.NegativeRate > 0 {
-		// Negatives need no graph I/O; fill them up front from the
-		// per-root derived streams.
-		res.Negatives = rg.IDs(len(roots) * sp.NegativeRate)
-		n := e.store.NumNodes()
-		st := sampler.GetStream()
-		for r := range roots {
-			nrng := st.Negatives(sp.Seed, r)
-			for i := 0; i < sp.NegativeRate; i++ {
-				res.Negatives[r*sp.NegativeRate+i] = graph.NodeID(nrng.Int63n(n))
-			}
-		}
-		sampler.PutStream(st)
-		attrSlots += len(res.Negatives)
-	}
-	if sp.FetchAttrs {
-		res.Attrs = rg.Floats(attrSlots*b.attrLen, true)
-	}
-	b.res = res
-
-	// Wake window and stage waiters when the batch context dies.
-	go func() {
-		<-ctx.Done()
-		b.win.cond.Broadcast()
-		b.cond.Broadcast()
-	}()
-
-	var wg sync.WaitGroup
-	for r := range roots {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			b.runRoot(ctx, r)
-		}(r)
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
+	res, err := sampler.KHop(ctx, windowed{e, id}, e.scfg, nil, roots)
+	dur := time.Since(start)
+	if res == nil {
 		e.stats.batchErrors.Inc()
-		e.slo.ObserveLatency(time.Since(start), true)
-		// All root goroutines have retired; the discarded result's
-		// segments can go straight back to the pools.
-		res.Release()
+		e.slo.ObserveLatency(dur, true)
 		return nil, err
 	}
-	for _, c := range b.cycles {
-		res.Cycles += c
-	}
 	e.stats.batches.Inc()
-	dur := time.Since(start)
 	e.stats.batchLatency.ObserveDuration(dur)
 	e.stats.batchWindow.ObserveDuration(dur)
 	e.slo.ObserveLatency(dur, false)
-	if len(b.rootErrs) > 0 {
-		e.stats.degradedRoots.Add(int64(len(b.rootErrs)))
-		return res, &PartialError{Roots: b.rootErrs}
+	if pe, ok := AsPartial(err); ok {
+		e.stats.degradedRoots.Add(int64(len(pe.Roots)))
 	}
-	return res, nil
+	return res, err
 }
 
-// runRoot drives one root through every hop and its attribute gather.
-func (b *batch) runRoot(ctx context.Context, r int) {
-	e := b.e
-	sp := e.scfg
-	root := b.res.Roots[r]
-	frontier := []graph.NodeID{root}
-	var rootErr error
-	st := sampler.GetStream()
-	defer sampler.PutStream(st)
-
-	for h, fanout := range sp.Fanouts {
-		if err := b.waitStage(ctx, h); err != nil {
-			b.retire(r, err)
-			return
-		}
-		lists := mem.Lists.Get(len(frontier))
-		err := b.fetch(ctx, len(frontier), func() error {
-			return e.store.NeighborsBatch(ctx, lists, frontier)
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				mem.Lists.Put(lists)
-				b.retire(r, ctx.Err())
-				return
-			}
-			// Degraded fetch: lists stay layout-complete (nil entries
-			// expand to self-loop padding); only this root is marked.
-			if rootErr == nil {
-				rootErr = err
-			}
-		}
-		seg := b.res.Hops[h][r*b.outW[h] : r*b.outW[h] : (r+1)*b.outW[h]]
-		out := seg[:0]
-		for i, v := range frontier {
-			rng := st.Node(sp.Seed, r, h, i)
-			before := len(out)
-			var cyc int
-			out, cyc = sampler.ExpandNeighbors(out, v, lists[i], fanout, sp.Method, sp.WeightFn, rng)
-			b.cycles[r] += cyc
-			for len(out)-before < fanout {
-				out = append(out, v)
-			}
-		}
-		mem.Lists.Put(lists)
-		frontier = out
-		b.advance(r)
-	}
-
-	if sp.FetchAttrs {
-		if err := b.fetchRootAttrs(ctx, r); err != nil {
-			if ctx.Err() != nil {
-				b.retire(r, ctx.Err())
-				return
-			}
-			if rootErr == nil {
-				rootErr = err
-			}
-		}
-	}
-	b.retire(r, rootErr)
+// windowed is one batch's view of the executor's store: every fetch is a
+// task pushed through the shared window under the batch's trace ID.
+type windowed struct {
+	e  *Executor
+	id obs.TraceID
 }
 
-// fetchRootAttrs gathers every attribute vector belonging to root r —
-// the root itself, its segment of each hop, its negatives — in one
-// batched fetch, then block-copies the pieces into their slots of the
-// shared Attrs layout.
-func (b *batch) fetchRootAttrs(ctx context.Context, r int) error {
-	e := b.e
-	res := b.res
-	sp := e.scfg
-	al := b.attrLen
+func (w windowed) NumNodes() int64 { return w.e.store.NumNodes() }
+func (w windowed) AttrLen() int    { return w.e.store.AttrLen() }
 
-	total := 1 + sp.NegativeRate
-	for _, w := range b.outW {
-		total += w
-	}
-	idBuf := mem.IDs.Get(total)
-	defer mem.IDs.Put(idBuf)
-	ids := append(idBuf[:0], res.Roots[r])
-	for h := range sp.Fanouts {
-		ids = append(ids, res.Hops[h][r*b.outW[h]:(r+1)*b.outW[h]]...)
-	}
-	ids = append(ids, res.Negatives[r*sp.NegativeRate:(r+1)*sp.NegativeRate]...)
+func (w windowed) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
+	return w.fetch(ctx, len(vs), func() error { return w.e.store.NeighborsBatch(ctx, dst, vs) })
+}
 
-	// Zeroed scratch: lost vertices must land as zero fill in Attrs.
-	scratch := mem.Floats.GetZeroed(len(ids) * al)
-	defer mem.Floats.Put(scratch)
-	err := b.fetch(ctx, len(ids), func() error {
-		return e.store.AttrsBatch(ctx, scratch, ids)
-	})
-	if err != nil && ctx.Err() != nil {
-		return err
-	}
-
-	copy(res.Attrs[r*al:(r+1)*al], scratch[:al])
-	off := al
-	for h := range sp.Fanouts {
-		base := (b.hopBases[h] + r*b.outW[h]) * al
-		n := b.outW[h] * al
-		copy(res.Attrs[base:base+n], scratch[off:off+n])
-		off += n
-	}
-	if sp.NegativeRate > 0 {
-		base := (b.negBase + r*sp.NegativeRate) * al
-		n := sp.NegativeRate * al
-		copy(res.Attrs[base:base+n], scratch[off:off+n])
-	}
-	return err
+func (w windowed) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
+	return w.fetch(ctx, len(vs), func() error { return w.e.store.AttrsBatch(ctx, dst, vs) })
 }
 
 // fetch pushes one task of n node-requests through the window, tracing
 // the stall and the store round trip.
-func (b *batch) fetch(ctx context.Context, n int, fn func() error) error {
-	e := b.e
-	held, err := b.win.acquire(ctx, n)
+func (w windowed) fetch(ctx context.Context, n int, fn func() error) error {
+	e := w.e
+	held, stalled, err := e.win.acquire(ctx, n)
+	if stalled > 0 {
+		e.tracer.Observe(w.id, obs.HopPipeWait, time.Now().Add(-stalled), stalled)
+	}
 	if err != nil {
 		return err
 	}
@@ -453,67 +255,9 @@ func (b *batch) fetch(ctx context.Context, n int, fn func() error) error {
 	e.stats.issuedRequests.Add(int64(n))
 	start := time.Now()
 	err = fn()
-	e.tracer.ObserveErr(b.id, obs.HopPipeFetch, "", start, time.Since(start), err != nil)
-	b.win.release(held)
+	e.tracer.ObserveErr(w.id, obs.HopPipeFetch, "", start, time.Since(start), err != nil)
+	e.win.release(held)
 	e.stats.retiredTasks.Inc()
 	e.stats.retiredRequests.Add(int64(n))
 	return err
-}
-
-// waitStage blocks root entry into hop h until it is within
-// MaxHopOverlap hops of the slowest unfinished root, and records the
-// batch's instantaneous overlap depth.
-func (b *batch) waitStage(ctx context.Context, h int) error {
-	limit := b.e.cfg.MaxHopOverlap
-	b.mu.Lock()
-	if limit > 0 {
-		for h-b.minStageLocked() > limit && ctx.Err() == nil {
-			b.cond.Wait()
-		}
-	}
-	depth := h - b.minStageLocked()
-	b.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if depth > 0 {
-		b.e.stats.overlapDepth.Observe(float64(depth))
-	} else {
-		b.e.stats.overlapDepth.Observe(0)
-	}
-	return nil
-}
-
-// minStageLocked returns the slowest unfinished root's stage; roots past
-// the last hop no longer hold anyone back.
-func (b *batch) minStageLocked() int {
-	hops := len(b.e.scfg.Fanouts)
-	min := hops
-	for _, s := range b.stage {
-		if s < hops && s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// advance moves root r to its next hop stage.
-func (b *batch) advance(r int) {
-	b.mu.Lock()
-	b.stage[r]++
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// retire marks root r finished, recording its error (if any).
-func (b *batch) retire(r int, err error) {
-	b.mu.Lock()
-	b.stage[r] = len(b.e.scfg.Fanouts) + 1
-	b.mu.Unlock()
-	b.cond.Broadcast()
-	if err != nil {
-		b.errMu.Lock()
-		b.rootErrs = append(b.rootErrs, RootError{Index: r, Root: b.res.Roots[r], Err: err})
-		b.errMu.Unlock()
-	}
 }

@@ -12,9 +12,9 @@ import (
 // series exists at zero from the first scrape (stable Prometheus
 // namespace), and executors bump the same shape once traffic flows.
 type Stats struct {
-	// issued/retired tasks are window-gated fetches (one per root per
-	// hop, plus one attr gather per root); requests count the vertices
-	// those tasks moved.
+	// issued/retired tasks are window-gated fetches (one per hop per
+	// batch, plus one attribute gather per batch); requests count the
+	// vertices those tasks moved.
 	issuedTasks     stats.Counter
 	issuedRequests  stats.Counter
 	retiredTasks    stats.Counter
@@ -23,16 +23,12 @@ type Stats struct {
 	// wait — the signal that the executor, not the store, is the
 	// bottleneck.
 	windowStalls stats.Counter
-	// degradedRoots counts roots that retired with a fetch error
+	// degradedRoots counts roots that asked for a vertex a fetch lost
 	// (self-loop padding / zeroed attributes in their subtree).
 	degradedRoots stats.Counter
 	batches       stats.Counter
 	batchErrors   stats.Counter
 
-	// overlapDepth observes, at each hop issue, how many hops ahead of
-	// the slowest unfinished root the issuing root is — the achieved
-	// out-of-order depth.
-	overlapDepth stats.Histogram
 	batchLatency stats.Histogram
 	// batchWindow is the rolling last-10s view of batchLatency (zero value
 	// = 10s/10 shards) — the batch_latency_window_10s series.
@@ -75,7 +71,8 @@ func (s *Stats) Occupancy() float64 {
 	return occ
 }
 
-// recordInflight tracks the instantaneous and peak window occupancy.
+// recordInflight tracks the instantaneous and peak occupancy of the
+// executor's one window (the sum over its concurrent batches).
 func (s *Stats) recordInflight(n int) {
 	s.mu.Lock()
 	s.inflight = n
@@ -134,7 +131,6 @@ func (s *Stats) StatsSnapshot() stats.Snapshot {
 		s.batches.Metric("batches", "req"),
 		s.batchErrors.Metric("batch_errors", "req"),
 	}, Hists: []stats.HistogramSnapshot{
-		s.overlapDepth.Snapshot("overlap_depth", "hops"),
 		s.batchLatency.Snapshot("batch_latency", "sec"),
 		s.batchWindow.Snapshot("batch_latency_window_10s", "sec"),
 	}}

@@ -6,6 +6,7 @@ package sampler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -19,20 +20,21 @@ import (
 // of vertices in one call, so a remote-backed store turns one hop into a
 // handful of grouped RPCs instead of a per-node round trip, and deadlines
 // and cancellation propagate down to the transport.
+//
+// Degrade contract: an error that degrades implements Lost(graph.NodeID)
+// bool — the store filled everything else, left the vertices Lost reports
+// nil / zeroed, and the fetch stays layout-complete. Anything else fails
+// the call (see KHop).
 type Store interface {
 	// NumNodes returns the vertex count.
 	NumNodes() int64
 	// AttrLen returns the attribute vector length.
 	AttrLen() int
 	// NeighborsBatch fills dst[i] with the out-neighbors of vs[i]. dst must
-	// have len(vs) entries. The filled lists must not be modified. A store
-	// that can degrade (lost shards) fills what it has — leaving nil for
-	// lost vertices — and returns an error describing the loss, so the
-	// result stays layout-complete.
+	// have len(vs) entries. The filled lists must not be modified.
 	NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error
 	// AttrsBatch fills dst with the attribute vectors of vs, concatenated
-	// in order. dst must have len(vs)*AttrLen() entries. Degrading stores
-	// leave lost vertices zeroed and return an error.
+	// in order. dst must have len(vs)*AttrLen() entries.
 	AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error
 }
 
@@ -127,8 +129,7 @@ type Result struct {
 	Cycles int
 
 	// region owns the pooled buffers behind Hops/Negatives/Attrs when the
-	// result came off an execution path wired to internal/mem; Release
-	// recycles them.
+	// result came from KHop; Release recycles them.
 	region *mem.Region
 }
 
@@ -147,11 +148,6 @@ func (r *Result) Release() {
 	r.Hops, r.Negatives, r.Attrs = nil, nil, nil
 	rg.Release()
 }
-
-// Own attaches the region whose buffers back this result, arming Release.
-// For execution paths (pipeline, cluster client) that assemble Results
-// from region allocations themselves.
-func (r *Result) Own(rg *mem.Region) { r.region = rg }
 
 // NodesFetched returns the number of attribute vectors in Attrs.
 func (r *Result) NodesFetched(attrLen int) int {
@@ -175,20 +171,19 @@ type Config struct {
 	// to derived per-root, per-node streams (see NodeRNG): every expansion
 	// draws from an RNG seeded by (Seed, root index, hop, position), so
 	// the sampled output is independent of execution order. This is what
-	// lets the out-of-order pipeline executor and the AxE engine retire
-	// work in any order and still produce byte-identical results to the
+	// keeps concurrent pipeline batches, Client.SampleBatch and the AxE
+	// engine (which retires work in any order) byte-identical to the
 	// synchronous path.
 	RootStreams bool
 }
 
 // Sampler performs mini-batch k-hop sampling over a Store. A Sampler is
-// not safe for concurrent Sample calls (it reuses one RNG and one stream
-// cursor); use one Sampler per worker.
+// not safe for concurrent Sample calls (without RootStreams it reuses one
+// continuing RNG); use one Sampler per worker.
 type Sampler struct {
-	store  Store
-	cfg    Config
-	rng    *rand.Rand
-	stream *Stream
+	store Store
+	cfg   Config
+	rng   *rand.Rand
 }
 
 // New creates a sampler. It panics on an empty fanout list since that
@@ -197,46 +192,148 @@ func New(store Store, cfg Config) *Sampler {
 	if len(cfg.Fanouts) == 0 {
 		panic("sampler: no fanouts configured")
 	}
-	return &Sampler{store: store, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), stream: NewStream()}
+	return &Sampler{store: store, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// SampleBatch runs k-hop sampling for the given roots with no deadline,
-// ignoring store degradation (a local store never degrades). Remote-backed
-// callers should use Sample, which bounds the batch with a context and
-// reports lost data.
+// SampleBatch is Sample with no deadline for stores that cannot fail (a
+// LocalStore): degradation is ignored and a failed call panics. Remote- or
+// disk-backed callers should use Sample and handle its error.
 func (s *Sampler) SampleBatch(roots []graph.NodeID) *Result {
-	res, _ := s.Sample(context.Background(), roots)
+	res, err := s.Sample(context.Background(), roots)
+	if res == nil {
+		panic(err)
+	}
 	return res
 }
 
-// Sample runs k-hop sampling for the given roots. Each hop fetches the
-// whole frontier through one NeighborsBatch call, then draws neighbors in
-// frontier order, so results are identical to the historical per-node
-// path. The returned Result is always layout-complete; a non-nil error
-// reports store degradation (lost vertices contribute self-loop padding
-// and zeroed attributes) or ctx expiry (nil result).
+// Sample runs KHop over the sampler's store, drawing from its one
+// continuing RNG when RootStreams is off.
+func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, error) {
+	return KHop(ctx, s.store, s.cfg, s.rng, roots)
+}
+
+// RootError reports one root whose subtree lost data.
+type RootError struct {
+	// Index is the root's position in the batch.
+	Index int
+	// Root is the root vertex.
+	Root graph.NodeID
+	// Err is the first store error that lost a vertex the root asked for.
+	Err error
+}
+
+// PartialError reports that some roots of a batch degraded: their
+// subtrees carry self-loop padding and zeroed attributes where data was
+// lost, while every other root is complete and exact. The Result
+// accompanying a PartialError is always layout-complete.
+type PartialError struct {
+	Roots []RootError
+	// Errs holds every degrading store error of the call, in fetch order.
+	Errs []error
+}
+
+// Error implements error.
+func (e *PartialError) Error() string {
+	if len(e.Roots) == 1 {
+		return fmt.Sprintf("sampler: root %d degraded: %v", e.Roots[0].Root, e.Roots[0].Err)
+	}
+	return fmt.Sprintf("sampler: %d roots degraded (first: root %d: %v)",
+		len(e.Roots), e.Roots[0].Root, e.Roots[0].Err)
+}
+
+// Unwrap exposes the store errors to errors.Is / errors.As.
+func (e *PartialError) Unwrap() []error { return e.Errs }
+
+// AsPartial extracts a *PartialError from err.
+func AsPartial(err error) (*PartialError, bool) {
+	var pe *PartialError
+	ok := errors.As(err, &pe)
+	return pe, ok
+}
+
+// degradation applies Store's degrade contract to a call's fetches and
+// charges each loss to the roots that asked for the lost vertices.
+type degradation struct {
+	PartialError
+	roots []graph.NodeID
+	hit   []bool // per root: already in Roots
+}
+
+// classify sorts a fetch error: nil and degrading errors (remembered)
+// return a nil abort, the latter with the error's Lost; ctx expiry aborts
+// with ctx.Err(), anything else with err itself.
+func (d *degradation) classify(ctx context.Context, err error) (lost func(graph.NodeID) bool, abort error) {
+	if err == nil {
+		return nil, nil
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
+	var l interface{ Lost(graph.NodeID) bool }
+	if !errors.As(err, &l) {
+		return nil, err
+	}
+	d.Errs = append(d.Errs, err)
+	return l.Lost, nil
+}
+
+// charge marks degraded every root with a lost vertex in vs, which holds
+// perRoot consecutive entries per root. The error charged is the one
+// classify last remembered.
+func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, perRoot int) {
+	if lost == nil {
+		return
+	}
+	if d.hit == nil {
+		d.hit = make([]bool, len(d.roots))
+	}
+	for i, v := range vs {
+		if r := i / perRoot; !d.hit[r] && lost(v) {
+			d.hit[r] = true
+			d.Roots = append(d.Roots, RootError{Index: r, Root: d.roots[r], Err: d.Errs[len(d.Errs)-1]})
+		}
+	}
+}
+
+// KHop is the one k-hop loop every software path runs (Sampler.Sample,
+// cluster.Client.SampleBatch, pipeline.Executor.Sample). It is level-
+// synchronous: each hop fetches the whole batch's frontier through one
+// NeighborsBatch call and draws neighbors in frontier order, then draws
+// negatives and gathers every attribute vector through one AttrsBatch in
+// AttrOrder. With cfg.RootStreams every draw comes from a pooled Stream
+// positioned per (root, hop, position) — rng is unused and concurrent calls
+// are safe; without it draws consume rng in frontier order.
+//
+// Errors follow Store's degrade contract: a ctx expiry returns (nil,
+// ctx.Err()); a store error implementing Lost degrades — lost positions
+// pad with self-loops / zero fill, every other root stays exact, and the
+// layout-complete Result comes back with a *PartialError naming each root
+// that asked for a lost vertex; any other store error returns (nil, err).
 //
 // The result's hop, negative and attribute buffers come from the shared
 // internal/mem pools; call Result.Release when done with it to recycle
 // them (dropping the result without Release is safe, just unrecycled).
-func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, error) {
+func KHop(ctx context.Context, store Store, cfg Config, rng *rand.Rand, roots []graph.NodeID) (*Result, error) {
+	var st *Stream
+	if cfg.RootStreams {
+		st = GetStream()
+		defer PutStream(st)
+	} else if rng == nil {
+		return nil, errors.New("sampler: KHop without RootStreams needs an rng")
+	}
 	rg := mem.NewRegion()
 	res := &Result{Roots: roots, region: rg}
-	frontier := roots
-	width := 1 // per-root frontier width at the current hop
-	var firstErr error
-	for h, fanout := range s.cfg.Fanouts {
+	deg := degradation{roots: roots}
+	frontier, width := roots, 1 // width: per-root frontier width at this hop
+	for h, fanout := range cfg.Fanouts {
 		lists := mem.Lists.Get(len(frontier))
-		if err := s.store.NeighborsBatch(ctx, lists, frontier); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				mem.Lists.Put(lists)
-				res.Release()
-				return nil, ctxErr
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+		lost, err := deg.classify(ctx, store.NeighborsBatch(ctx, lists, frontier))
+		if err != nil {
+			mem.Lists.Put(lists)
+			res.Release()
+			return nil, err
 		}
+		deg.charge(lost, frontier, width)
 		// Each frontier node contributes exactly fanout entries after
 		// self-loop padding, so the hop buffer's size is exact; the capped
 		// slice turns any overflow into a reallocation instead of silent
@@ -244,13 +341,12 @@ func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, er
 		hopBuf := rg.IDs(len(frontier) * fanout)
 		next := hopBuf[:0:len(hopBuf)]
 		for i, v := range frontier {
-			rng := s.rng
-			if s.cfg.RootStreams {
-				rng = s.stream.Node(s.cfg.Seed, i/width, h, i%width)
+			if st != nil && len(lists[i]) > fanout { // at most fanout candidates: all kept, nothing drawn
+				rng = st.Node(cfg.Seed, i/width, h, i%width)
 			}
 			before := len(next)
 			var cyc int
-			next, cyc = ExpandNeighbors(next, v, lists[i], fanout, s.cfg.Method, s.cfg.WeightFn, rng)
+			next, cyc = ExpandNeighbors(next, v, lists[i], fanout, cfg.Method, cfg.WeightFn, rng)
 			res.Cycles += cyc
 			// Pad to exact fanout with the parent (self-loop fallback).
 			for len(next)-before < fanout {
@@ -259,47 +355,46 @@ func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, er
 		}
 		mem.Lists.Put(lists)
 		res.Hops = append(res.Hops, next)
-		frontier = next
-		width *= fanout
+		frontier, width = next, width*fanout
 	}
-	if s.cfg.NegativeRate > 0 {
-		negBuf := rg.IDs(len(roots) * s.cfg.NegativeRate)
+	if cfg.NegativeRate > 0 {
+		negBuf := rg.IDs(len(roots) * cfg.NegativeRate)
 		negs := negBuf[:0:len(negBuf)]
-		n := s.store.NumNodes()
+		n := store.NumNodes()
 		for r := range roots {
-			rng := s.rng
-			if s.cfg.RootStreams {
-				rng = s.stream.Negatives(s.cfg.Seed, r)
+			if st != nil {
+				rng = st.Negatives(cfg.Seed, r)
 			}
-			for i := 0; i < s.cfg.NegativeRate; i++ {
+			for i := 0; i < cfg.NegativeRate; i++ {
 				negs = append(negs, graph.NodeID(rng.Int63n(n)))
 			}
 		}
 		res.Negatives = negs
 	}
-	if s.cfg.FetchAttrs {
-		if err := s.fetchAttrs(ctx, res); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				res.Release()
-				return nil, ctxErr
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+	if cfg.FetchAttrs {
+		total := attrSlots(res)
+		ids := appendAttrOrder(mem.IDs.Get(total)[:0], res)
+		// Zeroed: degrading stores leave lost vertices at zero fill.
+		res.Attrs = rg.Floats(total*store.AttrLen(), true)
+		lost, err := deg.classify(ctx, store.AttrsBatch(ctx, res.Attrs, ids))
+		mem.IDs.Put(ids)
+		if err != nil {
+			res.Release()
+			return nil, err
 		}
+		deg.charge(lost, roots, 1)
+		width = 1
+		for h, hop := range res.Hops {
+			width *= cfg.Fanouts[h]
+			deg.charge(lost, hop, width)
+		}
+		deg.charge(lost, res.Negatives, cfg.NegativeRate)
 	}
-	return res, firstErr
-}
-
-func (s *Sampler) fetchAttrs(ctx context.Context, res *Result) error {
-	total := attrSlots(res)
-	ids := mem.IDs.Get(total)
-	ids = appendAttrOrder(ids[:0], res)
-	// Zeroed: degrading stores leave lost vertices at zero fill.
-	res.Attrs = res.region.Floats(total*s.store.AttrLen(), true)
-	err := s.store.AttrsBatch(ctx, res.Attrs, ids)
-	mem.IDs.Put(ids)
-	return err
+	if len(deg.Roots) > 0 {
+		pe := deg.PartialError // copied so deg itself stays on the stack
+		return res, &pe
+	}
+	return res, nil
 }
 
 // attrSlots counts the attribute vectors a result's canonical fetch order

@@ -2,8 +2,10 @@ package sampler
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lsdgnn/internal/graph"
@@ -295,5 +297,106 @@ func TestLocalStoreAdapter(t *testing.T) {
 		if attrs[i] != want[i] {
 			t.Fatal("adapter attrs do not match graph")
 		}
+	}
+}
+
+// hopFailStore fails its NeighborsBatch call number failAt (1-based) with
+// err, after nil-ing the lists of the vertices err claims lost.
+type hopFailStore struct {
+	LocalStore
+	failAt, calls int
+	err           error
+}
+
+func (s *hopFailStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
+	if err := s.LocalStore.NeighborsBatch(ctx, dst, vs); err != nil {
+		return err
+	}
+	if s.calls++; s.calls != s.failAt {
+		return nil
+	}
+	if l, ok := s.err.(interface{ Lost(graph.NodeID) bool }); ok {
+		for i, v := range vs {
+			if l.Lost(v) {
+				dst[i] = nil
+			}
+		}
+	}
+	return s.err
+}
+
+type lostOne graph.NodeID
+
+func (l lostOne) Error() string            { return "one vertex lost" }
+func (l lostOne) Lost(v graph.NodeID) bool { return v == graph.NodeID(l) }
+
+// TestPartialKHopDegradeRule pins Store's degrade contract as KHop applies
+// it: an error that says what it lost degrades exactly the roots that
+// asked for it, any other error — or a dead context — fails the call.
+func TestPartialKHopDegradeRule(t *testing.T) {
+	g := testGraph(t)
+	cfg := Config{Fanouts: []int{3, 2}, Method: Streaming, FetchAttrs: true, Seed: 5, RootStreams: true}
+	roots := []graph.NodeID{11, 12, 13, 14}
+	ref := New(LocalStore{G: g}, cfg).SampleBatch(roots)
+
+	// Lose a vertex root 2 first meets as a hop-1 sample, at the hop-2 fetch.
+	victim := ref.Hops[0][2*3+1]
+	res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 2, err: lostOne(victim)}, cfg, nil, roots)
+	pe, ok := AsPartial(err)
+	if !ok || res == nil {
+		t.Fatalf("degrading error: result returned = %v, err = %v", res != nil, err)
+	}
+	var wantRoots []int
+	for r := range roots {
+		for _, v := range ref.Hops[0][r*3 : (r+1)*3] {
+			if v == victim {
+				wantRoots = append(wantRoots, r)
+				break
+			}
+		}
+	}
+	var gotRoots []int
+	for _, re := range pe.Roots {
+		gotRoots = append(gotRoots, re.Index)
+	}
+	if !reflect.DeepEqual(gotRoots, wantRoots) || len(pe.Errs) != 1 || !errors.Is(err, lostOne(victim)) {
+		t.Fatalf("degraded roots %v (want %v), store errors %v", gotRoots, wantRoots, pe.Errs)
+	}
+	for i, v := range ref.Hops[0] {
+		// The victim pads with itself; every other subtree is exact.
+		got, want := res.Hops[1][i*2:(i+1)*2], ref.Hops[1][i*2:(i+1)*2]
+		if v == victim {
+			want = []graph.NodeID{victim, victim}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hop-2 children of %d = %v, want %v", v, got, want)
+		}
+	}
+
+	// An error that does not say what it lost is not served as data.
+	plain := errors.New("store closed")
+	if res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: plain}, cfg, nil, roots); res != nil || err != plain {
+		t.Fatalf("opaque store error: result returned = %v, err = %v", res != nil, err)
+	}
+	// A dead context wins over whatever the store said.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := KHop(ctx, &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: lostOne(victim)}, cfg, nil, roots); res != nil || err != context.Canceled {
+		t.Fatalf("cancelled call: result returned = %v, err = %v", res != nil, err)
+	}
+	// The no-error convenience wrapper does not hand a failed call's nil
+	// result to its caller.
+	func() {
+		defer func() {
+			if r := recover(); r != plain {
+				t.Fatalf("SampleBatch over a failing store recovered %v, want the store's error", r)
+			}
+		}()
+		New(&hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: plain}, cfg).SampleBatch(roots)
+	}()
+	// Without RootStreams the draws need the caller's RNG.
+	cfg.RootStreams = false
+	if res, err := KHop(context.Background(), LocalStore{G: g}, cfg, nil, roots); res != nil || err == nil {
+		t.Fatalf("nil rng without RootStreams: result returned = %v, err = %v", res != nil, err)
 	}
 }

@@ -59,9 +59,9 @@ const (
 // (seed, root, hop, position) stream between draws. Repositioning is an
 // in-place Seed, so a cursor returns exactly the values a freshly
 // constructed rand.New(rand.NewSource(child)) would. Execution paths hold
-// one Stream per worker (the synchronous sampler one total, the pipeline
-// one per root goroutine, an AxE core one per core) instead of
-// materializing a fresh RNG per expansion. Not safe for concurrent use.
+// one Stream per worker (a KHop call one from the pool, an AxE core one
+// per core) instead of materializing a fresh RNG per expansion. Not safe
+// for concurrent use.
 type Stream struct {
 	r *rand.Rand
 }
@@ -87,8 +87,8 @@ func (s *Stream) Negatives(seed int64, root int) *rand.Rand {
 	return s.r
 }
 
-// streamPool recycles Stream cursors across batches for paths (like the
-// pipeline's per-root goroutines) with no natural place to park one.
+// streamPool recycles Stream cursors across batches: KHop calls run
+// concurrently and have no natural place to park one.
 var streamPool = sync.Pool{New: func() any { return NewStream() }}
 
 // GetStream checks a stream cursor out of the shared pool.

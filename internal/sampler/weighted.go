@@ -127,7 +127,7 @@ func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weig
 }
 
 // ExpandNeighbors is the k-hop expansion step shared by every execution
-// path (synchronous Sampler, out-of-order pipeline, AxE engine): it draws
+// path (the KHop kernel, AxE engine): it draws
 // up to fanout of nbrs with method m and the given RNG, applying wf when
 // set. The returned slice grows dst by at most fanout (callers pad with
 // the parent to exact fanout).

@@ -17,7 +17,7 @@
 //		lsdgnn.WithReplicas(2),
 //		lsdgnn.WithResilience(lsdgnn.DefaultResilienceConfig()),
 //		lsdgnn.WithPacking(0), // MoF packing + BDI
-//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // OoO sampling (Tech-3)
+//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling (Tech-3)
 //	)
 //
 // Errors from the serving path carry typed semantics — match them with

@@ -54,8 +54,8 @@ type (
 	// TracingConfig sizes the system tracer: span-ring capacity and the
 	// 1-in-n span sampling rate (histograms always record).
 	TracingConfig = obs.TracerConfig
-	// PipelineConfig tunes the out-of-order sampling executor (in-flight
-	// window, hop-overlap bound) enabled by WithPipeline.
+	// PipelineConfig tunes the windowed sampling executor (its in-flight
+	// node-request budget) enabled by WithPipeline.
 	PipelineConfig = pipeline.Config
 	// PipelinePartialError reports per-root degradation from a pipelined
 	// batch: the result keeps its full layout, and each listed root's
@@ -221,17 +221,16 @@ func WithPacking(window time.Duration) Option {
 	return func(o *Options) { o.Packing = &PackingConfig{Window: window} }
 }
 
-// WithPipeline enables the out-of-order sampling executor — the software
+// WithPipeline enables the windowed sampling executor — the software
 // model of the AxE load unit (Section 4.2 Tech-3). System.SamplePipelined
-// then decomposes each batch into per-root, per-hop fetches flowing
-// through a bounded in-flight window (cfg.Window node-requests, 0 =
-// default 256), overlapping later hops of fast roots with earlier hops of
-// slow ones. Sampling switches to derived per-root RNG streams, so the
-// pipelined result is byte-identical to the synchronous path for the same
-// seed:
+// then issues each batch as one vector fetch per hop plus one attribute
+// gather, every fetch passing through an in-flight window shared by all
+// concurrent batches (cfg.Window node-requests, 0 = default 8192).
+// Sampling switches to derived per-root RNG streams, so the pipelined
+// result is byte-identical to the synchronous path for the same seed:
 //
 //	sys, err := lsdgnn.New("ss",
-//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{Window: 256}),
+//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{Window: 8192}),
 //	)
 //	res, err := sys.SamplePipelined(ctx, roots)
 func WithPipeline(cfg PipelineConfig) Option {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Pipeline smoke test: boot a real lsdgnn-server with the admin plane,
-# check /metrics pre-registers the out-of-order-executor series
+# check /metrics pre-registers the pipeline-executor series
 # (lsdgnn_pipeline_*, zero-valued — the executor runs client-side), then
 # drive a pipelined sampling burst through lsdgnn-probe over TCP and
 # assert the probe's own pipeline counters actually moved.
