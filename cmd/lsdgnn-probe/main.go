@@ -1,14 +1,12 @@
 // Command lsdgnn-probe is a wire-level load driver: it dials a running
 // lsdgnn-server cluster and pushes sampling batches through the client hot
-// path — with or without MoF request packing — then reports what crossed
-// the wire.
+// path, then reports what crossed the wire.
 //
-// It exists for smoke tests (scripts/wire_smoke.sh drives a packed burst
-// and then asserts the server's /metrics counted it) and for eyeballing
-// the packing win against a live cluster:
+// It exists for smoke tests (scripts/wire_smoke.sh drives a burst and then
+// asserts the server's /metrics counted its sectioned frames) and for
+// eyeballing the wire bytes against a live cluster:
 //
 //	lsdgnn-probe -addrs 127.0.0.1:7001,127.0.0.1:7002 -batches 8
-//	lsdgnn-probe -addrs 127.0.0.1:7001 -pack=false   # plain per-request frames
 //
 // With -replicas the address list covers a replicated tier in
 // UniformReplicas order (replica r of partition p at index r*partitions+p)
@@ -43,10 +41,8 @@ func main() {
 	addrs := flag.String("addrs", "127.0.0.1:7001", "comma-separated server addresses, one per partition (UniformReplicas layout)")
 	batches := flag.Int("batches", 8, "sampling batches to drive")
 	batchSize := flag.Int("batch-size", 64, "roots per batch")
-	workers := flag.Int("workers", 4, "concurrent batch drivers (concurrency is what fills packed frames)")
+	workers := flag.Int("workers", 4, "concurrent batch drivers")
 	fanout := flag.Int("fanout", 10, "neighbors sampled per hop (2 hops)")
-	pack := flag.Bool("pack", true, "request MoF packing + BDI")
-	window := flag.Duration("pack-window", 0, "packing window (0 = default)")
 	pipelined := flag.Bool("pipeline", false, "drive batches through the windowed sampling executor and print its lsdgnn_pipeline_* metrics")
 	memStats := flag.Bool("mem", false, "print the client-side lsdgnn_mem_* buffer-pool metrics after the burst")
 	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests, shared by all workers (0 = default 8192)")
@@ -89,9 +85,6 @@ func main() {
 	if *apiKey != "" {
 		opts = append(opts, cluster.WithAPIKey(*apiKey))
 	}
-	if *pack {
-		opts = append(opts, cluster.WithPacking(cluster.PackingConfig{Window: *window}))
-	}
 	slos := stats.NewSLOTracker()
 	if *sloStats {
 		opts = append(opts, cluster.WithSLO(slos.Objective(stats.Objective{
@@ -109,8 +102,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("connected: %d partitions ×%d replicas, %d nodes, attr %d floats, protocol v%d, packing %v\n",
-		partitions, *replicas, client.NumNodes(), client.AttrLen(), client.NegotiatedVersion(), client.Packing())
+	fmt.Printf("connected: %d partitions ×%d replicas, %d nodes, attr %d floats, protocol v%d\n",
+		partitions, *replicas, client.NumNodes(), client.AttrLen(), client.NegotiatedVersion())
 
 	cfg := sampler.Config{
 		Fanouts: []int{*fanout, *fanout}, NegativeRate: 4,
@@ -210,15 +203,12 @@ func main() {
 	fmt.Printf("drove %d batches (%d roots)%s in %v: %d RPCs, %.1f KB up, %.1f KB down\n",
 		*batches, sampled, as, time.Since(start).Round(time.Millisecond),
 		tr.Requests, float64(tr.RequestBytes)/1e3, float64(tr.ResponseBytes)/1e3)
-	if client.Packing() {
-		ps := &client.Pack
-		fmt.Printf("packing: %d frames carrying %d requests (%.1f reqs/frame), wire bytes %.0f%% of the plain-frame equivalent\n",
-			ps.Frames(), ps.Requests(), ps.PackRatio(),
-			float64(ps.WireBytes())/float64(ps.RawBytes())*100)
-		if ps.Frames() == 0 {
-			fatal(fmt.Errorf("packing on but no packed frames sent"))
-		}
+	ps := &client.Pack
+	if ps.Frames() == 0 {
+		fatal(fmt.Errorf("no packed frames sent"))
 	}
+	fmt.Printf("wire: %d sectioned frames at %.0f%% of their bare-vector bytes, %d duplicate attr IDs folded\n",
+		ps.Frames(), float64(ps.WireBytes())/float64(ps.RawBytes())*100, ps.Dedup())
 	if ex != nil {
 		st := ex.Stats()
 		fmt.Printf("pipeline: window %d, in-flight peak %d, %d requests issued, %d stalls\n",

@@ -59,7 +59,6 @@ func main() {
 	tracer := obs.NewTracer()
 	client, err := cluster.NewClientContext(context.Background(), transport, part, -1,
 		cluster.WithTracer(tracer),
-		cluster.WithPacking(cluster.PackingConfig{}),
 		cluster.WithResilience(cluster.ResilienceConfig{
 			Retry:    cluster.DefaultRetryPolicy(),
 			Breaker:  cluster.DefaultBreakerConfig(),
@@ -97,15 +96,14 @@ func main() {
 	fmt.Printf("resilience: %d retries, %d failovers to replicas, %d breaker rejects — batch intact despite injected chaos\n",
 		rs.Retries, rs.Failovers, rs.BreakerRejects)
 	if raw, wire := client.Pack.RawBytes(), client.Pack.WireBytes(); raw > 0 {
-		fmt.Printf("MoF packing: %.1f reqs/frame, wire bytes %.0f%% of the plain-frame equivalent\n",
-			client.Pack.PackRatio(), float64(wire)/float64(raw)*100)
+		fmt.Printf("MoF sections: %d frames, wire bytes %.0f%% of their bare-vector equivalent\n",
+			client.Pack.Frames(), float64(wire)/float64(raw)*100)
 	}
 
 	// The trace carried over the wire in the frame header: the batch's latency
-	// split hop by hop — packing window vs RPC machinery vs socket time vs
-	// server handler.
+	// split hop by hop — RPC machinery vs socket time vs server handler.
 	fmt.Println("\nper-hop latency (traced over TCP):")
-	for _, hop := range []string{obs.HopBatch, obs.HopPack, obs.HopRPC, obs.HopWire, obs.HopServer} {
+	for _, hop := range []string{obs.HopBatch, obs.HopRPC, obs.HopWire, obs.HopServer} {
 		h := tracer.Hop(hop)
 		if h.Count == 0 {
 			continue

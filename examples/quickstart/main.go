@@ -20,13 +20,11 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges, attr %d floats (%.1f MB footprint)\n",
 		g.NumNodes(), g.NumEdges(), g.AttrLen(), float64(g.FootprintBytes())/1e6)
 
-	// Assemble a 4-partition deployment with default (PoC) engines and
-	// MoF request packing on the storage RPCs.
+	// Assemble a 4-partition deployment with default (PoC) engines.
 	sys, err := lsdgnn.New("",
 		lsdgnn.WithGraph(g),
 		lsdgnn.WithServers(4),
 		lsdgnn.WithSeed(7),
-		lsdgnn.WithPacking(0),
 		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling, default 8192-request window
 	)
 	if err != nil {
@@ -50,8 +48,8 @@ func main() {
 	fmt.Printf("             %.1f%% of requests were fine-grained structure reads\n",
 		sys.Client.Access.StructureRequestShare()*100)
 	if raw, wire := sys.Client.Pack.RawBytes(), sys.Client.Pack.WireBytes(); raw > 0 {
-		fmt.Printf("             MoF packing: %.1f reqs/frame, wire bytes %.0f%% of the plain-frame equivalent\n",
-			sys.Client.Pack.PackRatio(), float64(wire)/float64(raw)*100)
+		fmt.Printf("             MoF sections: %d frames, wire bytes %.0f%% of their bare-vector equivalent\n",
+			sys.Client.Pack.Frames(), float64(wire)/float64(raw)*100)
 	}
 
 	// Pipelined path: the same batch through the windowed executor (the

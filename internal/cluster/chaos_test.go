@@ -372,11 +372,10 @@ func TestChaosContextCancel(t *testing.T) {
 }
 
 // TestChaosPackedSampleBatchUnderFaults reruns the headline chaos
-// acceptance test with packing on: concurrent batches through
-// the packer and attr coalescer, 20% injected faults, one replica per
-// partition — every batch must still match the fault-free unpacked
-// reference exactly. Retries wrap whole packed frames, so co-packed
-// requests from other batches must survive a frame's failover too.
+// acceptance test from concurrent callers sharing one client: 20% injected
+// faults, one spare replica per partition — every batch must still match
+// the fault-free reference exactly. Retries wrap whole frames, each under
+// its own caller's ctx, so one batch's failover never touches another's.
 func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 	g := testGraph(t)
 	const partitions, replicas, batches, batchSize, workers = 4, 2, 12, 24, 4
@@ -391,7 +390,6 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 	}
 	ft := NewFaultyTransport(DirectTransport{Servers: servers}, 42)
 	client, err := NewClientContext(bg, ft, part, 0,
-		WithPacking(PackingConfig{Window: 200 * time.Microsecond}),
 		WithResilience(ResilienceConfig{
 			Retry:    RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Jitter: 0.5},
 			Breaker:  BreakerConfig{Threshold: 10, OpenFor: 10 * time.Millisecond},
@@ -400,9 +398,6 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 		}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !client.Packing() {
-		t.Fatal("packing not negotiated")
 	}
 	ft.SetFaults(FaultSpec{ErrRate: 0.2})
 

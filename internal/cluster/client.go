@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
@@ -137,13 +138,9 @@ type Client struct {
 	// slo, when set (WithSLO), classifies every SampleBatch against a
 	// client-side latency objective.
 	slo *stats.SLO
-	// Pack tallies the packing layer ("cluster.pack"): frames vs logical
-	// requests, raw-vs-wire bytes, BDI ratio, coalescer hits.
+	// Pack tallies the client's frames ("cluster.pack"): count, raw-vs-wire
+	// bytes, BDI ratio, attribute dedupe hits.
 	Pack PackStats
-	// pack and coalesce are set by WithPacking; without it the client sends
-	// plain per-request frames.
-	pack     *packer
-	coalesce *attrCoalescer
 	// Lay tallies the elastic-layout control plane ("cluster.layout"):
 	// epoch gauge, swaps, joins, drains, migrations, dual-home requests,
 	// probe failures.
@@ -196,6 +193,19 @@ func WithTracer(tr *obs.Tracer) ClientOption {
 func WithSLO(s *stats.SLO) ClientOption {
 	return func(c *Client) { c.slo = s }
 }
+
+// PackingConfig has no fields left.
+//
+// Deprecated: it exists so WithPacking(PackingConfig{}) compiles.
+type PackingConfig struct{}
+
+// WithPacking selects nothing: every client sends each fetch as one
+// sectioned OpPacked frame.
+//
+// Deprecated: kept, with Client.Packing, only because bench/ calls both and
+// a simplification may not edit the benchmark; the next benchmark change
+// drops them.
+func WithPacking(PackingConfig) ClientOption { return func(*Client) {} }
 
 // WithAPIKey puts the key in the header of every outgoing frame — bootstrap
 // meta fetch included — for talking to servers fronted by a
@@ -272,6 +282,7 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	c.Lay.mu.Unlock()
 	if c.res != nil {
 		c.res.routes = c.routableEndpoints
+		c.res.live = func(ep int) bool { return c.layout.Load().Contains(ep) }
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -307,8 +318,11 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	return c, nil
 }
 
-// Packing reports whether request packing is active (WithPacking).
-func (c *Client) Packing() bool { return c.pack != nil }
+// Packing reports true: OpPacked is the only data frame.
+//
+// Deprecated: it distinguishes nothing and remains only because bench/
+// calls it; see WithPacking.
+func (c *Client) Packing() bool { return true }
 
 // NumNodes returns the global node count.
 func (c *Client) NumNodes() int64 { return c.meta.NumNodes }
@@ -332,6 +346,9 @@ func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, e
 		ctx, id = obs.EnsureTrace(ctx)
 		start := time.Now()
 		defer func() { c.tracer.Observe(id, obs.HopRPC, start, time.Since(start)) }()
+	}
+	if partition >= 0 && partition < len(c.loads) {
+		c.loads[partition].Add(1)
 	}
 	// Dual-home accounting is one atomic load plus a bool index — the
 	// layout indirection stays off the steady-state allocation path.
@@ -388,52 +405,52 @@ func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, 
 	return resp, nil
 }
 
-// neighborsRPC issues one per-shard neighbors request — through the
-// packing window when packing is on, as a plain frame otherwise. Either
-// way the resilient call path runs underneath.
-func (c *Client) neighborsRPC(ctx context.Context, s int, req NeighborsRequest) (NeighborsResponse, error) {
-	if s >= 0 && s < len(c.loads) {
-		c.loads[s].Add(1)
-	}
-	if c.pack != nil {
-		sub, err := c.pack.do(ctx, s, PackedSubRequest{Op: OpGetNeighbors, Neighbors: req})
-		if err != nil {
-			return NeighborsResponse{}, err
-		}
-		if sub.Err != nil {
-			return NeighborsResponse{}, sub.Err
-		}
-		return sub.Neighbors, nil
-	}
+// fetch sends sub as a one-sub OpPacked frame under the caller's own ctx and
+// returns the shard's answer to it. send is c.call for a partition — the
+// resilient path, so the frame is retried, failed over and breaker-gated as
+// a unit — or c.invoke for one endpoint, bypassing routing (the layout
+// probe). A sub the shard rejected comes back as its *ServerError.
+func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, send invokeFunc) (PackedSubResponse, error) {
+	// The header is fixed before the frame is encoded: the trace ID and the
+	// tenant key travel inside the bytes every attempt shares.
 	ctx, h := c.header(ctx)
-	raw, err := c.call(ctx, s, EncodeNeighborsRequest(h, req))
+	h.BDI = true
+	start := time.Now()
+	frame, err := encodePackedRequest(h, []PackedSubRequest{sub}, &c.Pack.Codec)
 	if err != nil {
-		return NeighborsResponse{}, err
+		return PackedSubResponse{}, err
 	}
-	return DecodeNeighborsResponse(raw)
+	c.observeCodec(h, start)
+	c.Pack.frames.Add(1)
+	c.Pack.rawReq.Add(int64(rawRequestBytes(sub)))
+	c.Pack.wireReq.Add(int64(len(frame)))
+	raw, err := send(ctx, target, frame)
+	if err != nil {
+		return PackedSubResponse{}, err
+	}
+	start = time.Now()
+	resps, err := DecodePackedResponse(raw, target, &c.Pack.Codec)
+	if err == nil && len(resps) != 1 {
+		err = fmt.Errorf("cluster: frame answered %d subs, sent 1", len(resps))
+	}
+	if err != nil {
+		return PackedSubResponse{}, err
+	}
+	c.observeCodec(h, start)
+	if resps[0].Err != nil {
+		return PackedSubResponse{}, resps[0].Err
+	}
+	c.Pack.rawResp.Add(int64(rawResponseBytes(resps[0])))
+	c.Pack.wireResp.Add(int64(len(raw)))
+	return resps[0], nil
 }
 
-// attrsRPC is neighborsRPC's attribute twin.
-func (c *Client) attrsRPC(ctx context.Context, s int, req AttrsRequest) (AttrsResponse, error) {
-	if s >= 0 && s < len(c.loads) {
-		c.loads[s].Add(1)
+// observeCodec records encode or decode time since start as a compress hop
+// of the frame's trace.
+func (c *Client) observeCodec(h Header, start time.Time) {
+	if c.tracer != nil {
+		c.tracer.Observe(obs.TraceID(h.Trace), obs.HopCompress, start, time.Since(start))
 	}
-	if c.pack != nil {
-		sub, err := c.pack.do(ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: req})
-		if err != nil {
-			return AttrsResponse{}, err
-		}
-		if sub.Err != nil {
-			return AttrsResponse{}, sub.Err
-		}
-		return sub.Attrs, nil
-	}
-	ctx, h := c.header(ctx)
-	raw, err := c.call(ctx, s, EncodeAttrsRequest(h, req))
-	if err != nil {
-		return AttrsResponse{}, err
-	}
-	return DecodeAttrsResponse(raw)
 }
 
 // fanout groups vs by owning shard and runs fetch once per non-empty group,
@@ -500,21 +517,17 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 }
 
 // NeighborsBatch and AttrsBatch implement the batch-first sampler.Store
-// interface and are the client's whole fetch path: group by owner, one RPC
-// per owning shard (neighborsRPC / attrsRPC), each decoded reply scattered
-// straight into dst. Both keep one contract: on a nil or *PartialError
-// return every element of dst is defined — positions owned by lost shards
-// are nil / zero-filled whatever dst held on entry — and on any other error
-// dst is cleared.
+// interface and are the client's whole fetch path: group by owner, one frame
+// per owning shard (fetch), each decoded reply scattered straight into dst.
+// Both keep one contract: on a nil or *PartialError return every element of
+// dst is defined — positions owned by lost shards are nil / zero-filled
+// whatever dst held on entry — and on any other error dst is cleared.
 
 // NeighborsBatch fills dst[i] with vs[i]'s adjacency list. The lists alias
 // the decoded replies and must not be modified.
 func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
 	err := c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []int) error {
-		resp, err := c.neighborsRPC(ctx, s, NeighborsRequest{IDs: grp})
-		if err == nil && len(resp.Lists) != len(grp) {
-			err = fmt.Errorf("cluster: server %d returned %d lists for %d ids", s, len(resp.Lists), len(grp))
-		}
+		lists, err := c.neighborLists(ctx, s, grp, c.call)
 		if err != nil {
 			for _, p := range pos {
 				dst[p] = nil
@@ -522,7 +535,7 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 			return err
 		}
 		remote := s != c.local
-		for i, l := range resp.Lists {
+		for i, l := range lists {
 			dst[pos[i]] = l
 			// Offset/degree lookup, then per-entry pointer chasing: each
 			// neighbor ID is an individual fine-grained (8 B) indirect
@@ -540,49 +553,74 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 	return err
 }
 
-// AttrsBatch fills dst with vs's attribute vectors concatenated in order.
-// With packing on the fetch runs through the attribute coalescer.
-func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
-	var err error
-	if c.coalesce != nil {
-		err = c.fetchAttrs(ctx, dst, vs)
-	} else {
-		al := c.meta.AttrLen
-		err = c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []int) error {
-			vecs, err := c.attrVectors(ctx, s, grp)
-			if err != nil {
-				for _, p := range pos {
-					clear(dst[p*al : (p+1)*al])
-				}
-				return err
-			}
-			for i, p := range pos {
-				copy(dst[p*al:(p+1)*al], vecs[i*al:])
-			}
-			return nil
-		})
-	}
-	if failed(err) {
-		clear(dst)
-	}
-	return err
-}
-
-// attrVectors fetches grp's attribute vectors from shard s, concatenated in
-// order. The slice is the decoded reply itself: owned by the GC, never
-// pooled, so callers may keep aliases into it.
-func (c *Client) attrVectors(ctx context.Context, s int, grp []graph.NodeID) ([]float32, error) {
-	resp, err := c.attrsRPC(ctx, s, AttrsRequest{IDs: grp})
+// neighborLists fetches grp's adjacency lists from target through send (see
+// fetch), one list per ID.
+func (c *Client) neighborLists(ctx context.Context, target int, grp []graph.NodeID, send invokeFunc) ([][]graph.NodeID, error) {
+	resp, err := c.fetch(ctx, target, PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: grp}}, send)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Attrs) != len(grp)*c.meta.AttrLen {
-		return nil, fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs), len(grp))
+	if len(resp.Neighbors.Lists) != len(grp) {
+		return nil, fmt.Errorf("cluster: server %d returned %d lists for %d ids", target, len(resp.Neighbors.Lists), len(grp))
 	}
-	for range grp {
-		c.Access.Record(trace.AccessAttribute, c.meta.AttrLen*4, s != c.local)
+	return resp.Neighbors.Lists, nil
+}
+
+// AttrsBatch fills dst with vs's attribute vectors concatenated in order.
+// Duplicate IDs within the call cost one fetch: the unique IDs go out, each
+// vector lands at its ID's first position in dst, and later positions copy
+// from there.
+func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
+	al := c.meta.AttrLen
+	// lead[i] is the first position in vs holding vs[i]; uniq and at are the
+	// IDs and positions where lead[i] == i, in order.
+	lead := mem.U32s.Get(len(vs))
+	defer mem.U32s.Put(lead)
+	at := mem.U32s.Get(len(vs))[:0]
+	defer mem.U32s.Put(at)
+	uniq := mem.IDs.Get(len(vs))[:0]
+	defer mem.IDs.Put(uniq)
+	first := make(map[graph.NodeID]uint32, len(vs))
+	for i, v := range vs {
+		p, seen := first[v]
+		if !seen {
+			p = uint32(i)
+			first[v] = p
+			uniq, at = append(uniq, v), append(at, p)
+		}
+		lead[i] = p
 	}
-	return resp.Attrs, nil
+	c.Pack.dedup.Add(int64(len(vs) - len(uniq)))
+
+	err := c.fanout(ctx, uniq, func(s int, grp []graph.NodeID, pos []int) error {
+		resp, err := c.fetch(ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: grp}}, c.call)
+		if err == nil && len(resp.Attrs.Attrs) != len(grp)*al {
+			err = fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs.Attrs), len(grp))
+		}
+		if err != nil {
+			for _, p := range pos {
+				clear(dst[int(at[p])*al:][:al])
+			}
+			return err
+		}
+		for i, p := range pos {
+			copy(dst[int(at[p])*al:][:al], resp.Attrs.Attrs[i*al:])
+		}
+		return nil
+	})
+	if failed(err) {
+		clear(dst)
+		return err
+	}
+	for i, p := range lead {
+		if int(p) != i {
+			copy(dst[i*al:][:al], dst[int(p)*al:][:al])
+		}
+		// The characterization (Figure 2(c)) counts the sampler's requests:
+		// every asked-for vector is one bulk access, folded on the wire or not.
+		c.Access.Record(trace.AccessAttribute, al*4, c.part.Owner(vs[i]) != c.local)
+	}
+	return err
 }
 
 // SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:

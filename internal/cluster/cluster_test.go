@@ -3,9 +3,9 @@ package cluster
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
@@ -74,38 +74,6 @@ func TestGroupByOwner(t *testing.T) {
 	}
 }
 
-func TestProtocolNeighborsRoundTrip(t *testing.T) {
-	req := NeighborsRequest{IDs: []graph.NodeID{5, 9, 1 << 40}}
-	got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, req)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.IDs) != 3 || got.IDs[2] != 1<<40 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	resp := NeighborsResponse{Lists: [][]graph.NodeID{{1, 2}, nil, {3}}}
-	gotR, err := DecodeNeighborsResponse(EncodeNeighborsResponse(Header{}, resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotR.Lists) != 3 || len(gotR.Lists[0]) != 2 || len(gotR.Lists[1]) != 0 || gotR.Lists[2][0] != 3 {
-		t.Fatalf("response round trip = %+v", gotR)
-	}
-}
-
-func TestProtocolAttrsRoundTrip(t *testing.T) {
-	req := AttrsRequest{IDs: []graph.NodeID{1, 2}}
-	got, err := DecodeAttrsRequest(bodyOf(t, EncodeAttrsRequest(Header{}, req)))
-	if err != nil || len(got.IDs) != 2 {
-		t.Fatalf("attrs request: %v %v", got, err)
-	}
-	resp := AttrsResponse{AttrLen: 2, Attrs: []float32{1.5, -2, 0, 3e9}}
-	gotR, err := DecodeAttrsResponse(EncodeAttrsResponse(Header{}, resp))
-	if err != nil || gotR.AttrLen != 2 || gotR.Attrs[3] != 3e9 {
-		t.Fatalf("attrs response: %+v %v", gotR, err)
-	}
-}
-
 func TestProtocolMetaRoundTrip(t *testing.T) {
 	m := MetaResponse{NumNodes: 1 << 33, AttrLen: 84, Partition: 2, Partitions: 5}
 	got, err := DecodeMetaResponse(EncodeMetaResponse(Header{}, m))
@@ -115,40 +83,23 @@ func TestProtocolMetaRoundTrip(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := DecodeNeighborsResponse(EncodeAttrsResponse(Header{}, AttrsResponse{})); err == nil {
+	var c mof.VecCodec
+	if _, err := DecodePackedResponse(EncodeMetaResponse(Header{}, MetaResponse{}), 0, &c); err == nil {
 		t.Fatal("wrong op accepted")
 	}
-	if _, err := DecodeNeighborsRequest([]byte{9, 0, 0, 0}); err == nil {
-		t.Fatal("truncated ID list accepted")
+	// One sub whose ID section claims 9 bytes and carries none.
+	if _, err := DecodePackedRequest([]byte{1, 0, 10, 0, 0, 0, OpGetNeighbors, 9, 0, 0, 0, 0, 0, 0, 0, 0}, false, &c); err == nil {
+		t.Fatal("truncated ID section accepted")
 	}
-	msg := bodyOf(t, EncodeAttrsRequest(Header{}, AttrsRequest{IDs: []graph.NodeID{1}}))
-	if _, err := DecodeAttrsRequest(append(msg, 0xFF)); err == nil {
+	msg, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{1}}}}, false, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePackedRequest(append(bodyOf(t, msg), 0xFF), false, &c); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	if _, err := DecodeMetaResponse(bare(OpMeta, 1)); err == nil {
 		t.Fatal("short meta accepted")
-	}
-}
-
-func TestPropertyProtocolIDs(t *testing.T) {
-	f := func(raw []uint64) bool {
-		ids := make([]graph.NodeID, len(raw))
-		for i, v := range raw {
-			ids[i] = graph.NodeID(v)
-		}
-		got, err := DecodeNeighborsRequest(bodyOf(t, EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: ids})))
-		if err != nil || len(got.IDs) != len(ids) {
-			return false
-		}
-		for i := range ids {
-			if got.IDs[i] != ids[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

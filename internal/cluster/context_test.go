@@ -5,10 +5,12 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
@@ -200,6 +202,74 @@ func TestConcurrentSampleBatchSharedClient(t *testing.T) {
 	}
 }
 
+// parkingTransport parks every data frame until release is closed or the
+// call's own ctx ends, counting the calls parked so far and the ones that
+// ended by ctx.
+type parkingTransport struct {
+	Transport
+	parked, aborted atomic.Int64
+	release         chan struct{}
+}
+
+func (t *parkingTransport) Call(ctx context.Context, server int, msg []byte) ([]byte, error) {
+	if msg[0] == OpPacked {
+		t.parked.Add(1)
+		select {
+		case <-t.release:
+		case <-ctx.Done():
+			t.aborted.Add(1)
+			return nil, ctx.Err()
+		}
+	}
+	return t.Transport.Call(ctx, server, msg)
+}
+
+// TestAttrsBatchCancelAbortsOwnFrame: a fetch travels under its caller's
+// ctx, so cancelling one caller mid-AttrsBatch ends that caller's transport
+// call — no frame outlives the call that asked for it — and leaves a
+// concurrent caller's overlapping fetch to the same shard untouched.
+func TestAttrsBatchCancelAbortsOwnFrame(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 1}
+	pt := &parkingTransport{
+		Transport: DirectTransport{Servers: []*Server{NewServer(g, part, 0)}},
+		release:   make(chan struct{}),
+	}
+	client, err := NewClient(pt, part, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := chaosRoots(g, 0, 40)
+	mine, theirs := ids[:24], ids[16:]
+	al := g.AttrLen()
+	_, attrs1 := dirtyBuffers(len(mine), al)
+	_, attrs2 := dirtyBuffers(len(theirs), al)
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	canceled, other := make(chan error, 1), make(chan error, 1)
+	go func() { canceled <- client.AttrsBatch(ctx, attrs1, mine) }()
+	go func() { other <- client.AttrsBatch(bg, attrs2, theirs) }()
+	waitFor(t, "both frames to be on the wire", func() bool { return pt.parked.Load() == 2 })
+
+	cancel()
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled caller returned %v", err)
+	}
+	if n := pt.aborted.Load(); n != 1 {
+		t.Fatalf("%d transport calls ended with the canceled caller, want 1 (its own)", n)
+	}
+	checkAgainstGraph(t, g, mine, nil, attrs1, func(graph.NodeID) bool { return true })
+
+	close(pt.release)
+	if err := <-other; err != nil {
+		t.Fatalf("concurrent caller failed: %v", err)
+	}
+	checkAgainstGraph(t, g, theirs, nil, attrs2, func(graph.NodeID) bool { return false })
+	if n := pt.aborted.Load(); n != 1 {
+		t.Fatalf("%d transport calls aborted in all, want 1", n)
+	}
+}
+
 func TestServerRejectsOutOfRangeNode(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
@@ -217,11 +287,21 @@ func TestServerRejectsOutOfRangeNode(t *testing.T) {
 	if _, err := srv.GetAttrs(bg, AttrsRequest{IDs: []graph.NodeID{huge}}); err == nil {
 		t.Fatal("out-of-range attrs request accepted")
 	}
-	// Through the wire path too: the server must answer with an error
-	// frame, not crash.
-	raw := EncodeNeighborsRequest(Header{}, NeighborsRequest{IDs: []graph.NodeID{huge}})
-	if _, err := srv.Handle(bg, raw); err == nil {
-		t.Fatal("out-of-range frame accepted by Handle")
+	// Through the wire path too: the server must answer the sub with a
+	// typed rejection, not crash.
+	var codec mof.VecCodec
+	raw, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{huge}}}}, true, &codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := srv.Handle(bg, raw)
+	if err != nil {
+		t.Fatalf("Handle failed the frame instead of the sub: %v", err)
+	}
+	subs, err := DecodePackedResponse(reply, 0, &codec)
+	var se *ServerError
+	if err != nil || len(subs) != 1 || !errors.As(subs[0].Err, &se) {
+		t.Fatalf("out-of-range sub came back as %+v, %v; want one *ServerError", subs, err)
 	}
 	// IDs at or above 2^63 turn negative when cast to int64; they must be
 	// rejected by the unsigned bounds check, not slip through.
@@ -241,9 +321,11 @@ func TestHandleRecoversPanics(t *testing.T) {
 	// current decoder panics, so drive Handle with deliberately hostile
 	// frames and assert errors come back for all of them.
 	hostile := [][]byte{
-		bare(OpGetNeighbors),
-		bare(OpGetNeighbors, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
-		bare(OpGetAttrs, 0xFF, 0xFF, 0xFF, 0x7F),
+		bare(OpPacked),
+		bare(OpPacked, 0xFF, 0xFF),
+		bare(OpPacked, 1, 0, 0xFF, 0xFF, 0xFF, 0x7F),
+		bare(OpPacked, 1, 0, 5, 0, 0, 0, OpGetAttrs, 0xFF, 0xFF, 0xFF, 0xFF),
+		bare(OpGetNeighbors, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0),
 		bare(0x42, 0x00),
 	}
 	for i, msg := range hostile {

@@ -1,33 +1,17 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lsdgnn/internal/graph"
 )
 
-// gatedTransport parks every call while a gate is installed, so a test can
-// hold a fetch in flight for as long as it needs.
-type gatedTransport struct {
-	Transport
-	gate atomic.Pointer[chan struct{}]
-}
-
-func (t *gatedTransport) Call(ctx context.Context, server int, msg []byte) ([]byte, error) {
-	if g := t.gate.Load(); g != nil {
-		<-*g
-	}
-	return t.Transport.Call(ctx, server, msg)
-}
-
-// waitFor polls cond until it holds; the fetches it watches are parked
-// behind a gate, so only a bug makes it time out.
+// waitFor polls cond until it holds; the calls it watches are parked in a
+// test transport, so only a bug makes it time out.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
@@ -85,13 +69,14 @@ func TestClientStoreContract(t *testing.T) {
 	onDead := func(v graph.NodeID) bool { return part.Owner(v) == dead }
 	all := func(graph.NodeID) bool { return true }
 
-	build := func(t *testing.T, packed, partial bool) (*gatedTransport, *FaultyTransport, *Client) {
+	// packed builds the client through the deprecated WithPacking shim, which
+	// must select nothing: both columns hold to the same contract.
+	build := func(t *testing.T, packed, partial bool) (*FaultyTransport, *Client) {
 		servers := make([]*Server, partitions)
 		for i := range servers {
 			servers[i] = NewServer(g, part, i)
 		}
-		gt := &gatedTransport{Transport: DirectTransport{Servers: servers}}
-		ft := NewFaultyTransport(gt, 1)
+		ft := NewFaultyTransport(DirectTransport{Servers: servers}, 1)
 		opts := []ClientOption{WithResilience(ResilienceConfig{
 			Retry:          RetryPolicy{MaxAttempts: 1},
 			Breaker:        BreakerConfig{Threshold: 1000, OpenFor: time.Minute},
@@ -104,7 +89,7 @@ func TestClientStoreContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gt, ft, client
+		return ft, client
 	}
 
 	for _, packed := range []bool{false, true} {
@@ -114,7 +99,7 @@ func TestClientStoreContract(t *testing.T) {
 			lost          func(graph.NodeID) bool // a cleared dst reads as "every position lost"
 		}{{"healthy", false, false, none}, {"partial", true, true, onDead}, {"failclosed", true, false, all}} {
 			t.Run(fmt.Sprintf("packed=%v/%s", packed, tc.name), func(t *testing.T) {
-				_, ft, client := build(t, packed, tc.partial)
+				ft, client := build(t, packed, tc.partial)
 				if tc.kill {
 					ft.KillServer(dead)
 				}
@@ -133,42 +118,10 @@ func TestClientStoreContract(t *testing.T) {
 					}
 				}
 				checkAgainstGraph(t, g, ids, lists, attrs, tc.lost)
-				if d := client.Pack.dedup.Load(); packed && d != 4 {
+				if d := client.Pack.dedup.Load(); d != 4 {
 					t.Fatalf("attr_dedup_hits = %d, want 4", d)
 				}
 			})
 		}
 	}
-
-	// Two overlapping calls: the second joins the first's in-flight fetch
-	// for the shared IDs, leads its own, and both see every position filled.
-	t.Run("packed=true/joined", func(t *testing.T) {
-		gt, _, client := build(t, true, false)
-		first, second := ids[:24], ids[16:40]
-		gate := make(chan struct{})
-		gt.gate.Store(&gate)
-		inflight := func() int {
-			client.coalesce.mu.Lock()
-			defer client.coalesce.mu.Unlock()
-			return len(client.coalesce.inflight)
-		}
-		_, attrs1 := dirtyBuffers(len(first), al)
-		_, attrs2 := dirtyBuffers(len(second), al)
-		errs := make(chan error, 2)
-		go func() { errs <- client.AttrsBatch(bg, attrs1, first) }()
-		waitFor(t, "the first call's fetches to be in flight", func() bool { return inflight() == 24 })
-		go func() { errs <- client.AttrsBatch(bg, attrs2, second) }()
-		waitFor(t, "the second call to register", func() bool { return inflight() == 40 })
-		close(gate)
-		for range 2 {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		}
-		checkAgainstGraph(t, g, first, nil, attrs1, none)
-		checkAgainstGraph(t, g, second, nil, attrs2, none)
-		if j, r := client.Pack.joins.Load(), client.Pack.refetches.Load(); j != 8 || r != 0 {
-			t.Fatalf("attr_coalesce_joins = %d, refetches = %d; want 8 and 0", j, r)
-		}
-	})
 }

@@ -62,8 +62,8 @@ type LayoutEndpoint struct {
 // the preferred primary) together with their lifecycle state. Layouts are
 // immutable: the With* methods return a copy with the epoch advanced, and
 // Client.ApplyLayout swaps the active layout atomically — the partition
-// *count* never changes across epochs (packer queues and partitioners key
-// on it), only the endpoint sets do.
+// *count* never changes across epochs (partitioners key on it), only the
+// endpoint sets do.
 //
 // Build one with NewLayout or UniformLayout; derive successors with the
 // mutators. A zero Layout is not valid.
@@ -505,7 +505,7 @@ func (c *Client) applyLocked(nl *Layout) error {
 		return fmt.Errorf("cluster: stale layout epoch %d (serving epoch %d)", norm.Epoch, old.Epoch)
 	}
 	c.layout.Store(norm)
-	c.res.pruneBreakers(func(ep int) bool { return norm.Contains(ep) })
+	c.res.pruneBreakers()
 	c.Lay.add(&c.Lay.snap.Swaps)
 	return nil
 }
@@ -548,10 +548,9 @@ func (c *Client) AddReplica(ctx context.Context, partition, endpoint int) error 
 
 // DrainReplica rotates an endpoint out of a partition's replica set: the
 // endpoint is marked draining (new requests stop routing to it at the
-// epoch swap), in-flight requests — packed flush frames included — finish
-// against it, and it is then removed from the layout. Refused for the
-// partition's last serving endpoint. ctx bounds the wait for in-flight
-// work.
+// epoch swap), in-flight requests finish against it, and it is then
+// removed from the layout. Refused for the partition's last serving
+// endpoint. ctx bounds the wait for in-flight work.
 func (c *Client) DrainReplica(ctx context.Context, partition, endpoint int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
@@ -745,25 +744,18 @@ func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []g
 	if len(ids) == 0 {
 		return nil
 	}
-	raw, err = c.invoke(ctx, endpoint, EncodeNeighborsRequest(h, NeighborsRequest{IDs: ids}))
-	if err != nil {
-		return err
-	}
-	got, err := DecodeNeighborsResponse(raw)
+	got, err := c.neighborLists(ctx, endpoint, ids, c.invoke)
 	if err != nil {
 		return err
 	}
 	// The reference answer comes from the partition's serving replicas via
 	// the normal resilient path.
-	want, err := c.neighborsRPC(ctx, partition, NeighborsRequest{IDs: ids})
+	want, err := c.neighborLists(ctx, partition, ids, c.call)
 	if err != nil {
 		return err
 	}
-	if len(got.Lists) != len(want.Lists) {
-		return fmt.Errorf("cluster: endpoint %d parity probe returned %d lists, serving replicas %d", endpoint, len(got.Lists), len(want.Lists))
-	}
-	for i := range got.Lists {
-		if !idListsEqual(got.Lists[i], want.Lists[i]) {
+	for i := range got {
+		if !idListsEqual(got[i], want[i]) {
 			return fmt.Errorf("cluster: endpoint %d parity mismatch on node %d", endpoint, ids[i])
 		}
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +262,45 @@ func TestBreakerPrunedOnLayoutSwap(t *testing.T) {
 	}
 	if ok, probe := fresh.Allow(); !ok || probe {
 		t.Fatalf("fresh breaker Allow() = %v, %v", ok, probe)
+	}
+}
+
+// TestStalePassLeavesNoBreaker: a retry pass that resolved its endpoints
+// before an epoch swap still tries the one that has since left, and must
+// not put that endpoint's breaker back into the map pruneBreakers just
+// cleared.
+func TestStalePassLeavesNoBreaker(t *testing.T) {
+	g := testGraph(t)
+	_, client := buildLayoutCluster(t, g, 2, 2, nil, WithResilience(DefaultResilienceConfig()))
+	r := client.res
+	stale := r.endpoints(0)
+	if !slices.Equal(stale, []int{0, 2}) {
+		t.Fatalf("partition 0 routes to %v, want [0 2]", stale)
+	}
+	d, err := client.Layout().WithDraining(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Without(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.ApplyLayout(out); err != nil {
+		t.Fatal(err)
+	}
+	down := func(context.Context, int, []byte) ([]byte, error) { return nil, errors.New("down") }
+	if _, err := r.pass(bg, stale, metaReq, down); err == nil {
+		t.Fatal("pass over dead endpoints succeeded")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ep := range r.breakers {
+		if !client.Layout().Contains(ep) {
+			t.Fatalf("breaker map holds departed endpoint %d", ep)
+		}
+	}
+	if _, ok := r.breakers[0]; !ok {
+		t.Fatal("live endpoint 0 was tried but has no breaker")
 	}
 }
 

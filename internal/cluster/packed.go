@@ -13,20 +13,22 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// MoF on the wire. An OpPacked frame carries many logical
-// GetNeighbors/GetAttrs requests to the same shard in one round trip
-// (§4.3 Tech-1 multi-request packing), and its node-ID / degree vectors
-// plus attribute payloads travel through the mof.VecCodec section format,
-// BDI-compressed when that is smaller (Tech-2) and the header's BDI bit
-// asks for it.
+// MoF on the wire. OpPacked is the one data frame: a count of sub-requests
+// to the same shard, each a GetNeighbors or GetAttrs over a vector of node
+// IDs. The multi-request amortisation of §4.3 Tech-1 happens upstream, in
+// sampler.KHop, which hands the client one per-partition vector per hop for
+// the whole batch; the client sends every fetch as a one-sub frame the
+// moment it is asked for, and the format stays multi-sub for peers that
+// batch on their own. Node-ID / degree vectors and attribute payloads travel
+// through the mof.VecCodec section format, BDI-compressed when that is
+// smaller (Tech-2) and the header's BDI bit asks for it.
 //
 // Frame bodies behind the header (protocol.go), little-endian:
 //
 //	request:   count u16 | count × (len u32 | sub)
 //	response:  count u16 | count × (len u32 | status u8 | body)
 //
-// Sub-request bodies reuse the plain op codes but swap bare ID lists for
-// codec sections:
+// Sub-request bodies:
 //
 //	neighbors: OpGetNeighbors | idSection
 //	attrs:     OpGetAttrs | idSection
@@ -42,6 +44,13 @@ import (
 
 // OpPacked is the packed-frame op code.
 const OpPacked = 0x20
+
+// Sub-op codes inside an OpPacked frame. They are not frame ops: a frame
+// that leads with one is rejected as an unknown op.
+const (
+	OpGetNeighbors = 0x01
+	OpGetAttrs     = 0x02
+)
 
 // MaxPackedRequests caps sub-requests per packed frame, the paper's
 // 64-deep packing window.
@@ -412,6 +421,66 @@ func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSu
 		}
 	}
 	return subs, nil
+}
+
+// PackStats counts the client's side of the wire: frames sent (one per
+// fetch), the bytes those fetches would take as bare uncompressed vectors
+// against what actually crossed, BDI's achieved ratio, and the attribute
+// fetches the in-call dedupe saved. Layer "cluster.pack".
+type PackStats struct {
+	frames   atomic.Int64
+	rawReq   atomic.Int64 // bare-vector-equivalent request bytes
+	wireReq  atomic.Int64 // request frame bytes
+	rawResp  atomic.Int64 // bare-vector-equivalent response bytes
+	wireResp atomic.Int64 // response frame bytes
+	dedup    atomic.Int64 // duplicate attr IDs folded within one fetch
+	// Codec is the section codec all frames on this client run through; its
+	// counters yield the live compression ratio.
+	Codec mof.VecCodec
+}
+
+// Snapshot-style accessors used by experiments and the benchmark harness.
+// Requests equals Frames: every fetch is its own frame.
+func (p *PackStats) Frames() int64   { return p.frames.Load() }
+func (p *PackStats) Requests() int64 { return p.frames.Load() }
+func (p *PackStats) RawBytes() int64 { return p.rawReq.Load() + p.rawResp.Load() }
+func (p *PackStats) WireBytes() int64 {
+	return p.wireReq.Load() + p.wireResp.Load()
+}
+func (p *PackStats) Dedup() int64 { return p.dedup.Load() }
+
+// StatsSnapshot implements stats.Source under "cluster.pack".
+func (p *PackStats) StatsSnapshot() stats.Snapshot {
+	return stats.Snapshot{
+		Layer: "cluster.pack",
+		Metrics: []stats.Metric{
+			{Name: "packed_frames", Value: float64(p.frames.Load()), Unit: "req"},
+			{Name: "raw_bytes", Value: float64(p.RawBytes()), Unit: "bytes"},
+			{Name: "wire_bytes", Value: float64(p.WireBytes()), Unit: "bytes"},
+			{Name: "compression_ratio", Value: p.Codec.Ratio(), Unit: "ratio"},
+			{Name: "attr_dedup_hits", Value: float64(p.dedup.Load()), Unit: "req"},
+		},
+	}
+}
+
+// rawRequestBytes is the size sub would take as a bare ID list — op, count,
+// 8 bytes per ID behind a two-byte header: the raw side of the wire ratio.
+func rawRequestBytes(sub PackedSubRequest) int {
+	// A sub sets only its own op's ID list.
+	return 6 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
+}
+
+// rawResponseBytes is rawRequestBytes for a reply: bare counted lists or
+// bare floats.
+func rawResponseBytes(resp PackedSubResponse) int {
+	if resp.Op == OpGetNeighbors {
+		n := 6
+		for _, l := range resp.Neighbors.Lists {
+			n += 4 + len(l)*8
+		}
+		return n
+	}
+	return 10 + len(resp.Attrs.Attrs)*4
 }
 
 // WireStats counts a server's wire-level traffic: every frame handled, the

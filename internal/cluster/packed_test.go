@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mof"
@@ -148,103 +147,97 @@ func TestPackedIDCompressionWins(t *testing.T) {
 	}
 }
 
-// TestPackedSampleMatchesPlain proves equal result correctness: the same
-// batch sampled through a packing client and a plain-frame client comes
-// out bit-identical, while the packed run actually exercised OpPacked.
+// TestPackedSampleMatchesPlain: a batch sampled through the client comes out
+// bit-identical to the reference sampler over the local graph, and past the
+// bootstrap meta fetch every frame the servers saw was an OpPacked frame
+// carrying exactly one sub-request.
 func TestPackedSampleMatchesPlain(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 4}
 	cfg := sampler.Config{Fanouts: []int{4, 4}, NegativeRate: 4, Method: sampler.Streaming, FetchAttrs: true, Seed: 9}
 	roots := []graph.NodeID{5, 9, 9, 140, 700, 700, 1301}
 
-	run := func(opts ...ClientOption) (*sampler.Result, []*Server) {
-		servers := make([]*Server, 4)
-		for i := range servers {
-			servers[i] = NewServer(g, part, i)
-		}
-		cl, err := NewClientContext(bg, DirectTransport{Servers: servers}, part, -1, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.SampleBatch(bg, roots, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, servers
+	servers := make([]*Server, 4)
+	for i := range servers {
+		servers[i] = NewServer(g, part, i)
 	}
-
-	plain, _ := run()
-	packed, servers := run(WithPacking(PackingConfig{Window: time.Millisecond}))
-	if !reflect.DeepEqual(plain, packed) {
-		t.Fatal("packed sampling diverged from plain sampling")
-	}
-	var packedFrames int64
-	for _, s := range servers {
-		packedFrames += s.Wire().packed.Load()
-	}
-	if packedFrames == 0 {
-		t.Fatal("no packed frame reached any server")
-	}
-	for _, s := range servers {
-		if got, _ := s.Wire().StatsSnapshot().Get("bytes_total"); got <= 0 && s.Wire().frames.Load() > 0 {
-			t.Fatal("wire bytes not counted")
-		}
-	}
-}
-
-// TestPackedSubRejectionIsolated: one bad node ID inside a packed frame
-// fails only its own sub-request, typed as *ServerError, while co-packed
-// requests still succeed.
-func TestPackedSubRejectionIsolated(t *testing.T) {
-	g := testGraph(t)
-	part := HashPartitioner{N: 2}
-	srv := []*Server{NewServer(g, part, 0), NewServer(g, part, 1)}
-	cl, err := NewClientContext(bg, DirectTransport{Servers: srv}, part, -1,
-		WithPacking(PackingConfig{Window: 50 * time.Millisecond}))
+	cl, err := NewClientContext(bg, DirectTransport{Servers: servers}, part, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Packing() {
-		t.Fatal("packing not negotiated against v2 server")
+	got, err := cl.SampleBatch(bg, roots, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Find two IDs owned by partition 0 and one hostile out-of-range ID.
+	want, err := sampler.New(sampler.LocalStore{G: g}, cfg).Sample(bg, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sampling over the wire diverged from the local reference")
+	}
+	var packedFrames int64
+	for i, s := range servers {
+		w := s.Wire()
+		meta := int64(0)
+		if i == 0 {
+			meta = 1 // the bootstrap fetch
+		}
+		if other := w.frames.Load() - w.packed.Load(); other != meta {
+			t.Fatalf("server %d saw %d frames that were not OpPacked, want %d", i, other, meta)
+		}
+		if w.packedSub.Load() != w.packed.Load() {
+			t.Fatalf("server %d: packed_requests %d != packed_frames %d", i, w.packedSub.Load(), w.packed.Load())
+		}
+		if got, _ := w.StatsSnapshot().Get("bytes_total"); got <= 0 && w.frames.Load() > 0 {
+			t.Fatal("wire bytes not counted")
+		}
+		packedFrames += w.packed.Load()
+	}
+	if packedFrames == 0 || packedFrames != cl.Pack.Frames() {
+		t.Fatalf("servers saw %d packed frames, client sent %d", packedFrames, cl.Pack.Frames())
+	}
+}
+
+// TestPackedSubRejectionIsolated: one bad node ID inside a multi-sub frame
+// fails only its own sub-request, typed as *ServerError, while its
+// neighbours in the frame still return data.
+func TestPackedSubRejectionIsolated(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	srv := NewServer(g, part, 0)
 	var owned []graph.NodeID
 	for v := graph.NodeID(0); len(owned) < 2; v++ {
 		if part.Owner(v) == 0 {
 			owned = append(owned, v)
 		}
 	}
-	type out struct {
-		lists [][]graph.NodeID
-		err   error
+	var c mof.VecCodec
+	frame, err := EncodePackedRequest([]PackedSubRequest{
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{1 << 40}}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned}},
+	}, true, &c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := make(chan out, 1)
-	go func() {
-		l, err := getNeighbors(cl, owned)
-		good <- out{l, err}
-	}()
-	// The hostile ID hashes to some partition; steer it into partition 0's
-	// window by sending through the raw packed path.
-	bad := graph.NodeID(1 << 40)
-	subErr := make(chan error, 1)
-	go func() {
-		sub, err := cl.pack.do(bg, 0, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{bad}}})
-		if err != nil {
-			subErr <- err
-			return
-		}
-		subErr <- sub.Err
-	}()
-	g1 := <-good
-	if g1.err != nil {
-		t.Fatalf("co-packed good request failed: %v", g1.err)
+	raw, err := srv.Handle(bg, frame)
+	if err != nil {
+		t.Fatalf("one hostile sub failed the whole frame: %v", err)
 	}
-	if len(g1.lists) != 2 {
-		t.Fatalf("got %d lists", len(g1.lists))
+	subs, err := DecodePackedResponse(raw, 0, &c)
+	if err != nil || len(subs) != 3 {
+		t.Fatalf("decoded %d subs, err %v", len(subs), err)
+	}
+	if subs[0].Err != nil || len(subs[0].Neighbors.Lists) != 2 {
+		t.Fatalf("co-packed neighbors sub: %+v", subs[0])
 	}
 	var se *ServerError
-	if err := <-subErr; !errors.As(err, &se) {
-		t.Fatalf("hostile sub error = %v, want *ServerError", err)
+	if !errors.As(subs[1].Err, &se) {
+		t.Fatalf("hostile sub error = %v, want *ServerError", subs[1].Err)
+	}
+	if subs[2].Err != nil || len(subs[2].Attrs.Attrs) != 2*g.AttrLen() {
+		t.Fatalf("co-packed attrs sub: %+v", subs[2])
 	}
 }
 
@@ -254,8 +247,7 @@ func TestAttrCoalescerDedup(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
 	srv := []*Server{NewServer(g, part, 0), NewServer(g, part, 1)}
-	cl, err := NewClientContext(bg, DirectTransport{Servers: srv}, part, -1,
-		WithPacking(PackingConfig{Window: time.Millisecond}))
+	cl, err := NewClientContext(bg, DirectTransport{Servers: srv}, part, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +293,15 @@ func FuzzDecodePacked(f *testing.F) {
 	f.Add(seed2)
 	f.Add(seed3)
 	f.Add(bare(OpPacked, 1, 0, 0, 0, 0, 0))
+	// The shape every client sends, and its reply.
+	seed4, _ := EncodePackedRequest([]PackedSubRequest{
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{8, 16, 24, 1 << 33}}},
+	}, true, &c)
+	seed5 := EncodePackedResponse(Header{BDI: true, Traced: true, Trace: 77}, []PackedSubResponse{
+		{Op: OpGetNeighbors, Neighbors: NeighborsResponse{Lists: [][]graph.NodeID{{9, 10}, {}, {11}, {}}}},
+	}, &c)
+	f.Add(seed4)
+	f.Add(seed5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc mof.VecCodec
 		// Must never panic or over-allocate; errors are the contract for

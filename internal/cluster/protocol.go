@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"lsdgnn/internal/graph"
 )
@@ -24,16 +23,14 @@ import (
 // is rejected by ParseHeader, on the server as a *ServerError (never
 // retried, never a breaker strike) and on the client as a failed bootstrap.
 
-// Op codes.
-const (
-	OpGetNeighbors = 0x01
-	OpGetAttrs     = 0x02
-	OpMeta         = 0x03
-)
+// Frame ops: OpMeta here, OpPacked (packed.go) for every data fetch.
+const OpMeta = 0x03
 
 // ProtoVersion is this build's wire protocol version, carried in every
-// frame header.
-const ProtoVersion = 4
+// frame header. A v4 peer, which still sends GetNeighbors/GetAttrs as frames
+// of their own, fails its bootstrap on the version instead of meeting
+// "unknown op" mid-run.
+const ProtoVersion = 5
 
 // hdr byte layout, and where the optional u64 sits in a frame that has one.
 const (
@@ -132,11 +129,8 @@ func replyBody(frame []byte, op byte) (Header, []byte, error) {
 	return h, body, nil
 }
 
-// The plain per-request body codec below is the reference the packed frames
-// (packed.go) are compared against. Encoders take the header to emit (its Op
-// is set for them); request decoders take the body ParseHeader returned,
-// because a server parses the header once before it dispatches; reply
-// decoders take the whole frame off the transport.
+// Request and response payloads. The four fetch types travel as OpPacked
+// sub-requests (packed.go); only meta has a frame of its own.
 
 // NeighborsRequest asks for the adjacency lists of IDs.
 type NeighborsRequest struct{ IDs []graph.NodeID }
@@ -163,139 +157,10 @@ type MetaResponse struct {
 	Partitions int
 }
 
-func appendIDs(dst []byte, ids []graph.NodeID) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
-	for _, v := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
-	return dst
-}
-
-func readIDs(src []byte) ([]graph.NodeID, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("cluster: truncated ID list header")
-	}
-	n := binary.LittleEndian.Uint32(src)
-	src = src[4:]
-	if uint64(len(src)) < uint64(n)*8 {
-		return nil, nil, fmt.Errorf("cluster: truncated ID list: want %d ids, have %d bytes", n, len(src))
-	}
-	ids := make([]graph.NodeID, n)
-	for i := range ids {
-		ids[i] = graph.NodeID(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	return ids, src[n*8:], nil
-}
-
 // EncodeMetaRequest serializes a meta request; its body is empty.
 func EncodeMetaRequest(h Header) []byte {
 	h.Op = OpMeta
 	return AppendHeader(nil, h)
-}
-
-// EncodeNeighborsRequest serializes r.
-func EncodeNeighborsRequest(h Header, r NeighborsRequest) []byte {
-	h.Op = OpGetNeighbors
-	return appendIDs(AppendHeader(nil, h), r.IDs)
-}
-
-// DecodeNeighborsRequest parses an OpGetNeighbors request body.
-func DecodeNeighborsRequest(body []byte) (NeighborsRequest, error) {
-	ids, rest, err := readIDs(body)
-	if err != nil {
-		return NeighborsRequest{}, err
-	}
-	if len(rest) != 0 {
-		return NeighborsRequest{}, fmt.Errorf("cluster: %d trailing bytes in neighbors request", len(rest))
-	}
-	return NeighborsRequest{IDs: ids}, nil
-}
-
-// EncodeNeighborsResponse serializes r.
-func EncodeNeighborsResponse(h Header, r NeighborsResponse) []byte {
-	h.Op = OpGetNeighbors
-	out := AppendHeader(nil, h)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Lists)))
-	for _, l := range r.Lists {
-		out = appendIDs(out, l)
-	}
-	return out
-}
-
-// DecodeNeighborsResponse parses an OpGetNeighbors reply frame.
-func DecodeNeighborsResponse(frame []byte) (NeighborsResponse, error) {
-	_, rest, err := replyBody(frame, OpGetNeighbors)
-	if err != nil {
-		return NeighborsResponse{}, err
-	}
-	if len(rest) < 4 {
-		return NeighborsResponse{}, fmt.Errorf("cluster: truncated neighbors response")
-	}
-	n := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	resp := NeighborsResponse{Lists: make([][]graph.NodeID, n)}
-	for i := range resp.Lists {
-		resp.Lists[i], rest, err = readIDs(rest)
-		if err != nil {
-			return NeighborsResponse{}, err
-		}
-	}
-	if len(rest) != 0 {
-		return NeighborsResponse{}, fmt.Errorf("cluster: %d trailing bytes in neighbors response", len(rest))
-	}
-	return resp, nil
-}
-
-// EncodeAttrsRequest serializes r.
-func EncodeAttrsRequest(h Header, r AttrsRequest) []byte {
-	h.Op = OpGetAttrs
-	return appendIDs(AppendHeader(nil, h), r.IDs)
-}
-
-// DecodeAttrsRequest parses an OpGetAttrs request body.
-func DecodeAttrsRequest(body []byte) (AttrsRequest, error) {
-	ids, rest, err := readIDs(body)
-	if err != nil {
-		return AttrsRequest{}, err
-	}
-	if len(rest) != 0 {
-		return AttrsRequest{}, fmt.Errorf("cluster: %d trailing bytes in attrs request", len(rest))
-	}
-	return AttrsRequest{IDs: ids}, nil
-}
-
-// EncodeAttrsResponse serializes r.
-func EncodeAttrsResponse(h Header, r AttrsResponse) []byte {
-	h.Op = OpGetAttrs
-	out := AppendHeader(make([]byte, 0, 32+len(h.Key)+4*len(r.Attrs)), h)
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Attrs)))
-	for _, f := range r.Attrs {
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
-	}
-	return out
-}
-
-// DecodeAttrsResponse parses an OpGetAttrs reply frame.
-func DecodeAttrsResponse(frame []byte) (AttrsResponse, error) {
-	_, body, err := replyBody(frame, OpGetAttrs)
-	if err != nil {
-		return AttrsResponse{}, err
-	}
-	if len(body) < 8 {
-		return AttrsResponse{}, fmt.Errorf("cluster: truncated attrs response")
-	}
-	attrLen := binary.LittleEndian.Uint32(body)
-	n := binary.LittleEndian.Uint32(body[4:])
-	rest := body[8:]
-	if uint64(len(rest)) != uint64(n)*4 {
-		return AttrsResponse{}, fmt.Errorf("cluster: attrs payload %d bytes, want %d floats", len(rest), n)
-	}
-	attrs := make([]float32, n)
-	for i := range attrs {
-		attrs[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[i*4:]))
-	}
-	return AttrsResponse{AttrLen: int(attrLen), Attrs: attrs}, nil
 }
 
 // EncodeMetaResponse serializes r.

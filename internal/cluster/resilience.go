@@ -418,6 +418,11 @@ type resilience struct {
 	// already running completes against the endpoints it resolved. Nil or
 	// an empty resolution falls back to cfg.Replicas.
 	routes func(partition int) []int
+	// live, set alongside routes, reports whether the layout still holds an
+	// endpoint: pruneBreakers drops the breakers of those it does not, and a
+	// pass that resolved its endpoints before a swap and still tries one
+	// that has since left gets a breaker that is not kept.
+	live func(endpoint int) bool
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -464,19 +469,25 @@ func (r *resilience) breaker(endpoint int) *breaker {
 	b, ok := r.breakers[endpoint]
 	if !ok {
 		b = &breaker{cfg: r.cfg.Breaker, st: r.stats, tr: r.tracer, ep: endpoint}
-		r.breakers[endpoint] = b
+		// Checked under mu, which pruneBreakers takes after the layout is
+		// swapped: a departed endpoint's breaker is either pruned after this
+		// insert or never inserted, so the map only ever holds live ones.
+		if r.live == nil || r.live(endpoint) {
+			r.breakers[endpoint] = b
+		}
 	}
 	return b
 }
 
-// pruneBreakers drops every breaker whose endpoint fails keep — called on
-// layout swaps so an epoch bump can never carry a wedged breaker (open, or
-// half-open with a leaked probe slot) against a departed endpoint. An
-// endpoint re-admitted later starts from a fresh closed breaker.
-func (r *resilience) pruneBreakers(keep func(endpoint int) bool) {
+// pruneBreakers drops the breakers of endpoints the layout no longer holds
+// — called after every layout swap so an epoch bump can never carry a
+// wedged breaker (open, or half-open with a leaked probe slot) against a
+// departed endpoint. An endpoint re-admitted later starts from a fresh
+// closed breaker.
+func (r *resilience) pruneBreakers() {
 	r.mu.Lock()
 	for ep := range r.breakers {
-		if !keep(ep) {
+		if !r.live(ep) {
 			delete(r.breakers, ep)
 		}
 	}

@@ -212,6 +212,25 @@ func TestServerErrorNotRetried(t *testing.T) {
 	if client.res.BreakerState(owner) != BreakerClosed {
 		t.Fatal("rejection counted against the breaker (threshold 1 opened it)")
 	}
+
+	// GetNeighbors / GetAttrs are sub-ops, not frame ops: a peer that sends
+	// one as a frame of its own gets the same terminal verdict.
+	for _, op := range []byte{OpGetNeighbors, OpGetAttrs} {
+		before, _ := ft.Counts()
+		_, err := client.call(bg, 0, bare(op, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0))
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "unknown op") {
+			t.Fatalf("top-level op %#x: want an unknown-op *ServerError, got %v", op, err)
+		}
+		if after, _ := ft.Counts(); after-before != 1 {
+			t.Fatalf("top-level op %#x consumed %d transport calls, want 1", op, after-before)
+		}
+	}
+	if snap := client.Res.Snapshot(); snap.Retries != 0 || snap.Failovers != 0 || snap.BreakerOpens != 0 {
+		t.Fatalf("top-level ops burned retries, failovers or breaker strikes: %+v", snap)
+	}
+	if client.res.BreakerState(0) != BreakerClosed {
+		t.Fatal("top-level op counted against the breaker (threshold 1 opened it)")
+	}
 }
 
 // TestBootstrapLeavesNoBreakerGauge: a client built without a resilience

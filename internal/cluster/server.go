@@ -228,26 +228,6 @@ func (s *Server) Handle(ctx context.Context, msg []byte) (resp []byte, err error
 func (s *Server) dispatch(ctx context.Context, h Header, body []byte) ([]byte, error) {
 	reply := Header{BDI: h.BDI, Traced: h.Traced}
 	switch h.Op {
-	case OpGetNeighbors:
-		req, err := DecodeNeighborsRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.GetNeighbors(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeNeighborsResponse(reply, r), nil
-	case OpGetAttrs:
-		req, err := DecodeAttrsRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.GetAttrs(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeAttrsResponse(reply, r), nil
 	case OpPacked:
 		return s.handlePacked(ctx, reply, body)
 	case OpMeta:

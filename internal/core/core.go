@@ -54,10 +54,6 @@ type Options struct {
 	// Faults, when set, wraps the transport with seeded fault injection so
 	// the resilience path can be exercised (chaos testing).
 	Faults *cluster.FaultSpec
-	// Packing, when set, enables MoF request packing + BDI
-	// section compression on the client's storage RPCs, plus the
-	// in-flight attribute coalescer (see cluster.PackingConfig).
-	Packing *cluster.PackingConfig
 	// Pipeline, when set, builds a windowed sampling executor (the
 	// software AxE load unit) over the client; SamplePipelined then runs
 	// batches through it. RootStreams is forced on the sampling config so
@@ -276,9 +272,6 @@ func NewSystem(opts Options) (*System, error) {
 		resCfg = &d
 	}
 	copts := []cluster.ClientOption{cluster.WithTracer(sys.Obs), cluster.WithSLO(softSLO)}
-	if opts.Packing != nil {
-		copts = append(copts, cluster.WithPacking(*opts.Packing))
-	}
 	if resCfg != nil {
 		cfg := *resCfg
 		if cfg.Replicas == nil && opts.Replicas > 1 && opts.Layout == nil {

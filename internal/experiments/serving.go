@@ -186,9 +186,6 @@ func serving(w io.Writer, opts Options) error {
 	if _, err := sys.StatsRegistry().WriteTo(w); err != nil {
 		return err
 	}
-	if err := wireComparison(w, opts); err != nil {
-		return err
-	}
 	if err := elasticRebalance(w, opts); err != nil {
 		return err
 	}
@@ -490,127 +487,6 @@ func mustDataset(name string) workload.Dataset {
 		panic(err)
 	}
 	return ds
-}
-
-// wireComparison measures MoF on the wire (§4.3, Figure 11): the same
-// batches sampled twice over one shared cluster built from the attr-heavy
-// ll dataset — once through a baseline client (plain per-shard frames),
-// once through a client with request packing
-// (Tech-1), BDI-compressed ID vectors (Tech-2), and the in-flight attr
-// coalescer. Results must match byte for byte; the wire bytes before and
-// after quantify what the techniques save.
-func wireComparison(w io.Writer, opts Options) error {
-	ds, err := workload.DatasetByName("ll")
-	if err != nil {
-		return err
-	}
-	batches, batchSize, clients := 16, 128, 8
-	if opts.Quick {
-		batches, batchSize, clients = 6, 48, 4
-	}
-	g := ds.Build(opts.Seed)
-	const partitions = 4
-	part := cluster.HashPartitioner{N: partitions}
-	servers := make([]*cluster.Server, partitions)
-	for i := range servers {
-		servers[i] = cluster.NewServer(g, part, i)
-	}
-	transport := cluster.DirectTransport{Servers: servers}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	baseline, err := cluster.NewClientContext(ctx, transport, part, -1)
-	if err != nil {
-		return err
-	}
-	packed, err := cluster.NewClientContext(ctx, transport, part, -1,
-		cluster.WithPacking(cluster.PackingConfig{}))
-	if err != nil {
-		return err
-	}
-	cfg := sampler.Config{
-		Fanouts: []int{10, 10}, NegativeRate: 10,
-		Method: sampler.Streaming, FetchAttrs: true, Seed: opts.Seed,
-	}
-	src := workload.NewBatchSource(g.NumNodes(), batchSize, opts.Seed)
-	work := make([][]graph.NodeID, batches)
-	for i := range work {
-		work[i] = append([]graph.NodeID(nil), src.Next()...)
-	}
-
-	// run drives the batch list through cl with the serving concurrency, so
-	// the packer sees the same cross-request pressure both runs would see in
-	// production, and returns every batch's result for comparison.
-	run := func(cl *cluster.Client) ([]*sampler.Result, error) {
-		out := make([]*sampler.Result, batches)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		next, errs := 0, error(nil)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					if next >= batches || errs != nil {
-						mu.Unlock()
-						return
-					}
-					b := next
-					next++
-					mu.Unlock()
-					res, err := cl.SampleBatch(ctx, work[b], cfg)
-					mu.Lock()
-					if err != nil && errs == nil {
-						errs = err
-					}
-					out[b] = res
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		return out, errs
-	}
-
-	before := baseline.Traffic.Snapshot()
-	wantRes, err := run(baseline)
-	if err != nil {
-		return err
-	}
-	after := baseline.Traffic.Snapshot()
-	v1Bytes := (after.RequestBytes + after.ResponseBytes) - (before.RequestBytes + before.ResponseBytes)
-	v1Calls := after.Requests - before.Requests
-
-	before = packed.Traffic.Snapshot()
-	gotRes, err := run(packed)
-	if err != nil {
-		return err
-	}
-	after = packed.Traffic.Snapshot()
-	v2Bytes := (after.RequestBytes + after.ResponseBytes) - (before.RequestBytes + before.ResponseBytes)
-	v2Calls := after.Requests - before.Requests
-
-	for b := range wantRes {
-		if !reflect.DeepEqual(gotRes[b], wantRes[b]) {
-			return fmt.Errorf("serving: packed batch %d diverged from the v1 baseline", b)
-		}
-	}
-
-	saved := 1 - float64(v2Bytes)/float64(v1Bytes)
-	ps := &packed.Pack
-	fmt.Fprintf(w, "\nMoF on the wire (§4.3): %d batches of %d roots on ll (attr %d floats), %d workers\n",
-		batches, batchSize, g.AttrLen(), clients)
-	fmt.Fprintf(w, "  before (v1 wire):      %6d RPCs   %8.1f KB\n", v1Calls, float64(v1Bytes)/1e3)
-	fmt.Fprintf(w, "  after  (v2 packed+BDI):%6d frames %8.1f KB   %.1f%% saved\n",
-		v2Calls, float64(v2Bytes)/1e3, saved*100)
-	fmt.Fprintf(w, "  packing: %.1f reqs/frame over %d frames; attr dedupe removed %d in-batch + %d in-flight fetches\n",
-		ps.PackRatio(), ps.Frames(), ps.Dedup(), ps.Joins())
-	fmt.Fprintf(w, "  BDI codec: sections at %.0f%% of raw; results identical across all %d batches\n",
-		ps.Codec.Ratio()*100, batches)
-	if saved < 0.25 {
-		return fmt.Errorf("serving: packed wire saved only %.1f%%, want >= 25%%", saved*100)
-	}
-	return nil
 }
 
 // writeQuantiles prints one histogram's tail summary as durations.

@@ -82,7 +82,7 @@ func TestWireGateAuth(t *testing.T) {
 	}
 
 	// Unkeyed non-meta frame → 401.
-	_, err = g.Handle(bg, cluster.EncodeAttrsRequest(cluster.Header{}, cluster.AttrsRequest{}))
+	_, err = g.Handle(bg, cluster.AppendHeader(nil, cluster.Header{Op: cluster.OpPacked}))
 	serverErrContains(t, err, "401")
 	if g.Stats().AuthFailures() != 2 {
 		t.Fatalf("auth_failures = %d, want 2", g.Stats().AuthFailures())

@@ -171,7 +171,7 @@ func (p *Pool[T]) Recycle(s []T) {
 }
 
 // The shared pools of the hot path's slice shapes. One set per process:
-// the sampler's scratch and the packer's frames draw from the same
+// the sampler's scratch and the frame codec's staging draw from the same
 // classes, so a workload shift (bigger batches, wider fanout) rebalances
 // capacity between layers for free.
 var (

@@ -83,11 +83,8 @@ const (
 	// HopWire is the transport round trip minus the server's handling time
 	// (serialization + network + queueing at the peer).
 	HopWire = "wire"
-	// HopPack is time a request spent queued in the client's packing
-	// window before its packed frame flushed.
-	HopPack = "pack"
-	// HopCompress is time spent encoding/decoding packed frames through
-	// the BDI section codec, client side.
+	// HopCompress is time spent encoding/decoding frames through the BDI
+	// section codec, client side.
 	HopCompress = "compress"
 	// HopServer is the server-side Handle duration, as reported by the
 	// peer in the reply's frame header.

@@ -14,7 +14,7 @@ import (
 // BenchmarkConcurrentBatches is the measurement DefaultWindow rests on
 // (the six-cell table in CHANGES.md, PR 22): ns/op is wall time per 32-root
 // batch — inverse throughput — with 1, 4 and 8 callers sharing one executor
-// over an in-process 4-shard plain client at 0 and 200 µs RTT, at the
+// over an in-process 4-shard client at 0 and 200 µs RTT, at the
 // default window and at the old 256. It uses only API the parent of PR 22
 // also has, so the same file dropped into that tree measures the other side:
 //

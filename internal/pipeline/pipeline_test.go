@@ -81,6 +81,8 @@ func parityStores(t *testing.T, g *graph.Graph) []parityStore {
 		}
 		return c
 	}
+	// One wire path: packed-client is built through the deprecated
+	// cluster.WithPacking shim, which must select nothing, and leaves with it.
 	plain, packed := dial(), dial(cluster.WithPacking(cluster.PackingConfig{}))
 	return []parityStore{
 		{"local", sampler.LocalStore{G: g}, nil},

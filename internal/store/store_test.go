@@ -480,25 +480,26 @@ func TestPageCacheBudget(t *testing.T) {
 
 // TestClosedStoreFailsServerRequests: the scalar accessors a shard server
 // reads through have no error return, so a closed store must fail the
-// request — plain or packed — instead of answering it with empty adjacency
-// and zero vectors.
+// request — neighbors or attributes — instead of answering it with empty
+// adjacency and zero vectors.
 func TestClosedStoreFailsServerRequests(t *testing.T) {
 	g := testGraph(t, true)
 	_, s := mustCreate(t, g, WithMemoryBudget(16<<10), WithPageSize(4<<10))
 	srv := cluster.NewBackendServer(s, cluster.HashPartitioner{N: 1}, 0)
 	ids := []graph.NodeID{1, 2, 3}
+	// One sub per frame, as clients send them: a frame fails at its first
+	// failing read, so each kind needs a frame of its own.
 	var codec mof.VecCodec
-	packed, err := cluster.EncodePackedRequest([]cluster.PackedSubRequest{
-		{Op: cluster.OpGetNeighbors, Neighbors: cluster.NeighborsRequest{IDs: ids}},
-		{Op: cluster.OpGetAttrs, Attrs: cluster.AttrsRequest{IDs: ids}},
-	}, true, &codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := map[string][]byte{
-		"neighbors": cluster.EncodeNeighborsRequest(cluster.Header{}, cluster.NeighborsRequest{IDs: ids}),
-		"attrs":     cluster.EncodeAttrsRequest(cluster.Header{}, cluster.AttrsRequest{IDs: ids}),
-		"packed":    packed,
+	frames := map[string][]byte{}
+	for name, sub := range map[string]cluster.PackedSubRequest{
+		"neighbors": {Op: cluster.OpGetNeighbors, Neighbors: cluster.NeighborsRequest{IDs: ids}},
+		"attrs":     {Op: cluster.OpGetAttrs, Attrs: cluster.AttrsRequest{IDs: ids}},
+	} {
+		frame, err := cluster.EncodePackedRequest([]cluster.PackedSubRequest{sub}, true, &codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[name] = frame
 	}
 	for name, frame := range frames {
 		if _, err := srv.Handle(context.Background(), frame); err != nil {

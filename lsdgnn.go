@@ -16,7 +16,6 @@
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithReplicas(2),
 //		lsdgnn.WithResilience(lsdgnn.DefaultResilienceConfig()),
-//		lsdgnn.WithPacking(0), // MoF packing + BDI
 //		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling (Tech-3)
 //	)
 //

@@ -77,8 +77,7 @@ func TestPublicStatsRegistry(t *testing.T) {
 }
 
 // TestPublicFunctionalOptions builds the full option surface through New:
-// named dataset, replicas, chaos, resilience, and protocol-v2 packing —
-// then proves a degraded batch surfaces as a typed *PartialError through
+// named dataset, replicas, chaos and resilience — then proves a degraded batch surfaces as a typed *PartialError through
 // errors.As, the facade's error contract.
 func TestPublicFunctionalOptions(t *testing.T) {
 	sys, err := New("ss",
@@ -91,14 +90,10 @@ func TestPublicFunctionalOptions(t *testing.T) {
 			cfg.PartialResults = true
 			return cfg
 		}()),
-		WithPacking(0),
 		WithSampling(DefaultSamplerConfig(5)),
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sys.Client.Packing() {
-		t.Fatal("WithPacking did not enable packing")
 	}
 	ctx := context.Background()
 	for i := int64(0); i < 8; i++ {
@@ -115,7 +110,7 @@ func TestPublicFunctionalOptions(t *testing.T) {
 		}
 	}
 	if sys.Client.Pack.Frames() == 0 {
-		t.Fatal("no packed frames despite WithPacking")
+		t.Fatal("the default client sent no sectioned frames")
 	}
 }
 

@@ -47,8 +47,6 @@ type (
 	ResilienceConfig = cluster.ResilienceConfig
 	// FaultSpec injects seeded chaos into the storage transport.
 	FaultSpec = cluster.FaultSpec
-	// PackingConfig tunes MoF request packing (the coalescing window).
-	PackingConfig = cluster.PackingConfig
 	// DispatcherConfig tunes batch placement across AxE engines.
 	DispatcherConfig = core.DispatcherConfig
 	// TracingConfig sizes the system tracer: span-ring capacity and the
@@ -213,14 +211,6 @@ func WithFaults(spec FaultSpec) Option {
 	return func(o *Options) { s := spec; o.Faults = &s }
 }
 
-// WithPacking enables MoF request packing with the given coalescing window
-// (0 = default window): same-shard requests share one packed,
-// BDI-compressed frame, and concurrent attribute fetches for the same node
-// coalesce into a single wire fetch.
-func WithPacking(window time.Duration) Option {
-	return func(o *Options) { o.Packing = &PackingConfig{Window: window} }
-}
-
 // WithPipeline enables the windowed sampling executor — the software
 // model of the AxE load unit (Section 4.2 Tech-3). System.SamplePipelined
 // then issues each batch as one vector fetch per hop plus one attribute
@@ -290,7 +280,6 @@ func WithStore(cfg StoreConfig) Option {
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithReplicas(2),
 //		lsdgnn.WithFaults(lsdgnn.FaultSpec{ErrRate: 0.05}),
-//		lsdgnn.WithPacking(0),
 //	)
 //
 // An empty dataset name requires WithGraph. The partition count defaults

@@ -2,8 +2,8 @@
 # Wire-plane smoke test: boot a real lsdgnn-server with the admin plane,
 # check /metrics pre-registers the wire series
 # (lsdgnn_cluster_wire_* including the pack-ratio gauge), then drive a
-# packed sampling burst through lsdgnn-probe over TCP and assert the
-# server actually counted packed frames and wire bytes.
+# sampling burst through lsdgnn-probe over TCP and assert the server
+# actually counted its sectioned (OpPacked) frames and wire bytes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,15 +47,15 @@ for series in \
     fi
 done
 
-# Drive a packed burst over the wire (frame header + MoF packing + BDI
-# sections, all through real sockets). -mem makes the probe
+# Drive a burst over the wire (frame header + sectioned frames + BDI, all
+# through real sockets). -mem makes the probe
 # verify every scratch buffer went back to its pool and print the
 # client-side buffer-pool series.
 "$OUT/lsdgnn-probe" -addrs "127.0.0.1:$SERVE_PORT" -batches 8 -batch-size 48 -mem \
     >"$OUT/probe.log" 2>&1 || { cat "$OUT/probe.log" >&2; exit 1; }
 grep -q 'probe: OK' "$OUT/probe.log"
-grep -q 'protocol v4, packing true' "$OUT/probe.log" || {
-    echo "wire-smoke: probe is not packing on protocol v4" >&2
+grep -q 'protocol v5' "$OUT/probe.log" || {
+    echo "wire-smoke: probe is not on protocol v5" >&2
     cat "$OUT/probe.log" >&2
     exit 1
 }
