@@ -75,9 +75,10 @@ store-smoke:
 	./scripts/store_smoke.sh
 
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
-# regression), then a short randomized run on the frame-header parser and
-# the packed-frame decoder.
+# regression), then a short randomized run on the frame-header parser, the
+# packed-frame decoder and the pooled TCP frame reader.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzDecodePacked' -fuzztime 20s ./internal/cluster/
+	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/cluster/

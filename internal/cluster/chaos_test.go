@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/sampler"
 )
 
@@ -437,5 +438,76 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 	rs := client.Res.Snapshot()
 	if rs.Retries+rs.Failovers == 0 {
 		t.Fatalf("faults injected but no retries or failovers recorded: %+v", rs)
+	}
+}
+
+// TestChaosFrameRecycling: reply frames are pooled on both ends of real TCP
+// — the server recycles each request and reply, the client each reply once
+// decoded into its caller's buffers — so a frame anyone still read after
+// handing it back would surface as corrupted results here. Concurrent
+// callers share one client over a one-connection pool per endpoint, with
+// dropped replies, latency spikes and hedged duplicates in the mix; every
+// result must still equal the reference sampler's, and no pooled scratch
+// may be left out.
+func TestChaosFrameRecycling(t *testing.T) {
+	g := testGraph(t)
+	const partitions, replicas, batches, batchSize, workers = 2, 2, 16, 16, 4
+	part := HashPartitioner{N: partitions}
+	var addrs []string
+	for ep := 0; ep < partitions*replicas; ep++ {
+		srv, err := ServeTCP(NewServer(g, part, ep%partitions), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
+	}
+	tr := DialTCP(addrs, 1)
+	defer tr.Close()
+	ft := NewFaultyTransport(tr, 11)
+	client, err := NewClientContext(bg, ft, part, -1, WithResilience(ResilienceConfig{
+		Retry:      RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Breaker:    BreakerConfig{Threshold: 50, OpenFor: time.Millisecond},
+		Replicas:   UniformReplicas(partitions, replicas),
+		HedgeDelay: time.Millisecond,
+		Seed:       7,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.SetFaults(FaultSpec{DropRate: 0.1, SpikeRate: 0.2, Spike: 3 * time.Millisecond})
+
+	got := make([]*sampler.Result, batches)
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := w; b < batches; b += workers {
+				got[b], errs[b] = client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Compared only now, after every batch's frames went back to the pools
+	// and were reused by the batches after it.
+	for b := range got {
+		if errs[b] != nil {
+			t.Fatalf("batch %d failed under drops and spikes: %v", b, errs[b])
+		}
+		want, err := sampler.New(sampler.LocalStore{G: g}, chaosSampling).Sample(bg, chaosRoots(g, b, batchSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[b], want) {
+			t.Fatalf("batch %d diverged from the reference sampler", b)
+		}
+	}
+	if _, injected := ft.Counts(); injected == 0 {
+		t.Fatal("no replies dropped — chaos harness inert")
+	}
+	if out := mem.Outstanding(); out != 0 {
+		t.Fatalf("%d pooled scratch buffers outstanding after the run", out)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // Transport delivers a request message to a server and returns its reply.
 // Implementations must be safe for concurrent Call and must honor ctx:
 // a canceled or expired context aborts the call (including one already on
-// the wire) and surfaces ctx.Err().
+// the wire) and surfaces ctx.Err(). The reply is the caller's to recycle
+// (mem.Bytes); msg stays the caller's, shared by every attempt.
 type Transport interface {
 	Call(ctx context.Context, server int, msg []byte) ([]byte, error)
 }
@@ -406,11 +407,12 @@ func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, 
 }
 
 // fetch sends sub as a one-sub OpPacked frame under the caller's own ctx and
-// returns the shard's answer to it. send is c.call for a partition — the
+// hands the shard's answer to use. send is c.call for a partition — the
 // resilient path, so the frame is retried, failed over and breaker-gated as
 // a unit — or c.invoke for one endpoint, bypassing routing (the layout
-// probe). A sub the shard rejected comes back as its *ServerError.
-func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, send invokeFunc) (PackedSubResponse, error) {
+// probe). A sub the shard rejected comes back as its *ServerError. The reply
+// frame is recycled once use returns: use keeps no attribute payload.
+func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, send invokeFunc, use func(PackedSubResponse) error) error {
 	// The header is fixed before the frame is encoded: the trace ID and the
 	// tenant key travel inside the bytes every attempt shares.
 	ctx, h := c.header(ctx)
@@ -418,7 +420,7 @@ func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, se
 	start := time.Now()
 	frame, err := encodePackedRequest(h, []PackedSubRequest{sub}, &c.Pack.Codec)
 	if err != nil {
-		return PackedSubResponse{}, err
+		return err
 	}
 	c.observeCodec(h, start)
 	c.Pack.frames.Add(1)
@@ -426,23 +428,24 @@ func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, se
 	c.Pack.wireReq.Add(int64(len(frame)))
 	raw, err := send(ctx, target, frame)
 	if err != nil {
-		return PackedSubResponse{}, err
+		return err
 	}
+	defer mem.Bytes.Recycle(raw)
 	start = time.Now()
 	resps, err := DecodePackedResponse(raw, target, &c.Pack.Codec)
 	if err == nil && len(resps) != 1 {
 		err = fmt.Errorf("cluster: frame answered %d subs, sent 1", len(resps))
 	}
 	if err != nil {
-		return PackedSubResponse{}, err
+		return err
 	}
 	c.observeCodec(h, start)
 	if resps[0].Err != nil {
-		return PackedSubResponse{}, resps[0].Err
+		return resps[0].Err
 	}
 	c.Pack.rawResp.Add(int64(rawResponseBytes(resps[0])))
 	c.Pack.wireResp.Add(int64(len(raw)))
-	return resps[0], nil
+	return use(resps[0])
 }
 
 // observeCodec records encode or decode time since start as a compress hop
@@ -456,24 +459,26 @@ func (c *Client) observeCodec(h Header, start time.Time) {
 // fanout groups vs by owning shard and runs fetch once per non-empty group,
 // all groups concurrently; pos maps a group's entries back to their
 // positions in vs. It returns only after every fetch has, so nothing
-// touches the caller's buffers afterwards, and reduces the per-shard errors
-// through reduceFanout.
-func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int, grp []graph.NodeID, pos []int) error) error {
+// touches the caller's buffers — or the pooled groups — afterwards, and
+// reduces the per-shard errors through reduceFanout.
+func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int, grp []graph.NodeID, pos []uint32) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	groups, positions := GroupByOwner(c.part, vs)
-	errs := make([]error, len(groups))
+	grp, pos, off := GroupByOwner(c.part, vs)
+	defer func() { mem.IDs.Put(grp); mem.U32s.Put(pos); mem.U32s.Put(off) }()
+	errs := make([]error, len(off)-1)
 	var wg sync.WaitGroup
-	for s, grp := range groups {
-		if len(grp) == 0 {
+	for s := range errs {
+		lo, hi := off[s], off[s+1]
+		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(s int, grp []graph.NodeID, pos []int) {
+		go func(s int, grp []graph.NodeID, pos []uint32) {
 			defer wg.Done()
 			errs[s] = fetch(s, grp, pos)
-		}(s, grp, positions[s])
+		}(s, grp[lo:hi:hi], pos[lo:hi:hi])
 	}
 	wg.Wait()
 	return c.reduceFanout(ctx, errs)
@@ -526,7 +531,7 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 // NeighborsBatch fills dst[i] with vs[i]'s adjacency list. The lists alias
 // the decoded replies and must not be modified.
 func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
-	err := c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []int) error {
+	err := c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []uint32) error {
 		lists, err := c.neighborLists(ctx, s, grp, c.call)
 		if err != nil {
 			for _, p := range pos {
@@ -554,16 +559,15 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 }
 
 // neighborLists fetches grp's adjacency lists from target through send (see
-// fetch), one list per ID.
-func (c *Client) neighborLists(ctx context.Context, target int, grp []graph.NodeID, send invokeFunc) ([][]graph.NodeID, error) {
-	resp, err := c.fetch(ctx, target, PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: grp}}, send)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Neighbors.Lists) != len(grp) {
-		return nil, fmt.Errorf("cluster: server %d returned %d lists for %d ids", target, len(resp.Neighbors.Lists), len(grp))
-	}
-	return resp.Neighbors.Lists, nil
+// fetch), one fresh list per ID: none aliases the reply frame.
+func (c *Client) neighborLists(ctx context.Context, target int, grp []graph.NodeID, send invokeFunc) (lists [][]graph.NodeID, err error) {
+	err = c.fetch(ctx, target, PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: grp}}, send, func(resp PackedSubResponse) error {
+		if lists = resp.Neighbors.Lists; len(lists) != len(grp) {
+			return fmt.Errorf("cluster: server %d returned %d lists for %d ids", target, len(lists), len(grp))
+		}
+		return nil
+	})
+	return lists, err
 }
 
 // AttrsBatch fills dst with vs's attribute vectors concatenated in order.
@@ -580,7 +584,7 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 	defer mem.U32s.Put(at)
 	uniq := mem.IDs.Get(len(vs))[:0]
 	defer mem.IDs.Put(uniq)
-	first := make(map[graph.NodeID]uint32, len(vs))
+	first := firstSeen.Get().(map[graph.NodeID]uint32)
 	for i, v := range vs {
 		p, seen := first[v]
 		if !seen {
@@ -590,23 +594,26 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 		}
 		lead[i] = p
 	}
+	clear(first)
+	firstSeen.Put(first)
 	c.Pack.dedup.Add(int64(len(vs) - len(uniq)))
 
-	err := c.fanout(ctx, uniq, func(s int, grp []graph.NodeID, pos []int) error {
-		resp, err := c.fetch(ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: grp}}, c.call)
-		if err == nil && len(resp.Attrs.Attrs) != len(grp)*al {
-			err = fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs.Attrs), len(grp))
-		}
+	err := c.fanout(ctx, uniq, func(s int, grp []graph.NodeID, pos []uint32) error {
+		err := c.fetch(ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: grp}}, c.call, func(resp PackedSubResponse) error {
+			if n := len(resp.Attrs.Payload) / 4; n != len(grp)*al {
+				return fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, n, len(grp))
+			}
+			for i, p := range pos {
+				readFloats(dst[int(at[p])*al:][:al], resp.Attrs.Payload[i*al*4:])
+			}
+			return nil
+		})
 		if err != nil {
 			for _, p := range pos {
 				clear(dst[int(at[p])*al:][:al])
 			}
-			return err
 		}
-		for i, p := range pos {
-			copy(dst[int(at[p])*al:][:al], resp.Attrs.Attrs[i*al:])
-		}
-		return nil
+		return err
 	})
 	if failed(err) {
 		clear(dst)
@@ -622,6 +629,9 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 	}
 	return err
 }
+
+// firstSeen pools AttrsBatch's dedupe maps, cleared before they go back.
+var firstSeen = sync.Pool{New: func() any { return make(map[graph.NodeID]uint32) }}
 
 // SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:
 // sampler.KHop over this client, so the Result is the one

@@ -1,15 +1,17 @@
 package cluster
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	return graph.Generate(graph.GenConfig{NumNodes: 1500, AvgDegree: 7, AttrLen: 6, Seed: 1, PowerLaw: true})
 }
@@ -52,25 +54,26 @@ func TestValidatePartitioner(t *testing.T) {
 
 func TestGroupByOwner(t *testing.T) {
 	p := HashPartitioner{N: 3}
-	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	groups, positions := GroupByOwner(p, ids)
-	total := 0
-	for s := range groups {
-		if len(groups[s]) != len(positions[s]) {
-			t.Fatal("groups and positions misaligned")
-		}
-		for i, v := range groups[s] {
-			if p.Owner(v) != s {
-				t.Fatalf("node %d grouped to wrong server", v)
+	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 3}
+	grp, pos, off := GroupByOwner(p, ids)
+	defer mem.IDs.Put(grp)
+	defer mem.U32s.Put(pos)
+	defer mem.U32s.Put(off)
+	if len(off) != 4 || off[0] != 0 || off[3] != uint32(len(ids)) {
+		t.Fatalf("offsets %v do not cover %d ids", off, len(ids))
+	}
+	for s := 0; s < 3; s++ {
+		for j := off[s]; j < off[s+1]; j++ {
+			if p.Owner(grp[j]) != s {
+				t.Fatalf("node %d grouped to wrong server", grp[j])
 			}
-			if ids[positions[s][i]] != v {
+			if ids[pos[j]] != grp[j] {
 				t.Fatal("positions do not map back")
 			}
+			if j > off[s] && pos[j] <= pos[j-1] {
+				t.Fatal("a server's group is out of input order")
+			}
 		}
-		total += len(groups[s])
-	}
-	if total != len(ids) {
-		t.Fatalf("grouped %d of %d", total, len(ids))
 	}
 }
 
@@ -129,6 +132,31 @@ func getAttrs(c *Client, ids []graph.NodeID) ([]float32, error) {
 	return dst, c.AttrsBatch(bg, dst, ids)
 }
 
+// handleSub sends one one-sub frame for ids through srv.Handle and returns
+// that sub's verdict: a rejection must come back as the sub's own
+// *ServerError inside a frame that succeeded.
+func handleSub(t *testing.T, srv *Server, op byte, ids []graph.NodeID) error {
+	t.Helper()
+	var c mof.VecCodec
+	sub := PackedSubRequest{Op: op, Neighbors: NeighborsRequest{IDs: ids}, Attrs: AttrsRequest{IDs: ids}}
+	frame, err := EncodePackedRequest([]PackedSubRequest{sub}, true, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := srv.Handle(bg, frame)
+	if err != nil {
+		t.Fatalf("Handle failed the frame instead of the sub: %v", err)
+	}
+	subs, err := DecodePackedResponse(reply, 0, &c)
+	if err != nil || len(subs) != 1 {
+		t.Fatalf("decoded %d subs, err %v", len(subs), err)
+	}
+	if err := subs[0].Err; err != nil && !errors.As(err, new(*ServerError)) {
+		t.Fatalf("sub error %v is not a *ServerError", err)
+	}
+	return subs[0].Err
+}
+
 func TestServerRejectsForeignNodes(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
@@ -140,10 +168,10 @@ func TestServerRejectsForeignNodes(t *testing.T) {
 			break
 		}
 	}
-	if _, err := srv.GetNeighbors(bg, NeighborsRequest{IDs: []graph.NodeID{foreign}}); err == nil {
+	if handleSub(t, srv, OpGetNeighbors, []graph.NodeID{foreign}) == nil {
 		t.Fatal("misrouted neighbor request accepted")
 	}
-	if _, err := srv.GetAttrs(bg, AttrsRequest{IDs: []graph.NodeID{foreign}}); err == nil {
+	if handleSub(t, srv, OpGetAttrs, []graph.NodeID{foreign}) == nil {
 		t.Fatal("misrouted attrs request accepted")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
@@ -281,27 +280,12 @@ func TestServerRejectsOutOfRangeNode(t *testing.T) {
 	for part.Owner(huge) != 0 {
 		huge++
 	}
-	if _, err := srv.GetNeighbors(bg, NeighborsRequest{IDs: []graph.NodeID{huge}}); err == nil {
+	// The server must answer the sub with a typed rejection, not crash.
+	if handleSub(t, srv, OpGetNeighbors, []graph.NodeID{huge}) == nil {
 		t.Fatal("out-of-range neighbor request accepted")
 	}
-	if _, err := srv.GetAttrs(bg, AttrsRequest{IDs: []graph.NodeID{huge}}); err == nil {
+	if handleSub(t, srv, OpGetAttrs, []graph.NodeID{huge}) == nil {
 		t.Fatal("out-of-range attrs request accepted")
-	}
-	// Through the wire path too: the server must answer the sub with a
-	// typed rejection, not crash.
-	var codec mof.VecCodec
-	raw, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{huge}}}}, true, &codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := srv.Handle(bg, raw)
-	if err != nil {
-		t.Fatalf("Handle failed the frame instead of the sub: %v", err)
-	}
-	subs, err := DecodePackedResponse(reply, 0, &codec)
-	var se *ServerError
-	if err != nil || len(subs) != 1 || !errors.As(subs[0].Err, &se) {
-		t.Fatalf("out-of-range sub came back as %+v, %v; want one *ServerError", subs, err)
 	}
 	// IDs at or above 2^63 turn negative when cast to int64; they must be
 	// rejected by the unsigned bounds check, not slip through.
@@ -309,7 +293,7 @@ func TestServerRejectsOutOfRangeNode(t *testing.T) {
 	for part.Owner(wrap) != 0 {
 		wrap++
 	}
-	if _, err := srv.GetAttrs(bg, AttrsRequest{IDs: []graph.NodeID{wrap}}); err == nil {
+	if handleSub(t, srv, OpGetAttrs, []graph.NodeID{0, wrap}) == nil {
 		t.Fatal("int64-wrapping node ID accepted")
 	}
 }

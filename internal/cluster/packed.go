@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -19,9 +18,9 @@ import (
 // sampler.KHop, which hands the client one per-partition vector per hop for
 // the whole batch; the client sends every fetch as a one-sub frame the
 // moment it is asked for, and the format stays multi-sub for peers that
-// batch on their own. Node-ID / degree vectors and attribute payloads travel
-// through the mof.VecCodec section format, BDI-compressed when that is
-// smaller (Tech-2) and the header's BDI bit asks for it.
+// batch on their own. ID and degree vectors travel as mof.VecCodec
+// sections, BDI-compressed when smaller (Tech-2) and the header's BDI bit
+// asks for it; attribute payloads ship raw, written in place.
 //
 // Frame bodies behind the header (protocol.go), little-endian:
 //
@@ -36,7 +35,7 @@ import (
 // Sub-response bodies (status statusOK):
 //
 //	neighbors: OpGetNeighbors | degreeSection(u32) | flatIDSection(u64)
-//	attrs:     OpGetAttrs | attrLen u32 | byteSection(float32 LE)
+//	attrs:     OpGetAttrs | attrLen u32 | byteSection(float32 LE, raw)
 //
 // A non-OK status carries the error text; statusReject marks a *ServerError
 // (deterministic rejection — not retryable, not a breaker strike), the same
@@ -136,8 +135,8 @@ func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]
 // encodePackedRequest is EncodePackedRequest under a caller-chosen header.
 // Sub bodies are appended directly into the frame behind a patched length
 // prefix, and the frame is sized up front, so encoding is one allocation.
-// The frame is deliberately NOT pooled: hedged sends mean a losing
-// transport attempt may still read it after the winning call returns.
+// Request frames stay off the pools: a hedged attempt that lost may still
+// be reading the frame after the winning call returns.
 func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]byte, error) {
 	if len(subs) == 0 || len(subs) > MaxPackedRequests {
 		return nil, fmt.Errorf("cluster: %d sub-requests in packed frame (1..%d)", len(subs), MaxPackedRequests)
@@ -225,96 +224,81 @@ func DecodePackedRequest(body []byte, bdi bool, c *mof.VecCodec) ([]PackedSubReq
 	return subs, nil
 }
 
-// appendSubResponse serializes one sub-response (status byte + body) onto
-// the frame. Degree vectors, flattened ID lists, and float serialization
-// all run through pooled scratch.
-func appendSubResponse(out []byte, sub PackedSubResponse, bdi bool, c *mof.VecCodec) []byte {
-	if sub.Err != nil {
-		var se *ServerError
-		if errors.As(sub.Err, &se) {
-			return append(append(out, statusReject), se.Msg...)
-		}
-		return append(append(out, statusError), sub.Err.Error()...)
+// appendNeighbors appends an OK neighbors sub-response (status byte + body)
+// for lists onto the frame. Degree vectors and flattened ID lists run
+// through pooled scratch.
+func appendNeighbors(out []byte, lists [][]graph.NodeID, bdi bool, c *mof.VecCodec) []byte {
+	degs := mem.U32s.Get(len(lists))
+	total := 0
+	for i, l := range lists {
+		degs[i] = uint32(len(l))
+		total += len(l)
 	}
-	switch sub.Op {
-	case OpGetNeighbors:
-		out = append(out, statusOK, OpGetNeighbors)
-		degs := mem.U32s.Get(len(sub.Neighbors.Lists))
-		total := 0
-		for i, l := range sub.Neighbors.Lists {
-			degs[i] = uint32(len(l))
-			total += len(l)
+	flat := mem.IDs.Get(total)
+	flat = flat[:0]
+	for _, l := range lists {
+		flat = append(flat, l...)
+	}
+	// Room for both sections even if their BDI trials overshoot.
+	out = append(grow(out, 2+2*9+mof.BDIBound(len(degs)*8)+mof.BDIBound(total*8)), statusOK, OpGetNeighbors)
+	if bdi {
+		out = c.AppendU32s(out, degs)
+	} else {
+		raw := mem.Bytes.Get(len(degs) * 4)
+		for i, d := range degs {
+			binary.LittleEndian.PutUint32(raw[i*4:], d)
 		}
-		flat := mem.IDs.Get(total)
-		flat = flat[:0]
-		for _, l := range sub.Neighbors.Lists {
-			flat = append(flat, l...)
-		}
-		if bdi {
-			out = c.AppendU32s(out, degs)
-		} else {
-			raw := mem.Bytes.Get(len(degs) * 4)
-			for i, d := range degs {
-				binary.LittleEndian.PutUint32(raw[i*4:], d)
-			}
-			out = c.AppendBytes(out, raw, false)
-			mem.Bytes.Put(raw)
-		}
-		out = appendIDSection(out, flat, bdi, c)
-		mem.IDs.Put(flat)
-		mem.U32s.Put(degs)
-		return out
-	case OpGetAttrs:
-		out = append(out, statusOK, OpGetAttrs)
-		out = binary.LittleEndian.AppendUint32(out, uint32(sub.Attrs.AttrLen))
-		raw := mem.Bytes.Get(len(sub.Attrs.Attrs) * 4)
-		for i, f := range sub.Attrs.Attrs {
-			binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(f))
-		}
-		// Attribute payloads go through the data-BDI path; procedurally
-		// random features ship raw under only-if-smaller, structured ones
-		// shrink.
-		out = c.AppendBytes(out, raw, bdi)
+		out = c.AppendBytes(out, raw, false)
 		mem.Bytes.Put(raw)
-		return out
-	default:
-		return append(append(out, statusError), fmt.Sprintf("cluster: op %#x cannot be packed", sub.Op)...)
+	}
+	out = appendIDSection(out, flat, bdi, c)
+	mem.IDs.Put(flat)
+	mem.U32s.Put(degs)
+	return out
+}
+
+// appendAttrsHead appends an OK attrs sub-response up to its payload: op,
+// attrLen and a raw section header for size bytes (float sections never try
+// BDI). It returns the frame extended over the payload, and the payload.
+func appendAttrsHead(out []byte, attrLen, size int) ([]byte, []byte) {
+	out = grow(out, 15+size)
+	out = append(out, statusOK, OpGetAttrs)
+	out = binary.LittleEndian.AppendUint32(out, uint32(attrLen))
+	out = binary.LittleEndian.AppendUint32(out, uint32(size)) // section count: bytes
+	out = append(out, 0)                                      // section flags: raw
+	out = binary.LittleEndian.AppendUint32(out, uint32(size)) // section encLen
+	at := len(out)
+	return out[:at+size], out[at : at+size]
+}
+
+// grow returns frame with room for n more bytes, moving it into a larger
+// pooled buffer when it has none.
+func grow(frame []byte, n int) []byte {
+	if cap(frame)-len(frame) >= n {
+		return frame
+	}
+	bigger := append(mem.Bytes.GetOwned(max(2*cap(frame), len(frame)+n), false)[:0], frame...)
+	mem.Bytes.Recycle(frame)
+	return bigger
+}
+
+// putFloats writes src into dst as little-endian float32s.
+func putFloats(dst []byte, src []float32) {
+	for i, f := range src {
+		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(f))
 	}
 }
 
-// EncodePackedResponse serializes sub-responses into one OpPacked frame
-// under header h, appending each body directly behind a patched length
-// prefix. The frame itself is not pooled: transports may hand it to the
-// client decode path, which aliases uncompressed sections instead of
-// copying.
-func EncodePackedResponse(h Header, subs []PackedSubResponse, c *mof.VecCodec) []byte {
-	h.Op = OpPacked
-	// Sized for the worst case of every section's in-place BDI trial (a
-	// losing trial overshoots its raw payload before it is truncated back),
-	// so the frame is allocated once.
-	est := 12 // header with the handling-time slot, then the count
-	for _, sub := range subs {
-		ids := 0
-		for _, l := range sub.Neighbors.Lists {
-			ids += len(l)
-		}
-		est += 4 + 6 + 2*9 + mof.BDIBound(len(sub.Attrs.Attrs)*4) +
-			mof.BDIBound(len(sub.Neighbors.Lists)*8) + mof.BDIBound(ids*8)
+// readFloats fills dst from little-endian float32s in src.
+func readFloats(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
 	}
-	out := AppendHeader(make([]byte, 0, est), h)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
-	for _, sub := range subs {
-		lenAt := len(out)
-		out = append(out, 0, 0, 0, 0) // body length, patched below
-		out = appendSubResponse(out, sub, h.BDI, c)
-		binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
-	}
-	return out
 }
 
 // DecodePackedResponse parses an OpPacked response frame. server labels
 // reconstructed *ServerError rejections, mirroring the TCP status-byte
-// decode.
+// decode; an attrs Payload aliases frame unless it arrived BDI-compressed.
 func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSubResponse, error) {
 	h, body, err := replyBody(frame, OpPacked)
 	if err != nil {
@@ -411,11 +395,7 @@ func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSu
 			if len(raw)%4 != 0 {
 				return nil, fmt.Errorf("cluster: ragged attr payload of %d bytes", len(raw))
 			}
-			attrs := make([]float32, len(raw)/4)
-			for j := range attrs {
-				attrs[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j*4:]))
-			}
-			sub.Attrs.Attrs = attrs
+			sub.Attrs.Payload = raw
 		default:
 			return nil, fmt.Errorf("cluster: op %#x inside packed response", sub.Op)
 		}
@@ -480,7 +460,7 @@ func rawResponseBytes(resp PackedSubResponse) int {
 		}
 		return n
 	}
-	return 10 + len(resp.Attrs.Attrs)*4
+	return 10 + len(resp.Attrs.Payload)
 }
 
 // WireStats counts a server's wire-level traffic: every frame handled, the
@@ -491,8 +471,8 @@ type WireStats struct {
 	frames    atomic.Int64
 	packed    atomic.Int64
 	packedSub atomic.Int64
-	// Codec is the section codec all packed frames on this server run
-	// through; its counters yield the live compression ratio.
+	// Codec codes this server's ID and degree sections (attribute sections
+	// ship raw); its counters yield their live compression ratio.
 	Codec mof.VecCodec
 }
 

@@ -2,14 +2,19 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
@@ -61,69 +66,205 @@ func TestPackedRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedResponseRoundTrip: the server's replies decode to exactly what
+// the graph holds, with a rejected sub typed and its siblings intact, under
+// both header BDI settings; and a peer's reply the server never sends — a
+// retryable sub error, a BDI-compressed float section — decodes too.
 func TestPackedResponseRoundTrip(t *testing.T) {
-	var c mof.VecCodec
-	subs := []PackedSubResponse{
-		{Op: OpGetNeighbors, Neighbors: NeighborsResponse{Lists: [][]graph.NodeID{
-			{1, 2, 3}, {}, {42},
-		}}},
-		{Op: OpGetAttrs, Attrs: AttrsResponse{AttrLen: 2, Attrs: []float32{1.5, -2.25, 0, 99}}},
-		{Err: &ServerError{Server: 3, Msg: "node 7 routed wrong"}},
-		{Err: errors.New("transient")},
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	srv := NewServer(g, part, 0)
+	var owned []graph.NodeID
+	foreign := graph.NodeID(0)
+	for v := graph.NodeID(0); len(owned) < 3 || foreign == 0; v++ {
+		if part.Owner(v) == 1 {
+			foreign = v
+		} else if len(owned) < 3 {
+			owned = append(owned, v)
+		}
 	}
+	var c mof.VecCodec
 	for _, bdi := range []bool{false, true} {
-		frame := EncodePackedResponse(Header{BDI: bdi}, subs, &c)
-		got, err := DecodePackedResponse(frame, 3, &c)
+		req, err := EncodePackedRequest([]PackedSubRequest{
+			{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned}},
+			{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned}},
+			{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{owned[0], foreign}}},
+			{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned[1:]}},
+		}, bdi, &c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(subs) {
-			t.Fatalf("got %d subs, want %d", len(got), len(subs))
+		reply, err := srv.Handle(bg, req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0].Neighbors.Lists, subs[0].Neighbors.Lists) {
-			t.Fatalf("lists mismatch: %v", got[0].Neighbors.Lists)
+		got, err := DecodePackedResponse(reply, 0, &c)
+		if err != nil || len(got) != 4 {
+			t.Fatalf("decoded %d subs, err %v", len(got), err)
 		}
-		if got[1].Attrs.AttrLen != 2 || !reflect.DeepEqual(got[1].Attrs.Attrs, subs[1].Attrs.Attrs) {
+		for i, want := range [][]graph.NodeID{owned, owned[1:]} {
+			lists := got[3*i].Neighbors.Lists
+			if len(lists) != len(want) {
+				t.Fatalf("sub %d: %d lists, want %d", 3*i, len(lists), len(want))
+			}
+			for j, v := range want {
+				if !slices.Equal(lists[j], g.Neighbors(v)) {
+					t.Fatalf("sub %d node %d: lists mismatch: %v", 3*i, v, lists[j])
+				}
+			}
+		}
+		var attrs []float32
+		for _, v := range owned {
+			attrs = g.Attr(attrs, v)
+		}
+		if got[1].Attrs.AttrLen != g.AttrLen() || !bytes.Equal(got[1].Attrs.Payload, floatBytes(attrs...)) {
 			t.Fatalf("attrs mismatch: %+v", got[1].Attrs)
 		}
 		var se *ServerError
-		if !errors.As(got[2].Err, &se) || se.Server != 3 || se.Msg != "node 7 routed wrong" {
+		if !errors.As(got[2].Err, &se) || se.Server != 0 || !strings.Contains(se.Msg, "owned by 1") {
 			t.Fatalf("rejection did not round-trip typed: %v", got[2].Err)
 		}
-		if got[3].Err == nil || errors.As(got[3].Err, &se) && got[3].Err == nil {
-			t.Fatalf("plain error lost: %v", got[3].Err)
-		}
+		mem.Bytes.Recycle(reply)
+	}
+
+	payload := make([]byte, 64*4)
+	for i := 0; i < len(payload); i += 4 {
+		putFloats(payload[i:], []float32{1.5})
+	}
+	attrsSub := binary.LittleEndian.AppendUint32([]byte{statusOK, OpGetAttrs}, 8)
+	attrsSub = c.AppendBytes(attrsSub, payload, true)
+	if attrsSub[10]&mof.SectionBDI == 0 {
+		t.Fatal("constant floats did not compress; the BDI decode goes untested")
+	}
+	got, err := DecodePackedResponse(peerReply(Header{BDI: true}, append([]byte{statusError}, "transient"...), attrsSub), 3, &c)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("decoded %d subs, err %v", len(got), err)
+	}
+	if got[0].Err == nil || errors.As(got[0].Err, new(*ServerError)) {
+		t.Fatalf("retryable sub error came back as %v", got[0].Err)
+	}
+	if got[1].Attrs.AttrLen != 8 || !bytes.Equal(got[1].Attrs.Payload, payload) {
+		t.Fatalf("BDI float section decoded as %+v", got[1].Attrs)
 	}
 }
 
-// TestPackedResponseEncodesInOneAllocation: the frame is sized for the
-// worst case of the in-place BDI trial, so a reply whose float section
-// loses the trial (random floats always do, overshooting the raw payload
-// by 7 %) is still built in the one buffer — and ships raw, byte for byte.
-func TestPackedResponseEncodesInOneAllocation(t *testing.T) {
+// floatBytes is vals as an attrs payload: little-endian float32s.
+func floatBytes(vals ...float32) []byte {
+	out := make([]byte, len(vals)*4)
+	putFloats(out, vals)
+	return out
+}
+
+// peerReply frames whole sub-response bodies, status byte first, into an
+// OpPacked reply under h, as a peer other than Server might send it.
+func peerReply(h Header, subs ...[]byte) []byte {
+	h.Op = OpPacked
+	out := binary.LittleEndian.AppendUint16(AppendHeader(nil, h), uint16(len(subs)))
+	for _, sub := range subs {
+		out = append(binary.LittleEndian.AppendUint32(out, uint32(len(sub))), sub...)
+	}
+	return out
+}
+
+// raceSlack is the extra allocations per call an allocation count allows:
+// none, except under -race (race_test.go).
+var raceSlack float64
+
+// TestPackedResponseEncodesWithoutAllocating: Server.Handle writes an attrs
+// reply straight into a pooled frame, its float section raw with no BDI
+// trial, so once warm answering 2000×64 attributes allocates nothing beyond
+// what decoding the request takes, and the payload crosses byte for byte.
+func TestPackedResponseEncodesWithoutAllocating(t *testing.T) {
+	g := graph.Generate(graph.GenConfig{NumNodes: 4096, AvgDegree: 2, AttrLen: 64, Seed: 3})
+	srv := NewServer(g, HashPartitioner{N: 1}, 0)
+	ids := make([]graph.NodeID, 2000)
+	for i := range ids {
+		ids[i] = graph.NodeID(i * 2)
+	}
 	var c mof.VecCodec
-	rng := rand.New(rand.NewSource(1))
-	attrs := make([]float32, 2000*64)
-	for i := range attrs {
-		attrs[i] = rng.Float32()
+	req, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: ids}}}, true, &c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	subs := []PackedSubResponse{{Op: OpGetAttrs, Attrs: AttrsResponse{AttrLen: 64, Attrs: attrs}}}
-	// No collection while counting: a GC would empty the scratch pools and
-	// charge their refill to the encoder. Enough runs that the pool drops
-	// the race detector injects (one Put in four) average out below one.
+	handle := func() {
+		reply, err := srv.Handle(bg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Bytes.Recycle(reply)
+	}
+	decode := func() {
+		if _, err := DecodePackedRequest(bodyOf(t, req), true, &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No collection while counting: a GC would empty the pools and charge
+	// their refill to the handler.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var frame []byte
-	if n := testing.AllocsPerRun(100, func() { frame = EncodePackedResponse(Header{BDI: true}, subs, &c) }); n != 1 {
-		t.Fatalf("encoding one attrs sub-response allocated %.0f times, want 1 (the frame)", n)
+	handle()
+	if h, d := testing.AllocsPerRun(100, handle), testing.AllocsPerRun(100, decode); h > d+raceSlack {
+		t.Fatalf("answering one attrs sub allocated %.0f times once warm, the request decode alone %.0f", h, d)
 	}
+	reply, err := srv.Handle(bg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Bytes.Recycle(reply)
 	// header(2) + count(2) + len(4) + status, op(2) + attrLen(4) + section
 	// header(9) + raw floats.
-	if want := 23 + len(attrs)*4; len(frame) != want {
-		t.Fatalf("frame is %d bytes, want %d (raw section)", len(frame), want)
+	if want := 23 + len(ids)*64*4; len(reply) != want {
+		t.Fatalf("reply is %d bytes, want %d (raw section)", len(reply), want)
 	}
-	got, err := DecodePackedResponse(frame, 0, &c)
-	if err != nil || !reflect.DeepEqual(got[0].Attrs.Attrs, attrs) {
-		t.Fatalf("one-allocation frame did not round-trip: %v", err)
+	var attrs []float32
+	for _, v := range ids {
+		attrs = g.Attr(attrs, v)
+	}
+	got, err := DecodePackedResponse(reply, 0, &c)
+	if err != nil || !bytes.Equal(got[0].Attrs.Payload, floatBytes(attrs...)) {
+		t.Fatalf("pooled reply did not round-trip: %v", err)
+	}
+}
+
+// TestAttrsBatchAllocatesLessThanItsReply: reply frames are pooled on both
+// ends, vectors are written into the reply and read out of it in place, so
+// a warmed-up AttrsBatch allocates less than one reply's payload — a single
+// copy of the attributes anywhere on the path would cost that much.
+func TestAttrsBatchAllocatesLessThanItsReply(t *testing.T) {
+	// 60 floats a vector keep the reply frame just under its pool class, so
+	// the pool drops the race detector injects cost at most one payload.
+	g := graph.Generate(graph.GenConfig{NumNodes: 4096, AvgDegree: 4, AttrLen: 60, Seed: 5})
+	part := HashPartitioner{N: 1}
+	cl, err := NewClientContext(bg, DirectTransport{Servers: []*Server{NewServer(g, part, 0)}}, part, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]graph.NodeID, 1024)
+	for i := range ids {
+		ids[i] = graph.NodeID(i * 3)
+	}
+	dst := make([]float32, len(ids)*g.AttrLen())
+	fetch := func() {
+		if err := cl.AttrsBatch(bg, dst, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No collection while counting: a GC would empty the pools and charge
+	// their refill to the fetch.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fetch()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, fetch) // runs+1 calls: one warms up
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	if payload := uint64(len(dst) * 4); perRun >= payload {
+		t.Fatalf("AttrsBatch of %d ids allocated %d B per call (%.0f allocs), want less than the %d B reply payload", len(ids), perRun, allocs, payload)
+	}
+	for i, v := range ids {
+		if !reflect.DeepEqual(dst[i*g.AttrLen():][:g.AttrLen()], g.Attr(nil, v)) {
+			t.Fatalf("id %d: attributes differ from the graph's", v)
+		}
 	}
 }
 
@@ -236,7 +377,7 @@ func TestPackedSubRejectionIsolated(t *testing.T) {
 	if !errors.As(subs[1].Err, &se) {
 		t.Fatalf("hostile sub error = %v, want *ServerError", subs[1].Err)
 	}
-	if subs[2].Err != nil || len(subs[2].Attrs.Attrs) != 2*g.AttrLen() {
+	if subs[2].Err != nil || len(subs[2].Attrs.Payload) != 2*g.AttrLen()*4 {
 		t.Fatalf("co-packed attrs sub: %+v", subs[2])
 	}
 }
@@ -284,24 +425,40 @@ func FuzzDecodePacked(f *testing.F) {
 	seed2, _ := EncodePackedRequest([]PackedSubRequest{
 		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: nil}},
 	}, false, &c)
-	seed3 := EncodePackedResponse(Header{BDI: true}, []PackedSubResponse{
-		{Op: OpGetNeighbors, Neighbors: NeighborsResponse{Lists: [][]graph.NodeID{{4, 5}, {}}}},
-		{Op: OpGetAttrs, Attrs: AttrsResponse{AttrLen: 2, Attrs: []float32{1, 2}}},
-		{Err: &ServerError{Server: 1, Msg: "no"}},
-	}, &c)
 	f.Add(seed1)
 	f.Add(seed2)
-	f.Add(seed3)
 	f.Add(bare(OpPacked, 1, 0, 0, 0, 0, 0))
-	// The shape every client sends, and its reply.
+	// The shape every client sends.
 	seed4, _ := EncodePackedRequest([]PackedSubRequest{
 		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{8, 16, 24, 1 << 33}}},
 	}, true, &c)
-	seed5 := EncodePackedResponse(Header{BDI: true, Traced: true, Trace: 77}, []PackedSubResponse{
-		{Op: OpGetNeighbors, Neighbors: NeighborsResponse{Lists: [][]graph.NodeID{{9, 10}, {}, {11}, {}}}},
-	}, &c)
 	f.Add(seed4)
-	f.Add(seed5)
+	// Replies as the server streams them: neighbors beside attrs, one whose
+	// attrs sub is backed out mid-vector by a rejection, a traced one.
+	g := testGraph(f)
+	srv := NewServer(g, HashPartitioner{N: 1}, 0)
+	for _, req := range []struct {
+		h    Header
+		subs []PackedSubRequest
+	}{
+		{Header{BDI: true}, []PackedSubRequest{
+			{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{4, 5}}},
+			{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{3, 1, 4}}}}},
+		{Header{BDI: true}, []PackedSubRequest{
+			{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{2}}},
+			{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{5, 9, 1 << 40, 2}}}}},
+		{Header{BDI: true, Traced: true, Trace: 77}, []PackedSubRequest{
+			{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{9, 10, 11, 12}}}}},
+	} {
+		frame, _ := encodePackedRequest(req.h, req.subs, &c)
+		reply, err := srv.Handle(bg, frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(reply)
+	}
+	// A peer's reply the server never sends: a retryable sub error.
+	f.Add(peerReply(Header{}, append([]byte{statusError}, "transient"...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc mof.VecCodec
 		// Must never panic or over-allocate; errors are the contract for

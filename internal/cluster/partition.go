@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 )
 
 // Partitioner maps a node to the server owning it.
@@ -116,18 +117,28 @@ func (m ReplicaMap) Validate(partitions int) error {
 	return nil
 }
 
-// GroupByOwner splits ids into per-server groups, returning parallel slices
-// of (server-local request lists, original positions) so responses can be
-// scattered back in order.
-func GroupByOwner(p Partitioner, ids []graph.NodeID) (groups [][]graph.NodeID, positions [][]int) {
-	groups = make([][]graph.NodeID, p.Servers())
-	positions = make([][]int, p.Servers())
+// GroupByOwner lays ids out server by server, in input order: server s's
+// IDs are grp[off[s]:off[s+1]], and pos[j] is grp[j]'s index in ids. All
+// three are pooled scratch the caller puts back.
+func GroupByOwner(p Partitioner, ids []graph.NodeID) (grp []graph.NodeID, pos, off []uint32) {
+	n := p.Servers()
+	off = mem.U32s.GetZeroed(n + 1)
+	for _, v := range ids {
+		off[p.Owner(v)+1]++
+	}
+	for s := 1; s <= n; s++ {
+		off[s] += off[s-1]
+	}
+	// Placing moves each start to the next server's; one shift undoes it.
+	grp, pos = mem.IDs.Get(len(ids)), mem.U32s.Get(len(ids))
 	for i, v := range ids {
 		o := p.Owner(v)
-		groups[o] = append(groups[o], v)
-		positions[o] = append(positions[o], i)
+		grp[off[o]], pos[off[o]] = v, uint32(i)
+		off[o]++
 	}
-	return groups, positions
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return grp, pos, off
 }
 
 // ValidatePartitioner checks invariants over a sample of the ID space and

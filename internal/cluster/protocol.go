@@ -143,10 +143,10 @@ type NeighborsResponse struct {
 // AttrsRequest asks for attribute vectors of IDs.
 type AttrsRequest struct{ IDs []graph.NodeID }
 
-// AttrsResponse carries the concatenated attribute vectors, request order.
+// AttrsResponse carries the attribute vectors, request order, as float32 LE.
 type AttrsResponse struct {
 	AttrLen int
-	Attrs   []float32
+	Payload []byte
 }
 
 // MetaResponse describes a server's partition.

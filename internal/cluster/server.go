@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/stats"
 	"lsdgnn/internal/trace"
@@ -150,23 +151,30 @@ func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (Neighb
 	return resp, nil
 }
 
-// GetAttrs answers a batched attribute request.
-func (s *Server) GetAttrs(ctx context.Context, req AttrsRequest) (AttrsResponse, error) {
+// appendAttrs answers an attrs sub straight into the reply frame, each
+// vector read into pooled scratch and put in place in a raw section.
+func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID) ([]byte, error) {
 	al := s.g.AttrLen()
-	resp := AttrsResponse{AttrLen: al, Attrs: make([]float32, 0, len(req.IDs)*al)}
-	for i, v := range req.IDs {
+	out, payload := appendAttrsHead(out, al, len(ids)*al*4)
+	vec := mem.Floats.Get(al)
+	defer mem.Floats.Put(vec)
+	for i, v := range ids {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return AttrsResponse{}, err
+				return out, err
 			}
 		}
 		if err := s.checkID(v); err != nil {
-			return AttrsResponse{}, err
+			return out, err
 		}
-		resp.Attrs = s.g.Attr(resp.Attrs, v)
+		got := s.g.Attr(vec[:0], v)
+		if len(got) != al {
+			return out, fmt.Errorf("cluster: node %d has %d attributes, want %d", v, len(got), al)
+		}
+		putFloats(payload[i*al*4:], got)
 		s.stats.Record(trace.AccessAttribute, s.g.AttrBytes(), false)
 	}
-	return resp, nil
+	return out, nil
 }
 
 // Handle dispatches a raw protocol message and returns the raw response,
@@ -245,37 +253,38 @@ func (s *Server) dispatch(ctx context.Context, h Header, body []byte) ([]byte, e
 // node ID fails only its own sub-slot while its siblings still return data
 // (the client resilience layer then judges each sub on its own status).
 // Only a context error aborts the whole frame — that belongs to the caller,
-// not the requests.
+// not the requests. The reply is a pooled frame the caller owns.
 func (s *Server) handlePacked(ctx context.Context, reply Header, body []byte) ([]byte, error) {
 	subs, err := DecodePackedRequest(body, reply.BDI, &s.wire.Codec)
 	if err != nil {
 		return nil, err
 	}
 	s.wire.recordPacked(len(subs))
-	resps := make([]PackedSubResponse, len(subs))
-	for i, sub := range subs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	reply.Op = OpPacked // each sub grows the frame to fit as it writes
+	out := AppendHeader(mem.Bytes.GetOwned(64, false)[:0], reply)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
+	for _, sub := range subs {
+		lenAt := len(out)
+		out = append(out, 0, 0, 0, 0) // body length, patched below
+		if sub.Op == OpGetAttrs {
+			out, err = s.appendAttrs(ctx, out, sub.Attrs.IDs)
+		} else {
+			var resp NeighborsResponse
+			if resp, err = s.GetNeighbors(ctx, sub.Neighbors); err == nil {
+				out = appendNeighbors(out, resp.Lists, reply.BDI, &s.wire.Codec)
+			}
 		}
-		out := &resps[i]
-		out.Op = sub.Op
-		switch sub.Op {
-		case OpGetNeighbors:
-			out.Neighbors, out.Err = s.GetNeighbors(ctx, sub.Neighbors)
-		case OpGetAttrs:
-			out.Attrs, out.Err = s.GetAttrs(ctx, sub.Attrs)
-		}
-		if out.Err != nil {
+		if err != nil {
 			if ctx.Err() != nil {
-				return nil, out.Err
+				mem.Bytes.Recycle(out)
+				return nil, err
 			}
-			var se *ServerError
-			if !errors.As(out.Err, &se) {
-				out.Err = &ServerError{Server: s.partition, Msg: out.Err.Error()}
-			}
+			// Back the sub out to its own start; its rejection replaces it.
+			out = append(append(out[:lenAt+4], statusReject), err.Error()...)
 		}
+		binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
 	}
-	return EncodePackedResponse(reply, resps, &s.wire.Codec), nil
+	return out, nil
 }
 
 // logRequest emits one structured request log line when a logger is set.

@@ -12,17 +12,21 @@ import (
 	"sync"
 	"time"
 
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/stats"
 )
 
 // TCP transport: length-prefixed protocol messages over stream sockets.
 // Frame layout: uint32 length | uint8 status (responses) | body. Requests
-// have no status byte. One request is in flight per connection; the client
-// keeps a small connection pool per server for concurrency. Contexts map
-// onto socket deadlines: an expired or canceled context wakes any blocked
-// read/write via SetDeadline, so in-flight calls abort promptly.
+// have no status byte. Bodies are read into pooled buffers. One request is
+// in flight per connection; the client keeps a small connection pool per
+// server for concurrency. Contexts map onto socket deadlines: an expired or
+// canceled context wakes any blocked read/write via SetDeadline, so
+// in-flight calls abort promptly.
 
 const maxFrameBytes = 1 << 28 // 256 MiB guards against corrupt prefixes
+
+const readChunk = 1 << 20 // the most readFrame allocates ahead of the bytes read
 
 // Response status bytes. statusError carries a failure the client may
 // retry (e.g. injected chaos); statusReject carries a *ServerError — a
@@ -58,24 +62,46 @@ func writeFrame(w io.Writer, status int, body []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame into a pooled buffer, grown only as bytes
+// arrive, that the caller owns. A reply's status byte is read apart from
+// the body and returned on its own, so the body keeps its pool capacity.
+func readFrame(r io.Reader, reply bool) (body []byte, status byte, err error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > maxFrameBytes {
-		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
+		return nil, 0, fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	if reply {
+		// Checked before the status read: a zero-length reply must fail
+		// now, not block on a status byte that never comes.
+		if n == 0 {
+			return nil, 0, errors.New("cluster: empty response frame")
+		}
+		if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+			return nil, 0, err
+		}
+		n--
 	}
-	return body, nil
+	body = mem.Bytes.GetOwned(min(n, readChunk), false)
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, body[read:]); err != nil {
+			mem.Bytes.Recycle(body)
+			return nil, 0, err
+		}
+		if read = len(body); read == n {
+			return body, hdr[4], nil
+		}
+		more := min(n-read, read)
+		body = grow(body, more)[:read+more]
+	}
 }
 
 // Handler answers raw protocol messages; *Server is the canonical
-// implementation, FaultyHandler a chaos-injecting wrapper.
+// implementation, FaultyHandler a chaos-injecting wrapper. Handle keeps
+// neither msg (valid until it returns) nor the reply (the caller's).
 type Handler interface {
 	Handle(ctx context.Context, msg []byte) ([]byte, error)
 }
@@ -161,12 +187,13 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
-		req, err := readFrame(r)
+		req, _, err := readFrame(r, false)
 		if err != nil {
 			return
 		}
 		t.frames.Inc()
 		resp, err := t.srv.Handle(t.baseCtx, req)
+		mem.Bytes.Recycle(req)
 		if err != nil {
 			t.frameErrs.Inc()
 		}
@@ -184,6 +211,9 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		}
 		if err := w.Flush(); err != nil {
 			return
+		}
+		if status == statusOK {
+			mem.Bytes.Recycle(resp)
 		}
 		// After a drain request, finish the response just written and bow
 		// out instead of waiting for the next frame.
@@ -370,13 +400,13 @@ func (t *TCPTransport) Call(ctx context.Context, server int, msg []byte) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	resp, err := t.attempt(ctx, server, conn, msg)
+	resp, status, err := t.attempt(ctx, server, conn, msg)
 	if err != nil && pooled && ctx.Err() == nil {
 		fresh, derr := t.dial(ctx, server)
 		if derr != nil {
 			return nil, err
 		}
-		resp, err = t.attempt(ctx, server, fresh, msg)
+		resp, status, err = t.attempt(ctx, server, fresh, msg)
 	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -390,23 +420,20 @@ func (t *TCPTransport) Call(ctx context.Context, server int, msg []byte) ([]byte
 		}
 		return nil, err
 	}
-	if len(resp) == 0 {
-		return nil, errors.New("cluster: empty response frame")
+	if status == statusOK {
+		return resp, nil
 	}
-	switch resp[0] {
-	case statusOK:
-		return resp[1:], nil
-	case statusReject:
-		return nil, &ServerError{Server: server, Msg: string(resp[1:])}
-	default:
-		return nil, fmt.Errorf("cluster: server %d: %s", server, string(resp[1:]))
+	defer mem.Bytes.Recycle(resp)
+	if status == statusReject {
+		return nil, &ServerError{Server: server, Msg: string(resp)}
 	}
+	return nil, fmt.Errorf("cluster: server %d: %s", server, string(resp))
 }
 
 // attempt runs one framed round trip on conn: deadline applied, a watcher
 // aborting blocked I/O on cancellation, and the connection pooled on
 // success or closed on failure.
-func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, msg []byte) ([]byte, error) {
+func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, msg []byte) ([]byte, byte, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
@@ -425,25 +452,23 @@ func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, m
 			}
 		}()
 	}
-	resp, ioErr := t.roundTrip(conn, msg)
+	ioErr := writeFrame(conn, noStatus, msg)
+	var resp []byte
+	var status byte
+	if ioErr == nil {
+		resp, status, ioErr = readFrame(conn, true)
+	}
 	if stop != nil {
 		close(stop)
 		<-watchDone
 	}
 	if ioErr != nil {
 		conn.Close()
-		return nil, ioErr
+		return nil, 0, ioErr
 	}
 	_ = conn.SetDeadline(time.Time{})
 	t.put(server, conn)
-	return resp, nil
-}
-
-func (t *TCPTransport) roundTrip(conn net.Conn, msg []byte) ([]byte, error) {
-	if err := writeFrame(conn, noStatus, msg); err != nil {
-		return nil, err
-	}
-	return readFrame(conn)
+	return resp, status, nil
 }
 
 // Close drains and closes pooled connections.

@@ -1,16 +1,21 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/sampler"
 )
 
@@ -370,5 +375,95 @@ func TestTCPServerDrainCompletesInflight(t *testing.T) {
 	// With the drain complete, even pooled redials are refused.
 	if _, err := tr.Call(bg, 0, metaReq); err == nil {
 		t.Fatal("draining server accepted a post-drain request")
+	}
+}
+
+// ownedOut is the count of owned pool buffers handed out and not yet
+// recycled.
+func ownedOut() float64 {
+	s := mem.Snapshot()
+	h, _ := s.Get("owned_handoffs")
+	r, _ := s.Get("owned_recycled")
+	return h - r
+}
+
+// FuzzReadFrame feeds the pooled frame reader hostile bytes: any length
+// prefix, a reply without its status byte, a body cut short. It must never
+// panic, must fail every frame its bytes cannot fill, must allocate no
+// more than readChunk ahead of the bytes that arrived, and must hand back
+// every buffer it took: to the caller on success, to the pool on failure.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, statusOK, 'o', 'k'}, true)
+	f.Add([]byte{0, 0, 0, 0}, true)                                // no status byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, statusOK, 1, 2, 3}, true) // at the limit, cut short
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, false)                   // past the limit
+	f.Add([]byte{2, 0, 0, 0, OpMeta, ProtoVersion}, false)
+	f.Fuzz(func(t *testing.T, data []byte, reply bool) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		allocBefore, ownedBefore := ms.TotalAlloc, ownedOut()
+		body, status, err := readFrame(bytes.NewReader(data), reply)
+		runtime.ReadMemStats(&ms)
+		if most := uint64(readChunk + 4*len(data) + 4096); ms.TotalAlloc-allocBefore > most {
+			t.Fatalf("read of %d bytes allocated %d, want at most %d", len(data), ms.TotalAlloc-allocBefore, most)
+		}
+		if err == nil {
+			head := 4
+			if reply {
+				head = 5
+			}
+			n := int(binary.LittleEndian.Uint32(data))
+			if len(body)+head-4 != n || !bytes.Equal(body, data[head:head+len(body)]) || reply && status != data[4] {
+				t.Fatalf("prefix %d read back as %d body bytes, status %d", n, len(body), status)
+			}
+			mem.Bytes.Recycle(body)
+		} else if body != nil {
+			t.Fatal("failed read returned a body")
+		}
+		if d := ownedOut() - ownedBefore; d != 0 {
+			t.Fatalf("read left %v pool buffers unreturned", d)
+		}
+	})
+}
+
+// TestReadFrameGrowsAsBytesArrive: a body longer than readChunk reads back
+// whole, a prefix claiming far more than arrives fails after allocating
+// about what did arrive, not what was claimed, and a zero-length reply on
+// a live socket fails at once instead of waiting for a status byte.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	defer conn.Close()
+	go peer.Write([]byte{0, 0, 0, 0})
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := readFrame(conn, true); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("zero-length reply: %v, want a prompt rejection", err)
+	}
+
+	body := make([]byte, 3*readChunk+5)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, statusReject, body); err != nil {
+		t.Fatal(err)
+	}
+	got, status, err := readFrame(&frame, true)
+	if err != nil || status != statusReject || !bytes.Equal(got, body) {
+		t.Fatalf("%d-byte body read back as %d bytes, status %d, %v", len(body), len(got), status, err)
+	}
+	mem.Bytes.Recycle(got)
+
+	hostile := binary.LittleEndian.AppendUint32(nil, maxFrameBytes)
+	hostile = append(hostile, body...)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, _, err := readFrame(bytes.NewReader(hostile), false); err == nil {
+		t.Fatal("frame cut short read back whole")
+	}
+	runtime.ReadMemStats(&ms)
+	if got := ms.TotalAlloc - before; got > 4*uint64(len(body)) {
+		t.Fatalf("a %d-byte frame claiming %d allocated %d bytes", len(body), maxFrameBytes, got)
 	}
 }

@@ -156,15 +156,16 @@ func (d *Dispatcher) Submit(ctx context.Context, roots []graph.NodeID) (*sampler
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		defer func() {
-			d.release(engine)
-			<-d.slots
-		}()
 		estart := time.Now()
 		res, st := d.engines[engine].RunBatch(roots)
 		// Recorded even for abandoned batches: the engine really did the
 		// work, and the histogram should show it.
 		tr.Observe(id, obs.HopEngine, estart, time.Since(estart))
+		// Released before the outcome is published: a caller whose Submit
+		// has returned must find its engine idle, or the next pick skips it.
+		// An abandoned batch releases here too.
+		d.release(engine)
+		<-d.slots
 		done <- outcome{res, st}
 	}()
 	select {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -71,6 +72,23 @@ func TestDispatcherSequentialRoundRobins(t *testing.T) {
 	for i, c := range sys.Dispatcher.Counts() {
 		if c != 2 {
 			t.Fatalf("engine %d got %d batches, want 2: %v", i, c, sys.Dispatcher.Counts())
+		}
+	}
+}
+
+// TestDispatcherReleasesBeforeReturn: a Submit that has returned no longer
+// counts against its engine, so the next sequential pick sees every engine
+// idle. Spare Ps let the woken caller run before a late release would.
+func TestDispatcherReleasesBeforeReturn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	sys := dispatchSystem(t, 3)
+	src := sys.BatchSource(4, 2)
+	for i := 0; i < 20; i++ {
+		if _, _, err := sys.Sample(context.Background(), src.Next()); err != nil {
+			t.Fatal(err)
+		}
+		if n := sys.Dispatcher.Inflight(); n != 0 {
+			t.Fatalf("batch %d returned with %d batch(es) still in flight", i, n)
 		}
 	}
 }

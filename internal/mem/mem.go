@@ -13,13 +13,12 @@
 //   - Scratch (Get/Put) never escapes the subsystem that took it. Every
 //     Get is balanced by a Put on all paths, so the outstanding gauge
 //     returns to zero whenever the hot path is idle — the leak-check
-//     TestMains in the sampler, pipeline, cluster and mof suites assert
-//     exactly that.
-//   - Owned buffers (Region) back results handed to callers. The caller
-//     recycles them by releasing the region (sampler.Result.Release);
-//     a caller that never releases simply donates the buffers to the GC —
-//     correctness never depends on Release, only steady-state allocation
-//     rate does.
+//     TestMains of the packages on the hot path assert exactly that.
+//   - Owned buffers (GetOwned) back results handed to callers: a Region's
+//     segments, recycled by releasing the region (sampler.Result.Release),
+//     and wire frames, recycled by whoever holds them. A caller that never
+//     recycles simply donates the buffers to the GC — correctness never
+//     depends on it, only steady-state allocation rate does.
 //
 // Nothing in this package zeroes on Put; buffers whose consumers rely on
 // zero values (attribute vectors with degraded-store zero-fill semantics)
