@@ -48,7 +48,7 @@ func BenchmarkOoO(b *testing.B)   { runExperiment(b, "ooo") }
 func BenchmarkStreamingSampling(b *testing.B) {
 	// The cycle/structure half of the Tech-2 experiment; the accuracy half
 	// (training) lives in the gnn tests.
-	rng := rand.New(rand.NewSource(1))
+	rng := sampler.NewRand(1)
 	candidates := make([]graph.NodeID, 1000)
 	for i := range candidates {
 		candidates[i] = graph.NodeID(i)
@@ -56,12 +56,12 @@ func BenchmarkStreamingSampling(b *testing.B) {
 	var dst []graph.NodeID
 	b.Run("reservoir", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dst, _ = sampler.SampleNeighbors(dst[:0], candidates, 10, sampler.Reservoir, rng)
+			dst, _ = sampler.SampleNeighbors(dst[:0], candidates, 10, sampler.Reservoir, &rng)
 		}
 	})
 	b.Run("streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dst, _ = sampler.SampleNeighbors(dst[:0], candidates, 10, sampler.Streaming, rng)
+			dst, _ = sampler.SampleNeighbors(dst[:0], candidates, 10, sampler.Streaming, &rng)
 		}
 	})
 }

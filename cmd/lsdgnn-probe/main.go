@@ -111,7 +111,7 @@ func main() {
 	}
 	// In pipeline mode every batch flows through the windowed executor
 	// (the software AxE load unit) instead of straight through the client;
-	// per-root RNG streams keep the results identical.
+	// the results are identical either way.
 	var ex *pipeline.Executor
 	if *pipelined {
 		ex = pipeline.New(client, cfg, pipeline.Config{Window: *pipeWindow})

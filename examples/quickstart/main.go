@@ -1,7 +1,7 @@
 // Quickstart: build a small e-commerce-style graph, assemble an LSD-GNN
-// system, and run one sampling mini-batch on both the software (vCPU
-// baseline) path and the AxE accelerator, comparing results and modeled
-// throughput.
+// system, and run one sampling mini-batch on the software (vCPU baseline),
+// pipelined and AxE accelerator paths, checking they agree byte for byte
+// and reporting modeled throughput.
 package main
 
 import (
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"reflect"
 	"time"
 
 	"lsdgnn"
@@ -53,8 +54,7 @@ func main() {
 	}
 
 	// Pipelined path: the same batch through the windowed executor (the
-	// software model of the AxE load unit, Tech-3). Per-root RNG streams
-	// make it byte-identical to every other sampling path.
+	// software model of the AxE load unit, Tech-3).
 	pl, err := sys.SamplePipelined(ctx, roots)
 	if err != nil {
 		log.Fatal(err)
@@ -74,11 +74,15 @@ func main() {
 	fmt.Printf("             %.0f roots/s, cache hit %.0f%%, output link %.0f%% busy\n",
 		stats.RootsPerSecond, stats.CacheHitRate*100, stats.OutputUtilization*100)
 
-	// Both paths return the same shape; contents differ only by RNG.
-	if len(sw.Attrs) != len(hw.Attrs) {
-		log.Fatalf("layout mismatch: %d vs %d attr floats", len(sw.Attrs), len(hw.Attrs))
+	// Every draw comes from a stream derived from (seed, root, hop,
+	// position), so all three paths return the same batch.
+	for name, res := range map[string]*lsdgnn.Result{"pipelined": pl, "accelerated": hw} {
+		if !reflect.DeepEqual(res.Hops, sw.Hops) || !reflect.DeepEqual(res.Negatives, sw.Negatives) ||
+			!reflect.DeepEqual(res.Attrs, sw.Attrs) {
+			log.Fatalf("%s batch differs from the software batch", name)
+		}
 	}
-	fmt.Println("software and accelerated results have identical layout ✓")
+	fmt.Println("software, pipelined and accelerated results are byte-identical ✓")
 
 	// Storage beyond RAM: the same deployment, but the partition servers
 	// answer from a persistent mmap CSR + WAL store with a page-cache

@@ -1,8 +1,8 @@
 package axe
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/eventsim"
@@ -11,10 +11,10 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// Engine is one FPGA's Access Engine attached to a partitioned graph. It is
-// a combined functional and timing simulator: RunBatch returns both the
-// sampled mini-batch (bit-exact data from the real graph) and the modeled
-// hardware timing of producing it.
+// Engine is one FPGA's Access Engine attached to a partitioned graph.
+// RunBatch returns both the sampled mini-batch — sampler.KHop over the
+// graph, so bit-exact with every software path — and the modeled hardware
+// timing of producing it, replayed by an event simulation over that result.
 type Engine struct {
 	g    *graph.Graph
 	part cluster.Partitioner
@@ -103,16 +103,9 @@ type run struct {
 	output     *eventsim.Link // may alias localCh[0]
 	outXtra    eventsim.Time
 
-	cores []*core
-	res   *sampler.Result
-	// attr offsets: res.Attrs[slot*attrLen : ...]
-	attrLen  int
-	hopBases []int // attr-slot base per hop
-	negBase  int
-	// levelW[h] is the per-root frontier width entering hop h
-	// (prod(fanouts[:h])), used to derive the (root, pos) RNG stream of a
-	// frontier task when Sampling.RootStreams is set.
-	levelW []int
+	cores   []*core
+	res     *sampler.Result // KHop's result: the tasks replay its hops
+	attrLen int
 
 	outstanding int
 	done        eventsim.Time
@@ -134,7 +127,7 @@ type task struct {
 	kind taskKind
 	v    graph.NodeID
 	hop  int // frontier: depth (0 = expanding a root)
-	idx  int // frontier: index within its level; attr: attr slot
+	idx  int // frontier: index within its level
 }
 
 type core struct {
@@ -147,19 +140,20 @@ type core struct {
 	attrUnit    *eventsim.FIFO
 	window      *eventsim.Semaphore
 	cache       *CoalescingCache
-	rng         *rand.Rand
-	stream      *sampler.Stream
-	scratch     []float32
-	sampleBuf   []graph.NodeID
 	issueTime   eventsim.Time
 	issueRemain eventsim.Time
 }
 
 // RunBatch samples one mini-batch of roots, returning the functional result
-// (identical layout to sampler.Sampler.SampleBatch) and the modeled timing.
+// (sampler.KHop's, byte-identical to sampler.Sampler.Sample) and the
+// modeled timing of producing it.
 func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 	cfg := e.cfg
-	r := &run{e: e, sim: eventsim.New(), attrLen: e.g.AttrLen()}
+	res, err := sampler.KHop(context.Background(), sampler.LocalStore{G: e.g}, cfg.Sampling, roots)
+	if err != nil {
+		panic(err) // a LocalStore cannot fail
+	}
+	r := &run{e: e, sim: eventsim.New(), attrLen: e.g.AttrLen(), res: res}
 
 	// Build the IO fabric.
 	for i := 0; i < cfg.LocalChannels; i++ {
@@ -188,46 +182,6 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 		r.output.PerMessageOverheadBytes = cfg.Output.OverheadBytes
 	}
 
-	// Preallocate the functional result in the canonical layout.
-	sp := cfg.Sampling
-	res := &sampler.Result{Roots: roots}
-	level := len(roots)
-	attrSlots := level
-	w := 1
-	for h, f := range sp.Fanouts {
-		r.levelW = append(r.levelW, w)
-		w *= f
-		level *= f
-		res.Hops = append(res.Hops, make([]graph.NodeID, level))
-		r.hopBases = append(r.hopBases, attrSlots)
-		_ = h
-		attrSlots += level
-	}
-	r.negBase = attrSlots
-	if sp.NegativeRate > 0 {
-		res.Negatives = make([]graph.NodeID, len(roots)*sp.NegativeRate)
-		if sp.RootStreams {
-			st := sampler.GetStream()
-			for root := range roots {
-				nrng := st.Negatives(sp.Seed, root)
-				for i := 0; i < sp.NegativeRate; i++ {
-					res.Negatives[root*sp.NegativeRate+i] = graph.NodeID(nrng.Int63n(e.g.NumNodes()))
-				}
-			}
-			sampler.PutStream(st)
-		} else {
-			negRNG := rand.New(rand.NewSource(sp.Seed ^ 0x6e65676174697665))
-			for i := range res.Negatives {
-				res.Negatives[i] = graph.NodeID(negRNG.Int63n(e.g.NumNodes()))
-			}
-		}
-		attrSlots += len(res.Negatives)
-	}
-	if sp.FetchAttrs {
-		res.Attrs = make([]float32, attrSlots*r.attrLen)
-	}
-	r.res = res
-
 	// Cores.
 	ii := cfg.BaseNodeCycles / cfg.PipelineDepth
 	if ii < 1 {
@@ -241,8 +195,6 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 			attrUnit:   eventsim.NewFIFO(r.sim),
 			window:     eventsim.NewSemaphore(cfg.Window),
 			cache:      NewCoalescingCache(cfg.CacheBytes, cfg.CacheLineBytes),
-			rng:        rand.New(rand.NewSource(sp.Seed + int64(i)*7919)),
-			stream:     sampler.NewStream(),
 		}
 		c.issueTime = r.cyc(ii)
 		c.issueRemain = r.cyc(cfg.BaseNodeCycles - ii)
@@ -254,13 +206,13 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 	for i, v := range roots {
 		c := r.cores[i%cfg.Cores]
 		c.push(task{kind: taskFrontier, v: v, hop: 0, idx: i})
-		if sp.FetchAttrs {
-			c.push(task{kind: taskAttr, v: v, idx: i})
+		if cfg.Sampling.FetchAttrs {
+			c.push(task{kind: taskAttr, v: v})
 		}
 	}
-	if sp.FetchAttrs {
+	if cfg.Sampling.FetchAttrs {
 		for i, v := range res.Negatives {
-			r.cores[i%cfg.Cores].push(task{kind: taskAttr, v: v, idx: r.negBase + i})
+			r.cores[i%cfg.Cores].push(task{kind: taskAttr, v: v})
 		}
 	}
 
@@ -388,34 +340,15 @@ func (c *core) runFrontier(t task) {
 					c.memRead(edgeAddr(owner, start), owner, deg*8, next)
 				}
 				readEdges(func() {
-					nbrs := r.e.g.Neighbors(t.v)
 					fanout := cfg.Sampling.Fanouts[t.hop]
-					rng := c.rng
-					if cfg.Sampling.RootStreams {
-						// Derived per-node stream: any core may expand any
-						// task in any order and still draw the exact bits
-						// the synchronous sampler would have drawn. The
-						// core's stream cursor repositions in place — no
-						// per-task RNG construction.
-						w := r.levelW[t.hop]
-						rng = c.stream.Node(cfg.Sampling.Seed, t.idx/w, t.hop, t.idx%w)
-					}
-					c.sampleBuf = c.sampleBuf[:0]
-					var cycles int
-					c.sampleBuf, cycles = sampler.SampleNeighbors(c.sampleBuf, nbrs, fanout, cfg.Sampling.Method, rng)
-					for len(c.sampleBuf) < fanout {
-						c.sampleBuf = append(c.sampleBuf, t.v)
-					}
+					cycles := sampler.Steps(deg, fanout, cfg.Sampling.Method)
 					if cycles < 1 {
 						cycles = 1
 					}
-					children := make([]graph.NodeID, fanout)
-					copy(children, c.sampleBuf)
 					c.sampleUnit.Submit(r.cyc(cycles), func() {
 						hop := t.hop
-						level := r.res.Hops[hop]
 						base := t.idx * fanout
-						copy(level[base:base+fanout], children)
+						children := r.res.Hops[hop][base : base+fanout]
 						last := hop == len(cfg.Sampling.Fanouts)-1
 						for j, child := range children {
 							childIdx := base + j
@@ -423,7 +356,7 @@ func (c *core) runFrontier(t task) {
 								c.push(task{kind: taskFrontier, v: child, hop: hop + 1, idx: childIdx})
 							}
 							if cfg.Sampling.FetchAttrs {
-								c.push(task{kind: taskAttr, v: child, idx: r.hopBases[hop] + childIdx})
+								c.push(task{kind: taskAttr, v: child})
 							}
 						}
 						// Stream the sampled IDs out.
@@ -443,10 +376,6 @@ func (c *core) runAttr(t task) {
 	ab := r.attrLen * 4
 	c.attrUnit.Submit(r.cyc(2), func() {
 		c.memRead(attrAddr(owner, t.v, ab), owner, ab, func() {
-			if r.res.Attrs != nil {
-				c.scratch = r.e.g.Attr(c.scratch[:0], t.v)
-				copy(r.res.Attrs[t.idx*r.attrLen:], c.scratch)
-			}
 			r.stats.OutputBytes += int64(ab + 8)
 			c.sendOutput(ab+8, c.finish)
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -635,9 +634,9 @@ var firstSeen = sync.Pool{New: func() any { return make(map[graph.NodeID]uint32)
 
 // SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:
 // sampler.KHop over this client, so the Result is the one
-// sampler.Sampler.Sample produces. Without cfg.RootStreams each call draws
-// from a fresh RNG seeded with cfg.Seed. Cancellation or an expired
-// deadline on ctx aborts the batch between and within hops.
+// sampler.Sampler.Sample produces for the same cfg and roots, draws and
+// all. Cancellation or an expired deadline on ctx aborts the batch between
+// and within hops.
 //
 // With PartialResults enabled (see ResilienceConfig), shard failures
 // degrade instead of aborting: the returned Result keeps its full layout —
@@ -653,11 +652,7 @@ func (c *Client) SampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 		ctx, id = obs.EnsureTrace(ctx)
 	}
 	start := time.Now()
-	var rng *rand.Rand
-	if !cfg.RootStreams {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	res, err := sampler.KHop(ctx, c, cfg, rng, roots)
+	res, err := sampler.KHop(ctx, c, cfg, roots)
 	if pe, ok := sampler.AsPartial(err); ok {
 		// This API reports loss per shard: every shard behind a fetch that
 		// degraded, once.

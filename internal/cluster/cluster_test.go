@@ -232,19 +232,17 @@ func TestClientSampleBatchLayoutMatchesLocal(t *testing.T) {
 	cfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 9}
 	roots := []graph.NodeID{1, 2, 3}
 	// The client's own sampling loop draws exactly what the reference
-	// sampler draws, weighted or not, on either random-stream discipline.
+	// sampler draws, weighted or not.
 	var dist, local *sampler.Result
 	for _, wf := range []sampler.WeightFunc{sampler.DegreeWeight(sampler.LocalStore{G: g}), nil} {
-		for _, streams := range []bool{true, false} {
-			cfg.WeightFn, cfg.RootStreams = wf, streams
-			var err error
-			if dist, err = client.SampleBatch(bg, roots, cfg); err != nil {
-				t.Fatal(err)
-			}
-			local = sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
-			if !reflect.DeepEqual(dist.Hops, local.Hops) {
-				t.Fatalf("weighted=%v RootStreams=%v: client hops diverge from the reference sampler", wf != nil, streams)
-			}
+		cfg.WeightFn = wf
+		var err error
+		if dist, err = client.SampleBatch(bg, roots, cfg); err != nil {
+			t.Fatal(err)
+		}
+		local = sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
+		if !reflect.DeepEqual(dist.Hops, local.Hops) {
+			t.Fatalf("weighted=%v: client hops diverge from the reference sampler", wf != nil)
 		}
 	}
 	if len(dist.Attrs) != len(local.Attrs) {

@@ -56,8 +56,7 @@ type Options struct {
 	Faults *cluster.FaultSpec
 	// Pipeline, when set, builds a windowed sampling executor (the
 	// software AxE load unit) over the client; SamplePipelined then runs
-	// batches through it. RootStreams is forced on the sampling config so
-	// pipelined and synchronous paths stay byte-identical.
+	// batches through it, byte-identical to the synchronous path.
 	Pipeline *pipeline.Config
 	// Layout, when set, is the initial elastic partition layout: one
 	// server is built per layout endpoint and the client routes by the
@@ -412,8 +411,8 @@ func (s *System) SampleSoftware(ctx context.Context, roots []graph.NodeID) (*sam
 
 // SamplePipelined runs one batch through the windowed executor (the
 // software load unit). Falls back to SampleSoftware when no pipeline was
-// configured — the result stays byte-identical when both paths use
-// RootStreams. A *pipeline.PartialError marks per-root degradation; the
+// configured — the result is byte-identical either way. A
+// *pipeline.PartialError marks per-root degradation; the
 // result keeps its full layout and the dispatcher records it.
 func (s *System) SamplePipelined(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
 	if s.Pipeline == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -93,24 +94,23 @@ func TestDispatcherReleasesBeforeReturn(t *testing.T) {
 	}
 }
 
+// TestDispatcherMatchesLegacyResult: whichever engine the dispatcher picks,
+// the batch is the reference sampler's over the local graph.
 func TestDispatcherMatchesLegacyResult(t *testing.T) {
 	sys := dispatchSystem(t, 2)
 	roots := sys.BatchSource(6, 7).Next()
-	legacy, _ := sys.Engines[0].RunBatch(roots)
-	via, _, err := sys.Sample(context.Background(), roots)
+	ref, err := sampler.New(sampler.LocalStore{G: sys.Graph}, sys.Sampling).Sample(context.Background(), roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Engines share the sampling seed, so placement must not change the
-	// functional result.
-	for h := range legacy.Hops {
-		if len(via.Hops[h]) != len(legacy.Hops[h]) {
-			t.Fatalf("hop %d layout differs", h)
+	for i := 0; i < 2; i++ {
+		via, _, err := sys.Sample(context.Background(), roots)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range legacy.Hops[h] {
-			if via.Hops[h][i] != legacy.Hops[h][i] {
-				t.Fatalf("hop %d sample %d differs between engines", h, i)
-			}
+		if !reflect.DeepEqual(via.Hops, ref.Hops) || !reflect.DeepEqual(via.Negatives, ref.Negatives) ||
+			!reflect.DeepEqual(via.Attrs, ref.Attrs) || via.Cycles != ref.Cycles {
+			t.Fatalf("batch %d through the dispatcher differs from the reference sampler", i)
 		}
 	}
 }

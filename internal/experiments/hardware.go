@@ -165,15 +165,6 @@ type StreamingResult struct {
 // StreamingExperiment measures Tech-2's cycle claim (N vs N+K) and its
 // accuracy claim (PPI-style micro-F1 parity).
 func StreamingExperiment(opts Options) StreamingResult {
-	// Cycle count on a fixed candidate stream.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	candidates := make([]graph.NodeID, 1000)
-	for i := range candidates {
-		candidates[i] = graph.NodeID(i)
-	}
-	_, resCycles := sampler.SampleNeighbors(nil, candidates, 10, sampler.Reservoir, rng)
-	_, strCycles := sampler.SampleNeighbors(nil, candidates, 10, sampler.Streaming, rng)
-
 	cfgR := gnn.DefaultAccuracyConfig(sampler.Reservoir)
 	cfgS := gnn.DefaultAccuracyConfig(sampler.Streaming)
 	if opts.Quick {
@@ -181,8 +172,9 @@ func StreamingExperiment(opts Options) StreamingResult {
 		cfgR.Nodes, cfgS.Nodes = 800, 800
 	}
 	return StreamingResult{
-		ReservoirCycles: resCycles,
-		StreamingCycles: strCycles,
+		// Cycle count of drawing 10 of 1000 candidates.
+		ReservoirCycles: sampler.Steps(1000, 10, sampler.Reservoir),
+		StreamingCycles: sampler.Steps(1000, 10, sampler.Streaming),
 		ReservoirF1:     gnn.RunSamplingAccuracy(cfgR),
 		StreamingF1:     gnn.RunSamplingAccuracy(cfgS),
 	}

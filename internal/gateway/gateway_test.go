@@ -359,11 +359,47 @@ func TestParseTenants(t *testing.T) {
 		"name=x,key=k,slo=soon",       // bad duration
 		"name=x,key=k,favourite=blue", // unknown field
 		"name=x,key=k,weight",         // not key=value
+		"name=x,key=k,rate=NaN",       // not a number
+		"name=x,key=k,rate=+Inf",      // unbounded rate
+		"name=x,key=k,burst=NaN",      // not a number
+		"name=x,key=k,slo=-1s",        // negative objective
 	} {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseTenants: the -tenants parser never panics, and every tenant it
+// accepts is servable — a name and key, finite non-negative rate and
+// burst, weight at least 1 and a positive latency objective.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{
+		"name=alice,key=ak1,class=latency,rate=500,burst=64,weight=4,slo=50ms;name=bob,key=bk1,class=throughput,rate=100",
+		"name=x,key=k,rate=0.25",
+		"name=x,key=k,rate=NaN",
+		"name=x,key=k,rate=+Inf,burst=1",
+		"name=x,key=k,burst=NaN",
+		"name=x,key=k,burst=1e400",
+		"name=x,key=k,slo=-1s",
+		"name=x,key=k,weight=-3",
+		"name=x,key=k;name=y,key=k",
+		";;name=x,key=k,,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, err := ParseTenants(spec)
+		if err != nil {
+			return
+		}
+		for _, c := range ts {
+			if c.Name == "" || c.Key == "" || !finite(c.Rate) || c.Rate < 0 || !finite(c.Burst) || c.Burst < 0 ||
+				c.Weight < 1 || c.SLO <= 0 {
+				t.Fatalf("ParseTenants(%q) accepted %+v", spec, c)
+			}
+		}
+	})
 }
 
 func TestBucketRefill(t *testing.T) {

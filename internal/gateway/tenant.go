@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,6 +71,9 @@ func (c TenantConfig) withDefaults() (TenantConfig, error) {
 	if c.Rate < 0 || c.Burst < 0 {
 		return c, fmt.Errorf("gateway: tenant %q has negative rate/burst", c.Name)
 	}
+	if !finite(c.Rate) || !finite(c.Burst) {
+		return c, fmt.Errorf("gateway: tenant %q has non-finite rate/burst", c.Name)
+	}
 	if c.Weight == 0 {
 		c.Weight = 1
 	}
@@ -82,11 +86,16 @@ func (c TenantConfig) withDefaults() (TenantConfig, error) {
 			c.Burst = 1
 		}
 	}
+	if c.SLO < 0 {
+		return c, fmt.Errorf("gateway: tenant %q has negative slo %v", c.Name, c.SLO)
+	}
 	if c.SLO == 0 {
 		c.SLO = DefaultTenantSLO
 	}
 	return c, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // ParseTenants parses the -tenants flag syntax: semicolon-separated
 // tenants, each a comma-separated key=value list:

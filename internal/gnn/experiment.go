@@ -90,10 +90,11 @@ func RunSamplingAccuracy(cfg AccuracyConfig) float64 {
 	labels := SyntheticLabels(g, cfg.Labels)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := NewGraphSAGEMax(cfg.AttrLen, cfg.Hidden, cfg.Labels, cfg.Fanout1, cfg.Fanout2, rng)
-	s := sampler.New(sampler.LocalStore{G: g}, sampler.Config{
+	store := sampler.LocalStore{G: g}
+	scfg := sampler.Config{
 		Fanouts: []int{cfg.Fanout1, cfg.Fanout2}, Method: cfg.Method,
 		FetchAttrs: true, Seed: cfg.Seed,
-	})
+	}
 
 	// 80/20 train/test split by node ID parity of a hash.
 	isTest := func(v graph.NodeID) bool { return uint64(v)*2654435761%5 == 0 }
@@ -119,7 +120,10 @@ func RunSamplingAccuracy(cfg AccuracyConfig) float64 {
 		for i := range roots {
 			roots[i] = trainIDs[rng.Intn(len(trainIDs))]
 		}
-		res := s.SampleBatch(roots)
+		// Draws are a pure function of (seed, root index, hop, position):
+		// a seed per step gives each step fresh draws.
+		scfg.Seed = sampler.StreamSeed(cfg.Seed, uint64(step))
+		res := sampler.New(store, scfg).SampleBatch(roots)
 		x0, x1, x2 := batchMats(res, cfg.AttrLen, cfg.Fanout1, cfg.Fanout2)
 		logits, st := model.Forward(x0, x1, x2)
 		_, grad := BCELoss(logits, labelBatch(roots))
@@ -127,7 +131,8 @@ func RunSamplingAccuracy(cfg AccuracyConfig) float64 {
 	}
 
 	// Evaluate on held-out roots.
-	res := s.SampleBatch(testIDs)
+	scfg.Seed = cfg.Seed
+	res := sampler.New(store, scfg).SampleBatch(testIDs)
 	x0, x1, x2 := batchMats(res, cfg.AttrLen, cfg.Fanout1, cfg.Fanout2)
 	logits, _ := model.Forward(x0, x1, x2)
 	return MicroF1(Predict(logits), labelBatch(testIDs))

@@ -8,10 +8,10 @@
 // one of those fetches passes through a window that counts node-requests
 // across all of the executor's concurrent batches.
 //
-// Output is a pure function of (seed, root, hop, position): the executor
-// forces sampler.Config.RootStreams, so concurrent batches share no RNG
-// and the result is byte-identical to every other RootStreams path
-// (Sampler.Sample, Client.SampleBatch, the AxE engine model).
+// Output is a pure function of (seed, root, hop, position): KHop draws
+// every site from its own derived stream, so concurrent batches share no
+// RNG and the result is byte-identical to every other path (Sampler.Sample,
+// Client.SampleBatch, the AxE engine model).
 package pipeline
 
 import (
@@ -78,16 +78,13 @@ type Executor struct {
 	win    window
 }
 
-// New builds an executor. scfg.RootStreams is forced on — per-root RNG
-// streams are what let concurrent batches share nothing — so the output
-// matches any other RootStreams path (synchronous Sampler, cluster client,
-// AxE engine) for the same seed. Panics on an empty fanout list, like
-// sampler.New.
+// New builds an executor. Its output matches every other path (synchronous
+// Sampler, cluster client, AxE engine) for the same config. Panics on an
+// empty fanout list, like sampler.New.
 func New(store sampler.Store, scfg sampler.Config, cfg Config) *Executor {
 	if len(scfg.Fanouts) == 0 {
 		panic("pipeline: no fanouts configured")
 	}
-	scfg.RootStreams = true
 	e := &Executor{store: store, scfg: scfg, cfg: cfg.withDefaults()}
 	e.stats.setCapacity(e.cfg.Window)
 	e.win.cap, e.win.stats = e.cfg.Window, &e.stats
@@ -101,7 +98,7 @@ func (e *Executor) Occupancy() float64 { return e.stats.Occupancy() }
 // Config returns the executor configuration (defaults applied).
 func (e *Executor) Config() Config { return e.cfg }
 
-// SamplerConfig returns the sampling configuration (RootStreams forced).
+// SamplerConfig returns the sampling configuration.
 func (e *Executor) SamplerConfig() sampler.Config { return e.scfg }
 
 // Stats exposes the executor's "pipeline" stats layer.
@@ -194,7 +191,7 @@ func (w *window) release(n int) {
 
 // Sample runs one k-hop batch: sampler.KHop over the windowed store, so
 // the result layout and — for the same seed — contents are byte-identical
-// to sampler.Sampler.Sample under RootStreams, whatever the window size
+// to sampler.Sampler.Sample, whatever the window size
 // or how many batches share it. Errors are KHop's: a ctx expiry returns
 // (nil, ctx.Err()), a store error that says what it lost degrades only the
 // roots that asked for it (*PartialError beside the layout-complete
@@ -205,7 +202,7 @@ func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.R
 	if !ok {
 		id = obs.NewTraceID()
 	}
-	res, err := sampler.KHop(ctx, windowed{e, id}, e.scfg, nil, roots)
+	res, err := sampler.KHop(ctx, windowed{e, id}, e.scfg, roots)
 	dur := time.Since(start)
 	if res == nil {
 		e.stats.batchErrors.Inc()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lsdgnn/internal/axe"
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/sampler"
@@ -37,7 +38,6 @@ func testCfg() sampler.Config {
 		Method:       sampler.Streaming,
 		FetchAttrs:   true,
 		Seed:         99,
-		RootStreams:  true,
 	}
 }
 
@@ -91,44 +91,75 @@ func parityStores(t *testing.T, g *graph.Graph) []parityStore {
 	}
 }
 
-// TestPipelineDeterminism is the parity table: every software path over
+// TestPipelineDeterminism is the parity table: every execution path over
 // every backend, for both sampling methods, weighted and not, returns
 // Roots / Hops / Negatives / Attrs / Cycles identical to the reference
 // sampler over the local graph under the same config. Executor rows match
-// the RootStreams reference whatever the window; Client.SampleBatch and
-// Sampler.Sample match it on either random-stream discipline.
+// whatever the window. "-streams" rows make one call on a fresh Client or
+// Sampler; "-shared" rows make the second call on an instance that already
+// sampled other roots, which must not move a draw (no generator state
+// carries over). The axe.Engine row — the event-simulated AxE over the
+// graph — exists for the local store only.
 func TestPipelineDeterminism(t *testing.T) {
 	g := testGraph(t)
 	roots := testRoots(64)
 	local := sampler.LocalStore{G: g}
 
 	type path struct {
-		name    string
-		streams bool // RootStreams of the reference the row must match
-		run     func(s parityStore, cfg sampler.Config) (*sampler.Result, error)
+		name string
+		run  func(s parityStore, cfg sampler.Config) (*sampler.Result, error)
 	}
 	executor := func(window int) func(parityStore, sampler.Config) (*sampler.Result, error) {
 		return func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
 			return New(s.store, cfg, Config{Window: window}).Sample(bg, roots)
 		}
 	}
-	sampleBatch := func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
-		if s.client == nil {
-			return nil, nil // not a client: no such row
+	sampleBatch := func(calls int) func(parityStore, sampler.Config) (*sampler.Result, error) {
+		return func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
+			if s.client == nil {
+				return nil, nil // not a client: no such row
+			}
+			if calls > 1 {
+				if _, err := s.client.SampleBatch(bg, testRoots(5), cfg); err != nil {
+					return nil, err
+				}
+			}
+			return s.client.SampleBatch(bg, roots, cfg)
 		}
-		return s.client.SampleBatch(bg, roots, cfg)
 	}
-	syncSampler := func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
-		return sampler.New(s.store, cfg).Sample(bg, roots)
+	syncSampler := func(calls int) func(parityStore, sampler.Config) (*sampler.Result, error) {
+		return func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
+			sm := sampler.New(s.store, cfg)
+			if calls > 1 {
+				if _, err := sm.Sample(bg, testRoots(5)); err != nil {
+					return nil, err
+				}
+			}
+			return sm.Sample(bg, roots)
+		}
+	}
+	engine := func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
+		if s.client != nil {
+			return nil, nil // the engine models the graph itself
+		}
+		ecfg := axe.DefaultConfig()
+		ecfg.Sampling = cfg
+		e, err := axe.New(g, cluster.HashPartitioner{N: 3}, 0, ecfg)
+		if err != nil {
+			return nil, err
+		}
+		res, _ := e.RunBatch(roots)
+		return res, nil
 	}
 	paths := []path{
-		{"executor-w1", true, executor(1)},
-		{"executor-w16", true, executor(16)},
-		{"executor-default", true, executor(0)},
-		{"client.SampleBatch-streams", true, sampleBatch},
-		{"client.SampleBatch-shared", false, sampleBatch},
-		{"sampler.Sample-streams", true, syncSampler},
-		{"sampler.Sample-shared", false, syncSampler},
+		{"executor-w1", executor(1)},
+		{"executor-w16", executor(16)},
+		{"executor-default", executor(0)},
+		{"client.SampleBatch-streams", sampleBatch(1)},
+		{"client.SampleBatch-shared", sampleBatch(2)},
+		{"sampler.Sample-streams", syncSampler(1)},
+		{"sampler.Sample-shared", syncSampler(2)},
+		{"axe.Engine", engine},
 	}
 	weights := []struct {
 		name string
@@ -140,7 +171,7 @@ func TestPipelineDeterminism(t *testing.T) {
 			for _, w := range weights {
 				for _, p := range paths {
 					cfg := testCfg()
-					cfg.Method, cfg.WeightFn, cfg.RootStreams = method, w.fn, p.streams
+					cfg.Method, cfg.WeightFn = method, w.fn
 					t.Run(s.name+"/"+method.String()+"/"+w.name+"/"+p.name, func(t *testing.T) {
 						got, err := p.run(s, cfg)
 						if err != nil {
@@ -582,11 +613,16 @@ func TestPipelineAllocsDoNotGrowWithRoots(t *testing.T) {
 // client mid-chaos — transient injected faults with retries underneath,
 // a murdered shard with PartialResults degradation — and every root the
 // cluster could serve retires byte-identical to the pristine reference.
+// The shape (six shards, fanouts 2×2, one negative: eight vertices a root)
+// leaves about a quarter of the roots clear of any one shard, so the
+// degraded set is a non-empty proper subset by checked precondition.
 func TestChaosPipelineOverFaultyCluster(t *testing.T) {
 	g := testGraph(t)
 	cfg := testCfg()
+	cfg.Fanouts, cfg.NegativeRate = []int{2, 2}, 1
 	roots := testRoots(40)
-	part := cluster.HashPartitioner{N: 3}
+	part := cluster.HashPartitioner{N: 6}
+	const killed = 1
 
 	build := func() (*cluster.FaultyTransport, *cluster.Client) { return faultyCluster(t, g, part, true) }
 
@@ -594,6 +630,25 @@ func TestChaosPipelineOverFaultyCluster(t *testing.T) {
 	ref, err := New(pristine, cfg, Config{Window: 64}).Sample(bg, roots)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The roots that must degrade: those whose reference subtree asks for
+	// any vertex the killed shard owns, as a frontier entry or an attribute
+	// slot. Up to its first such vertex a root draws what the reference
+	// drew, so it asks for that vertex under faults too; a root clear of
+	// the shard never notices it.
+	w0, w1 := 2, 4
+	want := map[int]bool{}
+	for r := range roots {
+		for _, vs := range [][]graph.NodeID{roots[r : r+1], ref.Hops[0][r*w0 : (r+1)*w0], ref.Hops[1][r*w1 : (r+1)*w1], ref.Negatives[r : r+1]} {
+			for _, v := range vs {
+				if part.Owner(v) == killed {
+					want[r] = true
+				}
+			}
+		}
+	}
+	if len(want) == 0 || len(want) == len(roots) {
+		t.Fatalf("precondition: %d of %d roots touch shard %d; the shape must leave a proper subset", len(want), len(roots), killed)
 	}
 
 	// Phase 1: transient faults only — retries absorb them, so the batch
@@ -609,44 +664,43 @@ func TestChaosPipelineOverFaultyCluster(t *testing.T) {
 		sameResult(t, "transient-chaos", got, ref)
 	}
 
-	// Phase 2: kill a shard outright. Roots whose subtrees touch it
-	// degrade; everyone else must still match the reference exactly.
+	// Phase 2: kill a shard outright. Exactly the roots whose subtrees touch
+	// it degrade; everyone else must still match the reference exactly.
 	ft2, client2 := build()
-	ft2.KillServer(1)
+	ft2.KillServer(killed)
 	got2, err2 := New(client2, cfg, Config{Window: 64}).Sample(bg, roots)
-	if err2 == nil {
-		t.Fatal("batch over a dead shard reported success")
-	}
 	pe, ok := AsPartial(err2)
 	if !ok {
 		t.Fatalf("want PartialError, got %v", err2)
-	}
-	if len(pe.Roots) == 0 || len(pe.Roots) == len(roots) {
-		t.Fatalf("implausible degradation: %d of %d roots", len(pe.Roots), len(roots))
 	}
 	degraded := map[int]bool{}
 	for _, re := range pe.Roots {
 		degraded[re.Index] = true
 	}
-	w0, w1 := 3, 6
+	if !reflect.DeepEqual(degraded, want) {
+		t.Fatalf("degraded roots %v, want exactly those touching shard %d: %v", degraded, killed, want)
+	}
+	al := g.AttrLen()
 	for r := range roots {
 		if degraded[r] {
 			continue
 		}
 		if !reflect.DeepEqual(got2.Hops[0][r*w0:(r+1)*w0], ref.Hops[0][r*w0:(r+1)*w0]) ||
-			!reflect.DeepEqual(got2.Hops[1][r*w1:(r+1)*w1], ref.Hops[1][r*w1:(r+1)*w1]) {
+			!reflect.DeepEqual(got2.Hops[1][r*w1:(r+1)*w1], ref.Hops[1][r*w1:(r+1)*w1]) ||
+			!reflect.DeepEqual(got2.Attrs[r*al:(r+1)*al], ref.Attrs[r*al:(r+1)*al]) {
 			t.Fatalf("clean root %d sampled differently during shard loss", r)
 		}
 	}
 }
 
-// faultyCluster builds three in-proc shard servers behind a fault-injecting
-// transport and a resilient client, degrading (PartialResults) or
-// fail-closed.
+// faultyCluster builds one in-proc shard server per partition behind a
+// fault-injecting transport and a resilient client, degrading
+// (PartialResults) or fail-closed.
 func faultyCluster(t *testing.T, g *graph.Graph, part cluster.Partitioner, partial bool) (*cluster.FaultyTransport, *cluster.Client) {
 	t.Helper()
-	servers := []*cluster.Server{
-		cluster.NewServer(g, part, 0), cluster.NewServer(g, part, 1), cluster.NewServer(g, part, 2),
+	servers := make([]*cluster.Server, part.Servers())
+	for i := range servers {
+		servers[i] = cluster.NewServer(g, part, i)
 	}
 	ft := cluster.NewFaultyTransport(cluster.DirectTransport{Servers: servers}, 7)
 	client, err := cluster.NewClientContext(bg, ft, part, -1, cluster.WithResilience(cluster.ResilienceConfig{

@@ -3,7 +3,6 @@ package sampler
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"lsdgnn/internal/graph"
 )
@@ -18,7 +17,6 @@ type MetaPathSampler struct {
 	hops   []Store // one relation view per hop
 	path   []string
 	cfg    Config
-	rng    *rand.Rand
 }
 
 // NewMetaPath builds a sampler following path; cfg.Fanouts must align with
@@ -30,10 +28,7 @@ func NewMetaPath(h *graph.Hetero, path []string, cfg Config) (*MetaPathSampler, 
 	if len(cfg.Fanouts) != len(path) {
 		return nil, fmt.Errorf("sampler: %d fanouts for %d-hop meta-path", len(cfg.Fanouts), len(path))
 	}
-	s := &MetaPathSampler{
-		hetero: h, path: path, cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	s := &MetaPathSampler{hetero: h, path: path, cfg: cfg}
 	for _, rel := range path {
 		view, err := h.RelationView(rel)
 		if err != nil {
@@ -48,36 +43,38 @@ func NewMetaPath(h *graph.Hetero, path []string, cfg Config) (*MetaPathSampler, 
 func (s *MetaPathSampler) Path() []string { return append([]string(nil), s.path...) }
 
 // SampleBatch expands roots along the meta-path, producing the standard
-// Result layout. Each hop fetches the whole frontier through that
-// relation's batch store before drawing, so a remote-backed relation view
-// costs per-hop round trips, not per-node ones.
+// Result layout from KHop's derived streams. Each hop fetches the whole
+// frontier through that relation's batch store before drawing, so a
+// remote-backed relation view costs per-hop round trips, not per-node ones.
 func (s *MetaPathSampler) SampleBatch(roots []graph.NodeID) *Result {
 	ctx := context.Background()
 	res := &Result{Roots: roots}
-	frontier := roots
+	frontier, width := roots, 1
 	for hop, fanout := range s.cfg.Fanouts {
 		store := s.hops[hop]
 		lists := make([][]graph.NodeID, len(frontier))
 		_ = store.NeighborsBatch(ctx, lists, frontier)
 		next := make([]graph.NodeID, 0, len(frontier)*fanout)
 		for i, v := range frontier {
+			rng := expandRand(s.cfg.Seed, i/width, hop, i%width)
 			before := len(next)
 			var cyc int
-			next, cyc = SampleNeighbors(next, lists[i], fanout, s.cfg.Method, s.rng)
+			next, cyc = SampleNeighbors(next, lists[i], fanout, s.cfg.Method, &rng)
 			res.Cycles += cyc
 			for len(next)-before < fanout {
 				next = append(next, v)
 			}
 		}
 		res.Hops = append(res.Hops, next)
-		frontier = next
+		frontier, width = next, width*fanout
 	}
 	if s.cfg.NegativeRate > 0 {
 		res.Negatives = make([]graph.NodeID, 0, len(roots)*s.cfg.NegativeRate)
 		n := s.hetero.NumNodes()
-		for range roots {
+		for r := range roots {
+			rng := negativesRand(s.cfg.Seed, r)
 			for i := 0; i < s.cfg.NegativeRate; i++ {
-				res.Negatives = append(res.Negatives, graph.NodeID(s.rng.Int63n(n)))
+				res.Negatives = append(res.Negatives, graph.NodeID(rng.Int63n(n)))
 			}
 		}
 	}

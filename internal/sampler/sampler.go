@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
@@ -63,20 +62,35 @@ func (m Method) String() string {
 	}
 }
 
-// SampleNeighbors draws up to k of candidates using method m. When the
-// candidate list has at most k entries, all are returned (standard GNN
-// fanout semantics). The result is appended to dst.
-//
-// cycles is the abstract step count of the hardware implementation:
-// len(candidates)+k for Reservoir (fill then draw), len(candidates) for
-// Streaming — the Tech-2 latency claim.
-func SampleNeighbors(dst []graph.NodeID, candidates []graph.NodeID, k int, m Method, rng *rand.Rand) (out []graph.NodeID, cycles int) {
+// Steps is the abstract step count of the hardware sampler drawing up to k
+// of n candidates with method m — the Tech-2 latency claim: n+k for
+// Reservoir (fill then draw), n for Streaming, 2n when all n ≤ k are kept.
+// Every sampling function reports it, and the AxE timing model charges it.
+func Steps(n, k int, m Method) int {
+	switch {
+	case k <= 0 || n == 0:
+		return n
+	case n <= k:
+		return 2 * n
+	case m == Reservoir:
+		return n + k
+	default:
+		return n
+	}
+}
+
+// SampleNeighbors draws up to k of candidates using method m, drawing from
+// rng. When the candidate list has at most k entries, all are returned
+// (standard GNN fanout semantics). The result is appended to dst; cycles is
+// Steps(len(candidates), k, m).
+func SampleNeighbors(dst []graph.NodeID, candidates []graph.NodeID, k int, m Method, rng *Rand) (out []graph.NodeID, cycles int) {
 	n := len(candidates)
+	cycles = Steps(n, k, m)
 	if k <= 0 || n == 0 {
-		return dst, n
+		return dst, cycles
 	}
 	if n <= k {
-		return append(dst, candidates...), n + min(n, k)
+		return append(dst, candidates...), cycles
 	}
 	switch m {
 	case Reservoir:
@@ -90,7 +104,7 @@ func SampleNeighbors(dst []graph.NodeID, candidates []graph.NodeID, k int, m Met
 		}
 		dst = append(dst, scratch[:k]...)
 		mem.IDs.Put(scratch)
-		return dst, n + k
+		return dst, cycles
 	case Streaming:
 		// K groups in arrival order; one uniform pick per group. Group
 		// sizes differ by at most one (remainder spread over the first
@@ -105,7 +119,7 @@ func SampleNeighbors(dst []graph.NodeID, candidates []graph.NodeID, k int, m Met
 			dst = append(dst, candidates[start+rng.Intn(size)])
 			start += size
 		}
-		return dst, n
+		return dst, cycles
 	default:
 		panic(fmt.Sprintf("sampler: unknown method %v", m))
 	}
@@ -167,23 +181,18 @@ type Config struct {
 	// WeightFn, when set, switches neighbor selection to importance
 	// weighting (e.g. DegreeWeight) while keeping Method's hardware shape.
 	WeightFn WeightFunc
-	// RootStreams switches random-number use from one shared batch stream
-	// to derived per-root, per-node streams (see NodeRNG): every expansion
-	// draws from an RNG seeded by (Seed, root index, hop, position), so
-	// the sampled output is independent of execution order. This is what
-	// keeps concurrent pipeline batches, Client.SampleBatch and the AxE
-	// engine (which retires work in any order) byte-identical to the
-	// synchronous path.
+	// Deprecated: RootStreams is ignored. Every draw already comes from a
+	// stream derived from (Seed, root index, hop, position) — see Rand — so
+	// there is no other mode to select.
 	RootStreams bool
 }
 
-// Sampler performs mini-batch k-hop sampling over a Store. A Sampler is
-// not safe for concurrent Sample calls (without RootStreams it reuses one
-// continuing RNG); use one Sampler per worker.
+// Sampler performs mini-batch k-hop sampling over a Store. It holds no
+// generator state: Sample is a pure function of (cfg, roots) and the
+// store's contents, and is safe for concurrent use.
 type Sampler struct {
 	store Store
 	cfg   Config
-	rng   *rand.Rand
 }
 
 // New creates a sampler. It panics on an empty fanout list since that
@@ -192,7 +201,7 @@ func New(store Store, cfg Config) *Sampler {
 	if len(cfg.Fanouts) == 0 {
 		panic("sampler: no fanouts configured")
 	}
-	return &Sampler{store: store, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Sampler{store: store, cfg: cfg}
 }
 
 // SampleBatch is Sample with no deadline for stores that cannot fail (a
@@ -206,10 +215,9 @@ func (s *Sampler) SampleBatch(roots []graph.NodeID) *Result {
 	return res
 }
 
-// Sample runs KHop over the sampler's store, drawing from its one
-// continuing RNG when RootStreams is off.
+// Sample runs KHop over the sampler's store.
 func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, error) {
-	return KHop(ctx, s.store, s.cfg, s.rng, roots)
+	return KHop(ctx, s.store, s.cfg, roots)
 }
 
 // RootError reports one root whose subtree lost data.
@@ -295,14 +303,15 @@ func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, pe
 	}
 }
 
-// KHop is the one k-hop loop every software path runs (Sampler.Sample,
-// cluster.Client.SampleBatch, pipeline.Executor.Sample). It is level-
-// synchronous: each hop fetches the whole batch's frontier through one
-// NeighborsBatch call and draws neighbors in frontier order, then draws
-// negatives and gathers every attribute vector through one AttrsBatch in
-// AttrOrder. With cfg.RootStreams every draw comes from a pooled Stream
-// positioned per (root, hop, position) — rng is unused and concurrent calls
-// are safe; without it draws consume rng in frontier order.
+// KHop is the one k-hop loop (Sampler.Sample, cluster.Client.SampleBatch,
+// pipeline.Executor.Sample, and the functional result of
+// axe.Engine.RunBatch). It is level-synchronous: each hop fetches the whole
+// batch's frontier through one NeighborsBatch call and draws neighbors in
+// frontier order, then draws negatives and gathers every attribute vector
+// through one AttrsBatch in AttrOrder. Every draw comes from the stream of its site — (cfg.Seed, root
+// index, hop, position in the root's frontier) for an expansion, (cfg.Seed,
+// root index) for a root's negatives — so the output is a pure function of
+// (cfg, roots, store contents) and concurrent calls are safe.
 //
 // Errors follow Store's degrade contract: a ctx expiry returns (nil,
 // ctx.Err()); a store error implementing Lost degrades — lost positions
@@ -313,14 +322,7 @@ func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, pe
 // The result's hop, negative and attribute buffers come from the shared
 // internal/mem pools; call Result.Release when done with it to recycle
 // them (dropping the result without Release is safe, just unrecycled).
-func KHop(ctx context.Context, store Store, cfg Config, rng *rand.Rand, roots []graph.NodeID) (*Result, error) {
-	var st *Stream
-	if cfg.RootStreams {
-		st = GetStream()
-		defer PutStream(st)
-	} else if rng == nil {
-		return nil, errors.New("sampler: KHop without RootStreams needs an rng")
-	}
+func KHop(ctx context.Context, store Store, cfg Config, roots []graph.NodeID) (*Result, error) {
 	rg := mem.NewRegion()
 	res := &Result{Roots: roots, region: rg}
 	deg := degradation{roots: roots}
@@ -341,12 +343,10 @@ func KHop(ctx context.Context, store Store, cfg Config, rng *rand.Rand, roots []
 		hopBuf := rg.IDs(len(frontier) * fanout)
 		next := hopBuf[:0:len(hopBuf)]
 		for i, v := range frontier {
-			if st != nil && len(lists[i]) > fanout { // at most fanout candidates: all kept, nothing drawn
-				rng = st.Node(cfg.Seed, i/width, h, i%width)
-			}
+			rng := expandRand(cfg.Seed, i/width, h, i%width)
 			before := len(next)
 			var cyc int
-			next, cyc = ExpandNeighbors(next, v, lists[i], fanout, cfg.Method, cfg.WeightFn, rng)
+			next, cyc = ExpandNeighbors(next, v, lists[i], fanout, cfg.Method, cfg.WeightFn, &rng)
 			res.Cycles += cyc
 			// Pad to exact fanout with the parent (self-loop fallback).
 			for len(next)-before < fanout {
@@ -362,9 +362,7 @@ func KHop(ctx context.Context, store Store, cfg Config, rng *rand.Rand, roots []
 		negs := negBuf[:0:len(negBuf)]
 		n := store.NumNodes()
 		for r := range roots {
-			if st != nil {
-				rng = st.Negatives(cfg.Seed, r)
-			}
+			rng := negativesRand(cfg.Seed, r)
 			for i := 0; i < cfg.NegativeRate; i++ {
 				negs = append(negs, graph.NodeID(rng.Int63n(n)))
 			}
@@ -460,11 +458,4 @@ func (l LocalStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.No
 		l.G.Attr(dst[i*al:i*al], v)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

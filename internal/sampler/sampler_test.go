@@ -3,8 +3,6 @@ package sampler
 import (
 	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,17 +18,17 @@ func candidateList(n int) []graph.NodeID {
 }
 
 func TestSampleNeighborsSmallN(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	for _, m := range []Method{Reservoir, Streaming} {
-		got, _ := SampleNeighbors(nil, candidateList(3), 10, m, rng)
+		got, _ := SampleNeighbors(nil, candidateList(3), 10, m, &rng)
 		if len(got) != 3 {
 			t.Fatalf("%v: n<k should return all: %v", m, got)
 		}
-		got, _ = SampleNeighbors(nil, nil, 10, m, rng)
+		got, _ = SampleNeighbors(nil, nil, 10, m, &rng)
 		if len(got) != 0 {
 			t.Fatalf("%v: empty candidates returned %v", m, got)
 		}
-		got, _ = SampleNeighbors(nil, candidateList(5), 0, m, rng)
+		got, _ = SampleNeighbors(nil, candidateList(5), 0, m, &rng)
 		if len(got) != 0 {
 			t.Fatalf("%v: k=0 returned %v", m, got)
 		}
@@ -38,9 +36,9 @@ func TestSampleNeighborsSmallN(t *testing.T) {
 }
 
 func TestSampleNeighborsExactK(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := NewRand(2)
 	for _, m := range []Method{Reservoir, Streaming} {
-		got, _ := SampleNeighbors(nil, candidateList(100), 10, m, rng)
+		got, _ := SampleNeighbors(nil, candidateList(100), 10, m, &rng)
 		if len(got) != 10 {
 			t.Fatalf("%v: got %d samples", m, len(got))
 		}
@@ -60,9 +58,9 @@ func TestSampleNeighborsExactK(t *testing.T) {
 func TestStreamingGroupStructure(t *testing.T) {
 	// Streaming picks exactly one element from each of K contiguous
 	// groups, so sample i lies in group i's index range.
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	n, k := 100, 10
-	got, _ := SampleNeighbors(nil, candidateList(n), k, Streaming, rng)
+	got, _ := SampleNeighbors(nil, candidateList(n), k, Streaming, &rng)
 	for i, v := range got {
 		lo, hi := i*(n/k), (i+1)*(n/k)
 		if int(v) < lo || int(v) >= hi {
@@ -74,8 +72,8 @@ func TestStreamingGroupStructure(t *testing.T) {
 func TestStreamingUnevenGroups(t *testing.T) {
 	// N not divisible by K: remainder spreads over the first groups and
 	// every group still contributes exactly one sample.
-	rng := rand.New(rand.NewSource(4))
-	got, _ := SampleNeighbors(nil, candidateList(23), 5, Streaming, rng)
+	rng := NewRand(4)
+	got, _ := SampleNeighbors(nil, candidateList(23), 5, Streaming, &rng)
 	if len(got) != 5 {
 		t.Fatalf("got %d samples", len(got))
 	}
@@ -88,9 +86,9 @@ func TestStreamingUnevenGroups(t *testing.T) {
 
 func TestCycleCounts(t *testing.T) {
 	// Tech-2's claim: reservoir needs N+K steps, streaming N.
-	rng := rand.New(rand.NewSource(5))
-	_, rc := SampleNeighbors(nil, candidateList(1000), 10, Reservoir, rng)
-	_, sc := SampleNeighbors(nil, candidateList(1000), 10, Streaming, rng)
+	rng := NewRand(5)
+	_, rc := SampleNeighbors(nil, candidateList(1000), 10, Reservoir, &rng)
+	_, sc := SampleNeighbors(nil, candidateList(1000), 10, Streaming, &rng)
 	if rc != 1010 {
 		t.Fatalf("reservoir cycles = %d, want 1010", rc)
 	}
@@ -99,25 +97,14 @@ func TestCycleCounts(t *testing.T) {
 	}
 }
 
+// TestSamplingUniformity: both methods include every candidate with
+// probability k/n (chi-square at p = 0.001; see checkInclusion).
 func TestSamplingUniformity(t *testing.T) {
-	// Both methods should give each candidate ≈ k/n inclusion probability.
-	const n, k, trials = 60, 6, 4000
 	for _, m := range []Method{Reservoir, Streaming} {
-		rng := rand.New(rand.NewSource(6))
-		counts := make([]int, n)
-		for tr := 0; tr < trials; tr++ {
-			got, _ := SampleNeighbors(nil, candidateList(n), k, m, rng)
-			for _, v := range got {
-				counts[v]++
-			}
-		}
-		want := float64(trials) * float64(k) / float64(n)
-		for i, c := range counts {
-			z := math.Abs(float64(c)-want) / math.Sqrt(want)
-			if z > 5 {
-				t.Fatalf("%v: candidate %d count %d deviates %0.1fσ from %0.0f", m, i, c, z, want)
-			}
-		}
+		checkInclusion(t, m, 60, 6, func(dst, candidates []graph.NodeID, k int, rng *Rand) []graph.NodeID {
+			dst, _ = SampleNeighbors(dst, candidates, k, m, rng)
+			return dst
+		})
 	}
 }
 
@@ -127,7 +114,7 @@ func TestUnknownMethodPanics(t *testing.T) {
 			t.Fatal("unknown method did not panic")
 		}
 	}()
-	SampleNeighbors(nil, candidateList(10), 2, Method(99), rand.New(rand.NewSource(1)))
+	SampleNeighbors(nil, candidateList(10), 2, Method(99), &Rand{})
 }
 
 func TestMethodString(t *testing.T) {
@@ -335,13 +322,13 @@ func (l lostOne) Lost(v graph.NodeID) bool { return v == graph.NodeID(l) }
 // asked for it, any other error — or a dead context — fails the call.
 func TestPartialKHopDegradeRule(t *testing.T) {
 	g := testGraph(t)
-	cfg := Config{Fanouts: []int{3, 2}, Method: Streaming, FetchAttrs: true, Seed: 5, RootStreams: true}
+	cfg := Config{Fanouts: []int{3, 2}, Method: Streaming, FetchAttrs: true, Seed: 5}
 	roots := []graph.NodeID{11, 12, 13, 14}
 	ref := New(LocalStore{G: g}, cfg).SampleBatch(roots)
 
 	// Lose a vertex root 2 first meets as a hop-1 sample, at the hop-2 fetch.
 	victim := ref.Hops[0][2*3+1]
-	res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 2, err: lostOne(victim)}, cfg, nil, roots)
+	res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 2, err: lostOne(victim)}, cfg, roots)
 	pe, ok := AsPartial(err)
 	if !ok || res == nil {
 		t.Fatalf("degrading error: result returned = %v, err = %v", res != nil, err)
@@ -375,13 +362,13 @@ func TestPartialKHopDegradeRule(t *testing.T) {
 
 	// An error that does not say what it lost is not served as data.
 	plain := errors.New("store closed")
-	if res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: plain}, cfg, nil, roots); res != nil || err != plain {
+	if res, err := KHop(context.Background(), &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: plain}, cfg, roots); res != nil || err != plain {
 		t.Fatalf("opaque store error: result returned = %v, err = %v", res != nil, err)
 	}
 	// A dead context wins over whatever the store said.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := KHop(ctx, &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: lostOne(victim)}, cfg, nil, roots); res != nil || err != context.Canceled {
+	if res, err := KHop(ctx, &hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: lostOne(victim)}, cfg, roots); res != nil || err != context.Canceled {
 		t.Fatalf("cancelled call: result returned = %v, err = %v", res != nil, err)
 	}
 	// The no-error convenience wrapper does not hand a failed call's nil
@@ -394,9 +381,4 @@ func TestPartialKHopDegradeRule(t *testing.T) {
 		}()
 		New(&hopFailStore{LocalStore: LocalStore{G: g}, failAt: 1, err: plain}, cfg).SampleBatch(roots)
 	}()
-	// Without RootStreams the draws need the caller's RNG.
-	cfg.RootStreams = false
-	if res, err := KHop(context.Background(), LocalStore{G: g}, cfg, nil, roots); res != nil || err == nil {
-		t.Fatalf("nil rng without RootStreams: result returned = %v, err = %v", res != nil, err)
-	}
 }

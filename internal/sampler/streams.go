@@ -1,30 +1,20 @@
 package sampler
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/bits"
 
-// Deterministic per-root RNG streams. The paper's AxE load unit (§4.2
-// Tech-3, Fig. 8) retires memory responses out of order; a software
-// reproduction of that pipeline must not let completion order change the
-// sampled output, or every run would be irreproducible. The fix is to
-// stop sharing one sequential RNG across the batch: every expansion site
-// gets its own stream derived purely from (batch seed, root index, hop,
-// position within the root's frontier), and every root's negative draws
-// get a stream of their own. Any execution order — synchronous, hop-
-// overlapped, fully out of order, or the AxE event simulation — then
-// produces byte-identical results. Config.RootStreams opts a sampler into
-// this scheme.
-//
-// Materializing a stream used to mean rand.New(rand.NewSource(child)) per
-// expansion — and seeding math/rand's lagged-Fibonacci source allocates a
-// ~5KB feedback table, which at one stream per expansion was the hot
-// path's single largest allocation. Stream keeps one table per worker and
-// repositions it with an in-place reseed (table regeneration, no
-// allocation), so the draws stay byte-identical to the historical
-// per-call construction while the steady-state allocation rate drops to
-// zero.
+// Deterministic per-draw-site RNG streams. The paper's sampler is a
+// pipeline stage (§4.2 Tech-2/Tech-3): each request draws from a value
+// derived from the request itself, and no generator state survives between
+// requests, so the AxE load unit may retire memory responses in any order
+// (Fig. 8) without changing what gets sampled. The software paths do the
+// same. Every expansion site — (batch seed, root index, hop, position
+// within the root's hop frontier) — and every root's negative draws get
+// their own stream, keyed by folding that path through splitmix64
+// (StreamSeed). A stream is a Rand: SplitMix64 whose whole state is one
+// uint64, so deriving one costs a handful of multiplies and positions
+// nothing shared. Synchronous, windowed, concurrent and remote execution
+// therefore all produce byte-identical results, and the AxE engine model
+// simply replays timing over KHop's output.
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // mixing function (Steele et al., "Fast Splittable Pseudorandom Number
@@ -54,59 +44,63 @@ const (
 	tagNegatives = 0x6e6567 // "neg"
 )
 
-// Stream is a reusable derived-stream cursor: one RNG (and one
-// lagged-Fibonacci state table) that can be repositioned onto any
-// (seed, root, hop, position) stream between draws. Repositioning is an
-// in-place Seed, so a cursor returns exactly the values a freshly
-// constructed rand.New(rand.NewSource(child)) would. Execution paths hold
-// one Stream per worker (a KHop call one from the pool, an AxE core one
-// per core) instead of materializing a fresh RNG per expansion. Not safe
-// for concurrent use.
-type Stream struct {
-	r *rand.Rand
+// Rand is a SplitMix64 generator: draw i of the stream keyed k is
+// mix64(k + i·γ) with γ the golden-ratio increment. The zero value is the
+// stream keyed 0. Not safe for concurrent use; it is a value, so copy one
+// per goroutine.
+type Rand struct{ s uint64 }
+
+// NewRand returns the stream keyed by key (typically a StreamSeed).
+func NewRand(key int64) Rand { return Rand{uint64(key)} }
+
+// expandRand is the stream that expands the node at position pos of root
+// index root's hop-hop frontier under the batch seed.
+func expandRand(seed int64, root, hop, pos int) Rand {
+	return NewRand(StreamSeed(seed, tagExpand, uint64(root), uint64(hop), uint64(pos)))
 }
 
-// NewStream returns an unpositioned stream cursor; position it with Node
-// or Negatives before drawing.
-func NewStream() *Stream {
-	return &Stream{r: rand.New(rand.NewSource(0))}
+// negativesRand is the stream of root index root's negative draws.
+func negativesRand(seed int64, root int) Rand {
+	return NewRand(StreamSeed(seed, tagNegatives, uint64(root)))
 }
 
-// Node repositions the cursor onto the expansion stream for the node at
-// (root index, hop, position) under the batch seed and returns the RNG,
-// positioned exactly as NodeRNG would return it.
-func (s *Stream) Node(seed int64, root, hop, pos int) *rand.Rand {
-	s.r.Seed(StreamSeed(seed, tagExpand, uint64(root), uint64(hop), uint64(pos)))
-	return s.r
+func (r *Rand) next() uint64 {
+	z := mix64(r.s)
+	r.s += 0x9e3779b97f4a7c15
+	return z
 }
 
-// Negatives repositions the cursor onto the root's negative-sampling
-// stream under the batch seed.
-func (s *Stream) Negatives(seed int64, root int) *rand.Rand {
-	s.r.Seed(StreamSeed(seed, tagNegatives, uint64(root)))
-	return s.r
+// uint64n draws uniformly from [0, n) by Lemire's multiply-shift with the
+// exact rejection step, so no residue is favoured. n must be positive.
+func (r *Rand) uint64n(n uint64) uint64 {
+	hi, lo := bits.Mul64(r.next(), n)
+	if lo < n {
+		thresh := -n % n // 2^64 mod n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.next(), n)
+		}
+	}
+	return hi
 }
 
-// streamPool recycles Stream cursors across batches: KHop calls run
-// concurrently and have no natural place to park one.
-var streamPool = sync.Pool{New: func() any { return NewStream() }}
-
-// GetStream checks a stream cursor out of the shared pool.
-func GetStream() *Stream { return streamPool.Get().(*Stream) }
-
-// PutStream returns a cursor to the pool.
-func PutStream(s *Stream) { streamPool.Put(s) }
-
-// NodeRNG returns the dedicated stream for expanding the node at (root
-// index, hop, position within the root's hop frontier) under the given
-// batch seed. Every call returns an identical, freshly-positioned stream.
-// Hot paths should hold a Stream and reposition it instead.
-func NodeRNG(seed int64, root, hop, pos int) *rand.Rand {
-	return NewStream().Node(seed, root, hop, pos)
+// Intn returns a uniform int in [0, n). It panics if n <= 0.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("sampler: Rand.Intn of non-positive n")
+	}
+	return int(r.uint64n(uint64(n)))
 }
 
-// NegativesRNG returns the root's negative-sampling stream under the
-// given batch seed.
-func NegativesRNG(seed int64, root int) *rand.Rand {
-	return NewStream().Negatives(seed, root)
+// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
+func (r *Rand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("sampler: Rand.Int63n of non-positive n")
+	}
+	return int64(r.uint64n(uint64(n)))
+}
+
+// Float64 returns a uniform float64 in [0, 1) from the top 53 bits of a
+// draw.
+func (r *Rand) Float64() float64 {
+	return float64(r.next()>>11) / (1 << 53)
 }

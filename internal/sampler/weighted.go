@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"lsdgnn/internal/graph"
 )
@@ -37,19 +36,20 @@ func DegreeWeight(st Store) WeightFunc {
 }
 
 // SampleNeighborsWeighted draws up to k of candidates with probability
-// proportional to weights, using method m's hardware shape. weights must
-// be parallel to candidates. Cycle accounting matches the unweighted
-// variants: n+k for Reservoir, n for Streaming.
-func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weights []float64, k int, m Method, rng *rand.Rand) ([]graph.NodeID, int) {
+// proportional to weights, using method m's hardware shape and drawing from
+// rng. weights must be parallel to candidates. Cycle accounting matches the
+// unweighted variants: Steps(len(candidates), k, m).
+func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weights []float64, k int, m Method, rng *Rand) ([]graph.NodeID, int) {
 	n := len(candidates)
 	if len(weights) != n {
 		panic(fmt.Sprintf("sampler: %d weights for %d candidates", len(weights), n))
 	}
+	cycles := Steps(n, k, m)
 	if k <= 0 || n == 0 {
-		return dst, n
+		return dst, cycles
 	}
 	if n <= k {
-		return append(dst, candidates...), n + min(n, k)
+		return append(dst, candidates...), cycles
 	}
 	switch m {
 	case Reservoir:
@@ -89,7 +89,7 @@ func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weig
 		for _, t := range top {
 			dst = append(dst, candidates[t.idx])
 		}
-		return dst, n + k
+		return dst, cycles
 	case Streaming:
 		// K groups in arrival order; within each group, a single-pass
 		// weighted winner: candidate i replaces the current winner with
@@ -120,18 +120,16 @@ func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weig
 			dst = append(dst, candidates[winner])
 			start += size
 		}
-		return dst, n
+		return dst, cycles
 	default:
 		panic(fmt.Sprintf("sampler: unknown method %v", m))
 	}
 }
 
-// ExpandNeighbors is the k-hop expansion step shared by every execution
-// path (the KHop kernel, AxE engine): it draws
-// up to fanout of nbrs with method m and the given RNG, applying wf when
-// set. The returned slice grows dst by at most fanout (callers pad with
-// the parent to exact fanout).
-func ExpandNeighbors(dst []graph.NodeID, parent graph.NodeID, nbrs []graph.NodeID, fanout int, m Method, wf WeightFunc, rng *rand.Rand) ([]graph.NodeID, int) {
+// ExpandNeighbors is KHop's expansion step: it draws up to fanout of nbrs
+// with method m from rng, applying wf when set. The returned slice grows
+// dst by at most fanout (KHop pads with the parent to exact fanout).
+func ExpandNeighbors(dst []graph.NodeID, parent graph.NodeID, nbrs []graph.NodeID, fanout int, m Method, wf WeightFunc, rng *Rand) ([]graph.NodeID, int) {
 	if wf == nil {
 		return SampleNeighbors(dst, nbrs, fanout, m, rng)
 	}

@@ -1,21 +1,19 @@
 package sampler
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"lsdgnn/internal/graph"
 )
 
 func TestWeightedSmallN(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	for _, m := range []Method{Reservoir, Streaming} {
-		got, _ := SampleNeighborsWeighted(nil, candidateList(3), []float64{1, 2, 3}, 10, m, rng)
+		got, _ := SampleNeighborsWeighted(nil, candidateList(3), []float64{1, 2, 3}, 10, m, &rng)
 		if len(got) != 3 {
 			t.Fatalf("%v: n<k should return all", m)
 		}
-		got, _ = SampleNeighborsWeighted(nil, nil, nil, 5, m, rng)
+		got, _ = SampleNeighborsWeighted(nil, nil, nil, 5, m, &rng)
 		if len(got) != 0 {
 			t.Fatalf("%v: empty candidates returned %v", m, got)
 		}
@@ -28,17 +26,17 @@ func TestWeightedMismatchedWeightsPanics(t *testing.T) {
 			t.Fatal("mismatched weights did not panic")
 		}
 	}()
-	SampleNeighborsWeighted(nil, candidateList(3), []float64{1}, 2, Streaming, rand.New(rand.NewSource(1)))
+	SampleNeighborsWeighted(nil, candidateList(3), []float64{1}, 2, Streaming, &Rand{})
 }
 
 func TestWeightedCycleCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := NewRand(2)
 	w := make([]float64, 1000)
 	for i := range w {
 		w[i] = 1
 	}
-	_, rc := SampleNeighborsWeighted(nil, candidateList(1000), w, 10, Reservoir, rng)
-	_, sc := SampleNeighborsWeighted(nil, candidateList(1000), w, 10, Streaming, rng)
+	_, rc := SampleNeighborsWeighted(nil, candidateList(1000), w, 10, Reservoir, &rng)
+	_, sc := SampleNeighborsWeighted(nil, candidateList(1000), w, 10, Streaming, &rng)
 	if rc != 1010 || sc != 1000 {
 		t.Fatalf("cycles = %d/%d, want 1010/1000", rc, sc)
 	}
@@ -49,7 +47,7 @@ func TestWeightedBias(t *testing.T) {
 	// more often than 1/n under both methods.
 	const n, k, trials = 40, 4, 3000
 	for _, m := range []Method{Reservoir, Streaming} {
-		rng := rand.New(rand.NewSource(3))
+		rng := NewRand(3)
 		weights := make([]float64, n)
 		for i := range weights {
 			weights[i] = 1
@@ -57,7 +55,7 @@ func TestWeightedBias(t *testing.T) {
 		weights[0] = 10
 		hits := 0
 		for tr := 0; tr < trials; tr++ {
-			got, _ := SampleNeighborsWeighted(nil, candidateList(n), weights, k, m, rng)
+			got, _ := SampleNeighborsWeighted(nil, candidateList(n), weights, k, m, &rng)
 			for _, v := range got {
 				if v == 0 {
 					hits++
@@ -77,7 +75,7 @@ func TestWeightedZeroWeightExcluded(t *testing.T) {
 	// exists in their group.
 	const n, k = 20, 4
 	for _, m := range []Method{Reservoir, Streaming} {
-		rng := rand.New(rand.NewSource(4))
+		rng := NewRand(4)
 		weights := make([]float64, n)
 		for i := range weights {
 			if i%2 == 0 {
@@ -85,7 +83,7 @@ func TestWeightedZeroWeightExcluded(t *testing.T) {
 			}
 		}
 		for tr := 0; tr < 200; tr++ {
-			got, _ := SampleNeighborsWeighted(nil, candidateList(n), weights, k, m, rng)
+			got, _ := SampleNeighborsWeighted(nil, candidateList(n), weights, k, m, &rng)
 			for _, v := range got {
 				if int(v)%2 == 1 {
 					t.Fatalf("%v: zero-weight candidate %d sampled", m, v)
@@ -96,34 +94,27 @@ func TestWeightedZeroWeightExcluded(t *testing.T) {
 }
 
 func TestWeightedAllZeroFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := NewRand(5)
 	weights := make([]float64, 20)
-	got, _ := SampleNeighborsWeighted(nil, candidateList(20), weights, 4, Streaming, rng)
+	got, _ := SampleNeighborsWeighted(nil, candidateList(20), weights, 4, Streaming, &rng)
 	if len(got) != 4 {
 		t.Fatalf("all-zero weights returned %d samples", len(got))
 	}
 }
 
 func TestWeightedUniformMatchesUnweighted(t *testing.T) {
-	// With equal weights, inclusion probabilities are still ≈ k/n.
-	const n, k, trials = 50, 5, 4000
-	rng := rand.New(rand.NewSource(6))
+	// With equal weights, both shapes include every candidate with
+	// probability k/n, exactly as the unweighted samplers do.
+	const n = 50
 	weights := make([]float64, n)
 	for i := range weights {
 		weights[i] = 3.5
 	}
-	counts := make([]int, n)
-	for tr := 0; tr < trials; tr++ {
-		got, _ := SampleNeighborsWeighted(nil, candidateList(n), weights, k, Streaming, rng)
-		for _, v := range got {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * float64(k) / float64(n)
-	for i, c := range counts {
-		if z := math.Abs(float64(c)-want) / math.Sqrt(want); z > 5 {
-			t.Fatalf("candidate %d count %d deviates %.1fσ", i, c, z)
-		}
+	for _, m := range []Method{Reservoir, Streaming} {
+		checkInclusion(t, m, n, 5, func(dst, candidates []graph.NodeID, k int, rng *Rand) []graph.NodeID {
+			dst, _ = SampleNeighborsWeighted(dst, candidates, weights, k, m, rng)
+			return dst
+		})
 	}
 }
 

@@ -98,34 +98,28 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 
 // TestDiskStoreSamplingParity is the interchangeability contract: the same
 // sampler over LocalStore and DiskStore must produce byte-identical
-// results for the same seed, in both shared-stream and per-root-stream
-// modes, budgeted or mmap'd.
+// results for the same seed, budgeted or mmap'd.
 func TestDiskStoreSamplingParity(t *testing.T) {
 	for _, mat := range []bool{false, true} {
-		for _, rootStreams := range []bool{false, true} {
-			for _, budget := range []int64{0, 48 << 10} {
-				g := testGraph(t, mat)
-				var opts []Option
-				if budget > 0 {
-					opts = append(opts, WithMemoryBudget(budget), WithPageSize(4<<10))
-				}
-				_, s := mustCreate(t, g, opts...)
-				cfg := sampler.Config{
-					Fanouts: []int{4, 3}, NegativeRate: 2, FetchAttrs: true,
-					Seed: 7, RootStreams: rootStreams,
-				}
-				roots := []graph.NodeID{1, 17, 333, 499, 0}
-				want := sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
-				got := sampler.New(s, cfg).SampleBatch(roots)
-				if !reflect.DeepEqual(want.Hops, got.Hops) ||
-					!reflect.DeepEqual(want.Negatives, got.Negatives) ||
-					!reflect.DeepEqual(want.Attrs, got.Attrs) {
-					t.Fatalf("mat=%v rootStreams=%v budget=%d: results diverge", mat, rootStreams, budget)
-				}
-				got.Release()
-				want.Release()
-				s.Close()
+		for _, budget := range []int64{0, 48 << 10} {
+			g := testGraph(t, mat)
+			var opts []Option
+			if budget > 0 {
+				opts = append(opts, WithMemoryBudget(budget), WithPageSize(4<<10))
 			}
+			_, s := mustCreate(t, g, opts...)
+			cfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, FetchAttrs: true, Seed: 7}
+			roots := []graph.NodeID{1, 17, 333, 499, 0}
+			want := sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)
+			got := sampler.New(s, cfg).SampleBatch(roots)
+			if !reflect.DeepEqual(want.Hops, got.Hops) ||
+				!reflect.DeepEqual(want.Negatives, got.Negatives) ||
+				!reflect.DeepEqual(want.Attrs, got.Attrs) {
+				t.Fatalf("mat=%v budget=%d: results diverge", mat, budget)
+			}
+			got.Release()
+			want.Release()
+			s.Close()
 		}
 	}
 }

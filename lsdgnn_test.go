@@ -366,11 +366,11 @@ func TestPublicStore(t *testing.T) {
 func TestPublicGateway(t *testing.T) {
 	g := GenerateGraph(2000, 8, 16, 5)
 	sys, err := New("", WithGraph(g), WithServers(2), WithSeed(5),
-		// Per-root RNG streams make a root's sample a pure function of
-		// (seed, root), so the gateway and direct paths compare exactly.
+		// A batch's sample is a pure function of (config, roots), so the
+		// gateway and direct paths compare exactly.
 		WithSampling(SamplerConfig{
 			Fanouts: []int{4, 3}, NegativeRate: 2,
-			Method: Streaming, FetchAttrs: true, Seed: 5, RootStreams: true,
+			Method: Streaming, FetchAttrs: true, Seed: 5,
 		}),
 		WithGateway(GatewayConfig{
 			Tenants: []TenantConfig{

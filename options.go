@@ -216,8 +216,9 @@ func WithFaults(spec FaultSpec) Option {
 // then issues each batch as one vector fetch per hop plus one attribute
 // gather, every fetch passing through an in-flight window shared by all
 // concurrent batches (cfg.Window node-requests, 0 = default 8192).
-// Sampling switches to derived per-root RNG streams, so the pipelined
-// result is byte-identical to the synchronous path for the same seed:
+// Every draw comes from a stream derived from (seed, root, hop, position),
+// so the pipelined result is byte-identical to every other path for the
+// same seed:
 //
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{Window: 8192}),
