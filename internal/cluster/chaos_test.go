@@ -249,42 +249,6 @@ func TestChaosFailoverDeadPrimary(t *testing.T) {
 	}
 }
 
-// TestChaosHedging: a primary that always stalls past the hedge delay must
-// lose the race to the hedged replica, keeping results exact while the
-// hedge counters account for the duplicated work.
-func TestChaosHedging(t *testing.T) {
-	g := testGraph(t)
-	const partitions, replicas, batchSize = 2, 2, 16
-	want := referenceResults(t, g, partitions, 1, batchSize)
-
-	ft, client := buildChaosCluster(t, g, partitions, replicas, ResilienceConfig{
-		Retry:      RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
-		HedgeDelay: 2 * time.Millisecond,
-		Seed:       7,
-	})
-	for p := 0; p < partitions; p++ {
-		ft.SetServerFaults(p, FaultSpec{SpikeRate: 1, Spike: 250 * time.Millisecond})
-	}
-
-	start := time.Now()
-	res, err := client.SampleBatch(bg, chaosRoots(g, 0, batchSize), chaosSampling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, want[0]) {
-		t.Fatal("hedged batch diverged from reference")
-	}
-	rs := client.Res.Snapshot()
-	if rs.Hedges == 0 || rs.HedgesWon == 0 {
-		t.Fatalf("stalled primaries but no winning hedges: %+v", rs)
-	}
-	// Every per-partition RPC should resolve at hedge speed, not at the
-	// 250ms spike; leave generous headroom for race-detector overhead.
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("hedging did not cut the stalled tail: batch took %v", elapsed)
-	}
-}
-
 // TestChaosRevival: killing a shard mid-run degrades batches; reviving it
 // heals them — the half-open probe closes the breaker and full results
 // resume with no stale placeholders.
@@ -347,6 +311,43 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 	}
 	if fails < 40 || fails > 120 {
 		t.Fatalf("injected failure rate off: %d/200 failed at 40%% configured", fails)
+	}
+}
+
+// TestFaultyDropRecyclesReply: a dropped reply is real server work whose
+// pooled frame no caller will ever see, so the injector recycles it — the
+// client-side transport and the server-side handler alike. Over 50 dropped
+// one-sub attrs frames, every buffer taken from the pools goes back.
+func TestFaultyDropRecyclesReply(t *testing.T) {
+	srv := NewServer(testGraph(t), HashPartitioner{N: 1}, 0)
+	ft := NewFaultyTransport(DirectTransport{Servers: []*Server{srv}}, 1)
+	ft.SetFaults(FaultSpec{DropRate: 1})
+	fh := NewFaultyHandler(srv, FaultSpec{DropRate: 1}, 1)
+	frame, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{1, 2, 3}}}}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Bytes.Recycle(frame)
+	for _, side := range []struct {
+		name string
+		drop func() error
+	}{
+		{"FaultyTransport", func() error { _, err := ft.Call(bg, 0, frame); return err }},
+		{"FaultyHandler", func() error { _, err := fh.Handle(bg, frame); return err }},
+	} {
+		handed, recycled := ownedLedger()
+		for i := 0; i < 50; i++ {
+			if err := side.drop(); !errors.Is(err, ErrConnDropped) {
+				t.Fatalf("%s call %d: err = %v, want ErrConnDropped", side.name, i, err)
+			}
+		}
+		h, r := ownedLedger()
+		if h == handed {
+			t.Fatalf("%s: the server took no pooled reply frames", side.name)
+		}
+		if h-handed != r-recycled {
+			t.Fatalf("%s: %v reply buffers handed out, %v recycled", side.name, h-handed, r-recycled)
+		}
 	}
 }
 
@@ -441,36 +442,44 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 	}
 }
 
-// TestChaosFrameRecycling: reply frames are pooled on both ends of real TCP
-// — the server recycles each request and reply, the client each reply once
-// decoded into its caller's buffers — so a frame anyone still read after
-// handing it back would surface as corrupted results here. Concurrent
-// callers share one client over a one-connection pool per endpoint, with
-// dropped replies, latency spikes and hedged duplicates in the mix; every
-// result must still equal the reference sampler's, and no pooled scratch
-// may be left out.
+// TestChaosFrameRecycling: request and reply frames are pooled on both ends
+// of real TCP — the client encodes each request into a pooled frame and
+// recycles it once its last retry or failover pass returns, the server
+// recycles each request and reply, the client each reply once decoded into
+// its caller's buffers — so a frame anyone still read after handing it back
+// would surface as corrupted or rejected requests and results here.
+// Concurrent callers share one client over a one-connection pool per
+// endpoint, with dropped replies (each one a resent request frame) and
+// latency spikes in the mix; every result must still equal the reference
+// sampler's, every frame the run took from mem.Bytes must have gone back,
+// and no pooled scratch may be left out.
 func TestChaosFrameRecycling(t *testing.T) {
 	g := testGraph(t)
 	const partitions, replicas, batches, batchSize, workers = 2, 2, 16, 16, 4
 	part := HashPartitioner{N: partitions}
 	var addrs []string
+	var servers []*TCPServer
 	for ep := 0; ep < partitions*replicas; ep++ {
 		srv, err := ServeTCP(NewServer(g, part, ep%partitions), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
+		servers = append(servers, srv)
 		addrs = append(addrs, srv.Addr())
 	}
 	tr := DialTCP(addrs, 1)
 	defer tr.Close()
 	ft := NewFaultyTransport(tr, 11)
+	// Read before the bootstrap: a server recycles its meta reply after the
+	// flush that NewClientContext's read returns on, so only closing the
+	// servers (below) orders that recycle before the closing read.
+	handed, recycled := ownedLedger()
 	client, err := NewClientContext(bg, ft, part, -1, WithResilience(ResilienceConfig{
-		Retry:      RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Breaker:    BreakerConfig{Threshold: 50, OpenFor: time.Millisecond},
-		Replicas:   UniformReplicas(partitions, replicas),
-		HedgeDelay: time.Millisecond,
-		Seed:       7,
+		Retry:    RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Breaker:  BreakerConfig{Threshold: 50, OpenFor: time.Millisecond},
+		Replicas: UniformReplicas(partitions, replicas),
+		Seed:     7,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -503,11 +512,30 @@ func TestChaosFrameRecycling(t *testing.T) {
 		if !reflect.DeepEqual(got[b], want) {
 			t.Fatalf("batch %d diverged from the reference sampler", b)
 		}
+		got[b].Release()
+		want.Release()
 	}
 	if _, injected := ft.Counts(); injected == 0 {
 		t.Fatal("no replies dropped — chaos harness inert")
 	}
+	// Closing the servers waits for every connection goroutine, and with it
+	// each reply recycled after the flush its client read returned on.
+	for _, srv := range servers {
+		srv.Close()
+	}
+	if h, r := ownedLedger(); h-handed != r-recycled {
+		t.Fatalf("%v owned buffers handed out, %v recycled", h-handed, r-recycled)
+	}
 	if out := mem.Outstanding(); out != 0 {
 		t.Fatalf("%d pooled scratch buffers outstanding after the run", out)
 	}
+}
+
+// ownedLedger reads the process-wide owned-buffer counters: buffers handed
+// out by GetOwned and buffers recycled.
+func ownedLedger() (handoffs, recycled float64) {
+	snap := mem.Snapshot()
+	handoffs, _ = snap.Get("owned_handoffs")
+	recycled, _ = snap.Get("owned_recycled")
+	return handoffs, recycled
 }

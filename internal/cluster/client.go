@@ -20,7 +20,8 @@ import (
 // Implementations must be safe for concurrent Call and must honor ctx:
 // a canceled or expired context aborts the call (including one already on
 // the wire) and surfaces ctx.Err(). The reply is the caller's to recycle
-// (mem.Bytes); msg stays the caller's, shared by every attempt.
+// (mem.Bytes); msg stays the caller's and must not be touched once Call
+// returns, because the client recycles it then.
 type Transport interface {
 	Call(ctx context.Context, server int, msg []byte) ([]byte, error)
 }
@@ -122,7 +123,7 @@ type Client struct {
 	Traffic   TrafficStats
 	Access    trace.AccessStats
 	// Res tallies resilience events ("cluster.resilience"): retries,
-	// breaker transitions, failovers, hedges, and degraded batches.
+	// breaker transitions, failovers, and degraded batches.
 	Res ResilienceStats
 	// Batches records per-batch SampleBatch latency ("cluster.batch").
 	Batches *stats.Latency
@@ -169,9 +170,9 @@ type Client struct {
 type ClientOption func(*Client)
 
 // WithResilience enables the fault-tolerance policy: bounded retries with
-// backoff + jitter, per-endpoint circuit breakers, replica failover,
-// optional hedging, and (when cfg.PartialResults is set) degraded batches
-// instead of fail-closed fan-outs.
+// backoff + jitter, per-endpoint circuit breakers, replica failover, and
+// (when cfg.PartialResults is set) degraded batches instead of fail-closed
+// fan-outs.
 func WithResilience(cfg ResilienceConfig) ClientOption {
 	return func(c *Client) {
 		c.res = newResilience(cfg, &c.Res)
@@ -309,6 +310,7 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	// A peer on another protocol version fails here, for good: its reply's
 	// header does not parse, and the error names both versions.
 	c.meta, err = DecodeMetaResponse(raw)
+	mem.Bytes.Recycle(raw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: meta fetch: %w", err)
 	}
@@ -337,9 +339,8 @@ func (c *Client) NegotiatedVersion() int { return ProtoVersion }
 // call issues one request to the partition's serving endpoint(s). With a
 // resilience policy it retries, fails over to replicas, and consults
 // circuit breakers; without one it is a single fail-fast transport call.
-// The RPC hop spans the whole policy run — backoff waits, failovers, and
-// hedges included — so rpc minus wire minus server is the resilience
-// overhead.
+// The RPC hop spans the whole policy run — backoff waits and failovers
+// included — so rpc minus wire minus server is the resilience overhead.
 func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, error) {
 	if c.tracer != nil {
 		var id obs.TraceID
@@ -364,8 +365,8 @@ func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, e
 // header builds the header for a request sent under ctx: the tenant key if
 // the client holds one and, with tracing on, ctx's trace ID (minted here if
 // ctx has none; the returned context carries it). Callers encode with it
-// before c.call, because a frame is immutable once handed over: hedged
-// attempts read it concurrently.
+// before c.call, because every retry and failover pass resends the same
+// frame bytes.
 func (c *Client) header(ctx context.Context) (context.Context, Header) {
 	h := Header{Key: c.apiKey}
 	if c.tracer != nil {
@@ -409,8 +410,9 @@ func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, 
 // hands the shard's answer to use. send is c.call for a partition — the
 // resilient path, so the frame is retried, failed over and breaker-gated as
 // a unit — or c.invoke for one endpoint, bypassing routing (the layout
-// probe). A sub the shard rejected comes back as its *ServerError. The reply
-// frame is recycled once use returns: use keeps no attribute payload.
+// probe). A sub the shard rejected comes back as its *ServerError. The
+// request frame is recycled once send returns, after its last pass; the
+// reply frame once use returns: use keeps no attribute payload.
 func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, send invokeFunc, use func(PackedSubResponse) error) error {
 	// The header is fixed before the frame is encoded: the trace ID and the
 	// tenant key travel inside the bytes every attempt shares.
@@ -426,6 +428,7 @@ func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, se
 	c.Pack.rawReq.Add(int64(rawRequestBytes(sub)))
 	c.Pack.wireReq.Add(int64(len(frame)))
 	raw, err := send(ctx, target, frame)
+	mem.Bytes.Recycle(frame)
 	if err != nil {
 		return err
 	}

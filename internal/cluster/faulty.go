@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lsdgnn/internal/mem"
 )
 
 // Fault injection for chaos-testing the distributed sampling path.
@@ -177,9 +179,11 @@ func (t *FaultyTransport) Call(ctx context.Context, server int, msg []byte) ([]b
 	case p.drop:
 		// The request reaches the server (work happens) but the response is
 		// lost on the way back.
-		if _, err := t.inner.Call(ctx, server, msg); err != nil {
+		resp, err := t.inner.Call(ctx, server, msg)
+		if err != nil {
 			return nil, err
 		}
+		mem.Bytes.Recycle(resp)
 		return nil, fmt.Errorf("server %d: %w", server, ErrConnDropped)
 	}
 	return t.inner.Call(ctx, server, msg)
@@ -252,9 +256,11 @@ func (h *FaultyHandler) Handle(ctx context.Context, msg []byte) ([]byte, error) 
 		<-ctx.Done()
 		return nil, ctx.Err()
 	case p.drop:
-		if _, err := h.inner.Handle(ctx, msg); err != nil {
+		resp, err := h.inner.Handle(ctx, msg)
+		if err != nil {
 			return nil, err
 		}
+		mem.Bytes.Recycle(resp)
 		return nil, ErrConnDropped
 	}
 	return h.inner.Handle(ctx, msg)

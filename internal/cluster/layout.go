@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/stats"
 )
 
@@ -21,8 +22,8 @@ import (
 // (stops routing, lets in-flight frames finish, then removes), and
 // partition migration (a brief dual-home window moving serving
 // responsibility between endpoints). In-flight requests complete against
-// the epoch they started under; retry passes and hedges re-resolve their
-// endpoint set from the live layout, so they land on the new epoch.
+// the epoch they started under; retry passes re-resolve their endpoint set
+// from the live layout, so they land on the new epoch.
 
 // EndpointState is an endpoint's position in a partition's replica set.
 type EndpointState uint8
@@ -464,8 +465,8 @@ func (c *Client) Layout() *Layout { return c.layout.Load() }
 
 // routableEndpoints resolves a partition's serving endpoints from the live
 // layout; the resilience layer calls it at the top of every endpoint pass,
-// so retries and hedges of an in-flight request resolve against the newest
-// epoch while the pass that already started completes against the old one.
+// so retries of an in-flight request resolve against the newest epoch while
+// the pass that already started completes against the old one.
 func (c *Client) routableEndpoints(partition int) []int {
 	l := c.layout.Load()
 	if l == nil {
@@ -734,6 +735,7 @@ func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []g
 		return err
 	}
 	meta, err := DecodeMetaResponse(raw)
+	mem.Bytes.Recycle(raw)
 	if err != nil {
 		return err
 	}

@@ -134,9 +134,9 @@ func EncodePackedRequest(subs []PackedSubRequest, bdi bool, c *mof.VecCodec) ([]
 
 // encodePackedRequest is EncodePackedRequest under a caller-chosen header.
 // Sub bodies are appended directly into the frame behind a patched length
-// prefix, and the frame is sized up front, so encoding is one allocation.
-// Request frames stay off the pools: a hedged attempt that lost may still
-// be reading the frame after the winning call returns.
+// prefix, and the frame is a pooled buffer sized up front — room for each
+// ID section's BDI trial included — that the caller owns and may recycle
+// (mem.Bytes).
 func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]byte, error) {
 	if len(subs) == 0 || len(subs) > MaxPackedRequests {
 		return nil, fmt.Errorf("cluster: %d sub-requests in packed frame (1..%d)", len(subs), MaxPackedRequests)
@@ -144,9 +144,9 @@ func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]
 	h.Op = OpPacked
 	est := 13 + len(h.Key) // header at its largest, then the count
 	for _, sub := range subs {
-		est += 4 + 1 + 16 + (len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8
+		est += 4 + 1 + 9 + mof.BDIBound((len(sub.Neighbors.IDs)+len(sub.Attrs.IDs))*8)
 	}
-	out := AppendHeader(make([]byte, 0, est), h)
+	out := AppendHeader(mem.Bytes.GetOwned(est, false)[:0], h)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(subs)))
 	for _, sub := range subs {
 		lenAt := len(out)
@@ -159,6 +159,7 @@ func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]
 			out = append(out, OpGetAttrs)
 			out = appendIDSection(out, sub.Attrs.IDs, h.BDI, c)
 		default:
+			mem.Bytes.Recycle(out)
 			return nil, fmt.Errorf("cluster: op %#x cannot be packed", sub.Op)
 		}
 		binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 )
 
 // Batched RPC protocol between sampling workers and graph servers. The
@@ -163,10 +164,10 @@ func EncodeMetaRequest(h Header) []byte {
 	return AppendHeader(nil, h)
 }
 
-// EncodeMetaResponse serializes r.
+// EncodeMetaResponse serializes r into a pooled frame the caller owns.
 func EncodeMetaResponse(h Header, r MetaResponse) []byte {
 	h.Op = OpMeta
-	out := AppendHeader(nil, h)
+	out := AppendHeader(mem.Bytes.GetOwned(64, false)[:0], h)
 	out = binary.LittleEndian.AppendUint64(out, uint64(r.NumNodes))
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
 	out = binary.LittleEndian.AppendUint32(out, uint32(r.Partition))

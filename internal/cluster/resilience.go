@@ -18,9 +18,10 @@ import (
 // whose fabric is lossy enough that MoF ships its own go-back-N ARQ
 // (§4.3, internal/mof/reliability.go). This file is the software-control-
 // plane counterpart: bounded retries with exponential backoff + jitter,
-// per-endpoint circuit breakers, replica failover, optional hedged
-// requests, and counters for all of it under the "cluster.resilience"
-// stats layer.
+// per-endpoint circuit breakers, replica failover, and counters for all of
+// it under the "cluster.resilience" stats layer. Like MoF's single-path
+// retransmission, a partition call is one sequential loop of passes: a
+// request frame has exactly one reader at a time.
 
 // RetryPolicy bounds how a failed partition call is re-attempted. One
 // attempt is a full pass over the partition's endpoint list (primary, then
@@ -181,11 +182,10 @@ func (b *breaker) onSuccess() {
 	b.probing = false
 }
 
-// abandon releases a half-open probe whose call was canceled before
-// reaching a verdict (hedging cancels every losing call; retry passes are
-// cut short by ctx). The endpoint's health is still unknown, so the state
-// is left as-is: the next Allow admits a fresh probe instead of rejecting
-// forever.
+// abandon releases a half-open probe whose call was cut short by ctx
+// before reaching a verdict. The endpoint's health is still unknown, so the
+// state is left as-is: the next Allow admits a fresh probe instead of
+// rejecting forever.
 func (b *breaker) abandon() {
 	b.mu.Lock()
 	b.probing = false
@@ -223,11 +223,6 @@ type ResilienceConfig struct {
 	// Replicas maps partitions to serving endpoints. Nil means partition p
 	// is served only by endpoint p.
 	Replicas ReplicaMap
-	// HedgeDelay, when positive and a partition has ≥2 endpoints, launches
-	// a duplicate request on a replica if the primary has not answered
-	// within the delay; the first success wins and the loser is canceled.
-	// Cuts tail latency at the price of duplicated work.
-	HedgeDelay time.Duration
 	// PartialResults degrades shard failures to empty per-node results
 	// with a *PartialError annotation instead of failing the whole batch.
 	PartialResults bool
@@ -237,7 +232,7 @@ type ResilienceConfig struct {
 }
 
 // DefaultResilienceConfig returns retries + breakers with default tuning,
-// no replicas, no hedging, fail-closed batches.
+// no replicas, fail-closed batches.
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Retry: DefaultRetryPolicy(), Breaker: DefaultBreakerConfig()}
 }
@@ -246,8 +241,6 @@ func DefaultResilienceConfig() ResilienceConfig {
 type ResilienceSnapshot struct {
 	Retries          int64 // backoff-delayed endpoint passes
 	Failovers        int64 // calls shifted to a replica after a primary failure/reject
-	Hedges           int64 // duplicate requests launched by the hedging timer
-	HedgesWon        int64 // hedged requests that answered before the primary
 	BreakerOpens     int64 // closed/half-open → open transitions
 	BreakerHalfOpens int64 // open → half-open transitions
 	BreakerCloses    int64 // half-open → closed transitions
@@ -295,8 +288,6 @@ func (s *ResilienceStats) StatsSnapshot() stats.Snapshot {
 	m := []stats.Metric{
 		{Name: "retries", Value: float64(snap.Retries), Unit: "req"},
 		{Name: "failovers", Value: float64(snap.Failovers), Unit: "req"},
-		{Name: "hedges", Value: float64(snap.Hedges), Unit: "req"},
-		{Name: "hedges_won", Value: float64(snap.HedgesWon), Unit: "req"},
 		{Name: "breaker_opens", Value: float64(snap.BreakerOpens)},
 		{Name: "breaker_half_opens", Value: float64(snap.BreakerHalfOpens)},
 		{Name: "breaker_closes", Value: float64(snap.BreakerCloses)},
@@ -409,13 +400,13 @@ type invokeFunc func(ctx context.Context, endpoint int, req []byte) ([]byte, err
 type resilience struct {
 	cfg   ResilienceConfig
 	stats *ResilienceStats
-	// tracer, when set, records retry/failover/hedge/breaker events tagged
-	// with the calling request's trace ID. Nil-safe throughout.
+	// tracer, when set, records retry/failover/breaker events tagged with
+	// the calling request's trace ID. Nil-safe throughout.
 	tracer *obs.Tracer
 	// routes, when set (clients with a live Layout), resolves a
-	// partition's serving endpoints at the top of every pass, so retries
-	// and hedges of an in-flight call pick up an epoch swap while the pass
-	// already running completes against the endpoints it resolved. Nil or
+	// partition's serving endpoints at the top of every pass, so retries of
+	// an in-flight call pick up an epoch swap while the pass already
+	// running completes against the endpoints it resolved. Nil or
 	// an empty resolution falls back to cfg.Replicas.
 	routes func(partition int) []int
 	// live, set alongside routes, reports whether the layout still holds an
@@ -549,8 +540,8 @@ func (r *resilience) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // call executes one partition request under the policy: endpoint passes
-// with failover (hedged on the first pass when configured), exponential
-// backoff with jitter between passes, honoring ctx throughout.
+// with failover, exponential backoff with jitter between passes, honoring
+// ctx throughout.
 func (r *resilience) call(ctx context.Context, partition int, req []byte, invoke invokeFunc) ([]byte, error) {
 	backoff := r.cfg.Retry.BaseBackoff
 	var errs []error
@@ -568,14 +559,7 @@ func (r *resilience) call(ctx context.Context, partition int, req []byte, invoke
 		}
 		// Resolved per pass, not once per call: a layout swap during the
 		// backoff redirects this retry to the new epoch's endpoints.
-		eps := r.endpoints(partition)
-		var resp []byte
-		var err error
-		if attempt == 0 && r.cfg.HedgeDelay > 0 && len(eps) > 1 {
-			resp, err = r.hedgedPass(ctx, eps, req, invoke)
-		} else {
-			resp, err = r.pass(ctx, eps, req, invoke)
-		}
+		resp, err := r.pass(ctx, r.endpoints(partition), req, invoke)
 		if err == nil {
 			return resp, nil
 		}
@@ -633,104 +617,6 @@ func (r *resilience) pass(ctx context.Context, eps []int, req []byte, invoke inv
 		}
 		br.onFailure()
 		errs = append(errs, fmt.Errorf("endpoint %d: %w", ep, err))
-	}
-	return nil, errors.Join(errs...)
-}
-
-// hedgedPass races the primary against a replica launched after
-// HedgeDelay. The first success cancels the loser. A failure with nothing
-// left in flight immediately starts the next endpoint (failover without
-// waiting for the hedge timer).
-func (r *resilience) hedgedPass(ctx context.Context, eps []int, req []byte, invoke invokeFunc) ([]byte, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		ep    int
-		hedge bool
-		resp  []byte
-		err   error
-	}
-	ch := make(chan outcome, len(eps))
-	next, inflight := 0, 0
-	var errs []error
-	// launch starts the next endpoint whose breaker admits a call.
-	launch := func(hedge bool) {
-		for next < len(eps) {
-			ep := eps[next]
-			primary := next == 0
-			next++
-			br := r.breaker(ep)
-			ok, probe := br.Allow()
-			if !ok {
-				r.stats.add(&r.stats.snap.BreakerRejects)
-				r.event(ctx, "breaker_reject", fmt.Sprintf("endpoint %d", ep))
-				errs = append(errs, fmt.Errorf("endpoint %d: breaker open", ep))
-				continue
-			}
-			if !primary {
-				if hedge {
-					r.stats.add(&r.stats.snap.Hedges)
-					r.event(ctx, "hedge", fmt.Sprintf("endpoint %d", ep))
-				} else {
-					r.stats.add(&r.stats.snap.Failovers)
-					r.event(ctx, "failover", fmt.Sprintf("endpoint %d", ep))
-				}
-			}
-			inflight++
-			go func(ep int, hedge, probe bool, br *breaker) {
-				resp, err := invoke(hctx, ep, req)
-				// Resolve the breaker here rather than in the select loop:
-				// once a sibling wins the race, the loop returns without
-				// draining ch, and an unresolved half-open probe would
-				// wedge its breaker (the endpoint blacklisted forever).
-				// Cancellations — a sibling won, or ctx expired — carry no
-				// verdict, so they only release a held probe.
-				switch {
-				case err == nil:
-					br.onSuccess()
-				case isServerError(err):
-					br.onSuccess() // alive endpoint, application verdict
-				case hctx.Err() != nil:
-					if probe {
-						br.abandon()
-					}
-				default:
-					br.onFailure()
-				}
-				ch <- outcome{ep: ep, hedge: hedge, resp: resp, err: err}
-			}(ep, hedge, probe, br)
-			return
-		}
-	}
-	launch(false)
-	timer := time.NewTimer(r.cfg.HedgeDelay)
-	defer timer.Stop()
-	for inflight > 0 {
-		select {
-		case <-timer.C:
-			launch(true)
-		case out := <-ch:
-			inflight--
-			if out.err == nil {
-				if out.hedge {
-					r.stats.add(&r.stats.snap.HedgesWon)
-				}
-				return out.resp, nil
-			}
-			if isServerError(out.err) {
-				return nil, fmt.Errorf("endpoint %d: %w", out.ep, out.err)
-			}
-			errs = append(errs, fmt.Errorf("endpoint %d: %w", out.ep, out.err))
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			if inflight == 0 {
-				launch(false)
-			}
-		}
-	}
-	if len(errs) == 0 {
-		errs = append(errs, errors.New("all endpoints rejected by open breakers"))
 	}
 	return nil, errors.Join(errs...)
 }

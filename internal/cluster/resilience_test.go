@@ -133,51 +133,6 @@ func TestBreakerProbeAbandonedOnCancel(t *testing.T) {
 	}
 }
 
-// TestHedgeLoserReleasesProbe: hedging cancels the losing call on every
-// win. When the loser holds a half-open probe, the cancellation must
-// release it so the endpoint can be probed again later.
-func TestHedgeLoserReleasesProbe(t *testing.T) {
-	st := &ResilienceStats{}
-	r := newResilience(ResilienceConfig{
-		Retry:      RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-		Breaker:    BreakerConfig{Threshold: 1, OpenFor: time.Millisecond},
-		Replicas:   ReplicaMap{{0, 1}},
-		HedgeDelay: 2 * time.Millisecond,
-	}, st)
-	// Replica endpoint 1 is open and past its window: the hedged call
-	// against it will be admitted as its half-open probe, lose the race,
-	// and be canceled.
-	r.breaker(1).onFailure()
-	time.Sleep(2 * time.Millisecond)
-
-	invoke := func(ctx context.Context, ep int, req []byte) ([]byte, error) {
-		if ep == 1 {
-			<-ctx.Done() // loses: canceled when the primary wins
-			return nil, ctx.Err()
-		}
-		time.Sleep(25 * time.Millisecond) // past HedgeDelay so the hedge launches
-		return []byte{0}, nil
-	}
-	if _, err := r.call(context.Background(), 0, metaReq, invoke); err != nil {
-		t.Fatal(err)
-	}
-	if st.Snapshot().Hedges == 0 {
-		t.Fatal("hedge never launched; test exercised nothing")
-	}
-	// The loser's goroutine releases the probe after the call returns;
-	// poll until a fresh probe is admitted instead of rejected forever.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ok, probe := r.breaker(1).Allow(); ok && probe {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hedge loser wedged the breaker: no new probe admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // TestServerErrorNotRetried: a deterministic application rejection (here
 // an out-of-range node ID) is indistinguishable from endpoint failure only
 // if left untyped. Typed as *ServerError it must consume exactly one

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
+	"lsdgnn/internal/store"
 	"lsdgnn/internal/workload"
 )
 
@@ -425,5 +427,51 @@ func TestNewSystemLayoutBuild(t *testing.T) {
 	if _, err := NewSystem(Options{Graph: g, Servers: 2, Seed: 5,
 		Layout: cluster.UniformLayout(2, 2), Spares: []int{7}}); err == nil {
 		t.Fatal("out-of-range spare accepted")
+	}
+}
+
+// TestSystemOverSubscribedDiskStore serves the same batches from memory and
+// from a disk store whose page-cache budget is at most a quarter of its
+// segment — materialised attributes, so the segment carries the attribute
+// table that makes real graphs outgrow RAM (§2, Fig 2a). Every batch must
+// match the in-memory system's, and residency must stay within the budget.
+func TestSystemOverSubscribedDiskStore(t *testing.T) {
+	const budget = 4 * store.DefaultPageSize
+	g := graph.Generate(graph.GenConfig{NumNodes: 4000, AvgDegree: 8, AttrLen: 64, Seed: 5, PowerLaw: true, Materialize: true})
+	scfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 5}
+	memSys, err := NewSystem(Options{Graph: g, Servers: 4, Seed: 5, Sampling: scfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskSys, err := NewSystem(Options{Graph: g, Servers: 4, Seed: 5, Sampling: scfg,
+		Store: store.Config{Backend: store.Disk, Path: t.TempDir(), MemoryBudget: budget}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer diskSys.Close()
+	ds := diskSys.Store.(*store.DiskStore)
+	if seg := ds.SegmentBytes(); seg < 4*budget {
+		t.Fatalf("segment of %d bytes is under 4x the %d-byte budget", seg, budget)
+	}
+	src := memSys.BatchSource(32, 5)
+	for b := 0; b < 4; b++ {
+		roots := src.Next()
+		want, err := memSys.SampleSoftware(context.Background(), roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := diskSys.SampleSoftware(context.Background(), roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("disk-backed batch %d diverged from the in-memory system", b)
+		}
+		if r := ds.Resident(); r > budget {
+			t.Fatalf("batch %d left %d bytes resident, over the %d-byte budget", b, r, budget)
+		}
+	}
+	if ds.Stats().CacheMisses() == 0 {
+		t.Fatal("no page faults: the disk store was never read")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/core"
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/memsys"
@@ -43,7 +42,7 @@ type Fig2bPoint struct {
 
 // Figure2b runs the event-driven cluster model at 1/5/15 servers.
 func Figure2b(opts Options) []Fig2bPoint {
-	cfg := cluster.DefaultScalingConfig()
+	cfg := DefaultScalingConfig()
 	if opts.Quick {
 		cfg.BatchesPerWorker = 2
 		cfg.WorkersPerServer = 4
@@ -53,7 +52,7 @@ func Figure2b(opts Options) []Fig2bPoint {
 	for _, s := range []int{1, 5, 15} {
 		c := cfg
 		c.Servers = s
-		r := cluster.SimulateScaling(c)
+		r := SimulateScaling(c)
 		p := Fig2bPoint{Servers: s, RootsPerSec: r.RootsPerSecond, RemoteShare: r.RemoteShare}
 		if s == 1 {
 			base = r.RootsPerSecond

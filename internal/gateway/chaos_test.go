@@ -8,6 +8,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,8 @@ import (
 // test: with 5% injected faults and a greedy tenant hammering far past its
 // contract, the light tenant must get byte-identical results to an
 // unloaded fault-free run, never miss its SLO, and never be shed — all of
-// the overload lands on the greedy tenant's rate-limit and shed counters.
+// the overload lands on the greedy tenant's rate-limit and shed counters,
+// and every batch it offered is on exactly one of them or admitted.
 func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 	g := graph.Generate(graph.GenConfig{NumNodes: 2000, AvgDegree: 8, AttrLen: 8, Seed: 11, PowerLaw: true})
 	sampling := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 11}
@@ -79,6 +81,7 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 	var wg sync.WaitGroup
 	hsrc := sys.BatchSource(16, 99)
 	var hmu sync.Mutex
+	var offered atomic.Int64
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -92,6 +95,7 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 				hmu.Lock()
 				roots := hsrc.Next()
 				hmu.Unlock()
+				offered.Add(1)
 				_, err := sys.SampleAs(ctx, "heavy-key", roots)
 				if err == nil {
 					continue
@@ -144,5 +148,9 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 	}
 	if heavy.Shed()+heavy.RateLimited() == 0 {
 		t.Fatal("greedy tenant was never contained (no sheds, no rate limits)")
+	}
+	if got := heavy.Admitted() + heavy.RateLimited() + heavy.Shed(); got != offered.Load() {
+		t.Fatalf("heavy ledger does not balance: %d admitted + %d ratelimited + %d shed != %d offered",
+			heavy.Admitted(), heavy.RateLimited(), heavy.Shed(), offered.Load())
 	}
 }

@@ -125,8 +125,8 @@ type TracerConfig struct {
 }
 
 // Tracer aggregates per-hop latency histograms (cumulative plus a rolling
-// 10s window each), named event counters (retries, breaker transitions,
-// hedges), and a bounded ring of recent spans. All methods are safe for
+// 10s window each), named event counters (retries, failovers, breaker
+// transitions), and a bounded ring of recent spans. All methods are safe for
 // concurrent use and no-ops on a nil receiver, so instrumentation sites
 // need no guards.
 type Tracer struct {
@@ -229,7 +229,7 @@ func (t *Tracer) ObserveErr(id TraceID, hop, note string, start time.Time, d tim
 }
 
 // Event records an instantaneous named event (retry scheduled, breaker
-// opened, hedge launched): an event counter plus, for sampled traces, a
+// opened, failover): an event counter plus, for sampled traces, a
 // zero-duration span.
 func (t *Tracer) Event(id TraceID, kind, note string) {
 	if t == nil {

@@ -43,7 +43,7 @@ type (
 	// PartialError.
 	ShardError = cluster.ShardError
 	// ResilienceConfig tunes retries, circuit breakers, replica failover,
-	// hedging, and partial-results degradation.
+	// and partial-results degradation.
 	ResilienceConfig = cluster.ResilienceConfig
 	// FaultSpec injects seeded chaos into the storage transport.
 	FaultSpec = cluster.FaultSpec
