@@ -76,10 +76,12 @@ store-smoke:
 
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
-# packed-frame decoder, the pooled TCP frame reader and the -tenants parser.
+# packed-frame decoder, the pooled TCP frame reader, the -tenants parser and
+# the store's segment header.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzDecodePacked' -fuzztime 20s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParseTenants' -fuzztime 10s ./internal/gateway/
+	$(GO) test -fuzz 'FuzzSegmentHeader' -fuzztime 10s ./internal/store/

@@ -547,9 +547,9 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 			// Offset/degree lookup, then per-entry pointer chasing: each
 			// neighbor ID is an individual fine-grained (8 B) indirect
 			// access — the access class Figure 2(c) counts.
-			c.Access.Record(trace.AccessStructure, 16, remote)
+			c.Access.Record(trace.AccessStructure, 1, 16, remote)
 			for range l {
-				c.Access.Record(trace.AccessStructure, 8, remote)
+				c.Access.Record(trace.AccessStructure, 1, 8, remote)
 			}
 		}
 		return nil
@@ -627,7 +627,7 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 		}
 		// The characterization (Figure 2(c)) counts the sampler's requests:
 		// every asked-for vector is one bulk access, folded on the wire or not.
-		c.Access.Record(trace.AccessAttribute, al*4, c.part.Owner(vs[i]) != c.local)
+		c.Access.Record(trace.AccessAttribute, 1, al*4, c.part.Owner(vs[i]) != c.local)
 	}
 	return err
 }

@@ -17,6 +17,7 @@ import (
 	"lsdgnn/internal/mem"
 	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
+	"lsdgnn/internal/trace"
 )
 
 func TestPackedRequestRoundTrip(t *testing.T) {
@@ -379,6 +380,55 @@ func TestPackedSubRejectionIsolated(t *testing.T) {
 	}
 	if subs[2].Err != nil || len(subs[2].Attrs.Payload) != 2*g.AttrLen()*4 {
 		t.Fatalf("co-packed attrs sub: %+v", subs[2])
+	}
+}
+
+// TestServerAccessTotalsPerID: a server records each sub's accesses once,
+// yet its totals are what one record per served ID gives — a structure
+// access of 16 + 8·degree bytes per list, an attribute access of AttrBytes
+// per vector — counting the IDs a rejected sub served before its bad one.
+func TestServerAccessTotalsPerID(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	srv := NewServer(g, part, 0)
+	var owned []graph.NodeID
+	foreign := graph.NodeID(0)
+	for v := graph.NodeID(0); len(owned) < 3 || foreign == 0; v++ {
+		if part.Owner(v) == 1 {
+			foreign = v
+		} else if len(owned) < 3 {
+			owned = append(owned, v)
+		}
+	}
+	var c mof.VecCodec
+	frame, err := EncodePackedRequest([]PackedSubRequest{
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned}},
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{owned[0], foreign, owned[1]}}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{owned[1], foreign}}},
+	}, false, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := srv.Handle(bg, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Bytes.Recycle(reply)
+	var want trace.AccessStats
+	for _, v := range append(slices.Clone(owned), owned[0]) {
+		want.Record(trace.AccessStructure, 1, 16+len(g.Neighbors(v))*8, false)
+	}
+	for range len(owned) + 1 {
+		want.Record(trace.AccessAttribute, 1, g.AttrBytes(), false)
+	}
+	for _, cl := range []trace.AccessClass{trace.AccessStructure, trace.AccessAttribute} {
+		if got, w := srv.Stats().Requests(cl), want.Requests(cl); got != w {
+			t.Fatalf("%v requests %d, want %d", cl, got, w)
+		}
+		if got, w := srv.Stats().Bytes(cl), want.Bytes(cl); got != w {
+			t.Fatalf("%v bytes %d, want %d", cl, got, w)
+		}
 	}
 }
 

@@ -26,8 +26,10 @@ type Backend interface {
 	AttrLen() int
 	// AttrBytes returns the wire size of one attribute vector.
 	AttrBytes() int
-	// Neighbors returns v's adjacency; the returned slice must stay valid
-	// until the next call from the same goroutine.
+	// Neighbors returns v's adjacency. The server holds every list of a
+	// sub until the reply is encoded, so the slice must stay valid and
+	// unmodified until then: it may alias immutable storage or be fresh,
+	// but never a buffer the backend reuses on a later call.
 	Neighbors(v graph.NodeID) []graph.NodeID
 	// Attr appends v's attribute vector to dst.
 	Attr(dst []float32, v graph.NodeID) []float32
@@ -131,9 +133,13 @@ func (s *Server) checkID(v graph.NodeID) error {
 	return nil
 }
 
-// GetNeighbors answers a batched neighbor request.
+// GetNeighbors answers a batched neighbor request. Every list served is
+// one fine-grained structure access — offset lookup plus ID list — and the
+// sub's accesses are recorded once, however it ends.
 func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (NeighborsResponse, error) {
 	resp := NeighborsResponse{Lists: make([][]graph.NodeID, len(req.IDs))}
+	var served, nbytes int
+	defer func() { s.stats.Record(trace.AccessStructure, served, nbytes, false) }()
 	for i, v := range req.IDs {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -144,20 +150,22 @@ func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (Neighb
 			return NeighborsResponse{}, err
 		}
 		nbrs := s.g.Neighbors(v)
-		// Fine-grained structure access: offset lookup + ID list.
-		s.stats.Record(trace.AccessStructure, 16+len(nbrs)*8, false)
+		served, nbytes = served+1, nbytes+16+len(nbrs)*8
 		resp.Lists[i] = nbrs
 	}
 	return resp, nil
 }
 
 // appendAttrs answers an attrs sub straight into the reply frame, each
-// vector read into pooled scratch and put in place in a raw section.
+// vector read into pooled scratch and put in place in a raw section. Its
+// attribute accesses are recorded once, like GetNeighbors'.
 func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID) ([]byte, error) {
 	al := s.g.AttrLen()
 	out, payload := appendAttrsHead(out, al, len(ids)*al*4)
 	vec := mem.Floats.Get(al)
 	defer mem.Floats.Put(vec)
+	var served int
+	defer func() { s.stats.Record(trace.AccessAttribute, served, served*s.g.AttrBytes(), false) }()
 	for i, v := range ids {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -172,7 +180,7 @@ func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID
 			return out, fmt.Errorf("cluster: node %d has %d attributes, want %d", v, len(got), al)
 		}
 		putFloats(payload[i*al*4:], got)
-		s.stats.Record(trace.AccessAttribute, s.g.AttrBytes(), false)
+		served++
 	}
 	return out, nil
 }

@@ -436,7 +436,7 @@ func TestNewSystemLayoutBuild(t *testing.T) {
 // table that makes real graphs outgrow RAM (§2, Fig 2a). Every batch must
 // match the in-memory system's, and residency must stay within the budget.
 func TestSystemOverSubscribedDiskStore(t *testing.T) {
-	const budget = 4 * store.DefaultPageSize
+	const budget = 4 * store.PageSize
 	g := graph.Generate(graph.GenConfig{NumNodes: 4000, AvgDegree: 8, AttrLen: 64, Seed: 5, PowerLaw: true, Materialize: true})
 	scfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 5}
 	memSys, err := NewSystem(Options{Graph: g, Servers: 4, Seed: 5, Sampling: scfg})

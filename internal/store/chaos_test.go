@@ -26,7 +26,7 @@ func TestChaosDiskStoreUnderFaults(t *testing.T) {
 	if err := Create(dir, g); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	s, err := Open(dir, WithMemoryBudget(32<<10), WithPageSize(4<<10))
+	s, err := Open(dir, WithMemoryBudget(32<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

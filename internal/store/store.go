@@ -30,8 +30,8 @@
 //	                   WAL *tail* is not corruption — crash recovery
 //	                   truncates it and replays the clean prefix)
 //	ErrBudgetExceeded  the configured memory budget cannot admit even a
-//	                   single cache page — raise the budget or shrink
-//	                   WithPageSize
+//	                   single cache page (PageSize bytes) — raise the
+//	                   budget
 //	ErrExists          Create target already holds a store
 //
 // The facade re-exports both as lsdgnn.ErrStoreCorrupt /
@@ -119,18 +119,18 @@ type Config struct {
 	SyncMode SyncMode
 }
 
-// DefaultPageSize is the cache page size when WithPageSize is not given:
-// large enough that one page holds hundreds of adjacency runs (the
-// sequential-scan-friendly placement Dann et al. motivate), small enough
-// that a few pages fit tight budgets.
-const DefaultPageSize = 64 << 10
+// PageSize is the budgeted page cache's one page size: the OS page. A
+// sampler lookup wants a 16-byte offset pair and a run of about a hundred
+// bytes, so a miss faults in the page holding them and no more — the
+// fine-grained access AxE's coalescing-only cache is built around (Tech-4),
+// rather than a coarse line that pays for bytes nobody asked for.
+const PageSize = 4 << 10
 
 // options collects Open/Create tuning.
 type options struct {
-	budget   int64
-	pageSize int
-	sync     SyncMode
-	stats    *Stats
+	budget int64
+	sync   SyncMode
+	stats  *Stats
 }
 
 // Option tunes Open and Create.
@@ -143,12 +143,6 @@ type Option func(*options)
 // ErrBudgetExceeded when the budget cannot admit a single page.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *options) { o.budget = bytes }
-}
-
-// WithPageSize sets the cache page size in bytes (default
-// DefaultPageSize). Only meaningful with a positive memory budget.
-func WithPageSize(bytes int) Option {
-	return func(o *options) { o.pageSize = bytes }
 }
 
 // WithSyncMode selects WAL durability (default SyncOS).
@@ -164,15 +158,12 @@ func WithStats(s *Stats) Option {
 }
 
 func buildOptions(opts []Option) (options, error) {
-	o := options{pageSize: DefaultPageSize}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.pageSize <= 0 {
-		o.pageSize = DefaultPageSize
-	}
-	if o.budget > 0 && o.budget < int64(o.pageSize) {
-		return o, fmt.Errorf("%w: budget %d below page size %d", ErrBudgetExceeded, o.budget, o.pageSize)
+	if o.budget > 0 && o.budget < PageSize {
+		return o, fmt.Errorf("%w: budget %d below page size %d", ErrBudgetExceeded, o.budget, PageSize)
 	}
 	if o.stats == nil {
 		o.stats = &Stats{}

@@ -79,8 +79,8 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}{
 		{"procedural-mmap", false, nil},
 		{"materialized-mmap", true, nil},
-		{"procedural-budgeted", false, []Option{WithMemoryBudget(64 << 10), WithPageSize(4 << 10)}},
-		{"materialized-budgeted", true, []Option{WithMemoryBudget(64 << 10), WithPageSize(4 << 10)}},
+		{"procedural-budgeted", false, []Option{WithMemoryBudget(64 << 10)}},
+		{"materialized-budgeted", true, []Option{WithMemoryBudget(64 << 10)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := testGraph(t, tc.mat)
@@ -105,7 +105,7 @@ func TestDiskStoreSamplingParity(t *testing.T) {
 			g := testGraph(t, mat)
 			var opts []Option
 			if budget > 0 {
-				opts = append(opts, WithMemoryBudget(budget), WithPageSize(4<<10))
+				opts = append(opts, WithMemoryBudget(budget))
 			}
 			_, s := mustCreate(t, g, opts...)
 			cfg := sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, FetchAttrs: true, Seed: 7}
@@ -361,7 +361,7 @@ func TestOpenErrors(t *testing.T) {
 	t.Run("budget-below-page", func(t *testing.T) {
 		dir, s := mustCreate(t, g)
 		s.Close()
-		if _, err := Open(dir, WithMemoryBudget(1<<10), WithPageSize(64<<10)); !errors.Is(err, ErrBudgetExceeded) {
+		if _, err := Open(dir, WithMemoryBudget(PageSize-1)); !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("want ErrBudgetExceeded, got %v", err)
 		}
 	})
@@ -436,7 +436,7 @@ func TestPageCacheBudget(t *testing.T) {
 	g := testGraph(t, true)
 	budget := int64(16 << 10)
 	st := &Stats{}
-	_, s := mustCreate(t, g, WithMemoryBudget(budget), WithPageSize(4<<10), WithStats(st))
+	_, s := mustCreate(t, g, WithMemoryBudget(budget), WithStats(st))
 	if st.segmentBytes.Value() <= float64(budget) {
 		t.Fatalf("segment %v not larger than budget %d — test proves nothing", st.segmentBytes.Value(), budget)
 	}
@@ -478,7 +478,7 @@ func TestPageCacheBudget(t *testing.T) {
 // adjacency and zero vectors.
 func TestClosedStoreFailsServerRequests(t *testing.T) {
 	g := testGraph(t, true)
-	_, s := mustCreate(t, g, WithMemoryBudget(16<<10), WithPageSize(4<<10))
+	_, s := mustCreate(t, g, WithMemoryBudget(16<<10))
 	srv := cluster.NewBackendServer(s, cluster.HashPartitioner{N: 1}, 0)
 	ids := []graph.NodeID{1, 2, 3}
 	// One sub per frame, as clients send them: a frame fails at its first

@@ -44,14 +44,16 @@ type AccessStats struct {
 	remote   [numAccessClasses]int64
 }
 
-// Record notes one access of class c transferring n bytes; remote marks a
-// cross-server access.
-func (s *AccessStats) Record(c AccessClass, n int, remote bool) {
+// Record notes reqs accesses of class c transferring n bytes between them;
+// remote marks them cross-server. A caller serving a whole vector of
+// requests records it once, with its count and byte total, rather than
+// taking the lock per element.
+func (s *AccessStats) Record(c AccessClass, reqs, n int, remote bool) {
 	s.mu.Lock()
-	s.requests[c]++
+	s.requests[c] += int64(reqs)
 	s.bytes[c] += int64(n)
 	if remote {
-		s.remote[c]++
+		s.remote[c] += int64(reqs)
 	}
 	s.mu.Unlock()
 }

@@ -1,15 +1,16 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
 
 func TestAccessStatsBasic(t *testing.T) {
 	var s AccessStats
-	s.Record(AccessStructure, 8, false)
-	s.Record(AccessStructure, 16, true)
-	s.Record(AccessAttribute, 512, true)
+	s.Record(AccessStructure, 1, 8, false)
+	s.Record(AccessStructure, 1, 16, true)
+	s.Record(AccessAttribute, 1, 512, true)
 	if s.Requests(AccessStructure) != 2 || s.Requests(AccessAttribute) != 1 {
 		t.Fatalf("request counts wrong")
 	}
@@ -27,6 +28,20 @@ func TestAccessStatsBasic(t *testing.T) {
 	}
 }
 
+// TestAccessStatsRecordCount: one Record of a counted vector leaves the
+// same totals as recording its elements one by one.
+func TestAccessStatsRecordCount(t *testing.T) {
+	var each, once AccessStats
+	for _, n := range []int{16, 40, 24} {
+		each.Record(AccessStructure, 1, n, true)
+	}
+	once.Record(AccessStructure, 3, 80, true)
+	once.Record(AccessAttribute, 0, 0, true)
+	if got, want := once.StatsSnapshot(), each.StatsSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counted record %v, per-element records %v", got, want)
+	}
+}
+
 func TestAccessStatsEmpty(t *testing.T) {
 	var s AccessStats
 	if s.StructureRequestShare() != 0 || s.RemoteShare() != 0 || s.AvgRequestBytes(AccessAttribute) != 0 {
@@ -36,7 +51,7 @@ func TestAccessStatsEmpty(t *testing.T) {
 
 func TestAccessStatsReset(t *testing.T) {
 	var s AccessStats
-	s.Record(AccessAttribute, 100, true)
+	s.Record(AccessAttribute, 1, 100, true)
 	s.Reset()
 	if s.Requests(AccessAttribute) != 0 {
 		t.Fatal("reset did not clear")
@@ -51,7 +66,7 @@ func TestAccessStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				s.Record(AccessStructure, 8, j%2 == 0)
+				s.Record(AccessStructure, 1, 8, j%2 == 0)
 			}
 		}()
 	}
