@@ -16,6 +16,7 @@ verify:
 # under the race detector with a high iteration count.
 chaos:
 	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute|TestEngineSpares' ./internal/core/
 
 # Every Go benchmark in the tree (paper tables/figures included). The
 # serving-path benchmark is bash bench/run.sh (see BENCHMARK.json).
@@ -34,8 +35,8 @@ wire-smoke:
 	./scripts/wire_smoke.sh
 
 # Pipeline smoke test: boots lsdgnn-server (checks the zero-valued
-# lsdgnn_pipeline_* pre-registration on /metrics), drives a pipelined
-# burst through lsdgnn-probe over TCP, and asserts the executor's
+# lsdgnn_pipeline_* pre-registration on /metrics), drives a burst through
+# lsdgnn-probe's executor over TCP, and asserts the executor's
 # issued/retired/batches counters moved and balance.
 pipeline-smoke:
 	./scripts/pipeline_smoke.sh

@@ -98,6 +98,12 @@ func benchEngine(b *testing.B, mutate func(*axe.Config)) *axe.Engine {
 	return e
 }
 
+// benchSample samples roots over e's graph under its Sampling config: the
+// batch the engine benchmarks then time.
+func benchSample(e *axe.Engine, roots []graph.NodeID) *sampler.Result {
+	return sampler.New(sampler.LocalStore{G: e.Graph()}, e.Config().Sampling).SampleBatch(roots)
+}
+
 func benchRoots(n int) []graph.NodeID {
 	rng := rand.New(rand.NewSource(3))
 	roots := make([]graph.NodeID, n)
@@ -113,10 +119,10 @@ func BenchmarkAblationWindow(b *testing.B) {
 		win := win
 		b.Run("w"+itoa(win), func(b *testing.B) {
 			e := benchEngine(b, func(c *axe.Config) { c.Window = win })
-			roots := benchRoots(32)
+			res := benchSample(e, benchRoots(32))
 			var simRoots float64
 			for i := 0; i < b.N; i++ {
-				_, st := e.RunBatch(roots)
+				st := e.RunBatch(res)
 				simRoots = st.RootsPerSecond
 			}
 			b.ReportMetric(simRoots, "simroots/s")
@@ -130,10 +136,10 @@ func BenchmarkAblationCores(b *testing.B) {
 		cores := cores
 		b.Run("c"+itoa(cores), func(b *testing.B) {
 			e := benchEngine(b, func(c *axe.Config) { c.Cores = cores })
-			roots := benchRoots(32)
+			res := benchSample(e, benchRoots(32))
 			var simRoots float64
 			for i := 0; i < b.N; i++ {
-				_, st := e.RunBatch(roots)
+				st := e.RunBatch(res)
 				simRoots = st.RootsPerSecond
 			}
 			b.ReportMetric(simRoots, "simroots/s")
@@ -147,10 +153,10 @@ func BenchmarkAblationCache(b *testing.B) {
 		size := size
 		b.Run("cache"+itoa(size), func(b *testing.B) {
 			e := benchEngine(b, func(c *axe.Config) { c.CacheBytes = size })
-			roots := benchRoots(32)
+			res := benchSample(e, benchRoots(32))
 			var hit float64
 			for i := 0; i < b.N; i++ {
-				_, st := e.RunBatch(roots)
+				st := e.RunBatch(res)
 				hit = st.CacheHitRate
 			}
 			b.ReportMetric(hit*100, "hit%")
@@ -182,10 +188,10 @@ func BenchmarkAblationPacking(b *testing.B) {
 
 func BenchmarkEngineBatch(b *testing.B) {
 	e := benchEngine(b, nil)
-	roots := benchRoots(64)
+	res := benchSample(e, benchRoots(64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunBatch(roots)
+		e.RunBatch(res)
 	}
 }
 
@@ -205,7 +211,7 @@ func BenchmarkDistributedSampling(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := client.SampleBatch(ctx, roots, cfg)
+		res, err := sampler.KHop(ctx, client, cfg, roots)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 // Command lsdgnn-probe is a wire-level load driver: it dials a running
-// lsdgnn-server cluster and pushes sampling batches through the client hot
-// path, then reports what crossed the wire.
+// lsdgnn-server cluster and pushes sampling batches through the serving
+// route — the windowed executor over the cluster client — then reports
+// what crossed the wire and prints the executor's lsdgnn_pipeline_*
+// series.
 //
 // It exists for smoke tests (scripts/wire_smoke.sh drives a burst and then
 // asserts the server's /metrics counted its sectioned frames) and for
@@ -43,7 +45,6 @@ func main() {
 	batchSize := flag.Int("batch-size", 64, "roots per batch")
 	workers := flag.Int("workers", 4, "concurrent batch drivers")
 	fanout := flag.Int("fanout", 10, "neighbors sampled per hop (2 hops)")
-	pipelined := flag.Bool("pipeline", false, "drive batches through the windowed sampling executor and print its lsdgnn_pipeline_* metrics")
 	memStats := flag.Bool("mem", false, "print the client-side lsdgnn_mem_* buffer-pool metrics after the burst")
 	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests, shared by all workers (0 = default 8192)")
 	seed := flag.Int64("seed", 1, "root-selection and sampling seed")
@@ -78,18 +79,13 @@ func main() {
 	transport := cluster.DialTCP(endpoints, 2)
 	defer transport.Close()
 	part := cluster.HashPartitioner{N: partitions}
-	// Always trace: each request then carries its trace ID in the frame
-	// header, which is what lets the server attach exemplars and span
+	// Always trace: each request then carries its batch's trace ID in the
+	// frame header, which is what lets the server attach exemplars and span
 	// timelines (its /trace/{id}) to this probe's traffic.
-	opts := []cluster.ClientOption{cluster.WithTracer(obs.NewTracer())}
+	tracer := obs.NewTracer()
+	opts := []cluster.ClientOption{cluster.WithTracer(tracer)}
 	if *apiKey != "" {
 		opts = append(opts, cluster.WithAPIKey(*apiKey))
-	}
-	slos := stats.NewSLOTracker()
-	if *sloStats {
-		opts = append(opts, cluster.WithSLO(slos.Objective(stats.Objective{
-			Name: "probe_batch", Threshold: *sloThreshold,
-		})))
 	}
 	if *replicas > 1 {
 		// A replicated tier routes by the versioned elastic layout, with
@@ -109,12 +105,13 @@ func main() {
 		Fanouts: []int{*fanout, *fanout}, NegativeRate: 4,
 		Method: sampler.Streaming, FetchAttrs: true, Seed: *seed,
 	}
-	// In pipeline mode every batch flows through the windowed executor
-	// (the software AxE load unit) instead of straight through the client;
-	// the results are identical either way.
-	var ex *pipeline.Executor
-	if *pipelined {
-		ex = pipeline.New(client, cfg, pipeline.Config{Window: *pipeWindow})
+	// Every batch flows through the windowed executor (the software AxE
+	// load unit), which owns the batch latency and the SLO hook.
+	ex := pipeline.New(client, cfg, pipeline.Config{Window: *pipeWindow})
+	ex.SetTracer(tracer)
+	slos := stats.NewSLOTracker()
+	if *sloStats {
+		ex.SetSLO(slos.Objective(stats.Objective{Name: "probe_batch", Threshold: *sloThreshold}))
 	}
 	src := workload.NewBatchSource(client.NumNodes(), *batchSize, *seed)
 	work := make([][]graph.NodeID, *batches)
@@ -161,13 +158,7 @@ func main() {
 				b := next
 				next++
 				mu.Unlock()
-				var res *sampler.Result
-				var err error
-				if ex != nil {
-					res, err = ex.Sample(ctx, work[b])
-				} else {
-					res, err = client.SampleBatch(ctx, work[b], cfg)
-				}
+				res, err := ex.Sample(ctx, work[b])
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -209,19 +200,14 @@ func main() {
 	}
 	fmt.Printf("wire: %d sectioned frames at %.0f%% of their bare-vector bytes, %d duplicate attr IDs folded\n",
 		ps.Frames(), float64(ps.WireBytes())/float64(ps.RawBytes())*100, ps.Dedup())
-	if ex != nil {
-		st := ex.Stats()
-		fmt.Printf("pipeline: window %d, in-flight peak %d, %d requests issued, %d stalls\n",
-			ex.Config().Window, st.InflightPeak(), st.IssuedRequests(), st.WindowStalls())
-		if st.IssuedRequests() == 0 {
-			fatal(fmt.Errorf("pipeline mode drove no requests"))
-		}
-		// Exposition block for smoke tests: the executor lives client-side,
-		// so the probe prints its own lsdgnn_pipeline_* series (the server
-		// pre-registers the same schema at zero).
-		if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{st.StatsSnapshot()}); err != nil {
-			fatal(err)
-		}
+	st := ex.Stats()
+	fmt.Printf("pipeline: window %d, in-flight peak %d, %d requests issued, %d stalls\n",
+		ex.Config().Window, st.InflightPeak(), st.IssuedRequests(), st.WindowStalls())
+	// Exposition block for smoke tests: the executor lives client-side, so
+	// the probe prints its own lsdgnn_pipeline_* series (the server
+	// pre-registers the same schema at zero).
+	if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{st.StatsSnapshot()}); err != nil {
+		fatal(err)
 	}
 	if *layoutStats {
 		// Exposition block for smoke tests: the layout lives client-side,
@@ -233,7 +219,7 @@ func main() {
 	}
 	if *sloStats {
 		// Exposition block for smoke tests: the objective classifies the
-		// client's view of batch latency, server-side effects included.
+		// executor's view of batch latency, server-side effects included.
 		if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{slos.StatsSnapshot()}); err != nil {
 			fatal(err)
 		}

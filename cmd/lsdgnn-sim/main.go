@@ -73,7 +73,8 @@ func main() {
 	for i := range roots {
 		roots[i] = graph.NodeID(rng.Int63n(g.NumNodes()))
 	}
-	res, st := eng.RunBatch(roots)
+	res := sampler.New(sampler.LocalStore{G: g}, cfg.Sampling).SampleBatch(roots)
+	st := eng.RunBatch(res)
 
 	fmt.Printf("batch: %d roots, %d hop-1, %d hop-2, %d negatives, %d attr vectors\n",
 		len(res.Roots), len(res.Hops[0]), len(res.Hops[1]), len(res.Negatives),

@@ -80,7 +80,7 @@ func main() {
 	// the in-flight RPCs are aborted and the error surfaces here.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := client.SampleBatch(ctx, roots, cfg)
+	res, err := sampler.KHop(ctx, client, cfg, roots)
 	if err != nil {
 		log.Fatal(err)
 	}

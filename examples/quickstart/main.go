@@ -1,7 +1,8 @@
 // Quickstart: build a small e-commerce-style graph, assemble an LSD-GNN
-// system, and run one sampling mini-batch on the software (vCPU baseline),
-// pipelined and AxE accelerator paths, checking they agree byte for byte
-// and reporting modeled throughput.
+// system, and sample one mini-batch through its one serving route — the
+// windowed executor over the cluster client — both on its own and as an
+// accelerated batch that a modeled AxE engine then times, checking the two
+// agree byte for byte and reporting modeled throughput.
 package main
 
 import (
@@ -26,7 +27,6 @@ func main() {
 		lsdgnn.WithGraph(g),
 		lsdgnn.WithServers(4),
 		lsdgnn.WithSeed(7),
-		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling, default 8192-request window
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -39,13 +39,16 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Software path: distributed batched RPC sampling.
-	sw, err := sys.SampleSoftware(ctx, roots)
+	// Pipelined path: the batch through the windowed executor (the
+	// software model of the AxE load unit, Tech-3), fetched over the
+	// cluster client one vector request per hop.
+	pl, err := sys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("software:    %d roots -> %d + %d sampled nodes, %d negatives\n",
-		len(sw.Roots), len(sw.Hops[0]), len(sw.Hops[1]), len(sw.Negatives))
+	ps := sys.Pipeline.Stats()
+	fmt.Printf("pipelined:   %d roots -> %d + %d sampled nodes, %d negatives, in-flight peak %d requests\n",
+		len(pl.Roots), len(pl.Hops[0]), len(pl.Hops[1]), len(pl.Negatives), ps.InflightPeak())
 	fmt.Printf("             %.1f%% of requests were fine-grained structure reads\n",
 		sys.Client.Access.StructureRequestShare()*100)
 	if raw, wire := sys.Client.Pack.RawBytes(), sys.Client.Pack.WireBytes(); raw > 0 {
@@ -53,18 +56,9 @@ func main() {
 			sys.Client.Pack.Frames(), float64(wire)/float64(raw)*100)
 	}
 
-	// Pipelined path: the same batch through the windowed executor (the
-	// software model of the AxE load unit, Tech-3).
-	pl, err := sys.SamplePipelined(ctx, roots)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ps := sys.Pipeline.Stats()
-	fmt.Printf("pipelined:   %d roots -> %d + %d sampled nodes, in-flight peak %d requests\n",
-		len(pl.Roots), len(pl.Hops[0]), len(pl.Hops[1]), ps.InflightPeak())
-
-	// Accelerated path: the same batch through the dispatcher, which
-	// places it on the least-loaded AxE engine.
+	// Accelerated path: the same batch sampled over the same wire, then
+	// placed by the dispatcher on the least-loaded AxE engine, which
+	// replays the modeled time of producing it.
 	hw, stats, err := sys.Sample(ctx, roots)
 	if err != nil {
 		log.Fatal(err)
@@ -75,14 +69,12 @@ func main() {
 		stats.RootsPerSecond, stats.CacheHitRate*100, stats.OutputUtilization*100)
 
 	// Every draw comes from a stream derived from (seed, root, hop,
-	// position), so all three paths return the same batch.
-	for name, res := range map[string]*lsdgnn.Result{"pipelined": pl, "accelerated": hw} {
-		if !reflect.DeepEqual(res.Hops, sw.Hops) || !reflect.DeepEqual(res.Negatives, sw.Negatives) ||
-			!reflect.DeepEqual(res.Attrs, sw.Attrs) {
-			log.Fatalf("%s batch differs from the software batch", name)
-		}
+	// position), so both calls return the same batch.
+	if !reflect.DeepEqual(hw.Hops, pl.Hops) || !reflect.DeepEqual(hw.Negatives, pl.Negatives) ||
+		!reflect.DeepEqual(hw.Attrs, pl.Attrs) {
+		log.Fatal("accelerated batch differs from the pipelined batch")
 	}
-	fmt.Println("software, pipelined and accelerated results are byte-identical ✓")
+	fmt.Println("pipelined and accelerated results are byte-identical ✓")
 
 	// Storage beyond RAM: the same deployment, but the partition servers
 	// answer from a persistent mmap CSR + WAL store with a page-cache
@@ -105,13 +97,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer dsys.Close()
-	dsw, err := dsys.SampleSoftware(ctx, roots)
+	dpl, err := dsys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range sw.Attrs {
-		if sw.Attrs[i] != dsw.Attrs[i] {
-			log.Fatalf("disk-backed attr %d diverged: %v != %v", i, dsw.Attrs[i], sw.Attrs[i])
+	for i := range pl.Attrs {
+		if pl.Attrs[i] != dpl.Attrs[i] {
+			log.Fatalf("disk-backed attr %d diverged: %v != %v", i, dpl.Attrs[i], pl.Attrs[i])
 		}
 	}
 	fmt.Printf("disk-backed: same batch from a %s store under an 8 MB budget — byte-identical ✓\n", dir)

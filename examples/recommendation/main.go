@@ -1,6 +1,7 @@
 // Recommendation: the paper's motivating end application — link prediction
 // on an e-commerce-style graph (Table 3). Samples mini-batches through the
-// accelerated path, trains a graphSAGE-max encoder with a DSSM end model on
+// serving route (sys.Pipeline over the cluster client), trains a
+// graphSAGE-max encoder with a DSSM end model on
 // (root, neighbor) positive pairs against negative samples, and reports the
 // end-to-end stage breakdown of Figure 3.
 package main
@@ -26,13 +27,14 @@ func main() {
 		steps   = 30
 	)
 	g := lsdgnn.GenerateGraph(nodes, 14, attrLen, 11)
-	sys, err := lsdgnn.New("", lsdgnn.WithGraph(g), lsdgnn.WithServers(4), lsdgnn.WithSeed(11))
+	// Override the default 10/10 fanout with a lighter 5/5 for the demo.
+	scfg := lsdgnn.DefaultSamplerConfig(11)
+	scfg.Fanouts, scfg.NegativeRate = []int{fanout, fanout}, 1
+	sys, err := lsdgnn.New("", lsdgnn.WithGraph(g), lsdgnn.WithServers(4), lsdgnn.WithSeed(11),
+		lsdgnn.WithSampling(scfg))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Override the default 10/10 fanout with a lighter 5/5 for the demo.
-	sys.Sampling.Fanouts = []int{fanout, fanout}
-	sys.Sampling.NegativeRate = 1
 
 	rng := rand.New(rand.NewSource(11))
 	sage := gnn.NewGraphSAGEMax(attrLen, hidden, hidden, fanout, fanout, rng)
@@ -41,7 +43,7 @@ func main() {
 
 	ctx := context.Background()
 	for step := 0; step < steps; step++ {
-		res, err := sys.SampleSoftware(ctx, src.Next())
+		res, err := sys.Pipeline.Sample(ctx, src.Next())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -174,6 +174,14 @@ func newEngine(t *testing.T, g *graph.Graph, parts int, cfg Config) *Engine {
 	return e
 }
 
+// runBatch samples roots under e's Sampling config with the reference
+// sampler over e's graph, then times the result on e — the sample-then-time
+// sequence every caller of the timing model runs.
+func runBatch(e *Engine, roots []graph.NodeID) (*sampler.Result, BatchStats) {
+	res := sampler.New(sampler.LocalStore{G: e.g}, e.cfg.Sampling).SampleBatch(roots)
+	return res, e.RunBatch(res)
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
@@ -209,7 +217,7 @@ func TestEngineResultShapes(t *testing.T) {
 	g := testGraph(t)
 	e := newEngine(t, g, 4, quickConfig())
 	roots := testRoots(g, 16)
-	res, st := e.RunBatch(roots)
+	res, st := runBatch(e, roots)
 	if len(res.Hops[0]) != 16*4 || len(res.Hops[1]) != 16*16 {
 		t.Fatalf("hop sizes %d/%d", len(res.Hops[0]), len(res.Hops[1]))
 	}
@@ -229,7 +237,7 @@ func TestEngineSamplesAreNeighbors(t *testing.T) {
 	g := testGraph(t)
 	e := newEngine(t, g, 4, quickConfig())
 	roots := testRoots(g, 8)
-	res, _ := e.RunBatch(roots)
+	res, _ := runBatch(e, roots)
 	check := func(parents, children []graph.NodeID, f int) {
 		for i, p := range parents {
 			ok := map[graph.NodeID]bool{p: true}
@@ -251,7 +259,7 @@ func TestEngineAttrsMatchGraph(t *testing.T) {
 	g := testGraph(t)
 	e := newEngine(t, g, 2, quickConfig())
 	roots := testRoots(g, 4)
-	res, _ := e.RunBatch(roots)
+	res, _ := runBatch(e, roots)
 	al := g.AttrLen()
 	// Roots occupy the first slots.
 	for i, v := range roots {
@@ -287,12 +295,18 @@ func TestEngineDeterministic(t *testing.T) {
 	g := testGraph(t)
 	run := func() (*sampler.Result, BatchStats) {
 		e := newEngine(t, g, 4, quickConfig())
-		return e.RunBatch(testRoots(g, 8))
+		return runBatch(e, testRoots(g, 8))
 	}
 	r1, s1 := run()
 	r2, s2 := run()
-	if s1.SimTime != s2.SimTime {
-		t.Fatalf("timing not deterministic: %v vs %v", s1.SimTime, s2.SimTime)
+	if s1 != s2 {
+		t.Fatalf("timing not deterministic: %+v vs %+v", s1, s2)
+	}
+	// Timing is a function of the result alone: replaying the same batch
+	// on the same engine reproduces every figure.
+	e := newEngine(t, g, 4, quickConfig())
+	if again := e.RunBatch(r1); again != s1 {
+		t.Fatalf("replaying the same batch moved its timing: %+v vs %+v", again, s1)
 	}
 	for h := range r1.Hops {
 		for i := range r1.Hops[h] {
@@ -315,7 +329,7 @@ func TestEngineWindowScaling(t *testing.T) {
 		cfg.Window = win
 		cfg.Remote = memsys.RDMARemote()
 		e := newEngine(t, g, 4, cfg)
-		_, st := e.RunBatch(testRoots(g, 8))
+		_, st := runBatch(e, testRoots(g, 8))
 		if i == 0 {
 			first = st
 		} else if st.SimTime > prev.SimTime {
@@ -338,7 +352,7 @@ func TestEnginePipelineDepthScaling(t *testing.T) {
 		cfg.Sampling.FetchAttrs = false
 		cfg.Sampling.NegativeRate = 0
 		e := newEngine(t, g, 4, cfg)
-		_, st := e.RunBatch(testRoots(g, 16))
+		_, st := runBatch(e, testRoots(g, 16))
 		times = append(times, st.SimTime.Seconds())
 	}
 	if !(times[0] > times[1] && times[1] >= times[2]) {
@@ -350,7 +364,7 @@ func TestEngineRemoteShareGrowsWithPartitions(t *testing.T) {
 	g := testGraph(t)
 	remoteBytes := func(parts int) int64 {
 		e := newEngine(t, g, parts, quickConfig())
-		_, st := e.RunBatch(testRoots(g, 8))
+		_, st := runBatch(e, testRoots(g, 8))
 		return st.RemoteBytes
 	}
 	if remoteBytes(1) != 0 {
@@ -368,7 +382,7 @@ func TestEngineCacheImprovesOrNeutral(t *testing.T) {
 		cfg := quickConfig()
 		cfg.CacheBytes = cacheBytes
 		e := newEngine(t, g, 4, cfg)
-		_, st := e.RunBatch(testRoots(g, 8))
+		_, st := runBatch(e, testRoots(g, 8))
 		return st
 	}
 	off, on := run(0), run(8<<10)
@@ -386,7 +400,7 @@ func TestEngineOutputBound(t *testing.T) {
 	g := graph.Generate(graph.GenConfig{NumNodes: 3000, AvgDegree: 10, AttrLen: 128, Seed: 2, PowerLaw: true})
 	cfg := DefaultConfig()
 	e := newEngine(t, g, 4, cfg)
-	_, st := e.RunBatch(testRoots(g, 32))
+	_, st := runBatch(e, testRoots(g, 32))
 	bytesPerRoot := float64(st.OutputBytes) / 32
 	analytic := cfg.Output.PeakBytesPerSec / bytesPerRoot
 	ratio := st.RootsPerSecond / analytic
@@ -403,7 +417,7 @@ func TestEngineNoAttrFetch(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Sampling.FetchAttrs = false
 	e := newEngine(t, g, 2, cfg)
-	res, st := e.RunBatch(testRoots(g, 8))
+	res, st := runBatch(e, testRoots(g, 8))
 	if res.Attrs != nil {
 		t.Fatal("attrs fetched despite FetchAttrs=false")
 	}
@@ -421,7 +435,7 @@ func TestEngineSharedOutputWithLocal(t *testing.T) {
 	cfg.LocalChannels = 1
 	cfg.OutputSharesLocal = true
 	e := newEngine(t, g, 1, cfg)
-	_, st := e.RunBatch(testRoots(g, 16))
+	_, st := runBatch(e, testRoots(g, 16))
 	minTime := float64(st.LocalBytes+st.OutputBytes) / cfg.Local.PeakBytesPerSec
 	if st.SimTime.Seconds() < minTime*0.95 {
 		t.Fatalf("shared-link run finished faster than the link allows: %v < %v",
@@ -437,7 +451,7 @@ func TestEngineRemoteSharesLocal(t *testing.T) {
 	cfg.RemoteSharesLocal = true
 	cfg.OutputSharesLocal = true
 	e := newEngine(t, g, 4, cfg)
-	_, st := e.RunBatch(testRoots(g, 8))
+	_, st := runBatch(e, testRoots(g, 8))
 	// Everything rides one 16 GB/s link.
 	minTime := float64(st.LocalBytes+st.RemoteBytes+st.OutputBytes) / cfg.Local.PeakBytesPerSec
 	if st.SimTime.Seconds() < minTime*0.9 {
@@ -450,7 +464,7 @@ func TestEngineReservoirMethod(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Sampling.Method = sampler.Reservoir
 	e := newEngine(t, g, 2, cfg)
-	res, _ := e.RunBatch(testRoots(g, 8))
+	res, _ := runBatch(e, testRoots(g, 8))
 	// Reservoir sampling never duplicates within one expansion when the
 	// parent's adjacency list is itself duplicate-free (the generator can
 	// produce parallel edges, which legitimately repeat).
@@ -500,7 +514,7 @@ func TestEngineSupernode(t *testing.T) {
 		t.Fatal(errN)
 	}
 	roots := []graph.NodeID{0, 0, 0, 0}
-	res, st := e.RunBatch(roots)
+	res, st := runBatch(e, roots)
 	if st.SimTime <= 0 {
 		t.Fatal("supernode batch produced no timing")
 	}
@@ -523,7 +537,7 @@ func TestEngineOneAndThreeHops(t *testing.T) {
 		cfg.Sampling.Fanouts = fanouts
 		e := newEngine(t, g, 2, cfg)
 		roots := testRoots(g, 4)
-		res, st := e.RunBatch(roots)
+		res, st := runBatch(e, roots)
 		if len(res.Hops) != len(fanouts) {
 			t.Fatalf("%v: hops = %d", fanouts, len(res.Hops))
 		}
@@ -549,7 +563,7 @@ func TestEngineOneAndThreeHops(t *testing.T) {
 func TestEngineUtilizationStats(t *testing.T) {
 	g := testGraph(t)
 	e := newEngine(t, g, 2, quickConfig())
-	_, st := e.RunBatch(testRoots(g, 16))
+	_, st := runBatch(e, testRoots(g, 16))
 	for name, u := range map[string]float64{
 		"pipeline": st.PipelineUtilization,
 		"sample":   st.SampleUtilization,

@@ -1,7 +1,6 @@
 package axe
 
 import (
-	"context"
 	"fmt"
 
 	"lsdgnn/internal/cluster"
@@ -11,10 +10,10 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// Engine is one FPGA's Access Engine attached to a partitioned graph.
-// RunBatch returns both the sampled mini-batch — sampler.KHop over the
-// graph, so bit-exact with every software path — and the modeled hardware
-// timing of producing it, replayed by an event simulation over that result.
+// Engine is one FPGA's Access Engine attached to a partitioned graph: a
+// timing model. RunBatch takes a mini-batch some sampler already produced
+// and replays the hardware timing of producing it as an event simulation;
+// the graph supplies only degrees and owners, never results.
 type Engine struct {
 	g    *graph.Graph
 	part cluster.Partitioner
@@ -37,11 +36,9 @@ func New(g *graph.Graph, part cluster.Partitioner, home int, cfg Config) (*Engin
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// NumNodes returns the attached graph's vertex count.
-func (e *Engine) NumNodes() int64 { return e.g.NumNodes() }
-
-// Home returns the engine's partition index.
-func (e *Engine) Home() int { return e.home }
+// Graph returns the attached graph: the model reads degrees and owners from
+// it, and controller-level commands sample and read attributes over it.
+func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // CSRs exposes the control/status register file.
 func (e *Engine) CSRs() *CSRFile { return &e.csrs }
@@ -104,7 +101,7 @@ type run struct {
 	outXtra    eventsim.Time
 
 	cores   []*core
-	res     *sampler.Result // KHop's result: the tasks replay its hops
+	res     *sampler.Result // the replayed batch: tasks walk its hops
 	attrLen int
 
 	outstanding int
@@ -144,15 +141,13 @@ type core struct {
 	issueRemain eventsim.Time
 }
 
-// RunBatch samples one mini-batch of roots, returning the functional result
-// (sampler.KHop's, byte-identical to sampler.Sampler.Sample) and the
-// modeled timing of producing it.
-func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
+// RunBatch replays the modeled timing of producing res — a batch sampled
+// under the engine's Sampling config — from its roots, hops and negatives
+// and sampler.Steps. Timing is a function of res alone: the same batch
+// times the same on every call, whichever path sampled it.
+func (e *Engine) RunBatch(res *sampler.Result) BatchStats {
 	cfg := e.cfg
-	res, err := sampler.KHop(context.Background(), sampler.LocalStore{G: e.g}, cfg.Sampling, roots)
-	if err != nil {
-		panic(err) // a LocalStore cannot fail
-	}
+	roots := res.Roots
 	r := &run{e: e, sim: eventsim.New(), attrLen: e.g.AttrLen(), res: res}
 
 	// Build the IO fabric.
@@ -250,7 +245,7 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 			st.LocalUtilization += l.Utilization() / float64(len(r.localCh))
 		}
 	}
-	return res, *st
+	return *st
 }
 
 func nsT(ns float64) eventsim.Time {
@@ -390,13 +385,6 @@ func (c *core) sendOutput(n int, then func()) {
 	}
 	r.output.Send(n, then)
 }
-
-// AttrLen returns the attached graph's attribute vector length.
-func (e *Engine) AttrLen() int { return e.g.AttrLen() }
-
-// Attr appends node v's attribute vector to dst (functional read, no
-// timing), for controller-level commands like OpReadNodeAttr.
-func (e *Engine) Attr(dst []float32, v graph.NodeID) []float32 { return e.g.Attr(dst, v) }
 
 // StatsSnapshot implements the unified stats interface, reporting the
 // hardware-model outcome of the batch under the "axe.batch" layer.

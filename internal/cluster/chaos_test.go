@@ -63,7 +63,7 @@ func referenceResults(t *testing.T, g *graph.Graph, partitions, batches, batchSi
 	_, client := buildCluster(t, g, partitions)
 	out := make([]*sampler.Result, batches)
 	for b := range out {
-		res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+		res, err := sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,9 +74,9 @@ func referenceResults(t *testing.T, g *graph.Graph, partitions, batches, batchSi
 
 // TestChaosSampleBatchUnderFaults is the headline acceptance test: with a
 // 20% injected per-call failure rate and one replica per partition,
-// concurrent SampleBatch calls must all succeed and return exactly the
-// results a fault-free cluster produces — retries and replica failover
-// absorb every injected fault.
+// concurrent batches sampled over the client must all succeed and return
+// exactly the results a fault-free cluster produces — retries and replica
+// failover absorb every injected fault.
 func TestChaosSampleBatchUnderFaults(t *testing.T) {
 	g := testGraph(t)
 	const partitions, replicas, batches, batchSize, workers = 4, 2, 12, 24, 4
@@ -99,7 +99,7 @@ func TestChaosSampleBatchUnderFaults(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := w; b < batches; b += workers {
-				res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+				res, err := sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 				if err != nil {
 					errc <- err
 					return
@@ -146,9 +146,12 @@ func TestChaosPartialResultsDeadShard(t *testing.T) {
 	part := HashPartitioner{N: partitions}
 	for b := 0; b < batches; b++ {
 		roots := chaosRoots(g, b, batchSize)
-		res, err := client.SampleBatch(bg, roots, chaosSampling)
+		res, err := sampler.KHop(bg, client, chaosSampling, roots)
 		if err == nil {
 			t.Fatal("dead shard produced no error annotation")
+		}
+		if _, ok := sampler.AsPartial(err); !ok {
+			t.Fatalf("want a degraded batch, got %v", err)
 		}
 		pe, ok := AsPartial(err)
 		if !ok {
@@ -205,9 +208,6 @@ func TestChaosPartialResultsDeadShard(t *testing.T) {
 	if rs.BreakerRejects < 1 {
 		t.Fatalf("open breaker shed no load: %+v", rs)
 	}
-	if rs.DegradedBatches != batches {
-		t.Fatalf("degraded batches %d, want %d", rs.DegradedBatches, batches)
-	}
 	if rs.ShardErrors < int64(batches) || rs.Retries < 1 {
 		t.Fatalf("counter plumbing broken: %+v", rs)
 	}
@@ -229,7 +229,7 @@ func TestChaosFailoverDeadPrimary(t *testing.T) {
 	ft.KillServer(1) // partition 1's primary; endpoint 3 is its replica
 
 	for b := 0; b < batches; b++ {
-		res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+		res, err := sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 		if err != nil {
 			t.Fatalf("batch %d failed with a live replica: %v", b, err)
 		}
@@ -266,13 +266,13 @@ func TestChaosRevival(t *testing.T) {
 	roots := chaosRoots(g, 0, batchSize)
 
 	ft.KillServer(dead)
-	if _, err := client.SampleBatch(bg, roots, chaosSampling); err == nil {
+	if _, err := sampler.KHop(bg, client, chaosSampling, roots); err == nil {
 		t.Fatal("dead shard not annotated")
 	}
 	ft.ReviveServer(dead)
 	time.Sleep(10 * time.Millisecond) // let the breaker's open window lapse
 
-	res, err := client.SampleBatch(bg, roots, chaosSampling)
+	res, err := sampler.KHop(bg, client, chaosSampling, roots)
 	if err != nil {
 		t.Fatalf("revived shard still failing: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestChaosContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := client.SampleBatch(ctx, chaosRoots(g, 0, 8), chaosSampling)
+	_, err := sampler.KHop(ctx, client, chaosSampling, chaosRoots(g, 0, 8))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded through the retry loop, got %v", err)
 	}
@@ -411,7 +411,7 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := w; b < batches; b += workers {
-				res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+				res, err := sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 				if err != nil {
 					errc <- err
 					return
@@ -494,7 +494,7 @@ func TestChaosFrameRecycling(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := w; b < batches; b += workers {
-				got[b], errs[b] = client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+				got[b], errs[b] = sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 			}
 		}(w)
 	}

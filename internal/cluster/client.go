@@ -11,7 +11,6 @@ import (
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
-	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
 	"lsdgnn/internal/trace"
 )
@@ -123,10 +122,8 @@ type Client struct {
 	Traffic   TrafficStats
 	Access    trace.AccessStats
 	// Res tallies resilience events ("cluster.resilience"): retries,
-	// breaker transitions, failovers, and degraded batches.
+	// breaker transitions, failovers, and lost shards.
 	Res ResilienceStats
-	// Batches records per-batch SampleBatch latency ("cluster.batch").
-	Batches *stats.Latency
 	// res executes calls under the WithResilience policy; nil means the
 	// legacy fail-fast path.
 	res *resilience
@@ -136,9 +133,6 @@ type Client struct {
 	// — batch, RPC, wire, server — and resilience events; every request
 	// then carries its trace ID in the frame header.
 	tracer *obs.Tracer
-	// slo, when set (WithSLO), classifies every SampleBatch against a
-	// client-side latency objective.
-	slo *stats.SLO
 	// Pack tallies the client's frames ("cluster.pack"): count, raw-vs-wire
 	// bytes, BDI ratio, attribute dedupe hits.
 	Pack PackStats
@@ -187,14 +181,6 @@ func WithTracer(tr *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
 
-// WithSLO classifies every SampleBatch against a latency objective:
-// completed batches (degraded included — their latency is real) are good
-// iff they finish within the objective's threshold; aborted batches are
-// bad.
-func WithSLO(s *stats.SLO) ClientOption {
-	return func(c *Client) { c.slo = s }
-}
-
 // PackingConfig has no fields left.
 //
 // Deprecated: it exists so WithPacking(PackingConfig{}) compiles.
@@ -235,7 +221,7 @@ func NewClient(t Transport, p Partitioner, local int) (*Client, error) {
 // when none is configured — so a briefly-unready server 0 does not fail
 // cluster startup.
 func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int, opts ...ClientOption) (*Client, error) {
-	c := &Client{transport: t, part: p, local: local, Batches: stats.NewLatency("cluster.batch")}
+	c := &Client{transport: t, part: p, local: local}
 	for _, o := range opts {
 		o(c)
 	}
@@ -634,66 +620,3 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 
 // firstSeen pools AttrsBatch's dedupe maps, cleared before they go back.
 var firstSeen = sync.Pool{New: func() any { return make(map[graph.NodeID]uint32) }}
-
-// SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:
-// sampler.KHop over this client, so the Result is the one
-// sampler.Sampler.Sample produces for the same cfg and roots, draws and
-// all. Cancellation or an expired deadline on ctx aborts the batch between
-// and within hops.
-//
-// With PartialResults enabled (see ResilienceConfig), shard failures
-// degrade instead of aborting: the returned Result keeps its full layout —
-// lost shards contribute empty adjacency lists (padded to the parent node,
-// the framework self-loop fallback) and zeroed attribute vectors — and the
-// error is a *PartialError annotating every lost shard. Check AsPartial
-// before discarding the result.
-func (c *Client) SampleBatch(ctx context.Context, roots []graph.NodeID, cfg sampler.Config) (*sampler.Result, error) {
-	var id obs.TraceID
-	if c.tracer != nil {
-		// Mint the batch's trace here so every fan-out RPC under it shares
-		// one ID end to end.
-		ctx, id = obs.EnsureTrace(ctx)
-	}
-	start := time.Now()
-	res, err := sampler.KHop(ctx, c, cfg, roots)
-	if pe, ok := sampler.AsPartial(err); ok {
-		// This API reports loss per shard: every shard behind a fetch that
-		// degraded, once.
-		var shards []ShardError
-		for _, e := range pe.Errs {
-			if lost, ok := AsPartial(e); ok {
-				shards = append(shards, lost.Shards...)
-			}
-		}
-		c.Res.add(&c.Res.snap.DegradedBatches)
-		err = &PartialError{Shards: dedupShards(shards), part: c.part}
-	}
-	if c.tracer != nil {
-		c.tracer.ObserveErr(id, obs.HopBatch, "", start, time.Since(start), err != nil)
-	}
-	if c.Batches != nil {
-		if res != nil {
-			// Degraded batches completed; their latency is still real.
-			c.Batches.ObserveTrace(time.Since(start), uint64(id))
-		} else {
-			c.Batches.ObserveError()
-		}
-	}
-	c.slo.ObserveLatency(time.Since(start), res == nil)
-	return res, err
-}
-
-// dedupShards merges repeated failures of the same partition across hops,
-// keeping the first error seen.
-func dedupShards(shards []ShardError) []ShardError {
-	seen := make(map[int]bool, len(shards))
-	out := shards[:0]
-	for _, s := range shards {
-		if seen[s.Server] {
-			continue
-		}
-		seen[s.Server] = true
-		out = append(out, s)
-	}
-	return out
-}

@@ -237,7 +237,7 @@ func TestClientSampleBatchLayoutMatchesLocal(t *testing.T) {
 	for _, wf := range []sampler.WeightFunc{sampler.DegreeWeight(sampler.LocalStore{G: g}), nil} {
 		cfg.WeightFn = wf
 		var err error
-		if dist, err = client.SampleBatch(bg, roots, cfg); err != nil {
+		if dist, err = sampler.KHop(bg, client, cfg, roots); err != nil {
 			t.Fatal(err)
 		}
 		local = sampler.New(sampler.LocalStore{G: g}, cfg).SampleBatch(roots)

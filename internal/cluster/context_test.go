@@ -31,13 +31,9 @@ func TestSampleBatchDeadlineOverDelayedTransport(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err = client.SampleBatch(ctx, []graph.NodeID{1, 2, 3}, testSamplingConfig())
+	_, err = sampler.KHop(ctx, client, testSamplingConfig(), []graph.NodeID{1, 2, 3})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	snap := client.Batches.StatsSnapshot()
-	if v, _ := snap.Get("batch_errors"); v != 1 {
-		t.Fatalf("batch_errors = %v", v)
 	}
 }
 
@@ -56,7 +52,7 @@ func TestSampleBatchCancelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = client.SampleBatch(ctx, []graph.NodeID{1, 2}, testSamplingConfig())
+	_, err = sampler.KHop(ctx, client, testSamplingConfig(), []graph.NodeID{1, 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -138,7 +134,7 @@ func TestTCPCallCancelAbortsInFlight(t *testing.T) {
 }
 
 // TestTCPSampleBatchDeadline verifies the full path of the acceptance
-// criterion: an expired context aborts an in-flight SampleBatch whose
+// criterion: an expired context aborts an in-flight batch whose
 // fan-out crosses a real TCP socket to a peer that never answers.
 func TestTCPSampleBatchDeadline(t *testing.T) {
 	g := testGraph(t)
@@ -161,7 +157,7 @@ func TestTCPSampleBatchDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = client.SampleBatch(ctx, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}, testSamplingConfig())
+	_, err = sampler.KHop(ctx, client, testSamplingConfig(), []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -183,7 +179,7 @@ func TestConcurrentSampleBatchSharedClient(t *testing.T) {
 			defer wg.Done()
 			roots := []graph.NodeID{graph.NodeID(i), graph.NodeID(i + 10), graph.NodeID(i + 100)}
 			for n := 0; n < 5; n++ {
-				if _, err := client.SampleBatch(bg, roots, cfg); err != nil {
+				if _, err := sampler.KHop(bg, client, cfg, roots); err != nil {
 					errs[i] = err
 					return
 				}
@@ -195,9 +191,6 @@ func TestConcurrentSampleBatchSharedClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if client.Batches.Count() != workers*5 {
-		t.Fatalf("batch latency count = %d, want %d", client.Batches.Count(), workers*5)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lsdgnn/internal/sampler"
 )
 
 // TestChaosRebalanceUnderTraffic is the elastic-layout acceptance test:
@@ -109,7 +111,7 @@ func TestChaosRebalanceUnderTraffic(t *testing.T) {
 			for {
 				i := idx.Add(1) - 1
 				b := int(i) % batches
-				res, err := client.SampleBatch(bg, chaosRoots(g, b, batchSize), chaosSampling)
+				res, err := sampler.KHop(bg, client, chaosSampling, chaosRoots(g, b, batchSize))
 				if err != nil {
 					errc <- fmt.Errorf("batch %d failed mid-reshape: %w", b, err)
 					return

@@ -307,7 +307,7 @@ func TestPackedSampleMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.SampleBatch(bg, roots, cfg)
+	got, err := sampler.KHop(bg, cl, cfg, roots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,6 @@ type ResilienceSnapshot struct {
 	BreakerHalfOpens int64 // open → half-open transitions
 	BreakerCloses    int64 // half-open → closed transitions
 	BreakerRejects   int64 // calls skipped because an endpoint's breaker was open
-	DegradedBatches  int64 // SampleBatch calls returning partial results
 	ShardErrors      int64 // per-shard failures absorbed by PartialResults
 }
 
@@ -292,7 +291,6 @@ func (s *ResilienceStats) StatsSnapshot() stats.Snapshot {
 		{Name: "breaker_half_opens", Value: float64(snap.BreakerHalfOpens)},
 		{Name: "breaker_closes", Value: float64(snap.BreakerCloses)},
 		{Name: "breaker_rejects", Value: float64(snap.BreakerRejects), Unit: "req"},
-		{Name: "degraded_batches", Value: float64(snap.DegradedBatches), Unit: "req"},
 		{Name: "shard_errors", Value: float64(snap.ShardErrors)},
 	}
 	if gauge != nil {

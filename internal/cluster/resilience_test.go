@@ -420,7 +420,7 @@ func TestResilienceStatsSource(t *testing.T) {
 	for _, m := range snap.Metrics {
 		metrics[m.Name] = m.Value
 	}
-	for _, name := range []string{"retries", "failovers", "breaker_opens", "breaker_rejects", "degraded_batches", "shard_errors", "breakers_open"} {
+	for _, name := range []string{"retries", "failovers", "breaker_opens", "breaker_rejects", "shard_errors", "breakers_open"} {
 		if _, ok := metrics[name]; !ok {
 			t.Fatalf("metric %q missing from %v", name, snap.Metrics)
 		}

@@ -15,37 +15,7 @@ func ExtractShard(g *graph.Graph, part Partitioner, p int) (*graph.Graph, error)
 	if err := ValidatePartitioner(part, g.NumNodes()); err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(g.NumNodes(), g.AttrLen())
-	var buf []float32
-	// Stored attribute tables are copied per owned node; procedural
-	// graphs instead carry their seed over, reproducing identical values
-	// without any table.
-	materialized := g.Materialized()
-	for v := int64(0); v < g.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if part.Owner(id) != p {
-			continue
-		}
-		for _, u := range g.Neighbors(id) {
-			if err := b.AddEdge(id, u); err != nil {
-				return nil, err
-			}
-		}
-		if materialized {
-			buf = g.Attr(buf[:0], id)
-			if err := b.SetAttr(id, buf); err != nil {
-				return nil, err
-			}
-		}
-	}
-	shard, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	if !materialized {
-		graph.CopyProceduralSeed(shard, g)
-	}
-	return shard, nil
+	return g.Subgraph(func(v graph.NodeID) bool { return part.Owner(v) == p }), nil
 }
 
 // ShardServer builds a Server holding only its own shard.

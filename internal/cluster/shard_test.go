@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"lsdgnn/internal/graph"
@@ -71,6 +72,74 @@ func TestExtractShardMaterialized(t *testing.T) {
 	}
 }
 
+// builderShard is partition p's shard built edge by edge through a
+// graph.Builder: the reference ExtractShard's CSR copy must reproduce.
+func builderShard(t *testing.T, g *graph.Graph, part Partitioner, p int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(g.NumNodes(), g.AttrLen())
+	for v := int64(0); v < g.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if part.Owner(id) != p {
+			continue
+		}
+		for _, u := range g.Neighbors(id) {
+			if err := b.AddEdge(id, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g.Materialized() {
+			if err := b.SetAttr(id, g.Attr(nil, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shard, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shard
+}
+
+// TestExtractShardMatchesBuilder: the shard is the one a Builder makes from
+// the owned nodes' edges and attributes — every node's edge range,
+// neighbors and attributes — and copying it allocates only the result.
+func TestExtractShardMatchesBuilder(t *testing.T) {
+	for _, materialize := range []bool{false, true} {
+		g := graph.Generate(graph.GenConfig{NumNodes: 500, AvgDegree: 6, AttrLen: 4, Seed: 9, PowerLaw: true, Materialize: materialize})
+		part := HashPartitioner{N: 3}
+		for p := 0; p < 3; p++ {
+			got, err := ExtractShard(g, part, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := builderShard(t, g, part, p)
+			if got.NumEdges() != want.NumEdges() || got.Materialized() != materialize {
+				t.Fatalf("materialize=%v shard %d: %d edges (materialized %v), want %d", materialize, p, got.NumEdges(), got.Materialized(), want.NumEdges())
+			}
+			// A procedural shard keeps g's seed, so every node's attributes
+			// are g's; a materialized one stores the owned rows, zeros elsewhere.
+			attrRef := want
+			if !materialize {
+				attrRef = g
+			}
+			for v := int64(0); v < g.NumNodes(); v++ {
+				id := graph.NodeID(v)
+				gs, ge := got.EdgeRange(id)
+				ws, we := want.EdgeRange(id)
+				if gs != ws || ge != we || !slices.Equal(got.Neighbors(id), want.Neighbors(id)) {
+					t.Fatalf("materialize=%v shard %d node %d: adjacency differs", materialize, p, v)
+				}
+				if !slices.Equal(got.Attr(nil, id), attrRef.Attr(nil, id)) {
+					t.Fatalf("materialize=%v shard %d node %d: attributes differ", materialize, p, v)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(3, func() { ExtractShard(g, part, 0) }); allocs > 6 {
+			t.Fatalf("materialize=%v: ExtractShard made %.0f allocations, want the result's few", materialize, allocs)
+		}
+	}
+}
+
 func TestShardServerEquivalence(t *testing.T) {
 	// A cluster of shard-backed servers must answer exactly like one of
 	// full-graph servers.
@@ -128,7 +197,7 @@ func TestShardServerEquivalence(t *testing.T) {
 	}
 	// And sampling over the shard cluster works end to end.
 	cfg := sampler.Config{Fanouts: []int{3, 3}, Method: sampler.Streaming, FetchAttrs: true, Seed: 1}
-	if _, err := cs.SampleBatch(bg, ids, cfg); err != nil {
+	if _, err := sampler.KHop(bg, cs, cfg, ids); err != nil {
 		t.Fatal(err)
 	}
 }

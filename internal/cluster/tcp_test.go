@@ -81,7 +81,7 @@ func TestTCPSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sampler.Config{Fanouts: []int{3, 3}, NegativeRate: 1, Method: sampler.Streaming, FetchAttrs: true, Seed: 2}
-	res, err := client.SampleBatch(bg, []graph.NodeID{1, 2, 3, 4}, cfg)
+	res, err := sampler.KHop(bg, client, cfg, []graph.NodeID{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,18 +25,19 @@ func TestTracedSampleDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SampleBatch(bg, chaosRoots(g, 0, 32), sampler.Config{Fanouts: []int{4, 3}, FetchAttrs: true}); err != nil {
+	ctx, id := obs.EnsureTrace(bg)
+	if _, err := sampler.KHop(ctx, client, sampler.Config{Fanouts: []int{4, 3}, FetchAttrs: true}, chaosRoots(g, 0, 32)); err != nil {
 		t.Fatal(err)
 	}
-	for _, hop := range []string{obs.HopBatch, obs.HopRPC, obs.HopWire, obs.HopServer} {
-		if tr.Hop(hop).Count == 0 {
-			t.Fatalf("hop %q unrecorded; have %v", hop, tr.Hops())
-		}
+	// Every RPC in the batch lands on the trace its caller brought.
+	hops := map[string]int{}
+	for _, sp := range tr.TraceSpans(id) {
+		hops[sp.Hop]++
 	}
-	// Every RPC in the batch shares the batch's trace ID.
-	id, spans, ok := tr.LastTrace()
-	if !ok || id == 0 || len(spans) < 2 {
-		t.Fatalf("LastTrace = %v, %d spans, %v", id, len(spans), ok)
+	for _, hop := range []string{obs.HopRPC, obs.HopWire, obs.HopServer} {
+		if hops[hop] < 2 {
+			t.Fatalf("hop %q recorded %d times under the batch's trace; have %v", hop, hops[hop], hops)
+		}
 	}
 	// The servers saw the requests and timed them.
 	var served int64
@@ -70,10 +71,10 @@ func TestTracedSampleTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SampleBatch(bg, chaosRoots(g, 0, 16), sampler.Config{Fanouts: []int{3}, FetchAttrs: true}); err != nil {
+	if _, err := sampler.KHop(bg, client, sampler.Config{Fanouts: []int{3}, FetchAttrs: true}, chaosRoots(g, 0, 16)); err != nil {
 		t.Fatal(err)
 	}
-	for _, hop := range []string{obs.HopBatch, obs.HopRPC, obs.HopWire, obs.HopServer} {
+	for _, hop := range []string{obs.HopRPC, obs.HopWire, obs.HopServer} {
 		if tr.Hop(hop).Count == 0 {
 			t.Fatalf("hop %q unrecorded over TCP; have %v", hop, tr.Hops())
 		}

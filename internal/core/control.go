@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/qrch"
 	"lsdgnn/internal/riscv"
+	"lsdgnn/internal/sampler"
 )
 
 // Control-plane integration: the RISC-V controller drives an AxE engine by
@@ -110,7 +112,12 @@ func (c *Controller) Execute(cmd axe.Command) axe.Response {
 		if !ok {
 			return fail()
 		}
-		res, _ := c.Engine.RunBatch(roots)
+		// Sample over the engine's graph, then replay the engine's timing.
+		res, err := sampler.New(sampler.LocalStore{G: c.Engine.Graph()}, c.Engine.Config().Sampling).Sample(context.Background(), roots)
+		if err != nil {
+			return fail()
+		}
+		c.Engine.RunBatch(res)
 		// Write sampled IDs (all hops, flattened) behind the input buffer.
 		out := cmd.Arg2 + cmd.Arg3*8
 		n := uint64(0)
@@ -132,7 +139,7 @@ func (c *Controller) Execute(cmd axe.Command) axe.Response {
 		var buf []float32
 		n := uint64(0)
 		for _, v := range roots {
-			buf = c.Engine.Attr(buf[:0], v)
+			buf = c.Engine.Graph().Attr(buf[:0], v)
 			for _, f := range buf {
 				if !c.writeWord32(out+n*4, math.Float32bits(f)) {
 					return fail()
@@ -167,7 +174,7 @@ func (c *Controller) Execute(cmd axe.Command) axe.Response {
 		n := uint64(0)
 		// Negatives are uniform LCG draws seeded by the command txn.
 		seed := cmd.Txn | 1
-		nodes := uint64(c.Engine.NumNodes())
+		nodes := uint64(c.Engine.Graph().NumNodes())
 		for range roots {
 			for i := uint32(0); i < cmd.Arg1; i++ {
 				seed = seed*6364136223846793005 + 1442695040888963407

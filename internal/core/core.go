@@ -1,8 +1,10 @@
 // Package core assembles the full LSD-GNN system — the paper's primary
 // contribution as a deployable stack: a partitioned distributed graph
-// store, per-node AxE access engines, the RISC-V/QRCH control plane, and
-// the software sampling path used as the vCPU baseline. It also provides
-// the end-to-end application pipeline model behind Figure 3.
+// store, one sampling route over it (the windowed executor over the
+// cluster client, behind an optional multi-tenant gateway), a pool of
+// modeled AxE access engines that time what that route sampled, and the
+// RISC-V/QRCH control plane. It also provides the end-to-end application
+// pipeline model behind Figure 3.
 package core
 
 import (
@@ -54,10 +56,6 @@ type Options struct {
 	// Faults, when set, wraps the transport with seeded fault injection so
 	// the resilience path can be exercised (chaos testing).
 	Faults *cluster.FaultSpec
-	// Pipeline, when set, builds a windowed sampling executor (the
-	// software AxE load unit) over the client; SamplePipelined then runs
-	// batches through it, byte-identical to the synchronous path.
-	Pipeline *pipeline.Config
 	// Layout, when set, is the initial elastic partition layout: one
 	// server is built per layout endpoint and the client routes by the
 	// layout's epoch-versioned replica sets instead of a static
@@ -69,8 +67,8 @@ type Options struct {
 	// admit them later with Client.AddReplica or Client.MigratePartition.
 	Spares []int
 	// Gateway, when set, builds a multi-tenant serving gateway in front of
-	// the dispatcher: per-tenant admission (api key → rate limit → fair
-	// queue), SLO-driven shedding wired to the system's live backpressure,
+	// the executor: per-tenant admission (api key → rate limit → fair
+	// queue), SLO-driven shedding wired to the executor's window occupancy,
 	// and the SampleAs entry point. Pressure/Burn/SLOs/Tracer fields left
 	// nil are wired to the system's own signals.
 	Gateway *gateway.Config
@@ -92,10 +90,10 @@ type Options struct {
 	Seed  int64
 }
 
-// Default latency objectives for an assembled system: the accelerated
-// Sample path and the software (distributed CPU) path. Thresholds are
-// simulation-scale — wide enough that a healthy run stays inside budget,
-// tight enough that injected chaos burns it.
+// Default latency objectives for an assembled system: the dispatcher's
+// placement and timing of a batch, and the executor's sampling of it.
+// Thresholds are simulation-scale — wide enough that a healthy run stays
+// inside budget, tight enough that injected chaos burns it.
 const (
 	DefaultSampleSLO        = 25 * time.Millisecond
 	DefaultSoftwareBatchSLO = 50 * time.Millisecond
@@ -118,17 +116,18 @@ type System struct {
 	// Faults is the injection hook when Options.Faults was set (nil
 	// otherwise); tests and experiments use it to kill/revive servers.
 	Faults *cluster.FaultyTransport
-	// Obs is the system-wide hop tracer: every batch through Sample or
-	// SampleSoftware gets a trace ID, and its per-hop timings (dispatch
-	// wait, engine, rpc, wire, server) land here.
+	// Obs is the system-wide hop tracer: every batch through Sample,
+	// Pipeline.Sample or SampleAs gets one trace ID, and its per-hop
+	// timings (gate wait, batch, fetch, rpc, wire, server, dispatch wait,
+	// engine) land here.
 	Obs *obs.Tracer
 	// SLOs tracks the system's latency objectives: "sample" (the
-	// accelerated Dispatcher path) and "software_batch" (the distributed
-	// CPU path, pipelined or synchronous), declared at construction so
-	// their series exist at zero from the first scrape.
+	// dispatcher's placement and timing) and "software_batch" (the
+	// executor's sampling), declared at construction so their series exist
+	// at zero from the first scrape.
 	SLOs *stats.SLOTracker
-	// Pipeline is the windowed sampling executor when Options.Pipeline
-	// was set (nil otherwise).
+	// Pipeline is the windowed sampling executor over Client: the one
+	// route every entry point samples through.
 	Pipeline *pipeline.Executor
 	// Gateway is the multi-tenant front door when Options.Gateway was set
 	// (nil otherwise); SampleAs routes through it.
@@ -139,8 +138,8 @@ type System struct {
 	Store store.Store
 }
 
-// NewSystem builds servers, a client, one AxE engine per partition, and a
-// dispatcher that load-balances batches across the engines.
+// NewSystem builds servers, a client, the executor over it, one modeled AxE
+// engine per partition, and a dispatcher that places batches on them.
 func NewSystem(opts Options) (*System, error) {
 	if opts.Servers < 1 {
 		return nil, fmt.Errorf("core: need ≥1 server, got %d", opts.Servers)
@@ -222,25 +221,10 @@ func NewSystem(opts Options) (*System, error) {
 			}
 			sys.Servers = append(sys.Servers, newServer(p))
 		}
-		for i := 0; i < opts.Servers; i++ {
-			eng, err := axe.New(g, part, i, eCfg)
-			if err != nil {
-				return nil, err
-			}
-			sys.Engines = append(sys.Engines, eng)
-		}
 	} else {
 		for r := 0; r < opts.Replicas; r++ {
 			for i := 0; i < opts.Servers; i++ {
 				sys.Servers = append(sys.Servers, newServer(i))
-				if r > 0 {
-					continue
-				}
-				eng, err := axe.New(g, part, i, eCfg)
-				if err != nil {
-					return nil, err
-				}
-				sys.Engines = append(sys.Engines, eng)
 			}
 		}
 	}
@@ -270,7 +254,7 @@ func NewSystem(opts Options) (*System, error) {
 		d := cluster.DefaultResilienceConfig()
 		resCfg = &d
 	}
-	copts := []cluster.ClientOption{cluster.WithTracer(sys.Obs), cluster.WithSLO(softSLO)}
+	copts := []cluster.ClientOption{cluster.WithTracer(sys.Obs)}
 	if resCfg != nil {
 		cfg := *resCfg
 		if cfg.Replicas == nil && opts.Replicas > 1 && opts.Layout == nil {
@@ -286,19 +270,13 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.Client = client
-	if opts.Dispatch.Tracer == nil {
-		opts.Dispatch.Tracer = sys.Obs
-	}
-	if opts.Dispatch.SLO == nil {
-		opts.Dispatch.SLO = sampleSLO
-	}
-	// Spare engines ride at the end of the engine list, outside the
-	// dispatcher's active prefix until an autoscaler grows into them.
+	// One engine per partition, then the spares round-robin over the
+	// partitions at the end of the list, outside the dispatcher's active
+	// prefix until an autoscaler grows into them.
 	if opts.EngineSpares < 0 {
 		return nil, fmt.Errorf("core: negative engine spares %d", opts.EngineSpares)
 	}
-	baseEngines := len(sys.Engines)
-	for i := 0; i < opts.EngineSpares; i++ {
+	for i := 0; i < opts.Servers+opts.EngineSpares; i++ {
 		eng, err := axe.New(g, part, i%opts.Servers, eCfg)
 		if err != nil {
 			return nil, err
@@ -309,13 +287,12 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	disp.SetActive(baseEngines)
+	disp.SetActive(opts.Servers)
+	disp.tracer, disp.slo = sys.Obs, sampleSLO
 	sys.Dispatcher = disp
-	if opts.Pipeline != nil {
-		sys.Pipeline = pipeline.New(client, sCfg, *opts.Pipeline)
-		sys.Pipeline.SetTracer(sys.Obs)
-		sys.Pipeline.SetSLO(softSLO)
-	}
+	sys.Pipeline = pipeline.New(client, sCfg, pipeline.Config{})
+	sys.Pipeline.SetTracer(sys.Obs)
+	sys.Pipeline.SetSLO(softSLO)
 	if opts.Gateway != nil {
 		gcfg := *opts.Gateway
 		if gcfg.SLOs == nil {
@@ -325,18 +302,12 @@ func NewSystem(opts Options) (*System, error) {
 			gcfg.Tracer = sys.Obs
 		}
 		if gcfg.Pressure == nil {
-			gcfg.Pressure = sys.pressure
+			gcfg.Pressure = sys.Pipeline.Occupancy
 		}
 		if gcfg.Burn == nil {
 			gcfg.Burn = softSLO.BurnFast
 		}
-		gw, err := gateway.New(gcfg, func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-			if sys.Pipeline != nil {
-				return sys.SamplePipelined(ctx, roots)
-			}
-			res, _, err := sys.Dispatcher.Submit(ctx, roots)
-			return res, err
-		})
+		gw, err := gateway.New(gcfg, sys.Pipeline.Sample)
 		if err != nil {
 			return nil, err
 		}
@@ -346,29 +317,9 @@ func NewSystem(opts Options) (*System, error) {
 	return sys, nil
 }
 
-// pressure is the gateway's backpressure signal: the fuller of the
-// dispatcher's worker pool and the pipeline's in-flight window, in
-// [0, 1]. Shedding starts before either resource saturates.
-func (s *System) pressure() float64 {
-	p := 0.0
-	if c := s.Dispatcher.Capacity(); c > 0 {
-		p = float64(s.Dispatcher.Inflight()) / float64(c)
-	}
-	if s.Pipeline != nil {
-		if occ := s.Pipeline.Occupancy(); occ > p {
-			p = occ
-		}
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // SampleAs runs one batch through the multi-tenant gateway as the tenant
 // identified by key: admission (auth → rate limit → shed check), the
-// weighted-fair queue, then the system's best sampling path (pipelined
-// when configured, accelerated otherwise). Typed rejections surface via
+// weighted-fair queue, then Pipeline.Sample. Typed rejections surface via
 // errors.As: gateway.AuthError, gateway.RateLimitError,
 // gateway.AdmissionError.
 func (s *System) SampleAs(ctx context.Context, key string, roots []graph.NodeID) (*sampler.Result, error) {
@@ -389,40 +340,24 @@ func (s *System) Close() {
 	}
 }
 
-// Sample runs one accelerated batch through the dispatcher, which places it
-// on the least-loaded AxE engine. The context bounds queueing and the run
-// itself; on expiry the batch is abandoned and ctx's error returned.
+// Sample runs one accelerated batch: Pipeline.Sample fetches it over the
+// wire like every other batch, then the dispatcher places it on the
+// least-loaded AxE engine, which returns the modeled time of producing it.
+// The context bounds sampling and the wait for an engine; the batch keeps
+// one trace ID throughout. A *sampler.PartialError comes back beside the
+// layout-complete result and its timing, as from Pipeline.Sample.
 func (s *System) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.Result, axe.BatchStats, error) {
-	return s.Dispatcher.Submit(ctx, roots)
-}
-
-// SampleSoftware runs the CPU (AliGraph-style) distributed sampling path.
-// When the client is configured with PartialResults, a degraded batch
-// comes back as (result, *cluster.PartialError): the result keeps its full
-// layout and the dispatcher records the degradation; callers decide
-// whether partial data is acceptable via cluster.AsPartial.
-func (s *System) SampleSoftware(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-	res, err := s.Client.SampleBatch(ctx, roots, s.Sampling)
-	if _, ok := cluster.AsPartial(err); ok {
-		s.Dispatcher.RecordDegraded()
-	}
-	return res, err
-}
-
-// SamplePipelined runs one batch through the windowed executor (the
-// software load unit). Falls back to SampleSoftware when no pipeline was
-// configured — the result is byte-identical either way. A
-// *pipeline.PartialError marks per-root degradation; the
-// result keeps its full layout and the dispatcher records it.
-func (s *System) SamplePipelined(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-	if s.Pipeline == nil {
-		return s.SampleSoftware(ctx, roots)
-	}
+	ctx, _ = obs.EnsureTrace(ctx)
 	res, err := s.Pipeline.Sample(ctx, roots)
-	if _, ok := pipeline.AsPartial(err); ok {
-		s.Dispatcher.RecordDegraded()
+	if res == nil {
+		return nil, axe.BatchStats{}, err
 	}
-	return res, err
+	st, serr := s.Dispatcher.Submit(ctx, res)
+	if serr != nil {
+		res.Release()
+		return nil, axe.BatchStats{}, serr
+	}
+	return res, st, err
 }
 
 // BatchSource returns a deterministic root generator for this system.
@@ -431,15 +366,12 @@ func (s *System) BatchSource(batchSize int, seed int64) *workload.BatchSource {
 }
 
 // StatsRegistry assembles the unified metrics view of the system: client
-// wire traffic, client batch latency, resilience counters, dispatcher
-// placement/latency, the per-hop trace histograms, and the per-class
-// access profile merged across all partition servers.
+// wire traffic, resilience counters, the executor's batch layer,
+// dispatcher placement/latency, the per-hop trace histograms, and the
+// per-class access profile merged across all partition servers.
 func (s *System) StatsRegistry() *stats.Registry {
 	reg := stats.NewRegistry()
-	reg.Register(&s.Client.Traffic, s.Client.Batches, &s.Client.Res, &s.Client.Pack, &s.Client.Lay, s.Dispatcher, s.Obs, s.SLOs)
-	if s.Pipeline != nil {
-		reg.Register(s.Pipeline.Stats())
-	}
+	reg.Register(&s.Client.Traffic, &s.Client.Res, &s.Client.Pack, &s.Client.Lay, s.Dispatcher, s.Obs, s.SLOs, s.Pipeline.Stats())
 	if s.Gateway != nil {
 		reg.Register(s.Gateway.Sources()...)
 	}

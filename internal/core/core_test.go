@@ -10,6 +10,7 @@ import (
 
 	"lsdgnn/internal/axe"
 	"lsdgnn/internal/cluster"
+	"lsdgnn/internal/gateway"
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
@@ -59,7 +60,7 @@ func TestNewSystemFromDataset(t *testing.T) {
 func TestSoftwareAndAcceleratedAgree(t *testing.T) {
 	sys := testSystem(t)
 	roots := sys.BatchSource(8, 1).Next()
-	sw, err := sys.SampleSoftware(context.Background(), roots)
+	sw, err := sys.Pipeline.Sample(context.Background(), roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +346,13 @@ func TestControllerReadEdgeAttr(t *testing.T) {
 	}
 }
 
-// TestSystemTracing checks the end-to-end hop breakdown: a software batch
-// records batch/rpc/wire/server hops, an accelerated batch records
+// TestSystemTracing checks the end-to-end hop breakdown: an executor batch
+// records batch/rpc/wire/server hops, an accelerated batch adds
 // dispatch/engine hops, and the registry exports them all.
 func TestSystemTracing(t *testing.T) {
 	sys := testSystem(t)
 	src := sys.BatchSource(32, 7)
-	if _, err := sys.SampleSoftware(context.Background(), src.Next()); err != nil {
+	if _, err := sys.Pipeline.Sample(context.Background(), src.Next()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sys.Sample(context.Background(), src.Next()); err != nil {
@@ -373,7 +374,7 @@ func TestSystemTracing(t *testing.T) {
 	for _, want := range []string{
 		"lsdgnn_obs_hops_server_seconds_bucket",
 		"lsdgnn_obs_hops_engine_seconds_count",
-		"lsdgnn_cluster_batch_latency_seconds_bucket",
+		"lsdgnn_pipeline_batch_latency_seconds_bucket",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("registry exposition missing %q", want)
@@ -401,7 +402,7 @@ func TestNewSystemLayoutBuild(t *testing.T) {
 	if sys.Client.Layout() == nil || sys.Client.Layout().Epoch != 1 {
 		t.Fatal("client not routing by the layout")
 	}
-	if _, err := sys.SampleSoftware(context.Background(), sys.BatchSource(8, 1).Next()); err != nil {
+	if _, err := sys.Pipeline.Sample(context.Background(), sys.BatchSource(8, 1).Next()); err != nil {
 		t.Fatal(err)
 	}
 	// The layout stats layer is registered from the start.
@@ -456,11 +457,11 @@ func TestSystemOverSubscribedDiskStore(t *testing.T) {
 	src := memSys.BatchSource(32, 5)
 	for b := 0; b < 4; b++ {
 		roots := src.Next()
-		want, err := memSys.SampleSoftware(context.Background(), roots)
+		want, err := memSys.Pipeline.Sample(context.Background(), roots)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := diskSys.SampleSoftware(context.Background(), roots)
+		got, err := diskSys.Pipeline.Sample(context.Background(), roots)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,5 +474,128 @@ func TestSystemOverSubscribedDiskStore(t *testing.T) {
 	}
 	if ds.Stats().CacheMisses() == 0 {
 		t.Fatal("no page faults: the disk store was never read")
+	}
+}
+
+// gatewaySystem is testSystem with one gateway tenant holding key "k".
+func gatewaySystem(t *testing.T, servers int) *System {
+	t.Helper()
+	g := graph.Generate(graph.GenConfig{NumNodes: 2000, AvgDegree: 8, AttrLen: 8, Seed: 3, PowerLaw: true})
+	sys, err := NewSystem(Options{Graph: g, Servers: servers, Seed: 3,
+		Sampling: sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 3},
+		Gateway:  &gateway.Config{Tenants: []gateway.TenantConfig{{Name: "t", Key: "k"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	return sys
+}
+
+// sameBatch fails unless got carries want's roots, hops, negatives,
+// attributes and cycle count.
+func sameBatch(t *testing.T, name string, got, want *sampler.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Roots, want.Roots) || !reflect.DeepEqual(got.Hops, want.Hops) ||
+		!reflect.DeepEqual(got.Negatives, want.Negatives) || !reflect.DeepEqual(got.Attrs, want.Attrs) ||
+		got.Cycles != want.Cycles {
+		t.Fatalf("%s: batch differs from the reference sampler's", name)
+	}
+}
+
+// TestOneServingRoute: every System entry point samples through the
+// executor. Sample, Pipeline.Sample and SampleAs return the reference
+// sampler's bytes, each moves the executor's batch series by one, and only
+// Sample places a batch on the dispatcher.
+func TestOneServingRoute(t *testing.T) {
+	sys := gatewaySystem(t, 4)
+	ctx := context.Background()
+	roots := sys.BatchSource(8, 4).Next()
+	ref, err := sampler.New(sampler.LocalStore{G: sys.Graph}, sys.Sampling).Sample(ctx, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := func() float64 {
+		v, _ := sys.Pipeline.Stats().StatsSnapshot().Get("batches")
+		return v
+	}
+	placed := func() (n int64) {
+		for _, c := range sys.Dispatcher.Counts() {
+			n += c
+		}
+		return n
+	}
+	for _, route := range []struct {
+		name   string
+		run    func() (*sampler.Result, error)
+		placed int64
+	}{
+		{"Pipeline.Sample", func() (*sampler.Result, error) { return sys.Pipeline.Sample(ctx, roots) }, 0},
+		{"SampleAs", func() (*sampler.Result, error) { return sys.SampleAs(ctx, "k", roots) }, 0},
+		{"Sample", func() (*sampler.Result, error) {
+			res, st, err := sys.Sample(ctx, roots)
+			if err == nil && st.SimTime <= 0 {
+				t.Fatal("Sample returned no modeled timing")
+			}
+			return res, err
+		}, 1},
+	} {
+		b0, p0 := batches(), placed()
+		got, err := route.run()
+		if err != nil {
+			t.Fatalf("%s: %v", route.name, err)
+		}
+		sameBatch(t, route.name, got, ref)
+		if b := batches(); b != b0+1 {
+			t.Fatalf("%s moved the executor's batches by %v, want 1", route.name, b-b0)
+		}
+		if p := placed(); p != p0+route.placed {
+			t.Fatalf("%s placed %d batches on the dispatcher, want %d", route.name, p-p0, route.placed)
+		}
+	}
+}
+
+// TestOneServingRouteTimingIsOfTheResult: on a one-engine system, Sample's
+// modeled timing is exactly the engine's replay of the reference batch —
+// timing is a function of the sampled result alone, wherever it came from.
+func TestOneServingRouteTimingIsOfTheResult(t *testing.T) {
+	sys := gatewaySystem(t, 1)
+	ctx := context.Background()
+	roots := sys.BatchSource(16, 5).Next()
+	got, st, err := sys.Sample(ctx, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sampler.New(sampler.LocalStore{G: sys.Graph}, sys.Sampling).Sample(ctx, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBatch(t, "Sample", got, ref)
+	if want := sys.Engines[0].RunBatch(ref); st != want {
+		t.Fatalf("Sample timed the batch as %+v, the engine times the reference as %+v", st, want)
+	}
+}
+
+// TestOneServingRouteOneTrace: a traced gateway batch carries one trace ID
+// from the tenant queue to the shard servers, so its gate wait, executor
+// batch and fetches, and every rpc, wire and server span under them are
+// found under that one ID.
+func TestOneServingRouteOneTrace(t *testing.T) {
+	sys := gatewaySystem(t, 4)
+	if _, err := sys.SampleAs(context.Background(), "k", sys.BatchSource(8, 6).Next()); err != nil {
+		t.Fatal(err)
+	}
+	id, _, ok := sys.Obs.LastTrace()
+	if !ok {
+		t.Fatal("no trace in the span log")
+	}
+	hops := map[string]bool{}
+	for _, sp := range sys.Obs.TraceSpans(id) {
+		hops[sp.Hop] = true
+	}
+	for _, hop := range []string{obs.HopGateWait, obs.HopBatch, obs.HopPipeFetch, obs.HopRPC, obs.HopWire, obs.HopServer} {
+		if !hops[hop] {
+			t.Fatalf("trace %v has no %q span; hops under it: %v", id, hop, hops)
+		}
 	}
 }

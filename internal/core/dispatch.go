@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lsdgnn/internal/axe"
-	"lsdgnn/internal/graph"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
@@ -18,42 +17,29 @@ type DispatcherConfig struct {
 	// Workers bounds how many batches run concurrently across all engines;
 	// 0 defaults to 2× the engine count.
 	Workers int
-	// BatchTimeout is a per-batch deadline applied on top of the caller's
-	// context; 0 disables it.
-	BatchTimeout time.Duration
-	// Tracer, when set, records per-batch queue wait and engine runtime as
-	// dispatch/engine hops under the batch's trace ID.
-	Tracer *obs.Tracer
-	// SLO, when set, classifies every submitted batch against a latency
-	// objective: good iff it completed within the threshold.
-	SLO *stats.SLO
-	// Admit, when set, gates every Submit before a worker slot or engine
-	// is claimed. A non-nil error rejects the batch: Submit returns it
-	// verbatim (typed errors like gateway.RateLimitError survive
-	// errors.As) without consuming a slot, touching the SLO, or counting
-	// the batch as degraded — rejections land on the separate
-	// rejected_batches counter.
-	Admit func(ctx context.Context, roots []graph.NodeID) error
 }
 
-// Dispatcher load-balances sampling batches across a set of AxE engines. It
-// picks the engine with the fewest in-flight batches (round-robin between
-// ties), bounds total concurrency with a worker pool, and applies an
-// optional per-batch deadline. All engines share the same sampling seed, so
-// results are layout-identical regardless of placement; only modeled timing
-// differs.
+// Dispatcher places sampled batches on a pool of modeled AxE engines — the
+// FaaS dispatcher of §6 over its autoscaled engine pool. It picks the
+// engine with the fewest in-flight batches (round-robin between ties) and
+// bounds total concurrency with a worker pool. It never samples: each
+// engine replays the timing of a batch the caller already holds, so
+// placement moves only the modeled timing.
 type Dispatcher struct {
 	engines []*axe.Engine
 	cfg     DispatcherConfig
 	slots   chan struct{}
 	lat     *stats.Latency
+	// tracer and slo, set by NewSystem, record each batch's queue wait and
+	// engine replay as hops of its trace and classify it against the
+	// "sample" objective. Either may be nil.
+	tracer *obs.Tracer
+	slo    *stats.SLO
 
 	mu       sync.Mutex
 	inflight []int64
 	counts   []int64
 	rr       int
-	degraded int64
-	rejected int64
 	// active bounds pick() to the first active engines — the autoscaler's
 	// knob. Deactivated engines finish their in-flight batches but take
 	// no new ones.
@@ -107,103 +93,38 @@ func (d *Dispatcher) release(engine int) {
 	d.mu.Unlock()
 }
 
-// Submit runs one batch on the best available engine. It blocks while the
-// worker pool is saturated and honors ctx throughout: cancellation while
-// queued returns immediately; cancellation mid-run abandons the batch (the
-// engine finishes it in the background and the slot is then reclaimed).
-func (d *Dispatcher) Submit(ctx context.Context, roots []graph.NodeID) (*sampler.Result, axe.BatchStats, error) {
-	tr := d.cfg.Tracer
+// Submit times one sampled batch on the best available engine. It blocks
+// while the worker pool is saturated; ctx bounds that wait, and a batch
+// that got a slot is replayed to the end.
+func (d *Dispatcher) Submit(ctx context.Context, res *sampler.Result) (axe.BatchStats, error) {
+	tr := d.tracer
 	var id obs.TraceID
 	if tr != nil {
-		ctx, id = obs.EnsureTrace(ctx)
+		_, id = obs.EnsureTrace(ctx)
 	}
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		d.lat.ObserveError()
-		d.cfg.SLO.Observe(false)
-		return nil, axe.BatchStats{}, err
-	}
-	if d.cfg.Admit != nil {
-		if err := d.cfg.Admit(ctx, roots); err != nil {
-			// Rejected, not failed: no slot was held, no engine touched,
-			// and the SLO only judges admitted work.
-			d.mu.Lock()
-			d.rejected++
-			d.mu.Unlock()
-			return nil, axe.BatchStats{}, err
+	if ctx.Err() == nil {
+		select {
+		case d.slots <- struct{}{}:
+			engine := d.pick()
+			// Queue wait: from submission until a worker slot and an engine
+			// are both held.
+			tr.Observe(id, obs.HopDispatchWait, start, time.Since(start))
+			estart := time.Now()
+			st := d.engines[engine].RunBatch(res)
+			tr.Observe(id, obs.HopEngine, estart, time.Since(estart))
+			d.release(engine)
+			<-d.slots
+			dur := time.Since(start)
+			d.lat.ObserveTrace(dur, uint64(id))
+			d.slo.ObserveLatency(dur, false)
+			return st, nil
+		case <-ctx.Done():
 		}
 	}
-	if d.cfg.BatchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.cfg.BatchTimeout)
-		defer cancel()
-	}
-	select {
-	case d.slots <- struct{}{}:
-	case <-ctx.Done():
-		d.lat.ObserveError()
-		d.cfg.SLO.ObserveLatency(time.Since(start), true)
-		return nil, axe.BatchStats{}, ctx.Err()
-	}
-	engine := d.pick()
-	// Queue wait: from submission until a worker slot and an engine are
-	// both held.
-	tr.Observe(id, obs.HopDispatchWait, start, time.Since(start))
-
-	type outcome struct {
-		res *sampler.Result
-		st  axe.BatchStats
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		estart := time.Now()
-		res, st := d.engines[engine].RunBatch(roots)
-		// Recorded even for abandoned batches: the engine really did the
-		// work, and the histogram should show it.
-		tr.Observe(id, obs.HopEngine, estart, time.Since(estart))
-		// Released before the outcome is published: a caller whose Submit
-		// has returned must find its engine idle, or the next pick skips it.
-		// An abandoned batch releases here too.
-		d.release(engine)
-		<-d.slots
-		done <- outcome{res, st}
-	}()
-	select {
-	case out := <-done:
-		dur := time.Since(start)
-		d.lat.ObserveTrace(dur, uint64(id))
-		d.cfg.SLO.ObserveLatency(dur, false)
-		return out.res, out.st, nil
-	case <-ctx.Done():
-		d.lat.ObserveError()
-		d.cfg.SLO.ObserveLatency(time.Since(start), true)
-		return nil, axe.BatchStats{}, ctx.Err()
-	}
-}
-
-// RecordDegraded notes one batch that completed with partial results
-// (lost shards degraded to empty neighborhoods) instead of failing —
-// System.SampleSoftware surfaces cluster.PartialError here so the
-// scheduling layer's report shows how much of the served load was
-// degraded.
-func (d *Dispatcher) RecordDegraded() {
-	d.mu.Lock()
-	d.degraded++
-	d.mu.Unlock()
-}
-
-// Degraded returns how many batches completed with partial results.
-func (d *Dispatcher) Degraded() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.degraded
-}
-
-// Rejected returns how many batches the Admit hook turned away.
-func (d *Dispatcher) Rejected() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rejected
+	d.lat.ObserveError()
+	d.slo.ObserveLatency(time.Since(start), true)
+	return axe.BatchStats{}, ctx.Err()
 }
 
 // Engines returns how many engines the dispatcher schedules over.
@@ -236,21 +157,6 @@ func (d *Dispatcher) SetActive(n int) int {
 	return n
 }
 
-// Inflight returns how many batches are running across all engines right
-// now — the numerator of the dispatcher's occupancy signal.
-func (d *Dispatcher) Inflight() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var sum int64
-	for _, v := range d.inflight {
-		sum += v
-	}
-	return int(sum)
-}
-
-// Capacity returns the worker-pool bound (maximum concurrent batches).
-func (d *Dispatcher) Capacity() int { return d.cfg.Workers }
-
 // Counts returns the cumulative batches dispatched to each engine.
 func (d *Dispatcher) Counts() []int64 {
 	d.mu.Lock()
@@ -260,23 +166,10 @@ func (d *Dispatcher) Counts() []int64 {
 	return out
 }
 
-// Latency exposes the dispatcher's batch latency recorder.
-func (d *Dispatcher) Latency() *stats.Latency { return d.lat }
-
 // StatsSnapshot implements stats.Source: batch latency plus the per-engine
 // dispatch distribution under the "core.dispatcher" layer.
 func (d *Dispatcher) StatsSnapshot() stats.Snapshot {
 	snap := d.lat.StatsSnapshot()
-	snap.Metrics = append(snap.Metrics, stats.Metric{
-		Name:  "degraded_batches",
-		Value: float64(d.Degraded()),
-		Unit:  "batches",
-	})
-	snap.Metrics = append(snap.Metrics, stats.Metric{
-		Name:  "rejected_batches",
-		Value: float64(d.Rejected()),
-		Unit:  "batches",
-	})
 	snap.Metrics = append(snap.Metrics, stats.Metric{
 		Name:  "active_engines",
 		Value: float64(d.Active()),

@@ -30,6 +30,12 @@ func dispatchSystem(t *testing.T, servers int) *System {
 	return sys
 }
 
+// refSample is the reference sampler's batch for roots under sys's config:
+// what the dispatcher's engines are handed to time.
+func refSample(sys *System, roots []graph.NodeID) *sampler.Result {
+	return sampler.New(sampler.LocalStore{G: sys.Graph}, sys.Sampling).SampleBatch(roots)
+}
+
 func TestDispatcherSpreadsAcrossEngines(t *testing.T) {
 	sys := dispatchSystem(t, 4)
 	src := sys.BatchSource(8, 1)
@@ -82,6 +88,16 @@ func TestDispatcherSequentialRoundRobins(t *testing.T) {
 	}
 }
 
+// inflight sums the batches d is replaying right now.
+func inflight(d *Dispatcher) (n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, v := range d.inflight {
+		n += v
+	}
+	return n
+}
+
 // TestDispatcherReleasesBeforeReturn: a Submit that has returned no longer
 // counts against its engine, so the next sequential pick sees every engine
 // idle. Spare Ps let the woken caller run before a late release would.
@@ -93,7 +109,7 @@ func TestDispatcherReleasesBeforeReturn(t *testing.T) {
 		if _, _, err := sys.Sample(context.Background(), src.Next()); err != nil {
 			t.Fatal(err)
 		}
-		if n := sys.Dispatcher.Inflight(); n != 0 {
+		if n := inflight(sys.Dispatcher); n != 0 {
 			t.Fatalf("batch %d returned with %d batch(es) still in flight", i, n)
 		}
 	}
@@ -154,30 +170,9 @@ func TestDispatcherQueueRespectsDeadline(t *testing.T) {
 	if _, _, err := sys.Sample(ctx, sys.BatchSource(4, 1).Next()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued batch err = %v, want DeadlineExceeded", err)
 	}
-	if sys.Dispatcher.Latency().Count() != 0 {
+	if sys.Dispatcher.lat.Count() != 0 {
 		t.Fatal("timed-out batch counted as success")
 	}
-}
-
-func TestDispatcherBatchTimeoutConfig(t *testing.T) {
-	engines := dispatchSystem(t, 2).Engines
-	d, err := NewDispatcher(engines, DispatcherConfig{BatchTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 1 ns per-batch budget expires before any engine run completes.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		_, _, err := d.Submit(context.Background(), []graph.NodeID{1, 2, 3, 4})
-		if err == nil {
-			continue // scheduler raced the timer; try again
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want DeadlineExceeded", err)
-		}
-		return
-	}
-	t.Skip("timer never beat the engine; nothing to assert")
 }
 
 func TestDispatcherValidation(t *testing.T) {
@@ -213,7 +208,7 @@ func TestSystemStatsRegistry(t *testing.T) {
 	sys := dispatchSystem(t, 2)
 	ctx := context.Background()
 	roots := sys.BatchSource(6, 3).Next()
-	if _, err := sys.SampleSoftware(ctx, roots); err != nil {
+	if _, err := sys.Pipeline.Sample(ctx, roots); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sys.Sample(ctx, roots); err != nil {
@@ -223,7 +218,7 @@ func TestSystemStatsRegistry(t *testing.T) {
 	for _, snap := range sys.StatsRegistry().Collect() {
 		layers[snap.Layer] = true
 	}
-	for _, want := range []string{"cluster.traffic", "cluster.batch", "core.dispatcher", "trace.access"} {
+	for _, want := range []string{"cluster.traffic", "pipeline", "core.dispatcher", "trace.access"} {
 		if !layers[want] {
 			t.Fatalf("layer %q missing from registry: %v", want, layers)
 		}
@@ -239,72 +234,6 @@ func TestSampleBackgroundContext(t *testing.T) {
 	}
 	if res == nil || st.SimTime <= 0 {
 		t.Fatal("accelerated sampling broken")
-	}
-}
-
-func TestDispatcherAdmitRejects(t *testing.T) {
-	sys := dispatchSystem(t, 2)
-	sentinel := errors.New("tenant over budget")
-	var admitMu sync.Mutex
-	var admitted int64
-	disp, err := NewDispatcher(sys.Engines, DispatcherConfig{
-		Workers: 2,
-		Admit: func(ctx context.Context, roots []graph.NodeID) error {
-			if len(roots) > 4 {
-				return sentinel
-			}
-			admitMu.Lock()
-			admitted++
-			admitMu.Unlock()
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := sys.BatchSource(8, 1).Next()
-	_, _, err = disp.Submit(context.Background(), big)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("rejection not returned verbatim: %v", err)
-	}
-	if disp.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", disp.Rejected())
-	}
-	if disp.Degraded() != 0 {
-		t.Fatalf("rejection counted as degraded: %d", disp.Degraded())
-	}
-	// Rejections never touch the latency layer, so the batch series stays
-	// at zero and the SLO never sees a miss.
-	snap := disp.StatsSnapshot()
-	if v, ok := snap.Get("batches"); !ok || v != 0 {
-		t.Fatalf("rejected batch reached the latency layer: batches = %v", v)
-	}
-	if v, ok := snap.Get("rejected_batches"); !ok || v != 1 {
-		t.Fatalf("rejected_batches = %v, want 1", v)
-	}
-	// No slot was consumed: both workers are still free, so two admitted
-	// batches run concurrently without queueing.
-	small := sys.BatchSource(4, 2)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		roots := small.Next()
-		wg.Add(1)
-		go func(i int, roots []graph.NodeID) {
-			defer wg.Done()
-			_, _, errs[i] = disp.Submit(context.Background(), roots)
-		}(i, roots)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	admitMu.Lock()
-	defer admitMu.Unlock()
-	if admitted != 2 {
-		t.Fatalf("admit hook saw %d admitted batches, want 2", admitted)
 	}
 }
 
@@ -325,7 +254,7 @@ func TestDispatcherSetActive(t *testing.T) {
 	disp.SetActive(1)
 	src := sys.BatchSource(4, 9)
 	for i := 0; i < 4; i++ {
-		if _, _, err := disp.Submit(context.Background(), src.Next()); err != nil {
+		if _, err := disp.Submit(context.Background(), refSample(sys, src.Next())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +313,7 @@ func TestEngineSparesAutoscale(t *testing.T) {
 		wg.Add(1)
 		go func(i int, roots []graph.NodeID) {
 			defer wg.Done()
-			_, _, errs[i] = sys.Dispatcher.Submit(context.Background(), roots)
+			_, errs[i] = sys.Dispatcher.Submit(context.Background(), refSample(sys, roots))
 		}(i, roots)
 	}
 	wg.Wait()

@@ -100,7 +100,7 @@ func Figure2c(opts Options) ([]Fig2cRow, error) {
 		}
 		src := sys.BatchSource(128, opts.Seed)
 		for b := 0; b < batches; b++ {
-			if _, err := sys.SampleSoftware(ctx, src.Next()); err != nil {
+			if _, err := sys.Pipeline.Sample(ctx, src.Next()); err != nil {
 				return nil, err
 			}
 		}

@@ -43,6 +43,12 @@ func engineFor(g *graph.Graph, parts int, mutate func(*axe.Config)) (*axe.Engine
 	return axe.New(g, cluster.HashPartitioner{N: parts}, 0, cfg)
 }
 
+// timeBatch samples roots over g under e's Sampling config, then returns
+// the engine's modeled timing of that batch.
+func timeBatch(e *axe.Engine, g *graph.Graph, roots []graph.NodeID) axe.BatchStats {
+	return e.RunBatch(sampler.New(sampler.LocalStore{G: g}, e.Config().Sampling).SampleBatch(roots))
+}
+
 func batchRoots(g *graph.Graph, n int, seed int64) []graph.NodeID {
 	rng := rand.New(rand.NewSource(seed))
 	roots := make([]graph.NodeID, n)
@@ -80,7 +86,7 @@ func Figure7(opts Options) ([]Fig7Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st := e.RunBatch(roots)
+		st := timeBatch(e, g, roots)
 		out = append(out, Fig7Point{
 			Depth:       depth,
 			BatchMs:     st.SimTime.Seconds() * 1e3,
@@ -132,7 +138,7 @@ func OoOAblation(opts Options, windows []int) ([]OoOResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st := e.RunBatch(roots)
+		st := timeBatch(e, g, roots)
 		r := OoOResult{Window: win, RootsPerSec: st.RootsPerSecond}
 		if base == 0 {
 			base = st.RootsPerSecond
@@ -210,7 +216,7 @@ func CacheAblation(opts Options) ([]CacheResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st := e.RunBatch(roots)
+		st := timeBatch(e, g, roots)
 		out = append(out, CacheResult{CacheBytes: size, HitRate: st.CacheHitRate, RootsPerSec: st.RootsPerSecond})
 	}
 	return out, nil

@@ -51,7 +51,7 @@ func Figure14(opts Options) ([]Fig14Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st := eng.RunBatch(batchRoots(g, batch, opts.Seed))
+		st := timeBatch(eng, g, batchRoots(g, batch, opts.Seed))
 		out = append(out, Fig14Point{
 			Dataset:          ds.Name,
 			SimRootsPerSec:   st.RootsPerSecond,
@@ -166,7 +166,7 @@ func Figure15(opts Options) ([]Fig15Point, error) {
 				if err != nil {
 					return nil, err
 				}
-				_, st := eng.RunBatch(roots)
+				st := timeBatch(eng, g, roots)
 
 				w := perfmodel.DeriveWithLines(ds, spec, nodes, 64)
 				m := fig15Machine(cores, mem.channels, mem.pcie)

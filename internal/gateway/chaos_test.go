@@ -16,7 +16,6 @@ import (
 	"lsdgnn/internal/core"
 	"lsdgnn/internal/gateway"
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/pipeline"
 	"lsdgnn/internal/sampler"
 )
 
@@ -34,7 +33,6 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 		Servers:  4,
 		Replicas: 2,
 		Sampling: sampling,
-		Pipeline: &pipeline.Config{},
 		Seed:     11,
 	}
 
@@ -51,7 +49,7 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 	want := make([]*sampler.Result, lightBatches)
 	for i := range batches {
 		batches[i] = src.Next()
-		want[i], err = ref.SamplePipelined(ctx, batches[i])
+		want[i], err = ref.Pipeline.Sample(ctx, batches[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +101,7 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 				_, limited := gateway.AsRateLimited(err)
 				_, shed := gateway.AsShed(err)
 				var pe *cluster.PartialError
-				var pp *pipeline.PartialError
+				var pp *sampler.PartialError
 				if !limited && !shed && !errors.As(err, &pe) && !errors.As(err, &pp) {
 					t.Errorf("heavy tenant: unexpected error class: %v", err)
 					return
@@ -118,7 +116,7 @@ func TestChaosGatewayFairnessUnderFaults(t *testing.T) {
 		got, err := sys.SampleAs(ctx, "light-key", roots)
 		if err != nil {
 			var pe *cluster.PartialError
-			var pp *pipeline.PartialError
+			var pp *sampler.PartialError
 			if !errors.As(err, &pe) && !errors.As(err, &pp) {
 				t.Fatalf("light batch %d: %v", i, err)
 			}

@@ -43,8 +43,8 @@ const (
 	DefaultBurnThreshold = 1.0
 )
 
-// Backend runs one admitted batch; the core system wires this to the
-// pipelined software path or the dispatcher.
+// Backend runs one admitted batch; the core system wires this to its
+// executor's Sample.
 type Backend func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error)
 
 // Config assembles a Gateway.
@@ -270,6 +270,11 @@ func (g *Gateway) Sample(ctx context.Context, key string, roots []graph.NodeID) 
 		g.stats.ratelimited.Inc()
 		t.stats.ratelimited.Inc()
 		return nil, &RateLimitError{Tenant: t.cfg.Name, RetryAfter: retry}
+	}
+	if g.cfg.Tracer != nil {
+		// The batch's trace starts here, so its gate wait and every span
+		// the backend records below share one ID.
+		ctx, _ = obs.EnsureTrace(ctx)
 	}
 	c := &call{ctx: ctx, roots: roots, enq: time.Now(), done: make(chan callResult, 1)}
 	if err := g.enqueue(t, c); err != nil {

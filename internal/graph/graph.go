@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -130,15 +131,37 @@ func (g *Graph) FootprintBytes() int64 {
 // Materialized reports whether attributes are stored (vs procedural).
 func (g *Graph) Materialized() bool { return !g.procedural }
 
-// CopyProceduralSeed makes dst generate the same procedural attributes as
-// src. It is a no-op when src stores materialized attributes; shard
-// extraction uses it so per-partition subgraphs keep identical attribute
-// values without copying tables.
-func CopyProceduralSeed(dst, src *Graph) {
-	if src.procedural {
-		dst.procedural = true
-		dst.attrSeed = src.attrSeed
+// Subgraph returns the graph over the same node-ID space that holds only
+// the adjacency lists (sorted, as a Builder leaves them) and materialized
+// attributes of the nodes keep accepts; procedural graphs keep their seed,
+// so every node's attributes stay identical. Shard extraction copies each
+// partition straight out of the CSR this way, allocating only the result.
+func (g *Graph) Subgraph(keep func(NodeID) bool) *Graph {
+	s := &Graph{numNodes: g.numNodes, attrLen: g.attrLen, offsets: make([]int64, g.numNodes+1),
+		procedural: g.procedural, attrSeed: g.attrSeed}
+	for v := int64(0); v < g.numNodes; v++ {
+		s.offsets[v+1] = s.offsets[v]
+		if keep(NodeID(v)) {
+			s.offsets[v+1] += g.offsets[v+1] - g.offsets[v]
+		}
 	}
+	s.edges = make([]NodeID, s.offsets[g.numNodes])
+	if !g.procedural {
+		s.attrs = make([]float32, len(g.attrs))
+	}
+	for v := int64(0); v < g.numNodes; v++ {
+		if !keep(NodeID(v)) {
+			continue
+		}
+		adj := s.edges[s.offsets[v]:s.offsets[v+1]]
+		copy(adj, g.edges[g.offsets[v]:g.offsets[v+1]])
+		slices.Sort(adj)
+		if s.attrs != nil {
+			row := v * int64(g.attrLen)
+			copy(s.attrs[row:row+int64(g.attrLen)], g.attrs[row:])
+		}
+	}
+	return s
 }
 
 func splitmix64(x uint64) uint64 {

@@ -93,6 +93,13 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	}
 	tr := io.TeeReader(br, crc)
 	get := func(v any) error { return binary.Read(tr, binary.LittleEndian, v) }
+	// The arrays are read a word at a time through one buffer: binary.Read
+	// would allocate for every element.
+	var word [8]byte
+	u64 := func() (uint64, error) {
+		_, err := io.ReadFull(tr, word[:])
+		return binary.LittleEndian.Uint64(word[:]), err
+	}
 
 	var version, flags, attrLen uint32
 	var numNodes, numEdges, attrSeed uint64
@@ -116,15 +123,15 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 		edges:    make([]NodeID, numEdges),
 	}
 	for i := range g.offsets {
-		var o uint64
-		if err := get(&o); err != nil {
+		o, err := u64()
+		if err != nil {
 			return nil, fmt.Errorf("graph: read offsets: %w", err)
 		}
 		g.offsets[i] = int64(o)
 	}
 	for i := range g.edges {
-		var e uint64
-		if err := get(&e); err != nil {
+		e, err := u64()
+		if err != nil {
 			return nil, fmt.Errorf("graph: read edges: %w", err)
 		}
 		g.edges[i] = NodeID(e)
@@ -132,11 +139,10 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	if flags&flagMaterialized != 0 {
 		g.attrs = make([]float32, numNodes*uint64(attrLen))
 		for i := range g.attrs {
-			var bits uint32
-			if err := get(&bits); err != nil {
+			if _, err := io.ReadFull(tr, word[:4]); err != nil {
 				return nil, fmt.Errorf("graph: read attrs: %w", err)
 			}
-			g.attrs[i] = math.Float32frombits(bits)
+			g.attrs[i] = math.Float32frombits(binary.LittleEndian.Uint32(word[:4]))
 		}
 	} else {
 		g.procedural = true

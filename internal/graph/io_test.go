@@ -58,6 +58,26 @@ func TestIORoundTripMaterialized(t *testing.T) {
 	graphsEqual(t, g, got)
 }
 
+// TestIOReadAllocatesOnlyTheGraph: a load allocates its arrays and a few
+// buffers, not one object per stored word.
+func TestIOReadAllocatesOnlyTheGraph(t *testing.T) {
+	for _, materialize := range []bool{false, true} {
+		g := Generate(GenConfig{NumNodes: 2000, AvgDegree: 8, AttrLen: 4, Seed: 7, Materialize: materialize})
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 40 {
+			t.Fatalf("materialize=%v: ReadFrom made %.0f allocations for %d nodes and %d edges", materialize, allocs, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
 func TestIORoundTripEmpty(t *testing.T) {
 	g, err := NewBuilder(0, 0).Build()
 	if err != nil {

@@ -58,8 +58,9 @@ func FromContext(ctx context.Context) (TraceID, bool) {
 }
 
 // EnsureTrace returns ctx carrying a trace ID, minting one if absent — the
-// call sites at the top of the pipeline (System.Sample, Client.SampleBatch)
-// use this so every batch is traceable without burdening callers.
+// call sites at the top of the serving route (Gateway.Sample,
+// Executor.Sample, System.Sample) use this so every batch is traceable
+// without burdening callers.
 func EnsureTrace(ctx context.Context) (context.Context, TraceID) {
 	if id, ok := FromContext(ctx); ok {
 		return ctx, id
@@ -68,10 +69,11 @@ func EnsureTrace(ctx context.Context) (context.Context, TraceID) {
 	return WithTrace(ctx, id), id
 }
 
-// Hop names used across the pipeline. One traced batch produces spans for
-// a subset of these depending on its path (accelerated vs software).
+// Hop names used across the serving route. One traced batch produces
+// spans for a subset of these: the dispatcher hops only when it was timed
+// on a modeled engine.
 const (
-	// HopBatch is the end-to-end software sampling batch (SampleBatch).
+	// HopBatch is one executor batch, end to end (Executor.Sample).
 	HopBatch = "batch"
 	// HopDispatchWait is time spent queued for a dispatcher worker slot.
 	HopDispatchWait = "dispatch_wait"

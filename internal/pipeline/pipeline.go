@@ -10,8 +10,8 @@
 //
 // Output is a pure function of (seed, root, hop, position): KHop draws
 // every site from its own derived stream, so concurrent batches share no
-// RNG and the result is byte-identical to every other path (Sampler.Sample,
-// Client.SampleBatch, the AxE engine model).
+// RNG and the result is byte-identical to the reference Sampler.Sample over
+// the same graph.
 package pipeline
 
 import (
@@ -57,15 +57,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// The per-root degrade error lives with the kernel that builds it.
-type (
-	PartialError = sampler.PartialError
-	RootError    = sampler.RootError
-)
-
-// AsPartial extracts a *PartialError from err.
-func AsPartial(err error) (*PartialError, bool) { return sampler.AsPartial(err) }
-
 // Executor runs k-hop sampling batches over a Store under one shared
 // in-flight window. Safe for concurrent Sample calls.
 type Executor struct {
@@ -98,14 +89,12 @@ func (e *Executor) Occupancy() float64 { return e.stats.Occupancy() }
 // Config returns the executor configuration (defaults applied).
 func (e *Executor) Config() Config { return e.cfg }
 
-// SamplerConfig returns the sampling configuration.
-func (e *Executor) SamplerConfig() sampler.Config { return e.scfg }
-
 // Stats exposes the executor's "pipeline" stats layer.
 func (e *Executor) Stats() *Stats { return &e.stats }
 
-// SetTracer attaches a hop tracer; fetches then record HopPipeWait
-// (window stall) and HopPipeFetch (store round trip) spans.
+// SetTracer attaches a hop tracer; each batch then records a HopBatch span
+// and its fetches HopPipeWait (window stall) and HopPipeFetch (store round
+// trip) spans, all under the batch's one trace ID.
 func (e *Executor) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
 // SetSLO classifies every Sample against a latency objective: completed
@@ -198,12 +187,16 @@ func (w *window) release(n int) {
 // result), any other store error fails the batch.
 func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
 	start := time.Now()
-	id, ok := obs.FromContext(ctx)
-	if !ok {
-		id = obs.NewTraceID()
+	var id obs.TraceID
+	if e.tracer != nil {
+		// One ID for the whole batch: its fetches, and every rpc, wire and
+		// server span under them, land on the trace the caller brought, or
+		// on the one minted here.
+		ctx, id = obs.EnsureTrace(ctx)
 	}
 	res, err := sampler.KHop(ctx, windowed{e, id}, e.scfg, roots)
 	dur := time.Since(start)
+	e.tracer.ObserveErr(id, obs.HopBatch, "", start, dur, err != nil)
 	if res == nil {
 		e.stats.batchErrors.Inc()
 		e.slo.ObserveLatency(dur, true)
@@ -213,7 +206,7 @@ func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.R
 	e.stats.batchLatency.ObserveDuration(dur)
 	e.stats.batchWindow.ObserveDuration(dur)
 	e.slo.ObserveLatency(dur, false)
-	if pe, ok := AsPartial(err); ok {
+	if pe, ok := sampler.AsPartial(err); ok {
 		e.stats.degradedRoots.Add(int64(len(pe.Roots)))
 	}
 	return res, err

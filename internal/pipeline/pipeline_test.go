@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"lsdgnn/internal/axe"
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/sampler"
@@ -60,12 +59,10 @@ func sameResult(t *testing.T, label string, got, want *sampler.Result) {
 	}
 }
 
-// parityStore is one backend column of the parity table; client is nil
-// for the local store.
+// parityStore is one backend column of the parity table.
 type parityStore struct {
-	name   string
-	store  sampler.Store
-	client *cluster.Client
+	name  string
+	store sampler.Store
 }
 
 func parityStores(t *testing.T, g *graph.Graph) []parityStore {
@@ -85,9 +82,9 @@ func parityStores(t *testing.T, g *graph.Graph) []parityStore {
 	// cluster.WithPacking shim, which must select nothing, and leaves with it.
 	plain, packed := dial(), dial(cluster.WithPacking(cluster.PackingConfig{}))
 	return []parityStore{
-		{"local", sampler.LocalStore{G: g}, nil},
-		{"plain-client", plain, plain},
-		{"packed-client", packed, packed},
+		{"local", sampler.LocalStore{G: g}},
+		{"plain-client", plain},
+		{"packed-client", packed},
 	}
 }
 
@@ -95,11 +92,10 @@ func parityStores(t *testing.T, g *graph.Graph) []parityStore {
 // every backend, for both sampling methods, weighted and not, returns
 // Roots / Hops / Negatives / Attrs / Cycles identical to the reference
 // sampler over the local graph under the same config. Executor rows match
-// whatever the window. "-streams" rows make one call on a fresh Client or
-// Sampler; "-shared" rows make the second call on an instance that already
-// sampled other roots, which must not move a draw (no generator state
-// carries over). The axe.Engine row — the event-simulated AxE over the
-// graph — exists for the local store only.
+// whatever the window. "-streams" rows make one call on a fresh Sampler;
+// "-shared" rows make the second call on an instance that already sampled
+// other roots, which must not move a draw (no generator state carries
+// over).
 func TestPipelineDeterminism(t *testing.T) {
 	g := testGraph(t)
 	roots := testRoots(64)
@@ -114,19 +110,6 @@ func TestPipelineDeterminism(t *testing.T) {
 			return New(s.store, cfg, Config{Window: window}).Sample(bg, roots)
 		}
 	}
-	sampleBatch := func(calls int) func(parityStore, sampler.Config) (*sampler.Result, error) {
-		return func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
-			if s.client == nil {
-				return nil, nil // not a client: no such row
-			}
-			if calls > 1 {
-				if _, err := s.client.SampleBatch(bg, testRoots(5), cfg); err != nil {
-					return nil, err
-				}
-			}
-			return s.client.SampleBatch(bg, roots, cfg)
-		}
-	}
 	syncSampler := func(calls int) func(parityStore, sampler.Config) (*sampler.Result, error) {
 		return func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
 			sm := sampler.New(s.store, cfg)
@@ -138,28 +121,12 @@ func TestPipelineDeterminism(t *testing.T) {
 			return sm.Sample(bg, roots)
 		}
 	}
-	engine := func(s parityStore, cfg sampler.Config) (*sampler.Result, error) {
-		if s.client != nil {
-			return nil, nil // the engine models the graph itself
-		}
-		ecfg := axe.DefaultConfig()
-		ecfg.Sampling = cfg
-		e, err := axe.New(g, cluster.HashPartitioner{N: 3}, 0, ecfg)
-		if err != nil {
-			return nil, err
-		}
-		res, _ := e.RunBatch(roots)
-		return res, nil
-	}
 	paths := []path{
 		{"executor-w1", executor(1)},
 		{"executor-w16", executor(16)},
 		{"executor-default", executor(0)},
-		{"client.SampleBatch-streams", sampleBatch(1)},
-		{"client.SampleBatch-shared", sampleBatch(2)},
 		{"sampler.Sample-streams", syncSampler(1)},
 		{"sampler.Sample-shared", syncSampler(2)},
-		{"axe.Engine", engine},
 	}
 	weights := []struct {
 		name string
@@ -176,9 +143,6 @@ func TestPipelineDeterminism(t *testing.T) {
 						got, err := p.run(s, cfg)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if got == nil {
-							t.Skip("row does not exist for this store")
 						}
 						ref, err := sampler.New(local, cfg).Sample(bg, roots)
 						if err != nil {
@@ -531,7 +495,7 @@ func TestPipelinePartialDegradesOnlyFailedRoots(t *testing.T) {
 	poison := lostVertices{roots[5]: true, ref.Hops[1][17*6+4]: true}
 	ex := New(&faultyStore{Store: sampler.LocalStore{G: g}, poison: poison}, cfg, Config{Window: 64})
 	got, err := ex.Sample(bg, roots)
-	pe, ok := AsPartial(err)
+	pe, ok := sampler.AsPartial(err)
 	if !ok {
 		t.Fatalf("want PartialError, got %v", err)
 	}
@@ -657,7 +621,7 @@ func TestChaosPipelineOverFaultyCluster(t *testing.T) {
 	ft.SetFaults(cluster.FaultSpec{ErrRate: 0.15})
 	got, err := New(client, cfg, Config{Window: 64}).Sample(bg, roots)
 	if err != nil {
-		if _, ok := AsPartial(err); !ok {
+		if _, ok := sampler.AsPartial(err); !ok {
 			t.Fatalf("chaos batch failed outright: %v", err)
 		}
 	} else {
@@ -669,7 +633,7 @@ func TestChaosPipelineOverFaultyCluster(t *testing.T) {
 	ft2, client2 := build()
 	ft2.KillServer(killed)
 	got2, err2 := New(client2, cfg, Config{Window: 64}).Sample(bg, roots)
-	pe, ok := AsPartial(err2)
+	pe, ok := sampler.AsPartial(err2)
 	if !ok {
 		t.Fatalf("want PartialError, got %v", err2)
 	}
@@ -731,7 +695,7 @@ func TestPipelineFailClosedAborts(t *testing.T) {
 		if res != nil || err == nil {
 			t.Fatalf("%s over a fail-closed client with a dead shard: result returned = %v, err = %v; want (nil, error)", name, res != nil, err)
 		}
-		if _, ok := AsPartial(err); ok {
+		if _, ok := sampler.AsPartial(err); ok {
 			t.Fatalf("%s: fail-closed loss reported as per-root degradation: %v", name, err)
 		}
 		if _, ok := cluster.AsPartial(err); ok {
@@ -743,22 +707,32 @@ func TestPipelineFailClosedAborts(t *testing.T) {
 	}
 }
 
-// TestClientSampleBatchNamesEveryLostShard: the shard-level report the
-// client builds from the kernel's store errors still names each dead
-// shard once.
+// TestClientSampleBatchNamesEveryLostShard: a batch sampled over the
+// client names each dead shard through the kernel's degrade error — every
+// lost shard appears in some fetch's *cluster.PartialError among its Errs.
 func TestClientSampleBatchNamesEveryLostShard(t *testing.T) {
 	g := testGraph(t)
 	ft, client := faultyCluster(t, g, cluster.HashPartitioner{N: 3}, true)
 	ft.KillServer(0)
 	ft.KillServer(2)
-	res, err := client.SampleBatch(bg, testRoots(40), testCfg())
-	pe, ok := cluster.AsPartial(err)
+	res, err := New(client, testCfg(), Config{}).Sample(bg, testRoots(40))
+	pe, ok := sampler.AsPartial(err)
 	if !ok || res == nil {
 		t.Fatalf("want a degraded result: result returned = %v, err = %v", res != nil, err)
 	}
+	seen := map[int]bool{}
 	var lost []int
-	for _, s := range pe.Shards {
-		lost = append(lost, s.Server)
+	for _, e := range pe.Errs {
+		cpe, ok := cluster.AsPartial(e)
+		if !ok {
+			t.Fatalf("fetch error %v names no shard", e)
+		}
+		for _, s := range cpe.Shards {
+			if !seen[s.Server] {
+				seen[s.Server] = true
+				lost = append(lost, s.Server)
+			}
+		}
 	}
 	sort.Ints(lost)
 	if !reflect.DeepEqual(lost, []int{0, 2}) {

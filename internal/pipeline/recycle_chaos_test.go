@@ -86,7 +86,7 @@ func TestChaosBufferRecycling(t *testing.T) {
 					return res, nil
 				}
 				res, err := fex.Sample(bg, roots)
-				if _, ok := AsPartial(err); !ok {
+				if _, ok := sampler.AsPartial(err); !ok {
 					return nil, fmt.Errorf("iter %d: want PartialError, got %v", i, err)
 				}
 				for h := range res.Hops {

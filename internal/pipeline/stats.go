@@ -49,26 +49,20 @@ func (s *Stats) setCapacity(n int) {
 	s.mu.Unlock()
 }
 
-// Capacity returns the attached executor's window size (0 when idle).
-func (s *Stats) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
-}
-
 // Occupancy returns the window's current fill fraction in [0, 1] — the
 // backpressure signal a gateway sheds on. 0 while no executor is attached.
 func (s *Stats) Occupancy() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.capacity <= 0 {
+	return occupancy(s.inflight, s.capacity)
+}
+
+// occupancy is inflight over capacity, clamped to [0, 1].
+func occupancy(inflight, capacity int) float64 {
+	if capacity <= 0 {
 		return 0
 	}
-	occ := float64(s.inflight) / float64(s.capacity)
-	if occ > 1 {
-		occ = 1
-	}
-	return occ
+	return min(float64(inflight)/float64(capacity), 1)
 }
 
 // recordInflight tracks the instantaneous and peak occupancy of the
@@ -110,18 +104,11 @@ func (s *Stats) StatsSnapshot() stats.Snapshot {
 	s.mu.Lock()
 	inflight, peak, capacity := s.inflight, s.inflightPeak, s.capacity
 	s.mu.Unlock()
-	var occ float64
-	if capacity > 0 {
-		occ = float64(inflight) / float64(capacity)
-		if occ > 1 {
-			occ = 1
-		}
-	}
 	return stats.Snapshot{Layer: "pipeline", Metrics: []stats.Metric{
 		{Name: "inflight", Value: float64(inflight), Unit: "req"},
 		{Name: "inflight_peak", Value: float64(peak), Unit: "req"},
 		{Name: "window_capacity", Value: float64(capacity), Unit: "req"},
-		{Name: "occupancy", Value: occ, Unit: "ratio"},
+		{Name: "occupancy", Value: occupancy(inflight, capacity), Unit: "ratio"},
 		s.issuedTasks.Metric("issued_tasks", "req"),
 		s.issuedRequests.Metric("issued_requests", "req"),
 		s.retiredTasks.Metric("retired_tasks", "req"),

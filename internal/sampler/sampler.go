@@ -303,9 +303,8 @@ func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, pe
 	}
 }
 
-// KHop is the one k-hop loop (Sampler.Sample, cluster.Client.SampleBatch,
-// pipeline.Executor.Sample, and the functional result of
-// axe.Engine.RunBatch). It is level-synchronous: each hop fetches the whole
+// KHop is the one k-hop loop (Sampler.Sample, pipeline.Executor.Sample,
+// and direct callers over a cluster.Client). It is level-synchronous: each hop fetches the whole
 // batch's frontier through one NeighborsBatch call and draws neighbors in
 // frontier order, then draws negatives and gathers every attribute vector
 // through one AttrsBatch in AttrOrder. Every draw comes from the stream of its site — (cfg.Seed, root

@@ -16,20 +16,24 @@
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithReplicas(2),
 //		lsdgnn.WithResilience(lsdgnn.DefaultResilienceConfig()),
-//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{}), // windowed sampling (Tech-3)
 //	)
+//	res, err := sys.Pipeline.Sample(ctx, roots)        // sampled over the wire
+//	res, st, err := sys.Sample(ctx, roots)             // same bytes + modeled AxE timing
 //
-// Errors from the serving path carry typed semantics — match them with
-// errors.As rather than string inspection. One taxonomy covers every
-// entry point:
+// Every entry point samples through one route: the windowed executor
+// (sys.Pipeline, the software AxE load unit of Tech-3) over the cluster
+// client. Sample then times the batch on a modeled AxE engine, and
+// SampleAs puts the multi-tenant gateway in front. Errors from that route
+// carry typed semantics — match them with errors.As rather than string
+// inspection. One taxonomy covers every entry point:
 //
 //	error type            path                 meaning
 //	----------            ----                 -------
-//	PartialError          SampleSoftware       degraded batch; result keeps
-//	                                           its full layout, Shards lists
-//	                                           the lost partitions
-//	PipelinePartialError  SamplePipelined      per-root degradation; Roots
-//	                                           lists padded subtrees
+//	PipelinePartialError  any sampling path    degraded batch; result keeps
+//	                                           its full layout, Roots lists
+//	                                           the padded subtrees
+//	PartialError          inside the above     one fetch's lost partitions
+//	                                           (Shards); AsPartial finds it
 //	ServerError           any RPC path         live server rejected the
 //	                                           request deterministically —
 //	                                           never retried
@@ -52,7 +56,7 @@
 //	                 serves guessed data (a torn WAL tail after a crash is
 //	                 not corruption — recovery truncates and replays)
 //	ErrStoreBudget   the configured memory budget cannot admit even one
-//	                 cache page — raise the budget or shrink the page size
+//	                 4 KiB cache page — raise the budget
 package lsdgnn
 
 import (

@@ -19,7 +19,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	ctx := context.Background()
 	roots := sys.BatchSource(16, 2).Next()
-	sw, err := sys.SampleSoftware(ctx, roots)
+	sw, err := sys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sw.Attrs) != len(hw.Attrs) {
-		t.Fatal("software and accelerated layouts differ")
+		t.Fatal("pipelined and accelerated layouts differ")
 	}
 	if stats.RootsPerSecond <= 0 {
 		t.Fatal("no modeled throughput")
@@ -37,7 +37,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 // TestPublicAPIDeadline is the facade-level acceptance check: a context
 // deadline shorter than the injected network delay must surface as
-// context.DeadlineExceeded from the software sampling path.
+// context.DeadlineExceeded from the sampling route.
 func TestPublicAPIDeadline(t *testing.T) {
 	g := GenerateGraph(2000, 8, 8, 2)
 	sys, err := New("", WithGraph(g), WithSeed(2), WithNetDelay(250*time.Millisecond))
@@ -47,7 +47,7 @@ func TestPublicAPIDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = sys.SampleSoftware(ctx, sys.BatchSource(8, 1).Next())
+	_, err = sys.Pipeline.Sample(ctx, sys.BatchSource(8, 1).Next())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -64,7 +64,7 @@ func TestPublicStatsRegistry(t *testing.T) {
 	}
 	ctx := context.Background()
 	roots := sys.BatchSource(8, 1).Next()
-	if _, err := sys.SampleSoftware(ctx, roots); err != nil {
+	if _, err := sys.Pipeline.Sample(ctx, roots); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sys.Sample(ctx, roots); err != nil {
@@ -97,7 +97,7 @@ func TestPublicFunctionalOptions(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := int64(0); i < 8; i++ {
-		res, err := sys.SampleSoftware(ctx, sys.BatchSource(32, i).Next())
+		res, err := sys.Pipeline.Sample(ctx, sys.BatchSource(32, i).Next())
 		var pe *PartialError
 		if errors.As(err, &pe) {
 			if res == nil || len(pe.Shards) == 0 {
@@ -232,11 +232,11 @@ func TestPublicElasticLayout(t *testing.T) {
 	}
 	ctx := context.Background()
 	roots := sys.BatchSource(16, 3).Next()
-	want, err := static.SampleSoftware(ctx, roots)
+	want, err := static.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := sys.SampleSoftware(ctx, roots)
+	before, err := sys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestPublicElasticLayout(t *testing.T) {
 	if err := sys.Client.AddReplica(ctx, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	after, err := sys.SampleSoftware(ctx, roots)
+	after, err := sys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +299,11 @@ func TestPublicStore(t *testing.T) {
 	}
 	ctx := context.Background()
 	roots := sys.BatchSource(16, 4).Next()
-	want, err := mem.SampleSoftware(ctx, roots)
+	want, err := mem.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys.SampleSoftware(ctx, roots)
+	got, err := sys.Pipeline.Sample(ctx, roots)
 	if err != nil {
 		t.Fatal(err)
 	}

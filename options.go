@@ -7,7 +7,6 @@ import (
 	"lsdgnn/internal/core"
 	"lsdgnn/internal/gateway"
 	"lsdgnn/internal/obs"
-	"lsdgnn/internal/pipeline"
 	"lsdgnn/internal/sampler"
 )
 
@@ -15,12 +14,13 @@ import (
 // match on semantics with errors.As instead of string-matching messages
 // from an internal package:
 //
-//	res, err := sys.SampleSoftware(ctx, roots)
-//	var pe *lsdgnn.PartialError
+//	res, err := sys.Pipeline.Sample(ctx, roots)
+//	var pe *lsdgnn.PipelinePartialError
 //	if errors.As(err, &pe) {
-//		// Degraded batch: res keeps its full layout; pe.Shards lists
-//		// every lost partition. Use or discard res deliberately.
-//		log.Printf("degraded: %d shards lost", len(pe.Shards))
+//		// Degraded batch: res keeps its full layout; pe.Roots lists the
+//		// padded roots, and each of pe.Errs is a *PartialError naming the
+//		// partitions one fetch lost. Use or discard res deliberately.
+//		log.Printf("degraded: %d roots", len(pe.Roots))
 //	} else if err != nil {
 //		return err // hard failure, res is nil
 //	}
@@ -32,9 +32,10 @@ import (
 //		log.Printf("server %d rejected: %s", se.Server, se.Msg)
 //	}
 type (
-	// PartialError annotates a degraded batch: the result is
-	// layout-complete but the listed shards contributed no data. Returned
-	// only when the resilience policy enables PartialResults.
+	// PartialError annotates one degraded fetch: the listed shards
+	// contributed no data. It reaches callers inside a
+	// PipelinePartialError's Errs, only when the resilience policy enables
+	// PartialResults.
 	PartialError = cluster.PartialError
 	// ServerError is a deterministic application-level rejection from a
 	// live server — never retried, never counted against breakers.
@@ -52,16 +53,13 @@ type (
 	// TracingConfig sizes the system tracer: span-ring capacity and the
 	// 1-in-n span sampling rate (histograms always record).
 	TracingConfig = obs.TracerConfig
-	// PipelineConfig tunes the windowed sampling executor (its in-flight
-	// node-request budget) enabled by WithPipeline.
-	PipelineConfig = pipeline.Config
-	// PipelinePartialError reports per-root degradation from a pipelined
+	// PipelinePartialError reports per-root degradation from a sampled
 	// batch: the result keeps its full layout, and each listed root's
 	// subtree carries self-loop padding / zeroed attributes.
-	PipelinePartialError = pipeline.PartialError
+	PipelinePartialError = sampler.PartialError
 	// RootError pairs one degraded root with its error inside a
 	// PipelinePartialError.
-	RootError = pipeline.RootError
+	RootError = sampler.RootError
 	// Layout is the versioned, epoch-numbered elastic partition layout:
 	// partitions → replica endpoint sets with per-endpoint lifecycle
 	// states (serving|joining|draining). Built by UniformLayout or
@@ -90,8 +88,8 @@ type (
 func AsPartial(err error) (*PartialError, bool) { return cluster.AsPartial(err) }
 
 // AsPipelinePartial unwraps a *PipelinePartialError, mirroring
-// pipeline.AsPartial.
-func AsPipelinePartial(err error) (*PipelinePartialError, bool) { return pipeline.AsPartial(err) }
+// sampler.AsPartial.
+func AsPipelinePartial(err error) (*PipelinePartialError, bool) { return sampler.AsPartial(err) }
 
 // AsRateLimited unwraps a *RateLimitError from a SampleAs error chain:
 //
@@ -209,23 +207,6 @@ func WithSpares(partitions ...int) Option {
 // WithFaults injects seeded chaos into the storage transport.
 func WithFaults(spec FaultSpec) Option {
 	return func(o *Options) { s := spec; o.Faults = &s }
-}
-
-// WithPipeline enables the windowed sampling executor — the software
-// model of the AxE load unit (Section 4.2 Tech-3). System.SamplePipelined
-// then issues each batch as one vector fetch per hop plus one attribute
-// gather, every fetch passing through an in-flight window shared by all
-// concurrent batches (cfg.Window node-requests, 0 = default 8192).
-// Every draw comes from a stream derived from (seed, root, hop, position),
-// so the pipelined result is byte-identical to every other path for the
-// same seed:
-//
-//	sys, err := lsdgnn.New("ss",
-//		lsdgnn.WithPipeline(lsdgnn.PipelineConfig{Window: 8192}),
-//	)
-//	res, err := sys.SamplePipelined(ctx, roots)
-func WithPipeline(cfg PipelineConfig) Option {
-	return func(o *Options) { c := cfg; o.Pipeline = &c }
 }
 
 // WithGateway builds the multi-tenant serving gateway in front of the

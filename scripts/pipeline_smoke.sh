@@ -2,8 +2,8 @@
 # Pipeline smoke test: boot a real lsdgnn-server with the admin plane,
 # check /metrics pre-registers the pipeline-executor series
 # (lsdgnn_pipeline_*, zero-valued — the executor runs client-side), then
-# drive a pipelined sampling burst through lsdgnn-probe over TCP and
-# assert the probe's own pipeline counters actually moved.
+# drive a sampling burst through lsdgnn-probe (every batch runs on the
+# executor) over TCP and assert the probe's own pipeline counters moved.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,11 +49,12 @@ for series in \
     fi
 done
 
-# Drive a pipelined burst over real sockets. The probe prints its own
+# Drive a burst through the executor over real sockets, on a window small
+# enough to stall. The probe prints its own
 # lsdgnn_pipeline_* exposition after the run (the executor is a client
 # construct; the server only pre-registers the schema).
 "$OUT/lsdgnn-probe" -addrs "127.0.0.1:$SERVE_PORT" -batches 8 -batch-size 48 \
-    -pipeline -pipeline-window 64 >"$OUT/probe.log" 2>&1 || { cat "$OUT/probe.log" >&2; exit 1; }
+    -pipeline-window 64 >"$OUT/probe.log" 2>&1 || { cat "$OUT/probe.log" >&2; exit 1; }
 grep -q 'probe: OK' "$OUT/probe.log"
 
 metric() {
