@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -527,17 +528,16 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 			}
 			return err
 		}
-		remote := s != c.local
+		ids := 0
 		for i, l := range lists {
 			dst[pos[i]] = l
-			// Offset/degree lookup, then per-entry pointer chasing: each
-			// neighbor ID is an individual fine-grained (8 B) indirect
-			// access — the access class Figure 2(c) counts.
-			c.Access.Record(trace.AccessStructure, 1, 16, remote)
-			for range l {
-				c.Access.Record(trace.AccessStructure, 1, 8, remote)
-			}
+			ids += len(l)
 		}
+		// Offset/degree lookup, then per-entry pointer chasing: each list
+		// is one 16 B access and each neighbor ID an individual
+		// fine-grained 8 B indirect one — the access class Figure 2(c)
+		// counts — recorded for the whole reply at once.
+		c.Access.Record(trace.AccessStructure, len(lists)+ids, 16*len(lists)+8*ids, s != c.local)
 		return nil
 	})
 	if failed(err) {
@@ -572,18 +572,23 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 	defer mem.U32s.Put(at)
 	uniq := mem.IDs.Get(len(vs))[:0]
 	defer mem.IDs.Put(uniq)
-	first := firstSeen.Get().(map[graph.NodeID]uint32)
+	// seen is an open-addressing table of first position+1 (0 = empty),
+	// at least twice len(vs) so linear probes stay short.
+	order := bits.Len(uint(max(2*len(vs), 2) - 1))
+	seen := mem.U32s.GetZeroed(1 << order)
+	mask := uint64(len(seen) - 1)
 	for i, v := range vs {
-		p, seen := first[v]
-		if !seen {
-			p = uint32(i)
-			first[v] = p
-			uniq, at = append(uniq, v), append(at, p)
+		h := uint64(v) * 0x9e3779b97f4a7c15 >> (64 - order)
+		for seen[h] != 0 && vs[seen[h]-1] != v {
+			h = (h + 1) & mask
 		}
-		lead[i] = p
+		if seen[h] == 0 {
+			seen[h] = uint32(i) + 1
+			uniq, at = append(uniq, v), append(at, uint32(i))
+		}
+		lead[i] = seen[h] - 1
 	}
-	clear(first)
-	firstSeen.Put(first)
+	mem.U32s.Put(seen)
 	c.Pack.dedup.Add(int64(len(vs) - len(uniq)))
 
 	err := c.fanout(ctx, uniq, func(s int, grp []graph.NodeID, pos []uint32) error {
@@ -611,12 +616,22 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 		if int(p) != i {
 			copy(dst[i*al:][:al], dst[int(p)*al:][:al])
 		}
-		// The characterization (Figure 2(c)) counts the sampler's requests:
-		// every asked-for vector is one bulk access, folded on the wire or not.
-		c.Access.Record(trace.AccessAttribute, 1, al*4, c.part.Owner(vs[i]) != c.local)
+	}
+	// The characterization (Figure 2(c)) counts the sampler's requests:
+	// every asked-for vector is one bulk access, folded on the wire or not.
+	local := 0
+	if c.local >= 0 {
+		for _, v := range vs {
+			if c.part.Owner(v) == c.local {
+				local++
+			}
+		}
+	}
+	if local > 0 {
+		c.Access.Record(trace.AccessAttribute, local, local*al*4, false)
+	}
+	if remote := len(vs) - local; remote > 0 {
+		c.Access.Record(trace.AccessAttribute, remote, remote*al*4, true)
 	}
 	return err
 }
-
-// firstSeen pools AttrsBatch's dedupe maps, cleared before they go back.
-var firstSeen = sync.Pool{New: func() any { return make(map[graph.NodeID]uint32) }}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -8,6 +10,9 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/pipeline"
+	"lsdgnn/internal/sampler"
+	"lsdgnn/internal/store"
 )
 
 // waitFor polls cond until it holds; the calls it watches are parked in a
@@ -21,17 +26,26 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// sentinelBits is the float every dirty buffer starts as: a NaN with a
+// payload no graph attribute holds.
+const sentinelBits = 0x7fc0dead
+
 // dirtyBuffers returns fetch destinations for n IDs pre-filled with values
-// no graph holds: a sentinel list in every slot, NaN in every float.
+// no graph holds: a sentinel list in every slot, the sentinel NaN in every
+// float.
 func dirtyBuffers(n, attrLen int) ([][]graph.NodeID, []float32) {
 	lists, attrs := make([][]graph.NodeID, n), make([]float32, n*attrLen)
 	for i := range lists {
 		lists[i] = []graph.NodeID{math.MaxInt64}
 	}
-	for i := range attrs {
-		attrs[i] = float32(math.NaN())
-	}
+	poison(attrs)
 	return lists, attrs
+}
+
+func poison(attrs []float32) {
+	for i := range attrs {
+		attrs[i] = math.Float32frombits(sentinelBits)
+	}
 }
 
 // checkAgainstGraph asserts, element by element, that a fetch of ids left
@@ -40,6 +54,9 @@ func dirtyBuffers(n, attrLen int) ([][]graph.NodeID, []float32) {
 func checkAgainstGraph(t *testing.T, g *graph.Graph, ids []graph.NodeID, lists [][]graph.NodeID, attrs []float32, lost func(graph.NodeID) bool) {
 	t.Helper()
 	al := g.AttrLen()
+	if i := slices.IndexFunc(attrs, func(f float32) bool { return math.Float32bits(f) == sentinelBits }); i >= 0 {
+		t.Fatalf("float %d (node %d) still holds the sentinel", i, ids[i/al])
+	}
 	for i, v := range ids {
 		wantList, wantAttrs := g.Neighbors(v), g.Attr(nil, v)
 		if lost(v) {
@@ -54,10 +71,21 @@ func checkAgainstGraph(t *testing.T, g *graph.Graph, ids []graph.NodeID, lists [
 	}
 }
 
+// poisoned hands its store a sentinel-filled dst on every AttrsBatch, as a
+// recycled result buffer would.
+type poisoned struct{ sampler.Store }
+
+func (p poisoned) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
+	poison(dst)
+	return p.Store.AttrsBatch(ctx, dst, vs)
+}
+
 // TestClientStoreContract pins what NeighborsBatch and AttrsBatch promise
 // about dst: on a nil or *PartialError return every element is defined —
 // lost shards' positions nil / zero — and on any other error dst is
-// cleared, whatever it held on entry.
+// cleared, whatever it held on entry. The AttrsBatch half holds for every
+// sampler.Store implementation, which is what lets KHop hand them an
+// unzeroed result buffer.
 func TestClientStoreContract(t *testing.T) {
 	g := testGraph(t)
 	const partitions, dead = 3, 1
@@ -123,5 +151,70 @@ func TestClientStoreContract(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// gather fetches ids' attributes into a sentinel-filled dst.
+	gather := func(st sampler.Store) ([]graph.NodeID, []float32, error) {
+		_, attrs := dirtyBuffers(len(ids), al)
+		return ids, attrs, st.AttrsBatch(bg, attrs, ids)
+	}
+	hetero := graph.NewHetero(g.NumNodes(), al)
+	if err := hetero.AddRelation("follows", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		lost func(graph.NodeID) bool
+		run  func(t *testing.T) ([]graph.NodeID, []float32, error)
+	}{
+		{"local", none, func(*testing.T) ([]graph.NodeID, []float32, error) {
+			return gather(sampler.LocalStore{G: g})
+		}},
+		{"disk", none, func(t *testing.T) ([]graph.NodeID, []float32, error) {
+			dir := t.TempDir()
+			if err := store.Create(dir, g); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := store.Open(dir, store.WithMemoryBudget(4*store.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ds.Close() })
+			return gather(ds)
+		}},
+		{"dynamic", none, func(*testing.T) ([]graph.NodeID, []float32, error) {
+			return gather(graph.NewDynamic(g))
+		}},
+		{"hetero", none, func(t *testing.T) ([]graph.NodeID, []float32, error) {
+			view, err := hetero.RelationView("follows")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gather(view)
+		}},
+		// The partial client itself is the "partial" rows above. The
+		// executor's windowed store runs over it here: the sentinel goes in
+		// beneath the window, on the buffer KHop took unzeroed, and every
+		// slot of the result must come back defined.
+		{"windowed", onDead, func(t *testing.T) ([]graph.NodeID, []float32, error) {
+			ft, client := build(t, false, true)
+			ft.KillServer(dead)
+			cfg := sampler.Config{Fanouts: []int{2}, NegativeRate: 1, FetchAttrs: true, Seed: 1}
+			res, err := pipeline.New(poisoned{client}, cfg, pipeline.Config{}).Sample(bg, ids)
+			if res == nil {
+				t.Fatalf("batch failed: %v", err)
+			}
+			t.Cleanup(res.Release)
+			return sampler.AttrOrder(res), res.Attrs, err
+		}},
+	} {
+		t.Run("store="+tc.name, func(t *testing.T) {
+			got, attrs, err := tc.run(t)
+			var degraded interface{ Lost(graph.NodeID) bool }
+			if lossy := slices.ContainsFunc(ids, tc.lost); lossy != errors.As(err, &degraded) || !lossy && err != nil {
+				t.Fatalf("AttrsBatch returned %v", err)
+			}
+			checkAgainstGraph(t, g, got, nil, attrs, tc.lost)
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
@@ -283,15 +284,46 @@ func grow(frame []byte, n int) []byte {
 	return bigger
 }
 
-// putFloats writes src into dst as little-endian float32s.
+// hostLE reports whether the host lays a float32 out in the wire's byte
+// order, so that a float section is the vector's own memory image.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatImage views fs as its memory image. The cast only ever runs this
+// way: a float section sits at any offset in a frame, and viewing
+// unaligned bytes as floats is invalid (checkptr faults on it).
+func floatImage(fs []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs)*4)
+}
+
+// putFloats writes src into dst as little-endian float32s: one copy on a
+// little-endian host.
 func putFloats(dst []byte, src []float32) {
+	if !hostLE {
+		putFloatsLE(dst, src)
+		return
+	}
+	copy(dst[:len(src)*4], floatImage(src))
+}
+
+// readFloats fills dst from little-endian float32s in src: one copy on a
+// little-endian host.
+func readFloats(dst []float32, src []byte) {
+	if !hostLE {
+		readFloatsLE(dst, src)
+		return
+	}
+	copy(floatImage(dst), src[:len(dst)*4])
+}
+
+// putFloatsLE and readFloatsLE are the portable per-element codec, the
+// only path on a big-endian host.
+func putFloatsLE(dst []byte, src []float32) {
 	for i, f := range src {
 		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(f))
 	}
 }
 
-// readFloats fills dst from little-endian float32s in src.
-func readFloats(dst []float32, src []byte) {
+func readFloatsLE(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
 	}

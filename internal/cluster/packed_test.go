@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -429,6 +430,121 @@ func TestServerAccessTotalsPerID(t *testing.T) {
 		if got, w := srv.Stats().Bytes(cl), want.Bytes(cl); got != w {
 			t.Fatalf("%v bytes %d, want %d", cl, got, w)
 		}
+	}
+}
+
+// TestClientAccessTotalsPerElement: the client records each fetch's
+// accesses once, yet its totals are what one record per element gives — a
+// 16 B structure access per list plus an 8 B one per neighbor ID, an
+// attribute access of AttrBytes per asked-for vector, duplicates included,
+// each remote unless the local shard owns it.
+func TestClientAccessTotalsPerElement(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	srv := []*Server{NewServer(g, part, 0), NewServer(g, part, 1)}
+	cl, err := NewClientContext(bg, DirectTransport{Servers: srv}, part, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := chaosRoots(g, 3, 40)
+	ids = append(ids, ids[1], ids[1], ids[8], ids[30])
+	if err := cl.NeighborsBatch(bg, make([][]graph.NodeID, len(ids)), ids); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := getAttrs(cl, ids); err != nil {
+		t.Fatal(err)
+	}
+	var want trace.AccessStats
+	for _, v := range ids {
+		remote := part.Owner(v) != 0
+		want.Record(trace.AccessStructure, 1, 16, remote)
+		for range g.Neighbors(v) {
+			want.Record(trace.AccessStructure, 1, 8, remote)
+		}
+		want.Record(trace.AccessAttribute, 1, g.AttrBytes(), remote)
+	}
+	for _, c := range []trace.AccessClass{trace.AccessStructure, trace.AccessAttribute} {
+		if got, w := cl.Access.Requests(c), want.Requests(c); got != w {
+			t.Fatalf("%v requests %d, want %d", c, got, w)
+		}
+		if got, w := cl.Access.Bytes(c), want.Bytes(c); got != w {
+			t.Fatalf("%v bytes %d, want %d", c, got, w)
+		}
+	}
+	if got, w := cl.Access.RemoteShare(), want.RemoteShare(); got != w || w == 0 || w == 1 {
+		t.Fatalf("remote share %v, want %v (strictly between 0 and 1)", got, w)
+	}
+}
+
+// TestFloatSectionsMatchPortableCodec: the one-copy float codec writes and
+// reads exactly the bytes of the portable per-element loop, for signed
+// zeros, infinities, subnormals and NaNs with payload bits, at every byte
+// offset — and a payload at an odd offset in a decoded frame reads back
+// bit for bit.
+func TestFloatSectionsMatchPortableCodec(t *testing.T) {
+	patterns := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000001, 0x807fffff, // subnormals
+		0x7fc00001, 0xffbfffff, 0x7f800001, // NaNs with payloads, quiet and signalling
+		0x3fc00000, 0xc2f6e979, 0x00800000, // normals
+	}
+	vals := make([]float32, len(patterns))
+	for i, b := range patterns {
+		vals[i] = math.Float32frombits(b)
+	}
+	want := make([]byte, len(vals)*4)
+	putFloatsLE(want, vals)
+	for i, b := range patterns {
+		if got := binary.LittleEndian.Uint32(want[i*4:]); got != b {
+			t.Fatalf("portable codec wrote %#08x for %#08x", got, b)
+		}
+	}
+	sameBits := func(what string, got []float32) {
+		t.Helper()
+		for i, f := range got {
+			if math.Float32bits(f) != patterns[i] {
+				t.Fatalf("%s: float %d reads %#08x, want %#08x", what, i, math.Float32bits(f), patterns[i])
+			}
+		}
+	}
+	for off := range 4 {
+		buf := make([]byte, off+len(want))
+		putFloats(buf[off:], vals)
+		if !bytes.Equal(buf[off:], want) {
+			t.Fatalf("offset %d: bulk codec wrote %x, portable %x", off, buf[off:], want)
+		}
+		got, portable := make([]float32, len(vals)), make([]float32, len(vals))
+		readFloats(got, buf[off:])
+		readFloatsLE(portable, buf[off:])
+		sameBits(fmt.Sprintf("offset %d bulk", off), got)
+		sameBits(fmt.Sprintf("offset %d portable", off), portable)
+	}
+
+	// A one-byte and a two-byte error sub ahead of the attrs sub put its
+	// payload at offsets of both parities within the frame.
+	sub, payload := appendAttrsHead(nil, len(vals), len(vals)*4)
+	putFloats(payload, vals)
+	var c mof.VecCodec
+	odd := false
+	for _, lead := range []string{"e", "ee"} {
+		frame := peerReply(Header{}, append([]byte{statusError}, lead...), sub)
+		got, err := DecodePackedResponse(frame, 0, &c)
+		if err != nil || len(got) != 2 || got[1].Err != nil {
+			t.Fatalf("decoded %+v, err %v", got, err)
+		}
+		raw := got[1].Attrs.Payload
+		off := cap(frame) - cap(raw)
+		odd = odd || off%2 == 1
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("payload at frame offset %d is %x, want %x", off, raw, want)
+		}
+		back := make([]float32, len(vals))
+		readFloats(back, raw)
+		sameBits(fmt.Sprintf("frame offset %d", off), back)
+	}
+	if !odd {
+		t.Fatal("no payload landed at an odd frame offset")
 	}
 }
 

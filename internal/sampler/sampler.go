@@ -23,7 +23,9 @@ import (
 // Degrade contract: an error that degrades implements Lost(graph.NodeID)
 // bool — the store filled everything else, left the vertices Lost reports
 // nil / zeroed, and the fetch stays layout-complete. Anything else fails
-// the call (see KHop).
+// the call (see KHop). On a nil or degrading return every element of dst
+// is defined, whatever dst held on entry: callers may hand in an unzeroed
+// buffer.
 type Store interface {
 	// NumNodes returns the vertex count.
 	NumNodes() int64
@@ -33,7 +35,8 @@ type Store interface {
 	// have len(vs) entries. The filled lists must not be modified.
 	NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error
 	// AttrsBatch fills dst with the attribute vectors of vs, concatenated
-	// in order. dst must have len(vs)*AttrLen() entries.
+	// in order. dst must have len(vs)*AttrLen() entries; on a nil or
+	// degrading return it writes every one of them, lost vertices as zeros.
 	AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error
 }
 
@@ -371,8 +374,9 @@ func KHop(ctx context.Context, store Store, cfg Config, roots []graph.NodeID) (*
 	if cfg.FetchAttrs {
 		total := attrSlots(res)
 		ids := appendAttrOrder(mem.IDs.Get(total)[:0], res)
-		// Zeroed: degrading stores leave lost vertices at zero fill.
-		res.Attrs = rg.Floats(total*store.AttrLen(), true)
+		// Unzeroed: on a nil or degrading return AttrsBatch writes every
+		// element, lost vertices as zeros (the Store contract).
+		res.Attrs = rg.Floats(total*store.AttrLen(), false)
 		lost, err := deg.classify(ctx, store.AttrsBatch(ctx, res.Attrs, ids))
 		mem.IDs.Put(ids)
 		if err != nil {
