@@ -78,7 +78,8 @@ store-smoke:
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
 # packed-frame decoder, the pooled TCP frame reader, the -tenants parser and
-# the store's segment header.
+# the store's segment header, plus a differential run of the four-lane
+# procedural attribute generator against its scalar reference.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
@@ -86,3 +87,4 @@ fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParseTenants' -fuzztime 10s ./internal/gateway/
 	$(GO) test -fuzz 'FuzzSegmentHeader' -fuzztime 10s ./internal/store/
+	$(GO) test -fuzz 'FuzzProceduralAttrs' -fuzztime 10s ./internal/graph/

@@ -387,26 +387,31 @@ func TestPackedSubRejectionIsolated(t *testing.T) {
 // TestServerAccessTotalsPerID: a server records each sub's accesses once,
 // yet its totals are what one record per served ID gives — a structure
 // access of 16 + 8·degree bytes per list, an attribute access of AttrBytes
-// per vector — counting the IDs a rejected sub served before its bad one.
+// per vector — counting the IDs a rejected sub served before its bad one,
+// also when the bad one sits past the first ctxCheckStride chunk. A clean
+// sub spanning two chunks carries g.Attr's values bit for bit.
 func TestServerAccessTotalsPerID(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
 	srv := NewServer(g, part, 0)
 	var owned []graph.NodeID
 	foreign := graph.NodeID(0)
-	for v := graph.NodeID(0); len(owned) < 3 || foreign == 0; v++ {
+	for v := graph.NodeID(0); len(owned) < ctxCheckStride+40 || foreign == 0; v++ {
 		if part.Owner(v) == 1 {
 			foreign = v
-		} else if len(owned) < 3 {
+		} else if len(owned) < ctxCheckStride+40 {
 			owned = append(owned, v)
 		}
 	}
+	prefix := owned[:ctxCheckStride+20]
 	var c mof.VecCodec
 	frame, err := EncodePackedRequest([]PackedSubRequest{
-		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned}},
-		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned}},
+		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned[:3]}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned[:3]}},
 		{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{owned[0], foreign, owned[1]}}},
 		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: []graph.NodeID{owned[1], foreign}}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: prefix}},
+		{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: append(append(slices.Clone(prefix), foreign), owned[len(prefix):]...)}},
 	}, false, &c)
 	if err != nil {
 		t.Fatal(err)
@@ -415,19 +420,41 @@ func TestServerAccessTotalsPerID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem.Bytes.Recycle(reply)
-	var want trace.AccessStats
-	for _, v := range append(slices.Clone(owned), owned[0]) {
-		want.Record(trace.AccessStructure, 1, 16+len(g.Neighbors(v))*8, false)
+	defer mem.Bytes.Recycle(reply)
+	subs, err := DecodePackedResponse(reply, 0, &c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for range len(owned) + 1 {
-		want.Record(trace.AccessAttribute, 1, g.AttrBytes(), false)
+	for i, rejected := range []bool{false, false, true, true, false, true} {
+		if (subs[i].Err != nil) != rejected {
+			t.Fatalf("sub %d: err %v, want rejected=%v", i, subs[i].Err, rejected)
+		}
+	}
+	payload := subs[4].Attrs.Payload
+	if len(payload) != len(prefix)*g.AttrBytes() {
+		t.Fatalf("clean sub payload %d bytes, want %d", len(payload), len(prefix)*g.AttrBytes())
+	}
+	var want []float32
+	for _, v := range prefix {
+		want = g.Attr(want, v)
+	}
+	for i, f := range want {
+		if got := binary.LittleEndian.Uint32(payload[i*4:]); got != math.Float32bits(f) {
+			t.Fatalf("clean sub float %d (node %d): bits %#x, want %#x", i, prefix[i/g.AttrLen()], got, math.Float32bits(f))
+		}
+	}
+	var wantStats trace.AccessStats
+	for _, v := range append(slices.Clone(owned[:3]), owned[0]) {
+		wantStats.Record(trace.AccessStructure, 1, 16+len(g.Neighbors(v))*8, false)
+	}
+	for range 3 + 1 + 2*len(prefix) {
+		wantStats.Record(trace.AccessAttribute, 1, g.AttrBytes(), false)
 	}
 	for _, cl := range []trace.AccessClass{trace.AccessStructure, trace.AccessAttribute} {
-		if got, w := srv.Stats().Requests(cl), want.Requests(cl); got != w {
+		if got, w := srv.Stats().Requests(cl), wantStats.Requests(cl); got != w {
 			t.Fatalf("%v requests %d, want %d", cl, got, w)
 		}
-		if got, w := srv.Stats().Bytes(cl), want.Bytes(cl); got != w {
+		if got, w := srv.Stats().Bytes(cl), wantStats.Bytes(cl); got != w {
 			t.Fatalf("%v bytes %d, want %d", cl, got, w)
 		}
 	}

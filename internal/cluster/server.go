@@ -33,6 +33,10 @@ type Backend interface {
 	Neighbors(v graph.NodeID) []graph.NodeID
 	// Attr appends v's attribute vector to dst.
 	Attr(dst []float32, v graph.NodeID) []float32
+	// AttrsBatch writes the attribute vectors of vs row-major into dst
+	// (len(vs) × AttrLen), the sampler.Store method. The server hands it
+	// each attrs sub a chunk at a time, every ID already range-checked.
+	AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error
 }
 
 // Server owns one graph partition and answers batched requests. A Server is
@@ -156,31 +160,43 @@ func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (Neighb
 	return resp, nil
 }
 
-// appendAttrs answers an attrs sub straight into the reply frame, each
-// vector read into pooled scratch and put in place in a raw section. Its
-// attribute accesses are recorded once, like GetNeighbors'.
+// appendAttrs answers an attrs sub straight into the reply frame. Each
+// chunk of ctxCheckStride IDs is range-checked up to its first bad ID, and
+// the valid prefix is read in one store call into pooled scratch and put in
+// place in a raw section; the bad ID's error then ends the sub. A store
+// failure comes back as an error too, so the sub is rejected, not served.
+// Its attribute accesses, up to the first failure, are recorded once, like
+// GetNeighbors'.
 func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID) ([]byte, error) {
 	al := s.g.AttrLen()
 	out, payload := appendAttrsHead(out, al, len(ids)*al*4)
-	vec := mem.Floats.Get(al)
-	defer mem.Floats.Put(vec)
+	scratch := mem.Floats.Get(min(len(ids), ctxCheckStride) * al)
+	defer mem.Floats.Put(scratch)
 	var served int
 	defer func() { s.stats.Record(trace.AccessAttribute, served, served*s.g.AttrBytes(), false) }()
-	for i, v := range ids {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		if err := s.checkID(v); err != nil {
+	for start := 0; start < len(ids); start += ctxCheckStride {
+		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		got := s.g.Attr(vec[:0], v)
-		if len(got) != al {
-			return out, fmt.Errorf("cluster: node %d has %d attributes, want %d", v, len(got), al)
+		chunk := ids[start:min(start+ctxCheckStride, len(ids))]
+		var bad error
+		for n, v := range chunk {
+			if bad = s.checkID(v); bad != nil {
+				chunk = chunk[:n]
+				break
+			}
 		}
-		putFloats(payload[i*al*4:], got)
-		served++
+		if len(chunk) > 0 {
+			vecs := scratch[:len(chunk)*al]
+			if err := s.g.AttrsBatch(ctx, vecs, chunk); err != nil {
+				return out, fmt.Errorf("cluster: attribute read: %w", err)
+			}
+			putFloats(payload[start*al*4:], vecs)
+			served += len(chunk)
+		}
+		if bad != nil {
+			return out, bad
+		}
 	}
 	return out, nil
 }

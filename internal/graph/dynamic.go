@@ -75,14 +75,7 @@ func (d *Dynamic) NeighborsBatch(ctx context.Context, dst [][]NodeID, vs []NodeI
 
 // AttrsBatch implements the batch store shape.
 func (d *Dynamic) AttrsBatch(ctx context.Context, dst []float32, vs []NodeID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	al := d.base.AttrLen()
-	for i, v := range vs {
-		d.base.Attr(dst[i*al:i*al], v)
-	}
-	return nil
+	return d.base.AttrsBatch(ctx, dst, vs)
 }
 
 // NumEdges returns base plus delta edge count.

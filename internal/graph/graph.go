@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -44,7 +45,7 @@ func (g *Graph) AttrLen() int { return g.attrLen }
 
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v NodeID) int {
-	if int64(v) >= g.numNodes {
+	if !g.HasNode(v) {
 		return 0
 	}
 	return int(g.offsets[v+1] - g.offsets[v])
@@ -53,19 +54,21 @@ func (g *Graph) Degree(v NodeID) int {
 // Neighbors returns the out-neighbors of v. The returned slice aliases the
 // graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	if int64(v) >= g.numNodes {
+	if !g.HasNode(v) {
 		return nil
 	}
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasNode reports whether v is a valid node ID.
-func (g *Graph) HasNode(v NodeID) bool { return int64(v) < g.numNodes }
+// HasNode reports whether v is a valid node ID. It compares in uint64
+// space: IDs at or above 2^63 would turn negative as int64 and pass a
+// signed check.
+func (g *Graph) HasNode(v NodeID) bool { return uint64(v) < uint64(g.numNodes) }
 
 // EdgeRange returns the half-open index range of v's adjacency list within
 // the global edge array — the CSR offsets hardware address calculations use.
 func (g *Graph) EdgeRange(v NodeID) (start, end int64) {
-	if int64(v) >= g.numNodes {
+	if !g.HasNode(v) {
 		return 0, 0
 	}
 	return g.offsets[v], g.offsets[v+1]
@@ -74,7 +77,7 @@ func (g *Graph) EdgeRange(v NodeID) (start, end int64) {
 // Attr appends the attribute vector of v to dst and returns the result.
 // For procedural graphs the values are a deterministic function of (seed, v).
 func (g *Graph) Attr(dst []float32, v NodeID) []float32 {
-	if int64(v) >= g.numNodes {
+	if !g.HasNode(v) {
 		for i := 0; i < g.attrLen; i++ {
 			dst = append(dst, 0)
 		}
@@ -100,6 +103,60 @@ func ProceduralAttr(dst []float32, seed uint64, attrLen int, v NodeID) []float32
 		dst = append(dst, float32(int64(h>>11))/float32(1<<52)-1)
 	}
 	return dst
+}
+
+// AttrsBatch writes the attribute vectors of vs row-major into dst
+// (len(vs) × AttrLen), the sampler.Store shape. Procedural graphs generate
+// the whole request in one ProceduralAttrs call. IDs outside the graph
+// read as zeros, as in Attr.
+func (g *Graph) AttrsBatch(ctx context.Context, dst []float32, vs []NodeID) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	al := g.attrLen
+	if g.procedural {
+		ProceduralAttrs(dst, g.attrSeed, al, vs)
+	}
+	for i, v := range vs {
+		row := dst[i*al : (i+1)*al]
+		switch {
+		case !g.HasNode(v):
+			clear(row)
+		case !g.procedural:
+			copy(row, g.attrs[int64(v)*int64(al):])
+		}
+	}
+	return nil
+}
+
+// ProceduralAttrs writes the procedural vectors of (seed, v) for every v
+// in vs row-major into dst, which must hold len(vs)×attrLen floats. The
+// values are bit-identical to ProceduralAttr's; the loop runs four nodes'
+// splitmix64 chains side by side so their multiplies overlap instead of
+// each vector waiting on one serial chain. IDs left over after the last
+// group of four go through ProceduralAttr.
+func ProceduralAttrs(dst []float32, seed uint64, attrLen int, vs []NodeID) {
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		h0 := splitmix64(seed ^ uint64(vs[i])*0x9e3779b97f4a7c15)
+		h1 := splitmix64(seed ^ uint64(vs[i+1])*0x9e3779b97f4a7c15)
+		h2 := splitmix64(seed ^ uint64(vs[i+2])*0x9e3779b97f4a7c15)
+		h3 := splitmix64(seed ^ uint64(vs[i+3])*0x9e3779b97f4a7c15)
+		d0 := dst[i*attrLen : (i+1)*attrLen]
+		d1 := dst[(i+1)*attrLen : (i+2)*attrLen]
+		d2 := dst[(i+2)*attrLen : (i+3)*attrLen]
+		d3 := dst[(i+3)*attrLen : (i+4)*attrLen]
+		for j := range d0 {
+			h0, h1, h2, h3 = splitmix64(h0), splitmix64(h1), splitmix64(h2), splitmix64(h3)
+			d0[j] = float32(int64(h0>>11))/float32(1<<52) - 1
+			d1[j] = float32(int64(h1>>11))/float32(1<<52) - 1
+			d2[j] = float32(int64(h2>>11))/float32(1<<52) - 1
+			d3[j] = float32(int64(h3>>11))/float32(1<<52) - 1
+		}
+	}
+	for ; i < len(vs); i++ {
+		ProceduralAttr(dst[i*attrLen:i*attrLen], seed, attrLen, vs[i])
+	}
 }
 
 // AttrSeed returns the procedural attribute seed (0 when attributes are
@@ -194,7 +251,7 @@ func NewBuilder(numNodes int64, attrLen int) *Builder {
 
 // AddEdge records a directed edge src→dst.
 func (b *Builder) AddEdge(src, dst NodeID) error {
-	if int64(src) >= b.numNodes || int64(dst) >= b.numNodes {
+	if uint64(src) >= uint64(b.numNodes) || uint64(dst) >= uint64(b.numNodes) {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", src, dst, b.numNodes)
 	}
 	b.srcs = append(b.srcs, src)
@@ -205,7 +262,7 @@ func (b *Builder) AddEdge(src, dst NodeID) error {
 // SetAttr stores the attribute vector for node v. Vectors must have length
 // attrLen. Nodes without a set attribute default to zeros.
 func (b *Builder) SetAttr(v NodeID, attr []float32) error {
-	if int64(v) >= b.numNodes {
+	if uint64(v) >= uint64(b.numNodes) {
 		return fmt.Errorf("graph: node %d out of range", v)
 	}
 	if len(attr) != b.attrLen {

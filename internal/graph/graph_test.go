@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"context"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +95,56 @@ func TestOutOfRangeAccessors(t *testing.T) {
 	}
 	if g.HasNode(1) == false || g.HasNode(2) == true {
 		t.Fatal("HasNode wrong")
+	}
+}
+
+// TestHugeIDsOutOfRange: IDs at or above 2^63 are negative as int64, so
+// every range check must compare in uint64 space to reject them.
+func TestHugeIDsOutOfRange(t *testing.T) {
+	procedural := Generate(GenConfig{NumNodes: 40, AvgDegree: 3, AttrLen: 5, Seed: 2})
+	materialized := Generate(GenConfig{NumNodes: 40, AvgDegree: 3, AttrLen: 5, Seed: 2, Materialize: true})
+	for _, huge := range []NodeID{1 << 63, math.MaxUint64} {
+		for name, g := range map[string]*Graph{"procedural": procedural, "materialized": materialized} {
+			if g.HasNode(huge) {
+				t.Fatalf("%s: HasNode(%d) true", name, huge)
+			}
+			if g.Neighbors(huge) != nil || g.Degree(huge) != 0 {
+				t.Fatalf("%s: node %d has adjacency", name, huge)
+			}
+			if s, e := g.EdgeRange(huge); s != 0 || e != 0 {
+				t.Fatalf("%s: EdgeRange(%d) = (%d,%d)", name, huge, s, e)
+			}
+			if a := g.Attr(nil, huge); !slices.Equal(a, make([]float32, 5)) {
+				t.Fatalf("%s: Attr(%d) = %v", name, huge, a)
+			}
+			// A batch mixing valid and huge IDs reads what Attr reads,
+			// position by position.
+			vs := []NodeID{3, huge, 0, 39, huge, 7}
+			var want []float32
+			for _, v := range vs {
+				want = g.Attr(want, v)
+			}
+			got := make([]float32, len(want))
+			for i := range got {
+				got[i] = float32(math.NaN()) // a dirty buffer: every element must be written
+			}
+			if err := g.AttrsBatch(context.Background(), got, vs); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: AttrsBatch %v, want %v", name, got, want)
+			}
+		}
+		b := NewBuilder(4, 2)
+		if b.AddEdge(huge, 1) == nil || b.AddEdge(1, huge) == nil {
+			t.Fatalf("Builder.AddEdge accepted node %d", huge)
+		}
+		if b.SetAttr(huge, []float32{1, 2}) == nil {
+			t.Fatalf("Builder.SetAttr accepted node %d", huge)
+		}
+		if d := NewDynamic(procedural); d.AddEdge(huge, 1) == nil || d.AddEdge(1, huge) == nil {
+			t.Fatalf("Dynamic.AddEdge accepted node %d", huge)
+		}
 	}
 }
 
@@ -306,4 +360,53 @@ func TestDegreeHistogram(t *testing.T) {
 	if h[0] != 2 || h[1] != 1 || h[2] != 1 {
 		t.Fatalf("histogram = %v", h)
 	}
+}
+
+// FuzzProceduralAttrs: the four-lane generator is bit-identical to the
+// scalar reference for any seed, vector length and ID list, leftover IDs
+// and IDs past 2^63 included.
+func FuzzProceduralAttrs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, attrLen uint8, raw []byte) {
+		al := int(attrLen) % 131
+		vs := make([]NodeID, min(len(raw)/8, 64))
+		for i := range vs {
+			vs[i] = NodeID(binary.LittleEndian.Uint64(raw[i*8:]))
+		}
+		var want []float32
+		for _, v := range vs {
+			want = ProceduralAttr(want, seed, al, v)
+		}
+		got := make([]float32, len(vs)*al)
+		ProceduralAttrs(got, seed, al, vs)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("float %d (node %d): %v, want %v", i, vs[i/al], got[i], want[i])
+			}
+		}
+	})
+}
+
+// BenchmarkProceduralAttrs compares the scalar chain with the four-lane
+// generator over a 32-vector batch of 64-float vectors, in ns per vector.
+func BenchmarkProceduralAttrs(b *testing.B) {
+	const n, al = 32, 64
+	vs := make([]NodeID, n)
+	for i := range vs {
+		vs[i] = NodeID(i * 7919)
+	}
+	dst := make([]float32, n*al)
+	b.Run("serial", func(b *testing.B) {
+		for range b.N {
+			for i, v := range vs {
+				ProceduralAttr(dst[i*al:i*al], 0x5ca1ab1e, al, v)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vec")
+	})
+	b.Run("batch", func(b *testing.B) {
+		for range b.N {
+			ProceduralAttrs(dst, 0x5ca1ab1e, al, vs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vec")
+	})
 }

@@ -115,16 +115,11 @@ func (v *heteroView) NeighborsBatch(ctx context.Context, dst [][]NodeID, vs []No
 	return nil
 }
 
-// AttrsBatch implements the batch store shape from the shared table.
+// AttrsBatch implements the batch store shape from the shared table, the
+// primary relation's. A view exists only for an added relation, and the
+// first one added is the primary, so a view always has one.
 func (v *heteroView) AttrsBatch(ctx context.Context, dst []float32, vs []NodeID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	al := v.h.attrLen
-	for i, n := range vs {
-		v.h.Attr(dst[i*al:i*al], n)
-	}
-	return nil
+	return v.h.relations[v.h.primary].AttrsBatch(ctx, dst, vs)
 }
 
 // Neighbors implements the deprecated scalar store shape.

@@ -453,12 +453,5 @@ func (l LocalStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs
 
 // AttrsBatch implements Store.
 func (l LocalStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	al := l.G.AttrLen()
-	for i, v := range vs {
-		l.G.Attr(dst[i*al:i*al], v)
-	}
-	return nil
+	return l.G.AttrsBatch(ctx, dst, vs)
 }

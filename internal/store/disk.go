@@ -21,7 +21,7 @@ var ErrClosed = errors.New("store: closed")
 // base+delta shape as graph.Dynamic, but durable), and either an mmap or
 // an admission-controlled page cache underneath depending on the memory
 // budget. It implements sampler.Store batch-first, plus the scalar
-// accessors cluster servers use, plus the streaming ingest path.
+// accessors of cluster.Backend, plus the streaming ingest path.
 type DiskStore struct {
 	dir  string
 	opts options
@@ -281,12 +281,13 @@ func (s *DiskStore) appendAttrLocked(dst []float32, v graph.NodeID) ([]float32, 
 	return s.seg.appendAttr(dst, v)
 }
 
-// scalarFail is where the scalar accessors' failures go. The cluster.Backend
-// seam they serve has no error return yet (ROADMAP 2a), and a closed store,
-// an I/O error or corrupt offsets must reach the client as a failed request,
-// never as "no neighbours" or a zero vector — so they panic with the wrapped
-// error, which cluster.Server.Handle's recover boundary turns into a
-// *ServerError reply.
+// scalarFail is where the scalar accessors' failures go. They have no error
+// return, and a closed store, an I/O error or corrupt offsets must reach the
+// client as a failed request, never as "no neighbours" or a zero vector — so
+// they panic with the wrapped error, which cluster.Server.Handle's recover
+// boundary turns into a *ServerError reply. Of a shard server's reads only
+// Neighbors still goes through it: attributes come through AttrsBatch,
+// whose errors come back as sub rejections.
 func scalarFail(v graph.NodeID, err error) {
 	panic(fmt.Errorf("store: read of node %d: %w", v, err))
 }
@@ -345,7 +346,10 @@ func (s *DiskStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs
 }
 
 // AttrsBatch implements sampler.Store: attribute vectors packed row-major
-// into dst (len(vs) × AttrLen).
+// into dst (len(vs) × AttrLen). A procedural segment generates the whole
+// request in one graph.ProceduralAttrs call, IDs outside the segment read
+// as zeros, and memtable overrides (live, then frozen) replace their rows
+// after; a materialized segment reads each vector through the page cache.
 func (s *DiskStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -356,9 +360,23 @@ func (s *DiskStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.No
 		return ErrClosed
 	}
 	al := s.attrLen
+	if s.seg.materialized {
+		for i, v := range vs {
+			if _, err := s.appendAttrLocked(dst[i*al:i*al], v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	graph.ProceduralAttrs(dst, s.seg.attrSeed, al, vs)
 	for i, v := range vs {
-		if _, err := s.appendAttrLocked(dst[i*al:i*al], v); err != nil {
-			return err
+		row := dst[i*al : (i+1)*al]
+		if uint64(v) >= uint64(s.numNodes) {
+			clear(row)
+		} else if a, ok := s.attrs[v]; ok {
+			copy(row, a)
+		} else if a, ok := s.frozenAttrs[v]; ok {
+			copy(row, a)
 		}
 	}
 	return nil

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lsdgnn/internal/cluster"
@@ -472,10 +474,11 @@ func TestPageCacheBudget(t *testing.T) {
 	}
 }
 
-// TestClosedStoreFailsServerRequests: the scalar accessors a shard server
-// reads through have no error return, so a closed store must fail the
+// TestClosedStoreFailsServerRequests: a closed store must fail the
 // request — neighbors or attributes — instead of answering it with empty
-// adjacency and zero vectors.
+// adjacency and zero vectors. Neighbors has no error return, so its failure
+// fails the whole frame; AttrsBatch returns the error, so the attrs sub
+// comes back rejected inside a served frame.
 func TestClosedStoreFailsServerRequests(t *testing.T) {
 	g := testGraph(t, true)
 	_, s := mustCreate(t, g, WithMemoryBudget(16<<10))
@@ -504,9 +507,62 @@ func TestClosedStoreFailsServerRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, frame := range frames {
-		if _, err := srv.Handle(context.Background(), frame); err == nil {
+		reply, err := srv.Handle(context.Background(), frame)
+		if err != nil {
+			continue
+		}
+		if name == "neighbors" {
 			t.Fatalf("closed store: %s request served as data", name)
 		}
+		subs, err := cluster.DecodePackedResponse(reply, 0, &codec)
+		if err != nil {
+			t.Fatalf("closed store: %s reply: %v", name, err)
+		}
+		if err := subs[0].Err; err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
+			t.Fatalf("closed store: %s sub returned %v, want a rejection naming %q", name, err, ErrClosed)
+		}
+	}
+}
+
+// TestAttrsBatchMatchesAttr: the batch read gives, row by row, what the
+// scalar Attr gives — IDs outside the segment as zeros, a live override
+// ahead of a frozen one ahead of the segment — on procedural and
+// materialized segments alike.
+func TestAttrsBatchMatchesAttr(t *testing.T) {
+	for _, materialize := range []bool{false, true} {
+		g := testGraph(t, materialize)
+		_, s := mustCreate(t, g, WithMemoryBudget(16<<10))
+		al := g.AttrLen()
+		live, frozen := make([]float32, al), make([]float32, al)
+		for i := range live {
+			live[i], frozen[i] = float32(i)+0.5, -float32(i)-0.25
+		}
+		if err := s.SetAttr(7, live); err != nil {
+			t.Fatal(err)
+		}
+		// A failed compaction leaves its frozen memtable serving reads.
+		s.mu.Lock()
+		s.frozenAttrs = map[graph.NodeID][]float32{7: frozen, 11: frozen}
+		s.mu.Unlock()
+		vs := []graph.NodeID{0, 7, 11, 499, 500, 1 << 63, 3, 5, 7, 250, 11}
+		var want []float32
+		for _, v := range vs {
+			want = s.Attr(want, v)
+		}
+		got := make([]float32, len(vs)*al)
+		for i := range got {
+			got[i] = float32(math.NaN()) // a dirty buffer: every element must be written
+		}
+		if err := s.AttrsBatch(context.Background(), got, vs); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("materialize=%v: AttrsBatch %v, want %v", materialize, got, want)
+		}
+		if !reflect.DeepEqual(got[al:2*al], live) || !reflect.DeepEqual(got[2*al:3*al], frozen) {
+			t.Fatalf("materialize=%v: overrides not applied live-first", materialize)
+		}
+		s.Close()
 	}
 }
 
