@@ -78,8 +78,9 @@ store-smoke:
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
 # packed-frame decoder, the pooled TCP frame reader, the -tenants parser and
-# the store's segment header, plus a differential run of the four-lane
-# procedural attribute generator against its scalar reference.
+# the store's segment header, plus a differential run of the procedural
+# attribute generator (the AVX-512 kernel where the CPU has it, the
+# four-lane loop otherwise) against its scalar reference.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/

@@ -446,10 +446,11 @@ func (c *Client) observeCodec(h Header, start time.Time) {
 }
 
 // fanout groups vs by owning shard and runs fetch once per non-empty group,
-// all groups concurrently; pos maps a group's entries back to their
-// positions in vs. It returns only after every fetch has, so nothing
-// touches the caller's buffers — or the pooled groups — afterwards, and
-// reduces the per-shard errors through reduceFanout.
+// all groups concurrently: the last one on the calling goroutine, so a
+// single-shard fetch starts no goroutine. pos maps a group's entries back
+// to their positions in vs. It returns only after every fetch has, so
+// nothing touches the caller's buffers — or the pooled groups — afterwards,
+// and reduces the per-shard errors through reduceFanout.
 func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int, grp []graph.NodeID, pos []uint32) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -457,8 +458,12 @@ func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int
 	grp, pos, off := GroupByOwner(c.part, vs)
 	defer func() { mem.IDs.Put(grp); mem.U32s.Put(pos); mem.U32s.Put(off) }()
 	errs := make([]error, len(off)-1)
+	last := len(errs) - 1
+	for last >= 0 && off[last] == off[last+1] {
+		last--
+	}
 	var wg sync.WaitGroup
-	for s := range errs {
+	for s := 0; s < last; s++ {
 		lo, hi := off[s], off[s+1]
 		if lo == hi {
 			continue
@@ -468,6 +473,10 @@ func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int
 			defer wg.Done()
 			errs[s] = fetch(s, grp, pos)
 		}(s, grp[lo:hi:hi], pos[lo:hi:hi])
+	}
+	if last >= 0 {
+		lo, hi := off[last], off[last+1]
+		errs[last] = fetch(last, grp[lo:hi:hi], pos[lo:hi:hi])
 	}
 	wg.Wait()
 	return c.reduceFanout(ctx, errs)

@@ -218,3 +218,32 @@ func TestClientStoreContract(t *testing.T) {
 		})
 	}
 }
+
+// TestKHopNegativesFromEmptyStore: negatives drawn from a store with no
+// nodes come back as an error, not a panic that would end the gateway or
+// dispatcher goroutine running KHop. Both a local store over an empty graph
+// and a PartialResults client over two empty shards, whose rejected roots
+// degrade before the negative draw, are covered.
+func TestKHopNegativesFromEmptyStore(t *testing.T) {
+	empty, err := graph.NewBuilder(0, 4).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := HashPartitioner{N: 2}
+	client, err := NewClientContext(bg, DirectTransport{Servers: []*Server{NewServer(empty, part, 0), NewServer(empty, part, 1)}}, part, -1,
+		WithResilience(ResilienceConfig{Retry: RetryPolicy{MaxAttempts: 1}, PartialResults: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store sampler.Store
+	}{{"local", sampler.LocalStore{G: empty}}, {"partial-client", client}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := sampler.KHop(bg, tc.store, chaosSampling, []graph.NodeID{0, 1})
+			if err == nil || res != nil {
+				t.Fatalf("KHop = (%v, %v), want an error and no result", res, err)
+			}
+		})
+	}
+}

@@ -437,20 +437,12 @@ func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, m
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
-	// Watch for cancellation while I/O is in flight. stop/watchDone fence
-	// the watcher so a late SetDeadline can never poison a pooled conn.
-	var stop, watchDone chan struct{}
+	// Cancel in-flight I/O when ctx ends. A conn whose hook has run may
+	// carry a past deadline at any later point, so it is closed, never
+	// pooled.
+	stop := func() bool { return true }
 	if ctx.Done() != nil {
-		stop = make(chan struct{})
-		watchDone = make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(aLongTimeAgo)
-			case <-stop:
-			}
-		}()
+		stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
 	}
 	ioErr := writeFrame(conn, noStatus, msg)
 	var resp []byte
@@ -458,13 +450,14 @@ func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, m
 	if ioErr == nil {
 		resp, status, ioErr = readFrame(conn, true)
 	}
-	if stop != nil {
-		close(stop)
-		<-watchDone
-	}
 	if ioErr != nil {
+		stop()
 		conn.Close()
 		return nil, 0, ioErr
+	}
+	if !stop() {
+		conn.Close()
+		return resp, status, nil
 	}
 	_ = conn.SetDeadline(time.Time{})
 	t.put(server, conn)

@@ -99,11 +99,13 @@ func ProceduralAttr(dst []float32, seed uint64, attrLen int, v NodeID) []float32
 	h := splitmix64(seed ^ uint64(v)*0x9e3779b97f4a7c15)
 	for i := 0; i < attrLen; i++ {
 		h = splitmix64(h)
-		// Map to [-1, 1).
-		dst = append(dst, float32(int64(h>>11))/float32(1<<52)-1)
+		dst = append(dst, attrFloat(h))
 	}
 	return dst
 }
+
+// attrFloat maps one splitmix64 output to [-1, 1).
+func attrFloat(h uint64) float32 { return float32(int64(h>>11))/float32(1<<52) - 1 }
 
 // AttrsBatch writes the attribute vectors of vs row-major into dst
 // (len(vs) × AttrLen), the sampler.Store shape. Procedural graphs generate
@@ -131,11 +133,23 @@ func (g *Graph) AttrsBatch(ctx context.Context, dst []float32, vs []NodeID) erro
 
 // ProceduralAttrs writes the procedural vectors of (seed, v) for every v
 // in vs row-major into dst, which must hold len(vs)×attrLen floats. The
-// values are bit-identical to ProceduralAttr's; the loop runs four nodes'
+// values are bit-identical to ProceduralAttr's. On a CPU with AVX-512 every
+// full group of 32 IDs goes through a vector kernel that runs their 32
+// chains at once (proceduralWide); the IDs left over go through
+// proceduralLanes.
+func ProceduralAttrs(dst []float32, seed uint64, attrLen int, vs []NodeID) {
+	n := 0
+	if haveWide {
+		n = proceduralWide(dst, seed, attrLen, vs)
+	}
+	proceduralLanes(dst[n*attrLen:], seed, attrLen, vs[n:])
+}
+
+// proceduralLanes is ProceduralAttrs' portable loop: it runs four nodes'
 // splitmix64 chains side by side so their multiplies overlap instead of
 // each vector waiting on one serial chain. IDs left over after the last
 // group of four go through ProceduralAttr.
-func ProceduralAttrs(dst []float32, seed uint64, attrLen int, vs []NodeID) {
+func proceduralLanes(dst []float32, seed uint64, attrLen int, vs []NodeID) {
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
 		h0 := splitmix64(seed ^ uint64(vs[i])*0x9e3779b97f4a7c15)
@@ -148,10 +162,10 @@ func ProceduralAttrs(dst []float32, seed uint64, attrLen int, vs []NodeID) {
 		d3 := dst[(i+3)*attrLen : (i+4)*attrLen]
 		for j := range d0 {
 			h0, h1, h2, h3 = splitmix64(h0), splitmix64(h1), splitmix64(h2), splitmix64(h3)
-			d0[j] = float32(int64(h0>>11))/float32(1<<52) - 1
-			d1[j] = float32(int64(h1>>11))/float32(1<<52) - 1
-			d2[j] = float32(int64(h2>>11))/float32(1<<52) - 1
-			d3[j] = float32(int64(h3>>11))/float32(1<<52) - 1
+			d0[j] = attrFloat(h0)
+			d1[j] = attrFloat(h1)
+			d2[j] = attrFloat(h2)
+			d3[j] = attrFloat(h3)
 		}
 	}
 	for ; i < len(vs); i++ {

@@ -362,13 +362,66 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 }
 
-// FuzzProceduralAttrs: the four-lane generator is bit-identical to the
-// scalar reference for any seed, vector length and ID list, leftover IDs
-// and IDs past 2^63 included.
+// TestProceduralAttrsPaths calls the vector kernel path and the portable
+// loop directly and checks each against ProceduralAttr bit for bit, at
+// attribute lengths with and without a 1–7 float tail and at ID counts on
+// both sides of the kernel's groups of 32, duplicates and IDs past 2^63
+// included.
+func TestProceduralAttrsPaths(t *testing.T) {
+	const seed = 0x5ca1ab1e
+	ids := make([]NodeID, 100)
+	for i := range ids {
+		ids[i] = NodeID(uint64(i) * 0x9e3779b97f4a7c15) // half past 2^63
+	}
+	ids[5], ids[40], ids[41] = ids[4], ids[4], ids[39]
+	ids[70], ids[71] = NodeID(1<<63), NodeID(math.MaxUint64)
+	paths := []struct {
+		name string
+		run  func(t *testing.T, dst []float32, al int, vs []NodeID)
+	}{
+		{"portable", func(_ *testing.T, dst []float32, al int, vs []NodeID) {
+			proceduralLanes(dst, seed, al, vs)
+		}},
+		{"kernel", func(t *testing.T, dst []float32, al int, vs []NodeID) {
+			if !haveWide {
+				t.Skip("this CPU lacks AVX-512 F/DQ/VL (or the OS does not save zmm state), so the kernel cannot run")
+			}
+			n := proceduralWide(dst, seed, al, vs)
+			if want := len(vs) &^ 31; al < 8 && n != 0 || al >= 8 && n != want {
+				t.Fatalf("kernel covered %d IDs of %d at attrLen %d", n, len(vs), al)
+			}
+			proceduralLanes(dst[n*al:], seed, al, vs[n:])
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			for _, al := range []int{0, 1, 7, 8, 16, 63, 64, 72, 84, 128, 130, 152} {
+				for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 100} {
+					vs := ids[:n]
+					var want []float32
+					for _, v := range vs {
+						want = ProceduralAttr(want, seed, al, v)
+					}
+					got := make([]float32, n*al)
+					p.run(t, got, al, vs)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("attrLen %d, %d IDs: float %d (node %d): %v, want %v", al, n, i, vs[i/al], got[i], want[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzProceduralAttrs: the generator is bit-identical to the scalar
+// reference for any seed, vector length and ID list, across several groups
+// of 32, leftover IDs and IDs past 2^63 included.
 func FuzzProceduralAttrs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, attrLen uint8, raw []byte) {
 		al := int(attrLen) % 131
-		vs := make([]NodeID, min(len(raw)/8, 64))
+		vs := make([]NodeID, min(len(raw)/8, 130))
 		for i := range vs {
 			vs[i] = NodeID(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
@@ -386,8 +439,9 @@ func FuzzProceduralAttrs(f *testing.F) {
 	})
 }
 
-// BenchmarkProceduralAttrs compares the scalar chain with the four-lane
-// generator over a 32-vector batch of 64-float vectors, in ns per vector.
+// BenchmarkProceduralAttrs compares the scalar chain, the portable
+// four-lane loop and ProceduralAttrs (the vector kernel where the CPU has
+// AVX-512) over a 32-vector batch of 64-float vectors, in ns per vector.
 func BenchmarkProceduralAttrs(b *testing.B) {
 	const n, al = 32, 64
 	vs := make([]NodeID, n)
@@ -403,7 +457,18 @@ func BenchmarkProceduralAttrs(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vec")
 	})
+	b.Run("portable", func(b *testing.B) {
+		for range b.N {
+			proceduralLanes(dst, 0x5ca1ab1e, al, vs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vec")
+	})
 	b.Run("batch", func(b *testing.B) {
+		if haveWide {
+			b.Log("batch path: AVX-512 kernel")
+		} else {
+			b.Log("batch path: portable loop (no AVX-512 kernel on this CPU)")
+		}
 		for range b.N {
 			ProceduralAttrs(dst, 0x5ca1ab1e, al, vs)
 		}

@@ -320,6 +320,7 @@ func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, pe
 // pad with self-loops / zero fill, every other root stays exact, and the
 // layout-complete Result comes back with a *PartialError naming each root
 // that asked for a lost vertex; any other store error returns (nil, err).
+// Negatives requested from a store with no nodes return (nil, err) too.
 //
 // The result's hop, negative and attribute buffers come from the shared
 // internal/mem pools; call Result.Release when done with it to recycle
@@ -360,9 +361,13 @@ func KHop(ctx context.Context, store Store, cfg Config, roots []graph.NodeID) (*
 		frontier, width = next, width*fanout
 	}
 	if cfg.NegativeRate > 0 {
+		n := store.NumNodes()
+		if n <= 0 && len(roots) > 0 {
+			res.Release()
+			return nil, fmt.Errorf("sampler: %d negatives per root requested from a store with %d nodes", cfg.NegativeRate, n)
+		}
 		negBuf := rg.IDs(len(roots) * cfg.NegativeRate)
 		negs := negBuf[:0:len(negBuf)]
-		n := store.NumNodes()
 		for r := range roots {
 			rng := negativesRand(cfg.Seed, r)
 			for i := 0; i < cfg.NegativeRate; i++ {
