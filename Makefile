@@ -15,7 +15,7 @@ verify:
 # Fault-injection suite: every chaos/resilience/recovery test hammered
 # under the race detector with a high iteration count.
 chaos:
-	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
 	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute|TestEngineSpares' ./internal/core/
 
 # Every Go benchmark in the tree (paper tables/figures included). The

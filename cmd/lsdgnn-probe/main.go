@@ -10,9 +10,9 @@
 //
 //	lsdgnn-probe -addrs 127.0.0.1:7001,127.0.0.1:7002 -batches 8
 //
-// With -replicas the address list covers a replicated tier in
-// UniformReplicas order (replica r of partition p at index r*partitions+p)
-// and the probe routes by a versioned elastic layout; -drain-endpoint then
+// The probe routes by a versioned layout. With -replicas the address list
+// covers a replicated tier in UniformLayout order (replica r of partition
+// p at index r*partitions+p); -drain-endpoint then
 // rehearses a live replica rotation mid-burst, and -layout prints the
 // lsdgnn_cluster_layout_* series the rotation moved:
 //
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	addrs := flag.String("addrs", "127.0.0.1:7001", "comma-separated server addresses, one per partition (UniformReplicas layout)")
+	addrs := flag.String("addrs", "127.0.0.1:7001", "comma-separated server addresses, one per partition (UniformLayout order)")
 	batches := flag.Int("batches", 8, "sampling batches to drive")
 	batchSize := flag.Int("batch-size", 64, "roots per batch")
 	workers := flag.Int("workers", 4, "concurrent batch drivers")
@@ -49,7 +49,7 @@ func main() {
 	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests, shared by all workers (0 = default 8192)")
 	seed := flag.Int64("seed", 1, "root-selection and sampling seed")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
-	replicas := flag.Int("replicas", 1, "replicas per partition; addrs must list partitions×replicas servers in UniformReplicas order")
+	replicas := flag.Int("replicas", 1, "replicas per partition; addrs must list partitions×replicas servers in UniformLayout order")
 	layoutStats := flag.Bool("layout", false, "print the client-side lsdgnn_cluster_layout_* elastic-layout metrics after the burst")
 	sloStats := flag.Bool("slo", false, "classify batches against a client-side probe_batch latency objective and print the lsdgnn_slo_* series after the burst")
 	sloThreshold := flag.Duration("slo-threshold", 50*time.Millisecond, "probe_batch objective budget (with -slo)")
@@ -87,12 +87,10 @@ func main() {
 	if *apiKey != "" {
 		opts = append(opts, cluster.WithAPIKey(*apiKey))
 	}
+	opts = append(opts, cluster.WithLayout(cluster.UniformLayout(partitions, *replicas)))
 	if *replicas > 1 {
-		// A replicated tier routes by the versioned elastic layout, with
-		// the stock retry/breaker/failover policy underneath it.
-		opts = append(opts,
-			cluster.WithResilience(cluster.DefaultResilienceConfig()),
-			cluster.WithLayout(cluster.UniformLayout(partitions, *replicas)))
+		// A replicated tier gets the stock retry/breaker policy.
+		opts = append(opts, cluster.WithResilience(cluster.DefaultResilienceConfig()))
 	}
 	client, err := cluster.NewClientContext(ctx, transport, part, -1, opts...)
 	if err != nil {

@@ -9,8 +9,8 @@
 //	lsdgnn-server -addr :7002 -partition 1 -partitions 4 &
 //	...
 //
-// Replicas serve the same partition from another address so resilient
-// clients (cluster.WithResilience + cluster.ReplicaMap) can fail over, and
+// Replicas serve the same partition from another address so clients
+// routing by a replicated layout (cluster.WithLayout) can fail over, and
 // the chaos flags let an operator rehearse exactly that:
 //
 //	lsdgnn-server -addr :7011 -partition 0 -partitions 4 -replica 1 &
@@ -65,7 +65,7 @@ func main() {
 	graphFile := flag.String("graph", "", "serve a graph saved with graph.Save instead of generating one")
 	partition := flag.Int("partition", 0, "this server's partition index")
 	partitions := flag.Int("partitions", 1, "total partition count")
-	replica := flag.Int("replica", 0, "replica index of this partition (0 = primary); replicas serve identical data from another address so clients can fail over (cluster.ReplicaMap)")
+	replica := flag.Int("replica", 0, "replica index of this partition (0 = primary); replicas serve identical data from another address so clients can fail over (cluster.WithLayout)")
 	seed := flag.Int64("seed", 42, "graph generation seed (must match peers)")
 	drain := flag.Duration("drain", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	chaosErr := flag.Float64("chaos-error-rate", 0, "inject request failures with this probability, for chaos-testing client retry/failover [0,1]")

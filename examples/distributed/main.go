@@ -30,7 +30,7 @@ func main() {
 	part := cluster.HashPartitioner{N: partitions}
 
 	// Launch replicas×partitions TCP servers on loopback, laid out as
-	// cluster.UniformReplicas expects: endpoints [0,partitions) are the
+	// cluster.UniformLayout expects: endpoints [0,partitions) are the
 	// primaries, the next block the replicas. Primaries misbehave.
 	addrs := make([]string, partitions*replicas)
 	for r := 0; r < replicas; r++ {
@@ -51,19 +51,17 @@ func main() {
 		}
 	}
 
-	// A worker dials all endpoints and samples across the wire with the
-	// resilience policy: bounded retries with backoff + jitter, a circuit
-	// breaker per endpoint, and failover onto the replica set.
+	// A worker dials all endpoints, routes by the replicated layout, and
+	// samples across the wire with the resilience policy: bounded retries
+	// with backoff + jitter, a circuit breaker per endpoint, and failover
+	// onto the replica set.
 	transport := cluster.DialTCP(addrs, 2)
 	defer transport.Close()
 	tracer := obs.NewTracer()
 	client, err := cluster.NewClientContext(context.Background(), transport, part, -1,
 		cluster.WithTracer(tracer),
-		cluster.WithResilience(cluster.ResilienceConfig{
-			Retry:    cluster.DefaultRetryPolicy(),
-			Breaker:  cluster.DefaultBreakerConfig(),
-			Replicas: cluster.UniformReplicas(partitions, replicas),
-		}))
+		cluster.WithLayout(cluster.UniformLayout(partitions, replicas)),
+		cluster.WithResilience(cluster.DefaultResilienceConfig()))
 	if err != nil {
 		log.Fatal(err)
 	}

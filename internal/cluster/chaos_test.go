@@ -34,7 +34,7 @@ func chaosRoots(g *graph.Graph, batch, size int) []graph.NodeID {
 
 // buildChaosCluster assembles partitions×replicas servers behind a seeded
 // FaultyTransport (no faults set yet — the bootstrap meta fetch runs
-// clean) and a resilient client. Layout follows UniformReplicas: endpoint
+// clean) and a resilient client routing by UniformLayout: endpoint
 // r*partitions+p serves partition p.
 func buildChaosCluster(t *testing.T, g *graph.Graph, partitions, replicas int, cfg ResilienceConfig) (*FaultyTransport, *Client) {
 	t.Helper()
@@ -46,10 +46,7 @@ func buildChaosCluster(t *testing.T, g *graph.Graph, partitions, replicas int, c
 		}
 	}
 	ft := NewFaultyTransport(DirectTransport{Servers: servers}, 42)
-	if cfg.Replicas == nil && replicas > 1 {
-		cfg.Replicas = UniformReplicas(partitions, replicas)
-	}
-	client, err := NewClientContext(bg, ft, part, 0, WithResilience(cfg))
+	client, err := NewClientContext(bg, ft, part, 0, WithResilience(cfg), WithLayout(UniformLayout(partitions, replicas)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +390,11 @@ func TestChaosPackedSampleBatchUnderFaults(t *testing.T) {
 	ft := NewFaultyTransport(DirectTransport{Servers: servers}, 42)
 	client, err := NewClientContext(bg, ft, part, 0,
 		WithResilience(ResilienceConfig{
-			Retry:    RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Jitter: 0.5},
-			Breaker:  BreakerConfig{Threshold: 10, OpenFor: 10 * time.Millisecond},
-			Replicas: UniformReplicas(partitions, replicas),
-			Seed:     7,
-		}))
+			Retry:   RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Jitter: 0.5},
+			Breaker: BreakerConfig{Threshold: 10, OpenFor: 10 * time.Millisecond},
+			Seed:    7,
+		}),
+		WithLayout(UniformLayout(partitions, replicas)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,11 +473,10 @@ func TestChaosFrameRecycling(t *testing.T) {
 	// servers (below) orders that recycle before the closing read.
 	handed, recycled := ownedLedger()
 	client, err := NewClientContext(bg, ft, part, -1, WithResilience(ResilienceConfig{
-		Retry:    RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Breaker:  BreakerConfig{Threshold: 50, OpenFor: time.Millisecond},
-		Replicas: UniformReplicas(partitions, replicas),
-		Seed:     7,
-	}))
+		Retry:   RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Breaker: BreakerConfig{Threshold: 50, OpenFor: time.Millisecond},
+		Seed:    7,
+	}), WithLayout(UniformLayout(partitions, replicas)))
 	if err != nil {
 		t.Fatal(err)
 	}

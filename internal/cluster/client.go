@@ -125,11 +125,15 @@ type Client struct {
 	// Res tallies resilience events ("cluster.resilience"): retries,
 	// breaker transitions, failovers, and lost shards.
 	Res ResilienceStats
-	// res executes calls under the WithResilience policy; nil means the
-	// legacy fail-fast path.
+	// res executes every call — data fetches, the bootstrap meta fetch and
+	// admission probes — under the client's policy, routing by layout.
 	res *resilience
-	// partial enables PartialResults degradation (set via WithResilience).
-	partial bool
+	// policy holds the WithResilience request until construction; nil
+	// means the failFast policy.
+	policy *ResilienceConfig
+	// setup is the pass count of the bootstrap fetch and admission probes:
+	// the policy's, or DefaultRetryPolicy's without one.
+	setup int
 	// tracer, when set (WithTracer), records the per-hop latency breakdown
 	// — batch, RPC, wire, server — and resilience events; every request
 	// then carries its trace ID in the frame header.
@@ -141,12 +145,12 @@ type Client struct {
 	// epoch gauge, swaps, joins, drains, migrations, dual-home requests,
 	// probe failures.
 	Lay LayoutStats
-	// layout is the live epoch-versioned routing table; readers load it
-	// atomically, the control-plane methods (serialized by layoutMu) swap
-	// it. Always non-nil after construction.
+	// layout is the live epoch-versioned routing table, the client's only
+	// one; readers load it atomically, the control-plane methods
+	// (serialized by layoutMu) swap it. WithLayout seeds it; construction
+	// normalizes it, or stores the identity layout. Always non-nil after
+	// construction.
 	layout atomic.Pointer[Layout]
-	// initLayout holds the WithLayout request until construction.
-	initLayout *Layout
 	// layoutMu serializes layout transitions (ApplyLayout, AddReplica,
 	// DrainReplica, MigratePartition); it is never taken on the data path.
 	layoutMu sync.Mutex
@@ -164,15 +168,13 @@ type Client struct {
 // ClientOption customizes a Client at construction.
 type ClientOption func(*Client)
 
-// WithResilience enables the fault-tolerance policy: bounded retries with
-// backoff + jitter, per-endpoint circuit breakers, replica failover, and
-// (when cfg.PartialResults is set) degraded batches instead of fail-closed
-// fan-outs.
+// WithResilience sets the fault-tolerance policy: bounded retries with
+// backoff + jitter, per-endpoint circuit breakers, and (when
+// cfg.PartialResults is set) degraded batches instead of fail-closed
+// fan-outs. Without it a client runs the failFast policy: one pass over
+// the layout's serving endpoints, no retries, and no breaker that opens.
 func WithResilience(cfg ResilienceConfig) ClientOption {
-	return func(c *Client) {
-		c.res = newResilience(cfg, &c.Res)
-		c.partial = cfg.PartialResults
-	}
+	return func(c *Client) { c.policy = &cfg }
 }
 
 // WithTracer attaches a hop tracer. Each request then carries its trace ID
@@ -218,79 +220,48 @@ func NewClient(t Transport, p Partitioner, local int) (*Client, error) {
 // NewClientContext builds a client and fetches cluster metadata from
 // partition 0. The bootstrap fetch is bounded by ctx (with
 // DefaultBootstrapTimeout applied when ctx has no deadline) and retried
-// through the configured resilience policy — or the default retry policy
-// when none is configured — so a briefly-unready server 0 does not fail
-// cluster startup.
+// through the configured resilience policy — or the default retry policy's
+// pass count when none is configured — so a briefly-unready server 0 does
+// not fail cluster startup.
 func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int, opts ...ClientOption) (*Client, error) {
 	c := &Client{transport: t, part: p, local: local}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.res != nil {
-		if err := c.res.cfg.Replicas.Validate(p.Servers()); err != nil {
+	// The layout is the routing table from the first request: WithLayout's,
+	// else the identity layout. It is deep-copied so the client never
+	// shares mutable state with the caller's.
+	lay := c.layout.Load()
+	if lay == nil {
+		var err error
+		if lay, err = NewLayout(p.Servers(), nil); err != nil {
 			return nil, err
 		}
-		// Options apply in any order; bind the tracer after all have run.
-		c.res.tracer = c.tracer
 	}
-	// The layout is the routing source of truth from the first request:
-	// WithLayout wins, else the resilience config's ReplicaMap (every
-	// endpoint serving) and finally the identity layout. The resilience
-	// layer re-resolves its endpoint set from it at the top of every pass,
-	// so a mid-flight epoch swap redirects retries without touching the
-	// request already on the wire.
-	initLay := c.initLayout
-	if initLay != nil {
-		if c.res == nil {
-			return nil, errors.New("cluster: WithLayout requires WithResilience")
-		}
-	} else {
-		var m ReplicaMap
-		if c.res != nil {
-			m = c.res.cfg.Replicas
-		}
-		var lerr error
-		if initLay, lerr = NewLayout(p.Servers(), m); lerr != nil {
-			return nil, lerr
-		}
+	norm, err := lay.normalized()
+	if err != nil {
+		return nil, err
 	}
-	{
-		norm, lerr := initLay.normalized()
-		if lerr != nil {
-			return nil, lerr
-		}
-		if lerr := norm.Validate(p.Servers()); lerr != nil {
-			return nil, lerr
-		}
-		c.layout.Store(norm)
+	if err := norm.Validate(p.Servers()); err != nil {
+		return nil, err
 	}
+	c.layout.Store(norm)
+	cfg, setup := failFast, DefaultRetryPolicy().MaxAttempts
+	if c.policy != nil {
+		cfg, setup = *c.policy, c.policy.Retry.withDefaults().MaxAttempts
+	}
+	c.res, c.setup = newResilience(cfg, &c.Res, &c.layout, c.tracer), setup
 	c.loads = make([]atomic.Int64, p.Servers())
 	c.Lay.mu.Lock()
 	c.Lay.epoch = func() uint64 { return c.layout.Load().Epoch }
 	c.Lay.mu.Unlock()
-	if c.res != nil {
-		c.res.routes = c.routableEndpoints
-		c.res.live = func(ep int) bool { return c.layout.Load().Contains(ep) }
-	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultBootstrapTimeout)
 		defer cancel()
 	}
-	boot := c.res
-	if boot == nil {
-		boot = newResilience(ResilienceConfig{Retry: DefaultRetryPolicy()}, &c.Res)
-	}
 	ctx, h := c.header(ctx)
-	raw, err := boot.call(ctx, 0, EncodeMetaRequest(h), c.invoke)
-	if c.res == nil {
-		// The bootstrap-only resilience installed its breaker gauge on
-		// c.Res; drop it so a policy-less client does not keep reporting
-		// gauges from a discarded breaker map.
-		c.Res.mu.Lock()
-		c.Res.breakers = nil
-		c.Res.mu.Unlock()
-	}
+	raw, err := c.res.call(ctx, c.setup, 0, EncodeMetaRequest(h), c.invoke)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: meta fetch: %w", err)
 	}
@@ -323,11 +294,12 @@ func (c *Client) AttrLen() int { return c.meta.AttrLen }
 // speaks; bootstrap rejects every version but this build's.
 func (c *Client) NegotiatedVersion() int { return ProtoVersion }
 
-// call issues one request to the partition's serving endpoint(s). With a
-// resilience policy it retries, fails over to replicas, and consults
-// circuit breakers; without one it is a single fail-fast transport call.
-// The RPC hop spans the whole policy run — backoff waits and failovers
-// included — so rpc minus wire minus server is the resilience overhead.
+// call issues one request to the partition's serving endpoints under the
+// client's policy: passes over the layout's serving endpoints with
+// failover and circuit breakers, retried with backoff when the policy
+// allows more than one. The RPC hop spans the whole policy run — backoff
+// waits and failovers included — so rpc minus wire minus server is the
+// resilience overhead.
 func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, error) {
 	if c.tracer != nil {
 		var id obs.TraceID
@@ -340,13 +312,10 @@ func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, e
 	}
 	// Dual-home accounting is one atomic load plus a bool index — the
 	// layout indirection stays off the steady-state allocation path.
-	if l := c.layout.Load(); l != nil && l.DualHome(partition) {
+	if c.layout.Load().DualHome(partition) {
 		c.Lay.add(&c.Lay.snap.DualHomeRequests)
 	}
-	if c.res != nil {
-		return c.res.call(ctx, partition, req, c.invoke)
-	}
-	return c.invoke(ctx, partition, req)
+	return c.res.call(ctx, c.res.cfg.Retry.MaxAttempts, partition, req, c.invoke)
 }
 
 // header builds the header for a request sent under ctx: the tenant key if
@@ -508,7 +477,7 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
 	}
-	if c.partial {
+	if c.res.cfg.PartialResults {
 		c.Res.addN(&c.Res.snap.ShardErrors, len(shards))
 		return &PartialError{Shards: shards, part: c.part}
 	}

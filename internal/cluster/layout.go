@@ -87,13 +87,14 @@ type Layout struct {
 
 // NewLayout builds the epoch-1 layout in which every endpoint of m serves.
 // A nil ReplicaMap yields the identity layout: partition p served only by
-// endpoint p.
+// endpoint p. A map shorter than partitions, an empty row or a negative
+// endpoint is rejected.
 func NewLayout(partitions int, m ReplicaMap) (*Layout, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("cluster: layout over %d partitions", partitions)
 	}
-	if err := m.Validate(partitions); err != nil {
-		return nil, err
+	if m != nil && len(m) < partitions {
+		return nil, fmt.Errorf("cluster: replica map covers %d of %d partitions", len(m), partitions)
 	}
 	l := &Layout{Epoch: 1, Partitions: make([][]LayoutEndpoint, partitions)}
 	for p := range l.Partitions {
@@ -451,29 +452,17 @@ func (s *LayoutStats) StatsSnapshot() stats.Snapshot {
 	}}
 }
 
-// WithLayout sets the client's initial elastic layout, replacing the
-// static ReplicaMap as the routing source. Requires WithResilience — the
-// layout machinery routes through the failover/breaker path. The replica
-// map inside the resilience config, if any, is ignored in favor of the
-// layout.
+// WithLayout sets the client's initial layout, its routing table: each
+// partition's serving endpoints, primary first, in the order a pass tries
+// them. Without it the client routes by the identity layout (partition p
+// served only by endpoint p). Replicated clients pass
+// WithLayout(UniformLayout(partitions, replicas)).
 func WithLayout(l *Layout) ClientOption {
-	return func(c *Client) { c.initLayout = l }
+	return func(c *Client) { c.layout.Store(l) }
 }
 
 // Layout returns the layout the client is currently routing by.
 func (c *Client) Layout() *Layout { return c.layout.Load() }
-
-// routableEndpoints resolves a partition's serving endpoints from the live
-// layout; the resilience layer calls it at the top of every endpoint pass,
-// so retries of an in-flight request resolve against the newest epoch while
-// the pass that already started completes against the old one.
-func (c *Client) routableEndpoints(partition int) []int {
-	l := c.layout.Load()
-	if l == nil {
-		return nil
-	}
-	return l.Routable(partition)
-}
 
 // ApplyLayout atomically swaps the serving layout for nl. The new epoch
 // must advance the current one; the layout is validated, deep-copied, and
@@ -488,9 +477,6 @@ func (c *Client) ApplyLayout(nl *Layout) error {
 }
 
 func (c *Client) applyLocked(nl *Layout) error {
-	if c.res == nil {
-		return errors.New("cluster: layout swaps require WithResilience")
-	}
 	if nl == nil {
 		return errors.New("cluster: nil layout")
 	}
@@ -501,8 +487,7 @@ func (c *Client) applyLocked(nl *Layout) error {
 	if err := norm.Validate(c.part.Servers()); err != nil {
 		return err
 	}
-	old := c.layout.Load()
-	if old != nil && norm.Epoch <= old.Epoch {
+	if old := c.layout.Load(); norm.Epoch <= old.Epoch {
 		return fmt.Errorf("cluster: stale layout epoch %d (serving epoch %d)", norm.Epoch, old.Epoch)
 	}
 	c.layout.Store(norm)
@@ -519,28 +504,7 @@ func (c *Client) applyLocked(nl *Layout) error {
 func (c *Client) AddReplica(ctx context.Context, partition, endpoint int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if c.res == nil {
-		return errors.New("cluster: AddReplica requires WithResilience")
-	}
-	join, err := c.layout.Load().WithJoining(partition, endpoint)
-	if err != nil {
-		return err
-	}
-	if err := c.applyLocked(join); err != nil {
-		return err
-	}
-	if perr := c.probeEndpoint(ctx, partition, endpoint); perr != nil {
-		c.Lay.add(&c.Lay.snap.ProbeFailures)
-		if back, berr := c.layout.Load().Without(partition, endpoint); berr == nil {
-			_ = c.applyLocked(back)
-		}
-		return fmt.Errorf("cluster: endpoint %d failed the admission probe for partition %d: %w", endpoint, partition, perr)
-	}
-	serve, err := c.layout.Load().WithServing(partition, endpoint)
-	if err != nil {
-		return err
-	}
-	if err := c.applyLocked(serve); err != nil {
+	if err := c.admitLocked(ctx, partition, endpoint, false); err != nil {
 		return err
 	}
 	c.Lay.add(&c.Lay.snap.ReplicaJoins)
@@ -555,24 +519,7 @@ func (c *Client) AddReplica(ctx context.Context, partition, endpoint int) error 
 func (c *Client) DrainReplica(ctx context.Context, partition, endpoint int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if c.res == nil {
-		return errors.New("cluster: DrainReplica requires WithResilience")
-	}
-	d, err := c.layout.Load().WithDraining(partition, endpoint)
-	if err != nil {
-		return err
-	}
-	if err := c.applyLocked(d); err != nil {
-		return err
-	}
-	if err := c.awaitIdle(ctx, endpoint); err != nil {
-		return err
-	}
-	out, err := c.layout.Load().Without(partition, endpoint)
-	if err != nil {
-		return err
-	}
-	if err := c.applyLocked(out); err != nil {
+	if err := c.retireLocked(ctx, partition, endpoint, false); err != nil {
 		return err
 	}
 	c.Lay.add(&c.Lay.snap.ReplicaDrains)
@@ -587,62 +534,76 @@ func (c *Client) DrainReplica(ctx context.Context, partition, endpoint int) erro
 func (c *Client) MigratePartition(ctx context.Context, partition, from, to int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if c.res == nil {
-		return errors.New("cluster: MigratePartition requires WithResilience")
-	}
-	cur := c.layout.Load()
-	if st, ok := cur.State(partition, from); !ok || st != EndpointServing {
+	if st, ok := c.layout.Load().State(partition, from); !ok || st != EndpointServing {
 		return fmt.Errorf("cluster: endpoint %d is not serving partition %d", from, partition)
 	}
-	join, err := cur.WithJoining(partition, to)
+	if err := c.admitLocked(ctx, partition, to, true); err != nil {
+		return err
+	}
+	// Drain the old home: new requests route only to the target while the
+	// source finishes what it already holds.
+	if err := c.retireLocked(ctx, partition, from, true); err != nil {
+		return err
+	}
+	c.Lay.add(&c.Lay.snap.Migrations)
+	return nil
+}
+
+// admitLocked publishes endpoint as joining the partition, probes it, and
+// promotes it to serving — opening the partition's dual-home window when
+// migrate is set — or, on a failed probe, counts the failure and rolls the
+// endpoint back out of the layout.
+func (c *Client) admitLocked(ctx context.Context, partition, endpoint int, migrate bool) error {
+	join, err := c.layout.Load().WithJoining(partition, endpoint)
 	if err != nil {
 		return err
 	}
 	if err := c.applyLocked(join); err != nil {
 		return err
 	}
-	if perr := c.probeEndpoint(ctx, partition, to); perr != nil {
+	if perr := c.probeEndpoint(ctx, partition, endpoint); perr != nil {
 		c.Lay.add(&c.Lay.snap.ProbeFailures)
-		if back, berr := c.layout.Load().Without(partition, to); berr == nil {
+		if back, berr := c.layout.Load().Without(partition, endpoint); berr == nil {
 			_ = c.applyLocked(back)
 		}
-		return fmt.Errorf("cluster: endpoint %d failed the migration probe for partition %d: %w", to, partition, perr)
+		what := "admission"
+		if migrate {
+			what = "migration"
+		}
+		return fmt.Errorf("cluster: endpoint %d failed the %s probe for partition %d: %w", endpoint, what, partition, perr)
 	}
-	// Open the dual-home window: both endpoints serve in one epoch swap.
-	serve, err := c.layout.Load().WithServing(partition, to)
+	serve, err := c.layout.Load().WithServing(partition, endpoint)
+	if err == nil && migrate {
+		serve, err = serve.WithDualHome(partition, true)
+	}
 	if err != nil {
 		return err
 	}
-	if serve, err = serve.WithDualHome(partition, true); err != nil {
-		return err
-	}
-	if err := c.applyLocked(serve); err != nil {
-		return err
-	}
-	// Drain the old home: new requests route only to the target while the
-	// source finishes what it already holds.
-	drain, err := c.layout.Load().WithDraining(partition, from)
+	return c.applyLocked(serve)
+}
+
+// retireLocked marks endpoint draining, waits (bounded by ctx) for its
+// in-flight calls, and removes it from the partition — closing the
+// dual-home window when migrate is set.
+func (c *Client) retireLocked(ctx context.Context, partition, endpoint int, migrate bool) error {
+	d, err := c.layout.Load().WithDraining(partition, endpoint)
 	if err != nil {
 		return err
 	}
-	if err := c.applyLocked(drain); err != nil {
+	if err := c.applyLocked(d); err != nil {
 		return err
 	}
-	if err := c.awaitIdle(ctx, from); err != nil {
+	if err := c.awaitIdle(ctx, endpoint); err != nil {
 		return err
 	}
-	out, err := c.layout.Load().Without(partition, from)
+	out, err := c.layout.Load().Without(partition, endpoint)
+	if err == nil && migrate {
+		out, err = out.WithDualHome(partition, false)
+	}
 	if err != nil {
 		return err
 	}
-	if out, err = out.WithDualHome(partition, false); err != nil {
-		return err
-	}
-	if err := c.applyLocked(out); err != nil {
-		return err
-	}
-	c.Lay.add(&c.Lay.snap.Migrations)
-	return nil
+	return c.applyLocked(out)
 }
 
 // HotShard reads the client's cumulative per-partition request counters —
@@ -693,39 +654,14 @@ func (c *Client) awaitIdle(ctx context.Context, endpoint int) error {
 // probeEndpoint health-checks a candidate before it may serve: its meta
 // handshake must agree with the cluster's shape, and a spot check of
 // partition-owned nodes must return adjacency lists identical to what the
-// serving replicas answer. Transient faults are absorbed by bounded
-// internal retries so chaos does not fail every admission.
+// serving replicas answer. Transient faults are absorbed by the client's
+// backoff loop, over the bootstrap's pass count, so chaos does not fail
+// every admission.
 func (c *Client) probeEndpoint(ctx context.Context, partition, endpoint int) error {
 	ids := ownedSample(c.part, partition, c.meta.NumNodes, 8)
-	attempts := DefaultRetryPolicy().MaxAttempts
-	backoff := DefaultRetryPolicy().BaseBackoff
-	if c.res != nil {
-		attempts = c.res.cfg.Retry.MaxAttempts
-		backoff = c.res.cfg.Retry.BaseBackoff
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-			t.Stop()
-			backoff *= 2
-		}
-		if err := c.probeOnce(ctx, partition, endpoint, ids); err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			continue
-		}
-		return nil
-	}
-	return lastErr
+	return c.res.retry(ctx, c.setup, "endpoint", endpoint, func() error {
+		return c.probeOnce(ctx, partition, endpoint, ids)
+	})
 }
 
 func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []graph.NodeID) error {

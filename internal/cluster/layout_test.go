@@ -273,7 +273,7 @@ func TestStalePassLeavesNoBreaker(t *testing.T) {
 	g := testGraph(t)
 	_, client := buildLayoutCluster(t, g, 2, 2, nil, WithResilience(DefaultResilienceConfig()))
 	r := client.res
-	stale := r.endpoints(0)
+	stale := client.Layout().Routable(0)
 	if !slices.Equal(stale, []int{0, 2}) {
 		t.Fatalf("partition 0 routes to %v, want [0 2]", stale)
 	}
@@ -456,6 +456,37 @@ func TestAddReplicaParityProbe(t *testing.T) {
 	}
 	if snap := client.Lay.Snapshot(); snap.ProbeFailures == 0 || snap.ReplicaJoins != 0 {
 		t.Fatalf("probe stats = %+v", snap)
+	}
+}
+
+// TestAddReplicaProbeBackoffCapped: the admission probe retries through
+// the client's backoff loop, so its waits respect MaxBackoff — a divergent
+// spare under a 12-pass policy is refused in tens of milliseconds, not the
+// two seconds uncapped doubling sleeps — and its retries are counted.
+func TestAddReplicaProbeBackoffCapped(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	other := graph.Generate(graph.GenConfig{NumNodes: g.NumNodes(), AvgDegree: 3, AttrLen: 6, Seed: 555})
+	servers := []*Server{
+		NewServer(g, part, 0), NewServer(g, part, 1),
+		NewServer(g, part, 0), NewServer(g, part, 1),
+		NewServer(other, part, 0), // endpoint 4: right shape, wrong graph
+	}
+	client, err := NewClientContext(bg, DirectTransport{Servers: servers}, part, -1,
+		WithResilience(ResilienceConfig{Retry: RetryPolicy{MaxAttempts: 12, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}, Seed: 7}),
+		WithLayout(UniformLayout(2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := client.AddReplica(bg, 0, 4); err == nil {
+		t.Fatal("endpoint with divergent data admitted")
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("12-pass probe capped at 2ms backoff took %v", elapsed)
+	}
+	if snap := client.Res.Snapshot(); snap.Retries != 11 {
+		t.Fatalf("probe retries = %d, want 11", snap.Retries)
 	}
 }
 

@@ -60,10 +60,10 @@ func (p RangePartitioner) Owner(v graph.NodeID) int {
 func (p RangePartitioner) Servers() int { return p.N }
 
 // ReplicaMap lists, per partition, the transport endpoints able to serve
-// that partition's shard. Entry 0 is the primary; later entries are
-// failover replicas tried when the primary fails or its circuit breaker is
-// open. A nil map means each partition is served only by the endpoint
-// sharing its index (no replication).
+// that partition's shard — NewLayout's input. Entry 0 is the primary;
+// later entries are failover replicas tried when the primary fails or its
+// circuit breaker is open. A nil map means each partition is served only
+// by the endpoint sharing its index (no replication).
 type ReplicaMap [][]int
 
 // UniformReplicas builds the canonical replicated layout: replica r of
@@ -93,28 +93,6 @@ func UniformReplicas(partitions, replicas int) ReplicaMap {
 		m[p] = eps
 	}
 	return m
-}
-
-// Validate checks the map covers every partition with at least one
-// non-negative endpoint.
-func (m ReplicaMap) Validate(partitions int) error {
-	if m == nil {
-		return nil
-	}
-	if len(m) < partitions {
-		return fmt.Errorf("cluster: replica map covers %d of %d partitions", len(m), partitions)
-	}
-	for p := 0; p < partitions; p++ {
-		if len(m[p]) == 0 {
-			return fmt.Errorf("cluster: partition %d has no endpoints", p)
-		}
-		for _, ep := range m[p] {
-			if ep < 0 {
-				return fmt.Errorf("cluster: partition %d lists negative endpoint %d", p, ep)
-			}
-		}
-	}
-	return nil
 }
 
 // GroupByOwner lays ids out server by server, in input order: server s's

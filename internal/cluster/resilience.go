@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lsdgnn/internal/graph"
@@ -220,9 +222,6 @@ type ResilienceConfig struct {
 	// Breaker tunes per-endpoint circuit breakers; zero fields take
 	// DefaultBreakerConfig.
 	Breaker BreakerConfig
-	// Replicas maps partitions to serving endpoints. Nil means partition p
-	// is served only by endpoint p.
-	Replicas ReplicaMap
 	// PartialResults degrades shard failures to empty per-node results
 	// with a *PartialError annotation instead of failing the whole batch.
 	PartialResults bool
@@ -231,11 +230,16 @@ type ResilienceConfig struct {
 	Seed int64
 }
 
-// DefaultResilienceConfig returns retries + breakers with default tuning,
-// no replicas, fail-closed batches.
+// DefaultResilienceConfig returns retries + breakers with default tuning
+// and fail-closed batches.
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Retry: DefaultRetryPolicy(), Breaker: DefaultBreakerConfig()}
 }
+
+// failFast is the policy of a client built without WithResilience: one
+// pass, no backoff, and a breaker that never opens. Failover still walks
+// the partition's serving endpoints within that pass.
+var failFast = ResilienceConfig{Retry: RetryPolicy{MaxAttempts: 1}, Breaker: BreakerConfig{Threshold: math.MaxInt}}
 
 // ResilienceSnapshot is a point-in-time copy of resilience counters.
 type ResilienceSnapshot struct {
@@ -249,12 +253,12 @@ type ResilienceSnapshot struct {
 }
 
 // ResilienceStats tallies resilience events. Safe for concurrent use; the
-// zero value is usable (a Client always embeds one, even without a
-// policy, so the series exist at zero).
+// zero value is usable, so lsdgnn-server can pre-register the series.
 type ResilienceStats struct {
 	mu   sync.Mutex
 	snap ResilienceSnapshot
-	// breakers, set when a policy is enabled, feeds the open-breaker gauge.
+	// breakers, set once a client binds its executor, feeds the
+	// open-breaker gauge.
 	breakers func() (open, halfOpen int)
 }
 
@@ -394,31 +398,26 @@ func AsPartial(err error) (*PartialError, bool) {
 // invokeFunc performs one raw call against a transport endpoint.
 type invokeFunc func(ctx context.Context, endpoint int, req []byte) ([]byte, error)
 
-// resilience executes partition calls under a ResilienceConfig.
+// resilience executes a client's calls under its ResilienceConfig, routing
+// by the client's layout.
 type resilience struct {
 	cfg   ResilienceConfig
 	stats *ResilienceStats
 	// tracer, when set, records retry/failover/breaker events tagged with
 	// the calling request's trace ID. Nil-safe throughout.
 	tracer *obs.Tracer
-	// routes, when set (clients with a live Layout), resolves a
-	// partition's serving endpoints at the top of every pass, so retries of
-	// an in-flight call pick up an epoch swap while the pass already
-	// running completes against the endpoints it resolved. Nil or
-	// an empty resolution falls back to cfg.Replicas.
-	routes func(partition int) []int
-	// live, set alongside routes, reports whether the layout still holds an
-	// endpoint: pruneBreakers drops the breakers of those it does not, and a
-	// pass that resolved its endpoints before a swap and still tries one
-	// that has since left gets a breaker that is not kept.
-	live func(endpoint int) bool
+	// layout is the client's live routing table. Every pass resolves its
+	// endpoints from it, so retries of an in-flight call pick up an epoch
+	// swap while the pass already running completes against the endpoints
+	// it resolved; breakers are kept only for endpoints it holds.
+	layout *atomic.Pointer[Layout]
 
 	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[int]*breaker
 }
 
-func newResilience(cfg ResilienceConfig, st *ResilienceStats) *resilience {
+func newResilience(cfg ResilienceConfig, st *ResilienceStats, layout *atomic.Pointer[Layout], tr *obs.Tracer) *resilience {
 	cfg.Retry = cfg.Retry.withDefaults()
 	cfg.Breaker = cfg.Breaker.withDefaults()
 	seed := cfg.Seed
@@ -428,6 +427,8 @@ func newResilience(cfg ResilienceConfig, st *ResilienceStats) *resilience {
 	r := &resilience{
 		cfg:      cfg,
 		stats:    st,
+		tracer:   tr,
+		layout:   layout,
 		rng:      rand.New(rand.NewSource(seed)),
 		breakers: make(map[int]*breaker),
 	}
@@ -435,21 +436,6 @@ func newResilience(cfg ResilienceConfig, st *ResilienceStats) *resilience {
 	st.breakers = r.breakerGauge
 	st.mu.Unlock()
 	return r
-}
-
-// endpoints returns the serving endpoints for a partition, primary first:
-// the live layout when one is bound, else the static ReplicaMap, else the
-// identity mapping.
-func (r *resilience) endpoints(partition int) []int {
-	if r.routes != nil {
-		if eps := r.routes(partition); len(eps) > 0 {
-			return eps
-		}
-	}
-	if m := r.cfg.Replicas; m != nil && partition >= 0 && partition < len(m) && len(m[partition]) > 0 {
-		return m[partition]
-	}
-	return []int{partition}
 }
 
 func (r *resilience) breaker(endpoint int) *breaker {
@@ -461,7 +447,7 @@ func (r *resilience) breaker(endpoint int) *breaker {
 		// Checked under mu, which pruneBreakers takes after the layout is
 		// swapped: a departed endpoint's breaker is either pruned after this
 		// insert or never inserted, so the map only ever holds live ones.
-		if r.live == nil || r.live(endpoint) {
+		if r.layout.Load().Contains(endpoint) {
 			r.breakers[endpoint] = b
 		}
 	}
@@ -474,9 +460,10 @@ func (r *resilience) breaker(endpoint int) *breaker {
 // departed endpoint. An endpoint re-admitted later starts from a fresh
 // closed breaker.
 func (r *resilience) pruneBreakers() {
+	l := r.layout.Load()
 	r.mu.Lock()
 	for ep := range r.breakers {
-		if !r.live(ep) {
+		if !l.Contains(ep) {
 			delete(r.breakers, ep)
 		}
 	}
@@ -537,42 +524,49 @@ func (r *resilience) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// call executes one partition request under the policy: endpoint passes
-// with failover, exponential backoff with jitter between passes, honoring
-// ctx throughout.
-func (r *resilience) call(ctx context.Context, partition int, req []byte, invoke invokeFunc) ([]byte, error) {
-	backoff := r.cfg.Retry.BaseBackoff
-	var errs []error
-	for attempt := 0; attempt < r.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := r.sleep(ctx, backoff); err != nil {
-				return nil, err
-			}
-			r.stats.add(&r.stats.snap.Retries)
-			r.event(ctx, "retry", fmt.Sprintf("partition %d attempt %d", partition, attempt+1))
-			backoff *= 2
-			if backoff > r.cfg.Retry.MaxBackoff {
-				backoff = r.cfg.Retry.MaxBackoff
-			}
-		}
+// call executes one partition request in up to attempts passes over the
+// partition's serving endpoints (see retry).
+func (r *resilience) call(ctx context.Context, attempts, partition int, req []byte, invoke invokeFunc) (resp []byte, err error) {
+	err = r.retry(ctx, attempts, "partition", partition, func() (err error) {
 		// Resolved per pass, not once per call: a layout swap during the
 		// backoff redirects this retry to the new epoch's endpoints.
-		resp, err := r.pass(ctx, r.endpoints(partition), req, invoke)
+		resp, err = r.pass(ctx, r.layout.Load().Routable(partition), req, invoke)
+		return err
+	})
+	return resp, err
+}
+
+// retry runs pass up to attempts times, separated by exponential backoff
+// with jitter, capped at MaxBackoff. ctx wins over every verdict, and a
+// *ServerError ends the loop: the rejection is deterministic per request,
+// so more passes would only repeat it. what and id name the target in
+// errors and retry events ("partition 3"); they are formatted only off the
+// success path.
+func (r *resilience) retry(ctx context.Context, attempts int, what string, id int, pass func() error) error {
+	backoff := r.cfg.Retry.BaseBackoff
+	var errs []error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			if err := r.sleep(ctx, backoff); err != nil {
+				return err
+			}
+			r.stats.add(&r.stats.snap.Retries)
+			r.event(ctx, "retry", fmt.Sprintf("%s %d attempt %d", what, id, attempt+1))
+			backoff = min(2*backoff, r.cfg.Retry.MaxBackoff)
+		}
+		err := pass()
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return ctxErr
 		}
 		if isServerError(err) {
-			// Application rejection: deterministic per request, so more
-			// passes would only repeat it.
-			return nil, fmt.Errorf("cluster: partition %d: %w", partition, err)
+			return fmt.Errorf("cluster: %s %d: %w", what, id, err)
 		}
 		errs = append(errs, err)
 	}
-	return nil, fmt.Errorf("cluster: partition %d unavailable after %d attempt(s): %w",
-		partition, r.cfg.Retry.MaxAttempts, errors.Join(errs...))
+	return fmt.Errorf("cluster: %s %d unavailable after %d attempt(s): %w", what, id, attempts, errors.Join(errs...))
 }
 
 // pass tries each endpoint in order, consulting breakers and counting

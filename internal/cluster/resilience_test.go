@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,24 +22,38 @@ func TestUniformReplicas(t *testing.T) {
 			t.Fatalf("partition %d mapped to %v", p, m[p])
 		}
 	}
-	if err := m.Validate(3); err != nil {
+	if _, err := NewLayout(3, m); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestReplicaMapValidate: NewLayout is where a replica map is checked.
 func TestReplicaMapValidate(t *testing.T) {
-	if err := (ReplicaMap)(nil).Validate(4); err != nil {
+	if _, err := NewLayout(4, nil); err != nil {
 		t.Fatalf("nil map rejected: %v", err)
 	}
-	if err := (ReplicaMap{{0}, {1}}).Validate(3); err == nil {
+	if _, err := NewLayout(3, ReplicaMap{{0}, {1}}); err == nil {
 		t.Fatal("short map accepted")
 	}
-	if err := (ReplicaMap{{0}, {}, {2}}).Validate(3); err == nil {
+	if _, err := NewLayout(3, ReplicaMap{{0}, {}, {2}}); err == nil {
 		t.Fatal("endpoint-less partition accepted")
 	}
-	if err := (ReplicaMap{{0}, {-1}, {2}}).Validate(3); err == nil {
+	if _, err := NewLayout(3, ReplicaMap{{0}, {-1}, {2}}); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
+}
+
+// layoutResilience builds an executor routing by NewLayout over m — the
+// one-partition identity layout when m is nil — outside any client.
+func layoutResilience(t *testing.T, cfg ResilienceConfig, st *ResilienceStats, m ReplicaMap) *resilience {
+	t.Helper()
+	l, err := NewLayout(max(len(m), 1), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := new(atomic.Pointer[Layout])
+	lay.Store(l)
+	return newResilience(cfg, st, lay, nil)
 }
 
 // TestBreakerStateMachine walks the full closed → open → half-open cycle,
@@ -101,10 +116,10 @@ func TestBreakerStateMachine(t *testing.T) {
 // in half-open and blacklist a healthy endpoint permanently.
 func TestBreakerProbeAbandonedOnCancel(t *testing.T) {
 	st := &ResilienceStats{}
-	r := newResilience(ResilienceConfig{
+	r := layoutResilience(t, ResilienceConfig{
 		Retry:   RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
 		Breaker: BreakerConfig{Threshold: 1, OpenFor: time.Millisecond},
-	}, st)
+	}, st, nil)
 	r.breaker(0).onFailure() // threshold 1: open immediately
 	if r.BreakerState(0) != BreakerOpen {
 		t.Fatal("breaker not open")
@@ -118,14 +133,14 @@ func TestBreakerProbeAbandonedOnCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	if _, err := r.call(ctx, 0, metaReq, hang); !errors.Is(err, context.Canceled) {
+	if _, err := r.call(ctx, 1, 0, metaReq, hang); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
 
 	// A later call must be admitted as a fresh probe and, on success,
 	// close the breaker — the time-based escape from half-open survives.
 	healthy := func(ctx context.Context, ep int, req []byte) ([]byte, error) { return []byte{1}, nil }
-	if _, err := r.call(context.Background(), 0, metaReq, healthy); err != nil {
+	if _, err := r.call(context.Background(), 1, 0, metaReq, healthy); err != nil {
 		t.Fatalf("breaker wedged after abandoned probe: %v", err)
 	}
 	if r.BreakerState(0) != BreakerClosed {
@@ -188,36 +203,80 @@ func TestServerErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestBootstrapLeavesNoBreakerGauge: a client built without a resilience
-// policy uses a throwaway resilience for the bootstrap meta fetch; its
-// breaker gauge must not linger on the client's stats afterwards.
-func TestBootstrapLeavesNoBreakerGauge(t *testing.T) {
+// TestFailFastNeverOpensBreaker: a client without a policy runs failFast —
+// one pass per call and a breaker that never opens — so every call to a
+// dead shard still reaches the transport, and the breaker gauges stay 0.
+func TestFailFastNeverOpensBreaker(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 1}
-	client, err := NewClient(DirectTransport{Servers: []*Server{NewServer(g, part, 0)}}, part, -1)
+	ft := NewFaultyTransport(DirectTransport{Servers: []*Server{NewServer(g, part, 0)}}, 1)
+	client, err := NewClient(ft, part, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range client.Res.StatsSnapshot().Metrics {
-		if m.Name == "breakers_open" || m.Name == "breakers_half_open" {
-			t.Fatalf("policy-less client reports gauge %q from the discarded bootstrap resilience", m.Name)
+	ft.KillServer(0)
+	before, _ := ft.Counts()
+	for i := 0; i < 10; i++ {
+		if _, err := getNeighbors(client, []graph.NodeID{0}); err == nil {
+			t.Fatal("dead server not reported")
 		}
+	}
+	if after, _ := ft.Counts(); after-before != 10 {
+		t.Fatalf("10 calls to a dead shard made %d transport calls, want 10", after-before)
+	}
+	gauges := map[string]float64{}
+	for _, m := range client.Res.StatsSnapshot().Metrics {
+		gauges[m.Name] = m.Value
+	}
+	for _, name := range []string{"breakers_open", "breakers_half_open"} {
+		if v, ok := gauges[name]; !ok || v != 0 {
+			t.Fatalf("gauge %q = %v (reported %v), want 0", name, v, ok)
+		}
+	}
+}
+
+// TestClientWithoutPolicyFailsOver: a client without a policy routes by
+// its layout like any other, so with the primary dead its one pass fails
+// over to the replica.
+func TestClientWithoutPolicyFailsOver(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 1}
+	servers := []*Server{NewServer(g, part, 0), NewServer(g, part, 0)}
+	ft := NewFaultyTransport(DirectTransport{Servers: servers}, 1)
+	client, err := NewClientContext(bg, ft, part, -1, WithLayout(UniformLayout(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.KillServer(0)
+	before, _ := ft.Counts()
+	lists, err := getNeighbors(client, []graph.NodeID{0})
+	if err != nil {
+		t.Fatalf("replica did not serve: %v", err)
+	}
+	if !idListsEqual(lists[0], g.Neighbors(0)) {
+		t.Fatal("replica served the wrong list")
+	}
+	if after, _ := ft.Counts(); after-before != 2 {
+		t.Fatalf("one pass made %d transport calls, want 2 (primary, replica)", after-before)
+	}
+	if snap := client.Res.Snapshot(); snap.Failovers != 1 || snap.Retries != 0 {
+		t.Fatalf("want 1 failover and no retry, got %+v", snap)
 	}
 }
 
 // TestRetryDeadline: the backoff loop must abandon remaining attempts the
 // moment the context expires, surfacing ctx.Err().
 func TestRetryDeadline(t *testing.T) {
-	r := newResilience(ResilienceConfig{
+	r := layoutResilience(t, ResilienceConfig{
 		Retry: RetryPolicy{MaxAttempts: 1000, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 10 * time.Millisecond},
-	}, &ResilienceStats{})
+	}, &ResilienceStats{}, nil)
 	boom := func(ctx context.Context, ep int, req []byte) ([]byte, error) {
 		return nil, errors.New("boom")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := r.call(ctx, 0, metaReq, boom)
+	_, err := r.call(ctx, r.cfg.Retry.MaxAttempts, 0, metaReq, boom)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -230,11 +289,10 @@ func TestRetryDeadline(t *testing.T) {
 // must carry the attempt count and every endpoint's failure.
 func TestRetryExhaustionReportsEveryPass(t *testing.T) {
 	st := &ResilienceStats{}
-	r := newResilience(ResilienceConfig{
-		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-		Replicas: ReplicaMap{{0, 1}},
-	}, st)
-	_, err := r.call(context.Background(), 0, metaReq, func(ctx context.Context, ep int, req []byte) ([]byte, error) {
+	r := layoutResilience(t, ResilienceConfig{
+		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
+	}, st, ReplicaMap{{0, 1}})
+	_, err := r.call(context.Background(), r.cfg.Retry.MaxAttempts, 0, metaReq, func(ctx context.Context, ep int, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ep%d down", ep)
 	})
 	if err == nil {
@@ -379,8 +437,8 @@ func TestPartialRecoversAfterRevive(t *testing.T) {
 	}
 }
 
-// TestClientWithoutPolicyFailsFast: no resilience option means the legacy
-// single-shot path — one transport call, no retries — so latency-sensitive
+// TestClientWithoutPolicyFailsFast: no resilience option means the
+// failFast policy — one transport call, no retries — so latency-sensitive
 // callers keep their old behavior.
 func TestClientWithoutPolicyFailsFast(t *testing.T) {
 	g := testGraph(t)

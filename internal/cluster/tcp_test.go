@@ -99,15 +99,15 @@ func TestTCPServerErrorPropagation(t *testing.T) {
 	// rejection it is, so the resilience layer does not burn retries or
 	// breaker budget replaying it.
 	st := &ResilienceStats{}
-	r := newResilience(ResilienceConfig{
+	r := layoutResilience(t, ResilienceConfig{
 		Retry:   RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
 		Breaker: BreakerConfig{Threshold: 1, OpenFor: time.Minute},
-	}, st)
+	}, st, nil)
 	for frame, want := range map[string]string{
 		string(bare(0x7F)): "unknown op",
 		string(otherVersion(metaReq, ProtoVersion-1)): fmt.Sprintf("speaks protocol v%d, this build speaks v%d", ProtoVersion-1, ProtoVersion),
 	} {
-		_, err := r.call(bg, 0, []byte(frame), tr.Call)
+		_, err := r.call(bg, r.cfg.Retry.MaxAttempts, 0, []byte(frame), tr.Call)
 		var se *ServerError
 		if !errors.As(err, &se) {
 			t.Fatalf("rejection of %x lost its type over the wire: %v", frame, err)

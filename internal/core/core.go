@@ -46,20 +46,22 @@ type Options struct {
 	// transport, for exercising deadline behavior without real sockets.
 	NetDelay time.Duration
 	// Replicas is the storage-tier replication factor: each partition is
-	// served by this many servers (0 or 1 = no replication). Replicated
-	// systems get a default resilience policy when Resilience is nil.
+	// served by this many servers (0 or 1 = no replication), shorthand for
+	// Layout = cluster.UniformLayout(Servers, Replicas). Replicated systems
+	// get a default resilience policy when Resilience is nil.
 	Replicas int
-	// Resilience configures the client-side retry/breaker/failover policy;
-	// nil leaves the fail-fast path unless Replicas > 1 or Faults is set.
-	// The replica map is filled in automatically from Replicas when unset.
+	// Resilience configures the client-side retry/breaker policy; nil
+	// leaves the client's fail-fast policy (one pass over each partition's
+	// serving endpoints) unless Replicas > 1, Faults, Layout or Spares is
+	// set, which imply cluster.DefaultResilienceConfig.
 	Resilience *cluster.ResilienceConfig
 	// Faults, when set, wraps the transport with seeded fault injection so
 	// the resilience path can be exercised (chaos testing).
 	Faults *cluster.FaultSpec
 	// Layout, when set, is the initial elastic partition layout: one
 	// server is built per layout endpoint and the client routes by the
-	// layout's epoch-versioned replica sets instead of a static
-	// ReplicaMap. Implies a default resilience policy. Overrides Replicas.
+	// layout's epoch-versioned replica sets. Implies a default resilience
+	// policy. Overrides Replicas.
 	Layout *cluster.Layout
 	// Spares lists partition indices, one per spare endpoint to build:
 	// the spare servers hold the named partition's shard and sit on the
@@ -103,11 +105,11 @@ const (
 type System struct {
 	Graph *graph.Graph
 	Part  cluster.Partitioner
-	// Servers holds every storage endpoint: the first Partitions entries
-	// are the primaries, each subsequent block of Partitions entries is a
-	// full replica set (cluster.UniformReplicas layout) — or, when
-	// Options.Layout was given, one server per layout endpoint. Spare
-	// endpoints (Options.Spares) come last, outside the initial layout.
+	// Servers holds every storage endpoint: one server per endpoint of the
+	// initial layout (Options.Layout, else cluster.UniformLayout over
+	// Options.Replicas: the primaries first, then each full replica set),
+	// indexed by endpoint. Spare endpoints (Options.Spares) come last,
+	// outside the initial layout.
 	Servers    []*cluster.Server
 	Client     *cluster.Client
 	Engines    []*axe.Engine
@@ -168,9 +170,6 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	eCfg.Sampling = sCfg
 
-	if opts.Replicas < 1 {
-		opts.Replicas = 1
-	}
 	part := cluster.HashPartitioner{N: opts.Servers}
 	sys := &System{
 		Graph: g, Part: part, Sampling: sCfg,
@@ -200,33 +199,23 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		return cluster.NewServer(g, part, p)
 	}
-	if opts.Layout != nil {
-		// The layout names the endpoints: build one server per listed
-		// endpoint holding its partition's shard, densely indexed so the
-		// transport can reach every one of them.
-		if err := opts.Layout.Validate(opts.Servers); err != nil {
-			return nil, err
+	// The layout names the endpoints: build one server per listed endpoint
+	// holding its partition's shard, densely indexed so the transport can
+	// reach every one of them.
+	layout := opts.Layout
+	if layout == nil {
+		layout = cluster.UniformLayout(opts.Servers, opts.Replicas)
+	}
+	if err := layout.Validate(opts.Servers); err != nil {
+		return nil, err
+	}
+	eps := layout.Endpoints()
+	for ep := 0; ep < len(eps); ep++ {
+		p, ok := eps[ep]
+		if !ok {
+			return nil, fmt.Errorf("core: layout leaves endpoint %d unassigned", ep)
 		}
-		eps := opts.Layout.Endpoints()
-		maxEp := -1
-		for ep := range eps {
-			if ep > maxEp {
-				maxEp = ep
-			}
-		}
-		for ep := 0; ep <= maxEp; ep++ {
-			p, ok := eps[ep]
-			if !ok {
-				return nil, fmt.Errorf("core: layout leaves endpoint %d unassigned", ep)
-			}
-			sys.Servers = append(sys.Servers, newServer(p))
-		}
-	} else {
-		for r := 0; r < opts.Replicas; r++ {
-			for i := 0; i < opts.Servers; i++ {
-				sys.Servers = append(sys.Servers, newServer(i))
-			}
-		}
+		sys.Servers = append(sys.Servers, newServer(p))
 	}
 	// Spare endpoints ride the transport behind every layout endpoint,
 	// holding a shard but taking no traffic until admitted.
@@ -247,23 +236,16 @@ func NewSystem(opts Options) (*System, error) {
 		sys.Faults = ft
 	}
 	// Replication, fault injection, or an elastic layout without an
-	// explicit policy still gets retries + breakers: a replicated tier is
-	// pointless without failover, and layout swaps route through it.
+	// explicit policy still gets retries + breakers: a failing endpoint
+	// should cost a retry, not a batch.
 	resCfg := opts.Resilience
 	if resCfg == nil && (opts.Replicas > 1 || opts.Faults != nil || opts.Layout != nil || len(opts.Spares) > 0) {
 		d := cluster.DefaultResilienceConfig()
 		resCfg = &d
 	}
-	copts := []cluster.ClientOption{cluster.WithTracer(sys.Obs)}
+	copts := []cluster.ClientOption{cluster.WithTracer(sys.Obs), cluster.WithLayout(layout)}
 	if resCfg != nil {
-		cfg := *resCfg
-		if cfg.Replicas == nil && opts.Replicas > 1 && opts.Layout == nil {
-			cfg.Replicas = cluster.UniformReplicas(opts.Servers, opts.Replicas)
-		}
-		copts = append(copts, cluster.WithResilience(cfg))
-	}
-	if opts.Layout != nil {
-		copts = append(copts, cluster.WithLayout(opts.Layout))
+		copts = append(copts, cluster.WithResilience(*resCfg))
 	}
 	client, err := cluster.NewClientContext(context.Background(), tr, part, 0, copts...)
 	if err != nil {

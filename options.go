@@ -157,8 +157,9 @@ func WithNetDelay(d time.Duration) Option {
 	return func(o *Options) { o.NetDelay = d }
 }
 
-// WithReplicas replicates every partition n ways; n > 1 implies a default
-// resilience policy (failover needs retries and breakers) unless
+// WithReplicas replicates every partition n ways: shorthand for
+// WithLayout(UniformLayout(servers, n)). n > 1 implies a default
+// resilience policy (retries and breakers on top of failover) unless
 // WithResilience overrides it.
 func WithReplicas(n int) Option {
 	return func(o *Options) { o.Replicas = n }
@@ -176,11 +177,11 @@ func UniformLayout(partitions, replicas int) *Layout {
 	return cluster.UniformLayout(partitions, replicas)
 }
 
-// WithLayout makes the partition layout elastic: the system builds one
+// WithLayout sets the initial partition layout: the system builds one
 // server per layout endpoint, and the client routes by the layout's
-// epoch-versioned replica sets instead of a frozen ReplicaMap. Replicas
-// can then be added (probe-gated), drained, and whole partitions migrated
-// between endpoints while traffic flows:
+// epoch-versioned replica sets. Replicas can be added (probe-gated),
+// drained, and whole partitions migrated between endpoints while traffic
+// flows:
 //
 //	sys, err := lsdgnn.New("ss",
 //		lsdgnn.WithServers(2),
@@ -190,8 +191,9 @@ func UniformLayout(partitions, replicas int) *Layout {
 //	err = sys.Client.DrainReplica(ctx, 0, 2) // rotate replica out
 //	err = sys.Client.AddReplica(ctx, 0, 4)   // admit the spare
 //
-// Implies a default resilience policy (layout swaps route through the
-// failover path) unless WithResilience overrides it.
+// Implies a default resilience policy (retries and breakers, so an
+// admission probe rides out transient faults) unless WithResilience
+// overrides it.
 func WithLayout(l *Layout) Option {
 	return func(o *Options) { o.Layout = l }
 }

@@ -19,6 +19,6 @@ echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
 echo "== chaos suite (fault injection under -race)"
-go test -race -count=5 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestTCPPoolRecovery' ./internal/cluster/
+go test -race -count=5 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/
 
 echo "verify: OK"
