@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos bench-all metrics-smoke wire-smoke pipeline-smoke reshard-smoke slo-smoke gateway-smoke store-smoke fuzz
+.PHONY: build test verify chaos bench-all smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -8,14 +8,25 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1+ check: vet + build + tests under the race detector.
+# The chaos/resilience/recovery tests: verify runs them at -count=5,
+# chaos at -count=20.
+CHAOS_RUN = -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+
+# Tier-1+ check: vet + build + tests under the race detector, the bench/
+# module (its own Go module, which the commands before it never compile)
+# and the chaos tests. CI and pre-merge both run exactly this.
 verify:
-	./scripts/verify.sh
+	$(GO) vet ./...
+	$(GO) vet -tags smoke ./internal/smoke/
+	$(GO) build ./...
+	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -race -count=5 $(CHAOS_RUN)
 
 # Fault-injection suite: every chaos/resilience/recovery test hammered
 # under the race detector with a high iteration count.
 chaos:
-	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+	$(GO) test -race -count=20 $(CHAOS_RUN)
 	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute|TestEngineSpares' ./internal/core/
 
 # Every Go benchmark in the tree (paper tables/figures included). The
@@ -23,57 +34,13 @@ chaos:
 bench-all:
 	$(GO) test -bench=. -benchmem
 
-# Admin-plane smoke test: boots lsdgnn-server with -admin-addr, scrapes
-# /metrics, and checks the key Prometheus series and drain-aware health.
-metrics-smoke:
-	./scripts/metrics_smoke.sh
-
-# Wire-plane smoke test: boots lsdgnn-server, drives a packed burst
-# through lsdgnn-probe over TCP, and asserts the
-# lsdgnn_cluster_wire_* series (bytes, packed frames, pack ratio) moved.
-wire-smoke:
-	./scripts/wire_smoke.sh
-
-# Pipeline smoke test: boots lsdgnn-server (checks the zero-valued
-# lsdgnn_pipeline_* pre-registration on /metrics), drives a burst through
-# lsdgnn-probe's executor over TCP, and asserts the executor's
-# issued/retired/batches counters moved and balance.
-pipeline-smoke:
-	./scripts/pipeline_smoke.sh
-
-# Reshard smoke test: boots a 2×2 replicated lsdgnn-server tier (checks
-# the zero-valued lsdgnn_cluster_layout_* pre-registration on /metrics),
-# drains one replica live through lsdgnn-probe mid-burst with zero failed
-# batches, asserts the layout counters moved, and flips a server into
-# draining via the admin POST /drain endpoint.
-reshard-smoke:
-	./scripts/reshard_smoke.sh
-
-# SLO smoke test: boots lsdgnn-server (checks the zero-valued lsdgnn_slo_*
-# and lsdgnn_runtime_* pre-registration), drives a clean probe burst (burn
-# stays 0), arms a latency spike via POST /chaos and asserts the fast-burn
-# gauge flips above 1 while the cumulative histogram barely moves, then
-# scrapes OpenMetrics exemplars and follows one trace_id through
-# /trace/{id}.
-slo-smoke:
-	./scripts/slo_smoke.sh
-
-# Gateway smoke test: boots lsdgnn-server in multi-tenant mode with a
-# key-gated admin plane (checks the zero-valued lsdgnn_gateway_*
-# pre-registration), rejects a bad-key probe (401-class, auth_failures
-# moves), runs a clean light-tenant burst, blows a greedy burst through the
-# heavy tenant's rate contract (its ratelimited/shed counters move, the
-# light tenant's stay clean), and reads the /tenants JSON view.
-gateway-smoke:
-	./scripts/gateway_smoke.sh
-
-# Store smoke test: bulk-loads per-partition CSR segments with
-# lsdgnn-shard bulk-load, boots lsdgnn-server -store-path on one (checks
-# the zero-valued lsdgnn_store_* pre-registration on /metrics), drives a
-# probe burst and asserts the read counters moved, then kill -9s the
-# server mid-ingest and asserts the restart replays the WAL.
-store-smoke:
-	./scripts/store_smoke.sh
+# Smoke test: builds lsdgnn-server, lsdgnn-probe and lsdgnn-shard, boots
+# servers as real processes on OS-assigned ports, drives them over TCP and
+# asserts on their admin planes and the client's counters, one subtest per
+# plane (metrics, wire, pipeline, reshard, slo, gateway, store). One
+# subtest: go test -tags smoke -run 'TestSmoke/slo' ./internal/smoke/
+smoke:
+	$(GO) test -tags smoke -count=1 -timeout 3m ./internal/smoke/
 
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the

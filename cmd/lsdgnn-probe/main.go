@@ -1,23 +1,16 @@
 // Command lsdgnn-probe is a wire-level load driver: it dials a running
-// lsdgnn-server cluster and pushes sampling batches through the serving
-// route — the windowed executor over the cluster client — then reports
-// what crossed the wire and prints the executor's lsdgnn_pipeline_*
-// series.
-//
-// It exists for smoke tests (scripts/wire_smoke.sh drives a burst and then
-// asserts the server's /metrics counted its sectioned frames) and for
-// eyeballing the wire bytes against a live cluster:
+// lsdgnn-server cluster, pushes sampling batches through the serving
+// route — the windowed executor over the cluster client — and reports
+// what crossed the wire:
 //
 //	lsdgnn-probe -addrs 127.0.0.1:7001,127.0.0.1:7002 -batches 8
 //
-// The probe routes by a versioned layout. With -replicas the address list
-// covers a replicated tier in UniformLayout order (replica r of partition
-// p at index r*partitions+p); -drain-endpoint then
-// rehearses a live replica rotation mid-burst, and -layout prints the
-// lsdgnn_cluster_layout_* series the rotation moved:
-//
-//	lsdgnn-probe -addrs :7001,:7002,:7011,:7012 -replicas 2 \
-//	    -drain-endpoint 2 -layout
+// With -replicas the address list covers a replicated tier in
+// UniformLayout order (replica r of partition p at index r*partitions+p),
+// and the client fails over between replicas under the stock retry and
+// breaker policy. Against a -tenants server, -key names the tenant every
+// frame is sent as. The probe exits non-zero on the first failed batch
+// and prints "probe: OK" otherwise.
 package main
 
 import (
@@ -31,11 +24,9 @@ import (
 
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/pipeline"
 	"lsdgnn/internal/sampler"
-	"lsdgnn/internal/stats"
 	"lsdgnn/internal/workload"
 )
 
@@ -45,17 +36,9 @@ func main() {
 	batchSize := flag.Int("batch-size", 64, "roots per batch")
 	workers := flag.Int("workers", 4, "concurrent batch drivers")
 	fanout := flag.Int("fanout", 10, "neighbors sampled per hop (2 hops)")
-	memStats := flag.Bool("mem", false, "print the client-side lsdgnn_mem_* buffer-pool metrics after the burst")
-	pipeWindow := flag.Int("pipeline-window", 0, "in-flight window of the executor in node-requests, shared by all workers (0 = default 8192)")
 	seed := flag.Int64("seed", 1, "root-selection and sampling seed")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	replicas := flag.Int("replicas", 1, "replicas per partition; addrs must list partitions×replicas servers in UniformLayout order")
-	layoutStats := flag.Bool("layout", false, "print the client-side lsdgnn_cluster_layout_* elastic-layout metrics after the burst")
-	sloStats := flag.Bool("slo", false, "classify batches against a client-side probe_batch latency objective and print the lsdgnn_slo_* series after the burst")
-	sloThreshold := flag.Duration("slo-threshold", 50*time.Millisecond, "probe_batch objective budget (with -slo)")
-	drainEndpoint := flag.Int("drain-endpoint", -1, "drain this endpoint out of the layout mid-burst (requires -replicas > 1, its partition keeps serving replicas)")
-	drainAfter := flag.Duration("drain-after", 50*time.Millisecond, "delay before the -drain-endpoint rotation starts")
-	tenant := flag.String("tenant", "", "tenant name this probe drives traffic as (label for output only)")
 	apiKey := flag.String("key", "", "tenant API key sent with every frame (required against a -tenants server)")
 	flag.Parse()
 
@@ -67,12 +50,6 @@ func main() {
 		fatal(fmt.Errorf("%d addresses do not divide into %d replicas per partition", len(endpoints), *replicas))
 	}
 	partitions := len(endpoints) / *replicas
-	if *drainEndpoint >= len(endpoints) {
-		fatal(fmt.Errorf("drain endpoint %d not in the %d-address layout", *drainEndpoint, len(endpoints)))
-	}
-	if *drainEndpoint >= 0 && *replicas < 2 {
-		fatal(fmt.Errorf("draining endpoint %d would leave its partition unserved: need -replicas > 1", *drainEndpoint))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
@@ -104,38 +81,13 @@ func main() {
 		Method: sampler.Streaming, FetchAttrs: true, Seed: *seed,
 	}
 	// Every batch flows through the windowed executor (the software AxE
-	// load unit), which owns the batch latency and the SLO hook.
-	ex := pipeline.New(client, cfg, pipeline.Config{Window: *pipeWindow})
+	// load unit), as it does inside a System.
+	ex := pipeline.New(client, cfg, pipeline.Config{})
 	ex.SetTracer(tracer)
-	slos := stats.NewSLOTracker()
-	if *sloStats {
-		ex.SetSLO(slos.Objective(stats.Objective{Name: "probe_batch", Threshold: *sloThreshold}))
-	}
 	src := workload.NewBatchSource(client.NumNodes(), *batchSize, *seed)
 	work := make([][]graph.NodeID, *batches)
 	for i := range work {
 		work[i] = append([]graph.NodeID(nil), src.Next()...)
-	}
-
-	// The drain rehearsal runs while workers drive traffic: mark the
-	// endpoint draining (routing stops, in-flight frames finish), remove
-	// it, and let the remaining replicas absorb the rest of the burst.
-	drainDone := make(chan error, 1)
-	if *drainEndpoint >= 0 {
-		ep := *drainEndpoint
-		go func() {
-			timer := time.NewTimer(*drainAfter)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				drainDone <- ctx.Err()
-				return
-			}
-			drainDone <- client.DrainReplica(ctx, ep%partitions, ep)
-		}()
-	} else {
-		drainDone <- nil
 	}
 
 	start := time.Now()
@@ -172,25 +124,10 @@ func main() {
 	if firstErr != nil {
 		fatal(firstErr)
 	}
-	if err := <-drainDone; err != nil {
-		fatal(fmt.Errorf("drain endpoint %d: %w", *drainEndpoint, err))
-	}
-	if *drainEndpoint >= 0 {
-		l := client.Layout()
-		if l == nil || l.Contains(*drainEndpoint) {
-			fatal(fmt.Errorf("endpoint %d still in the layout after drain", *drainEndpoint))
-		}
-		fmt.Printf("drained endpoint %d: epoch %d, partition %d now on %v\n",
-			*drainEndpoint, l.Epoch, *drainEndpoint%partitions, l.Routable(*drainEndpoint%partitions))
-	}
 
 	tr := client.Traffic.Snapshot()
-	as := ""
-	if *tenant != "" {
-		as = fmt.Sprintf(" as tenant %q", *tenant)
-	}
-	fmt.Printf("drove %d batches (%d roots)%s in %v: %d RPCs, %.1f KB up, %.1f KB down\n",
-		*batches, sampled, as, time.Since(start).Round(time.Millisecond),
+	fmt.Printf("drove %d batches (%d roots) in %v: %d RPCs, %.1f KB up, %.1f KB down\n",
+		*batches, sampled, time.Since(start).Round(time.Millisecond),
 		tr.Requests, float64(tr.RequestBytes)/1e3, float64(tr.ResponseBytes)/1e3)
 	ps := &client.Pack
 	if ps.Frames() == 0 {
@@ -201,39 +138,6 @@ func main() {
 	st := ex.Stats()
 	fmt.Printf("pipeline: window %d, in-flight peak %d, %d requests issued, %d stalls\n",
 		ex.Config().Window, st.InflightPeak(), st.IssuedRequests(), st.WindowStalls())
-	// Exposition block for smoke tests: the executor lives client-side, so
-	// the probe prints its own lsdgnn_pipeline_* series (the server
-	// pre-registers the same schema at zero).
-	if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{st.StatsSnapshot()}); err != nil {
-		fatal(err)
-	}
-	if *layoutStats {
-		// Exposition block for smoke tests: the layout lives client-side,
-		// so the probe prints its own lsdgnn_cluster_layout_* series (the
-		// server pre-registers the same schema at zero).
-		if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{client.Lay.StatsSnapshot()}); err != nil {
-			fatal(err)
-		}
-	}
-	if *sloStats {
-		// Exposition block for smoke tests: the objective classifies the
-		// executor's view of batch latency, server-side effects included.
-		if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{slos.StatsSnapshot()}); err != nil {
-			fatal(err)
-		}
-	}
-	if *memStats {
-		// Exposition block for smoke tests: buffer pools are process-local,
-		// so the probe prints its own client-side lsdgnn_mem_* series (the
-		// server pre-registers the same schema at zero). After a burst with
-		// every batch retired, scratch buffers must all be back in the pools.
-		if out := mem.Outstanding(); out != 0 {
-			fatal(fmt.Errorf("mem: %d scratch buffers still outstanding after burst", out))
-		}
-		if _, err := stats.WritePrometheus(os.Stdout, []stats.Snapshot{mem.Snapshot()}); err != nil {
-			fatal(err)
-		}
-	}
 	fmt.Println("probe: OK")
 }
 

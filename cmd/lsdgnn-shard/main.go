@@ -25,7 +25,7 @@
 // ingest appends random edges to an existing store directory through the
 // write-ahead log and exits WITHOUT compacting, so the records stay in
 // the WAL and the next open must replay them — the crash-recovery drill
-// scripts/store_smoke.sh runs against a kill -9'd server:
+// the smoke test's store subtest runs against a kill -9'd server:
 //
 //	lsdgnn-shard -mode ingest -store /data/shards/shard-0 -edges 50 -sync
 package main
