@@ -45,14 +45,19 @@ smoke:
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
 # packed-frame decoder, the pooled TCP frame reader, the -tenants parser and
-# the store's segment header, plus a differential run of the procedural
+# the store's segment header, plus differential runs of the procedural
 # attribute generator (the AVX-512 kernel where the CPU has it, the
-# four-lane loop otherwise) against its scalar reference.
+# four-lane loop otherwise) against its scalar reference, of the ID and
+# degree section codec against the word-at-a-time coder it replaced, and
+# of the store's batch neighbour read against the graph plus memtable and
+# the scalar read.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzDecodePacked' -fuzztime 20s ./internal/cluster/
+	$(GO) test -fuzz 'FuzzIDSection' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParseTenants' -fuzztime 10s ./internal/gateway/
 	$(GO) test -fuzz 'FuzzSegmentHeader' -fuzztime 10s ./internal/store/
+	$(GO) test -fuzz 'FuzzNeighborsBatch' -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz 'FuzzProceduralAttrs' -fuzztime 10s ./internal/graph/

@@ -73,44 +73,20 @@ type PackedSubResponse struct {
 	Err       error
 }
 
-// appendIDSection emits ids as a codec section, through BDI when asked.
-// Value serialization runs through pooled scratch, not per-call staging.
+// appendIDSection emits ids as a codec section, through BDI when asked,
+// encoding them in place.
 func appendIDSection(dst []byte, ids []graph.NodeID, bdi bool, c *mof.VecCodec) []byte {
 	if bdi {
-		vals := mem.U64s.Get(len(ids))
-		for i, v := range ids {
-			vals[i] = uint64(v)
-		}
-		dst = c.AppendU64s(dst, vals)
-		mem.U64s.Put(vals)
-		return dst
+		return mof.AppendWords(c, dst, ids)
 	}
-	raw := mem.Bytes.Get(len(ids) * 8)
-	for i, v := range ids {
-		binary.LittleEndian.PutUint64(raw[i*8:], uint64(v))
-	}
-	dst = c.AppendBytes(dst, raw, false)
-	mem.Bytes.Put(raw)
-	return dst
+	return mof.AppendWordBytes(c, dst, ids)
 }
 
-// readIDSection decodes an ID section into a fresh exact-size slice the
-// caller owns; decode staging stays in pooled scratch.
+// readIDSection decodes an ID section straight into a fresh exact-size
+// slice the caller owns.
 func readIDSection(src []byte, bdi bool, c *mof.VecCodec) ([]graph.NodeID, []byte, error) {
 	if bdi {
-		n, _ := mof.SectionCount(src)
-		scratch := mem.U64s.Get(int(n))
-		vals, rest, err := c.ReadU64sInto(scratch[:0], src)
-		if err != nil {
-			mem.U64s.Put(scratch)
-			return nil, nil, err
-		}
-		ids := make([]graph.NodeID, len(vals))
-		for i, v := range vals {
-			ids[i] = graph.NodeID(v)
-		}
-		mem.U64s.Put(scratch)
-		return ids, rest, nil
+		return mof.ReadWordsInto(c, []graph.NodeID(nil), src)
 	}
 	raw, rest, err := c.ReadBytes(src)
 	if err != nil {

@@ -26,13 +26,19 @@ type Backend interface {
 	AttrLen() int
 	// AttrBytes returns the wire size of one attribute vector.
 	AttrBytes() int
-	// Neighbors returns v's adjacency. The server holds every list of a
-	// sub until the reply is encoded, so the slice must stay valid and
-	// unmodified until then: it may alias immutable storage or be fresh,
-	// but never a buffer the backend reuses on a later call.
+	// Neighbors returns v's adjacency, the scalar form of NeighborsBatch.
+	// No server path calls it.
 	Neighbors(v graph.NodeID) []graph.NodeID
-	// Attr appends v's attribute vector to dst.
+	// Attr appends v's attribute vector to dst, the scalar form of
+	// AttrsBatch. No server path calls it.
 	Attr(dst []float32, v graph.NodeID) []float32
+	// NeighborsBatch fills dst[i] with the adjacency of vs[i], the
+	// sampler.Store method. The server hands it each neighbours sub a
+	// chunk at a time, every ID already range-checked, into list scratch
+	// it holds until the reply is encoded: each list must stay valid and
+	// unmodified until then. It may alias immutable storage or be fresh,
+	// but never a buffer the backend reuses on a later call.
+	NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error
 	// AttrsBatch writes the attribute vectors of vs row-major into dst
 	// (len(vs) × AttrLen), the sampler.Store method. The server hands it
 	// each attrs sub a chunk at a time, every ID already range-checked.
@@ -137,46 +143,15 @@ func (s *Server) checkID(v graph.NodeID) error {
 	return nil
 }
 
-// GetNeighbors answers a batched neighbor request. Every list served is
-// one fine-grained structure access — offset lookup plus ID list — and the
-// sub's accesses are recorded once, however it ends.
-func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (NeighborsResponse, error) {
-	resp := NeighborsResponse{Lists: make([][]graph.NodeID, len(req.IDs))}
-	var served, nbytes int
-	defer func() { s.stats.Record(trace.AccessStructure, served, nbytes, false) }()
-	for i, v := range req.IDs {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return NeighborsResponse{}, err
-			}
-		}
-		if err := s.checkID(v); err != nil {
-			return NeighborsResponse{}, err
-		}
-		nbrs := s.g.Neighbors(v)
-		served, nbytes = served+1, nbytes+16+len(nbrs)*8
-		resp.Lists[i] = nbrs
-	}
-	return resp, nil
-}
-
-// appendAttrs answers an attrs sub straight into the reply frame. Each
-// chunk of ctxCheckStride IDs is range-checked up to its first bad ID, and
-// the valid prefix is read in one store call into pooled scratch and put in
-// place in a raw section; the bad ID's error then ends the sub. A store
-// failure comes back as an error too, so the sub is rejected, not served.
-// Its attribute accesses, up to the first failure, are recorded once, like
-// GetNeighbors'.
-func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID) ([]byte, error) {
-	al := s.g.AttrLen()
-	out, payload := appendAttrsHead(out, al, len(ids)*al*4)
-	scratch := mem.Floats.Get(min(len(ids), ctxCheckStride) * al)
-	defer mem.Floats.Put(scratch)
-	var served int
-	defer func() { s.stats.Record(trace.AccessAttribute, served, served*s.g.AttrBytes(), false) }()
+// servePrefixes walks ids a ctxCheckStride chunk at a time: it checks
+// ctx, range-checks the chunk up to its first bad ID, hands the valid
+// prefix and its offset in ids to read — one store call — and then returns
+// the bad ID's error, so a sub is served up to its first bad ID and no
+// further.
+func (s *Server) servePrefixes(ctx context.Context, ids []graph.NodeID, read func(at int, chunk []graph.NodeID) error) error {
 	for start := 0; start < len(ids); start += ctxCheckStride {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return err
 		}
 		chunk := ids[start:min(start+ctxCheckStride, len(ids))]
 		var bad error
@@ -187,18 +162,68 @@ func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID
 			}
 		}
 		if len(chunk) > 0 {
-			vecs := scratch[:len(chunk)*al]
-			if err := s.g.AttrsBatch(ctx, vecs, chunk); err != nil {
-				return out, fmt.Errorf("cluster: attribute read: %w", err)
+			if err := read(start, chunk); err != nil {
+				return err
 			}
-			putFloats(payload[start*al*4:], vecs)
-			served += len(chunk)
 		}
 		if bad != nil {
-			return out, bad
+			return bad
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// appendNeighborLists answers a neighbours sub straight into the reply
+// frame: one NeighborsBatch call per checked chunk into pooled list
+// scratch, which the server holds until the lists are encoded. A store
+// failure comes back as an error, so the sub is rejected, not served.
+// Every list served is one fine-grained structure access — offset lookup
+// plus ID list — and the sub's accesses are recorded once, however it
+// ends.
+func (s *Server) appendNeighborLists(ctx context.Context, out []byte, ids []graph.NodeID, bdi bool) ([]byte, error) {
+	lists := mem.Lists.Get(len(ids))
+	defer mem.Lists.Put(lists)
+	var served, nbytes int
+	defer func() { s.stats.Record(trace.AccessStructure, served, nbytes, false) }()
+	err := s.servePrefixes(ctx, ids, func(at int, chunk []graph.NodeID) error {
+		got := lists[at : at+len(chunk)]
+		if err := s.g.NeighborsBatch(ctx, got, chunk); err != nil {
+			return fmt.Errorf("cluster: neighbor read: %w", err)
+		}
+		for _, l := range got {
+			nbytes += 16 + len(l)*8
+		}
+		served += len(chunk)
+		return nil
+	})
+	if err != nil {
+		return out, err
+	}
+	return appendNeighbors(out, lists, bdi, &s.wire.Codec), nil
+}
+
+// appendAttrs answers an attrs sub straight into the reply frame: one
+// AttrsBatch call per checked chunk into pooled scratch, put in place in a
+// raw section. A store failure comes back as an error too. Its attribute
+// accesses, up to the first failure, are recorded once, like
+// appendNeighborLists'.
+func (s *Server) appendAttrs(ctx context.Context, out []byte, ids []graph.NodeID) ([]byte, error) {
+	al := s.g.AttrLen()
+	out, payload := appendAttrsHead(out, al, len(ids)*al*4)
+	scratch := mem.Floats.Get(min(len(ids), ctxCheckStride) * al)
+	defer mem.Floats.Put(scratch)
+	var served int
+	defer func() { s.stats.Record(trace.AccessAttribute, served, served*s.g.AttrBytes(), false) }()
+	err := s.servePrefixes(ctx, ids, func(at int, chunk []graph.NodeID) error {
+		vecs := scratch[:len(chunk)*al]
+		if err := s.g.AttrsBatch(ctx, vecs, chunk); err != nil {
+			return fmt.Errorf("cluster: attribute read: %w", err)
+		}
+		putFloats(payload[at*al*4:], vecs)
+		served += len(chunk)
+		return nil
+	})
+	return out, err
 }
 
 // Handle dispatches a raw protocol message and returns the raw response,
@@ -293,10 +318,7 @@ func (s *Server) handlePacked(ctx context.Context, reply Header, body []byte) ([
 		if sub.Op == OpGetAttrs {
 			out, err = s.appendAttrs(ctx, out, sub.Attrs.IDs)
 		} else {
-			var resp NeighborsResponse
-			if resp, err = s.GetNeighbors(ctx, sub.Neighbors); err == nil {
-				out = appendNeighbors(out, resp.Lists, reply.BDI, &s.wire.Codec)
-			}
+			out, err = s.appendNeighborLists(ctx, out, sub.Neighbors.IDs, reply.BDI)
 		}
 		if err != nil {
 			if ctx.Err() != nil {

@@ -42,20 +42,27 @@ const (
 // socket I/O to return immediately (the net/http interrupt idiom).
 var aLongTimeAgo = time.Unix(1, 0)
 
-// noStatus marks a request frame, which has no status byte.
-const noStatus = -1
+// writeRequest sends a request frame, length prefix and body, in one
+// Write through a pooled buffer: on an unbuffered socket under TCP_NODELAY
+// two writes leave as two segments, and the server's reader would wake for
+// the prefix alone.
+func writeRequest(w io.Writer, msg []byte) error {
+	frame := mem.Bytes.Get(4 + len(msg))
+	defer mem.Bytes.Put(frame)
+	binary.LittleEndian.PutUint32(frame, uint32(len(msg)))
+	copy(frame[4:], msg)
+	_, err := w.Write(frame)
+	return err
+}
 
-// writeFrame writes the length prefix, the status byte unless status is
-// noStatus, and body — without copying body behind a prefix.
-func writeFrame(w io.Writer, status int, body []byte) error {
+// writeFrame writes a reply: the length prefix, the status byte and body,
+// without copying body behind them. The server's replies go through a
+// bufio.Writer, which joins the writes.
+func writeFrame(w io.Writer, status byte, body []byte) error {
 	var hdr [5]byte
-	n := 4
-	if status != noStatus {
-		hdr[4] = byte(status)
-		n = 5
-	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+n-4))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+1))
+	hdr[4] = status
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -63,11 +70,19 @@ func writeFrame(w io.Writer, status int, body []byte) error {
 }
 
 // readFrame reads one frame into a pooled buffer, grown only as bytes
-// arrive, that the caller owns. A reply's status byte is read apart from
-// the body and returned on its own, so the body keeps its pool capacity.
+// arrive, that the caller owns. A reply's length and status byte are read
+// together, and the status is returned apart from the body, so the body
+// keeps its pool capacity.
 func readFrame(r io.Reader, reply bool) (body []byte, status byte, err error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	head := hdr[:4]
+	if reply {
+		head = hdr[:]
+	}
+	// At least the length, then: a zero-length reply must fail now, not
+	// block on a status byte that never comes.
+	got, err := io.ReadAtLeast(r, head, 4)
+	if err != nil {
 		return nil, 0, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
@@ -75,13 +90,13 @@ func readFrame(r io.Reader, reply bool) (body []byte, status byte, err error) {
 		return nil, 0, fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
 	}
 	if reply {
-		// Checked before the status read: a zero-length reply must fail
-		// now, not block on a status byte that never comes.
 		if n == 0 {
 			return nil, 0, errors.New("cluster: empty response frame")
 		}
-		if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-			return nil, 0, err
+		if got < len(head) {
+			if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+				return nil, 0, err
+			}
 		}
 		n--
 	}
@@ -197,7 +212,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			t.frameErrs.Inc()
 		}
-		status := statusOK
+		status := byte(statusOK)
 		var se *ServerError
 		switch {
 		case err == nil:
@@ -444,7 +459,7 @@ func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, m
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
 	}
-	ioErr := writeFrame(conn, noStatus, msg)
+	ioErr := writeRequest(conn, msg)
 	var resp []byte
 	var status byte
 	if ioErr == nil {

@@ -424,3 +424,44 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 		t.Fatalf("a %d-byte frame claiming %d allocated %d bytes", len(body), maxFrameBytes, got)
 	}
 }
+
+// TestRequestFrameLeavesInOneWrite: the client hands a request frame to
+// its socket in one Write, so the server's first Read gets the whole frame
+// — never a bare length prefix — and a reply still comes back through the
+// same round trip.
+func TestRequestFrameLeavesInOneWrite(t *testing.T) {
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	tr := DialTCP([]string{"unused"}, 1)
+	defer tr.Close()
+	msg, err := EncodePackedRequest([]PackedSubRequest{{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: []graph.NodeID{4, 9, 1 << 33}}}}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		resp []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, _, err := tr.attempt(context.Background(), 0, conn, msg)
+		done <- result{resp, err}
+	}()
+	_ = peer.SetDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 4+len(msg)+64)
+	n, err := peer.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := binary.LittleEndian.AppendUint32(nil, uint32(len(msg))); n != 4+len(msg) || !bytes.Equal(buf[:4], want) || !bytes.Equal(buf[4:n], msg) {
+		t.Fatalf("first read got %d bytes %x, want the %d-byte frame", n, buf[:n], 4+len(msg))
+	}
+	if err := writeFrame(peer, statusOK, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil || string(r.resp) != "ok" {
+		t.Fatalf("round trip: %q, %v", r.resp, r.err)
+	}
+	mem.Bytes.Recycle(r.resp)
+}

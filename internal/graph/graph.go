@@ -60,6 +60,18 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
 }
 
+// NeighborsBatch fills dst[i] with vs[i]'s out-neighbors, the
+// sampler.Store shape. Every list aliases the graph's immutable storage.
+func (g *Graph) NeighborsBatch(ctx context.Context, dst [][]NodeID, vs []NodeID) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, v := range vs {
+		dst[i] = g.Neighbors(v)
+	}
+	return nil
+}
+
 // HasNode reports whether v is a valid node ID. It compares in uint64
 // space: IDs at or above 2^63 would turn negative as int64 and pass a
 // signed check.

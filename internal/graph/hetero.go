@@ -106,13 +106,7 @@ func (v *heteroView) AttrLen() int { return v.h.attrLen }
 
 // NeighborsBatch implements the batch store shape over this relation.
 func (v *heteroView) NeighborsBatch(ctx context.Context, dst [][]NodeID, vs []NodeID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, n := range vs {
-		dst[i] = v.rel.Neighbors(n)
-	}
-	return nil
+	return v.rel.NeighborsBatch(ctx, dst, vs)
 }
 
 // AttrsBatch implements the batch store shape from the shared table, the

@@ -1,11 +1,9 @@
 package mof
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
-
-	"lsdgnn/internal/mem"
 )
 
 // Streaming entry points for putting the Tech-2 BDI codecs on a live wire.
@@ -93,10 +91,9 @@ func (c *VecCodec) Bytes() (raw, encoded int64) {
 // when it loses, dst is truncated back and the raw payload appended — so
 // no intermediate encode buffer exists on either outcome.
 func (c *VecCodec) appendSection(dst []byte, count uint32, payload []byte, tryBDI bool) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, count)
+	dst = le.AppendUint32(dst, count)
 	flagAt := len(dst)
-	dst = append(dst, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // encLen, patched below
+	dst = append(dst, 0, 0, 0, 0, 0) // flags, encLen (patched below)
 	body := len(dst)
 	if tryBDI {
 		dst = AppendBDICompress(dst, payload)
@@ -110,25 +107,33 @@ func (c *VecCodec) appendSection(dst []byte, count uint32, payload []byte, tryBD
 		dst = append(dst, payload...)
 	}
 	encLen := len(dst) - body
-	binary.LittleEndian.PutUint32(dst[flagAt+1:], uint32(encLen))
+	le.PutUint32(dst[flagAt+1:], uint32(encLen))
 	c.countEnc(len(payload), encLen)
 	return dst
+}
+
+// sectionHead parses the header of the section at the head of src: its
+// count and flags, its payload, and the bytes following it.
+func sectionHead(src []byte) (count uint32, flags byte, payload, rest []byte, err error) {
+	if len(src) < sectionHeaderSize {
+		return 0, 0, nil, nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
+	}
+	count, flags = le.Uint32(src), src[4]
+	encLen := le.Uint32(src[5:])
+	body := src[sectionHeaderSize:]
+	if uint64(len(body)) < uint64(encLen) {
+		return 0, 0, nil, nil, fmt.Errorf("%w: section payload %d bytes, header says %d", ErrCorrupt, len(body), encLen)
+	}
+	return count, flags, body[:encLen], body[encLen:], nil
 }
 
 // readSection parses one section header and returns the decompressed
 // payload, the declared count, and the bytes following the section.
 func (c *VecCodec) readSection(src []byte) (payload []byte, count uint32, rest []byte, err error) {
-	if len(src) < sectionHeaderSize {
-		return nil, 0, nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
+	count, flags, payload, rest, err := sectionHead(src)
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	count = binary.LittleEndian.Uint32(src)
-	flags := src[4]
-	encLen := binary.LittleEndian.Uint32(src[5:])
-	body := src[sectionHeaderSize:]
-	if uint64(len(body)) < uint64(encLen) {
-		return nil, 0, nil, fmt.Errorf("%w: section payload %d bytes, header says %d", ErrCorrupt, len(body), encLen)
-	}
-	payload, rest = body[:encLen], body[encLen:]
 	if flags&SectionBDI != 0 {
 		dec, derr := BDIDecompress(payload)
 		if derr != nil {
@@ -144,13 +149,45 @@ func (c *VecCodec) readSection(src []byte) (payload []byte, count uint32, rest [
 // AppendU64s appends a u64-vector section holding vals (BDI-compressed
 // when smaller). Node-ID and address vectors are the paper's Tech-2 sweet
 // spot: clustered 64-bit values collapse to narrow per-line deltas.
-func (c *VecCodec) AppendU64s(dst []byte, vals []uint64) []byte {
-	raw := mem.Bytes.Get(len(vals) * 8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(raw[i*8:], v)
+func (c *VecCodec) AppendU64s(dst []byte, vals []uint64) []byte { return AppendWords(c, dst, vals) }
+
+// AppendWords is AppendU64s for any vector of 64-bit words, node IDs
+// included, read in place: no staging copy on either outcome.
+func AppendWords[W ~uint64](c *VecCodec, dst []byte, vals []W) []byte {
+	return appendWords(c, dst, uint32(len(vals)), vals, true)
+}
+
+// AppendWordBytes appends vals' little-endian image as a raw byte section,
+// the uncompressed form AppendBytes would give it, with no staging copy.
+func AppendWordBytes[W ~uint64](c *VecCodec, dst []byte, vals []W) []byte {
+	return appendWords(c, dst, uint32(len(vals)*8), vals, false)
+}
+
+// appendWords is appendSection for a vector of words: BDI lines are
+// encoded straight from vals, a losing trial stops at the line that makes
+// it lose, and the raw form is written from vals too.
+func appendWords[W ~uint64](c *VecCodec, dst []byte, count uint32, vals []W, tryBDI bool) []byte {
+	dst = le.AppendUint32(dst, count)
+	flagAt := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0) // flags, encLen (patched below)
+	body, raw := len(dst), len(vals)*8
+	if tryBDI {
+		dst = append(dst, 0) // BDI tail length: none
+		for start := 0; start < len(vals) && len(dst)-body < raw; start += bdiLineWords {
+			dst = appendLine(dst, vals[start:min(start+bdiLineWords, len(vals))])
+		}
 	}
-	dst = c.appendSection(dst, uint32(len(vals)), raw, true)
-	mem.Bytes.Put(raw)
+	if tryBDI && len(dst)-body < raw {
+		dst[flagAt] = SectionBDI
+	} else {
+		dst = slices.Grow(dst[:body], raw)[:body+raw]
+		for i, v := range vals {
+			le.PutUint64(dst[body+i*8:], uint64(v))
+		}
+	}
+	encLen := len(dst) - body
+	le.PutUint32(dst[flagAt+1:], uint32(encLen))
+	c.countEnc(raw, encLen)
 	return dst
 }
 
@@ -164,7 +201,7 @@ func SectionCount(src []byte) (n uint32, ok bool) {
 	if len(src) < sectionHeaderSize {
 		return 0, false
 	}
-	n = binary.LittleEndian.Uint32(src)
+	n = le.Uint32(src)
 	if most := uint64(len(src)-sectionHeaderSize) * 8; uint64(n) > most {
 		n = uint32(most)
 	}
@@ -172,19 +209,37 @@ func SectionCount(src []byte) (n uint32, ok bool) {
 }
 
 // ReadU64sInto parses a u64-vector section, appending the values to dst —
-// the scratch-reuse form of ReadU64s for decode paths that convert or copy
-// the values onward. Size dst via SectionCount to keep the append in one
-// buffer.
+// the scratch-reuse form of ReadU64s. The payload is validated first and
+// then decoded straight into dst, grown once to fit.
 func (c *VecCodec) ReadU64sInto(dst []uint64, src []byte) ([]uint64, []byte, error) {
-	payload, count, rest, err := c.readSection(src)
+	return ReadWordsInto(c, dst, src)
+}
+
+// ReadWordsInto is ReadU64sInto for any vector of 64-bit words: called
+// with a nil dst it returns a fresh exact-size vector, node IDs included.
+// Nothing is allocated before the section has proved it holds as many
+// values as it claims.
+func ReadWordsInto[W ~uint64](c *VecCodec, dst []W, src []byte) ([]W, []byte, error) {
+	count, flags, payload, rest, err := sectionHead(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(payload)) != uint64(count)*8 {
-		return nil, nil, fmt.Errorf("%w: u64 section of %d bytes for %d values", ErrCorrupt, len(payload), count)
+	// A raw payload decodes like a BDI tail: whole little-endian words.
+	lines, tail, words := []byte(nil), payload, 0
+	if flags&SectionBDI != 0 {
+		if lines, tail, words, err = bdiScan(payload); err != nil {
+			return nil, nil, err
+		}
 	}
-	for i := 0; i < int(count); i++ {
-		dst = append(dst, binary.LittleEndian.Uint64(payload[i*8:]))
+	c.countDec(len(payload), words*8+len(tail))
+	if size := words*8 + len(tail); uint64(size) != uint64(count)*8 {
+		return nil, nil, fmt.Errorf("%w: u64 section of %d bytes for %d values", ErrCorrupt, size, count)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, int(count))[:at+int(count)]
+	decodeLines(dst[at:at+words], lines)
+	for i := range dst[at+words:] {
+		dst[at+words+i] = W(le.Uint64(tail[i*8:]))
 	}
 	return dst, rest, nil
 }
@@ -204,57 +259,52 @@ func (c *VecCodec) ReadU64s(src []byte) ([]uint64, []byte, error) {
 // vectors), sign-extended through the 32-bit BDI path when that is
 // smaller.
 func (c *VecCodec) AppendU32s(dst []byte, vals []uint32) []byte {
-	raw := mem.Bytes.Get(len(vals) * 4)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[i*4:], v)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+	dst = le.AppendUint32(dst, uint32(len(vals)))
 	flagAt := len(dst)
-	dst = append(dst, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // encLen, patched below
-	body := len(dst)
-	if comp, err := AppendBDICompress32(dst, raw); err == nil && len(comp)-body < len(raw) {
-		dst = comp
+	dst = append(dst, 0, 0, 0, 0, 0) // flags, encLen (patched below)
+	body, raw := len(dst), len(vals)*4
+	if dst = appendBDILanes(dst, len(vals), func(i int) uint32 { return vals[i] }); len(dst)-body < raw {
 		dst[flagAt] = SectionBDI
 	} else {
-		dst = append(dst[:body], raw...)
+		dst = slices.Grow(dst[:body], raw)[:body+raw]
+		for i, v := range vals {
+			le.PutUint32(dst[body+i*4:], v)
+		}
 	}
 	encLen := len(dst) - body
-	binary.LittleEndian.PutUint32(dst[flagAt+1:], uint32(encLen))
-	c.countEnc(len(raw), encLen)
-	mem.Bytes.Put(raw)
+	le.PutUint32(dst[flagAt+1:], uint32(encLen))
+	c.countEnc(raw, encLen)
 	return dst
 }
 
 // ReadU32sInto parses a u32-vector section, appending the values to dst —
-// the scratch-reuse form of ReadU32s.
+// the scratch-reuse form of ReadU32s, decoded straight into dst.
 func (c *VecCodec) ReadU32sInto(dst []uint32, src []byte) ([]uint32, []byte, error) {
-	if len(src) < sectionHeaderSize {
-		return nil, nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
+	count, flags, payload, rest, err := sectionHead(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	count := binary.LittleEndian.Uint32(src)
-	flags := src[4]
-	encLen := binary.LittleEndian.Uint32(src[5:])
-	body := src[sectionHeaderSize:]
-	if uint64(len(body)) < uint64(encLen) {
-		return nil, nil, fmt.Errorf("%w: section payload %d bytes, header says %d", ErrCorrupt, len(body), encLen)
-	}
-	payload, rest := body[:encLen], body[encLen:]
+	var lines, tail []byte
+	size := len(payload)
 	if flags&SectionBDI != 0 {
-		dec, err := BDIDecompress32(payload)
-		if err != nil {
+		var lanes int
+		if lines, tail, lanes, err = bdiLanes(payload); err != nil {
 			return nil, nil, err
 		}
-		c.countDec(len(payload), len(dec))
-		payload = dec
+		size = lanes * 4
+	}
+	c.countDec(len(payload), size)
+	if uint64(size) != uint64(count)*4 {
+		return nil, nil, fmt.Errorf("%w: u32 section of %d bytes for %d values", ErrCorrupt, size, count)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, int(count))[:at+int(count)]
+	if flags&SectionBDI != 0 {
+		decodeLanes(dst[at:], lines, tail)
 	} else {
-		c.countDec(len(payload), len(payload))
-	}
-	if uint64(len(payload)) != uint64(count)*4 {
-		return nil, nil, fmt.Errorf("%w: u32 section of %d bytes for %d values", ErrCorrupt, len(payload), count)
-	}
-	for i := 0; i < int(count); i++ {
-		dst = append(dst, binary.LittleEndian.Uint32(payload[i*4:]))
+		for i := range dst[at:] {
+			dst[at+i] = le.Uint32(payload[i*4:])
+		}
 	}
 	return dst, rest, nil
 }

@@ -447,13 +447,7 @@ func (l LocalStore) AttrLen() int { return l.G.AttrLen() }
 
 // NeighborsBatch implements Store.
 func (l LocalStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, v := range vs {
-		dst[i] = l.G.Neighbors(v)
-	}
-	return nil
+	return l.G.NeighborsBatch(ctx, dst, vs)
 }
 
 // AttrsBatch implements Store.

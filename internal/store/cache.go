@@ -5,6 +5,7 @@ import (
 	"os"
 	"sync"
 
+	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
 )
 
@@ -66,6 +67,31 @@ func (c *pageCache) ReadAt(p []byte, off int64) error {
 	}
 	return nil
 }
+
+// words decodes len(dst) words from the word-aligned offset off straight
+// out of the cached pages, faulting misses in: a page holds whole words,
+// so none straddles two. Caller holds the lock (lock/unlock), which a
+// batch takes once for all its reads.
+func (c *pageCache) words(dst []graph.NodeID, off int64) error {
+	if off < 0 || off+int64(len(dst))*8 > c.size {
+		return fmt.Errorf("%w: cache read [%d,+%d) outside %d-byte segment", ErrCorrupt, off, len(dst)*8, c.size)
+	}
+	for len(dst) > 0 {
+		idx := off / PageSize
+		pg, err := c.pageLocked(idx)
+		if err != nil {
+			return err
+		}
+		in := pg.buf[off-idx*PageSize:]
+		n := min(len(dst), len(in)/8)
+		decodeWords(dst[:n], in)
+		dst, off = dst[n:], off+int64(n)*8
+	}
+	return nil
+}
+
+func (c *pageCache) lock()   { c.mu.Lock() }
+func (c *pageCache) unlock() { c.mu.Unlock() }
 
 // view never returns a window: cached pages can be evicted and recycled,
 // so no zero-copy alias may escape the lock.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,8 +20,9 @@ var ErrClosed = errors.New("store: closed")
 // disk, a WAL-backed in-memory memtable overlaying mutations (the same
 // base+delta shape as graph.Dynamic, but durable), and either an mmap or
 // an admission-controlled page cache underneath depending on the memory
-// budget. It implements sampler.Store batch-first, plus the scalar
-// accessors of cluster.Backend, plus the streaming ingest path.
+// budget. It implements sampler.Store and cluster.Backend batch-first
+// (plus the scalar accessors cluster.Backend still carries), and the
+// streaming ingest path.
 type DiskStore struct {
 	dir  string
 	opts options
@@ -256,19 +257,6 @@ func (s *DiskStore) Resident() int64 { return s.st.ResidentBytes() }
 // SegmentBytes returns the live segment's file size.
 func (s *DiskStore) SegmentBytes() int64 { return s.st.SegmentBytes() }
 
-// appendNeighborsLocked merges base + frozen + live adjacency for v into
-// dst. Caller holds s.mu (read or write).
-func (s *DiskStore) appendNeighborsLocked(dst []graph.NodeID, v graph.NodeID) ([]graph.NodeID, error) {
-	frozen, live := s.frozen[v], s.delta[v]
-	dst, err := s.seg.appendNeighbors(dst, v, len(frozen)+len(live))
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, frozen...)
-	dst = append(dst, live...)
-	return dst, nil
-}
-
 // appendAttrLocked resolves v's attribute vector: live override, then
 // frozen override, then base segment. Caller holds s.mu.
 func (s *DiskStore) appendAttrLocked(dst []float32, v graph.NodeID) ([]float32, error) {
@@ -282,32 +270,29 @@ func (s *DiskStore) appendAttrLocked(dst []float32, v graph.NodeID) ([]float32, 
 }
 
 // scalarFail is where the scalar accessors' failures go. They have no error
-// return, and a closed store, an I/O error or corrupt offsets must reach the
-// client as a failed request, never as "no neighbours" or a zero vector — so
-// they panic with the wrapped error, which cluster.Server.Handle's recover
-// boundary turns into a *ServerError reply. Of a shard server's reads only
-// Neighbors still goes through it: attributes come through AttrsBatch,
-// whose errors come back as sub rejections.
+// return, and a closed store, an I/O error or corrupt offsets must reach
+// their caller as a failure, never as "no neighbours" or a zero vector — so
+// they panic with the wrapped error. No shard-server read comes through
+// here: a server reads through NeighborsBatch and AttrsBatch, whose errors
+// come back as sub rejections.
 func scalarFail(v graph.NodeID, err error) {
 	panic(fmt.Errorf("store: read of node %d: %w", v, err))
 }
 
-// Neighbors returns v's live adjacency (base + memtable) — the scalar
-// accessor cluster shard servers use. The slice is freshly allocated and
-// the store keeps no reference to it, so it stays valid and unmodified
-// however long the server holds it before encoding the reply (the
-// cluster.Backend contract).
+// Neighbors returns v's live adjacency (base + memtable): NeighborsBatch
+// for one ID. The slice is freshly allocated and the store keeps no
+// reference to it (the cluster.Backend contract).
 func (s *DiskStore) Neighbors(v graph.NodeID) []graph.NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		scalarFail(v, ErrClosed)
 	}
-	out, err := s.appendNeighborsLocked(nil, v)
-	if err != nil {
+	var out [1][]graph.NodeID
+	if err := s.seg.neighbors(out[:], []graph.NodeID{v}, s.frozen, s.delta); err != nil {
 		scalarFail(v, err)
 	}
-	return out
+	return out[0]
 }
 
 // Attr appends v's live attribute vector to dst.
@@ -324,8 +309,11 @@ func (s *DiskStore) Attr(dst []float32, v graph.NodeID) []float32 {
 	return out
 }
 
-// NeighborsBatch implements sampler.Store: live adjacency for every
-// requested vertex, reusing dst capacity.
+// NeighborsBatch implements sampler.Store and cluster.Backend: live
+// adjacency (base run, then the frozen and live memtables) for every
+// requested vertex, under one store lock and one page-cache lock. A list
+// reuses dst[i]'s capacity when it fits; the rest share one fresh
+// allocation per call, which the store never touches again.
 func (s *DiskStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -335,14 +323,7 @@ func (s *DiskStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs
 	if s.closed {
 		return ErrClosed
 	}
-	for i, v := range vs {
-		out, err := s.appendNeighborsLocked(dst[i][:0], v)
-		if err != nil {
-			return err
-		}
-		dst[i] = out
-	}
-	return nil
+	return s.seg.neighbors(dst, vs, s.frozen, s.delta)
 }
 
 // AttrsBatch implements sampler.Store: attribute vectors packed row-major
@@ -481,16 +462,14 @@ func (c *compactSource) Materialized() bool {
 }
 
 func (c *compactSource) Neighbors(v graph.NodeID) []graph.NodeID {
-	extra := c.frozen[v]
-	nbrs, err := c.seg.appendNeighbors(c.nbuf[:0], v, len(extra))
-	if err != nil {
+	lists := [1][]graph.NodeID{c.nbuf[:0]}
+	if err := c.seg.neighbors(lists[:], []graph.NodeID{v}, c.frozen, nil); err != nil {
 		c.err = err
 		return nil
 	}
-	c.nbuf = nbrs
-	if len(extra) > 0 {
-		c.nbuf = append(c.nbuf, extra...)
-		sort.Slice(c.nbuf, func(i, j int) bool { return c.nbuf[i] < c.nbuf[j] })
+	c.nbuf = lists[0]
+	if len(c.frozen[v]) > 0 {
+		slices.Sort(c.nbuf)
 	}
 	return c.nbuf
 }

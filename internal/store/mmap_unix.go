@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"syscall"
+
+	"lsdgnn/internal/graph"
 )
 
 // mmapReader serves segment bytes straight from a read-only shared
@@ -44,6 +46,18 @@ func (r *mmapReader) view(off, n int64) []byte {
 	}
 	return r.data[off : off+n]
 }
+
+func (r *mmapReader) words(dst []graph.NodeID, off int64) error {
+	w := r.view(off, int64(len(dst))*8)
+	if w == nil {
+		return fmt.Errorf("%w: mmap read [%d,+%d) outside %d-byte segment", ErrCorrupt, off, len(dst)*8, len(r.data))
+	}
+	decodeWords(dst, w)
+	return nil
+}
+
+func (r *mmapReader) lock()   {}
+func (r *mmapReader) unlock() {}
 
 func (r *mmapReader) Close() error {
 	err := syscall.Munmap(r.data)

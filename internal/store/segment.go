@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
@@ -270,7 +269,21 @@ type reader interface {
 	// view returns a zero-copy window over [off, off+n) when the backing
 	// supports one (mmap), nil otherwise.
 	view(off, n int64) []byte
+	// words decodes len(dst) little-endian words from the word-aligned
+	// offset off straight into dst. It runs between lock and unlock, which
+	// hold the page cache for a whole batch of reads (no-ops elsewhere).
+	words(dst []graph.NodeID, off int64) error
+	lock()
+	unlock()
 	Close() error
+}
+
+// decodeWords fills dst from the little-endian words at the head of src.
+func decodeWords(dst []graph.NodeID, src []byte) {
+	src = src[:len(dst)*8]
+	for i := range dst {
+		dst[i] = graph.NodeID(binary.LittleEndian.Uint64(src[i*8:]))
+	}
 }
 
 // fileReader serves pread straight off the file — the no-cache, no-mmap
@@ -282,7 +295,18 @@ func (r fileReader) ReadAt(p []byte, off int64) error {
 	return err
 }
 func (r fileReader) view(off, n int64) []byte { return nil }
-func (r fileReader) Close() error             { return r.f.Close() }
+func (r fileReader) words(dst []graph.NodeID, off int64) error {
+	buf := mem.Bytes.Get(len(dst) * 8)
+	defer mem.Bytes.Put(buf)
+	if err := r.ReadAt(buf, off); err != nil {
+		return err
+	}
+	decodeWords(dst, buf)
+	return nil
+}
+func (r fileReader) lock()        {}
+func (r fileReader) unlock()      {}
+func (r fileReader) Close() error { return r.f.Close() }
 
 // segment is an open immutable CSR segment.
 type segment struct {
@@ -329,59 +353,55 @@ func openSegment(path string, o options) (*segment, error) {
 
 func (s *segment) Close() error { return s.r.Close() }
 
-// edgeRange returns the half-open edge-array index range of v's adjacency
-// run — two fixed-width offset reads at a computed address.
-func (s *segment) edgeRange(v graph.NodeID) (start, end int64, err error) {
-	if uint64(v) >= uint64(s.numNodes) {
-		return 0, 0, nil
-	}
-	off := s.offTable + int64(v)*8
-	pair := s.r.view(off, 16)
-	if pair == nil {
-		// Pooled scratch, not a stack array: a slice handed to ReadAt
-		// through the interface would move the array to the heap.
-		pair = mem.Bytes.Get(16)
-		defer mem.Bytes.Put(pair)
-		if err := s.r.ReadAt(pair, off); err != nil {
-			return 0, 0, err
+// neighbors fills dst[i] with vs[i]'s adjacency: its base run, then its
+// entries in frozen and in live (either map may be nil). The reader is
+// held once for the call, so a budgeted segment takes the page-cache lock
+// once. A first pass reads every offset pair into pooled scratch and sizes
+// one arena for the lists that outgrow their dst slot; a second decodes
+// every run straight out of the mapping or the cached pages. A list reuses
+// dst[i]'s capacity when it fits and is carved from the fresh arena
+// otherwise, so no list aliases a buffer the store reuses later. IDs
+// outside the segment have no base run.
+func (s *segment) neighbors(dst [][]graph.NodeID, vs []graph.NodeID, frozen, live map[graph.NodeID][]graph.NodeID) error {
+	s.r.lock()
+	defer s.r.unlock()
+	spans := mem.IDs.Get(2 * len(vs)) // start, end per ID
+	defer mem.IDs.Put(spans)
+	need := 0
+	for i, v := range vs {
+		span := spans[2*i : 2*i+2]
+		if uint64(v) >= uint64(s.numNodes) {
+			span[0], span[1] = 0, 0
+		} else if err := s.r.words(span, s.offTable+int64(v)*8); err != nil {
+			return err
+		}
+		if start, end := int64(span[0]), int64(span[1]); start < 0 || end < start || end > s.numEdges {
+			return fmt.Errorf("%w: vertex %d offsets [%d,%d) outside %d edges", ErrCorrupt, v, start, end, s.numEdges)
+		}
+		if m := int(span[1]-span[0]) + len(frozen[v]) + len(live[v]); m > cap(dst[i]) {
+			need += m
 		}
 	}
-	start = int64(binary.LittleEndian.Uint64(pair[:8]))
-	end = int64(binary.LittleEndian.Uint64(pair[8:]))
-	if start < 0 || end < start || end > s.numEdges {
-		return 0, 0, fmt.Errorf("%w: vertex %d offsets [%d,%d) outside %d edges", ErrCorrupt, v, start, end, s.numEdges)
+	var arena []graph.NodeID
+	if need > 0 {
+		arena = make([]graph.NodeID, need)
 	}
-	return start, end, nil
-}
-
-// appendNeighbors appends v's base adjacency run to dst, growing dst once
-// to hold the run plus extra entries the caller appends after it.
-func (s *segment) appendNeighbors(dst []graph.NodeID, v graph.NodeID, extra int) ([]graph.NodeID, error) {
-	start, end, err := s.edgeRange(v)
-	if err != nil {
-		return dst, err
-	}
-	n := end - start
-	if dst = slices.Grow(dst, int(n)+extra); n == 0 {
-		return dst, nil
-	}
-	off := s.edgeTable + start*8
-	s.st.neighborReads.Inc()
-	if w := s.r.view(off, n*8); w != nil {
-		for i := int64(0); i < n; i++ {
-			dst = append(dst, graph.NodeID(binary.LittleEndian.Uint64(w[i*8:])))
+	for i, v := range vs {
+		start, n := int64(spans[2*i]), int(spans[2*i+1]-spans[2*i])
+		f, l := frozen[v], live[v]
+		list := dst[i][:0]
+		if m := n + len(f) + len(l); m > cap(list) {
+			list, arena = arena[:0:m], arena[m:]
 		}
-		return dst, nil
+		if list = list[:n]; n > 0 {
+			s.st.neighborReads.Inc()
+			if err := s.r.words(list, s.edgeTable+start*8); err != nil {
+				return err
+			}
+		}
+		dst[i] = append(append(list, f...), l...)
 	}
-	scratch := mem.Bytes.Get(int(n * 8))
-	defer mem.Bytes.Put(scratch)
-	if err := s.r.ReadAt(scratch, off); err != nil {
-		return dst, err
-	}
-	for i := int64(0); i < n; i++ {
-		dst = append(dst, graph.NodeID(binary.LittleEndian.Uint64(scratch[i*8:])))
-	}
-	return dst, nil
+	return nil
 }
 
 // appendAttr appends v's attribute vector to dst: a page-cache or mmap

@@ -8,16 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/mof"
 	"lsdgnn/internal/sampler"
 )
 
-func testGraph(t *testing.T, materialize bool) *graph.Graph {
+func testGraph(t testing.TB, materialize bool) *graph.Graph {
 	t.Helper()
 	return graph.Generate(graph.GenConfig{
 		NumNodes: 500, AvgDegree: 8, AttrLen: 16, Seed: 42,
@@ -25,7 +27,7 @@ func testGraph(t *testing.T, materialize bool) *graph.Graph {
 	})
 }
 
-func mustCreate(t *testing.T, g *graph.Graph, opts ...Option) (string, *DiskStore) {
+func mustCreate(t testing.TB, g *graph.Graph, opts ...Option) (string, *DiskStore) {
 	t.Helper()
 	dir := t.TempDir()
 	if err := Create(dir, g, opts...); err != nil {
@@ -476,16 +478,14 @@ func TestPageCacheBudget(t *testing.T) {
 
 // TestClosedStoreFailsServerRequests: a closed store must fail the
 // request — neighbors or attributes — instead of answering it with empty
-// adjacency and zero vectors. Neighbors has no error return, so its failure
-// fails the whole frame; AttrsBatch returns the error, so the attrs sub
-// comes back rejected inside a served frame.
+// adjacency and zero vectors. Both batch reads return the error, so each
+// sub comes back rejected inside a served frame.
 func TestClosedStoreFailsServerRequests(t *testing.T) {
 	g := testGraph(t, true)
 	_, s := mustCreate(t, g, WithMemoryBudget(16<<10))
 	srv := cluster.NewBackendServer(s, cluster.HashPartitioner{N: 1}, 0)
 	ids := []graph.NodeID{1, 2, 3}
-	// One sub per frame, as clients send them: a frame fails at its first
-	// failing read, so each kind needs a frame of its own.
+	// One sub per frame, as clients send them.
 	var codec mof.VecCodec
 	frames := map[string][]byte{}
 	for name, sub := range map[string]cluster.PackedSubRequest{
@@ -509,19 +509,67 @@ func TestClosedStoreFailsServerRequests(t *testing.T) {
 	for name, frame := range frames {
 		reply, err := srv.Handle(context.Background(), frame)
 		if err != nil {
-			continue
-		}
-		if name == "neighbors" {
-			t.Fatalf("closed store: %s request served as data", name)
+			t.Fatalf("closed store: %s frame failed (%v), want a served frame", name, err)
 		}
 		subs, err := cluster.DecodePackedResponse(reply, 0, &codec)
 		if err != nil {
 			t.Fatalf("closed store: %s reply: %v", name, err)
 		}
-		if err := subs[0].Err; err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
+		var se *cluster.ServerError
+		if err := subs[0].Err; !errors.As(err, &se) || !strings.Contains(err.Error(), ErrClosed.Error()) {
 			t.Fatalf("closed store: %s sub returned %v, want a rejection naming %q", name, err, ErrClosed)
 		}
 	}
+}
+
+// TestServerNeighborSubAllocationsFlat: a shard server answers a
+// neighbours sub over a budgeted store with one store call per chunk, so
+// a 256-ID sub allocates what a 16-ID sub does, up to a constant — not one
+// list per ID — and still answers every ID with its adjacency.
+func TestServerNeighborSubAllocationsFlat(t *testing.T) {
+	g := testGraph(t, true)
+	_, s := mustCreate(t, g, WithMemoryBudget(4*PageSize))
+	srv := cluster.NewBackendServer(s, cluster.HashPartitioner{N: 1}, 0)
+	var codec mof.VecCodec
+	ctx := context.Background()
+	handle := func(frame []byte) []byte {
+		reply, err := srv.Handle(ctx, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	// No collection while counting: a GC would empty the pools and charge
+	// their refill to the request.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := map[int]float64{}
+	for _, n := range []int{16, 256} {
+		ids := make([]graph.NodeID, n)
+		for i := range ids {
+			ids[i] = graph.NodeID(i * 7 % int(g.NumNodes()))
+		}
+		sub := cluster.PackedSubRequest{Op: cluster.OpGetNeighbors, Neighbors: cluster.NeighborsRequest{IDs: ids}}
+		frame, err := cluster.EncodePackedRequest([]cluster.PackedSubRequest{sub}, true, &codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, err := cluster.DecodePackedResponse(handle(frame), 0, &codec)
+		if err != nil || subs[0].Err != nil {
+			t.Fatalf("%d-ID sub: %v, %v", n, err, subs[0].Err)
+		}
+		for i, v := range ids {
+			if got := subs[0].Neighbors.Lists[i]; !equalIDs(got, g.Neighbors(v)) {
+				t.Fatalf("%d-ID sub, node %d: %v, want %v", n, v, got, g.Neighbors(v))
+			}
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() { mem.Bytes.Recycle(handle(frame)) })
+	}
+	// Pooled buffers a request takes: reply frame, list, offset, degree
+	// and flat-ID scratch, each a buffer and a box when -race drops it.
+	if most := allocs[16] + 2 + 5*raceSlack; allocs[256] > most {
+		t.Fatalf("256-ID sub: %.0f allocations, 16-ID sub: %.0f; want at most %.0f", allocs[256], allocs[16], most)
+	}
+	t.Logf("allocations per Handle: 16 IDs %.0f, 256 IDs %.0f", allocs[16], allocs[256])
 }
 
 // TestAttrsBatchMatchesAttr: the batch read gives, row by row, what the
