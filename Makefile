@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos bench-all smoke fuzz
+.PHONY: build test verify chaos bench-all smoke fuzz examples
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,11 @@ verify:
 chaos:
 	$(GO) test -race -count=20 $(CHAOS_RUN)
 	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute|TestEngineSpares' ./internal/core/
+
+# Run every example program end to end; the first non-zero exit fails the
+# target.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # Every Go benchmark in the tree (paper tables/figures included). The
 # serving-path benchmark is bash bench/run.sh (see BENCHMARK.json).

@@ -142,13 +142,12 @@ type Client struct {
 	// bytes, BDI ratio, attribute dedupe hits.
 	Pack PackStats
 	// Lay tallies the elastic-layout control plane ("cluster.layout"):
-	// epoch gauge, swaps, joins, drains, migrations, dual-home requests,
-	// probe failures.
+	// epoch gauge, swaps, joins, drains, migrations, probe failures.
 	Lay LayoutStats
 	// layout is the live epoch-versioned routing table, the client's only
 	// one; readers load it atomically, the control-plane methods
 	// (serialized by layoutMu) swap it. WithLayout seeds it; construction
-	// normalizes it, or stores the identity layout. Always non-nil after
+	// stores a copy of it, or the identity layout. Always non-nil after
 	// construction.
 	layout atomic.Pointer[Layout]
 	// layoutMu serializes layout transitions (ApplyLayout, AddReplica,
@@ -238,10 +237,7 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 			return nil, err
 		}
 	}
-	norm, err := lay.normalized()
-	if err != nil {
-		return nil, err
-	}
+	norm := lay.clone(lay.Epoch)
 	if err := norm.Validate(p.Servers()); err != nil {
 		return nil, err
 	}
@@ -309,11 +305,6 @@ func (c *Client) call(ctx context.Context, partition int, req []byte) ([]byte, e
 	}
 	if partition >= 0 && partition < len(c.loads) {
 		c.loads[partition].Add(1)
-	}
-	// Dual-home accounting is one atomic load plus a bool index — the
-	// layout indirection stays off the steady-state allocation path.
-	if c.layout.Load().DualHome(partition) {
-		c.Lay.add(&c.Lay.snap.DualHomeRequests)
 	}
 	return c.res.call(ctx, c.res.cfg.Retry.MaxAttempts, partition, req, c.invoke)
 }

@@ -79,29 +79,18 @@ func (t *FaultyTransport) SetFaults(spec FaultSpec) {
 	t.mu.Unlock()
 }
 
-// SetServerFaults overrides the fault spec for one server.
-func (t *FaultyTransport) SetServerFaults(server int, spec FaultSpec) {
-	t.mu.Lock()
-	t.perServer[server] = spec
-	t.mu.Unlock()
-}
-
-// ClearServerFaults removes a server's override, reverting to the global
-// spec.
-func (t *FaultyTransport) ClearServerFaults(server int) {
-	t.mu.Lock()
-	delete(t.perServer, server)
-	t.mu.Unlock()
-}
-
 // KillServer marks a server dead (every call fails with ErrServerDown).
 func (t *FaultyTransport) KillServer(server int) {
-	t.SetServerFaults(server, FaultSpec{Down: true})
+	t.mu.Lock()
+	t.perServer[server] = FaultSpec{Down: true}
+	t.mu.Unlock()
 }
 
 // ReviveServer restores a killed server to the global spec.
 func (t *FaultyTransport) ReviveServer(server int) {
-	t.ClearServerFaults(server)
+	t.mu.Lock()
+	delete(t.perServer, server)
+	t.mu.Unlock()
 }
 
 // Counts returns total calls seen and failures injected.
@@ -155,11 +144,14 @@ func (t *FaultyTransport) plan(server int) faultPlan {
 	return p
 }
 
-// Call implements Transport.
-func (t *FaultyTransport) Call(ctx context.Context, server int, msg []byte) ([]byte, error) {
-	p := t.plan(server)
+// run carries out one call under the plan: a down server, an injected
+// error or a hang fails it without calling; a drop makes the call (the
+// work happens) and loses the response; otherwise the call goes through.
+// A latency spike precedes all but a down server. wrap dresses the
+// injected sentinels for the caller's error text.
+func (p faultPlan) run(ctx context.Context, wrap func(error) error, call func() ([]byte, error)) ([]byte, error) {
 	if p.down {
-		return nil, fmt.Errorf("server %d: %w", server, ErrServerDown)
+		return nil, wrap(ErrServerDown)
 	}
 	if p.spike > 0 {
 		timer := time.NewTimer(p.spike)
@@ -172,21 +164,26 @@ func (t *FaultyTransport) Call(ctx context.Context, server int, msg []byte) ([]b
 	}
 	switch {
 	case p.errOut:
-		return nil, fmt.Errorf("server %d: %w", server, ErrInjected)
+		return nil, wrap(ErrInjected)
 	case p.hang:
 		<-ctx.Done()
 		return nil, ctx.Err()
 	case p.drop:
-		// The request reaches the server (work happens) but the response is
-		// lost on the way back.
-		resp, err := t.inner.Call(ctx, server, msg)
+		resp, err := call()
 		if err != nil {
 			return nil, err
 		}
 		mem.Bytes.Recycle(resp)
-		return nil, fmt.Errorf("server %d: %w", server, ErrConnDropped)
+		return nil, wrap(ErrConnDropped)
 	}
-	return t.inner.Call(ctx, server, msg)
+	return call()
+}
+
+// Call implements Transport.
+func (t *FaultyTransport) Call(ctx context.Context, server int, msg []byte) ([]byte, error) {
+	return t.plan(server).run(ctx,
+		func(err error) error { return fmt.Errorf("server %d: %w", server, err) },
+		func() ([]byte, error) { return t.inner.Call(ctx, server, msg) })
 }
 
 // FaultyHandler wraps a server-side Handler with injected failures — the
@@ -237,31 +234,7 @@ func (h *FaultyHandler) Handle(ctx context.Context, msg []byte) ([]byte, error) 
 	h.mu.Lock()
 	p := planFault(h.rng, h.spec)
 	h.mu.Unlock()
-	if p.down {
-		return nil, ErrServerDown
-	}
-	if p.spike > 0 {
-		timer := time.NewTimer(p.spike)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	switch {
-	case p.errOut:
-		return nil, ErrInjected
-	case p.hang:
-		<-ctx.Done()
-		return nil, ctx.Err()
-	case p.drop:
-		resp, err := h.inner.Handle(ctx, msg)
-		if err != nil {
-			return nil, err
-		}
-		mem.Bytes.Recycle(resp)
-		return nil, ErrConnDropped
-	}
-	return h.inner.Handle(ctx, msg)
+	return p.run(ctx,
+		func(err error) error { return err },
+		func() ([]byte, error) { return h.inner.Handle(ctx, msg) })
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,176 +17,116 @@ import (
 // Fig 13) pool fabric-attached memory independently of compute, which only
 // pays off if the serving layer can re-home partitions and rotate replicas
 // *while traffic is flowing*. This file makes the layout a first-class,
-// versioned object: an immutable, epoch-numbered Layout that the client
-// swaps atomically, plus the control-plane primitives built on it —
-// replica add (admitted only after a health/parity probe), replica drain
-// (stops routing, lets in-flight frames finish, then removes), and
-// partition migration (a brief dual-home window moving serving
-// responsibility between endpoints). In-flight requests complete against
-// the epoch they started under; retry passes re-resolve their endpoint set
-// from the live layout, so they land on the new epoch.
+// versioned object: an immutable, epoch-numbered routing table that the
+// client swaps atomically, plus the control-plane primitives built on it —
+// replica add (one swap, only after a health/parity probe), replica drain
+// (one swap out of routing, then a wait for in-flight frames), and
+// partition migration (add the target, then drain the source). In-flight
+// requests complete against the epoch they started under; retry passes
+// re-resolve their endpoint list from the live layout, so they land on the
+// new epoch.
 
-// EndpointState is an endpoint's position in a partition's replica set.
-type EndpointState uint8
-
-// Endpoint states: serving endpoints take traffic; a joining endpoint is
-// warming (probed but not yet routed to); a draining endpoint takes no new
-// requests while its in-flight work completes.
-const (
-	EndpointServing EndpointState = iota
-	EndpointJoining
-	EndpointDraining
-)
-
-func (s EndpointState) String() string {
-	switch s {
-	case EndpointServing:
-		return "serving"
-	case EndpointJoining:
-		return "joining"
-	case EndpointDraining:
-		return "draining"
-	default:
-		return fmt.Sprintf("EndpointState(%d)", int(s))
-	}
-}
-
-// LayoutEndpoint is one endpoint's membership in a partition's replica set.
-type LayoutEndpoint struct {
-	// ID is the transport endpoint index.
-	ID int
-	// State gates routing: only serving endpoints receive new requests.
-	State EndpointState
-}
-
-// Layout is the versioned partition→endpoints routing table. Each partition
-// lists the endpoints holding its shard (entry 0 of the serving subset is
-// the preferred primary) together with their lifecycle state. Layouts are
-// immutable: the With* methods return a copy with the epoch advanced, and
+// Layout is the versioned partition→endpoints routing table: each
+// partition's endpoint list, primary first, in the order a pass tries
+// them. An endpoint is in a partition's list (and routed to) or it is not.
 // Client.ApplyLayout swaps the active layout atomically — the partition
 // *count* never changes across epochs (partitioners key on it), only the
-// endpoint sets do.
+// endpoint lists do.
 //
-// Build one with NewLayout or UniformLayout; derive successors with the
-// mutators. A zero Layout is not valid.
+// Build one with NewLayout or UniformLayout. A zero Layout is not valid.
 type Layout struct {
 	// Epoch numbers the layout generation, starting at 1. ApplyLayout
 	// refuses a layout whose epoch does not advance the one being served.
 	Epoch uint64
 	// Partitions lists, per partition, the endpoints holding that shard.
-	Partitions [][]LayoutEndpoint
-
-	// routable caches, per partition, the serving endpoints in listed
-	// order — what the resilience layer iterates. Never mutated after
-	// finalize, so readers share it without copying.
-	routable [][]int
-	// dual marks partitions inside a migration's dual-home window.
-	dual []bool
-	// members maps endpoint → partition for every listed endpoint.
-	members map[int]int
+	Partitions [][]int
 }
 
-// NewLayout builds the epoch-1 layout in which every endpoint of m serves.
-// A nil ReplicaMap yields the identity layout: partition p served only by
-// endpoint p. A map shorter than partitions, an empty row or a negative
-// endpoint is rejected.
-func NewLayout(partitions int, m ReplicaMap) (*Layout, error) {
+// NewLayout builds the epoch-1 layout routing partition p to the endpoints
+// of m[p], primary first. A nil m yields the identity layout: partition p
+// served only by endpoint p. A map with other than one row per partition,
+// an empty row or a negative endpoint is rejected.
+func NewLayout(partitions int, m [][]int) (*Layout, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("cluster: layout over %d partitions", partitions)
 	}
-	if m != nil && len(m) < partitions {
-		return nil, fmt.Errorf("cluster: replica map covers %d of %d partitions", len(m), partitions)
+	if m != nil && len(m) != partitions {
+		return nil, fmt.Errorf("cluster: replica map has %d rows for %d partitions", len(m), partitions)
 	}
-	l := &Layout{Epoch: 1, Partitions: make([][]LayoutEndpoint, partitions)}
+	l := &Layout{Epoch: 1, Partitions: make([][]int, partitions)}
 	for p := range l.Partitions {
-		eps := []int{p}
-		if m != nil {
-			eps = m[p]
+		if m == nil {
+			l.Partitions[p] = []int{p}
+		} else {
+			l.Partitions[p] = slices.Clone(m[p])
 		}
-		row := make([]LayoutEndpoint, len(eps))
-		for i, ep := range eps {
-			row[i] = LayoutEndpoint{ID: ep, State: EndpointServing}
-		}
-		l.Partitions[p] = row
 	}
-	if err := l.finalize(); err != nil {
+	if err := l.check(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// UniformLayout is NewLayout over UniformReplicas: the canonical replicated
-// layout (replica r of partition p at endpoint r*partitions+p) as a
-// versioned epoch-1 Layout. Panics on partitions < 1, like UniformReplicas.
+// UniformLayout builds the canonical replicated layout at epoch 1: replica
+// r of partition p is endpoint r*partitions+p, i.e. endpoints
+// [0,partitions) are the primaries and each subsequent block of
+// `partitions` endpoints is a full replica set.
+//
+// replicas < 1 is clamped to 1 — "no replication" is a meaningful default,
+// so a zero value degrades gracefully. partitions < 1 panics instead:
+// there is no sensible layout over zero partitions, and silently returning
+// an empty one would only defer the crash to the first client fan-out
+// (HashPartitioner.Owner makes the same choice for a serverless
+// partitioner).
 func UniformLayout(partitions, replicas int) *Layout {
-	l, err := NewLayout(partitions, UniformReplicas(partitions, replicas))
-	if err != nil {
-		panic(err)
+	if partitions < 1 {
+		panic(fmt.Sprintf("cluster: UniformLayout over %d partitions", partitions))
+	}
+	replicas = max(replicas, 1)
+	l := &Layout{Epoch: 1, Partitions: make([][]int, partitions)}
+	for p := range l.Partitions {
+		row := make([]int, replicas)
+		for r := range row {
+			row[r] = r*partitions + p
+		}
+		l.Partitions[p] = row
 	}
 	return l
 }
 
-// NumPartitions returns the partition count (stable across epochs).
-func (l *Layout) NumPartitions() int { return len(l.Partitions) }
-
-// Routable returns the partition's serving endpoints, preferred primary
-// first. The slice is shared and must not be modified.
+// Routable returns the partition's endpoints, preferred primary first. The
+// slice is shared and must not be modified.
 func (l *Layout) Routable(partition int) []int {
-	if partition < 0 || partition >= len(l.routable) {
+	if partition < 0 || partition >= len(l.Partitions) {
 		return nil
 	}
-	return l.routable[partition]
+	return l.Partitions[partition]
 }
 
-// Contains reports whether the endpoint appears anywhere in the layout,
-// in any state.
+// Contains reports whether the endpoint appears anywhere in the layout.
 func (l *Layout) Contains(endpoint int) bool {
-	_, ok := l.members[endpoint]
-	return ok
-}
-
-// PartitionOf returns the partition an endpoint is listed under.
-func (l *Layout) PartitionOf(endpoint int) (int, bool) {
-	p, ok := l.members[endpoint]
-	return p, ok
-}
-
-// State returns the endpoint's lifecycle state within the partition.
-func (l *Layout) State(partition, endpoint int) (EndpointState, bool) {
-	if partition < 0 || partition >= len(l.Partitions) {
-		return 0, false
-	}
-	for _, e := range l.Partitions[partition] {
-		if e.ID == endpoint {
-			return e.State, true
+	for _, row := range l.Partitions {
+		if slices.Contains(row, endpoint) {
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
-// DualHome reports whether the partition is inside a migration's dual-home
-// window (two endpoints hold the shard while responsibility moves).
-func (l *Layout) DualHome(partition int) bool {
-	return partition >= 0 && partition < len(l.dual) && l.dual[partition]
-}
-
-// Endpoints returns a copy of the endpoint→partition membership map.
-// Derived from Partitions rather than the routing cache so it also works on
-// caller-constructed layouts that have not been normalized yet (e.g. the
-// one handed to core.NewSystem before the client finalizes it).
+// Endpoints returns the endpoint→partition membership map.
 func (l *Layout) Endpoints() map[int]int {
 	out := make(map[int]int, len(l.Partitions)*2)
 	for p, row := range l.Partitions {
-		for _, e := range row {
-			out[e.ID] = p
+		for _, ep := range row {
+			out[ep] = p
 		}
 	}
 	return out
 }
 
 // Validate checks the layout is well-formed over the given partition
-// count: every partition keeps at least one serving endpoint, no endpoint
-// is listed twice or under two partitions, no negative endpoint indices.
+// count: every partition keeps at least one endpoint, no endpoint is
+// listed twice or under two partitions, no negative endpoint indices.
 func (l *Layout) Validate(partitions int) error {
 	if len(l.Partitions) != partitions {
 		return fmt.Errorf("cluster: layout covers %d of %d partitions", len(l.Partitions), partitions)
@@ -196,74 +137,33 @@ func (l *Layout) Validate(partitions int) error {
 func (l *Layout) check() error {
 	owners := make(map[int]int, len(l.Partitions)*2)
 	for p, row := range l.Partitions {
-		serving := 0
-		for _, e := range row {
-			if e.ID < 0 {
-				return fmt.Errorf("cluster: partition %d lists negative endpoint %d", p, e.ID)
+		if len(row) == 0 {
+			return fmt.Errorf("cluster: partition %d has no endpoint", p)
+		}
+		for _, ep := range row {
+			if ep < 0 {
+				return fmt.Errorf("cluster: partition %d lists negative endpoint %d", p, ep)
 			}
-			if prev, ok := owners[e.ID]; ok {
+			if prev, ok := owners[ep]; ok {
 				if prev == p {
-					return fmt.Errorf("cluster: partition %d lists endpoint %d twice", p, e.ID)
+					return fmt.Errorf("cluster: partition %d lists endpoint %d twice", p, ep)
 				}
-				return fmt.Errorf("cluster: endpoint %d listed for partitions %d and %d — one endpoint holds one shard", e.ID, prev, p)
+				return fmt.Errorf("cluster: endpoint %d listed for partitions %d and %d — one endpoint holds one shard", ep, prev, p)
 			}
-			owners[e.ID] = p
-			if e.State == EndpointServing {
-				serving++
-			}
-		}
-		if serving == 0 {
-			return fmt.Errorf("cluster: partition %d has no serving endpoint", p)
+			owners[ep] = p
 		}
 	}
 	return nil
 }
 
-// finalize validates and builds the derived routing caches.
-func (l *Layout) finalize() error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	l.routable = make([][]int, len(l.Partitions))
-	l.members = make(map[int]int, len(l.Partitions)*2)
+// clone deep-copies the layout at the given epoch, so a published layout
+// never shares rows with one a caller can still edit.
+func (l *Layout) clone(epoch uint64) *Layout {
+	n := &Layout{Epoch: epoch, Partitions: make([][]int, len(l.Partitions))}
 	for p, row := range l.Partitions {
-		eps := make([]int, 0, len(row))
-		for _, e := range row {
-			l.members[e.ID] = p
-			if e.State == EndpointServing {
-				eps = append(eps, e.ID)
-			}
-		}
-		l.routable[p] = eps
-	}
-	if l.dual == nil {
-		l.dual = make([]bool, len(l.Partitions))
-	}
-	return nil
-}
-
-// clone deep-copies the mutable parts and advances the epoch; the caller
-// mutates the copy and finalizes.
-func (l *Layout) clone() *Layout {
-	n := &Layout{Epoch: l.Epoch + 1, Partitions: make([][]LayoutEndpoint, len(l.Partitions))}
-	for p, row := range l.Partitions {
-		n.Partitions[p] = append([]LayoutEndpoint(nil), row...)
-	}
-	if l.dual != nil {
-		n.dual = append([]bool(nil), l.dual...)
+		n.Partitions[p] = slices.Clone(row)
 	}
 	return n
-}
-
-// normalized returns a finalized deep copy at the same epoch, so applying
-// a caller-constructed layout never shares mutable state with it.
-func (l *Layout) normalized() (*Layout, error) {
-	n := l.clone()
-	n.Epoch = l.Epoch
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
-	return n, nil
 }
 
 func (l *Layout) checkPartition(partition int) error {
@@ -273,128 +173,46 @@ func (l *Layout) checkPartition(partition int) error {
 	return nil
 }
 
-// WithJoining returns the next epoch with endpoint added to the partition
-// in the joining state: listed (and probe-able) but not yet routed to.
-func (l *Layout) WithJoining(partition, endpoint int) (*Layout, error) {
+// with returns the next epoch with endpoint appended to the partition's
+// list. An endpoint already in the layout is refused.
+func (l *Layout) with(partition, endpoint int) (*Layout, error) {
 	if err := l.checkPartition(partition); err != nil {
 		return nil, err
 	}
-	if p, ok := l.members[endpoint]; ok {
-		return nil, fmt.Errorf("cluster: endpoint %d already in the layout (partition %d)", endpoint, p)
+	if l.Contains(endpoint) {
+		return nil, fmt.Errorf("cluster: endpoint %d already in the layout", endpoint)
 	}
-	n := l.clone()
-	n.Partitions[partition] = append(n.Partitions[partition], LayoutEndpoint{ID: endpoint, State: EndpointJoining})
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
+	n := l.clone(l.Epoch + 1)
+	n.Partitions[partition] = append(n.Partitions[partition], endpoint)
 	return n, nil
 }
 
-// WithServing returns the next epoch with the endpoint serving the
-// partition: a listed endpoint (joining or draining) is promoted in place,
-// an unlisted one is appended directly — the unprobed path, for callers
-// that have verified the endpoint themselves.
-func (l *Layout) WithServing(partition, endpoint int) (*Layout, error) {
+// without returns the next epoch with endpoint removed from the
+// partition's list. Refused for the partition's last endpoint — that would
+// blackhole the shard.
+func (l *Layout) without(partition, endpoint int) (*Layout, error) {
 	if err := l.checkPartition(partition); err != nil {
 		return nil, err
 	}
-	if p, ok := l.members[endpoint]; ok && p != partition {
-		return nil, fmt.Errorf("cluster: endpoint %d already holds partition %d", endpoint, p)
-	}
-	n := l.clone()
-	promoted := false
-	for i := range n.Partitions[partition] {
-		if n.Partitions[partition][i].ID == endpoint {
-			n.Partitions[partition][i].State = EndpointServing
-			promoted = true
-			break
-		}
-	}
-	if !promoted {
-		n.Partitions[partition] = append(n.Partitions[partition], LayoutEndpoint{ID: endpoint, State: EndpointServing})
-	}
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// WithDraining returns the next epoch with the endpoint marked draining:
-// removed from the routable set so no new requests land on it, while
-// in-flight work completes. Refused for the partition's last serving
-// endpoint — that would blackhole the shard.
-func (l *Layout) WithDraining(partition, endpoint int) (*Layout, error) {
-	if err := l.checkPartition(partition); err != nil {
-		return nil, err
-	}
-	st, ok := l.State(partition, endpoint)
-	if !ok {
+	i := slices.Index(l.Partitions[partition], endpoint)
+	if i < 0 {
 		return nil, fmt.Errorf("cluster: endpoint %d not in partition %d", endpoint, partition)
 	}
-	if st == EndpointServing && len(l.routable[partition]) == 1 {
-		return nil, fmt.Errorf("cluster: endpoint %d is partition %d's last serving endpoint", endpoint, partition)
+	if len(l.Partitions[partition]) == 1 {
+		return nil, fmt.Errorf("cluster: endpoint %d is partition %d's last endpoint", endpoint, partition)
 	}
-	n := l.clone()
-	for i := range n.Partitions[partition] {
-		if n.Partitions[partition][i].ID == endpoint {
-			n.Partitions[partition][i].State = EndpointDraining
-		}
-	}
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// Without returns the next epoch with the endpoint removed from the
-// partition entirely. Refused for the last serving endpoint.
-func (l *Layout) Without(partition, endpoint int) (*Layout, error) {
-	if err := l.checkPartition(partition); err != nil {
-		return nil, err
-	}
-	st, ok := l.State(partition, endpoint)
-	if !ok {
-		return nil, fmt.Errorf("cluster: endpoint %d not in partition %d", endpoint, partition)
-	}
-	if st == EndpointServing && len(l.routable[partition]) == 1 {
-		return nil, fmt.Errorf("cluster: endpoint %d is partition %d's last serving endpoint", endpoint, partition)
-	}
-	n := l.clone()
-	row := n.Partitions[partition][:0]
-	for _, e := range n.Partitions[partition] {
-		if e.ID != endpoint {
-			row = append(row, e)
-		}
-	}
-	n.Partitions[partition] = row
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// WithDualHome returns the next epoch with the partition's dual-home
-// window opened (true) or closed (false).
-func (l *Layout) WithDualHome(partition int, on bool) (*Layout, error) {
-	if err := l.checkPartition(partition); err != nil {
-		return nil, err
-	}
-	n := l.clone()
-	n.dual[partition] = on
-	if err := n.finalize(); err != nil {
-		return nil, err
-	}
+	n := l.clone(l.Epoch + 1)
+	n.Partitions[partition] = slices.Delete(n.Partitions[partition], i, i+1)
 	return n, nil
 }
 
 // LayoutSnapshot is a point-in-time copy of the elastic-layout counters.
 type LayoutSnapshot struct {
-	Swaps            int64 // layouts atomically applied (epoch advances)
-	ReplicaJoins     int64 // replicas admitted after a successful probe
-	ReplicaDrains    int64 // replicas drained out of the layout
-	Migrations       int64 // partitions re-homed between endpoints
-	DualHomeRequests int64 // requests issued inside a dual-home window
-	ProbeFailures    int64 // admission probes that failed
+	Swaps         int64 // layouts atomically applied (epoch advances)
+	ReplicaJoins  int64 // replicas admitted after a successful probe
+	ReplicaDrains int64 // replicas drained out of the layout
+	Migrations    int64 // partitions re-homed between endpoints
+	ProbeFailures int64 // admission probes that failed
 }
 
 // LayoutStats tallies the elastic-layout control plane. Safe for
@@ -447,7 +265,6 @@ func (s *LayoutStats) StatsSnapshot() stats.Snapshot {
 		{Name: "replica_joins", Value: float64(snap.ReplicaJoins)},
 		{Name: "replica_drains", Value: float64(snap.ReplicaDrains)},
 		{Name: "migrations", Value: float64(snap.Migrations)},
-		{Name: "dual_home_requests", Value: float64(snap.DualHomeRequests), Unit: "req"},
 		{Name: "probe_failures", Value: float64(snap.ProbeFailures)},
 	}}
 }
@@ -461,8 +278,12 @@ func WithLayout(l *Layout) ClientOption {
 	return func(c *Client) { c.layout.Store(l) }
 }
 
-// Layout returns the layout the client is currently routing by.
-func (c *Client) Layout() *Layout { return c.layout.Load() }
+// Layout returns a copy of the layout the client is currently routing by,
+// at the same epoch; editing it does not touch the live table.
+func (c *Client) Layout() *Layout {
+	l := c.layout.Load()
+	return l.clone(l.Epoch)
+}
 
 // ApplyLayout atomically swaps the serving layout for nl. The new epoch
 // must advance the current one; the layout is validated, deep-copied, and
@@ -480,10 +301,7 @@ func (c *Client) applyLocked(nl *Layout) error {
 	if nl == nil {
 		return errors.New("cluster: nil layout")
 	}
-	norm, err := nl.normalized()
-	if err != nil {
-		return err
-	}
+	norm := nl.clone(nl.Epoch)
 	if err := norm.Validate(c.part.Servers()); err != nil {
 		return err
 	}
@@ -497,113 +315,78 @@ func (c *Client) applyLocked(nl *Layout) error {
 }
 
 // AddReplica admits a new endpoint to a partition's replica set: the
-// endpoint is published as joining (visible, not routed to), must pass the
-// health/parity probe against the serving replicas, and only then is
-// promoted to serving. A failed probe rolls the endpoint back out of the
-// layout and counts a probe failure.
+// endpoint must pass the health/parity probe against the partition's
+// endpoints, and only then is appended to its list in one swap. A failed
+// probe swaps nothing and counts a probe failure.
 func (c *Client) AddReplica(ctx context.Context, partition, endpoint int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if err := c.admitLocked(ctx, partition, endpoint, false); err != nil {
+	if err := c.admitLocked(ctx, partition, endpoint); err != nil {
 		return err
 	}
 	c.Lay.add(&c.Lay.snap.ReplicaJoins)
 	return nil
 }
 
-// DrainReplica rotates an endpoint out of a partition's replica set: the
-// endpoint is marked draining (new requests stop routing to it at the
-// epoch swap), in-flight requests finish against it, and it is then
-// removed from the layout. Refused for the partition's last serving
-// endpoint. ctx bounds the wait for in-flight work.
+// DrainReplica rotates an endpoint out of a partition's replica set: one
+// swap removes it (new requests stop routing to it), then the call waits
+// for the requests already on it to finish. Refused for the partition's
+// last endpoint. ctx bounds the wait for in-flight work.
 func (c *Client) DrainReplica(ctx context.Context, partition, endpoint int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if err := c.retireLocked(ctx, partition, endpoint, false); err != nil {
+	if err := c.retireLocked(ctx, partition, endpoint); err != nil {
 		return err
 	}
 	c.Lay.add(&c.Lay.snap.ReplicaDrains)
 	return nil
 }
 
-// MigratePartition moves a partition's serving responsibility from one
-// endpoint to another with a brief dual-home window: the target joins and
-// is probed, both endpoints serve while the window is open, then the
-// source drains and leaves. Pair with HotShard to re-home a skew-heated
-// partition without a restart.
+// MigratePartition moves a partition from one endpoint to another: the
+// target is probed and added, then the source is drained, so the partition
+// always has an endpoint to route to. Pair with HotShard to re-home a
+// skew-heated partition without a restart.
 func (c *Client) MigratePartition(ctx context.Context, partition, from, to int) error {
 	c.layoutMu.Lock()
 	defer c.layoutMu.Unlock()
-	if st, ok := c.layout.Load().State(partition, from); !ok || st != EndpointServing {
+	if !slices.Contains(c.layout.Load().Routable(partition), from) {
 		return fmt.Errorf("cluster: endpoint %d is not serving partition %d", from, partition)
 	}
-	if err := c.admitLocked(ctx, partition, to, true); err != nil {
+	if err := c.admitLocked(ctx, partition, to); err != nil {
 		return err
 	}
-	// Drain the old home: new requests route only to the target while the
-	// source finishes what it already holds.
-	if err := c.retireLocked(ctx, partition, from, true); err != nil {
+	if err := c.retireLocked(ctx, partition, from); err != nil {
 		return err
 	}
 	c.Lay.add(&c.Lay.snap.Migrations)
 	return nil
 }
 
-// admitLocked publishes endpoint as joining the partition, probes it, and
-// promotes it to serving — opening the partition's dual-home window when
-// migrate is set — or, on a failed probe, counts the failure and rolls the
-// endpoint back out of the layout.
-func (c *Client) admitLocked(ctx context.Context, partition, endpoint int, migrate bool) error {
-	join, err := c.layout.Load().WithJoining(partition, endpoint)
+// admitLocked probes endpoint and, if it passes, appends it to the
+// partition in one swap; a failed probe counts and swaps nothing.
+func (c *Client) admitLocked(ctx context.Context, partition, endpoint int) error {
+	next, err := c.layout.Load().with(partition, endpoint)
 	if err != nil {
 		return err
 	}
-	if err := c.applyLocked(join); err != nil {
-		return err
-	}
-	if perr := c.probeEndpoint(ctx, partition, endpoint); perr != nil {
+	if err := c.probeEndpoint(ctx, partition, endpoint); err != nil {
 		c.Lay.add(&c.Lay.snap.ProbeFailures)
-		if back, berr := c.layout.Load().Without(partition, endpoint); berr == nil {
-			_ = c.applyLocked(back)
-		}
-		what := "admission"
-		if migrate {
-			what = "migration"
-		}
-		return fmt.Errorf("cluster: endpoint %d failed the %s probe for partition %d: %w", endpoint, what, partition, perr)
+		return fmt.Errorf("cluster: endpoint %d failed the admission probe for partition %d: %w", endpoint, partition, err)
 	}
-	serve, err := c.layout.Load().WithServing(partition, endpoint)
-	if err == nil && migrate {
-		serve, err = serve.WithDualHome(partition, true)
-	}
-	if err != nil {
-		return err
-	}
-	return c.applyLocked(serve)
+	return c.applyLocked(next)
 }
 
-// retireLocked marks endpoint draining, waits (bounded by ctx) for its
-// in-flight calls, and removes it from the partition — closing the
-// dual-home window when migrate is set.
-func (c *Client) retireLocked(ctx context.Context, partition, endpoint int, migrate bool) error {
-	d, err := c.layout.Load().WithDraining(partition, endpoint)
+// retireLocked removes endpoint from the partition in one swap, then waits
+// (bounded by ctx) for its in-flight calls.
+func (c *Client) retireLocked(ctx context.Context, partition, endpoint int) error {
+	next, err := c.layout.Load().without(partition, endpoint)
 	if err != nil {
 		return err
 	}
-	if err := c.applyLocked(d); err != nil {
+	if err := c.applyLocked(next); err != nil {
 		return err
 	}
-	if err := c.awaitIdle(ctx, endpoint); err != nil {
-		return err
-	}
-	out, err := c.layout.Load().Without(partition, endpoint)
-	if err == nil && migrate {
-		out, err = out.WithDualHome(partition, false)
-	}
-	if err != nil {
-		return err
-	}
-	return c.applyLocked(out)
+	return c.awaitIdle(ctx, endpoint)
 }
 
 // HotShard reads the client's cumulative per-partition request counters —

@@ -13,7 +13,7 @@ import (
 )
 
 // buildLayoutCluster assembles servers for every endpoint of a
-// UniformReplicas(partitions, replicas) layout plus one spare per entry of
+// UniformLayout(partitions, replicas) plus one spare per entry of
 // spares (partition indices, appended after the replica blocks), and a
 // resilient client routing by that layout.
 func buildLayoutCluster(t *testing.T, g *graph.Graph, partitions, replicas int, spares []int, opts ...ClientOption) ([]*Server, *Client) {
@@ -39,22 +39,15 @@ func buildLayoutCluster(t *testing.T, g *graph.Graph, partitions, replicas int, 
 	return servers, client
 }
 
-func TestUniformReplicasClampsReplicas(t *testing.T) {
-	// replicas < 1 clamps to the meaningful no-replication default.
-	if m := UniformReplicas(3, 0); len(m) != 3 || len(m[0]) != 1 || m[0][0] != 0 {
-		t.Fatalf("replicas<1 should clamp to identity, got %v", m)
-	}
-}
-
-func TestUniformReplicasRejectsBadPartitions(t *testing.T) {
+func TestUniformLayoutRejectsBadPartitions(t *testing.T) {
 	// partitions < 1 has no sensible layout: the old behavior (an empty
 	// map) deferred the crash to the first client fan-out.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("UniformReplicas(0, 2) did not panic")
+			t.Fatal("UniformLayout(0, 2) did not panic")
 		}
 	}()
-	UniformReplicas(0, 2)
+	UniformLayout(0, 2)
 }
 
 func TestLayoutMutators(t *testing.T) {
@@ -62,101 +55,63 @@ func TestLayoutMutators(t *testing.T) {
 	if l.Epoch != 1 {
 		t.Fatalf("fresh layout epoch = %d, want 1", l.Epoch)
 	}
-	if got := l.Routable(0); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := l.Routable(0); !slices.Equal(got, []int{0, 2}) {
 		t.Fatalf("Routable(0) = %v", got)
 	}
 
-	j, err := l.WithJoining(0, 4)
+	w, err := l.with(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Epoch != 2 {
-		t.Fatalf("WithJoining epoch = %d, want 2", j.Epoch)
+	if w.Epoch != 2 || !w.Contains(4) {
+		t.Fatalf("with: epoch %d, holds 4: %v", w.Epoch, w.Contains(4))
 	}
-	if !j.Contains(4) {
-		t.Fatal("joining endpoint not in layout")
+	if got := w.Routable(0); !slices.Equal(got, []int{0, 2, 4}) {
+		t.Fatalf("added endpoint not routed last: %v", got)
 	}
-	if got := j.Routable(0); len(got) != 2 {
-		t.Fatalf("joining endpoint became routable: %v", got)
+	// A listed endpoint cannot be added twice or elsewhere.
+	if _, err := w.with(1, 4); err == nil {
+		t.Fatal("endpoint added to two partitions")
 	}
-	if st, ok := j.State(0, 4); !ok || st != EndpointJoining {
-		t.Fatalf("State(0,4) = %v, %v", st, ok)
-	}
-	// A listed endpoint cannot join twice or elsewhere.
-	if _, err := j.WithJoining(1, 4); err == nil {
-		t.Fatal("endpoint joined two partitions")
+	if _, err := l.with(2, 9); err == nil {
+		t.Fatal("endpoint added to a partition the layout lacks")
 	}
 
-	s, err := j.WithServing(0, 4)
+	o, err := w.without(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Routable(0); len(got) != 3 || got[2] != 4 {
-		t.Fatalf("promoted endpoint not routable: %v", got)
+	if got := o.Routable(0); o.Epoch != 3 || o.Contains(0) || !slices.Equal(got, []int{2, 4}) {
+		t.Fatalf("without: epoch %d, Routable(0) = %v", o.Epoch, got)
+	}
+	// The receivers are untouched (immutability).
+	if !slices.Equal(l.Routable(0), []int{0, 2}) || !slices.Equal(w.Routable(0), []int{0, 2, 4}) {
+		t.Fatal("mutator modified its receiver")
 	}
 
-	d, err := s.WithDraining(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Routable(0); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("draining endpoint still routable: %v", got)
-	}
-	// The original layout is untouched (immutability).
-	if got := s.Routable(0); len(got) != 3 {
-		t.Fatalf("mutator modified its receiver: %v", got)
-	}
-
-	w, err := d.Without(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Contains(0) {
-		t.Fatal("removed endpoint still in layout")
-	}
-
-	// Draining or removing the last serving endpoint would blackhole the
-	// shard.
+	// Removing the last endpoint would blackhole the shard.
 	solo := UniformLayout(2, 1)
-	if _, err := solo.WithDraining(0, 0); err == nil || !strings.Contains(err.Error(), "last serving") {
-		t.Fatalf("drained the last serving endpoint: %v", err)
+	if _, err := solo.without(0, 0); err == nil || !strings.Contains(err.Error(), "last endpoint") {
+		t.Fatalf("removed the last endpoint: %v", err)
 	}
-	if _, err := solo.Without(0, 0); err == nil {
-		t.Fatal("removed the last serving endpoint")
-	}
-	if _, err := solo.WithDraining(0, 9); err == nil {
-		t.Fatal("drained an endpoint not in the partition")
-	}
-
-	dh, err := l.WithDualHome(0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dh.DualHome(0) || dh.DualHome(1) || l.DualHome(0) {
-		t.Fatal("dual-home window wrong")
+	if _, err := solo.without(0, 9); err == nil {
+		t.Fatal("removed an endpoint not in the partition")
 	}
 }
 
 func TestLayoutValidateRejects(t *testing.T) {
 	// One endpoint must hold exactly one shard.
-	bad := &Layout{Epoch: 1, Partitions: [][]LayoutEndpoint{
-		{{ID: 0, State: EndpointServing}},
-		{{ID: 0, State: EndpointServing}},
-	}}
+	bad := &Layout{Epoch: 1, Partitions: [][]int{{0}, {0}}}
 	if err := bad.Validate(2); err == nil {
 		t.Fatal("endpoint in two partitions validated")
 	}
-	dup := &Layout{Epoch: 1, Partitions: [][]LayoutEndpoint{
-		{{ID: 0, State: EndpointServing}, {ID: 0, State: EndpointJoining}},
-	}}
+	dup := &Layout{Epoch: 1, Partitions: [][]int{{0, 0}}}
 	if err := dup.Validate(1); err == nil {
 		t.Fatal("duplicate endpoint validated")
 	}
-	empty := &Layout{Epoch: 1, Partitions: [][]LayoutEndpoint{
-		{{ID: 0, State: EndpointDraining}},
-	}}
+	empty := &Layout{Epoch: 1, Partitions: [][]int{{}}}
 	if err := empty.Validate(1); err == nil {
-		t.Fatal("partition with no serving endpoint validated")
+		t.Fatal("partition with no endpoint validated")
 	}
 	if _, err := NewLayout(0, nil); err == nil {
 		t.Fatal("layout over zero partitions")
@@ -170,7 +125,7 @@ func TestApplyLayoutEpochMonotonicAndStats(t *testing.T) {
 		t.Fatalf("initial epoch = %d", e)
 	}
 
-	next, err := client.Layout().WithDraining(0, 2)
+	next, err := client.Layout().without(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +149,11 @@ func TestApplyLayoutEpochMonotonicAndStats(t *testing.T) {
 	}
 	if client.Lay.Epoch() != 2 {
 		t.Fatalf("epoch gauge = %d", client.Lay.Epoch())
+	}
+	// Layout hands out a copy: editing it leaves the live table alone.
+	client.Layout().Partitions[0][0] = 99
+	if got := client.Layout().Routable(0); !slices.Equal(got, []int{0}) {
+		t.Fatalf("editing Layout()'s result changed routing: %v", got)
 	}
 }
 
@@ -226,11 +186,7 @@ func TestBreakerPrunedOnLayoutSwap(t *testing.T) {
 	}
 
 	// Endpoint 2 drains out of the layout with the probe slot still held.
-	d, err := client.Layout().WithDraining(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.Without(0, 2)
+	out, err := client.Layout().without(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +202,7 @@ func TestBreakerPrunedOnLayoutSwap(t *testing.T) {
 
 	// Re-admission: the endpoint comes back with a fresh closed breaker —
 	// no inherited open state, no leaked probe slot.
-	back, err := client.Layout().WithServing(0, 2)
+	back, err := client.Layout().with(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +233,7 @@ func TestStalePassLeavesNoBreaker(t *testing.T) {
 	if !slices.Equal(stale, []int{0, 2}) {
 		t.Fatalf("partition 0 routes to %v, want [0 2]", stale)
 	}
-	d, err := client.Layout().WithDraining(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.Without(0, 2)
+	out, err := client.Layout().without(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,27 +253,6 @@ func TestStalePassLeavesNoBreaker(t *testing.T) {
 	}
 	if _, ok := r.breakers[0]; !ok {
 		t.Fatal("live endpoint 0 was tried but has no breaker")
-	}
-}
-
-func TestClientDualHomeCounting(t *testing.T) {
-	g := testGraph(t)
-	_, client := buildLayoutCluster(t, g, 2, 2, nil)
-	dh, err := client.Layout().WithDualHome(0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.ApplyLayout(dh); err != nil {
-		t.Fatal(err)
-	}
-	p0 := ownedSample(client.part, 0, g.NumNodes(), 1)
-	p1 := ownedSample(client.part, 1, g.NumNodes(), 1)
-	if _, err := getNeighbors(client, append(p0, p1...)); err != nil {
-		t.Fatal(err)
-	}
-	snap := client.Lay.Snapshot()
-	if snap.DualHomeRequests != 1 {
-		t.Fatalf("dual-home requests = %d, want 1 (only partition 0's window is open)", snap.DualHomeRequests)
 	}
 }
 
@@ -348,9 +279,9 @@ func (t *gateTransport) Call(ctx context.Context, server int, msg []byte) ([]byt
 	return t.Transport.Call(ctx, server, msg)
 }
 
-// TestDrainReplicaWaitsForInflight: a drain marks the endpoint draining
-// immediately (no new routing) but must not remove it until requests
-// already on the wire complete.
+// TestDrainReplicaWaitsForInflight: a drain takes the endpoint out of
+// routing immediately but must not return until requests already on the
+// wire complete.
 func TestDrainReplicaWaitsForInflight(t *testing.T) {
 	g := testGraph(t)
 	part := HashPartitioner{N: 2}
@@ -375,10 +306,7 @@ func TestDrainReplicaWaitsForInflight(t *testing.T) {
 
 	// Park one request on endpoint 2. The layout must route it there:
 	// swap primary order so 2 is preferred for partition 0.
-	pref := &Layout{Epoch: client.Layout().Epoch + 1, Partitions: [][]LayoutEndpoint{
-		{{ID: 2, State: EndpointServing}, {ID: 0, State: EndpointServing}},
-		{{ID: 1, State: EndpointServing}, {ID: 3, State: EndpointServing}},
-	}}
+	pref := &Layout{Epoch: client.Layout().Epoch + 1, Partitions: [][]int{{2, 0}, {1, 3}}}
 	if err := client.ApplyLayout(pref); err != nil {
 		t.Fatal(err)
 	}
@@ -395,25 +323,26 @@ func TestDrainReplicaWaitsForInflight(t *testing.T) {
 	defer cancel()
 	go func() { drainDone <- client.DrainReplica(ctx, 0, 2) }()
 
-	// The endpoint flips to draining (and out of the routable set) while
-	// the in-flight request still holds it.
+	// One swap takes the endpoint out of routing while the in-flight
+	// request still holds it; the drain waits for that request.
 	deadline := time.After(5 * time.Second)
-	for {
-		l := client.Layout()
-		if st, ok := l.State(0, 2); ok && st == EndpointDraining {
-			if got := l.Routable(0); len(got) != 1 || got[0] != 0 {
-				t.Fatalf("draining endpoint still routable: %v", got)
-			}
-			break
-		}
+	for client.Layout().Contains(2) {
 		select {
 		case <-deadline:
-			t.Fatal("endpoint never marked draining")
+			t.Fatal("endpoint never left the layout")
 		case err := <-drainDone:
 			t.Fatalf("drain finished with a request in flight: %v", err)
 		default:
 			time.Sleep(time.Millisecond)
 		}
+	}
+	if got := client.Layout().Routable(0); !slices.Equal(got, []int{0}) {
+		t.Fatalf("drained endpoint still routable: %v", got)
+	}
+	select {
+	case err := <-drainDone:
+		t.Fatalf("drain finished with a request in flight: %v", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 
 	close(gate.blocked) // release the parked request
@@ -448,13 +377,18 @@ func TestAddReplicaParityProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch, swaps := client.Layout().Epoch, client.Lay.Snapshot().Swaps
 	if err := client.AddReplica(bg, 0, 4); err == nil {
 		t.Fatal("endpoint with divergent data admitted")
 	}
 	if client.Layout().Contains(4) {
 		t.Fatal("failed probe left the endpoint in the layout")
 	}
-	if snap := client.Lay.Snapshot(); snap.ProbeFailures == 0 || snap.ReplicaJoins != 0 {
+	snap := client.Lay.Snapshot()
+	if e := client.Layout().Epoch; e != epoch || snap.Swaps != swaps {
+		t.Fatalf("failed probe swapped the layout: epoch %d → %d, swaps %d → %d", epoch, e, swaps, snap.Swaps)
+	}
+	if snap.ProbeFailures != 1 || snap.ReplicaJoins != 0 {
 		t.Fatalf("probe stats = %+v", snap)
 	}
 }
@@ -496,11 +430,7 @@ func TestAddReplicaAdmitsHealthyEndpoint(t *testing.T) {
 	if err := client.AddReplica(bg, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	l := client.Layout()
-	if st, ok := l.State(0, 4); !ok || st != EndpointServing {
-		t.Fatalf("State(0,4) = %v, %v", st, ok)
-	}
-	if got := l.Routable(0); len(got) != 3 {
+	if got := client.Layout().Routable(0); !slices.Equal(got, []int{0, 2, 4}) {
 		t.Fatalf("Routable(0) = %v", got)
 	}
 	if snap := client.Lay.Snapshot(); snap.ReplicaJoins != 1 || snap.ProbeFailures != 0 {
@@ -532,7 +462,7 @@ func TestLayoutStatsZeroValueSchema(t *testing.T) {
 	if snap.Layer != "cluster.layout" {
 		t.Fatalf("layer = %q", snap.Layer)
 	}
-	want := []string{"epoch", "swaps", "replica_joins", "replica_drains", "migrations", "dual_home_requests", "probe_failures"}
+	want := []string{"epoch", "swaps", "replica_joins", "replica_drains", "migrations", "probe_failures"}
 	if len(snap.Metrics) != len(want) {
 		t.Fatalf("metrics = %d, want %d", len(snap.Metrics), len(want))
 	}

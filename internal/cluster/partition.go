@@ -59,42 +59,6 @@ func (p RangePartitioner) Owner(v graph.NodeID) int {
 // Servers implements Partitioner.
 func (p RangePartitioner) Servers() int { return p.N }
 
-// ReplicaMap lists, per partition, the transport endpoints able to serve
-// that partition's shard — NewLayout's input. Entry 0 is the primary;
-// later entries are failover replicas tried when the primary fails or its
-// circuit breaker is open. A nil map means each partition is served only
-// by the endpoint sharing its index (no replication).
-type ReplicaMap [][]int
-
-// UniformReplicas builds the canonical replicated layout: replica r of
-// partition p is endpoint r*partitions+p, i.e. endpoints [0,partitions)
-// are the primaries and each subsequent block of `partitions` endpoints is
-// a full replica set.
-//
-// replicas < 1 is clamped to 1 — "no replication" is a meaningful default,
-// so a zero value degrades gracefully. partitions < 1 panics instead:
-// there is no sensible layout over zero partitions, and silently returning
-// an empty map would only defer the crash to the first client fan-out
-// (HashPartitioner.Owner makes the same choice for a serverless
-// partitioner).
-func UniformReplicas(partitions, replicas int) ReplicaMap {
-	if partitions < 1 {
-		panic(fmt.Sprintf("cluster: UniformReplicas over %d partitions", partitions))
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	m := make(ReplicaMap, partitions)
-	for p := 0; p < partitions; p++ {
-		eps := make([]int, replicas)
-		for r := 0; r < replicas; r++ {
-			eps[r] = r*partitions + p
-		}
-		m[p] = eps
-	}
-	return m
-}
-
 // GroupByOwner lays ids out server by server, in input order: server s's
 // IDs are grp[off[s]:off[s+1]], and pos[j] is grp[j]'s index in ids. All
 // three are pooled scratch the caller puts back.

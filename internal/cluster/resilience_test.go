@@ -12,40 +12,52 @@ import (
 	"lsdgnn/internal/graph"
 )
 
+// TestUniformReplicas: UniformLayout spreads replica r of partition p to
+// endpoint r*partitions+p.
 func TestUniformReplicas(t *testing.T) {
-	m := UniformReplicas(3, 2)
-	if len(m) != 3 {
-		t.Fatalf("%d partitions mapped, want 3", len(m))
+	l := UniformLayout(3, 2)
+	if len(l.Partitions) != 3 || l.Epoch != 1 {
+		t.Fatalf("%d partitions at epoch %d, want 3 at 1", len(l.Partitions), l.Epoch)
 	}
 	for p := 0; p < 3; p++ {
-		if len(m[p]) != 2 || m[p][0] != p || m[p][1] != 3+p {
-			t.Fatalf("partition %d mapped to %v", p, m[p])
+		if got := l.Routable(p); len(got) != 2 || got[0] != p || got[1] != 3+p {
+			t.Fatalf("partition %d routed to %v", p, got)
 		}
 	}
-	if _, err := NewLayout(3, m); err != nil {
+	if err := l.Validate(3); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReplicaMapValidate: NewLayout is where a replica map is checked.
-func TestReplicaMapValidate(t *testing.T) {
+func TestUniformReplicasClampsReplicas(t *testing.T) {
+	// replicas < 1 clamps to the meaningful no-replication default.
+	if l := UniformLayout(3, 0); len(l.Partitions) != 3 || len(l.Partitions[0]) != 1 || l.Partitions[0][0] != 0 {
+		t.Fatalf("replicas<1 should clamp to identity, got %v", l.Partitions)
+	}
+}
+
+// TestNewLayoutValidate: NewLayout is where a replica map is checked.
+func TestNewLayoutValidate(t *testing.T) {
 	if _, err := NewLayout(4, nil); err != nil {
 		t.Fatalf("nil map rejected: %v", err)
 	}
-	if _, err := NewLayout(3, ReplicaMap{{0}, {1}}); err == nil {
+	if _, err := NewLayout(3, [][]int{{0}, {1}}); err == nil {
 		t.Fatal("short map accepted")
 	}
-	if _, err := NewLayout(3, ReplicaMap{{0}, {}, {2}}); err == nil {
+	if _, err := NewLayout(2, [][]int{{0}, {1}, {2}}); err == nil {
+		t.Fatal("long map accepted: its extra row would route nowhere")
+	}
+	if _, err := NewLayout(3, [][]int{{0}, {}, {2}}); err == nil {
 		t.Fatal("endpoint-less partition accepted")
 	}
-	if _, err := NewLayout(3, ReplicaMap{{0}, {-1}, {2}}); err == nil {
+	if _, err := NewLayout(3, [][]int{{0}, {-1}, {2}}); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
 }
 
 // layoutResilience builds an executor routing by NewLayout over m — the
 // one-partition identity layout when m is nil — outside any client.
-func layoutResilience(t *testing.T, cfg ResilienceConfig, st *ResilienceStats, m ReplicaMap) *resilience {
+func layoutResilience(t *testing.T, cfg ResilienceConfig, st *ResilienceStats, m [][]int) *resilience {
 	t.Helper()
 	l, err := NewLayout(max(len(m), 1), m)
 	if err != nil {
@@ -291,7 +303,7 @@ func TestRetryExhaustionReportsEveryPass(t *testing.T) {
 	st := &ResilienceStats{}
 	r := layoutResilience(t, ResilienceConfig{
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-	}, st, ReplicaMap{{0, 1}})
+	}, st, [][]int{{0, 1}})
 	_, err := r.call(context.Background(), r.cfg.Retry.MaxAttempts, 0, metaReq, func(ctx context.Context, ep int, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ep%d down", ep)
 	})

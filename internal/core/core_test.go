@@ -417,10 +417,7 @@ func TestNewSystemLayoutBuild(t *testing.T) {
 	}
 
 	// A layout that skips endpoint 0 leaves a transport slot unassigned.
-	gap := &cluster.Layout{Epoch: 1, Partitions: [][]cluster.LayoutEndpoint{
-		{{ID: 1, State: cluster.EndpointServing}},
-		{{ID: 2, State: cluster.EndpointServing}},
-	}}
+	gap := &cluster.Layout{Epoch: 1, Partitions: [][]int{{1}, {2}}}
 	if _, err := NewSystem(Options{Graph: g, Servers: 2, Seed: 5, Layout: gap}); err == nil || !strings.Contains(err.Error(), "unassigned") {
 		t.Fatalf("gapped layout accepted: %v", err)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -169,7 +170,7 @@ func RequireKey(h http.Handler, key string, open ...string) http.Handler {
 		if got == "" {
 			got = r.URL.Query().Get("key")
 		}
-		if got != key {
+		if subtle.ConstantTimeCompare([]byte(got), []byte(key)) != 1 {
 			http.Error(w, "401 unauthorized: admin plane requires an api key", http.StatusUnauthorized)
 			return
 		}

