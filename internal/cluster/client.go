@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -357,10 +358,11 @@ func (c *Client) invoke(ctx context.Context, endpoint int, req []byte) ([]byte, 
 // hands the shard's answer to use. send is c.call for a partition — the
 // resilient path, so the frame is retried, failed over and breaker-gated as
 // a unit — or c.invoke for one endpoint, bypassing routing (the layout
-// probe). A sub the shard rejected comes back as its *ServerError. The
+// probe). A neighbours reply's lists are appended to lists, the caller's
+// scratch. A sub the shard rejected comes back as its *ServerError. The
 // request frame is recycled once send returns, after its last pass; the
 // reply frame once use returns: use keeps no attribute payload.
-func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, send invokeFunc, use func(PackedSubResponse) error) error {
+func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, lists [][]graph.NodeID, send invokeFunc, use func(PackedSubResponse) error) error {
 	// The header is fixed before the frame is encoded: the trace ID and the
 	// tenant key travel inside the bytes every attempt shares.
 	ctx, h := c.header(ctx)
@@ -381,7 +383,8 @@ func (c *Client) fetch(ctx context.Context, target int, sub PackedSubRequest, se
 	}
 	defer mem.Bytes.Recycle(raw)
 	start = time.Now()
-	resps, err := DecodePackedResponse(raw, target, &c.Pack.Codec)
+	var one [1]PackedSubResponse
+	resps, err := decodePackedResponse(one[:0], lists, raw, target, &c.Pack.Codec)
 	if err == nil && len(resps) != 1 {
 		err = fmt.Errorf("cluster: frame answered %d subs, sent 1", len(resps))
 	}
@@ -405,41 +408,94 @@ func (c *Client) observeCodec(h Header, start time.Time) {
 	}
 }
 
-// fanout groups vs by owning shard and runs fetch once per non-empty group,
-// all groups concurrently: the last one on the calling goroutine, so a
-// single-shard fetch starts no goroutine. pos maps a group's entries back
-// to their positions in vs. It returns only after every fetch has, so
-// nothing touches the caller's buffers — or the pooled groups — afterwards,
-// and reduces the per-shard errors through reduceFanout.
-func (c *Client) fanout(ctx context.Context, vs []graph.NodeID, fetch func(s int, grp []graph.NodeID, pos []uint32) error) error {
+// fanout is one NeighborsBatch or AttrsBatch call's state: vs grouped by
+// owning shard, the caller's destination, and one error slot per shard.
+// It is pooled with a goroutine body per shard bound once, so a call
+// allocates neither its errors, its WaitGroup nor its goroutines' closures.
+type fanout struct {
+	c   *Client
+	ctx context.Context
+	op  byte // OpGetNeighbors or OpGetAttrs
+	// grp holds vs server by server, pos each entry's position in vs, and
+	// off each server's start in grp (GroupByOwner).
+	grp      []graph.NodeID
+	pos, off []uint32
+	// lists is NeighborsBatch's dst; attrs is AttrsBatch's, into which the
+	// i-th ID fetched lands at row at[i].
+	lists [][]graph.NodeID
+	attrs []float32
+	at    []uint32
+	errs  []error
+	wg    sync.WaitGroup
+	runs  []func() // runs[s] fetches server s's group off the calling goroutine
+}
+
+var fanouts = sync.Pool{New: func() any { return new(fanout) }}
+
+// run groups vs by owning shard and fetches every non-empty group, all
+// groups concurrently: the last one on the calling goroutine, so a
+// single-shard fetch starts no goroutine. It returns only after every
+// fetch has, so nothing touches the caller's buffers — or the pooled
+// groups — afterwards, and reduces the per-shard errors through
+// reduceFanout. f goes back to the pool on the way out — not deferred, so
+// a panicking fetch cannot hand f on while other fetches still use it.
+func (f *fanout) run(vs []graph.NodeID) error {
+	c, ctx := f.c, f.ctx
 	if err := ctx.Err(); err != nil {
+		f.release()
 		return err
 	}
-	grp, pos, off := GroupByOwner(c.part, vs)
-	defer func() { mem.IDs.Put(grp); mem.U32s.Put(pos); mem.U32s.Put(off) }()
-	errs := make([]error, len(off)-1)
-	last := len(errs) - 1
-	for last >= 0 && off[last] == off[last+1] {
+	f.grp, f.pos, f.off = GroupByOwner(c.part, vs)
+	n := len(f.off) - 1
+	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	for len(f.runs) < n {
+		s := len(f.runs)
+		f.runs = append(f.runs, func() {
+			f.errs[s] = f.fetch(s)
+			f.wg.Done()
+		})
+	}
+	last := n - 1
+	for last >= 0 && f.off[last] == f.off[last+1] {
 		last--
 	}
-	var wg sync.WaitGroup
 	for s := 0; s < last; s++ {
-		lo, hi := off[s], off[s+1]
-		if lo == hi {
-			continue
+		if f.off[s] < f.off[s+1] {
+			f.wg.Add(1)
+			go f.runs[s]()
 		}
-		wg.Add(1)
-		go func(s int, grp []graph.NodeID, pos []uint32) {
-			defer wg.Done()
-			errs[s] = fetch(s, grp, pos)
-		}(s, grp[lo:hi:hi], pos[lo:hi:hi])
 	}
 	if last >= 0 {
-		lo, hi := off[last], off[last+1]
-		errs[last] = fetch(last, grp[lo:hi:hi], pos[lo:hi:hi])
+		f.errs[last] = f.fetch(last)
 	}
-	wg.Wait()
-	return c.reduceFanout(ctx, errs)
+	f.wg.Wait()
+	err := c.reduceFanout(ctx, f.errs)
+	f.release()
+	return err
+}
+
+// release hands f's pooled groups back and f to the pool, dropping every
+// reference it held into the call.
+func (f *fanout) release() {
+	if f.grp != nil {
+		mem.IDs.Put(f.grp)
+		mem.U32s.Put(f.pos)
+		mem.U32s.Put(f.off)
+	}
+	clear(f.errs)
+	f.c, f.ctx, f.grp, f.pos, f.off = nil, nil, nil, nil, nil
+	f.lists, f.attrs, f.at = nil, nil, nil
+	fanouts.Put(f)
+}
+
+// fetch fetches server s's group into the call's destination.
+func (f *fanout) fetch(s int) error {
+	lo, hi := f.off[s], f.off[s+1]
+	grp, pos := f.grp[lo:hi:hi], f.pos[lo:hi:hi]
+	if f.op == OpGetNeighbors {
+		return f.neighbors(s, grp, pos)
+	}
+	return f.attrsOf(s, grp, pos)
 }
 
 // failed reports whether err is an outright failure rather than nil or a
@@ -489,42 +545,73 @@ func (c *Client) reduceFanout(ctx context.Context, errs []error) error {
 // NeighborsBatch fills dst[i] with vs[i]'s adjacency list. The lists alias
 // the decoded replies and must not be modified.
 func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
-	err := c.fanout(ctx, vs, func(s int, grp []graph.NodeID, pos []uint32) error {
-		lists, err := c.neighborLists(ctx, s, grp, c.call)
-		if err != nil {
-			for _, p := range pos {
-				dst[p] = nil
-			}
-			return err
-		}
-		ids := 0
-		for i, l := range lists {
-			dst[pos[i]] = l
-			ids += len(l)
-		}
-		// Offset/degree lookup, then per-entry pointer chasing: each list
-		// is one 16 B access and each neighbor ID an individual
-		// fine-grained 8 B indirect one — the access class Figure 2(c)
-		// counts — recorded for the whole reply at once.
-		c.Access.Record(trace.AccessStructure, len(lists)+ids, 16*len(lists)+8*ids, s != c.local)
-		return nil
-	})
+	f := fanouts.Get().(*fanout)
+	f.c, f.ctx, f.op, f.lists = c, ctx, OpGetNeighbors, dst
+	err := f.run(vs)
 	if failed(err) {
 		clear(dst)
 	}
 	return err
 }
 
+// neighbors fetches server s's group of NeighborsBatch's IDs.
+func (f *fanout) neighbors(s int, grp []graph.NodeID, pos []uint32) error {
+	c := f.c
+	scratch := mem.Lists.Get(len(grp))
+	defer mem.Lists.Put(scratch)
+	lists, err := c.neighborLists(f.ctx, s, grp, scratch[:0], c.call)
+	if err != nil {
+		for _, p := range pos {
+			f.lists[p] = nil
+		}
+		return err
+	}
+	ids := 0
+	for i, l := range lists {
+		f.lists[pos[i]] = l
+		ids += len(l)
+	}
+	// Offset/degree lookup, then per-entry pointer chasing: each list is one
+	// 16 B access and each neighbor ID an individual fine-grained 8 B
+	// indirect one — the access class Figure 2(c) counts — recorded for the
+	// whole reply at once.
+	c.Access.Record(trace.AccessStructure, len(lists)+ids, 16*len(lists)+8*ids, s != c.local)
+	return nil
+}
+
 // neighborLists fetches grp's adjacency lists from target through send (see
-// fetch), one fresh list per ID: none aliases the reply frame.
-func (c *Client) neighborLists(ctx context.Context, target int, grp []graph.NodeID, send invokeFunc) (lists [][]graph.NodeID, err error) {
-	err = c.fetch(ctx, target, PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: grp}}, send, func(resp PackedSubResponse) error {
+// fetch), appending them to lists. Each list slices a fresh ID vector, none
+// the reply frame.
+func (c *Client) neighborLists(ctx context.Context, target int, grp []graph.NodeID, lists [][]graph.NodeID, send invokeFunc) ([][]graph.NodeID, error) {
+	err := c.fetch(ctx, target, PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: grp}}, lists, send, func(resp PackedSubResponse) error {
 		if lists = resp.Neighbors.Lists; len(lists) != len(grp) {
 			return fmt.Errorf("cluster: server %d returned %d lists for %d ids", target, len(lists), len(grp))
 		}
 		return nil
 	})
 	return lists, err
+}
+
+// attrsOf fetches server s's group of AttrsBatch's unique IDs: the
+// vector fetched for pos[i] lands at row at[pos[i]] of dst.
+func (f *fanout) attrsOf(s int, grp []graph.NodeID, pos []uint32) error {
+	c, dst := f.c, f.attrs
+	al := c.meta.AttrLen
+	err := c.fetch(f.ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: grp}}, nil, c.call, func(resp PackedSubResponse) error {
+		if n := len(resp.Attrs.Payload) / 4; n != len(grp)*al {
+			return fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, n, len(grp))
+		}
+		for i, p := range pos {
+			readFloats(dst[int(f.at[p])*al:][:al], resp.Attrs.Payload[i*al*4:])
+		}
+		return nil
+	})
+	if err != nil {
+		for _, p := range pos {
+			clear(dst[int(f.at[p])*al:][:al])
+		}
+	}
+	return err
 }
 
 // AttrsBatch fills dst with vs's attribute vectors concatenated in order.
@@ -560,23 +647,9 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 	mem.U32s.Put(seen)
 	c.Pack.dedup.Add(int64(len(vs) - len(uniq)))
 
-	err := c.fanout(ctx, uniq, func(s int, grp []graph.NodeID, pos []uint32) error {
-		err := c.fetch(ctx, s, PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: grp}}, c.call, func(resp PackedSubResponse) error {
-			if n := len(resp.Attrs.Payload) / 4; n != len(grp)*al {
-				return fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, n, len(grp))
-			}
-			for i, p := range pos {
-				readFloats(dst[int(at[p])*al:][:al], resp.Attrs.Payload[i*al*4:])
-			}
-			return nil
-		})
-		if err != nil {
-			for _, p := range pos {
-				clear(dst[int(at[p])*al:][:al])
-			}
-		}
-		return err
-	})
+	f := fanouts.Get().(*fanout)
+	f.c, f.ctx, f.op, f.attrs, f.at = c, ctx, OpGetAttrs, dst, at
+	err := f.run(uniq)
 	if failed(err) {
 		clear(dst)
 		return err

@@ -41,7 +41,7 @@ func FuzzIDSection(f *testing.F) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("bdi=%v ids %v: encoded %x, reference %x", bdi, ids, got, want)
 				}
-				back, rest, err := readIDSection(got, bdi, &c)
+				back, rest, err := readIDSection(nil, got, bdi, &c)
 				if err != nil || len(rest) != 0 || !slices.Equal(back, ids) {
 					t.Fatalf("bdi=%v: %v round-tripped to %v (rest %d, %v)", bdi, ids, back, len(rest), err)
 				}
@@ -56,11 +56,17 @@ func FuzzIDSection(f *testing.F) {
 		}
 		// Decode: arbitrary bytes, every section kind.
 		for _, bdi := range []bool{true, false} {
-			got, rest, err := readIDSection(data, bdi, &c)
+			got, rest, err := readIDSection(nil, data, bdi, &c)
 			want, wantRest, wantErr := refReadIDSection(data, bdi)
 			if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) || len(rest) != len(wantRest) {
 				t.Fatalf("bdi=%v %x: decoded %v rest %d (%v), reference %v rest %d (%v)",
 					bdi, data, got, len(rest), err, want, len(wantRest), wantErr)
+			}
+			// Into scratch, as a server decodes: appended behind what the
+			// scratch already holds.
+			scratch := append(make([]graph.NodeID, 0, 1+idSectionLen(data, bdi)), 42)
+			if into, _, err := readIDSection(scratch, data, bdi, &c); err == nil && (into[0] != 42 || !slices.Equal(into[1:], want)) {
+				t.Fatalf("bdi=%v %x: decoded into scratch as %v, want 42 then %v", bdi, data, into, want)
 			}
 		}
 		got, rest, err := c.ReadU32sInto(nil, data)

@@ -465,13 +465,13 @@ func (c *Client) probeOnce(ctx context.Context, partition, endpoint int, ids []g
 	if len(ids) == 0 {
 		return nil
 	}
-	got, err := c.neighborLists(ctx, endpoint, ids, c.invoke)
+	got, err := c.neighborLists(ctx, endpoint, ids, nil, c.invoke)
 	if err != nil {
 		return err
 	}
 	// The reference answer comes from the partition's serving replicas via
 	// the normal resilient path.
-	want, err := c.neighborLists(ctx, partition, ids, c.call)
+	want, err := c.neighborLists(ctx, partition, ids, nil, c.call)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -82,11 +83,12 @@ func appendIDSection(dst []byte, ids []graph.NodeID, bdi bool, c *mof.VecCodec) 
 	return mof.AppendWordBytes(c, dst, ids)
 }
 
-// readIDSection decodes an ID section straight into a fresh exact-size
-// slice the caller owns.
-func readIDSection(src []byte, bdi bool, c *mof.VecCodec) ([]graph.NodeID, []byte, error) {
+// readIDSection appends an ID section's IDs to dst: into its spare
+// capacity when the caller hands in scratch, or a fresh exact-size slice
+// when dst is nil.
+func readIDSection(dst []graph.NodeID, src []byte, bdi bool, c *mof.VecCodec) ([]graph.NodeID, []byte, error) {
 	if bdi {
-		return mof.ReadWordsInto(c, []graph.NodeID(nil), src)
+		return mof.ReadWordsInto(c, dst, src)
 	}
 	raw, rest, err := c.ReadBytes(src)
 	if err != nil {
@@ -95,11 +97,23 @@ func readIDSection(src []byte, bdi bool, c *mof.VecCodec) ([]graph.NodeID, []byt
 	if len(raw)%8 != 0 {
 		return nil, nil, fmt.Errorf("cluster: ragged ID section of %d bytes", len(raw))
 	}
-	ids := make([]graph.NodeID, len(raw)/8)
-	for i := range ids {
-		ids[i] = graph.NodeID(binary.LittleEndian.Uint64(raw[i*8:]))
+	at := len(dst)
+	dst = slices.Grow(dst, len(raw)/8)[:at+len(raw)/8]
+	for i := range dst[at:] {
+		dst[at+i] = graph.NodeID(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
-	return ids, rest, nil
+	return dst, rest, nil
+}
+
+// idSectionLen is how many IDs the section at the head of src claims,
+// clamped to what its bytes could hold: the size of scratch to decode it
+// into.
+func idSectionLen(src []byte, bdi bool) int {
+	n, _ := mof.SectionCount(src)
+	if !bdi {
+		n /= 8 // a raw section counts bytes
+	}
+	return int(n)
 }
 
 // EncodePackedRequest serializes subs into one OpPacked frame with no
@@ -144,8 +158,10 @@ func encodePackedRequest(h Header, subs []PackedSubRequest, c *mof.VecCodec) ([]
 	return out, nil
 }
 
-// splitPacked cuts a packed frame's body into per-sub slices.
-func splitPacked(body []byte) ([][]byte, error) {
+// splitPacked appends a packed frame body's per-sub slices to dst. A
+// caller decoding a one-sub frame, the shape every client sends, hands in
+// stack scratch and allocates nothing.
+func splitPacked(dst [][]byte, body []byte) ([][]byte, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("cluster: truncated packed frame")
 	}
@@ -154,8 +170,7 @@ func splitPacked(body []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("cluster: packed frame with %d subs (1..%d)", n, MaxPackedRequests)
 	}
 	rest := body[2:]
-	subs := make([][]byte, n)
-	for i := range subs {
+	for i := range n {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("cluster: truncated packed frame at sub %d", i)
 		}
@@ -164,42 +179,77 @@ func splitPacked(body []byte) ([][]byte, error) {
 		if uint64(len(rest)) < uint64(l) || l == 0 {
 			return nil, fmt.Errorf("cluster: sub %d claims %d bytes, %d left", i, l, len(rest))
 		}
-		subs[i], rest = rest[:l], rest[l:]
+		dst, rest = append(dst, rest[:l]), rest[l:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("cluster: %d trailing bytes in packed frame", len(rest))
 	}
-	return subs, nil
+	return dst, nil
 }
 
 // DecodePackedRequest parses an OpPacked request body; bdi is the header's
-// BDI bit.
+// BDI bit. Each sub's IDs are a fresh slice the caller owns.
 func DecodePackedRequest(body []byte, bdi bool, c *mof.VecCodec) ([]PackedSubRequest, error) {
-	bodies, err := splitPacked(body)
+	return decodePackedRequest(nil, body, bdi, c, false)
+}
+
+// decodePackedRequest appends body's subs to dst. With pooled set each
+// sub's IDs are mem.IDs scratch, which the caller hands back through
+// putSubIDs once done with them; on an error nothing is left checked out.
+func decodePackedRequest(dst []PackedSubRequest, body []byte, bdi bool, c *mof.VecCodec, pooled bool) ([]PackedSubRequest, error) {
+	var one [1][]byte
+	bodies, err := splitPacked(one[:0], body)
 	if err != nil {
 		return nil, err
 	}
-	subs := make([]PackedSubRequest, len(bodies))
+	subs := dst
 	for i, body := range bodies {
-		sub := &subs[i]
-		sub.Op = body[0]
-		if sub.Op != OpGetNeighbors && sub.Op != OpGetAttrs {
-			return nil, fmt.Errorf("cluster: op %#x inside packed frame", sub.Op)
+		op := body[0]
+		if op != OpGetNeighbors && op != OpGetAttrs {
+			err = fmt.Errorf("cluster: op %#x inside packed frame", op)
+			break
 		}
-		ids, rest, err := readIDSection(body[1:], bdi, c)
-		if err != nil {
-			return nil, err
+		var ids []graph.NodeID
+		if pooled {
+			ids = mem.IDs.Get(idSectionLen(body[1:], bdi))[:0]
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
+		got, rest, rerr := readIDSection(ids, body[1:], bdi, c)
+		if rerr == nil && len(rest) != 0 {
+			rerr = fmt.Errorf("cluster: %d trailing bytes in packed sub %d", len(rest), i)
 		}
-		if sub.Op == OpGetNeighbors {
-			sub.Neighbors.IDs = ids
+		if rerr != nil {
+			if pooled {
+				mem.IDs.Put(ids)
+			}
+			err = rerr
+			break
+		}
+		sub := PackedSubRequest{Op: op}
+		if op == OpGetNeighbors {
+			sub.Neighbors.IDs = got
 		} else {
-			sub.Attrs.IDs = ids
+			sub.Attrs.IDs = got
 		}
+		subs = append(subs, sub)
+	}
+	if err != nil {
+		if pooled {
+			putSubIDs(subs[len(dst):])
+		}
+		return nil, err
 	}
 	return subs, nil
+}
+
+// putSubIDs hands pooled sub ID sections back to mem.IDs.
+func putSubIDs(subs []PackedSubRequest) {
+	for _, sub := range subs {
+		if sub.Op == OpGetNeighbors {
+			mem.IDs.Put(sub.Neighbors.IDs)
+		} else {
+			mem.IDs.Put(sub.Attrs.IDs)
+		}
+	}
 }
 
 // appendNeighbors appends an OK neighbors sub-response (status byte + body)
@@ -309,24 +359,36 @@ func readFloatsLE(dst []float32, src []byte) {
 // reconstructed *ServerError rejections, mirroring the TCP status-byte
 // decode; an attrs Payload aliases frame unless it arrived BDI-compressed.
 func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSubResponse, error) {
+	return decodePackedResponse(nil, nil, frame, server, c)
+}
+
+// decodePackedResponse appends frame's subs to dst, and every neighbours
+// sub's lists to lists: a caller's stack and pooled scratch for the
+// one-sub frames it sends. Each list is a slice of its sub's flat ID
+// vector, which is decoded into a fresh slice: the lists outlive the frame
+// and the scratch that held their headers.
+func decodePackedResponse(dst []PackedSubResponse, lists [][]graph.NodeID, frame []byte, server int, c *mof.VecCodec) ([]PackedSubResponse, error) {
 	h, body, err := replyBody(frame, OpPacked)
 	if err != nil {
 		return nil, err
 	}
-	bodies, err := splitPacked(body)
+	var one [1][]byte
+	bodies, err := splitPacked(one[:0], body)
 	if err != nil {
 		return nil, err
 	}
 	bdi := h.BDI
-	subs := make([]PackedSubResponse, len(bodies))
+	subs := dst
 	for i, body := range bodies {
-		sub := &subs[i]
+		var sub PackedSubResponse
 		switch body[0] {
 		case statusReject:
 			sub.Err = &ServerError{Server: server, Msg: string(body[1:])}
+			subs = append(subs, sub)
 			continue
 		case statusError:
 			sub.Err = fmt.Errorf("cluster: server %d: %s", server, string(body[1:]))
+			subs = append(subs, sub)
 			continue
 		case statusOK:
 		default:
@@ -339,56 +401,11 @@ func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSu
 		sub.Op = body[0]
 		switch sub.Op {
 		case OpGetNeighbors:
-			// The degree vector is decode scratch — only the rebuilt lists
-			// escape — so it lives in the pool.
-			nd, _ := mof.SectionCount(body[1:])
-			degScratch := mem.U32s.Get(int(nd))
-			degs := degScratch[:0]
-			var rest []byte
-			if bdi {
-				degs, rest, err = c.ReadU32sInto(degs, body[1:])
-			} else {
-				var raw []byte
-				raw, rest, err = c.ReadBytes(body[1:])
-				if err == nil {
-					if len(raw)%4 != 0 {
-						mem.U32s.Put(degScratch)
-						return nil, fmt.Errorf("cluster: ragged degree section of %d bytes", len(raw))
-					}
-					for j := 0; j < len(raw)/4; j++ {
-						degs = append(degs, binary.LittleEndian.Uint32(raw[j*4:]))
-					}
-				}
-			}
-			if err != nil {
-				mem.U32s.Put(degScratch)
+			at := len(lists)
+			if lists, err = readNeighborLists(lists, body[1:], bdi, c); err != nil {
 				return nil, err
 			}
-			flat, rest, err := readIDSection(rest, bdi, c)
-			if err != nil {
-				mem.U32s.Put(degScratch)
-				return nil, err
-			}
-			if len(rest) != 0 {
-				mem.U32s.Put(degScratch)
-				return nil, fmt.Errorf("cluster: %d trailing bytes in packed sub-response %d", len(rest), i)
-			}
-			lists := make([][]graph.NodeID, len(degs))
-			off := 0
-			for j, d := range degs {
-				if uint64(off)+uint64(d) > uint64(len(flat)) {
-					mem.U32s.Put(degScratch)
-					return nil, fmt.Errorf("cluster: degree vector overruns %d flat IDs", len(flat))
-				}
-				lists[j] = flat[off : off+int(d) : off+int(d)]
-				off += int(d)
-			}
-			if off != len(flat) {
-				mem.U32s.Put(degScratch)
-				return nil, fmt.Errorf("cluster: %d flat IDs unclaimed by degree vector", len(flat)-off)
-			}
-			mem.U32s.Put(degScratch)
-			sub.Neighbors.Lists = lists
+			sub.Neighbors.Lists = lists[at:len(lists):len(lists)]
 		case OpGetAttrs:
 			if len(body) < 5 {
 				return nil, fmt.Errorf("cluster: truncated packed attrs sub-response %d", i)
@@ -408,8 +425,60 @@ func DecodePackedResponse(frame []byte, server int, c *mof.VecCodec) ([]PackedSu
 		default:
 			return nil, fmt.Errorf("cluster: op %#x inside packed response", sub.Op)
 		}
+		subs = append(subs, sub)
 	}
 	return subs, nil
+}
+
+// readNeighborLists decodes an OK neighbours sub-response body — degree
+// section, then flat ID section — appending one list per degree to lists.
+func readNeighborLists(lists [][]graph.NodeID, body []byte, bdi bool, c *mof.VecCodec) ([][]graph.NodeID, error) {
+	// The degree vector is decode scratch — only the rebuilt lists escape —
+	// so it lives in the pool.
+	nd, _ := mof.SectionCount(body)
+	degScratch := mem.U32s.Get(int(nd))
+	defer mem.U32s.Put(degScratch)
+	degs := degScratch[:0]
+	var rest []byte
+	var err error
+	if bdi {
+		degs, rest, err = c.ReadU32sInto(degs, body)
+	} else {
+		var raw []byte
+		raw, rest, err = c.ReadBytes(body)
+		if err == nil {
+			if len(raw)%4 != 0 {
+				return nil, fmt.Errorf("cluster: ragged degree section of %d bytes", len(raw))
+			}
+			for j := 0; j < len(raw)/4; j++ {
+				degs = append(degs, binary.LittleEndian.Uint32(raw[j*4:]))
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	flat, rest, err := readIDSection(nil, rest, bdi, c)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("cluster: %d trailing bytes in neighbours sub-response", len(rest))
+	}
+	at := len(lists)
+	lists = slices.Grow(lists, len(degs))[:at+len(degs)]
+	off := 0
+	for j, d := range degs {
+		if uint64(off)+uint64(d) > uint64(len(flat)) {
+			return nil, fmt.Errorf("cluster: degree vector overruns %d flat IDs", len(flat))
+		}
+		lists[at+j] = flat[off : off+int(d) : off+int(d)]
+		off += int(d)
+	}
+	if off != len(flat) {
+		return nil, fmt.Errorf("cluster: %d flat IDs unclaimed by degree vector", len(flat)-off)
+	}
+	return lists, nil
 }
 
 // PackStats counts the client's side of the wire: frames sent (one per

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -655,11 +656,16 @@ func FuzzDecodePacked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc mof.VecCodec
 		// Must never panic or over-allocate; errors are the contract for
-		// hostile frames.
+		// hostile frames. Requests decode as a server decodes them: into
+		// stack scratch for one sub, IDs into pooled scratch, every section
+		// handed back whatever the verdict.
 		h, body, _ := ParseHeader(data)
-		if subs, err := DecodePackedRequest(body, h.BDI, &fc); err == nil {
+		out := mem.Outstanding()
+		var one [1]PackedSubRequest
+		if subs, err := decodePackedRequest(one[:0], body, h.BDI, &fc, true); err == nil {
 			// A frame that decodes must re-encode decodable (not
-			// necessarily byte-identical: compression flags may differ).
+			// necessarily byte-identical: compression flags may differ),
+			// to what it decoded to.
 			re, err := EncodePackedRequest(subs, h.BDI, &fc)
 			if err != nil {
 				t.Fatalf("re-encode of decoded frame failed: %v", err)
@@ -668,11 +674,22 @@ func FuzzDecodePacked(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if len(again) != len(subs) {
-				t.Fatalf("re-decode lost subs: %d vs %d", len(again), len(subs))
+			if !slices.EqualFunc(again, subs, func(a, b PackedSubRequest) bool {
+				return a.Op == b.Op && slices.Equal(a.Neighbors.IDs, b.Neighbors.IDs) && slices.Equal(a.Attrs.IDs, b.Attrs.IDs)
+			}) {
+				t.Fatalf("re-decode gave %v, first decode %v", again, subs)
 			}
+			putSubIDs(subs)
 		}
-		_, _ = func() ([]PackedSubResponse, error) { return DecodePackedResponse(data, 0, &fc) }()
+		if d := mem.Outstanding() - out; d != 0 {
+			t.Fatalf("request decode left %d pooled ID sections out", d)
+		}
+		// Replies as a client decodes them: one sub into stack scratch, its
+		// lists into pooled scratch.
+		var oneResp [1]PackedSubResponse
+		lists := mem.Lists.Get(4)
+		_, _ = decodePackedResponse(oneResp[:0], lists[:0], data, 0, &fc)
+		mem.Lists.Put(lists)
 	})
 }
 
@@ -730,4 +747,94 @@ func hexPrefix(b []byte) string {
 		fmt.Fprintf(&buf, "%02x", x)
 	}
 	return buf.String()
+}
+
+// panickyBackend serves its graph but panics on a neighbours read, the
+// residual fault Handle converts to an error.
+type panickyBackend struct{ *graph.Graph }
+
+func (panickyBackend) NeighborsBatch(context.Context, [][]graph.NodeID, []graph.NodeID) error {
+	panic("backend fault")
+}
+
+// TestPooledRequestIDsReturned: a server decodes each sub's request IDs
+// into pooled scratch and hands every section back on every path out of
+// Handle — a frame whose k-th sub fails to decode (bad op, bad ID section),
+// a sub backed out mid-reply and rejected beside served siblings, a
+// backend panic, and a frame served whole — so the scratch gauge ends
+// where it started.
+func TestPooledRequestIDsReturned(t *testing.T) {
+	g := testGraph(t)
+	part := HashPartitioner{N: 2}
+	var owned []graph.NodeID
+	var foreign graph.NodeID
+	for v := graph.NodeID(0); len(owned) < 600 || foreign == 0; v++ {
+		if part.Owner(v) == 1 {
+			foreign = v
+		} else if len(owned) < 600 {
+			owned = append(owned, v)
+		}
+	}
+	// Past the first ctxCheckStride chunk, so the attrs sub has written
+	// vectors when it is backed out.
+	mid := append(slices.Clone(owned[:400]), foreign)
+	var c mof.VecCodec
+	encode := func(subs ...PackedSubRequest) []byte {
+		frame, err := EncodePackedRequest(subs, true, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	three := func() []byte {
+		return encode(
+			PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned[:3]}},
+			PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned[:5]}},
+			PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned[:7]}})
+	}
+	// subAt is the offset of sub k's body in an encoded frame.
+	subAt := func(frame []byte, k int) int {
+		at := 4 // header, count
+		for range k {
+			at += 4 + int(binary.LittleEndian.Uint32(frame[at:]))
+		}
+		return at + 4
+	}
+	badOp := three()
+	badOp[subAt(badOp, 2)] = 0x7f
+	badSection := three()
+	binary.LittleEndian.PutUint32(badSection[subAt(badSection, 2)+1:], 99) // ID count
+	backedOut := encode(
+		PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: owned}},
+		PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: mid}},
+		PackedSubRequest{Op: OpGetNeighbors, Neighbors: NeighborsRequest{IDs: mid}},
+		PackedSubRequest{Op: OpGetAttrs, Attrs: AttrsRequest{IDs: owned}})
+
+	srv := NewServer(g, part, 0)
+	before := mem.Outstanding()
+	for name, frame := range map[string][]byte{"bad op in sub 2": badOp, "bad ID section in sub 2": badSection} {
+		if _, err := srv.Handle(bg, frame); !errors.As(err, new(*ServerError)) {
+			t.Fatalf("%s: Handle returned %v, want a frame rejection", name, err)
+		}
+	}
+	reply, err := srv.Handle(bg, backedOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := DecodePackedResponse(reply, 0, &c)
+	if err != nil || len(subs) != 4 {
+		t.Fatalf("decoded %d subs, err %v", len(subs), err)
+	}
+	for i, sub := range subs {
+		if rejected := errors.As(sub.Err, new(*ServerError)); rejected != (i == 1 || i == 2) {
+			t.Fatalf("sub %d: err %v", i, sub.Err)
+		}
+	}
+	mem.Bytes.Recycle(reply)
+	if _, err := NewBackendServer(panickyBackend{g}, part, 0).Handle(bg, three()); err == nil || !strings.Contains(err.Error(), "backend fault") {
+		t.Fatalf("panicking backend: %v", err)
+	}
+	if d := mem.Outstanding() - before; d != 0 {
+		t.Fatalf("%d pooled scratch buffers left out by Handle", d)
+	}
 }

@@ -388,6 +388,9 @@ func (e *PartialError) Unwrap() []error {
 // AsPartial unwraps err as a *PartialError, reporting whether the
 // operation degraded rather than failed.
 func AsPartial(err error) (*PartialError, bool) {
+	if err == nil {
+		return nil, false // before pe: an errors.As target escapes
+	}
 	var pe *PartialError
 	if errors.As(err, &pe) {
 		return pe, true

@@ -272,7 +272,7 @@ func (s *Server) Handle(ctx context.Context, msg []byte) (resp []byte, err error
 	if tr := s.tracer.Load(); tr != nil {
 		tr.ObserveErr(id, obs.HopServer, "", start, dur, err != nil)
 	}
-	s.logRequest(id, h.Op, dur, err)
+	s.logRequest(ctx, id, h.Op, dur, err)
 	if err == nil && h.Traced {
 		binary.LittleEndian.PutUint64(resp[traceOffset:], uint64(dur))
 	}
@@ -304,10 +304,15 @@ func (s *Server) dispatch(ctx context.Context, h Header, body []byte) ([]byte, e
 // Only a context error aborts the whole frame — that belongs to the caller,
 // not the requests. The reply is a pooled frame the caller owns.
 func (s *Server) handlePacked(ctx context.Context, reply Header, body []byte) ([]byte, error) {
-	subs, err := DecodePackedRequest(body, reply.BDI, &s.wire.Codec)
+	// Request IDs decode into pooled scratch, a one-sub frame's sub into
+	// stack scratch; both are handed back once the reply is encoded, on
+	// every path out.
+	var one [1]PackedSubRequest
+	subs, err := decodePackedRequest(one[:0], body, reply.BDI, &s.wire.Codec, true)
 	if err != nil {
 		return nil, err
 	}
+	defer putSubIDs(subs)
 	s.wire.recordPacked(len(subs))
 	reply.Op = OpPacked // each sub grows the frame to fit as it writes
 	out := AppendHeader(mem.Bytes.GetOwned(64, false)[:0], reply)
@@ -333,10 +338,16 @@ func (s *Server) handlePacked(ctx context.Context, reply Header, body []byte) ([
 	return out, nil
 }
 
-// logRequest emits one structured request log line when a logger is set.
-func (s *Server) logRequest(id obs.TraceID, op byte, dur time.Duration, err error) {
+// logRequest emits one structured request log line when a logger is set
+// and takes the line's level: a served request logs at Debug, so under the
+// usual Info logger it builds nothing.
+func (s *Server) logRequest(ctx context.Context, id obs.TraceID, op byte, dur time.Duration, err error) {
 	l := s.log.Load()
-	if l == nil {
+	level := slog.LevelDebug
+	if err != nil {
+		level = slog.LevelWarn
+	}
+	if l == nil || !l.Enabled(ctx, level) {
 		return
 	}
 	attrs := []any{

@@ -26,7 +26,7 @@ import (
 
 const maxFrameBytes = 1 << 28 // 256 MiB guards against corrupt prefixes
 
-const readChunk = 1 << 20 // the most readFrame allocates ahead of the bytes read
+const readChunk = 1 << 20 // the most a frame read allocates ahead of the bytes read
 
 // Response status bytes. statusError carries a failure the client may
 // retry (e.g. injected chaos); statusReject carries a *ServerError — a
@@ -55,11 +55,15 @@ func writeRequest(w io.Writer, msg []byte) error {
 	return err
 }
 
-// writeFrame writes a reply: the length prefix, the status byte and body,
+// frameHdr is one connection's frame-header scratch. A header read or
+// written through an io.Reader or io.Writer escapes, so each connection
+// keeps one for its life instead of allocating one per frame.
+type frameHdr [5]byte
+
+// write writes a reply: the length prefix, the status byte and body,
 // without copying body behind them. The server's replies go through a
 // bufio.Writer, which joins the writes.
-func writeFrame(w io.Writer, status byte, body []byte) error {
-	var hdr [5]byte
+func (hdr *frameHdr) write(w io.Writer, status byte, body []byte) error {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+1))
 	hdr[4] = status
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -69,12 +73,11 @@ func writeFrame(w io.Writer, status byte, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame into a pooled buffer, grown only as bytes
-// arrive, that the caller owns. A reply's length and status byte are read
+// read reads one frame into a pooled buffer, grown only as bytes arrive,
+// that the caller owns. A reply's length and status byte are read
 // together, and the status is returned apart from the body, so the body
 // keeps its pool capacity.
-func readFrame(r io.Reader, reply bool) (body []byte, status byte, err error) {
-	var hdr [5]byte
+func (hdr *frameHdr) read(r io.Reader, reply bool) (body []byte, status byte, err error) {
 	head := hdr[:4]
 	if reply {
 		head = hdr[:]
@@ -201,27 +204,25 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	var hdr frameHdr
 	for {
-		req, _, err := readFrame(r, false)
+		req, _, err := hdr.read(r, false)
 		if err != nil {
 			return
 		}
 		t.frames.Inc()
 		resp, err := t.srv.Handle(t.baseCtx, req)
 		mem.Bytes.Recycle(req)
+		status := byte(statusOK)
 		if err != nil {
 			t.frameErrs.Inc()
-		}
-		status := byte(statusOK)
-		var se *ServerError
-		switch {
-		case err == nil:
-		case errors.As(err, &se):
-			status, resp = statusReject, []byte(se.Msg)
-		default:
 			status, resp = statusError, []byte(err.Error())
+			var se *ServerError
+			if errors.As(err, &se) {
+				status, resp = statusReject, []byte(se.Msg)
+			}
 		}
-		if err := writeFrame(w, status, resp); err != nil {
+		if err := hdr.write(w, status, resp); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -306,7 +307,7 @@ func (t *TCPServer) Shutdown(ctx context.Context) error {
 	}
 	t.mu.Unlock()
 
-	// Wake idle readers: a connection blocked in readFrame returns
+	// Wake idle readers: a connection blocked reading a frame returns
 	// immediately; one mid-request finishes its response first (read
 	// deadlines do not interrupt the handler or the response write).
 	for _, c := range conns {
@@ -354,8 +355,19 @@ func (t *TCPServer) Close() error {
 // TCPTransport connects to a set of partition servers by address.
 type TCPTransport struct {
 	addrs []string
-	pools []chan net.Conn // per-server idle connections
+	pools []chan *tcpConn // per-server idle connections
 	size  int
+}
+
+// tcpConn is one client connection with the state it keeps across its
+// frames: header scratch, and the hook that aborts its blocked I/O when a
+// frame's context ends, bound once at dial rather than once per frame.
+type tcpConn struct {
+	net.Conn
+	hdr frameHdr
+	// interrupt moves the connection's deadline into the past, waking any
+	// blocked read or write.
+	interrupt func()
 }
 
 // DialTCP creates a transport to the given per-partition addresses with a
@@ -365,9 +377,9 @@ func DialTCP(addrs []string, poolSize int) *TCPTransport {
 		poolSize = 1
 	}
 	t := &TCPTransport{addrs: addrs, size: poolSize}
-	t.pools = make([]chan net.Conn, len(addrs))
+	t.pools = make([]chan *tcpConn, len(addrs))
 	for i := range t.pools {
-		t.pools[i] = make(chan net.Conn, poolSize)
+		t.pools[i] = make(chan *tcpConn, poolSize)
 	}
 	return t
 }
@@ -375,7 +387,7 @@ func DialTCP(addrs []string, poolSize int) *TCPTransport {
 // get returns a connection and whether it came from the idle pool — a
 // pooled connection may have died while idle (peer restart), so callers
 // retry pooled failures on a fresh dial.
-func (t *TCPTransport) get(ctx context.Context, server int) (net.Conn, bool, error) {
+func (t *TCPTransport) get(ctx context.Context, server int) (*tcpConn, bool, error) {
 	select {
 	case c := <-t.pools[server]:
 		return c, true, nil
@@ -385,12 +397,20 @@ func (t *TCPTransport) get(ctx context.Context, server int) (net.Conn, bool, err
 	}
 }
 
-func (t *TCPTransport) dial(ctx context.Context, server int) (net.Conn, error) {
+func (t *TCPTransport) dial(ctx context.Context, server int) (*tcpConn, error) {
 	var d net.Dialer
-	return d.DialContext(ctx, "tcp", t.addrs[server])
+	nc, err := d.DialContext(ctx, "tcp", t.addrs[server])
+	if err != nil {
+		return nil, err
+	}
+	return newTCPConn(nc), nil
 }
 
-func (t *TCPTransport) put(server int, c net.Conn) {
+func newTCPConn(nc net.Conn) *tcpConn {
+	return &tcpConn{Conn: nc, interrupt: func() { _ = nc.SetDeadline(aLongTimeAgo) }}
+}
+
+func (t *TCPTransport) put(server int, c *tcpConn) {
 	select {
 	case t.pools[server] <- c:
 	default:
@@ -445,25 +465,24 @@ func (t *TCPTransport) Call(ctx context.Context, server int, msg []byte) ([]byte
 	return nil, fmt.Errorf("cluster: server %d: %s", server, string(resp))
 }
 
-// attempt runs one framed round trip on conn: deadline applied, a watcher
-// aborting blocked I/O on cancellation, and the connection pooled on
-// success or closed on failure.
-func (t *TCPTransport) attempt(ctx context.Context, server int, conn net.Conn, msg []byte) ([]byte, byte, error) {
+// attempt runs one framed round trip on conn: deadline applied, the
+// connection's interrupt armed to abort blocked I/O on cancellation, and
+// the connection pooled on success or closed on failure.
+func (t *TCPTransport) attempt(ctx context.Context, server int, conn *tcpConn, msg []byte) ([]byte, byte, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
-	// Cancel in-flight I/O when ctx ends. A conn whose hook has run may
-	// carry a past deadline at any later point, so it is closed, never
-	// pooled.
+	// A conn whose interrupt has run may carry a past deadline at any later
+	// point, so it is closed, never pooled.
 	stop := func() bool { return true }
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
+		stop = context.AfterFunc(ctx, conn.interrupt)
 	}
 	ioErr := writeRequest(conn, msg)
 	var resp []byte
 	var status byte
 	if ioErr == nil {
-		resp, status, ioErr = readFrame(conn, true)
+		resp, status, ioErr = conn.hdr.read(conn, true)
 	}
 	if ioErr != nil {
 		stop()

@@ -255,6 +255,51 @@ func (h *gateHandler) Handle(ctx context.Context, msg []byte) ([]byte, error) {
 	return h.inner.Handle(ctx, msg)
 }
 
+// TestInterruptedConnNeverPooled: a connection whose cancellation hook ran
+// mid-frame is closed, never pooled, and the next call dials afresh; a
+// connection whose frame completed goes back to the pool with its hook
+// disarmed, so cancelling that frame's context afterwards leaves it
+// serving the next call.
+func TestInterruptedConnNeverPooled(t *testing.T) {
+	gate := &gateHandler{inner: NewServer(testGraph(t), HashPartitioner{N: 1}, 0), gate: make(chan struct{}), entered: make(chan struct{})}
+	srv, err := ServeTCP(gate, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := DialTCP([]string{srv.Addr()}, 1)
+	defer tr.Close()
+	ctx, cancel := context.WithCancel(bg)
+	go func() {
+		<-gate.entered
+		cancel()
+	}()
+	if _, err := tr.Call(ctx, 0, metaReq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("call canceled mid-frame: %v", err)
+	}
+	if n := len(tr.pools[0]); n != 0 {
+		t.Fatalf("%d interrupted connections pooled", n)
+	}
+	close(gate.gate)
+	call := func(ctx context.Context) {
+		resp, err := tr.Call(ctx, 0, metaReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Bytes.Recycle(resp)
+	}
+	ctx, cancel = context.WithCancel(bg)
+	call(ctx)
+	cancel()
+	call(bg)
+	if n := len(tr.pools[0]); n != 1 {
+		t.Fatalf("%d connections pooled after two clean calls, want 1", n)
+	}
+	if n := srv.accepted.Value(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2: the interrupted one and one reused after its frame's context ended", n)
+	}
+}
+
 // TestTCPServerDrainCompletesInflight is the drain-ordering regression
 // test: SetDraining must reject brand-new connections at once — the same
 // instant /readyz goes 503 in lsdgnn-server — while a frame already being
@@ -343,6 +388,8 @@ func ownedOut() float64 {
 // panic, must fail every frame its bytes cannot fill, must allocate no
 // more than readChunk ahead of the bytes that arrived, and must hand back
 // every buffer it took: to the caller on success, to the pool on failure.
+// One header scratch serves every input, as one connection's serves its
+// successive frames, so no frame may read state a previous one left.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, statusOK, 'o', 'k'}, true)
 	f.Add([]byte{0, 0, 0, 0}, true)                                // no status byte
@@ -355,11 +402,12 @@ func FuzzReadFrame(f *testing.F) {
 	if flag.Lookup("test.fuzz").Value.String() != "" {
 		slack = 64 << 10
 	}
+	var hdr frameHdr
 	f.Fuzz(func(t *testing.T, data []byte, reply bool) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		allocBefore, ownedBefore := ms.TotalAlloc, ownedOut()
-		body, status, err := readFrame(bytes.NewReader(data), reply)
+		body, status, err := hdr.read(bytes.NewReader(data), reply)
 		runtime.ReadMemStats(&ms)
 		if most := uint64(readChunk + 4*len(data) + slack); ms.TotalAlloc-allocBefore > most {
 			t.Fatalf("read of %d bytes allocated %d, want at most %d", len(data), ms.TotalAlloc-allocBefore, most)
@@ -393,7 +441,8 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 	defer conn.Close()
 	go peer.Write([]byte{0, 0, 0, 0})
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readFrame(conn, true); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+	var hdr frameHdr
+	if _, _, err := hdr.read(conn, true); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("zero-length reply: %v, want a prompt rejection", err)
 	}
 
@@ -402,10 +451,10 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 		body[i] = byte(i * 7)
 	}
 	var frame bytes.Buffer
-	if err := writeFrame(&frame, statusReject, body); err != nil {
+	if err := hdr.write(&frame, statusReject, body); err != nil {
 		t.Fatal(err)
 	}
-	got, status, err := readFrame(&frame, true)
+	got, status, err := hdr.read(&frame, true)
 	if err != nil || status != statusReject || !bytes.Equal(got, body) {
 		t.Fatalf("%d-byte body read back as %d bytes, status %d, %v", len(body), len(got), status, err)
 	}
@@ -416,7 +465,7 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	if _, _, err := readFrame(bytes.NewReader(hostile), false); err == nil {
+	if _, _, err := hdr.read(bytes.NewReader(hostile), false); err == nil {
 		t.Fatal("frame cut short read back whole")
 	}
 	runtime.ReadMemStats(&ms)
@@ -444,7 +493,7 @@ func TestRequestFrameLeavesInOneWrite(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, _, err := tr.attempt(context.Background(), 0, conn, msg)
+		resp, _, err := tr.attempt(context.Background(), 0, newTCPConn(conn), msg)
 		done <- result{resp, err}
 	}()
 	_ = peer.SetDeadline(time.Now().Add(5 * time.Second))
@@ -456,7 +505,7 @@ func TestRequestFrameLeavesInOneWrite(t *testing.T) {
 	if want := binary.LittleEndian.AppendUint32(nil, uint32(len(msg))); n != 4+len(msg) || !bytes.Equal(buf[:4], want) || !bytes.Equal(buf[4:n], msg) {
 		t.Fatalf("first read got %d bytes %x, want the %d-byte frame", n, buf[:n], 4+len(msg))
 	}
-	if err := writeFrame(peer, statusOK, []byte("ok")); err != nil {
+	if err := new(frameHdr).write(peer, statusOK, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	r := <-done

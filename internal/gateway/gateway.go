@@ -16,6 +16,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,12 +103,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// call is one admitted batch waiting in its tenant queue.
+// call is one admitted batch waiting in its tenant queue. Calls are pooled
+// per gateway with their done channel and the body of the goroutine that
+// runs them, bound once. A waiter recycles its call after reading the
+// answer, which is the scheduler's last touch of it; a waiter that gives
+// up on its context leaves the call to the garbage collector.
 type call struct {
 	ctx   context.Context
 	roots []graph.NodeID
 	enq   time.Time
+	t     *tenant // set at dispatch
 	done  chan callResult
+	run   func() // g.serve(this call)
 }
 
 type callResult struct {
@@ -151,6 +158,7 @@ type Gateway struct {
 
 	inflight chan struct{}
 	wg       sync.WaitGroup
+	calls    sync.Pool // of *call
 }
 
 // New builds a gateway over backend and starts its scheduler.
@@ -172,6 +180,11 @@ func New(cfg Config, backend Backend) (*Gateway, error) {
 	}
 	if g.slos == nil {
 		g.slos = stats.NewSLOTracker()
+	}
+	g.calls.New = func() any {
+		c := &call{done: make(chan callResult, 1)}
+		c.run = func() { g.serve(c) }
+		return c
 	}
 	g.cond = sync.NewCond(&g.mu)
 	for i, tc := range cfg.Tenants {
@@ -276,17 +289,26 @@ func (g *Gateway) Sample(ctx context.Context, key string, roots []graph.NodeID) 
 		// the backend records below share one ID.
 		ctx, _ = obs.EnsureTrace(ctx)
 	}
-	c := &call{ctx: ctx, roots: roots, enq: time.Now(), done: make(chan callResult, 1)}
+	c := g.calls.Get().(*call)
+	c.ctx, c.roots, c.enq = ctx, roots, time.Now()
 	if err := g.enqueue(t, c); err != nil {
+		g.recycle(c)
 		return nil, err
 	}
 	select {
 	case out := <-c.done:
+		g.recycle(c)
 		return out.res, out.err
 	case <-ctx.Done():
 		// The scheduler skips canceled calls when it reaches them.
 		return nil, ctx.Err()
 	}
+}
+
+// recycle returns a call nobody else holds to the pool.
+func (g *Gateway) recycle(c *call) {
+	c.ctx, c.roots, c.t = nil, nil, nil
+	g.calls.Put(c)
 }
 
 // enqueue applies overload control and appends c to t's queue.
@@ -422,7 +444,9 @@ func (g *Gateway) nextLocked() (*call, *tenant) {
 				continue
 			}
 			c := t.queue[0]
-			t.queue = t.queue[1:]
+			// Shifted, not resliced: the queue keeps its backing array, so
+			// the next enqueue appends without allocating.
+			t.queue = slices.Delete(t.queue, 0, 1)
 			t.queuedRoots -= cost
 			t.deficit -= cost
 			if len(t.queue) == 0 {
@@ -456,29 +480,35 @@ func (g *Gateway) dispatch(t *tenant, c *call) {
 	}
 	g.stats.dispatched.Inc()
 	g.wg.Add(1)
-	go func() {
-		defer func() {
-			<-g.inflight
-			g.wg.Done()
-		}()
-		res, err := g.backend(c.ctx, c.roots)
-		dur := time.Since(c.enq)
-		// A degraded batch (partial error alongside a layout-complete
-		// result) is a completion: its latency is real and its SLO
-		// classification is by latency alone, like the client path.
-		failed := err != nil && res == nil
-		if failed {
-			g.stats.batchErrors.Inc()
-			t.stats.batchErrors.Inc()
-			t.stats.lat.ObserveError()
-		} else {
-			g.stats.completed.Inc()
-			t.stats.completed.Inc()
-			t.stats.lat.Observe(dur)
-		}
-		t.slo.ObserveLatency(dur, failed)
-		c.done <- callResult{res: res, err: err}
+	c.t = t
+	go c.run()
+}
+
+// serve runs one dispatched call on the backend and answers its waiter.
+// The answer is its last touch of c: the waiter may recycle c at once.
+func (g *Gateway) serve(c *call) {
+	defer func() {
+		<-g.inflight
+		g.wg.Done()
 	}()
+	t := c.t
+	res, err := g.backend(c.ctx, c.roots)
+	dur := time.Since(c.enq)
+	// A degraded batch (partial error alongside a layout-complete result)
+	// is a completion: its latency is real and its SLO classification is by
+	// latency alone, like the client path.
+	failed := err != nil && res == nil
+	if failed {
+		g.stats.batchErrors.Inc()
+		t.stats.batchErrors.Inc()
+		t.stats.lat.ObserveError()
+	} else {
+		g.stats.completed.Inc()
+		t.stats.completed.Inc()
+		t.stats.lat.Observe(dur)
+	}
+	t.slo.ObserveLatency(dur, failed)
+	c.done <- callResult{res: res, err: err}
 }
 
 // failPending drains any call that slipped into a queue during shutdown.

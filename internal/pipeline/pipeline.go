@@ -67,6 +67,9 @@ type Executor struct {
 	slo    *stats.SLO
 	stats  Stats
 	win    window
+	// untraced is the executor's windowed store for batches with no trace
+	// ID, boxed once: converting a windowed to a Store allocates.
+	untraced sampler.Store
 }
 
 // New builds an executor. Its output matches every other path (synchronous
@@ -79,6 +82,7 @@ func New(store sampler.Store, scfg sampler.Config, cfg Config) *Executor {
 	e := &Executor{store: store, scfg: scfg, cfg: cfg.withDefaults()}
 	e.stats.setCapacity(e.cfg.Window)
 	e.win.cap, e.win.stats = e.cfg.Window, &e.stats
+	e.untraced = windowed{e: e}
 	return e
 }
 
@@ -188,13 +192,15 @@ func (w *window) release(n int) {
 func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
 	start := time.Now()
 	var id obs.TraceID
+	store := e.untraced
 	if e.tracer != nil {
 		// One ID for the whole batch: its fetches, and every rpc, wire and
 		// server span under them, land on the trace the caller brought, or
 		// on the one minted here.
 		ctx, id = obs.EnsureTrace(ctx)
+		store = windowed{e, id}
 	}
-	res, err := sampler.KHop(ctx, windowed{e, id}, e.scfg, roots)
+	res, err := sampler.KHop(ctx, store, e.scfg, roots)
 	dur := time.Since(start)
 	e.tracer.ObserveErr(id, obs.HopBatch, "", start, dur, err != nil)
 	if res == nil {

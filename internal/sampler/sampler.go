@@ -257,6 +257,9 @@ func (e *PartialError) Unwrap() []error { return e.Errs }
 
 // AsPartial extracts a *PartialError from err.
 func AsPartial(err error) (*PartialError, bool) {
+	if err == nil {
+		return nil, false // before pe: an errors.As target escapes
+	}
 	var pe *PartialError
 	ok := errors.As(err, &pe)
 	return pe, ok
@@ -328,6 +331,10 @@ func (d *degradation) charge(lost func(graph.NodeID) bool, vs []graph.NodeID, pe
 func KHop(ctx context.Context, store Store, cfg Config, roots []graph.NodeID) (*Result, error) {
 	rg := mem.NewRegion()
 	res := &Result{Roots: roots, region: rg}
+	if len(cfg.Fanouts) > 0 {
+		// The hop list is region-owned too: appending hops would allocate.
+		res.Hops = rg.Lists(len(cfg.Fanouts))[:0]
+	}
 	deg := degradation{roots: roots}
 	frontier, width := roots, 1 // width: per-root frontier width at this hop
 	for h, fanout := range cfg.Fanouts {
