@@ -8,9 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The chaos/resilience/recovery tests: verify runs them at -count=5,
-# chaos at -count=20.
-CHAOS_RUN = -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+# The chaos/resilience/recovery tests and the gateway's slot hand-off:
+# verify runs them at -count=5, chaos at -count=20.
+CHAOS_RUN = -run 'TestChaos|TestGateway|TestDRR|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestPipeline|TestServerError|TestTCPPoolRecovery|TestLayout|TestDrainReplica|TestAddReplica|TestApplyLayout|TestBreakerPruned|TestStalePass|TestClientWithoutPolicy|TestFailFast' ./internal/cluster/ ./internal/sampler/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
 
 # Tier-1+ check: vet + build + tests under the race detector, the bench/
 # module (its own Go module, which the commands before it never compile)
@@ -27,7 +27,7 @@ verify:
 # under the race detector with a high iteration count.
 chaos:
 	$(GO) test -race -count=20 $(CHAOS_RUN)
-	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute|TestEngineSpares' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDispatcher|TestOneServingRoute' ./internal/core/
 
 # Run every example program end to end; the first non-zero exit fails the
 # target.

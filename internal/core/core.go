@@ -74,11 +74,6 @@ type Options struct {
 	// and the SampleAs entry point. Pressure/Burn/SLOs/Tracer fields left
 	// nil are wired to the system's own signals.
 	Gateway *gateway.Config
-	// EngineSpares builds this many extra AxE engines (round-robin over
-	// the partitions) that start deactivated: the dispatcher schedules
-	// over the active prefix only, and a gateway autoscaler can grow into
-	// the spares with Dispatcher.SetActive.
-	EngineSpares int
 	// Tracing sizes the system tracer (span-ring capacity, span sampling
 	// rate); the zero value takes the obs defaults.
 	Tracing obs.TracerConfig
@@ -252,14 +247,9 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.Client = client
-	// One engine per partition, then the spares round-robin over the
-	// partitions at the end of the list, outside the dispatcher's active
-	// prefix until an autoscaler grows into them.
-	if opts.EngineSpares < 0 {
-		return nil, fmt.Errorf("core: negative engine spares %d", opts.EngineSpares)
-	}
-	for i := 0; i < opts.Servers+opts.EngineSpares; i++ {
-		eng, err := axe.New(g, part, i%opts.Servers, eCfg)
+	// One engine per partition.
+	for i := 0; i < opts.Servers; i++ {
+		eng, err := axe.New(g, part, i, eCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +259,6 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	disp.SetActive(opts.Servers)
 	disp.tracer, disp.slo = sys.Obs, sampleSLO
 	sys.Dispatcher = disp
 	sys.Pipeline = pipeline.New(client, sCfg, pipeline.Config{})
@@ -311,8 +300,9 @@ func (s *System) SampleAs(ctx context.Context, key string, roots []graph.NodeID)
 	return s.Gateway.Sample(ctx, key, roots)
 }
 
-// Close releases background resources: the gateway's scheduler goroutine
-// and the storage backend (WAL sync + segment unmap for a disk store).
+// Close releases background resources: it waits out the gateway's
+// admitted batches, then closes the storage backend (WAL sync + segment
+// unmap for a disk store).
 func (s *System) Close() {
 	if s.Gateway != nil {
 		s.Gateway.Close()

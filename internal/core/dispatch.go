@@ -20,7 +20,7 @@ type DispatcherConfig struct {
 }
 
 // Dispatcher places sampled batches on a pool of modeled AxE engines — the
-// FaaS dispatcher of §6 over its autoscaled engine pool. It picks the
+// FaaS dispatcher of §6 over its engine pool. It picks the
 // engine with the fewest in-flight batches (round-robin between ties) and
 // bounds total concurrency with a worker pool. It never samples: each
 // engine replays the timing of a batch the caller already holds, so
@@ -40,10 +40,6 @@ type Dispatcher struct {
 	inflight []int64
 	counts   []int64
 	rr       int
-	// active bounds pick() to the first active engines — the autoscaler's
-	// knob. Deactivated engines finish their in-flight batches but take
-	// no new ones.
-	active int
 }
 
 // NewDispatcher builds a dispatcher over engines.
@@ -64,17 +60,16 @@ func NewDispatcher(engines []*axe.Engine, cfg DispatcherConfig) (*Dispatcher, er
 		lat:      stats.NewLatency("core.dispatcher"),
 		inflight: make([]int64, len(engines)),
 		counts:   make([]int64, len(engines)),
-		active:   len(engines),
 	}, nil
 }
 
-// pick selects the least-loaded active engine, rotating between ties so
-// idle engines all receive work.
+// pick selects the least-loaded engine, rotating between ties so idle
+// engines all receive work.
 func (d *Dispatcher) pick() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	best, bestLoad := -1, int64(1<<62)
-	n := d.active
+	n := len(d.engines)
 	for i := 0; i < n; i++ {
 		e := (d.rr + i) % n
 		if d.inflight[e] < bestLoad {
@@ -130,33 +125,6 @@ func (d *Dispatcher) Submit(ctx context.Context, res *sampler.Result) (axe.Batch
 // Engines returns how many engines the dispatcher schedules over.
 func (d *Dispatcher) Engines() int { return len(d.engines) }
 
-// Active returns how many engines currently take new batches.
-func (d *Dispatcher) Active() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.active
-}
-
-// SetActive resizes the live engine set to n, clamped to [1, Engines()],
-// and returns the value actually applied. Engines beyond the active prefix
-// finish their in-flight batches but receive no new work — the autoscaler's
-// scale-down is a drain, not an abort. Implements gateway.EnginePool.
-func (d *Dispatcher) SetActive(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(d.engines) {
-		n = len(d.engines)
-	}
-	d.mu.Lock()
-	d.active = n
-	if d.rr >= n {
-		d.rr = 0
-	}
-	d.mu.Unlock()
-	return n
-}
-
 // Counts returns the cumulative batches dispatched to each engine.
 func (d *Dispatcher) Counts() []int64 {
 	d.mu.Lock()
@@ -170,11 +138,6 @@ func (d *Dispatcher) Counts() []int64 {
 // dispatch distribution under the "core.dispatcher" layer.
 func (d *Dispatcher) StatsSnapshot() stats.Snapshot {
 	snap := d.lat.StatsSnapshot()
-	snap.Metrics = append(snap.Metrics, stats.Metric{
-		Name:  "active_engines",
-		Value: float64(d.Active()),
-		Unit:  "engines",
-	})
 	for i, c := range d.Counts() {
 		snap.Metrics = append(snap.Metrics, stats.Metric{
 			Name:  fmt.Sprintf("engine_%d_batches", i),

@@ -9,13 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"lsdgnn/internal/cost"
-	"lsdgnn/internal/faas"
-	"lsdgnn/internal/gateway"
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/perfmodel"
 	"lsdgnn/internal/sampler"
-	"lsdgnn/internal/workload"
 )
 
 func dispatchSystem(t *testing.T, servers int) *System {
@@ -234,99 +229,5 @@ func TestSampleBackgroundContext(t *testing.T) {
 	}
 	if res == nil || st.SimTime <= 0 {
 		t.Fatal("accelerated sampling broken")
-	}
-}
-
-func TestDispatcherSetActive(t *testing.T) {
-	sys := dispatchSystem(t, 3)
-	disp := sys.Dispatcher
-	if disp.Active() != 3 {
-		t.Fatalf("active = %d, want 3", disp.Active())
-	}
-	// Clamps: never below 1, never above the built engine count.
-	if got := disp.SetActive(0); got != 1 {
-		t.Fatalf("SetActive(0) = %d, want 1", got)
-	}
-	if got := disp.SetActive(99); got != 3 {
-		t.Fatalf("SetActive(99) = %d, want 3", got)
-	}
-	// With one active engine, every batch lands on engine 0.
-	disp.SetActive(1)
-	src := sys.BatchSource(4, 9)
-	for i := 0; i < 4; i++ {
-		if _, err := disp.Submit(context.Background(), refSample(sys, src.Next())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := disp.Counts()
-	if counts[0] != 4 || counts[1] != 0 || counts[2] != 0 {
-		t.Fatalf("deactivated engines took work: %v", counts)
-	}
-	snap := disp.StatsSnapshot()
-	if v, ok := snap.Get("active_engines"); !ok || v != 1 {
-		t.Fatalf("active_engines = %v, want 1", v)
-	}
-}
-
-// TestEngineSparesAutoscale closes the Fig 16 loop on a live system: two
-// spare engines are built outside the dispatcher's active set, an
-// autoscaler driven by the perf and cost models grows the pool into them
-// under sustained load — concurrent batches then land on the spares — and
-// drains back to the four-engine floor when the load collapses.
-func TestEngineSparesAutoscale(t *testing.T) {
-	const base, spares = 4, 2
-	g := graph.Generate(graph.GenConfig{NumNodes: 2000, AvgDegree: 8, AttrLen: 8, Seed: 3, PowerLaw: true})
-	sys, err := NewSystem(Options{Graph: g, Servers: base, Seed: 3, EngineSpares: spares,
-		Sampling: sampler.Config{Fanouts: []int{4, 3}, NegativeRate: 2, Method: sampler.Streaming, FetchAttrs: true, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, a := sys.Dispatcher.Engines(), sys.Dispatcher.Active(); n != base+spares || a != base {
-		t.Fatalf("built %d engines with %d active, want %d with %d", n, a, base+spares, base)
-	}
-	model, err := cost.Fit(cost.PriceTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := workload.DatasetByName("ss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := perfmodel.Derive(ds, workload.DefaultSampling(), base)
-	scaler, err := gateway.NewAutoscaler(gateway.AutoscaleConfig{
-		Min: base, Max: base + spares, Machine: faas.PoCMachine(), Workload: wl, Cost: model,
-	}, sys.Dispatcher)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := perfmodel.Predict(faas.PoCMachine(), wl).RootsPerSecond
-
-	if up := scaler.Evaluate(per * 4.6); up.After != base+spares {
-		t.Fatalf("sustained load did not grow the pool into the spares: %s", up)
-	}
-	src := sys.BatchSource(8, 1)
-	var wg sync.WaitGroup
-	errs := make([]error, 12)
-	for i := range errs {
-		roots := src.Next()
-		wg.Add(1)
-		go func(i int, roots []graph.NodeID) {
-			defer wg.Done()
-			_, errs[i] = sys.Dispatcher.Submit(context.Background(), refSample(sys, roots))
-		}(i, roots)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counts := sys.Dispatcher.Counts(); counts[base]+counts[base+1] == 0 {
-		t.Fatalf("grown pool never scheduled onto the spare engines: %v", counts)
-	}
-
-	if down := scaler.Evaluate(per * 1.2); down.After != base || sys.Dispatcher.Active() != base {
-		t.Fatalf("collapsed load did not drain back to the %d-engine floor: %s", base, down)
 	}
 }

@@ -2,15 +2,15 @@
 // the control plane the paper's FaaS premise (§6–7) needs once pooled
 // accelerators are sold to more than one customer. It layers, in order:
 // per-tenant identity (API key → TenantConfig), token-bucket rate
-// limiting, weighted-fair queueing into the dispatcher (deficit
-// round-robin over bounded per-tenant queues), and load shedding driven by
-// real backpressure — pipeline window occupancy and the SLO layer's
-// fast-burn signal — so the heaviest queue is dropped before the serving
-// path saturates. The autoscaler (autoscale.go) closes the Fig 16 loop:
-// it grows and shrinks the engine pool against a perf-per-dollar target
-// using the same perfmodel + cost machinery as the offline design-space
-// exploration. The wire-plane twin (wiregate.go) enforces the same tenant
-// contracts on the TCP serving plane.
+// limiting, weighted-fair admission to a bounded number of backend slots
+// (deficit round-robin over bounded per-tenant queues), and load shedding
+// driven by real backpressure — pipeline window occupancy and the SLO
+// layer's fast-burn signal — so the heaviest queue is dropped before the
+// serving path saturates. The gateway owns no goroutine: each admitted
+// batch runs on its caller's goroutine once it holds a slot, and a
+// finishing batch hands its slot to the next batch in fair order. The
+// wire-plane twin (wiregate.go) enforces the same tenant contracts on the
+// TCP serving plane.
 package gateway
 
 import (
@@ -26,7 +26,8 @@ import (
 	"lsdgnn/internal/stats"
 )
 
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and the fixed scheduling and
+// shedding levels.
 const (
 	// DefaultQueueDepth bounds each tenant's queue, in batches.
 	DefaultQueueDepth = 64
@@ -52,25 +53,15 @@ type Backend func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, e
 type Config struct {
 	// Tenants declares every tenant; at least one is required.
 	Tenants []TenantConfig
-	// QueueDepth bounds each tenant's queue in batches (0 =
-	// DefaultQueueDepth). A full queue sheds the enqueuing batch.
+	// QueueDepth bounds each tenant's queue of batches waiting for a
+	// backend slot (0 = DefaultQueueDepth). A full queue sheds the
+	// enqueuing batch.
 	QueueDepth int
-	// Quantum is the DRR replenishment in roots per weight unit per round
-	// (0 = DefaultQuantum): each scheduling round, tenant i may move
-	// Quantum×Weight_i roots toward the backend.
-	Quantum int
 	// MaxInflight bounds concurrent batches into the backend (0 =
 	// DefaultMaxInflight) — the pacing point queues build behind.
 	MaxInflight int
-	// ShedHighWater is the Pressure level above which enqueues shed from
-	// the heaviest queue (0 = DefaultShedHighWater).
-	ShedHighWater float64
-	// BurnThreshold is the Burn level above which enqueues shed (0 =
-	// DefaultBurnThreshold).
-	BurnThreshold float64
 	// Pressure, when set, reports the serving path's backpressure in
-	// [0,1] — the core system wires max(dispatcher slot occupancy,
-	// pipeline window occupancy).
+	// [0,1] — the core system wires the pipeline's window occupancy.
 	Pressure func() float64
 	// Burn, when set, reports the serving path's SLO fast-burn rate —
 	// the core system wires the software-batch objective's BurnFast.
@@ -88,38 +79,18 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = DefaultQuantum
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.ShedHighWater <= 0 {
-		c.ShedHighWater = DefaultShedHighWater
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = DefaultBurnThreshold
 	}
 	return c
 }
 
-// call is one admitted batch waiting in its tenant queue. Calls are pooled
-// per gateway with their done channel and the body of the goroutine that
-// runs them, bound once. A waiter recycles its call after reading the
-// answer, which is the scheduler's last touch of it; a waiter that gives
-// up on its context leaves the call to the garbage collector.
-type call struct {
-	ctx   context.Context
+// waiter is one admitted batch parked in its tenant queue until a
+// finishing batch grants it a backend slot.
+type waiter struct {
 	roots []graph.NodeID
-	enq   time.Time
-	t     *tenant // set at dispatch
-	done  chan callResult
-	run   func() // g.serve(this call)
-}
-
-type callResult struct {
-	res *sampler.Result
-	err error
+	// ready receives the grant; buffered so granting never blocks.
+	ready chan struct{}
 }
 
 // tenant is the runtime state behind one TenantConfig.
@@ -130,7 +101,7 @@ type tenant struct {
 	stats  *TenantStats
 
 	// Guarded by the gateway mutex.
-	queue       []*call
+	queue       []*waiter
 	queuedRoots int
 	deficit     int
 	// visited marks a tenant currently holding the scheduler's turn, so
@@ -138,9 +109,9 @@ type tenant struct {
 	visited bool
 }
 
-// Gateway is the multi-tenant front door. Safe for concurrent Sample
-// calls; one scheduler goroutine drains the tenant queues in
-// deficit-round-robin order into the backend.
+// Gateway is the multi-tenant front door: a fair counting semaphore over
+// MaxInflight backend slots. Safe for concurrent Sample calls; each runs
+// its batch on its own goroutine.
 type Gateway struct {
 	cfg     Config
 	backend Backend
@@ -151,17 +122,15 @@ type Gateway struct {
 	byName map[string]*tenant
 	order  []*tenant
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	rr     int
-	closed bool
-
-	inflight chan struct{}
-	wg       sync.WaitGroup
-	calls    sync.Pool // of *call
+	mu sync.Mutex
+	// idle is signalled when the last running batch finishes (Close).
+	idle    *sync.Cond
+	rr      int
+	running int
+	closed  bool
 }
 
-// New builds a gateway over backend and starts its scheduler.
+// New builds a gateway over backend.
 func New(cfg Config, backend Backend) (*Gateway, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("gateway: nil backend")
@@ -171,22 +140,16 @@ func New(cfg Config, backend Backend) (*Gateway, error) {
 	}
 	cfg = cfg.withDefaults()
 	g := &Gateway{
-		cfg:      cfg,
-		backend:  backend,
-		slos:     cfg.SLOs,
-		byKey:    map[string]*tenant{},
-		byName:   map[string]*tenant{},
-		inflight: make(chan struct{}, cfg.MaxInflight),
+		cfg:     cfg,
+		backend: backend,
+		slos:    cfg.SLOs,
+		byKey:   map[string]*tenant{},
+		byName:  map[string]*tenant{},
 	}
 	if g.slos == nil {
 		g.slos = stats.NewSLOTracker()
 	}
-	g.calls.New = func() any {
-		c := &call{done: make(chan callResult, 1)}
-		c.run = func() { g.serve(c) }
-		return c
-	}
-	g.cond = sync.NewCond(&g.mu)
+	g.idle = sync.NewCond(&g.mu)
 	for i, tc := range cfg.Tenants {
 		norm, err := tc.withDefaults()
 		if err != nil {
@@ -209,19 +172,19 @@ func New(cfg Config, backend Backend) (*Gateway, error) {
 		g.byName[norm.Name] = t
 		g.order = append(g.order, t)
 	}
-	g.wg.Add(1)
-	go g.run()
 	return g, nil
 }
 
-// Close stops the scheduler after the queues drain; further Sample calls
-// fail. In-flight backend batches finish.
+// Close fails further Sample calls and returns once every admitted batch,
+// running or queued, has finished.
 func (g *Gateway) Close() {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.closed = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
-	g.wg.Wait()
+	// A queued batch implies a running one, whose finish hands it a slot.
+	for g.running > 0 {
+		g.idle.Wait()
+	}
 }
 
 // Stats exposes the "gateway" stats layer.
@@ -269,10 +232,11 @@ func (g *Gateway) Snapshot() []TenantSnapshot {
 
 // Sample admits, queues, and runs one batch as the tenant owning key.
 // Rejections are typed: *AuthError (unknown key), *RateLimitError (over
-// contracted rate), *AdmissionError (shed by overload control). Admitted
-// batches wait their turn in the tenant's queue and return the backend's
-// result verbatim — including partial-degradation errors, which count as
-// completions, not failures.
+// contracted rate), *AdmissionError (shed by overload control). An
+// admitted batch waits in its tenant's queue for a backend slot, then runs
+// on the caller's goroutine and returns the backend's result verbatim —
+// including partial-degradation errors, which count as completions, not
+// failures.
 func (g *Gateway) Sample(ctx context.Context, key string, roots []graph.NodeID) (*sampler.Result, error) {
 	t := g.byKey[key]
 	if t == nil {
@@ -289,30 +253,43 @@ func (g *Gateway) Sample(ctx context.Context, key string, roots []graph.NodeID) 
 		// the backend records below share one ID.
 		ctx, _ = obs.EnsureTrace(ctx)
 	}
-	c := g.calls.Get().(*call)
-	c.ctx, c.roots, c.enq = ctx, roots, time.Now()
-	if err := g.enqueue(t, c); err != nil {
-		g.recycle(c)
+	enq := time.Now()
+	if err := g.acquire(ctx, t, roots); err != nil {
 		return nil, err
 	}
-	select {
-	case out := <-c.done:
-		g.recycle(c)
-		return out.res, out.err
-	case <-ctx.Done():
-		// The scheduler skips canceled calls when it reaches them.
-		return nil, ctx.Err()
+	defer g.release()
+	wait := time.Since(enq)
+	g.stats.admitWait.ObserveDuration(wait)
+	if tr := g.cfg.Tracer; tr != nil {
+		if id, ok := obs.FromContext(ctx); ok {
+			tr.Observe(id, obs.HopGateWait, enq, wait)
+		}
 	}
+	g.stats.dispatched.Inc()
+	res, err := g.backend(ctx, roots)
+	dur := time.Since(enq)
+	// A degraded batch (partial error alongside a layout-complete result)
+	// is a completion: its latency is real and its SLO classification is by
+	// latency alone, like the client path.
+	failed := err != nil && res == nil
+	if failed {
+		g.stats.batchErrors.Inc()
+		t.stats.batchErrors.Inc()
+		t.stats.lat.ObserveError()
+	} else {
+		g.stats.completed.Inc()
+		t.stats.completed.Inc()
+		t.stats.lat.Observe(dur)
+	}
+	t.slo.ObserveLatency(dur, failed)
+	return res, err
 }
 
-// recycle returns a call nobody else holds to the pool.
-func (g *Gateway) recycle(c *call) {
-	c.ctx, c.roots, c.t = nil, nil, nil
-	g.calls.Put(c)
-}
-
-// enqueue applies overload control and appends c to t's queue.
-func (g *Gateway) enqueue(t *tenant, c *call) error {
+// acquire applies overload control and takes a backend slot for roots:
+// at once when none is queued and one is free, otherwise after waiting in
+// t's queue for a finishing batch to grant one. A nil return means the
+// caller holds a slot and must release it.
+func (g *Gateway) acquire(ctx context.Context, t *tenant, roots []graph.NodeID) error {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -333,15 +310,66 @@ func (g *Gateway) enqueue(t *tenant, c *call) error {
 		g.recordShed(t)
 		return &AdmissionError{Tenant: t.cfg.Name, Reason: "backpressure"}
 	}
-	t.queue = append(t.queue, c)
-	t.queuedRoots += len(c.roots)
+	depth := g.depthLocked()
+	if depth == 0 && g.running < g.cfg.MaxInflight {
+		g.running++
+		g.mu.Unlock()
+		g.recordAdmitted(t, 0)
+		return nil
+	}
+	// Slots are full (a queued batch implies they are): wait in line.
+	w := &waiter{roots: roots, ready: make(chan struct{}, 1)}
+	t.queue = append(t.queue, w)
+	t.queuedRoots += len(roots)
+	g.mu.Unlock()
+	g.recordAdmitted(t, depth+1)
+	select {
+	case <-w.ready:
+		return nil
+	case <-ctx.Done():
+	}
+	g.mu.Lock()
+	if i := slices.Index(t.queue, w); i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
+		t.queuedRoots -= len(roots)
+		g.mu.Unlock()
+	} else {
+		// Granted as the context fired: pass the slot on unused.
+		g.releaseLocked()
+	}
+	return ctx.Err()
+}
+
+// release gives back the caller's backend slot.
+func (g *Gateway) release() {
+	g.mu.Lock()
+	g.releaseLocked()
+}
+
+// releaseLocked hands the freed slot to the deficit-round-robin choice
+// among the queued batches, or returns it to the pool when none waits.
+// Caller holds g.mu; releaseLocked unlocks it.
+func (g *Gateway) releaseLocked() {
+	w, _ := g.nextLocked()
+	if w == nil {
+		g.running--
+		if g.running == 0 {
+			g.idle.Broadcast()
+		}
+		g.mu.Unlock()
+		return
+	}
+	w.ready <- struct{}{}
 	depth := g.depthLocked()
 	g.mu.Unlock()
+	g.stats.recordQueueDepth(depth)
+}
+
+// recordAdmitted counts one admitted batch and the queue depth it left.
+func (g *Gateway) recordAdmitted(t *tenant, depth int) {
 	g.stats.admitted.Inc()
 	t.stats.admitted.Inc()
 	g.stats.recordQueueDepth(depth)
-	g.cond.Signal()
-	return nil
 }
 
 // recordShed counts one shed batch on the gateway and tenant layers.
@@ -352,10 +380,10 @@ func (g *Gateway) recordShed(t *tenant) {
 
 // overloaded reports whether a shedding trigger is armed.
 func (g *Gateway) overloaded() bool {
-	if p := g.cfg.Pressure; p != nil && p() >= g.cfg.ShedHighWater {
+	if p := g.cfg.Pressure; p != nil && p() >= DefaultShedHighWater {
 		return true
 	}
-	if b := g.cfg.Burn; b != nil && b() > g.cfg.BurnThreshold {
+	if b := g.cfg.Burn; b != nil && b() > DefaultBurnThreshold {
 		return true
 	}
 	return false
@@ -386,40 +414,15 @@ func (g *Gateway) depthLocked() int {
 	return n
 }
 
-// run is the scheduler: deficit round-robin over the tenant queues into
-// the bounded backend.
-func (g *Gateway) run() {
-	defer g.wg.Done()
-	g.mu.Lock()
-	for {
-		c, t := g.nextLocked()
-		if c == nil {
-			if g.closed {
-				g.mu.Unlock()
-				// Fail whatever raced in after the last scan.
-				g.failPending()
-				return
-			}
-			g.cond.Wait()
-			continue
-		}
-		depth := g.depthLocked()
-		g.mu.Unlock()
-		g.stats.recordQueueDepth(depth)
-		g.dispatch(t, c)
-		g.mu.Lock()
-	}
-}
-
-// nextLocked picks the next call by deficit round-robin: when the
+// nextLocked picks the next waiter by deficit round-robin: when the
 // scheduler's turn reaches a backlogged tenant, that tenant's deficit
-// grows by Quantum×Weight roots once, and it keeps the turn — serving one
-// head-of-line batch per call — until the deficit no longer covers the
-// head batch. Unspent deficit carries across turns (so a batch larger
-// than one replenishment eventually runs) but idle tenants forfeit theirs
-// (standard DRR — credit does not accrue while the queue is empty).
+// grows by DefaultQuantum×Weight roots once, and it keeps the turn —
+// serving one head-of-line batch per call — until the deficit no longer
+// covers the head batch. Unspent deficit carries across turns (so a batch
+// larger than one replenishment eventually runs) but idle tenants forfeit
+// theirs (standard DRR — credit does not accrue while the queue is empty).
 // Returns nil when every queue is empty. Caller holds g.mu.
-func (g *Gateway) nextLocked() (*call, *tenant) {
+func (g *Gateway) nextLocked() (*waiter, *tenant) {
 	n := len(g.order)
 	for {
 		any := false
@@ -433,7 +436,7 @@ func (g *Gateway) nextLocked() (*call, *tenant) {
 			}
 			any = true
 			if !t.visited {
-				t.deficit += g.cfg.Quantum * t.cfg.Weight
+				t.deficit += DefaultQuantum * t.cfg.Weight
 				t.visited = true
 			}
 			cost := len(t.queue[0].roots)
@@ -443,7 +446,7 @@ func (g *Gateway) nextLocked() (*call, *tenant) {
 				g.rr = (g.rr + 1) % n
 				continue
 			}
-			c := t.queue[0]
+			w := t.queue[0]
 			// Shifted, not resliced: the queue keeps its backing array, so
 			// the next enqueue appends without allocating.
 			t.queue = slices.Delete(t.queue, 0, 1)
@@ -454,71 +457,10 @@ func (g *Gateway) nextLocked() (*call, *tenant) {
 				t.visited = false
 				g.rr = (g.rr + 1) % n
 			}
-			return c, t
+			return w, t
 		}
 		if !any {
 			return nil, nil
 		}
-	}
-}
-
-// dispatch pushes one dequeued call into the backend, bounded by the
-// in-flight semaphore.
-func (g *Gateway) dispatch(t *tenant, c *call) {
-	if err := c.ctx.Err(); err != nil {
-		// Canceled while queued: the waiter already returned; nothing ran.
-		c.done <- callResult{err: err}
-		return
-	}
-	g.inflight <- struct{}{}
-	wait := time.Since(c.enq)
-	g.stats.admitWait.ObserveDuration(wait)
-	if tr := g.cfg.Tracer; tr != nil {
-		if id, ok := obs.FromContext(c.ctx); ok {
-			tr.Observe(id, obs.HopGateWait, c.enq, wait)
-		}
-	}
-	g.stats.dispatched.Inc()
-	g.wg.Add(1)
-	c.t = t
-	go c.run()
-}
-
-// serve runs one dispatched call on the backend and answers its waiter.
-// The answer is its last touch of c: the waiter may recycle c at once.
-func (g *Gateway) serve(c *call) {
-	defer func() {
-		<-g.inflight
-		g.wg.Done()
-	}()
-	t := c.t
-	res, err := g.backend(c.ctx, c.roots)
-	dur := time.Since(c.enq)
-	// A degraded batch (partial error alongside a layout-complete result)
-	// is a completion: its latency is real and its SLO classification is by
-	// latency alone, like the client path.
-	failed := err != nil && res == nil
-	if failed {
-		g.stats.batchErrors.Inc()
-		t.stats.batchErrors.Inc()
-		t.stats.lat.ObserveError()
-	} else {
-		g.stats.completed.Inc()
-		t.stats.completed.Inc()
-		t.stats.lat.Observe(dur)
-	}
-	t.slo.ObserveLatency(dur, failed)
-	c.done <- callResult{res: res, err: err}
-}
-
-// failPending drains any call that slipped into a queue during shutdown.
-func (g *Gateway) failPending() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, t := range g.order {
-		for _, c := range t.queue {
-			c.done <- callResult{err: fmt.Errorf("gateway: closed")}
-		}
-		t.queue, t.queuedRoots = nil, 0
 	}
 }

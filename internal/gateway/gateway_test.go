@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/sampler"
 )
 
@@ -95,13 +96,7 @@ func TestGatewayRateLimit(t *testing.T) {
 func TestGatewayBackpressureShedsHeaviest(t *testing.T) {
 	var pressure atomic.Value
 	pressure.Store(0.0)
-	release := make(chan struct{})
-	started := make(chan struct{}, 64)
-	blocking := func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-		started <- struct{}{}
-		<-release
-		return echoBackend(ctx, roots)
-	}
+	blocking, started, release := gatedBackend()
 	g, err := New(Config{
 		Tenants:     twoTenants(),
 		MaxInflight: 1,
@@ -159,13 +154,7 @@ func TestGatewayBackpressureShedsHeaviest(t *testing.T) {
 }
 
 func TestGatewayQueueFullSheds(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 16)
-	blocking := func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-		started <- struct{}{}
-		<-release
-		return echoBackend(ctx, roots)
-	}
+	blocking, started, release := gatedBackend()
 	g, err := New(Config{
 		Tenants:     []TenantConfig{{Name: "a", Key: "ak"}},
 		QueueDepth:  1,
@@ -191,14 +180,11 @@ func TestGatewayQueueFullSheds(t *testing.T) {
 		}()
 	}
 	sampleAsync()
-	<-started // batch 1 occupies the backend
-	sampleAsync()
-	// Wait until the scheduler has dequeued batch 2 (it parks on the
-	// in-flight semaphore), then fill the queue with batch 3.
-	waitFor(t, func() bool { return g.Stats().Admitted() == 2 && queueLen() == 0 })
+	<-started // batch 1 holds the only backend slot
 	sampleAsync()
 	waitFor(t, func() bool { return queueLen() == 1 })
-	// Depth 1 is the configured bound: the next batch must shed.
+	// Depth 1 bounds the waiting batches: with batch 2 queued, the next
+	// batch must shed.
 	_, err = g.Sample(bg, "ak", []graph.NodeID{2})
 	if shed, ok := AsShed(err); !ok || shed.Reason != "queue full" {
 		t.Fatalf("err = %v, want queue-full AdmissionError", err)
@@ -209,15 +195,14 @@ func TestGatewayQueueFullSheds(t *testing.T) {
 }
 
 // TestDRRFairShare drives the scheduler directly: with weights 4:1 and
-// single-root batches queued on both tenants, the weighted tenant drains
-// ~4× faster.
+// enough single-root batches queued on both tenants that each takes
+// several turns, the weighted tenant drains ~4× faster.
 func TestDRRFairShare(t *testing.T) {
 	g := &Gateway{
-		cfg:    Config{Quantum: 1}.withDefaults(),
+		cfg:    Config{}.withDefaults(),
 		byKey:  map[string]*tenant{},
 		byName: map[string]*tenant{},
 	}
-	g.cfg.Quantum = 1
 	for _, tc := range twoTenants() {
 		norm, err := tc.withDefaults()
 		if err != nil {
@@ -228,15 +213,15 @@ func TestDRRFairShare(t *testing.T) {
 		g.order = append(g.order, tn)
 	}
 	for _, tn := range g.order {
-		for i := 0; i < 40; i++ {
-			tn.queue = append(tn.queue, &call{roots: make([]graph.NodeID, 1)})
+		for i := 0; i < 400; i++ {
+			tn.queue = append(tn.queue, &waiter{roots: make([]graph.NodeID, 1)})
 			tn.queuedRoots++
 		}
 	}
 	counts := map[string]int{}
-	for i := 0; i < 50; i++ {
-		c, tn := g.nextLocked()
-		if c == nil {
+	for i := 0; i < 500; i++ {
+		w, tn := g.nextLocked()
+		if w == nil {
 			t.Fatal("scheduler returned nil with backlogged queues")
 		}
 		counts[tn.cfg.Name]++
@@ -250,30 +235,39 @@ func TestDRRFairShare(t *testing.T) {
 	}
 }
 
-// TestDRRLargeBatchNotStarved: a batch costing more than one quantum×weight
-// round still runs — deficits accumulate across rounds for backlogged
-// tenants.
+// TestDRRLargeBatchNotStarved: a queued batch costing more than one
+// quantum×weight round still gets the next slot — deficits accumulate
+// across rounds for backlogged tenants.
 func TestDRRLargeBatchNotStarved(t *testing.T) {
-	g, err := New(Config{Tenants: twoTenants(), Quantum: 1}, echoBackend)
+	gated, started, release := gatedBackend()
+	g, err := New(Config{Tenants: twoTenants(), MaxInflight: 1}, gated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	// 100 roots ≫ quantum(1)×weight(1): needs 100 rounds of credit.
-	res, err := g.Sample(bg, "hk", make([]graph.NodeID, 100))
-	if err != nil || len(res.Roots) != 100 {
-		t.Fatalf("large batch: (%v, %v)", res, err)
+	go g.Sample(bg, "lk", []graph.NodeID{1})
+	<-started
+	// 100 roots > quantum(32)×weight(1): needs four rounds of credit.
+	done := make(chan error, 1)
+	go func() {
+		res, err := g.Sample(bg, "hk", make([]graph.NodeID, 100))
+		if err == nil && len(res.Roots) != 100 {
+			err = fmt.Errorf("got %d roots", len(res.Roots))
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return g.Stats().Admitted() == 2 })
+	close(release)
+	if n := len(<-started); n != 100 {
+		t.Fatalf("next batch run has %d roots, want the 100-root batch", n)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("large batch: %v", err)
 	}
 }
 
 func TestGatewayCanceledWhileQueued(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	blocking := func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
-		started <- struct{}{}
-		<-release
-		return echoBackend(ctx, roots)
-	}
+	blocking, started, release := gatedBackend()
 	g, err := New(Config{Tenants: twoTenants(), MaxInflight: 1}, blocking)
 	if err != nil {
 		t.Fatal(err)
@@ -426,6 +420,19 @@ func TestBucketRefill(t *testing.T) {
 	}
 }
 
+// gatedBackend returns a backend that announces each batch's roots on
+// started, then holds the batch until release is closed. The buffer holds
+// more batches than any test sends.
+func gatedBackend() (Backend, chan []graph.NodeID, chan struct{}) {
+	started := make(chan []graph.NodeID, 16)
+	release := make(chan struct{})
+	return func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
+		started <- roots
+		<-release
+		return echoBackend(ctx, roots)
+	}, started, release
+}
+
 // waitFor polls cond for up to 2s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -464,4 +471,212 @@ func TestGatewayBackendError(t *testing.T) {
 	if errCount != 1 {
 		t.Fatalf("tenant batch_errors = %v, want 1", errCount)
 	}
+}
+
+// TestGatewaySlotGoesToDRRChoice: a freed slot goes to the batch deficit
+// round-robin picks when the slot frees, not to whichever batch queued
+// first. Heavy's second batch queues before light's, yet light runs next.
+func TestGatewaySlotGoesToDRRChoice(t *testing.T) {
+	gated, started, release := gatedBackend()
+	g, err := New(Config{Tenants: twoTenants(), MaxInflight: 1}, gated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	sampleAsync := func(key string, tag graph.NodeID) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.Sample(bg, key, []graph.NodeID{tag}); err != nil {
+				t.Errorf("%s batch %d: %v", key, tag, err)
+			}
+		}()
+	}
+	sampleAsync("hk", 1)
+	if got := (<-started)[0]; got != 1 {
+		t.Fatalf("first batch run = %d, want heavy's 1", got)
+	}
+	sampleAsync("hk", 2)
+	waitFor(t, func() bool { return g.Stats().Admitted() == 2 })
+	sampleAsync("lk", 3)
+	waitFor(t, func() bool { return g.Stats().Admitted() == 3 })
+	close(release)
+	if got := (<-started)[0]; got != 3 {
+		t.Fatalf("freed slot ran batch %d, want light's 3 (slot went to heavy)", got)
+	}
+	if got := (<-started)[0]; got != 2 {
+		t.Fatalf("last batch run = %d, want heavy's 2", got)
+	}
+	wg.Wait()
+	g.Close()
+}
+
+// TestGatewayCloseDrains: Close waits for the running batch and the one
+// queued behind it, both of which complete with results; a Sample after
+// Close fails.
+func TestGatewayCloseDrains(t *testing.T) {
+	gated, started, release := gatedBackend()
+	g, err := New(Config{Tenants: twoTenants(), MaxInflight: 1}, gated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan *sampler.Result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			res, err := g.Sample(bg, "lk", []graph.NodeID{1})
+			if err != nil {
+				t.Errorf("admitted batch failed: %v", err)
+			}
+			results <- res
+		}()
+		if i == 0 {
+			<-started
+		}
+	}
+	waitFor(t, func() bool { return g.Stats().Admitted() == 2 })
+	closed := make(chan struct{})
+	go func() { g.Close(); close(closed) }()
+	waitFor(t, func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.closed
+	})
+	if _, err := g.Sample(bg, "lk", []graph.NodeID{1}); err == nil {
+		t.Fatal("Sample after Close succeeded")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with batches still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	for i := 0; i < 2; i++ {
+		if res := <-results; res == nil || len(res.Roots) != 1 {
+			t.Fatalf("batch %d result = %v, want one root", i, res)
+		}
+	}
+	if c := g.Stats().Completed(); c != 2 {
+		t.Fatalf("completed = %d, want 2", c)
+	}
+}
+
+// TestGatewayNoSlotLost: waiters that cancel at random points — some as a
+// slot is granted to them — and a backend that panics once leave the one
+// slot free: afterwards a fresh Sample runs.
+func TestGatewayNoSlotLost(t *testing.T) {
+	const faulty = graph.NodeID(1 << 20)
+	backend := func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
+		if roots[0] == faulty {
+			panic("backend fault")
+		}
+		time.Sleep(time.Duration(roots[0]%5) * 50 * time.Microsecond)
+		return echoBackend(ctx, roots)
+	}
+	g, err := New(Config{Tenants: twoTenants(), MaxInflight: 1}, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panics atomic.Int64
+	var wg sync.WaitGroup
+	sample := func(ctx context.Context, key string, root graph.NodeID) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics.Add(1)
+			}
+		}()
+		g.Sample(ctx, key, []graph.NodeID{root})
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Bounded, so a lost slot fails the test instead of hanging it.
+		ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+		defer cancel()
+		sample(ctx, "hk", faulty)
+	}()
+	for w := 0; w < 24; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := [2]string{"lk", "hk"}[w%2]
+			for i := 0; i < 20; i++ {
+				ctx, cancel := context.WithTimeout(bg, time.Duration((w*7+i*3)%11)*100*time.Microsecond)
+				sample(ctx, key, graph.NodeID(w+i))
+				cancel()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if panics.Load() != 1 {
+		t.Fatalf("recovered %d panics, want 1", panics.Load())
+	}
+	ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+	defer cancel()
+	if _, err := g.Sample(ctx, "lk", []graph.NodeID{1}); err != nil {
+		t.Fatalf("Sample after the storm: %v (a slot was lost)", err)
+	}
+	g.mu.Lock()
+	running, depth := g.running, g.depthLocked()
+	g.mu.Unlock()
+	if running != 0 || depth != 0 {
+		t.Fatalf("after the storm: %d running, %d queued, want 0/0", running, depth)
+	}
+	g.Close()
+}
+
+// TestGatewayAbandonedResultReleased: a batch runs on its caller's
+// goroutine, so a caller whose deadline passes mid-run still receives the
+// result and can release it — no pooled region is stranded — and a
+// backend that honours ctx fails the batch promptly at the deadline.
+func TestGatewayAbandonedResultReleased(t *testing.T) {
+	t.Run("ctx-ignoring backend", func(t *testing.T) {
+		gr := graph.Generate(graph.GenConfig{NumNodes: 200, AvgDegree: 4, AttrLen: 4, Seed: 1})
+		cfg := sampler.Config{Fanouts: []int{3, 2}, FetchAttrs: true, Seed: 1}
+		slow := func(_ context.Context, roots []graph.NodeID) (*sampler.Result, error) {
+			res, err := sampler.KHop(context.Background(), sampler.LocalStore{G: gr}, cfg, roots)
+			time.Sleep(20 * time.Millisecond)
+			return res, err
+		}
+		start := mem.LiveRegions()
+		g, err := New(Config{Tenants: twoTenants()}, slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+		defer cancel()
+		res, _ := g.Sample(ctx, "lk", []graph.NodeID{1, 2})
+		if res != nil {
+			res.Release()
+		}
+		g.Close()
+		if got := mem.LiveRegions(); got != start {
+			t.Fatalf("live regions %d → %d: the abandoned result was never released", start, got)
+		}
+	})
+	t.Run("ctx-honouring backend", func(t *testing.T) {
+		honest := func(ctx context.Context, roots []graph.NodeID) (*sampler.Result, error) {
+			select {
+			case <-time.After(5 * time.Second):
+				return echoBackend(ctx, roots)
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		g, err := New(Config{Tenants: twoTenants()}, honest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+		defer cancel()
+		begin := time.Now()
+		_, err = g.Sample(ctx, "lk", []graph.NodeID{1})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Fatalf("deadline honoured after %v, want promptly", took)
+		}
+	})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Stats is the "gateway" stats layer: the front door's admission,
-// fairness, shedding, and autoscaling counters. The zero value is ready to
+// fairness, and shedding counters. The zero value is ready to
 // use — servers without a configured gateway pre-register an idle Stats so
 // every lsdgnn_gateway_* series exists at zero from the first scrape, and
 // gate-fronted servers bump the same shape once traffic flows.
@@ -20,22 +20,18 @@ type Stats struct {
 	// shed counts work rejected by overload control: a full tenant queue
 	// or a backpressure-triggered drop of the heaviest queue.
 	shed stats.Counter
-	// dispatched/completed bracket the backend: dispatched when a call
-	// leaves its tenant queue, completed when the backend returns.
+	// dispatched/completed bracket the backend: dispatched when a batch
+	// takes a backend slot, completed when the backend returns.
 	dispatched  stats.Counter
 	completed   stats.Counter
 	batchErrors stats.Counter
-	// scaleUps/scaleDowns count autoscaler engine-count changes.
-	scaleUps   stats.Counter
-	scaleDowns stats.Counter
 
-	// admitWait observes queue wait: admission to backend dispatch.
+	// admitWait observes queue wait: admission to taking a backend slot.
 	admitWait stats.Histogram
 
-	mu            sync.Mutex
-	queueDepth    int
-	queuePeak     int
-	enginesActive int
+	mu         sync.Mutex
+	queueDepth int
+	queuePeak  int
 }
 
 // recordQueueDepth tracks the instantaneous and peak total queue depth
@@ -46,13 +42,6 @@ func (s *Stats) recordQueueDepth(n int) {
 	if n > s.queuePeak {
 		s.queuePeak = n
 	}
-	s.mu.Unlock()
-}
-
-// setEnginesActive records the autoscaler's current engine count.
-func (s *Stats) setEnginesActive(n int) {
-	s.mu.Lock()
-	s.enginesActive = n
 	s.mu.Unlock()
 }
 
@@ -74,7 +63,7 @@ func (s *Stats) Completed() int64 { return s.completed.Value() }
 // StatsSnapshot implements stats.Source under the "gateway" layer.
 func (s *Stats) StatsSnapshot() stats.Snapshot {
 	s.mu.Lock()
-	depth, peak, engines := s.queueDepth, s.queuePeak, s.enginesActive
+	depth, peak := s.queueDepth, s.queuePeak
 	s.mu.Unlock()
 	return stats.Snapshot{Layer: "gateway", Metrics: []stats.Metric{
 		s.admitted.Metric("admitted", "req"),
@@ -84,11 +73,8 @@ func (s *Stats) StatsSnapshot() stats.Snapshot {
 		s.dispatched.Metric("dispatched", "req"),
 		s.completed.Metric("completed", "req"),
 		s.batchErrors.Metric("batch_errors", "req"),
-		s.scaleUps.Metric("scale_ups", "events"),
-		s.scaleDowns.Metric("scale_downs", "events"),
 		{Name: "queue_depth", Value: float64(depth), Unit: "req"},
 		{Name: "queue_peak", Value: float64(peak), Unit: "req"},
-		{Name: "engines_active", Value: float64(engines), Unit: "engines"},
 	}, Hists: []stats.HistogramSnapshot{
 		s.admitWait.Snapshot("admit_wait", "sec"),
 	}}

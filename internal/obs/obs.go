@@ -98,7 +98,7 @@ const (
 	// (neighbor lists for one hop of a batch, or its attribute vectors).
 	HopPipeFetch = "pipe_fetch"
 	// HopGateWait is time an admitted batch spent queued in its tenant's
-	// gateway queue before the fair scheduler dispatched it.
+	// gateway queue before it took a backend slot.
 	HopGateWait = "gate_wait"
 )
 

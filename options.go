@@ -67,8 +67,8 @@ type (
 	// MigratePartition.
 	Layout = cluster.Layout
 	// GatewayConfig assembles the multi-tenant serving gateway enabled by
-	// WithGateway: tenants, queue depths, fair-scheduling quantum, and the
-	// shedding thresholds.
+	// WithGateway: tenants, queue depth, backend concurrency, and the
+	// shedding signals.
 	GatewayConfig = gateway.Config
 	// TenantConfig declares one tenant: name, api key, service class,
 	// rate/burst, fair-share weight, and latency SLO.
@@ -227,13 +227,6 @@ func WithFaults(spec FaultSpec) Option {
 //	res, err := sys.SampleAs(ctx, "ak", roots)
 func WithGateway(cfg GatewayConfig) Option {
 	return func(o *Options) { c := cfg; o.Gateway = &c }
-}
-
-// WithEngineSpares builds n extra AxE engines that start outside the
-// dispatcher's active set — headroom a gateway autoscaler grows into via
-// System.Dispatcher.SetActive.
-func WithEngineSpares(n int) Option {
-	return func(o *Options) { o.EngineSpares = n }
 }
 
 // WithStore selects the storage substrate behind the partition servers.
