@@ -49,13 +49,14 @@ smoke:
 
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
-# packed-frame decoder, the pooled TCP frame reader, the -tenants parser and
-# the store's segment header, plus differential runs of the procedural
-# attribute generator (the AVX-512 kernel where the CPU has it, the
-# four-lane loop otherwise) against its scalar reference, of the ID and
-# degree section codec against the word-at-a-time coder it replaced, and
-# of the store's batch neighbour read against the graph plus memtable and
-# the scalar read.
+# packed-frame decoder, the pooled TCP frame reader, the -tenants parser,
+# the store's segment header and the graph file reader (ReadFrom and Load
+# agree, and what they accept re-serializes to the same bytes), plus
+# differential runs of the procedural attribute generator (the AVX-512
+# kernel where the CPU has it, the four-lane loop otherwise) against its
+# scalar reference, of the ID and degree section codec against the
+# word-at-a-time coder it replaced, and of the store's batch neighbour read
+# against the graph plus memtable and the scalar read.
 fuzz:
 	$(GO) test -run 'Fuzz' ./...
 	$(GO) test -fuzz 'FuzzParseHeader' -fuzztime 10s ./internal/cluster/
@@ -66,3 +67,4 @@ fuzz:
 	$(GO) test -fuzz 'FuzzSegmentHeader' -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz 'FuzzNeighborsBatch' -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz 'FuzzProceduralAttrs' -fuzztime 10s ./internal/graph/
+	$(GO) test -fuzz 'FuzzReadFrom' -fuzztime 10s ./internal/graph/

@@ -1,13 +1,13 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Binary graph serialization, so partition servers can load a prepared
@@ -20,139 +20,211 @@ import (
 const (
 	ioMagic   = "LSDG"
 	ioVersion = 1
+	// ioHeaderSize is the header after the magic.
+	ioHeaderSize = 36
 
 	flagMaterialized = 1 << 0
+
+	// chunkSize is what WriteTo and ReadFrom move, and checksum, per call:
+	// a whole number of words, and far above the 64 bytes crc32 needs to
+	// take its vector kernel.
+	chunkSize = 64 << 10
+	// unsizedBytes caps what ReadFrom allocates for a section ahead of the
+	// bytes it has read, when no file size bounds the header's counts.
+	unsizedBytes = 1 << 20
 )
+
+// chunk is the one buffer a graph file moves through. Words are encoded
+// into it or decoded out of it in a loop, and each chunk is written or
+// read, and checksummed, in one call each.
+type chunk struct {
+	buf []byte
+	crc uint32
+	n   int64 // bytes written
+}
+
+func newChunk() *chunk { return &chunk{buf: make([]byte, chunkSize)} }
+
+// write checksums b and writes it to w.
+func (c *chunk) write(w io.Writer, b []byte) error {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	m, err := w.Write(b)
+	c.n += int64(m)
+	return err
+}
+
+// read fills the first n bytes of the buffer from r and checksums them.
+func (c *chunk) read(r io.Reader, n int) ([]byte, error) {
+	b := c.buf[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	return b, nil
+}
+
+// putWords writes xs as u64 words, a chunk at a time.
+func putWords[T ~int64 | ~uint64](c *chunk, w io.Writer, xs []T) error {
+	for len(xs) > 0 {
+		k := min(len(xs), len(c.buf)/8)
+		b := c.buf[:8*k]
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		}
+		if err := c.write(w, b); err != nil {
+			return err
+		}
+		xs = xs[k:]
+	}
+	return nil
+}
+
+// getWords reads n u64 words, a chunk at a time, into a slice that starts
+// at no more than limit elements and grows only as words arrive: a count
+// the input does not back costs at most limit elements.
+func getWords[T ~int64 | ~uint64](c *chunk, r io.Reader, n, limit int) ([]T, error) {
+	xs := make([]T, 0, min(n, limit))
+	for len(xs) < n {
+		b, err := c.read(r, 8*min(n-len(xs), len(c.buf)/8))
+		if err != nil {
+			return nil, err
+		}
+		at := len(xs)
+		xs = slices.Grow(xs, len(b)/8)[:at+len(b)/8]
+		for i := range xs[at:] {
+			xs[at+i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	return xs, nil
+}
 
 // WriteTo serializes the graph. It returns the byte count written.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	var n int64
 	// The magic goes straight to w: the checksum covers post-magic bytes.
 	if _, err := io.WriteString(w, ioMagic); err != nil {
-		return n, err
+		return 0, err
 	}
-	n += 4
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	put := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
+	c := newChunk()
+	c.n = int64(len(ioMagic))
 	flags := uint32(0)
 	if !g.procedural {
 		flags |= flagMaterialized
 	}
-	for _, v := range []any{
-		uint32(ioVersion), flags, uint64(g.numNodes), uint64(len(g.edges)),
-		uint32(g.attrLen), g.attrSeed,
-	} {
-		if err := put(v); err != nil {
-			return n, err
+	le := binary.LittleEndian
+	h := c.buf[:0]
+	h = le.AppendUint32(h, ioVersion)
+	h = le.AppendUint32(h, flags)
+	h = le.AppendUint64(h, uint64(g.numNodes))
+	h = le.AppendUint64(h, uint64(len(g.edges)))
+	h = le.AppendUint32(h, uint32(g.attrLen))
+	h = le.AppendUint64(h, g.attrSeed)
+	if err := c.write(w, h); err != nil {
+		return c.n, err
+	}
+	if err := putWords(c, w, g.offsets); err != nil {
+		return c.n, err
+	}
+	if err := putWords(c, w, g.edges); err != nil {
+		return c.n, err
+	}
+	for xs := g.attrs; !g.procedural && len(xs) > 0; {
+		k := min(len(xs), len(c.buf)/4)
+		b := c.buf[:4*k]
+		for i, a := range xs[:k] {
+			le.PutUint32(b[4*i:], math.Float32bits(a))
 		}
-	}
-	for _, o := range g.offsets {
-		if err := put(uint64(o)); err != nil {
-			return n, err
+		if err := c.write(w, b); err != nil {
+			return c.n, err
 		}
+		xs = xs[k:]
 	}
-	for _, e := range g.edges {
-		if err := put(uint64(e)); err != nil {
-			return n, err
-		}
-	}
-	if !g.procedural {
-		for _, a := range g.attrs {
-			if err := put(math.Float32bits(a)); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	sum := crc.Sum32()
-	if err := binary.Write(w, binary.LittleEndian, sum); err != nil {
-		return n, err
-	}
-	return n + 4, nil
+	m, err := w.Write(le.AppendUint32(c.buf[:0], c.crc))
+	return c.n + int64(m), err
 }
 
-// ReadFrom deserializes a graph written by WriteTo.
-func ReadFrom(r io.Reader) (*Graph, error) {
-	crc := crc32.NewIEEE()
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+// ReadFrom deserializes a graph written by WriteTo. It reads exactly the
+// graph's bytes and no further. The header's counts are checked against
+// the bytes as they arrive: each section's slice grows with what has been
+// read, so a header that overstates them costs at most a fixed allocation
+// before the input runs out.
+func ReadFrom(r io.Reader) (*Graph, error) { return readFrom(r, -1) }
+
+// readFrom decodes a graph from r. size, when not negative, is the byte
+// count r holds: a header whose sections need more is refused before any
+// section is allocated, and each section is then allocated once at its
+// exact size.
+func readFrom(r io.Reader, size int64) (*Graph, error) {
+	c := newChunk()
+	magic := c.buf[:len(ioMagic)]
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("graph: read magic: %w", err)
 	}
 	if string(magic) != ioMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
-	tr := io.TeeReader(br, crc)
-	get := func(v any) error { return binary.Read(tr, binary.LittleEndian, v) }
-	// The arrays are read a word at a time through one buffer: binary.Read
-	// would allocate for every element.
-	var word [8]byte
-	u64 := func() (uint64, error) {
-		_, err := io.ReadFull(tr, word[:])
-		return binary.LittleEndian.Uint64(word[:]), err
+	h, err := c.read(r, ioHeaderSize)
+	if err != nil {
+		return nil, fmt.Errorf("graph: read header: %w", err)
 	}
-
-	var version, flags, attrLen uint32
-	var numNodes, numEdges, attrSeed uint64
-	for _, v := range []any{&version, &flags, &numNodes, &numEdges, &attrLen, &attrSeed} {
-		if err := get(v); err != nil {
-			return nil, fmt.Errorf("graph: read header: %w", err)
-		}
-	}
+	le := binary.LittleEndian
+	version, flags := le.Uint32(h), le.Uint32(h[4:])
+	numNodes, numEdges := le.Uint64(h[8:]), le.Uint64(h[16:])
+	attrLen, attrSeed := le.Uint32(h[24:]), le.Uint64(h[28:])
 	if version != ioVersion {
 		return nil, fmt.Errorf("graph: unsupported version %d", version)
+	}
+	if flags&^flagMaterialized != 0 {
+		return nil, fmt.Errorf("graph: unknown flags %#x", flags)
 	}
 	const maxReasonable = 1 << 34
 	if numNodes > maxReasonable || numEdges > maxReasonable || attrLen > 1<<20 {
 		return nil, fmt.Errorf("graph: implausible header (%d nodes, %d edges, attr %d)", numNodes, numEdges, attrLen)
 	}
-	g := &Graph{
-		numNodes: int64(numNodes),
-		attrLen:  int(attrLen),
-		attrSeed: attrSeed,
-		offsets:  make([]int64, numNodes+1),
-		edges:    make([]NodeID, numEdges),
-	}
-	for i := range g.offsets {
-		o, err := u64()
-		if err != nil {
-			return nil, fmt.Errorf("graph: read offsets: %w", err)
-		}
-		g.offsets[i] = int64(o)
-	}
-	for i := range g.edges {
-		e, err := u64()
-		if err != nil {
-			return nil, fmt.Errorf("graph: read edges: %w", err)
-		}
-		g.edges[i] = NodeID(e)
-	}
+	// The bounds above keep every count and byte size here below 2^56.
+	numAttrs := uint64(0)
 	if flags&flagMaterialized != 0 {
-		g.attrs = make([]float32, numNodes*uint64(attrLen))
-		for i := range g.attrs {
-			if _, err := io.ReadFull(tr, word[:4]); err != nil {
+		numAttrs = numNodes * uint64(attrLen)
+	}
+	limit := unsizedBytes
+	if size >= 0 {
+		need := uint64(len(ioMagic)+ioHeaderSize+4) + 8*(numNodes+1) + 8*numEdges + 4*numAttrs
+		if need > uint64(size) {
+			return nil, fmt.Errorf("graph: header declares %d bytes, the file holds %d", need, size)
+		}
+		limit = math.MaxInt
+	}
+	g := &Graph{
+		numNodes:   int64(numNodes),
+		attrLen:    int(attrLen),
+		attrSeed:   attrSeed,
+		procedural: flags&flagMaterialized == 0,
+	}
+	if g.offsets, err = getWords[int64](c, r, int(numNodes)+1, limit/8); err != nil {
+		return nil, fmt.Errorf("graph: read offsets: %w", err)
+	}
+	if g.edges, err = getWords[NodeID](c, r, int(numEdges), limit/8); err != nil {
+		return nil, fmt.Errorf("graph: read edges: %w", err)
+	}
+	if !g.procedural {
+		n := int(numAttrs)
+		g.attrs = make([]float32, 0, min(n, limit/4))
+		for len(g.attrs) < n {
+			b, err := c.read(r, 4*min(n-len(g.attrs), len(c.buf)/4))
+			if err != nil {
 				return nil, fmt.Errorf("graph: read attrs: %w", err)
 			}
-			g.attrs[i] = math.Float32frombits(binary.LittleEndian.Uint32(word[:4]))
+			at := len(g.attrs)
+			g.attrs = slices.Grow(g.attrs, len(b)/4)[:at+len(b)/4]
+			for i := range g.attrs[at:] {
+				g.attrs[at+i] = math.Float32frombits(le.Uint32(b[4*i:]))
+			}
 		}
-	} else {
-		g.procedural = true
 	}
-	want := crc.Sum32()
-	var sum uint32
-	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
+	want := c.crc
+	if _, err := io.ReadFull(r, c.buf[:4]); err != nil {
 		return nil, fmt.Errorf("graph: read checksum: %w", err)
 	}
-	if sum != want {
+	if sum := le.Uint32(c.buf); sum != want {
 		return nil, fmt.Errorf("graph: checksum mismatch (%#x vs %#x)", sum, want)
 	}
 	return g, g.validate()
@@ -200,5 +272,9 @@ func Load(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFrom(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readFrom(f, fi.Size())
 }

@@ -2,7 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -72,8 +76,105 @@ func TestIOReadAllocatesOnlyTheGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 40 {
+		if allocs > 8 {
 			t.Fatalf("materialize=%v: ReadFrom made %.0f allocations for %d nodes and %d edges", materialize, allocs, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
+// TestIOWriteAllocatesOnlyItsBuffers: a save allocates its chunk buffer,
+// not one object per stored word.
+func TestIOWriteAllocatesOnlyItsBuffers(t *testing.T) {
+	for _, materialize := range []bool{false, true} {
+		g := Generate(GenConfig{NumNodes: 2000, AvgDegree: 8, AttrLen: 4, Seed: 7, Materialize: materialize})
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			buf.Reset()
+			if _, err := g.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("materialize=%v: WriteTo made %.0f allocations for %d nodes and %d edges", materialize, allocs, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
+// goldenGraphs are the graphs in testdata/*.lsdg. The files were written
+// by the word-at-a-time encoder that preceded the chunked one and pin the
+// format: WriteTo must reproduce them byte for byte, and Load must read
+// them back. Regenerating them from the code under test defeats the test.
+var goldenGraphs = map[string]GenConfig{
+	"procedural":   {NumNodes: 300, AvgDegree: 5, AttrLen: 8, Seed: 11, PowerLaw: true},
+	"materialized": {NumNodes: 200, AvgDegree: 4, AttrLen: 6, Seed: 12, Materialize: true},
+}
+
+func TestIOGoldenFiles(t *testing.T) {
+	for name, cfg := range goldenGraphs {
+		path := filepath.Join("testdata", name+".lsdg")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := Generate(cfg)
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: WriteTo wrote %d bytes that differ from the %d in %s", name, buf.Len(), len(want), path)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Materialized() != cfg.Materialize {
+			t.Fatalf("%s: materialized %v after Load", name, got.Materialized())
+		}
+		graphsEqual(t, g, got)
+	}
+}
+
+// hugeHeader is a well-formed 44-byte graph file whose header declares the
+// largest counts the plausibility bound admits: 2^34 nodes and edges and,
+// materialized, 2^54 attribute floats. Its checksum is right, so only the
+// counts themselves can refuse it.
+func hugeHeader() []byte {
+	le := binary.LittleEndian
+	h := le.AppendUint32(nil, ioVersion)
+	h = le.AppendUint32(h, flagMaterialized)
+	h = le.AppendUint64(h, 1<<34)
+	h = le.AppendUint64(h, 1<<34)
+	h = le.AppendUint32(h, 1<<20)
+	h = le.AppendUint64(h, 0)
+	return le.AppendUint32(append([]byte(ioMagic), h...), crc32.ChecksumIEEE(h))
+}
+
+// TestIORejectsHeaderLargerThanInput: a header may not allocate what the
+// input does not hold. Load refuses it against the file size; ReadFrom
+// runs out of input after at most its fixed allocation cap per section.
+func TestIORejectsHeaderLargerThanInput(t *testing.T) {
+	data := hugeHeader()
+	path := filepath.Join(t.TempDir(), "huge.lsdg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() (*Graph, error){
+		"ReadFrom": func() (*Graph, error) { return ReadFrom(bytes.NewReader(data)) },
+		"Load":     func() (*Graph, error) { return Load(path) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a %d-byte file that declares 2^34 nodes", name, len(data))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4*unsizedBytes {
+			t.Fatalf("%s allocated %d bytes for a %d-byte file: %v", name, got, len(data), err)
 		}
 	}
 }
@@ -111,6 +212,22 @@ func TestIORejectsBadMagicAndVersion(t *testing.T) {
 	}
 	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestIORejectsUnknownFlags: a flag bit WriteTo never sets is refused, not
+// dropped on the way back out.
+func TestIORejectsUnknownFlags(t *testing.T) {
+	g := Generate(GenConfig{NumNodes: 20, AvgDegree: 2, AttrLen: 2, Seed: 3})
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[8] |= 0x02 // flags, the word after magic and version
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[4:len(data)-4]))
+	if _, err := ReadFrom(bytes.NewReader(data)); err == nil {
+		t.Fatal("unknown flag bit accepted")
 	}
 }
 
@@ -154,4 +271,35 @@ func TestIOByteCount(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
 	}
+}
+
+// FuzzReadFrom: decoding never panics, Load and ReadFrom accept the same
+// inputs, and whatever they accept WriteTo writes back as the bytes it was
+// read from. The seed corpus in testdata/fuzz/FuzzReadFrom holds a tiny
+// procedural and a tiny materialized file, a truncation, a bit flip and
+// hugeHeader.
+func FuzzReadFrom(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "in.lsdg")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadFrom(bytes.NewReader(data))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lg, lerr := Load(path)
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("ReadFrom error %v, Load error %v", err, lerr)
+		}
+		if err != nil {
+			return
+		}
+		for _, g := range []*Graph{g, lg} {
+			var out bytes.Buffer
+			if _, err := g.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+			if n := out.Len(); n > len(data) || !bytes.Equal(out.Bytes(), data[:n]) {
+				t.Fatalf("accepted %d bytes, re-serialized to %d different ones", len(data), n)
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -156,6 +155,52 @@ type segSource interface {
 	Attr(dst []float32, v graph.NodeID) []float32
 }
 
+// chunkSize is what writeSegment hands the file, and a section checksum,
+// per call: a whole number of words, and far above the 64 bytes crc32
+// needs to take its vector kernel.
+const chunkSize = 64 << 10
+
+// sectionWriter stages a section's words in one chunk buffer and writes
+// and checksums each full chunk in one call each. A write error sticks and
+// is reported by end.
+type sectionWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	err error
+}
+
+func (s *sectionWriter) u64(v uint64) {
+	if cap(s.buf)-len(s.buf) < 8 {
+		s.flush()
+	}
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
+}
+
+func (s *sectionWriter) u32(v uint32) {
+	if cap(s.buf)-len(s.buf) < 4 {
+		s.flush()
+	}
+	s.buf = binary.LittleEndian.AppendUint32(s.buf, v)
+}
+
+func (s *sectionWriter) flush() {
+	if s.err == nil {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf)
+	s.buf = s.buf[:0]
+}
+
+// end writes what is staged and returns the section's checksum, leaving
+// the writer ready for the next section.
+func (s *sectionWriter) end() (uint32, error) {
+	s.flush()
+	sum := s.crc
+	s.crc = 0
+	return sum, s.err
+}
+
 // writeSegment streams src into an immutable CSR segment at path,
 // fsyncing before return. The adjacency is walked twice (offsets pass,
 // edges pass) so the file is written strictly forward with no in-memory
@@ -170,7 +215,7 @@ func writeSegment(path string, gen uint64, src segSource) (int64, error) {
 	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	sw := &sectionWriter{w: f, buf: make([]byte, 0, chunkSize)}
 	h := &segHeader{
 		gen:      gen,
 		numNodes: src.NumNodes(),
@@ -178,52 +223,39 @@ func writeSegment(path string, gen uint64, src segSource) (int64, error) {
 		attrSeed: src.AttrSeed(),
 		offTable: headerSize,
 	}
-	var scratch [8]byte
-	le := binary.LittleEndian
 
-	// Offsets pass: cumulative degrees, section CRC as we go.
-	crc := crc32.NewIEEE()
-	ow := io.MultiWriter(bw, crc)
-	putU64 := func(w io.Writer, v uint64) error {
-		le.PutUint64(scratch[:], v)
-		_, err := w.Write(scratch[:])
-		return err
-	}
+	// Offsets pass: cumulative degrees.
 	var cum int64
-	if err := putU64(ow, 0); err != nil {
-		return 0, err
-	}
+	sw.u64(0)
 	for v := int64(0); v < h.numNodes; v++ {
 		cum += int64(len(src.Neighbors(graph.NodeID(v))))
-		if err := putU64(ow, uint64(cum)); err != nil {
-			return 0, err
-		}
+		sw.u64(uint64(cum))
 	}
 	h.numEdges = cum
-	h.offCRC = crc.Sum32()
+	if h.offCRC, err = sw.end(); err != nil {
+		return 0, err
+	}
 	h.edgeTable = h.offTable + (h.numNodes+1)*8
 
 	// Edges pass: neighbor runs in vertex order. The source must report
 	// the same adjacency both passes — a drifting source would silently
 	// desynchronize offsets from runs, so the count is enforced.
-	crc = crc32.NewIEEE()
-	ew := io.MultiWriter(bw, crc)
 	var written int64
 	for v := int64(0); v < h.numNodes; v++ {
 		for _, u := range src.Neighbors(graph.NodeID(v)) {
 			if uint64(u) >= uint64(h.numNodes) {
 				return 0, fmt.Errorf("store: edge %d→%d outside %d nodes", v, u, h.numNodes)
 			}
-			if err := putU64(ew, uint64(u)); err != nil {
-				return 0, err
-			}
+			sw.u64(uint64(u))
 			written++
 		}
 	}
 	if written != h.numEdges {
 		return 0, fmt.Errorf("store: source reported %d edges in offsets pass, %d in edges pass", h.numEdges, written)
 	}
-	h.edgeCRC = crc.Sum32()
+	if h.edgeCRC, err = sw.end(); err != nil {
+		return 0, err
+	}
 	h.fileSize = h.edgeTable + h.numEdges*8
 
 	// Attribute pages, only when the source materializes them (procedural
@@ -232,23 +264,17 @@ func writeSegment(path string, gen uint64, src segSource) (int64, error) {
 	if src.Materialized() {
 		h.flags |= segFlagMaterialized
 		h.attrTable = h.fileSize
-		crc = crc32.NewIEEE()
-		aw := io.MultiWriter(bw, crc)
 		buf := make([]float32, 0, h.attrLen)
 		for v := int64(0); v < h.numNodes; v++ {
 			buf = src.Attr(buf[:0], graph.NodeID(v))
 			for _, a := range buf {
-				le.PutUint32(scratch[:4], math.Float32bits(a))
-				if _, err := aw.Write(scratch[:4]); err != nil {
-					return 0, err
-				}
+				sw.u32(math.Float32bits(a))
 			}
 		}
-		h.attrCRC = crc.Sum32()
+		if h.attrCRC, err = sw.end(); err != nil {
+			return 0, err
+		}
 		h.fileSize += h.numNodes * int64(h.attrLen) * 4
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
 	}
 	if _, err := f.WriteAt(h.encode(), 0); err != nil {
 		return 0, err
