@@ -78,8 +78,8 @@ func main() {
 
 	// Storage beyond RAM: the same deployment, but the partition servers
 	// answer from a persistent mmap CSR + WAL store with a page-cache
-	// budget instead of holding the graph in process memory. One option
-	// flips the backend; sampling results are byte-identical.
+	// budget instead of holding the graph in process memory. A store path
+	// is all it takes; sampling results are byte-identical.
 	dir, err := os.MkdirTemp("", "lsdgnn-quickstart-store")
 	if err != nil {
 		log.Fatal(err)
@@ -89,9 +89,7 @@ func main() {
 		lsdgnn.WithGraph(g),
 		lsdgnn.WithServers(4),
 		lsdgnn.WithSeed(7),
-		lsdgnn.WithStore(lsdgnn.StoreConfig{
-			Backend: lsdgnn.StoreDisk, Path: dir, MemoryBudget: 8 << 20,
-		}),
+		lsdgnn.WithStore(lsdgnn.StoreConfig{Path: dir, MemoryBudget: 8 << 20}),
 	)
 	if err != nil {
 		log.Fatal(err)

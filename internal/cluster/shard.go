@@ -6,9 +6,10 @@ import (
 
 // Shard extraction: production servers hold only their partition of the
 // graph, not the whole thing. ExtractShard builds a graph over the same
-// node-ID space containing only the adjacency lists (and materialized
-// attributes) of nodes the partition owns — a Server backed by the shard
-// answers identically for owned nodes while using ~1/P of the memory.
+// node-ID space containing a copy of the adjacency lists (and materialized
+// attributes) of nodes the partition owns, in the order g holds them — a
+// Server backed by the shard answers identically for owned nodes while
+// using ~1/P of the memory.
 
 // ExtractShard returns partition p's shard of g under part.
 func ExtractShard(g *graph.Graph, part Partitioner, p int) (*graph.Graph, error) {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -142,63 +144,79 @@ func TestExtractShardMatchesBuilder(t *testing.T) {
 
 func TestShardServerEquivalence(t *testing.T) {
 	// A cluster of shard-backed servers must answer exactly like one of
-	// full-graph servers.
+	// full-graph servers, and sample what the local reference samples,
+	// both over the generated graph and over the same graph after a Save
+	// and Load: shards copy lists in the order the file holds them.
 	g := testGraph(t)
-	part := HashPartitioner{N: 4}
-	full := make([]*Server, 4)
-	shardSrv := make([]*Server, 4)
-	for p := 0; p < 4; p++ {
-		full[p] = NewServer(g, part, p)
-		s, err := ShardServer(g, part, p)
+	path := filepath.Join(t.TempDir(), "g.lsdg")
+	if err := g.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := graph.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"generated": g, "loaded": loaded} {
+		part := HashPartitioner{N: 4}
+		full := make([]*Server, 4)
+		shardSrv := make([]*Server, 4)
+		for p := 0; p < 4; p++ {
+			full[p] = NewServer(g, part, p)
+			s, err := ShardServer(g, part, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shardSrv[p] = s
+		}
+		cf, err := NewClient(DirectTransport{Servers: full}, part, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardSrv[p] = s
-	}
-	cf, err := NewClient(DirectTransport{Servers: full}, part, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewClient(DirectTransport{Servers: shardSrv}, part, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []graph.NodeID{0, 5, 100, 555, 1400}
-	lf, err := getNeighbors(cf, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := getNeighbors(cs, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if len(lf[i]) != len(ls[i]) {
-			t.Fatalf("node %d: shard cluster differs", ids[i])
+		cs, err := NewClient(DirectTransport{Servers: shardSrv}, part, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range lf[i] {
-			if lf[i][j] != ls[i][j] {
-				t.Fatalf("node %d neighbor %d differs", ids[i], j)
+		ids := []graph.NodeID{0, 5, 100, 555, 1400}
+		lf, err := getNeighbors(cf, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := getNeighbors(cs, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ids {
+			if !slices.Equal(lf[i], ls[i]) {
+				t.Fatalf("%s: node %d: shard cluster lists %v, full cluster %v", name, ids[i], ls[i], lf[i])
 			}
 		}
-	}
-	af, err := getAttrs(cf, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := getAttrs(cs, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range af {
-		if af[i] != as[i] {
-			t.Fatal("shard cluster attrs differ")
+		af, err := getAttrs(cf, ids)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// And sampling over the shard cluster works end to end.
-	cfg := sampler.Config{Fanouts: []int{3, 3}, Method: sampler.Streaming, FetchAttrs: true, Seed: 1}
-	if _, err := sampler.KHop(bg, cs, cfg, ids); err != nil {
-		t.Fatal(err)
+		as, err := getAttrs(cs, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(af, as) {
+			t.Fatalf("%s: shard cluster attrs differ", name)
+		}
+		// Sampling over the shard cluster draws what the local reference
+		// over the same graph draws.
+		for _, method := range []sampler.Method{sampler.Reservoir, sampler.Streaming} {
+			cfg := sampler.Config{Fanouts: []int{3, 3}, Method: method, FetchAttrs: true, Seed: 1}
+			got, err := sampler.KHop(bg, cs, cfg, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sampler.KHop(bg, sampler.LocalStore{G: g}, cfg, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Hops, want.Hops) || !slices.Equal(got.Attrs, want.Attrs) {
+				t.Fatalf("%s, method %v: shard cluster sampled differently from the local reference", name, method)
+			}
+		}
 	}
 }
 

@@ -78,11 +78,11 @@ type Options struct {
 	// rate); the zero value takes the obs defaults.
 	Tracing obs.TracerConfig
 	// Store selects the storage substrate behind the partition servers.
-	// The zero value (store.Memory) serves from the in-process graph — the
-	// historical behavior. store.Disk bulk-loads the graph into a
-	// persistent segment+WAL store at Store.Path on first use (reopening
-	// it thereafter) and every partition server answers from it, paging
-	// under Store.MemoryBudget instead of holding the graph in RAM.
+	// Without a Store.Path they serve from the in-process graph. With one,
+	// the graph is bulk-loaded into a persistent segment+WAL store at that
+	// path on first use (reopened thereafter) and every partition server
+	// answers from it, paging under Store.MemoryBudget instead of holding
+	// the graph in RAM.
 	Store store.Config
 	Seed  int64
 }
@@ -129,10 +129,10 @@ type System struct {
 	// Gateway is the multi-tenant front door when Options.Gateway was set
 	// (nil otherwise); SampleAs routes through it.
 	Gateway *gateway.Gateway
-	// Store is the storage backend the partition servers answer from:
-	// store.InMemory over Graph by default, a persistent *store.DiskStore
-	// when Options.Store selected the Disk backend. Closed by Close.
-	Store store.Store
+	// Store is the persistent store the partition servers answer from
+	// when Options.Store named a path, and nil when they serve from Graph.
+	// Closed by Close.
+	Store *store.DiskStore
 }
 
 // NewSystem builds servers, a client, the executor over it, one modeled AxE
@@ -173,24 +173,25 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	sampleSLO := sys.SLOs.Objective(stats.Objective{Name: "sample", Threshold: DefaultSampleSLO})
 	softSLO := sys.SLOs.Objective(stats.Objective{Name: "software_batch", Threshold: DefaultSoftwareBatchSLO})
-	// The storage substrate: in-memory by default, a persistent
-	// segment+WAL store when configured. Disk-backed servers answer from
-	// the store (paging under its memory budget); the in-memory path keeps
-	// serving straight from the shared graph object.
-	backing, err := store.FromConfig(opts.Store, g)
-	if err != nil {
-		return nil, err
+	// The storage substrate: with a store path, servers answer from a
+	// persistent segment+WAL store (paging under its memory budget);
+	// without one, straight from the shared graph object.
+	if opts.Store.Path != "" {
+		ds, err := store.FromConfig(opts.Store, g)
+		if err != nil {
+			return nil, err
+		}
+		sys.Store = ds
 	}
-	sys.Store = backing
 	assembled := false
 	defer func() {
-		if !assembled {
-			backing.Close()
+		if !assembled && sys.Store != nil {
+			sys.Store.Close()
 		}
 	}()
 	newServer := func(p int) *cluster.Server {
-		if b, ok := backing.(cluster.Backend); ok && opts.Store.Backend == store.Disk {
-			return cluster.NewBackendServer(b, part, p)
+		if sys.Store != nil {
+			return cluster.NewBackendServer(sys.Store, part, p)
 		}
 		return cluster.NewServer(g, part, p)
 	}
@@ -348,10 +349,10 @@ func (s *System) StatsRegistry() *stats.Registry {
 		reg.Register(s.Gateway.Sources()...)
 	}
 	// The storage tier: a disk-backed system exports its live cache/WAL
-	// counters; the in-memory backend pre-registers the same series at
-	// zero so the "store" namespace is stable across backends.
-	if ds, ok := s.Store.(*store.DiskStore); ok {
-		reg.Register(ds.Stats())
+	// counters; one serving from memory pre-registers the same series at
+	// zero so the "store" namespace is the same either way.
+	if s.Store != nil {
+		reg.Register(s.Store.Stats())
 	} else {
 		reg.PreRegister(&store.Stats{})
 	}

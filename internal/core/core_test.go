@@ -442,12 +442,12 @@ func TestSystemOverSubscribedDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	diskSys, err := NewSystem(Options{Graph: g, Servers: 4, Seed: 5, Sampling: scfg,
-		Store: store.Config{Backend: store.Disk, Path: t.TempDir(), MemoryBudget: budget}})
+		Store: store.Config{Path: t.TempDir(), MemoryBudget: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer diskSys.Close()
-	ds := diskSys.Store.(*store.DiskStore)
+	ds := diskSys.Store
 	if seg := ds.SegmentBytes(); seg < 4*budget {
 		t.Fatalf("segment of %d bytes is under 4x the %d-byte budget", seg, budget)
 	}

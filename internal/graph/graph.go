@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // NodeID identifies a vertex.
@@ -215,9 +214,10 @@ func (g *Graph) FootprintBytes() int64 {
 func (g *Graph) Materialized() bool { return !g.procedural }
 
 // Subgraph returns the graph over the same node-ID space that holds only
-// the adjacency lists (sorted, as a Builder leaves them) and materialized
-// attributes of the nodes keep accepts; procedural graphs keep their seed,
-// so every node's attributes stay identical. Shard extraction copies each
+// the adjacency lists and materialized attributes of the nodes keep
+// accepts; procedural graphs keep their seed, so every node's attributes
+// stay identical. It is a plain copy: each list keeps its order, which
+// Build and Load both guarantee is ascending. Shard extraction copies each
 // partition straight out of the CSR this way, allocating only the result.
 func (g *Graph) Subgraph(keep func(NodeID) bool) *Graph {
 	s := &Graph{numNodes: g.numNodes, attrLen: g.attrLen, offsets: make([]int64, g.numNodes+1),
@@ -236,9 +236,7 @@ func (g *Graph) Subgraph(keep func(NodeID) bool) *Graph {
 		if !keep(NodeID(v)) {
 			continue
 		}
-		adj := s.edges[s.offsets[v]:s.offsets[v+1]]
-		copy(adj, g.edges[g.offsets[v]:g.offsets[v+1]])
-		slices.Sort(adj)
+		copy(s.edges[s.offsets[v]:s.offsets[v+1]], g.edges[g.offsets[v]:g.offsets[v+1]])
 		if s.attrs != nil {
 			row := v * int64(g.attrLen)
 			copy(s.attrs[row:row+int64(g.attrLen)], g.attrs[row:])
@@ -327,7 +325,7 @@ func (b *Builder) Build() (*Graph, error) {
 	// Sort each adjacency list for deterministic iteration.
 	for v := int64(0); v < b.numNodes; v++ {
 		adj := g.edges[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 	}
 	if b.attrs != nil {
 		g.attrs = b.attrs

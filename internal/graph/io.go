@@ -17,6 +17,12 @@ import (
 //	attrLen u32 | attrSeed u64 | offsets (numNodes+1 × u64) |
 //	edges (numEdges × u64) | [attrs (numNodes×attrLen × f32) if materialized] |
 //	crc32 of everything after the magic
+//
+// Each node's adjacency list, edges[offsets[v]:offsets[v+1]], is in
+// ascending order, as Builder.Build leaves it, and Load refuses a file
+// whose lists are not. Sampling draws neighbours by their position in the
+// list, so the order is part of what a sample is: every reader of a file,
+// whole or sharded, must see the same one.
 const (
 	ioMagic   = "LSDG"
 	ioVersion = 1
@@ -230,7 +236,8 @@ func readFrom(r io.Reader, size int64) (*Graph, error) {
 	return g, g.validate()
 }
 
-// validate checks structural invariants after deserialization.
+// validate checks structural invariants after deserialization, the
+// ascending order of every adjacency list included.
 func (g *Graph) validate() error {
 	if g.offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets do not start at 0")
@@ -244,9 +251,15 @@ func (g *Graph) validate() error {
 		return fmt.Errorf("graph: final offset %d does not match %d edges",
 			g.offsets[len(g.offsets)-1], len(g.edges))
 	}
-	for i, e := range g.edges {
-		if int64(e) >= g.numNodes {
-			return fmt.Errorf("graph: edge %d targets missing node %d", i, e)
+	for v := int64(0); v < g.numNodes; v++ {
+		adj := g.edges[g.offsets[v]:g.offsets[v+1]]
+		for i, e := range adj {
+			if uint64(e) >= uint64(g.numNodes) {
+				return fmt.Errorf("graph: edge %d targets missing node %d", g.offsets[v]+int64(i), e)
+			}
+			if i > 0 && e < adj[i-1] {
+				return fmt.Errorf("graph: adjacency list of node %d not sorted at edge %d", v, i)
+			}
 		}
 	}
 	return nil

@@ -3,10 +3,13 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -273,11 +276,71 @@ func TestIOByteCount(t *testing.T) {
 	}
 }
 
+// unsortedGraph is a small generated graph with the first and last
+// entries of every other multi-entry list swapped, and the first node so
+// left out of order. Written with Save, its checksums are valid, so only
+// the order can refuse it. testdata/fuzz/FuzzReadFrom/unsorted holds the
+// bytes it saves to.
+func unsortedGraph() (*Graph, NodeID) {
+	g := Generate(GenConfig{NumNodes: 16, AvgDegree: 3, AttrLen: 2, Seed: 13, PowerLaw: true})
+	first := NodeID(g.numNodes)
+	for v := g.numNodes - 1; v >= 0; v -= 2 {
+		adj := g.edges[g.offsets[v]:g.offsets[v+1]]
+		if len(adj) > 1 && adj[0] != adj[len(adj)-1] {
+			adj[0], adj[len(adj)-1] = adj[len(adj)-1], adj[0]
+			first = NodeID(v)
+		}
+	}
+	return g, first
+}
+
+// TestIORejectsUnsortedList: sorted lists are part of the format, so a
+// file whose lists are out of order fails to load, and the error names the
+// first such node.
+func TestIORejectsUnsortedList(t *testing.T) {
+	g, first := unsortedGraph()
+	if first == NodeID(g.numNodes) {
+		t.Fatal("no list was swapped")
+	}
+	path := filepath.Join(t.TempDir(), "unsorted.lsdg")
+	if err := g.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("adjacency list of node %d not sorted", first)
+	for name, read := range map[string]func() (*Graph, error){
+		"ReadFrom": func() (*Graph, error) { return ReadFrom(bytes.NewReader(data)) },
+		"Load":     func() (*Graph, error) { return Load(path) },
+	} {
+		if _, err := read(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want one naming %q", name, err, want)
+		}
+	}
+}
+
+// TestIORejectsEdgeBeyondInt64: an edge whose target does not fit an
+// int64 is out of range too, not a negative ID below the node count.
+func TestIORejectsEdgeBeyondInt64(t *testing.T) {
+	g := Generate(GenConfig{NumNodes: 16, AvgDegree: 3, AttrLen: 2, Seed: 13})
+	g.edges[len(g.edges)-1] = 1 << 63 // the last list's last entry: still sorted
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrom(&buf); err == nil || !strings.Contains(err.Error(), "targets missing node") {
+		t.Fatalf("error %v, want an out-of-range edge", err)
+	}
+}
+
 // FuzzReadFrom: decoding never panics, Load and ReadFrom accept the same
-// inputs, and whatever they accept WriteTo writes back as the bytes it was
-// read from. The seed corpus in testdata/fuzz/FuzzReadFrom holds a tiny
-// procedural and a tiny materialized file, a truncation, a bit flip and
-// hugeHeader.
+// inputs, whatever they accept has every adjacency list in ascending
+// order, and WriteTo writes it back as the bytes it was read from. The
+// seed corpus in testdata/fuzz/FuzzReadFrom holds a tiny procedural and a
+// tiny materialized file, a truncation, a bit flip, hugeHeader and
+// unsortedGraph's file.
 func FuzzReadFrom(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "in.lsdg")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -293,6 +356,11 @@ func FuzzReadFrom(f *testing.F) {
 			return
 		}
 		for _, g := range []*Graph{g, lg} {
+			for v := NodeID(0); v < NodeID(g.NumNodes()); v++ {
+				if !slices.IsSorted(g.Neighbors(v)) {
+					t.Fatalf("accepted node %d's unsorted list %v", v, g.Neighbors(v))
+				}
+			}
 			var out bytes.Buffer
 			if _, err := g.WriteTo(&out); err != nil {
 				t.Fatal(err)

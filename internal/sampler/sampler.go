@@ -440,10 +440,11 @@ func AttrOrder(res *Result) []graph.NodeID {
 //
 // Deprecated for facade callers: building a backend by hand with
 // LocalStore{G: g} predates the storage tier. Deployments choose a
-// backend through lsdgnn.WithStore (store.InMemory wraps a graph the
-// same way; store.Open serves from disk), which also owns the handle's
-// lifecycle. LocalStore stays exported as the zero-cost in-memory
-// reference backend the parity tests compare every other Store against.
+// backend through lsdgnn.WithStore (without a store path the servers
+// read the graph in memory; with one they serve a store.DiskStore), which
+// also owns the handle's lifecycle. LocalStore stays exported as the
+// zero-cost in-memory reference backend the parity tests compare every
+// other Store against.
 type LocalStore struct{ G *graph.Graph }
 
 // NumNodes implements Store.

@@ -34,21 +34,19 @@
 //	                   budget
 //	ErrExists          Create target already holds a store
 //
-// The facade re-exports both as lsdgnn.ErrStoreCorrupt /
-// lsdgnn.ErrStoreBudget for callers going through lsdgnn.WithStore.
+// The facade re-exports them as lsdgnn.ErrStoreCorrupt,
+// lsdgnn.ErrStoreBudget and lsdgnn.ErrStoreExists.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/sampler"
 )
 
 // Typed errors. Wrapped by every failure path, so errors.Is works through
@@ -61,15 +59,6 @@ var (
 	// ErrExists marks a Create over an existing store.
 	ErrExists = errors.New("store: already exists")
 )
-
-// Store is the backend-neutral graph store handle: the batch-first
-// sampler.Store contract plus lifecycle. Open (disk) and InMemory (RAM)
-// both return one, so callers swap backends without touching internal
-// packages.
-type Store interface {
-	sampler.Store
-	io.Closer
-}
 
 // SyncMode selects WAL durability.
 type SyncMode int
@@ -95,27 +84,17 @@ func (m SyncMode) String() string {
 	}
 }
 
-// Backend selects the storage substrate behind the facade's WithStore.
-type Backend int
-
-const (
-	// Memory serves from the in-process graph (the historical default).
-	Memory Backend = iota
-	// Disk serves from a persistent segment+WAL store at Config.Path.
-	Disk
-)
-
-// Config is the backend-neutral store configuration the lsdgnn facade
-// accepts via WithStore.
+// Config is the store configuration the lsdgnn facade accepts via
+// WithStore. Its Path picks the substrate: empty serves from the
+// in-process graph, and any other path serves from a persistent
+// segment+WAL store in that directory.
 type Config struct {
-	// Backend picks the substrate; Memory ignores every other field.
-	Backend Backend
-	// Path is the store directory for the Disk backend.
+	// Path is the store directory; empty means serve from memory.
 	Path string
-	// MemoryBudget caps resident cache bytes for the Disk backend
+	// MemoryBudget caps resident cache bytes for a store on disk
 	// (0 = unbudgeted: the whole segment is mmap'd and the OS pages it).
 	MemoryBudget int64
-	// SyncMode selects WAL durability for the Disk backend.
+	// SyncMode selects WAL durability for a store on disk.
 	SyncMode SyncMode
 }
 
@@ -171,37 +150,21 @@ func buildOptions(opts []Option) (options, error) {
 	return o, nil
 }
 
-// FromConfig opens (or, for a Disk backend whose path holds no store yet,
-// first bulk-loads g into) the configured backend. It is the one call the
-// facade needs: Memory wraps g in-process; Disk persists it. g may be nil
-// for a Disk backend whose path already holds a store.
-func FromConfig(cfg Config, g *graph.Graph) (Store, error) {
-	switch cfg.Backend {
-	case Memory:
-		if g == nil {
-			return nil, fmt.Errorf("store: memory backend requires a graph")
-		}
-		return InMemory(g), nil
-	case Disk:
-		if cfg.Path == "" {
-			return nil, fmt.Errorf("store: disk backend requires a path")
-		}
-		opts := []Option{WithMemoryBudget(cfg.MemoryBudget), WithSyncMode(cfg.SyncMode)}
-		if _, err := os.Stat(filepath.Join(cfg.Path, currentName)); err != nil {
-			if !os.IsNotExist(err) {
-				return nil, err
-			}
-			if g == nil {
-				return nil, fmt.Errorf("store: no store at %s and no graph to bulk-load", cfg.Path)
-			}
-			if err := Create(cfg.Path, g, opts...); err != nil {
-				return nil, err
-			}
-		}
-		return Open(cfg.Path, opts...)
-	default:
-		return nil, fmt.Errorf("store: unknown backend %d", cfg.Backend)
+// FromConfig opens the store at cfg.Path, first bulk-loading g into it
+// when g is not nil and the directory holds no store yet. An empty path
+// is an error: a Config without one serves from memory and opens no
+// store.
+func FromConfig(cfg Config, g *graph.Graph) (*DiskStore, error) {
+	if cfg.Path == "" {
+		return nil, fmt.Errorf("store: no path to open")
 	}
+	opts := []Option{WithMemoryBudget(cfg.MemoryBudget), WithSyncMode(cfg.SyncMode)}
+	if g != nil && !Exists(cfg.Path) {
+		if err := Create(cfg.Path, g, opts...); err != nil {
+			return nil, err
+		}
+	}
+	return Open(cfg.Path, opts...)
 }
 
 // Exists reports whether dir holds a committed store (a CURRENT file).
@@ -210,14 +173,6 @@ func Exists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, currentName))
 	return err == nil
 }
-
-// InMemory wraps an in-process graph as a Store — the Memory backend.
-// Close is a no-op; the graph stays owned by the caller.
-func InMemory(g *graph.Graph) Store { return memStore{sampler.LocalStore{G: g}} }
-
-type memStore struct{ sampler.LocalStore }
-
-func (memStore) Close() error { return nil }
 
 // --- store directory bookkeeping ---
 

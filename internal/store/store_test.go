@@ -614,23 +614,15 @@ func TestAttrsBatchMatchesAttr(t *testing.T) {
 	}
 }
 
-// TestFromConfig exercises the facade's one entry point: Memory wraps,
-// Disk bulk-loads on first use and reopens thereafter.
+// TestFromConfig exercises the facade's one entry point: it bulk-loads on
+// first use and reopens thereafter, and without a path it opens nothing.
 func TestFromConfig(t *testing.T) {
 	g := testGraph(t, false)
-	ms, err := FromConfig(Config{Backend: Memory}, g)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := FromConfig(Config{}, g); err == nil {
+		t.Fatal("opened a store without a path")
 	}
-	if ms.NumNodes() != g.NumNodes() {
-		t.Fatal("memory backend shape mismatch")
-	}
-	if err := ms.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	dir := t.TempDir()
-	ds, err := FromConfig(Config{Backend: Disk, Path: dir}, g)
+	ds, err := FromConfig(Config{Path: dir}, g)
 	if err != nil {
 		t.Fatalf("disk first open (bulk load): %v", err)
 	}
@@ -638,7 +630,7 @@ func TestFromConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second open: store exists, no graph needed.
-	ds2, err := FromConfig(Config{Backend: Disk, Path: dir}, nil)
+	ds2, err := FromConfig(Config{Path: dir}, nil)
 	if err != nil {
 		t.Fatalf("disk reopen: %v", err)
 	}

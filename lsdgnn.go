@@ -46,8 +46,9 @@
 // Helpers AsPartial, AsPipelinePartial, AsRateLimited, and AsShed wrap
 // errors.As for the common matches (worked examples in options.go).
 //
-// Storage errors from the persistent backend (WithStore with StoreDisk)
-// are sentinels — match them with errors.Is:
+// Storage errors from the persistent store (WithStore with a
+// StoreConfig.Path, CreateStore, OpenDiskStore) are sentinels — match them
+// with errors.Is:
 //
 //	sentinel         meaning
 //	--------         -------
@@ -57,11 +58,10 @@
 //	                 not corruption — recovery truncates and replays)
 //	ErrStoreBudget   the configured memory budget cannot admit even one
 //	                 4 KiB cache page — raise the budget
+//	ErrStoreExists   CreateStore's path already holds a store
 package lsdgnn
 
 import (
-	"fmt"
-
 	"lsdgnn/internal/axe"
 	"lsdgnn/internal/core"
 	"lsdgnn/internal/cost"
@@ -108,24 +108,17 @@ type (
 	// WeightFunc scores candidates for importance-weighted sampling.
 	WeightFunc = sampler.WeightFunc
 	// StoreConfig selects the storage substrate behind the partition
-	// servers (see WithStore): backend, on-disk path, resident memory
-	// budget, and WAL durability mode.
+	// servers (see WithStore): the on-disk path (empty serves from
+	// memory), resident memory budget, and WAL durability mode.
 	StoreConfig = store.Config
-	// GraphStore is the backend-neutral persistent store handle: the
-	// batch-first sampler store contract plus Close.
-	GraphStore = store.Store
-	// DiskStore is the persistent mmap CSR + WAL graph store, with the
-	// streaming ingest surface (AddEdge, SetAttr, Compact) on top of the
-	// GraphStore contract. Obtain one with OpenDiskStore.
+	// DiskStore is the persistent mmap CSR + WAL graph store: the
+	// batch-first sampler store contract, Close, and the streaming ingest
+	// surface (AddEdge, SetAttr, Compact). Obtain one with OpenDiskStore.
 	DiskStore = store.DiskStore
 )
 
-// Storage backend and WAL durability selectors for StoreConfig.
+// WAL durability selectors for StoreConfig.
 const (
-	// StoreMemory serves from the in-process graph (the default).
-	StoreMemory = store.Memory
-	// StoreDisk serves from a persistent segment+WAL store on disk.
-	StoreDisk = store.Disk
 	// StoreSyncOS leaves WAL appends in the OS page cache (fast; a power
 	// failure loses the un-synced tail, never corrupts).
 	StoreSyncOS = store.SyncOS
@@ -142,6 +135,9 @@ var (
 	// ErrStoreBudget marks a memory budget too small to admit one cache
 	// page.
 	ErrStoreBudget = store.ErrBudgetExceeded
+	// ErrStoreExists marks a CreateStore over a path that already holds a
+	// store.
+	ErrStoreExists = store.ErrExists
 )
 
 // Sampling method re-exports.
@@ -183,15 +179,13 @@ func NewMetaPathSampler(h *Hetero, path []string, cfg SamplerConfig) (*MetaPathS
 }
 
 // CreateStore bulk-loads g into a new persistent store directory (an
-// immutable CSR segment plus the commit files). Fails with ErrStoreCorrupt
-// semantics never — but with a wrapped store.ErrExists if path already
-// holds a store.
+// immutable CSR segment plus the commit files). It fails with a wrapped
+// ErrStoreExists if path already holds a store.
 func CreateStore(path string, g *Graph) error { return store.Create(path, g) }
 
-// OpenDiskStore opens (bulk-loading first when cfg.Path holds no store
-// yet and a graph would be needed — create one with CreateStore) the
-// persistent store described by cfg, returning the concrete handle with
-// the ingest surface:
+// OpenDiskStore opens the persistent store at cfg.Path, which must already
+// hold one (create it with CreateStore), and returns the handle with the
+// ingest surface:
 //
 //	err := lsdgnn.CreateStore(dir, g)                     // once
 //	ds, err := lsdgnn.OpenDiskStore(lsdgnn.StoreConfig{
@@ -200,21 +194,7 @@ func CreateStore(path string, g *Graph) error { return store.Create(path, g) }
 //	defer ds.Close()
 //	err = ds.AddEdge(src, dst) // WAL-logged, durable per SyncMode
 //	err = ds.Compact()         // fold the memtable into a new segment
-//
-// The Backend field is ignored (a disk store is always Disk).
-func OpenDiskStore(cfg StoreConfig) (*DiskStore, error) {
-	cfg.Backend = store.Disk
-	s, err := store.FromConfig(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	ds, ok := s.(*store.DiskStore)
-	if !ok {
-		s.Close()
-		return nil, fmt.Errorf("lsdgnn: unexpected store backend %T", s)
-	}
-	return ds, nil
-}
+func OpenDiskStore(cfg StoreConfig) (*DiskStore, error) { return store.FromConfig(cfg, nil) }
 
 // LoadGraph reads a graph saved with SaveGraph.
 func LoadGraph(path string) (*Graph, error) { return graph.Load(path) }

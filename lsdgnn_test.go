@@ -292,7 +292,7 @@ func TestPublicStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, err := New("", WithGraph(g), WithServers(2), WithSeed(13),
-		WithStore(StoreConfig{Backend: StoreDisk, Path: dir, MemoryBudget: 1 << 20}),
+		WithStore(StoreConfig{Path: dir, MemoryBudget: 1 << 20}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -351,12 +351,12 @@ func TestPublicStore(t *testing.T) {
 
 	// The sentinel taxonomy is matchable through the facade.
 	_, err = New("", WithGraph(g), WithSeed(13),
-		WithStore(StoreConfig{Backend: StoreDisk, Path: t.TempDir(), MemoryBudget: 10}))
+		WithStore(StoreConfig{Path: t.TempDir(), MemoryBudget: 10}))
 	if !errors.Is(err, ErrStoreBudget) {
 		t.Fatalf("tiny budget error = %v, want ErrStoreBudget", err)
 	}
-	if err := CreateStore(dir, g); err == nil {
-		t.Fatal("CreateStore over an existing store succeeded")
+	if err := CreateStore(dir, g); !errors.Is(err, ErrStoreExists) {
+		t.Fatalf("CreateStore over an existing store: error = %v, want ErrStoreExists", err)
 	}
 }
 

@@ -230,15 +230,14 @@ func WithGateway(cfg GatewayConfig) Option {
 }
 
 // WithStore selects the storage substrate behind the partition servers.
-// The default (StoreMemory) serves from the in-process graph. StoreDisk
-// persists the graph as an mmap'd CSR segment + write-ahead log at
-// cfg.Path — bulk-loaded on first use, reopened (with WAL crash recovery)
-// thereafter — and the servers answer from it while keeping at most
-// cfg.MemoryBudget bytes of segment data resident, which is how a node
-// serves a graph larger than its RAM:
+// Without it, or with an empty cfg.Path, they serve from the in-process
+// graph. A cfg.Path persists the graph there as an mmap'd CSR segment +
+// write-ahead log — bulk-loaded on first use, reopened (with WAL crash
+// recovery) thereafter — and the servers answer from it while keeping at
+// most cfg.MemoryBudget bytes of segment data resident, which is how a
+// node serves a graph larger than its RAM:
 //
 //	sys, err := lsdgnn.New("ss", lsdgnn.WithStore(lsdgnn.StoreConfig{
-//		Backend:      lsdgnn.StoreDisk,
 //		Path:         "/data/lsdgnn/ss",
 //		MemoryBudget: 256 << 20, // 0 = mmap the whole segment
 //		SyncMode:     lsdgnn.StoreSyncAlways,
