@@ -50,8 +50,10 @@ smoke:
 # Fuzz the hostile-input decoders: seed corpus first (fails fast on a
 # regression), then a short randomized run on the frame-header parser, the
 # packed-frame decoder, the pooled TCP frame reader, the -tenants parser,
-# the store's segment header and the graph file reader (ReadFrom and Load
-# agree, and what they accept re-serializes to the same bytes), plus
+# the store's segment header and offsets section (the in-memory offset
+# index answers what the raw decode does) and the graph file reader
+# (ReadFrom and Load agree, and what they accept re-serializes to the same
+# bytes), plus
 # differential runs of the procedural attribute generator (the AVX-512
 # kernel where the CPU has it, the four-lane loop otherwise) against its
 # scalar reference, of the ID and degree section codec against the
@@ -66,5 +68,6 @@ fuzz:
 	$(GO) test -fuzz 'FuzzParseTenants' -fuzztime 10s ./internal/gateway/
 	$(GO) test -fuzz 'FuzzSegmentHeader' -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz 'FuzzNeighborsBatch' -fuzztime 10s ./internal/store/
+	$(GO) test -fuzz 'FuzzOffsetIndex' -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz 'FuzzProceduralAttrs' -fuzztime 10s ./internal/graph/
 	$(GO) test -fuzz 'FuzzReadFrom' -fuzztime 10s ./internal/graph/

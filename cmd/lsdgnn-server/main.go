@@ -125,33 +125,29 @@ func main() {
 		name = *storePath
 	}
 
-	// storeStats is handed to Open so the "store" layer's series exist at
-	// zero from the first scrape even before any page is touched; in
-	// memory mode the same block is pre-registered unopened for a stable
-	// namespace across modes.
+	// storeStats is handed to FromConfig so the "store" layer's series
+	// exist at zero from the first scrape even before any page is touched;
+	// in memory mode the same block is pre-registered unopened for a
+	// stable namespace across modes.
 	storeStats := &store.Stats{}
 	var srv *cluster.Server
 	if *storePath != "" {
-		storeOpts := []store.Option{
-			store.WithMemoryBudget(*storeBudget), store.WithStats(storeStats),
-		}
+		cfg := store.Config{Path: *storePath, MemoryBudget: *storeBudget}
 		if *storeSync {
-			storeOpts = append(storeOpts, store.WithSyncMode(store.SyncAlways))
+			cfg.SyncMode = store.SyncAlways
 		}
-		if !store.Exists(*storePath) {
-			// First boot: extract and bulk-load this partition's shard, as
-			// lsdgnn-shard bulk-load would.
-			shard, err := cluster.ExtractShard(g, part, *partition)
-			if err != nil {
+		// First boot (no store yet, so the graph was built above): extract
+		// this partition's shard for FromConfig to bulk-load, as
+		// lsdgnn-shard bulk-load would.
+		var shard *graph.Graph
+		if g != nil {
+			if shard, err = cluster.ExtractShard(g, part, *partition); err != nil {
 				fatal(err)
 			}
 			log.Info("bulk-loading shard", "dir", *storePath,
 				"nodes", shard.NumNodes(), "edges", shard.NumEdges())
-			if err := store.Create(*storePath, shard, storeOpts...); err != nil {
-				fatal(err)
-			}
 		}
-		ds, err := store.Open(*storePath, storeOpts...)
+		ds, err := store.FromConfig(cfg, shard, store.WithStats(storeStats))
 		if err != nil {
 			fatal(err)
 		}

@@ -14,9 +14,11 @@ import (
 // whenever residency would cross the budget. It is the software analogue
 // of a fixed BRAM/HBM capacity in front of fabric-attached storage (the
 // paper's decp variants, §6): the working set lives in bounded memory no
-// matter how large the segment underneath grows. Once the budget is full
-// a miss faults into the page it evicts, so steady-state reads allocate
-// nothing.
+// matter how large the segment underneath grows. The budget holds the
+// segment's offset index first (fixed, charged at open and never evicted)
+// and whole PageSize frames after it, the short tail page too, so a miss
+// evicts at most one page. Once the budget is full a miss faults into the
+// page it evicts, so steady-state reads allocate nothing.
 type pageCache struct {
 	f      *os.File
 	size   int64
@@ -37,11 +39,14 @@ type page struct {
 	prev, next *page
 }
 
-func newPageCache(f *os.File, size int64, budget int64, st *Stats) *pageCache {
+// newPageCache caches f's size bytes under budget, of which fixed bytes are
+// already held. The caller makes sure budget admits fixed and one frame.
+func newPageCache(f *os.File, size, budget, fixed int64, st *Stats) *pageCache {
 	st.budgetBytes.Set(float64(budget))
+	st.residentBytes.Set(float64(fixed))
 	return &pageCache{
 		f: f, size: size, budget: budget, st: st,
-		pages: map[int64]*page{},
+		pages: map[int64]*page{}, resident: fixed,
 	}
 }
 
@@ -97,12 +102,11 @@ func (c *pageCache) unlock() { c.mu.Unlock() }
 // so no zero-copy alias may escape the lock.
 func (c *pageCache) view(off, n int64) []byte { return nil }
 
-// pageLocked returns the page at idx, faulting it in on a miss. Room is
-// made first, LRU pages evicted until the new page fits the budget, and
-// the miss reuses the last page evicted — struct and buffer — instead of
-// allocating. A failed pread recycles that buffer and links nothing, so
-// the chain and the map never hold a page with stale or partial bytes.
-// Caller holds c.mu.
+// pageLocked returns the page at idx, faulting it in on a miss. When the
+// budget has no free frame the LRU page is evicted first and the miss
+// reuses it — struct and buffer — instead of allocating. A failed pread
+// recycles that buffer and links nothing, so the chain and the map never
+// hold a page with stale or partial bytes. Caller holds c.mu.
 func (c *pageCache) pageLocked(idx int64) (*page, error) {
 	if pg, ok := c.pages[idx]; ok {
 		c.st.cacheHits.Inc()
@@ -110,37 +114,26 @@ func (c *pageCache) pageLocked(idx int64) (*page, error) {
 		return pg, nil
 	}
 	c.st.cacheMisses.Inc()
-	start := idx * PageSize
-	n := min(PageSize, c.size-start)
 	var pg *page
-	for c.resident+n > c.budget && c.tail != nil {
-		if pg != nil {
-			mem.Bytes.Recycle(pg.buf)
-		}
+	if c.resident+PageSize > c.budget && c.tail != nil {
 		pg = c.tail
 		c.evictLocked(pg)
+	} else {
+		pg = &page{buf: mem.Bytes.GetOwned(PageSize, false)}
 	}
-	if pg == nil {
-		pg = &page{}
-	}
-	if int64(cap(pg.buf)) < n {
-		if pg.buf != nil {
-			mem.Bytes.Recycle(pg.buf)
-		}
-		pg.buf = mem.Bytes.GetOwned(int(n), false)
-	}
-	pg.buf = pg.buf[:n]
+	start := idx * PageSize
+	pg.buf = pg.buf[:min(PageSize, c.size-start)]
 	if _, err := c.f.ReadAt(pg.buf, start); err != nil {
 		mem.Bytes.Recycle(pg.buf)
 		c.st.residentBytes.Set(float64(c.resident))
 		return nil, err
 	}
 	c.st.pageReads.Inc()
-	c.st.readBytes.Add(n)
+	c.st.readBytes.Add(int64(len(pg.buf)))
 	pg.idx = idx
 	c.pages[idx] = pg
 	c.pushLocked(pg)
-	c.resident += n
+	c.resident += PageSize
 	c.st.residentBytes.Set(float64(c.resident))
 	return pg, nil
 }
@@ -183,15 +176,16 @@ func (c *pageCache) touchLocked(pg *page) {
 func (c *pageCache) evictLocked(pg *page) {
 	c.unlinkLocked(pg)
 	delete(c.pages, pg.idx)
-	c.resident -= int64(len(pg.buf))
+	c.resident -= PageSize
 	c.st.cacheEvictions.Inc()
 }
 
-// Resident returns the bytes currently held by the cache.
-func (c *pageCache) Resident() int64 {
+// publish sets the resident gauge to this cache's residency: Compact calls
+// it once the retired generation's cache has closed and zeroed the gauge.
+func (c *pageCache) publish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.resident
+	c.st.residentBytes.Set(float64(c.resident))
 }
 
 // Close recycles every resident page back to the pools and closes the

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,10 +19,10 @@ import (
 var raceSlack float64
 
 // TestBudgetedReadsAllocationFree: once warm, the budgeted read path
-// allocates nothing per lookup even while reads miss — offset pairs are
-// read into pooled scratch once per call, runs are decoded into a dst sized
-// once, and a miss faults into the page it evicts. Neighbors' one
-// allocation is the slice it returns.
+// allocates nothing per lookup even while reads miss — offsets come from
+// the in-memory index, runs are decoded into a dst sized once, and a miss
+// faults into the page it evicts. Neighbors' one allocation is the slice
+// it returns.
 func TestBudgetedReadsAllocationFree(t *testing.T) {
 	g := testGraph(t, true)
 	const budget = 2 * PageSize
@@ -59,8 +60,8 @@ func TestBudgetedReadsAllocationFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
 
-	// A neighbour call takes one pooled buffer (its offset pairs), however
-	// many IDs it reads; an attribute lookup takes one per read.
+	// A neighbour call takes no pooled buffer, however many IDs it reads;
+	// an attribute lookup takes one per read.
 	count("Neighbors", 1+raceSlack, func() { s.Neighbors(vertex()) })
 	attr := make([]float32, 0, g.AttrLen())
 	count("Attr", raceSlack, func() { s.Attr(attr[:0], vertex()) })
@@ -137,7 +138,7 @@ func TestPageCacheFailedReadLinksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &Stats{}
-	c := newPageCache(f, int64(len(data)), 2*PageSize, st)
+	c := newPageCache(f, int64(len(data)), 2*PageSize, 0, st)
 	defer c.Close()
 	p := make([]byte, 16)
 	read := func(off int64) error {
@@ -167,6 +168,86 @@ func TestPageCacheFailedReadLinksNothing(t *testing.T) {
 	}
 	if err := read(20); err != nil {
 		t.Fatalf("cached page stopped serving: %v", err)
+	}
+}
+
+// TestPageCacheShortTailTakesAFrame: the segment's short tail page is
+// charged a whole frame like every other page, so under a budget that is
+// not a whole number of frames a miss still evicts at most one page and
+// reuses it. Charged its length instead, the tail leaves room for a second
+// page, one miss then evicts two, drops one page struct, and a later miss
+// allocates a fresh one.
+func TestPageCacheShortTailTakesAFrame(t *testing.T) {
+	dir, s := mustCreate(t, testGraph(t, true))
+	s.Close()
+	f, err := os.Open(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fi.Size()
+	tail := size % PageSize
+	if tail == 0 {
+		t.Fatalf("segment of %d bytes has no short tail page — test proves nothing", size)
+	}
+	st := &Stats{}
+	c := newPageCache(f, size, PageSize+tail+100, 0, st)
+	defer c.Close()
+	p := make([]byte, 8)
+	pass := func() {
+		for _, off := range []int64{0, size - tail, 0, PageSize, size - tail} {
+			if err := c.ReadAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass() // warm the pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if a := testing.AllocsPerRun(20, pass); a != 0 {
+		t.Errorf("%.0f allocations per pass, want none", a)
+	}
+	assertChain(t, c)
+	if c.resident > c.budget {
+		t.Fatalf("resident %d over the %d-byte budget", c.resident, c.budget)
+	}
+}
+
+// TestOffsetIndexChargedToBudget: a budgeted store holds its offset index
+// against the budget from Open on, refuses a budget that cannot hold the
+// index and one page, serves under one that just can, and after Compact
+// reports the next generation's index as resident.
+func TestOffsetIndexChargedToBudget(t *testing.T) {
+	g := testGraph(t, true)
+	dir, s := mustCreate(t, g, WithMemoryBudget(16<<10))
+	index := s.seg.idx.bytes()
+	if r := s.Resident(); index == 0 || r != index {
+		t.Fatalf("resident %d at Open, want the %d-byte index", r, index)
+	}
+	s.Close()
+	if _, err := Open(dir, WithMemoryBudget(index+PageSize-1)); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("budget one byte under index and page: want ErrBudgetExceeded, got %v", err)
+	}
+	budget := index + PageSize
+	s, err := Open(dir, WithMemoryBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	assertGraphParity(t, s, g)
+	if r := s.Resident(); r != budget {
+		t.Fatalf("resident %d after a full scan, want the whole %d-byte budget", r, budget)
+	}
+	if err := s.AddEdge(3, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if r, want := s.Resident(), s.seg.idx.bytes(); r != want {
+		t.Fatalf("resident %d after Compact, want the new generation's %d-byte index", r, want)
 	}
 }
 
@@ -218,8 +299,9 @@ func TestCompactBypassesPageCache(t *testing.T) {
 	}
 }
 
-// assertChain checks the page cache's structure: the LRU chain is doubly
-// linked, holds exactly the mapped pages, and sums to the resident count.
+// assertChain checks the structure of a page cache built with nothing
+// fixed: the LRU chain is doubly linked, holds exactly the mapped pages,
+// and its whole frames sum to the resident count.
 func assertChain(t *testing.T, c *pageCache) {
 	t.Helper()
 	var n int
@@ -233,7 +315,7 @@ func assertChain(t *testing.T, c *pageCache) {
 			t.Fatalf("page %d is on the chain but not mapped", pg.idx)
 		}
 		n++
-		resident += int64(len(pg.buf))
+		resident += PageSize
 	}
 	if c.tail != prev || n != len(c.pages) || resident != c.resident {
 		t.Fatalf("chain of %d pages (%d bytes) against %d mapped (%d resident)", n, resident, len(c.pages), c.resident)

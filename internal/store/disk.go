@@ -18,11 +18,12 @@ var ErrClosed = errors.New("store: closed")
 
 // DiskStore is the persistent graph store: an immutable CSR segment on
 // disk, a WAL-backed in-memory memtable overlaying mutations (the same
-// base+delta shape as graph.Dynamic, but durable), and either an mmap or
-// an admission-controlled page cache underneath depending on the memory
-// budget. It implements sampler.Store and cluster.Backend batch-first
-// (plus the scalar accessors cluster.Backend still carries), and the
-// streaming ingest path.
+// base+delta shape as graph.Dynamic, but durable), the segment's offsets
+// in a compact in-memory index, and either an mmap or an
+// admission-controlled page cache under the edge runs and attributes
+// depending on the memory budget. It implements sampler.Store and
+// cluster.Backend batch-first (plus the scalar accessors cluster.Backend
+// still carries), and the streaming ingest path.
 type DiskStore struct {
 	dir  string
 	opts options
@@ -250,8 +251,9 @@ func (s *DiskStore) Generation() uint64 {
 // stats.Registry to expose the lsdgnn_store_* series).
 func (s *DiskStore) Stats() *Stats { return s.st }
 
-// Resident returns the page cache's resident bytes (0 when unbudgeted —
-// mmap residency belongs to the OS).
+// Resident returns the bytes held against the memory budget: the offset
+// index plus the cached pages (0 when unbudgeted — mmap residency belongs
+// to the OS).
 func (s *DiskStore) Resident() int64 { return s.st.ResidentBytes() }
 
 // SegmentBytes returns the live segment's file size.
@@ -536,7 +538,8 @@ func (s *DiskStore) Compact() error {
 	// immutable from here on, so no lock is held across the (long) write.
 	// A budgeted base is streamed through a mapping of its own, not the
 	// page cache: an in-order scan gains nothing from small cached pages
-	// and would evict the readers' working set.
+	// and would evict the readers' working set. Each openSegment here
+	// builds its own offset index, outside s.mu.
 	base := s.seg
 	if s.opts.budget > 0 {
 		o := s.opts
@@ -586,6 +589,9 @@ func (s *DiskStore) Compact() error {
 	s.mu.Unlock()
 
 	oldSeg.Close()
+	if c, ok := newSeg.r.(*pageCache); ok {
+		c.publish()
+	}
 	os.Remove(filepath.Join(s.dir, walName(oldGen)))
 	os.Remove(filepath.Join(s.dir, segName(oldGen)))
 	s.st.compactions.Inc()

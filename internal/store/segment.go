@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 
 	"lsdgnn/internal/graph"
 	"lsdgnn/internal/mem"
@@ -15,10 +16,10 @@ import (
 
 // The immutable CSR segment format (little endian). One file per
 // generation, laid out for sequential adjacency scans: fixed-width offsets
-// first (so any vertex's edge range is two 8-byte reads at a computed
-// address), then the neighbor runs in vertex order (so a frontier sorted
-// by vertex ID walks the file forward — the access pattern Dann et al.
-// show graph accelerators want), then the attribute pages.
+// first (streamed once at open into an in-memory offsetIndex, so a lookup
+// reads only its edge run), then the neighbor runs in vertex order (so a
+// frontier sorted by vertex ID walks the file forward — the access pattern
+// Dann et al. show graph accelerators want), then the attribute pages.
 //
 //	header (96 bytes, CRC-protected):
 //	  0  magic "LSDS"        4  version u32       8  flags u32
@@ -31,9 +32,10 @@ import (
 //	edges:    numEdges × u64        neighbor runs, vertex order
 //	attrs:    numNodes × attrLen × f32   only when flagMaterialized
 //
-// The header CRC is verified at open; the per-section CRCs are verified
-// on demand by Verify (a full-file streaming check would defeat
-// larger-than-RAM opens).
+// The header CRC and the offsets section's CRC are verified at open (the
+// index build streams that section anyway); the edge and attribute CRCs
+// are verified on demand by Verify (a full-file streaming check would
+// defeat larger-than-RAM opens).
 const (
 	segMagic   = "LSDS"
 	segVersion = 1
@@ -156,8 +158,8 @@ type segSource interface {
 }
 
 // chunkSize is what writeSegment hands the file, and a section checksum,
-// per call: a whole number of words, and far above the 64 bytes crc32
-// needs to take its vector kernel.
+// per call: a whole number of words and of offset-index blocks, and far
+// above the 64 bytes crc32 needs to take its vector kernel.
 const chunkSize = 64 << 10
 
 // sectionWriter stages a section's words in one chunk buffer and writes
@@ -285,6 +287,98 @@ func writeSegment(path string, gen uint64, src segSource) (int64, error) {
 	return h.fileSize, nil
 }
 
+// offsetIndex answers any vertex's edge range from memory, so a lookup
+// touches segment bytes only for its edge run: the CSR pointer array an
+// access engine keeps close while the edge array stays in far memory (the
+// split Dann et al. build graph accelerators around). The numNodes+1
+// offsets are grouped in blocks of indexBlock; a block keeps one absolute
+// base and each offset a uint16 distance from it, about 2.1 bytes a
+// vertex. A block whose offsets span more than a uint16 (a hub's run)
+// keeps them absolute in wide instead, and its base slot holds ^k, k its
+// place there, so the index is exact for any degree.
+type offsetIndex struct {
+	base []int64
+	rel  []uint16
+	wide []int64
+}
+
+const (
+	indexShift = 6
+	indexBlock = 1 << indexShift
+	indexMask  = indexBlock - 1
+)
+
+// at returns offset i.
+func (x *offsetIndex) at(i int64) int64 {
+	b := x.base[i>>indexShift]
+	if b < 0 {
+		return x.wide[^b<<indexShift|i&indexMask]
+	}
+	return b + int64(x.rel[i])
+}
+
+// bytes is the index's heap footprint, what a budgeted segment charges
+// its page cache for it.
+func (x *offsetIndex) bytes() int64 {
+	return int64(cap(x.base))*8 + int64(cap(x.rel))*2 + int64(cap(x.wide))*8
+}
+
+// readOffsetIndex streams the offsets section of a segment with numNodes
+// vertices and numEdges edges from r at off, one pooled chunk at a time,
+// and builds its index. The same pass checks the section against its
+// checksum want, and that the offsets start at 0, never fall and end at
+// numEdges, so every range the index answers lies inside the edge
+// section. Any failure is ErrCorrupt.
+func readOffsetIndex(r io.ReaderAt, off, numNodes, numEdges int64, want uint32) (*offsetIndex, error) {
+	n := numNodes + 1
+	x := &offsetIndex{base: make([]int64, (n+indexMask)>>indexShift), rel: make([]uint16, n)}
+	buf := mem.Bytes.Get(chunkSize)
+	defer mem.Bytes.Put(buf)
+	var crc uint32
+	var prev uint64
+	for i := int64(0); i < n; {
+		chunk := buf[:min(int64(len(buf)), (n-i)*8)]
+		if got, err := r.ReadAt(chunk, off+i*8); got < len(chunk) {
+			return nil, fmt.Errorf("%w: offsets section short at offset %d: %v", ErrCorrupt, i, err)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		// A chunk holds whole blocks. Each is checked and stored relative
+		// to its first offset, then moved to wide if that overflowed.
+		for ; len(chunk) > 0; i += indexBlock {
+			blk := chunk[:min(len(chunk), indexBlock*8)]
+			chunk = chunk[len(blk):]
+			first := binary.LittleEndian.Uint64(blk)
+			x.base[i>>indexShift] = int64(first)
+			rel := x.rel[i : i+int64(len(blk)/8)]
+			for j := range rel {
+				o := binary.LittleEndian.Uint64(blk[j*8:])
+				if o < prev || o > uint64(numEdges) {
+					return nil, fmt.Errorf("%w: offset %d is %d, want %d..%d", ErrCorrupt, i+int64(j), o, prev, numEdges)
+				}
+				prev = o
+				rel[j] = uint16(o - first)
+			}
+			if prev-first <= math.MaxUint16 {
+				continue
+			}
+			at := int64(len(x.wide))
+			x.base[i>>indexShift] = ^(at >> indexShift)
+			x.wide = append(x.wide, make([]int64, indexBlock)...)
+			for j := range len(blk) / 8 {
+				x.wide[at+int64(j)] = int64(binary.LittleEndian.Uint64(blk[j*8:]))
+			}
+		}
+	}
+	if crc != want {
+		return nil, fmt.Errorf("%w: offsets section checksum %#x, want %#x", ErrCorrupt, crc, want)
+	}
+	if first := x.at(0); first != 0 || prev != uint64(numEdges) {
+		return nil, fmt.Errorf("%w: offsets run %d..%d, want 0..%d", ErrCorrupt, first, prev, numEdges)
+	}
+	x.wide = slices.Clone(x.wide) // charge what it holds, not append's slack
+	return x, nil
+}
+
 // reader abstracts segment byte access: mmap when unbudgeted, the
 // admission-controlled page cache when a memory budget is set, plain
 // pread as the portability fallback.
@@ -337,8 +431,9 @@ func (r fileReader) Close() error { return r.f.Close() }
 // segment is an open immutable CSR segment.
 type segment struct {
 	*segHeader
-	r  reader
-	st *Stats
+	idx *offsetIndex
+	r   reader
+	st  *Stats
 }
 
 // openSegment maps or caches the segment at path according to opts.
@@ -366,45 +461,43 @@ func openSegment(path string, o options) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: segment %s is %d bytes, header says %d", ErrCorrupt, path, fi.Size(), h.fileSize)
 	}
+	idx, err := readOffsetIndex(f, h.offTable, h.numNodes, h.numEdges, h.offCRC)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("segment %s: %w", path, err)
+	}
 	var r reader
 	if o.budget > 0 {
-		r = newPageCache(f, h.fileSize, o.budget, o.stats)
+		if need := idx.bytes() + PageSize; o.budget < need {
+			f.Close()
+			return nil, fmt.Errorf("%w: budget %d under the %d bytes of segment %s's offset index and one page",
+				ErrBudgetExceeded, o.budget, need, path)
+		}
+		r = newPageCache(f, h.fileSize, o.budget, idx.bytes(), o.stats)
 	} else {
 		r = newMmapReader(f, h.fileSize)
 	}
 	o.stats.generation.Set(float64(h.gen))
 	o.stats.segmentBytes.Set(float64(h.fileSize))
-	return &segment{segHeader: h, r: r, st: o.stats}, nil
+	return &segment{segHeader: h, idx: idx, r: r, st: o.stats}, nil
 }
 
 func (s *segment) Close() error { return s.r.Close() }
 
 // neighbors fills dst[i] with vs[i]'s adjacency: its base run, then its
-// entries in frozen and in live (either map may be nil). The reader is
-// held once for the call, so a budgeted segment takes the page-cache lock
-// once. A first pass reads every offset pair into pooled scratch and sizes
-// one arena for the lists that outgrow their dst slot; a second decodes
-// every run straight out of the mapping or the cached pages. A list reuses
-// dst[i]'s capacity when it fits and is carved from the fresh arena
-// otherwise, so no list aliases a buffer the store reuses later. IDs
-// outside the segment have no base run.
+// entries in frozen and in live (either map may be nil). Every run's range
+// comes from the offset index, so a first pass sizes one arena for the
+// lists that outgrow their dst slot without reading the segment, and a
+// second decodes every run straight out of the mapping or the cached
+// pages, holding the reader once (a budgeted segment takes the page-cache
+// lock once per call). A list reuses dst[i]'s capacity when it fits and is
+// carved from the fresh arena otherwise, so no list aliases a buffer the
+// store reuses later. IDs outside the segment have no base run.
 func (s *segment) neighbors(dst [][]graph.NodeID, vs []graph.NodeID, frozen, live map[graph.NodeID][]graph.NodeID) error {
-	s.r.lock()
-	defer s.r.unlock()
-	spans := mem.IDs.Get(2 * len(vs)) // start, end per ID
-	defer mem.IDs.Put(spans)
 	need := 0
 	for i, v := range vs {
-		span := spans[2*i : 2*i+2]
-		if uint64(v) >= uint64(s.numNodes) {
-			span[0], span[1] = 0, 0
-		} else if err := s.r.words(span, s.offTable+int64(v)*8); err != nil {
-			return err
-		}
-		if start, end := int64(span[0]), int64(span[1]); start < 0 || end < start || end > s.numEdges {
-			return fmt.Errorf("%w: vertex %d offsets [%d,%d) outside %d edges", ErrCorrupt, v, start, end, s.numEdges)
-		}
-		if m := int(span[1]-span[0]) + len(frozen[v]) + len(live[v]); m > cap(dst[i]) {
+		start, end := s.run(v)
+		if m := int(end-start) + len(frozen[v]) + len(live[v]); m > cap(dst[i]) {
 			need += m
 		}
 	}
@@ -412,8 +505,11 @@ func (s *segment) neighbors(dst [][]graph.NodeID, vs []graph.NodeID, frozen, liv
 	if need > 0 {
 		arena = make([]graph.NodeID, need)
 	}
+	s.r.lock()
+	defer s.r.unlock()
 	for i, v := range vs {
-		start, n := int64(spans[2*i]), int(spans[2*i+1]-spans[2*i])
+		start, end := s.run(v)
+		n := int(end - start)
 		f, l := frozen[v], live[v]
 		list := dst[i][:0]
 		if m := n + len(f) + len(l); m > cap(list) {
@@ -428,6 +524,15 @@ func (s *segment) neighbors(dst [][]graph.NodeID, vs []graph.NodeID, frozen, liv
 		dst[i] = append(append(list, f...), l...)
 	}
 	return nil
+}
+
+// run returns v's edge range [start, end): empty for IDs outside the
+// segment.
+func (s *segment) run(v graph.NodeID) (start, end int64) {
+	if uint64(v) >= uint64(s.numNodes) {
+		return 0, 0
+	}
+	return s.idx.at(int64(v)), s.idx.at(int64(v) + 1)
 }
 
 // appendAttr appends v's attribute vector to dst: a page-cache or mmap

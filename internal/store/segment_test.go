@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -148,6 +149,121 @@ func TestSegmentGoldenFiles(t *testing.T) {
 		assertGraphParity(t, s, g)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// offsetsSection returns the little-endian offsets section of cumulative
+// degrees degs.
+func offsetsSection(degs ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, 0)
+	var cum uint64
+	for _, d := range degs {
+		cum += d
+		b = binary.LittleEndian.AppendUint64(b, cum)
+	}
+	return b
+}
+
+// FuzzOffsetIndex: readOffsetIndex never panics, and on any offsets
+// section — the bytes b for numNodes vertices and numEdges edges, checked
+// against their own checksum when seal is set and a wrong one otherwise —
+// it refuses with ErrCorrupt exactly when the raw little-endian decode is
+// not a whole, sealed table that starts at 0, never falls and ends at
+// numEdges, and otherwise answers every offset as that decode does.
+func FuzzOffsetIndex(f *testing.F) {
+	wide := offsetsSection(1, 70_000, 0, 3)                       // a block past a uint16
+	f.Add(wide, uint16(4), uint64(70_004), true)                  // accepted, through wide
+	f.Add(wide, uint16(4), uint64(70_004), false)                 // wrong checksum
+	f.Add(wide[:20], uint16(3), uint64(70_004), true)             // truncated table
+	f.Add(offsetsSection(5, 1<<64-3), uint16(2), uint64(2), true) // falls
+	f.Add(offsetsSection(7), uint16(1), uint64(7), true)
+	many := make([]uint64, 200)
+	for i := range many {
+		many[i] = uint64(i % 5 * 600)
+	}
+	f.Add(offsetsSection(many...), uint16(200), uint64(240_000), true) // three wide blocks of four
+
+	f.Fuzz(func(t *testing.T, b []byte, nodes uint16, edges uint64, seal bool) {
+		// At most two vertices past what b holds: enough to read a short
+		// table, few enough that an index never dwarfs its input.
+		numNodes, numEdges := int64(nodes)%int64(len(b)/8+2), int64(edges&^(1<<63))
+		section := b[:min(int64(len(b)), (numNodes+1)*8)]
+		crc := crc32.ChecksumIEEE(section)
+		if !seal {
+			crc ^= 0x5eed
+		}
+		raw := make([]int64, len(section)/8)
+		valid := seal && len(raw) == int(numNodes+1)
+		for i := range raw {
+			raw[i] = int64(binary.LittleEndian.Uint64(section[i*8:]))
+			valid = valid && uint64(raw[i]) <= uint64(numEdges) && (i == 0 && raw[i] == 0 || i > 0 && raw[i] >= raw[i-1])
+		}
+		valid = valid && raw[numNodes] == numEdges
+		x, err := readOffsetIndex(bytes.NewReader(b), 0, numNodes, numEdges, crc)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal %v is not ErrCorrupt", err)
+			}
+			if valid {
+				t.Fatalf("refused a valid table of %d offsets for %d edges: %v", len(raw), numEdges, err)
+			}
+			return
+		}
+		if !valid {
+			t.Fatalf("accepted an invalid table (seal=%v, %d of %d offsets, %d edges)", seal, len(raw), numNodes+1, numEdges)
+		}
+		for i, want := range raw {
+			if got := x.at(int64(i)); got != want {
+				t.Fatalf("offset %d: index says %d, the section %d", i, got, want)
+			}
+		}
+		if want := int64(len(x.base))*8 + int64(len(x.rel))*2 + int64(len(x.wide))*8; x.bytes() < want {
+			t.Fatalf("index charges %d bytes, holds at least %d", x.bytes(), want)
+		}
+	})
+}
+
+// TestDiskStoreHubParity: vertices whose runs outgrow a uint16 put their
+// index blocks in the wide table, and every vertex still reads back its
+// exact adjacency, budgeted and mapped. The offsets span three chunks of
+// the index build, the last one ending in a partial block.
+func TestDiskStoreHubParity(t *testing.T) {
+	const n = 20_000
+	b := graph.NewBuilder(n, 4)
+	hubs := map[graph.NodeID]int{3: 70_000, 10_000: 66_000} // blocks 0 and 156, chunks 0 and 1
+	for v := graph.NodeID(0); v < n; v++ {
+		deg := int(v % 7)
+		if d, ok := hubs[v]; ok {
+			deg = d
+		}
+		for j := 0; j < deg; j++ {
+			if err := b.AddEdge(v, graph.NodeID((int(v)*31+j*17)%n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := make([]graph.NodeID, n)
+	for i := range vs {
+		vs[i] = graph.NodeID(i)
+	}
+	for _, opts := range [][]Option{{WithMemoryBudget(16 * PageSize)}, nil} {
+		_, s := mustCreate(t, g, opts...)
+		if w := len(s.seg.idx.wide); w != 2*indexBlock {
+			t.Fatalf("%d options: %d wide offsets, want the two hub blocks' %d", len(opts), w, 2*indexBlock)
+		}
+		dst := make([][]graph.NodeID, n)
+		if err := s.NeighborsBatch(context.Background(), dst, vs); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			if !equalIDs(dst[v], g.Neighbors(v)) {
+				t.Fatalf("%d options: node %d: %d neighbours, want %d", len(opts), v, len(dst[v]), len(g.Neighbors(v)))
+			}
 		}
 	}
 }

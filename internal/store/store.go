@@ -29,9 +29,9 @@
 //	                   the store refuses to serve guessed data (a torn
 //	                   WAL *tail* is not corruption — crash recovery
 //	                   truncates it and replays the clean prefix)
-//	ErrBudgetExceeded  the configured memory budget cannot admit even a
-//	                   single cache page (PageSize bytes) — raise the
-//	                   budget
+//	ErrBudgetExceeded  the configured memory budget cannot hold the
+//	                   segment's offset index plus a single cache page
+//	                   (PageSize bytes) — raise the budget
 //	ErrExists          Create target already holds a store
 //
 // The facade re-exports them as lsdgnn.ErrStoreCorrupt,
@@ -54,7 +54,8 @@ import (
 var (
 	// ErrCorrupt marks data that failed checksum or structural validation.
 	ErrCorrupt = errors.New("store: corrupt data")
-	// ErrBudgetExceeded marks a memory budget too small to admit one page.
+	// ErrBudgetExceeded marks a memory budget too small to hold the offset
+	// index and one page.
 	ErrBudgetExceeded = errors.New("store: memory budget exceeded")
 	// ErrExists marks a Create over an existing store.
 	ErrExists = errors.New("store: already exists")
@@ -91,18 +92,20 @@ func (m SyncMode) String() string {
 type Config struct {
 	// Path is the store directory; empty means serve from memory.
 	Path string
-	// MemoryBudget caps resident cache bytes for a store on disk
-	// (0 = unbudgeted: the whole segment is mmap'd and the OS pages it).
+	// MemoryBudget caps the resident bytes of a store on disk, its offset
+	// index and cached pages (0 = unbudgeted: the whole segment is mmap'd
+	// and the OS pages it).
 	MemoryBudget int64
 	// SyncMode selects WAL durability for a store on disk.
 	SyncMode SyncMode
 }
 
 // PageSize is the budgeted page cache's one page size: the OS page. A
-// sampler lookup wants a 16-byte offset pair and a run of about a hundred
-// bytes, so a miss faults in the page holding them and no more — the
-// fine-grained access AxE's coalescing-only cache is built around (Tech-4),
-// rather than a coarse line that pays for bytes nobody asked for.
+// sampler lookup takes its offsets from the in-memory index and wants only
+// a run of about a hundred bytes, so a miss faults in the page holding it
+// and no more — the fine-grained access AxE's coalescing-only cache is
+// built around (Tech-4), rather than a coarse line that pays for bytes
+// nobody asked for.
 const PageSize = 4 << 10
 
 // options collects Open/Create tuning.
@@ -117,9 +120,10 @@ type Option func(*options)
 
 // WithMemoryBudget caps the bytes the store keeps resident for segment
 // data. 0 (the default) mmaps the segment and lets the OS page it; a
-// positive budget switches reads to an admission-controlled page cache
-// that evicts LRU pages to stay under budget. Open fails with
-// ErrBudgetExceeded when the budget cannot admit a single page.
+// positive budget holds the segment's offset index, built at Open (about
+// 2.1 bytes a vertex), and spends the rest on an admission-controlled page
+// cache that evicts LRU pages to stay under budget. Open fails with
+// ErrBudgetExceeded when the budget cannot hold the index and one page.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *options) { o.budget = bytes }
 }
@@ -151,14 +155,15 @@ func buildOptions(opts []Option) (options, error) {
 }
 
 // FromConfig opens the store at cfg.Path, first bulk-loading g into it
-// when g is not nil and the directory holds no store yet. An empty path
+// when g is not nil and the directory holds no store yet. opts apply after
+// cfg's (a server hands its pre-registered WithStats here). An empty path
 // is an error: a Config without one serves from memory and opens no
 // store.
-func FromConfig(cfg Config, g *graph.Graph) (*DiskStore, error) {
+func FromConfig(cfg Config, g *graph.Graph, opts ...Option) (*DiskStore, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("store: no path to open")
 	}
-	opts := []Option{WithMemoryBudget(cfg.MemoryBudget), WithSyncMode(cfg.SyncMode)}
+	opts = append([]Option{WithMemoryBudget(cfg.MemoryBudget), WithSyncMode(cfg.SyncMode)}, opts...)
 	if g != nil && !Exists(cfg.Path) {
 		if err := Create(cfg.Path, g, opts...); err != nil {
 			return nil, err

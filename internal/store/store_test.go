@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -385,6 +386,52 @@ func TestOpenErrors(t *testing.T) {
 			t.Fatalf("want ErrCorrupt, got %v", err)
 		}
 	})
+	// A damaged offsets section fails Open, budgeted and mapped, with the
+	// header intact. One flipped bit keeps the offsets in order, so only
+	// the section's checksum can catch it; another makes an offset
+	// overshoot the edges under a resealed checksum, so only the order
+	// check can.
+	for name, reseal := range map[string]bool{"corrupt-offsets-checksum": false, "corrupt-offsets-order": true} {
+		t.Run(name, func(t *testing.T) {
+			dir, s := mustCreate(t, g)
+			s.Close()
+			path := filepath.Join(dir, segName(1))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := decodeHeader(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			le := binary.LittleEndian
+			off := func(i int64) []byte { return b[h.offTable+i*8:] }
+			if reseal {
+				off(10)[6] ^= 0x40 // offset 10 jumps past every edge
+				h.offCRC = crc32.ChecksumIEEE(b[h.offTable:h.edgeTable])
+				copy(b, h.encode())
+			} else {
+				i := int64(1)
+				for ; i < h.numNodes; i++ {
+					if o := le.Uint64(off(i)) ^ 1; le.Uint64(off(i-1)) <= o && o <= le.Uint64(off(i+1)) {
+						break
+					}
+				}
+				off(i)[0] ^= 1
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range [][]Option{{WithMemoryBudget(16 << 10)}, nil} {
+				if s, err := Open(dir, opts...); !errors.Is(err, ErrCorrupt) {
+					if err == nil {
+						s.Close()
+					}
+					t.Fatalf("%d options: Open gave %v, want ErrCorrupt", len(opts), err)
+				}
+			}
+		})
+	}
 	t.Run("corrupt-current", func(t *testing.T) {
 		dir, s := mustCreate(t, g)
 		s.Close()

@@ -56,8 +56,9 @@
 //	                 failed checksum or bounds validation; the store never
 //	                 serves guessed data (a torn WAL tail after a crash is
 //	                 not corruption — recovery truncates and replays)
-//	ErrStoreBudget   the configured memory budget cannot admit even one
-//	                 4 KiB cache page — raise the budget
+//	ErrStoreBudget   the configured memory budget cannot hold the
+//	                 segment's offset index plus one 4 KiB cache page —
+//	                 raise the budget
 //	ErrStoreExists   CreateStore's path already holds a store
 package lsdgnn
 
@@ -132,8 +133,8 @@ var (
 	// ErrStoreCorrupt marks stored data that failed checksum or bounds
 	// validation.
 	ErrStoreCorrupt = store.ErrCorrupt
-	// ErrStoreBudget marks a memory budget too small to admit one cache
-	// page.
+	// ErrStoreBudget marks a memory budget too small to hold the offset
+	// index and one cache page.
 	ErrStoreBudget = store.ErrBudgetExceeded
 	// ErrStoreExists marks a CreateStore over a path that already holds a
 	// store.
